@@ -55,9 +55,9 @@ from .stimulus import (
 from .neural import (
     AfferentParams,
     DriveTrace,
+    SpikeCounter,
     SpikeTrain,
     abs_difference_filter,
-    count_spikes_in_window,
     default_afferent_params,
     derivative,
     drive_for_stress,
@@ -68,6 +68,7 @@ from .neural import (
     save_spike_trains,
     simulate_lif,
     stress_to_drive,
+    window_steps,
 )
 from .optimize import (
     FitOutcome,
@@ -113,6 +114,7 @@ __all__ = [
     "RateRecord",
     "RegressionReport",
     "RunConfig",
+    "SpikeCounter",
     "SpikeTrain",
     "StiffnessSystem",
     "StimulusSpec",
@@ -124,7 +126,6 @@ __all__ = [
     "builtin_protocol",
     "config_from_dict",
     "contact_active_set",
-    "count_spikes_in_window",
     "default_afferent_depths",
     "default_afferent_params",
     "default_material_layers",
@@ -163,5 +164,6 @@ __all__ = [
     "stress_to_drive",
     "surface_deflection",
     "von_mises",
+    "window_steps",
     "__version__",
 ]

@@ -3,12 +3,13 @@
 Every command takes --config (JSON, see config module), with optional
 --seed / --out / --protocol overrides.  Exit codes: 0 success, 2 validation
 error, 3 numerical failure.  Concurrent runs against one output directory
-are rejected via a `.lock` file.  `AFFERENTSIM_THREADS` caps the number of
-parallel candidate evaluations during fitting.
+are rejected via a `.lock` file.
 
 FEM results are cached under <out>/cache/stress keyed by the content of
 (mesh, materials, indenter, stimulus), so re-running a protocol or fitting
-against an existing bank skips the solver entirely.
+against an existing bank skips the solver entirely.  Cache files are written
+whole or not at all (temp file, then rename); a cached trace that does not
+parse or does not match its stimulus's length and dt is recomputed.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .optimize import (
     predict_rates,
     selected_to_json,
 )
-from .stimulus import StimulusSpec, builtin_protocol, load_protocol
+from .stimulus import StimulusSpec, builtin_protocol, load_protocol, sinusoid_window_ms
 
 logger = logging.getLogger("afferentsim")
 
@@ -111,6 +112,29 @@ def _stimulus_cache_key(cfg: RunConfig, mesh_hash: str, spec: StimulusSpec) -> s
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
+def _load_cached(
+    files: dict[str, str], spec: StimulusSpec
+) -> dict[str, StressTrace] | None:
+    """The cached traces for one stimulus, or None when they must be computed."""
+    if not all(os.path.exists(p) for p in files.values()):
+        return None
+    try:
+        traces = {a: StressTrace.from_csv(p) for a, p in files.items()}
+    except ValidationError as exc:
+        logger.warning("stale cache for %s: %s; recomputing", spec.stimulus_id, exc)
+        return None
+    for a, trace in traces.items():
+        if trace.n_steps != spec.n_steps or trace.dt_ms != spec.dt_ms:
+            logger.warning(
+                "stale cache for %s: %s holds %d steps at dt %r ms, the "
+                "stimulus has %d at dt %r ms; recomputing",
+                spec.stimulus_id, files[a], trace.n_steps, trace.dt_ms,
+                spec.n_steps, spec.dt_ms,
+            )
+            return None
+    return traces
+
+
 def compute_stress_bank(
     cfg: RunConfig, mesh, system: StiffnessSystem | None,
     specs: list[StimulusSpec], cache_dir: str,
@@ -122,11 +146,10 @@ def compute_stress_bank(
     for spec in specs:
         key = _stimulus_cache_key(cfg, mesh_hash, spec)
         files = {a: os.path.join(cache_dir, f"{key}_{a}.csv") for a in AFFERENT_TYPES}
-        if all(os.path.exists(p) for p in files.values()):
+        cached = _load_cached(files, spec)
+        if cached is not None:
             logger.info("cache hit: FEM stage skipped for %s", spec.stimulus_id)
-            bank[spec.stimulus_id] = {
-                a: StressTrace.from_csv(p) for a, p in files.items()
-            }
+            bank[spec.stimulus_id] = cached
             continue
         if system is None:
             system = StiffnessSystem(mesh)
@@ -137,7 +160,10 @@ def compute_stress_bank(
         except NumericalError as exc:
             raise NumericalError(f"stimulus {spec.stimulus_id}: {exc}") from exc
         for a, trace in result.stress_traces.items():
-            trace.to_csv(files[a], provenance=f"cache-key={key}")
+            # a crash mid-write leaves only the temp file behind
+            tmp = f"{files[a]}.tmp"
+            trace.to_csv(tmp, provenance=f"cache-key={key}")
+            os.replace(tmp, files[a])
         bank[spec.stimulus_id] = result.stress_traces
         logger.info("FEM solved %s (%d steps)", spec.stimulus_id, displacement.size)
     return bank
@@ -166,9 +192,7 @@ def _load_afferent_params(source: str) -> dict[str, AfferentParams]:
 
 def _spec_descriptor(spec: StimulusSpec) -> tuple[float, float]:
     """(freq_hz, amplitude_um) columns for the rate table."""
-    if spec.kind == "sinusoid":
-        return spec.freq_hz, spec.amplitude_um
-    if spec.kind == "diharmonic":
+    if spec.kind in ("sinusoid", "diharmonic"):
         return spec.freq_hz, spec.amplitude_um
     return (spec.lo_hz + spec.hi_hz) / 2.0, spec.rms_um
 
@@ -221,10 +245,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             train = run_afferent(trace, params[atype], record_membrane=False)
             train.meta.update({"stimulus_id": spec.stimulus_id})
             trains.append(train)
-            n = int(np.sum(
-                (train.spike_times_ms >= spec.discard_ms)
-                & (train.spike_times_ms < spec.discard_ms + spec.window_ms)
-            ))
+            n = train.count_in_window(spec.discard_ms, spec.discard_ms + spec.window_ms)
             records.append(RateRecord(
                 afferent_type=atype, stimulus_id=spec.stimulus_id,
                 freq_hz=freq, amplitude_um=amp,
@@ -292,6 +313,16 @@ def cmd_fit(cfg: RunConfig) -> int:
     sin_specs = [s for s in specs if s.kind == "sinusoid"]
     if not sin_specs:
         raise ValidationError("fit needs a sinusoid protocol (no sinusoids found)")
+    by_condition: dict[tuple[float, float], str] = {}
+    for s in sin_specs:
+        condition = (s.freq_hz, s.amplitude_um)
+        if condition in by_condition:
+            raise ValidationError(
+                f"stimuli {by_condition[condition]!r} and {s.stimulus_id!r} are "
+                f"both {s.freq_hz} Hz at {s.amplitude_um} um; fit needs one "
+                "stimulus per condition"
+            )
+        by_condition[condition] = s.stimulus_id
     mesh = build_mesh(cfg.geometry, cfg.materials)
     bank = compute_stress_bank(
         cfg, mesh, None, sin_specs, os.path.join(out, "cache", "stress")
@@ -332,7 +363,7 @@ def cmd_fit(cfg: RunConfig) -> int:
                 freq_hz=f, amplitude_um=a,
                 predicted_ips=predicted[(f, a)],
                 observed_ips=obs_map.get((f, a)),
-                window_ms=245.0 if f == 20.0 else 100.0,
+                window_ms=sinusoid_window_ms(f),
             )
             for (f, a) in sorted(predicted)
         ]

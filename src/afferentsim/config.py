@@ -223,7 +223,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
                     "indenter")
 
     ap = raw.get("afferent_params", "default")
-    if ap == "default" or ap == "table-defaults":
+    if ap == "default":
         ap_source = "default"
     elif isinstance(ap, dict) and "path" in ap:
         ap_source = os.path.join(base_dir, ap["path"]) if not os.path.isabs(ap["path"]) else ap["path"]

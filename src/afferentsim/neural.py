@@ -207,7 +207,7 @@ def stress_to_drive(
 # integrate-and-fire
 
 
-def _lif_full_py(drive, c1, c3, u_rest, u_reset, theta, n_refr):
+def _lif_full(drive, c1, c3, u_rest, u_reset, theta, n_refr):
     n = drive.shape[0]
     u = np.empty(n)
     u[0] = u_rest
@@ -227,37 +227,6 @@ def _lif_full_py(drive, c1, c3, u_rest, u_reset, theta, n_refr):
             refr = n_refr
         u[k + 1] = uk
     return u, spike_steps[:ns]
-
-
-def _lif_count_py(drive, c1, c3, u_rest, u_reset, theta, n_refr, k_lo, k_hi):
-    n = drive.shape[0]
-    uk = u_rest
-    refr = 0
-    count = 0
-    for k in range(n - 1):
-        d = drive[k]
-        if refr > 0:
-            d = 0.0
-            refr -= 1
-        uk = c1 * uk + (1.0 - c1) * u_rest + c3 * d
-        if uk >= theta:
-            if k_lo <= k + 1 < k_hi:
-                count += 1
-            uk = u_reset
-            refr = n_refr
-    return count
-
-
-try:  # pragma: no cover - exercised via the equality tests either way
-    from numba import njit
-
-    _lif_full = njit(cache=True, nogil=True)(_lif_full_py)
-    _lif_count = njit(cache=True, nogil=True)(_lif_count_py)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _lif_full = _lif_full_py
-    _lif_count = _lif_count_py
-    HAVE_NUMBA = False
 
 
 def _step_coefficients(tau_m_ms: float, dt_ms: float, method: str) -> tuple[float, float]:
@@ -288,6 +257,12 @@ class SpikeTrain:
     @property
     def n_spikes(self) -> int:
         return int(self.spike_times_ms.size)
+
+    def count_in_window(self, start_ms: float, end_ms: float) -> int:
+        """Spikes in [start, end), by the step rule of window_steps."""
+        k_lo, k_hi = window_steps(start_ms, end_ms, self.dt_ms)
+        steps = np.rint(self.spike_times_ms / self.dt_ms)
+        return int(np.count_nonzero((steps >= k_lo) & (steps < k_hi)))
 
     def to_record(self) -> dict:
         return {
@@ -334,24 +309,152 @@ def simulate_lif(
     )
 
 
-def count_spikes_in_window(
-    drive_values: np.ndarray, params: AfferentParams, dt_ms: float,
-    window_start_ms: float, window_end_ms: float, method: str = "euler",
-) -> int:
-    """Spike count over [start, end) without storing the membrane trace.
+def window_steps(start_ms: float, end_ms: float, dt_ms: float) -> tuple[int, int]:
+    """Step indices [k_lo, k_hi) whose step times k*dt lie in [start, end).
 
-    Same update rule as simulate_lif; used in fitting loops where only the
-    windowed count matters.
+    The one window rule behind every windowed spike count: fitting, rate
+    prediction and the simulate rate table.
     """
-    c1, c3 = _step_coefficients(params.tau_m_ms, dt_ms, method)
-    n_refr = int(np.ceil(params.tau_r_ms / dt_ms))
-    k_lo = int(np.ceil(window_start_ms / dt_ms - 1e-9))
-    k_hi = int(np.ceil(window_end_ms / dt_ms - 1e-9))
-    return int(_lif_count(
-        np.ascontiguousarray(drive_values, dtype=float), c1, c3,
-        params.u_rest_mv, params.u_reset_mv, params.threshold_mv, n_refr,
-        k_lo, k_hi,
-    ))
+    return (
+        int(np.ceil(start_ms / dt_ms - 1e-9)),
+        int(np.ceil(end_ms / dt_ms - 1e-9)),
+    )
+
+
+class SpikeCounter:
+    """Windowed spike counts of many parameter sets on one bank of inputs.
+
+    The bank holds S stimuli, each a tuple of filter-chain outputs (one per
+    saturation term, as from filtered_inputs) with its own dt and count
+    window [start, end) in ms.  Calling the counter with N parameter sets
+    integrates all N x S integrate-and-fire units together, one time step
+    at a time, and returns the (N, S) spike counts inside each window.
+
+    Every unit goes through the same IEEE operations in the same order as
+    simulate_lif on the drive of stress_to_drive, so the counts equal a
+    per-unit scalar loop's exactly.  The drive is formed for the current
+    step only: memory stays O(N x S), never O(N x S x steps).
+    """
+
+    def __init__(self, features, dt_ms, windows_ms):
+        n_stim = len(features)
+        if n_stim == 0 or len(dt_ms) != n_stim or len(windows_ms) != n_stim:
+            raise ValidationError("need one dt and one window per stimulus")
+        n_terms = {len(f) for f in features}
+        if len(n_terms) != 1:
+            raise ValidationError("every stimulus needs the same number of inputs")
+        self.n_terms = n_terms.pop()
+        dt = np.asarray(dt_ms, dtype=float)
+        if not np.all(dt > 0):
+            raise ValidationError("dt_ms must be > 0")
+        stop = np.empty(n_stim, dtype=np.int64)
+        first = np.empty(n_stim, dtype=np.int64)
+        for s, (terms, (lo_ms, hi_ms)) in enumerate(zip(features, windows_ms)):
+            n = {np.asarray(f).shape for f in terms}
+            if len(n) != 1 or len(next(iter(n))) != 1:
+                raise ValidationError("inputs of one stimulus must be 1-D, equal length")
+            k_lo, k_hi = window_steps(lo_ms, hi_ms, dt[s])
+            # step k moves the potential to step k + 1; steps past the
+            # window end, or past the trace end, cannot add to the count
+            stop[s] = min(next(iter(n))[0], k_hi) - 1
+            first[s] = k_lo - 1
+        # rows run longest first, so the units still integrating at any
+        # step are a leading slice of the state arrays
+        order = np.argsort(-stop, kind="stable")
+        self._order = order
+        self._dt = dt[order]
+        self._stop = stop[order]
+        self._first = first[order]
+        n_steps = max(int(self._stop[0]), 0)
+        # time-major inputs: row k holds every stimulus's input at step k
+        self._inputs = []
+        for j in range(self.n_terms):
+            table = np.zeros((n_steps, n_stim))
+            for row, s in enumerate(order):
+                k = max(int(self._stop[row]), 0)
+                table[:k, row] = np.abs(np.asarray(features[s][j], dtype=float)[:k])
+            if not np.all(np.isfinite(table)):
+                raise NumericalError("filtered inputs contain non-finite samples")
+            self._inputs.append(table)
+
+    @property
+    def n_stimuli(self) -> int:
+        return self._order.size
+
+    def __call__(self, params, method: str = "euler") -> np.ndarray:
+        """(N, S) int64 counts for the N parameter sets in `params`."""
+        n_par, n_stim = len(params), self.n_stimuli
+        sat = np.empty((self.n_terms, n_par))
+        for i, p in enumerate(params):
+            p.validate()
+            a = p.saturation()
+            if len(a) != self.n_terms:
+                raise ValidationError(
+                    f"{p.afferent_type} params have {len(a)} saturation terms, "
+                    f"the inputs have {self.n_terms}"
+                )
+            sat[:, i] = a
+        alpha = np.array([p.alpha_prime for p in params])
+        theta = np.array([p.threshold_mv for p in params])
+        u_rest = np.array([p.u_rest_mv for p in params])
+        u_reset = np.array([p.u_reset_mv for p in params])
+        # coefficients through the scalar rule simulate_lif uses, so that
+        # every unit's arithmetic matches it bit for bit
+        c1 = np.empty((n_stim, n_par))
+        c3 = np.empty((n_stim, n_par))
+        n_refr = np.empty((n_stim, n_par), dtype=np.int64)
+        for dt in np.unique(self._dt):
+            rows = self._dt == dt
+            for i, p in enumerate(params):
+                c1[rows, i], c3[rows, i] = _step_coefficients(p.tau_m_ms, dt, method)
+                n_refr[rows, i] = int(np.ceil(p.tau_r_ms / dt))
+        rest = (1.0 - c1) * u_rest
+
+        u = np.empty((n_stim, n_par))
+        u[:] = u_rest
+        refr = np.zeros((n_stim, n_par), dtype=np.int64)
+        count = np.zeros((n_stim, n_par), dtype=np.int64)
+        drive = np.empty((n_stim, n_par))
+        term = np.empty((n_stim, n_par))
+        gated = np.empty((n_stim, n_par), dtype=bool)
+        spiked = np.empty((n_stim, n_par), dtype=bool)
+        stop, first = self._stop, self._first
+        first_min, first_max = int(first.min()), int(first.max())
+        m = n_stim
+        for k in range(self._inputs[0].shape[0]):
+            while stop[m - 1] <= k:
+                m -= 1
+            uu, dd, rr, gg, ss = u[:m], drive[:m], refr[:m], gated[:m], spiked[:m]
+            # drive alpha' * sum_j f_j / (a_j + f_j), summed in term order
+            f = self._inputs[0][k, :m, None]
+            np.add(sat[0], f, out=dd)
+            np.divide(f, dd, out=dd)
+            for j in range(1, self.n_terms):
+                f = self._inputs[j][k, :m, None]
+                tt = term[:m]
+                np.add(sat[j], f, out=tt)
+                np.divide(f, tt, out=tt)
+                np.add(dd, tt, out=dd)
+            np.multiply(dd, alpha, out=dd)
+            # refractory units get no drive this step
+            np.greater(rr, 0, out=gg)
+            np.copyto(dd, 0.0, where=gg)
+            np.subtract(rr, gg, out=rr)
+            # u <- (c1*u + (1 - c1)*u_rest) + c3*d
+            np.multiply(uu, c1[:m], out=uu)
+            np.add(uu, rest[:m], out=uu)
+            np.multiply(dd, c3[:m], out=dd)
+            np.add(uu, dd, out=uu)
+            np.greater_equal(uu, theta, out=ss)
+            if k >= first_max:
+                count[:m] += ss
+            elif k >= first_min:
+                count[:m] += ss & (k >= first[:m])[:, None]
+            np.copyto(uu, u_reset, where=ss)
+            np.copyto(rr, n_refr[:m], where=ss)
+        out = np.empty((n_par, n_stim), dtype=np.int64)
+        out[:, self._order] = count.T
+        return out
 
 
 def run_afferent(

@@ -18,16 +18,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 from .fem import StressTrace
-from .neural import AfferentParams, count_spikes_in_window, default_afferent_params, filtered_inputs
-from .stimulus import DISCARD_MS, WINDOW_20HZ_MS, WINDOW_FAST_MS
+from .neural import AfferentParams, SpikeCounter, default_afferent_params, filtered_inputs
+from .stimulus import DISCARD_MS, sinusoid_window_ms
 
 OBJECTIVE_FREQS = (20.0, 50.0, 100.0, 300.0)
 
@@ -140,16 +138,28 @@ def observed_rates_to_csv(sets: list[ObservedRateSet], path) -> None:
                 fh.write(f"{s.afferent_type},{f!r},{a!r},{r!r}\n")
 
 
-def _window_ms(freq_hz: float) -> float:
-    return WINDOW_20HZ_MS if freq_hz == 20.0 else WINDOW_FAST_MS
+def _window_counter(
+    params: AfferentParams, traces: list[tuple[float, StressTrace]], discard_ms: float
+) -> tuple[SpikeCounter, np.ndarray]:
+    """Counter over (freq, trace) pairs, each counted in its frequency's
+    window after `discard_ms`; also returns the window lengths in s."""
+    windows = [sinusoid_window_ms(f) for f, _ in traces]
+    counter = SpikeCounter(
+        [filtered_inputs(params, t.values, t.dt_ms) for _, t in traces],
+        [t.dt_ms for _, t in traces],
+        [(discard_ms, discard_ms + w) for w in windows],
+    )
+    return counter, np.array([w / 1000.0 for w in windows])
 
 
 class RateEvaluator:
-    """Maps a gene vector to the 4-vector of per-frequency squared rate errors.
+    """Maps a population of gene vectors to per-frequency squared rate errors.
 
-    The filter chain does not depend on any tunable gene, so each stimulus is
-    filtered once up front; per candidate only the saturating transform and
-    the windowed spike count run.
+    Called with genes of shape (N, n_genes), returns objectives of shape
+    (N, 4).  The filter chain does not depend on any tunable gene, so each
+    stimulus is filtered once up front; per population only the saturating
+    transform and the windowed spike count run, for all candidates and
+    stimuli in one SpikeCounter call.
     """
 
     def __init__(
@@ -172,47 +182,35 @@ class RateEvaluator:
             )
         self.afferent_type = afferent_type
         self.method = method
-        template = default_afferent_params()[afferent_type]
-        self._entries = []
-        for f, a, rate in observed.records:
-            trace = stress_bank[(f, a)]
-            window = _window_ms(f)
-            if discard_ms + window > trace.duration_ms + 1e-9:
+        for f, a, _ in observed.records:
+            window = sinusoid_window_ms(f)
+            if discard_ms + window > stress_bank[(f, a)].duration_ms + 1e-9:
                 raise ValidationError(
                     f"stress trace for ({f} Hz, {a} um) is shorter than "
                     f"discard + window = {discard_ms + window} ms"
                 )
-            self._entries.append({
-                "freq_idx": OBJECTIVE_FREQS.index(f),
-                "features": filtered_inputs(template, trace.values, trace.dt_ms),
-                "dt_ms": trace.dt_ms,
-                "window_ms": window,
-                "discard_ms": discard_ms,
-                "observed": rate,
-            })
+        self._counter, self._window_s = _window_counter(
+            default_afferent_params()[afferent_type],
+            [(f, stress_bank[(f, a)]) for f, a, _ in observed.records],
+            discard_ms,
+        )
+        self._observed = np.array([r for _, _, r in observed.records])
+        self._freq_idx = [OBJECTIVE_FREQS.index(f) for f, _, _ in observed.records]
 
     def __call__(self, genes: np.ndarray) -> np.ndarray:
-        params = genes_to_params(self.afferent_type, np.asarray(genes, dtype=float))
-        sums = np.zeros(len(OBJECTIVE_FREQS))
+        genes = np.asarray(genes, dtype=float)
+        if genes.ndim != 2:
+            raise ValidationError(f"expected genes of shape (N, n_genes), got {genes.shape}")
+        params = [genes_to_params(self.afferent_type, g) for g in genes]
+        err = self._counter(params, self.method) / self._window_s - self._observed
+        sq = err * err
+        # accumulate in record order, as a per-candidate loop would
+        sums = np.zeros((genes.shape[0], len(OBJECTIVE_FREQS)))
         counts = np.zeros(len(OBJECTIVE_FREQS), dtype=int)
-        for entry in self._entries:
-            err = _rate_for_entry(params, entry, self.method) - entry["observed"]
-            sums[entry["freq_idx"]] += err * err
-            counts[entry["freq_idx"]] += 1
+        for s, i in enumerate(self._freq_idx):
+            sums[:, i] += sq[:, s]
+            counts[i] += 1
         return sums / np.maximum(counts, 1)
-
-
-def _rate_for_entry(params: AfferentParams, entry: dict, method: str) -> float:
-    sats = params.saturation()
-    drive = np.zeros_like(entry["features"][0])
-    for feat, a in zip(entry["features"], sats):
-        drive += feat / (a + feat)
-    drive *= params.alpha_prime
-    n = count_spikes_in_window(
-        drive, params, entry["dt_ms"], entry["discard_ms"],
-        entry["discard_ms"] + entry["window_ms"], method=method,
-    )
-    return n / (entry["window_ms"] / 1000.0)
 
 
 def objectives(
@@ -220,8 +218,9 @@ def objectives(
     stress_bank: dict[tuple[float, float], StressTrace],
     observed: ObservedRateSet,
 ) -> np.ndarray:
-    """One-shot evaluation; build a RateEvaluator directly for repeated use."""
-    return RateEvaluator(observed.afferent_type, stress_bank, observed)(genes)
+    """One-shot evaluation of one gene vector; build a RateEvaluator for more."""
+    evaluator = RateEvaluator(observed.afferent_type, stress_bank, observed)
+    return evaluator(np.asarray(genes, dtype=float)[None, :])[0]
 
 
 def predict_rates(
@@ -231,16 +230,12 @@ def predict_rates(
     method: str = "euler",
 ) -> list[tuple[float, float, float]]:
     """(freq, amplitude, predicted ips) over the whole bank, sorted."""
-    rows = []
-    for (f, a), trace in sorted(stress_bank.items()):
-        entry = {
-            "features": filtered_inputs(params, trace.values, trace.dt_ms),
-            "dt_ms": trace.dt_ms,
-            "window_ms": _window_ms(f),
-            "discard_ms": discard_ms,
-        }
-        rows.append((f, a, _rate_for_entry(params, entry, method)))
-    return rows
+    keys = sorted(stress_bank)
+    counter, window_s = _window_counter(
+        params, [(f, stress_bank[(f, a)]) for f, a in keys], discard_ms
+    )
+    rates = counter([params], method)[0] / window_s
+    return [(f, a, float(r)) for (f, a), r in zip(keys, rates)]
 
 
 # --------------------------------------------------------------------------
@@ -342,30 +337,20 @@ def _polynomial_mutation(x, low, high, eta, rate, rng):
         x[g] = min(max(x[g] + dq * span, xl), xu)
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("AFFERENTSIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _evaluate_batch(evaluate, genes: np.ndarray) -> np.ndarray:
-    threads = _n_threads()
-    if threads == 1:
-        rows = [evaluate(genes[i]) for i in range(genes.shape[0])]
-    else:
-        # results keyed by index, so the outcome is order-invariant
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(evaluate, [genes[i] for i in range(genes.shape[0])]))
-    out = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(out)):
-        bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
+def _evaluate_population(evaluate, genes: np.ndarray) -> np.ndarray:
+    objs = np.asarray(evaluate(genes), dtype=float)
+    if objs.ndim != 2 or objs.shape[0] != genes.shape[0]:
+        raise ValidationError(
+            f"evaluate must return (N, n_objectives) for {genes.shape[0]} "
+            f"candidates, got shape {objs.shape}"
+        )
+    if not np.all(np.isfinite(objs)):
+        bad = int(np.flatnonzero(~np.isfinite(objs).all(axis=1))[0])
         raise ValidationError(
             f"objective evaluation returned non-finite values for candidate "
             f"{genes[bad].tolist()}"
         )
-    return out
+    return objs
 
 
 @dataclass
@@ -398,6 +383,8 @@ def nsga2(
 ) -> ParetoFront:
     """Elitist NSGA-II; stops when the evaluation budget would be exceeded.
 
+    `evaluate` maps a population, genes of shape (N, n_genes), to its
+    objectives, shape (N, n_objectives); it is called once per generation.
     Fully deterministic for a fixed seed: one generator drives all draws and
     every sort is stable.
     """
@@ -417,7 +404,7 @@ def nsga2(
     rng = np.random.default_rng(seed)
 
     pop = rng.uniform(low, high, size=(population_size, n_genes))
-    objs = _evaluate_batch(evaluate, pop)
+    objs = _evaluate_population(evaluate, pop)
     evals = population_size
     ranks, crowd = _rank_and_crowd(objs)
     best = float(objs.sum(axis=1).min())
@@ -440,7 +427,7 @@ def nsga2(
             c1 = pop[a].copy()
             _polynomial_mutation(c1, low, high, eta_mutation, mutation_rate, rng)
             children[-1] = c1
-        child_objs = _evaluate_batch(evaluate, children)
+        child_objs = _evaluate_population(evaluate, children)
         evals += population_size
 
         merged = np.vstack([pop, children])
@@ -477,12 +464,11 @@ def nsga2(
     )
 
 
-def select_candidate(front: ParetoFront, observed: ObservedRateSet | None = None) -> int:
+def select_candidate(front: ParetoFront) -> int:
     """Deterministic pick from the rank-0 set; returns an index into the front.
 
     Rule: minimal objective sum, then minimal worst single objective, then
-    lexicographically smallest gene vector.  `observed` is accepted for
-    signature parity but unused — the rule needs only the objectives.
+    lexicographically smallest gene vector.
     """
     idx = front.front_indices()
     if idx.size == 0:

@@ -190,19 +190,24 @@ class StimulusSpec:
             self.lo_hz, self.hi_hz, self.rms_um, self.duration_ms, self.dt_ms, self.seed
         )
 
+    @property
+    def n_steps(self) -> int:
+        """Samples in the rendered trace, t = 0 through duration."""
+        return _n_samples(self.duration_ms, self.dt_ms)
+
     def content_key(self) -> str:
         """Canonical JSON of every generation-relevant field."""
         d = {k: v for k, v in asdict(self).items() if v is not None}
         return json.dumps(d, sort_keys=True)
 
 
-def _window_for(freq_hz: float) -> tuple[float, float, float]:
-    """(duration, discard, window) in ms for a sinusoid frequency."""
-    if freq_hz == 20.0:
-        window = WINDOW_20HZ_MS
-    else:
-        window = WINDOW_FAST_MS
-    return DISCARD_MS + window, DISCARD_MS, window
+def sinusoid_window_ms(freq_hz: float) -> float:
+    """Rate-count window for a sinusoid: 245 ms at 20 Hz, 100 ms otherwise.
+
+    The window opens DISCARD_MS after stimulus onset; builtin protocols and
+    the fitting objectives both take it from here.
+    """
+    return WINDOW_20HZ_MS if freq_hz == 20.0 else WINDOW_FAST_MS
 
 
 def builtin_protocol(
@@ -212,12 +217,12 @@ def builtin_protocol(
     specs: list[StimulusSpec] = []
     if name == "appendixA":
         for freq, amps in SINUSOID_TABLE.items():
-            duration, discard, window = _window_for(freq)
+            window = sinusoid_window_ms(freq)
             for amp in amps:
                 specs.append(StimulusSpec(
                     stimulus_id=f"sin_{freq:03.0f}hz_{amp:06.2f}um",
-                    kind="sinusoid", duration_ms=duration, dt_ms=dt_ms,
-                    discard_ms=discard, window_ms=window,
+                    kind="sinusoid", duration_ms=DISCARD_MS + window, dt_ms=dt_ms,
+                    discard_ms=DISCARD_MS, window_ms=window,
                     freq_hz=freq, amplitude_um=amp,
                 ))
     elif name == "appendixB":

@@ -191,6 +191,56 @@ def test_cli_simulate_rerun_is_byte_identical(tmp_path, caplog):
         assert (out / p).read_bytes() == blob, p
 
 
+@pytest.mark.parametrize("keep_lines", [200, None])
+def test_cli_simulate_recomputes_truncated_cache(tmp_path, caplog, keep_lines):
+    protocol = write_protocol(tmp_path, [sin_spec(50.0, 113.60)])
+    cfg_path = write_config(tmp_path, {"protocol": protocol})
+    cold = tmp_path / "cold"
+    assert cli.main(["simulate", "--config", cfg_path, "--out", str(cold)]) == 0
+    expected = (cold / "rates.csv").read_bytes()
+
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    cache_dir = out / "cache" / "stress"
+    (cached,) = cache_dir.glob("*_RA.csv")
+    whole = cached.read_text()
+    # cut at a row boundary (too few steps) or inside the last row
+    cached.write_text(
+        "".join(whole.splitlines(keepends=True)[:keep_lines]) if keep_lines
+        else whole[:-3]
+    )
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert "stale cache" in caplog.text
+    assert "cache hit" not in caplog.text
+    assert (out / "rates.csv").read_bytes() == expected
+    assert cached.read_text() == whole  # rewritten in full
+    assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
+        p.name for p in (cold / "cache" / "stress").iterdir()
+    )  # no temp file left behind
+
+
+def test_cli_fit_rejects_duplicate_conditions(tmp_path):
+    first = sin_spec(50.0, 34.80)
+    twin = stimulus.StimulusSpec(
+        stimulus_id="sin_050hz_034.80um_again", kind="sinusoid",
+        duration_ms=300.0, dt_ms=0.5, discard_ms=100.0, window_ms=100.0,
+        freq_hz=50.0, amplitude_um=34.80,
+    )
+    protocol = write_protocol(tmp_path, [first, twin])
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\nRA,50.0,34.8,20.0\n")
+    cfg = config.config_from_dict({
+        "protocol": protocol,
+        "fit": {"afferents": ["RA"], "observed_rates_csv": str(observed),
+                "population": 4, "budget": 8},
+    })
+    cfg.output_dir = str(tmp_path / "out")
+    with pytest.raises(ValidationError, match="sin_050hz_034.80um_again") as exc:
+        cli.cmd_fit(cfg)
+    assert "'sin_050hz_034.80um'" in str(exc.value)
+
+
 def test_cli_seed_override_lands_in_outputs(tmp_path):
     protocol = write_protocol(tmp_path, [sin_spec(50.0, 0.0)])
     cfg_path = write_config(tmp_path, {"protocol": protocol})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afferentsim import neural
+from afferentsim.optimize import _SAT_FIELDS
 from afferentsim.errors import ValidationError
 from afferentsim.fem import StressTrace
 
@@ -226,33 +228,102 @@ def test_exact_integrator_close_to_euler():
         neural.simulate_lif(drive, ra, method="rk4")
 
 
-def test_compiled_kernel_matches_python(rng):
-    drive = np.abs(rng.normal(scale=1.0, size=3000))
-    c1 = 1.0 - DT / 456.7
-    args = (drive, c1, DT, -65.0, -65.0, -55.0, 1)
-    u_py, s_py = neural._lif_full_py.py_func(*args) if hasattr(
-        neural._lif_full_py, "py_func") else neural._lif_full_py(*args)
-    u_c, s_c = neural._lif_full(*args)
-    assert np.array_equal(u_py, u_c)
-    assert np.array_equal(s_py, s_c)
-    # windowed count agrees with counting the full spike list
-    k_lo, k_hi = 200, 2800
-    n = neural._lif_count(drive, c1, DT, -65.0, -65.0, -55.0, 1, k_lo, k_hi)
-    assert n == np.count_nonzero((s_c >= k_lo) & (s_c < k_hi))
+def _lif_count_py(drive, c1, c3, u_rest, u_reset, theta, n_refr, k_lo, k_hi):
+    """Scalar windowed-count loop; the oracle for SpikeCounter."""
+    n = drive.shape[0]
+    uk = u_rest
+    refr = 0
+    count = 0
+    for k in range(n - 1):
+        d = drive[k]
+        if refr > 0:
+            d = 0.0
+            refr -= 1
+        uk = c1 * uk + (1.0 - c1) * u_rest + c3 * d
+        if uk >= theta:
+            if k_lo <= k + 1 < k_hi:
+                count += 1
+            uk = u_reset
+            refr = n_refr
+    return count
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    afferent=st.sampled_from(["SA", "RA", "PC"]),
+    method=st.sampled_from(["euler", "exact"]),
+    n_stim=st.integers(1, 5),
+    n_par=st.integers(1, 4),
+)
+def test_spike_counter_matches_scalar_loop(seed, afferent, method, n_stim, n_par):
+    """Batched window counts equal the scalar loop's, unit by unit, and the
+    spikes simulate_lif records inside the same window."""
+    rng = np.random.default_rng(seed)
+    features, dts, windows = [], [], []
+    for _ in range(n_stim):
+        n = int(rng.integers(0, 300))  # mixed lengths, some too short to run
+        dt = float(rng.choice([0.25, 0.5, 1.0]))
+        scale = 10.0 ** rng.uniform(0.0, 5.0)
+        terms = tuple(
+            np.abs(rng.normal(scale=scale, size=n)) * (rng.random(n) < 0.8)
+            for _ in _SAT_FIELDS[afferent]
+        )
+        start = float(rng.uniform(0.0, 80.0))
+        features.append(terms)
+        dts.append(dt)
+        # windows may run past the end of the trace
+        windows.append((start, start + float(rng.uniform(0.0, 250.0))))
+    params = []
+    for _ in range(n_par):
+        updates = {
+            "tau_m_ms": float(rng.uniform(1.0, 2000.0)),
+            "alpha_prime": float(rng.uniform(0.01, 100.0)),
+            "tau_r_ms": float(rng.choice([0.0, 0.5, 1.0, 2.5])),
+        }
+        for name in _SAT_FIELDS[afferent]:
+            updates[name] = float(10.0 ** rng.uniform(0.0, 6.0))
+        params.append(dataclasses.replace(PARAMS[afferent], **updates))
+
+    got = neural.SpikeCounter(features, dts, windows)(params, method=method)
+    assert got.shape == (n_par, n_stim)
+    for i, p in enumerate(params):
+        for s, (terms, dt, (start, end)) in enumerate(zip(features, dts, windows)):
+            drive = np.zeros_like(terms[0])
+            for f, a in zip(terms, p.saturation()):
+                drive += f / (a + f)
+            drive *= p.alpha_prime
+            c1, c3 = neural._step_coefficients(p.tau_m_ms, dt, method)
+            expected = _lif_count_py(
+                drive, c1, c3, p.u_rest_mv, p.u_reset_mv, p.threshold_mv,
+                int(np.ceil(p.tau_r_ms / dt)),
+                int(np.ceil(start / dt - 1e-9)), int(np.ceil(end / dt - 1e-9)),
+            )
+            assert got[i, s] == expected, (i, s)
+            if drive.size >= 2:
+                train = neural.simulate_lif(
+                    neural.stress_to_drive(terms, p, dt), p, method=method,
+                    record_membrane=False,
+                )
+                assert train.count_in_window(start, end) == expected, (i, s)
 
 
 def test_count_spikes_in_window_matches_simulation():
     ra = PARAMS["RA"]
     d = 2.0 * (ra.threshold_mv - ra.u_reset_mv) / ra.tau_m_ms
-    drive = constant_drive(d, n=691)
+    # the constant feature whose saturating drive is close to d
+    feature = np.full(691, ra.a3_pa_per_ms * d / (ra.alpha_prime - d))
+    drive = neural.stress_to_drive((feature,), ra, DT)
     train = neural.simulate_lif(drive, ra)
     lo, hi = 100.0, 345.0
     expected = np.count_nonzero(
         (np.asarray(train.spike_times_ms) >= lo)
         & (np.asarray(train.spike_times_ms) < hi)
     )
-    got = neural.count_spikes_in_window(drive.values, ra, DT, lo, hi)
-    assert got == expected
+    assert expected > 0
+    got = neural.SpikeCounter([(feature,)], [DT], [(lo, hi)])([ra])
+    assert got.shape == (1, 1)
+    assert got[0, 0] == expected
 
 
 def test_time_shift_equivariance(rng):

@@ -122,7 +122,15 @@ def test_objectives_self_consistency():
 def test_objective_scaling_is_quadratic(monkeypatch):
     """With a pinned predictor, scaling observations by c scales errors c^2."""
     bank = synthetic_bank()
-    monkeypatch.setattr(optimize, "_rate_for_entry", lambda p, e, m: 0.0)
+
+    class SilentCounter:
+        def __init__(self, features, dt_ms, windows_ms):
+            self.n_stimuli = len(features)
+
+        def __call__(self, params, method="euler"):
+            return np.zeros((len(params), self.n_stimuli), dtype=np.int64)
+
+    monkeypatch.setattr(optimize, "SpikeCounter", SilentCounter)
     genes = optimize.params_to_genes(neural.default_afferent_params()["RA"])
     base = optimize.ObservedRateSet(
         "RA", tuple((f, a, 3.0 + f / 10.0) for (f, a) in sorted(synthetic_bank()))
@@ -134,6 +142,30 @@ def test_objective_scaling_is_quadratic(monkeypatch):
     o1 = optimize.objectives(genes, bank, base)
     o2 = optimize.objectives(genes, bank, scaled)
     assert np.allclose(o2, c**2 * o1, rtol=1e-12)
+
+
+@pytest.mark.parametrize("afferent", ["SA", "RA", "PC"])
+def test_rate_evaluator_batch_equals_single_rows(afferent):
+    bank = synthetic_bank()
+    truth = neural.default_afferent_params()[afferent]
+    observed = optimize.ObservedRateSet(
+        afferent, records=tuple(
+            (f, a, r + 3.0) for f, a, r in optimize.predict_rates(truth, bank)
+        )
+    )
+    evaluator = optimize.RateEvaluator(afferent, bank, observed)
+    low, high = optimize.gene_bounds(afferent)
+    genes = np.random.default_rng(7).uniform(low, high, size=(12, low.size))
+    genes[0] = optimize.params_to_genes(truth)
+    batch = evaluator(genes)
+    assert batch.shape == (12, 4)
+    rows = np.vstack([evaluator(genes[i:i + 1]) for i in range(12)])
+    assert np.array_equal(batch, rows)
+    assert np.array_equal(
+        batch[0], optimize.objectives(genes[0], bank, observed)
+    )
+    with pytest.raises(ValidationError):
+        evaluator(genes[0])  # one candidate is still a (1, n_genes) batch
 
 
 def test_evaluator_rejects_missing_conditions():
@@ -203,8 +235,8 @@ def test_crowding_distance():
 
 
 def _convex_problem(genes):
-    x = genes[0]
-    return np.array([x * x, (x - 2.0) * (x - 2.0)])
+    x = genes[:, 0]
+    return np.column_stack([x * x, (x - 2.0) * (x - 2.0)])
 
 
 def _staircase_hypervolume(points, ref):
@@ -273,24 +305,16 @@ def test_nsga2_validation():
     with pytest.raises(ValidationError):
         optimize.nsga2(_convex_problem, bounds, budget=10, seed=0,
                        population_size=20)
+    with pytest.raises(ValidationError):  # one row of objectives per candidate
+        optimize.nsga2(lambda g: np.ones(len(g)), bounds, budget=20, seed=0,
+                       population_size=20)
 
 
 def test_nsga2_rejects_non_finite_objectives():
     bounds = (np.array([-10.0]), np.array([10.0]))
     with pytest.raises(ValidationError):
-        optimize.nsga2(lambda g: np.array([np.nan, 1.0]), bounds,
+        optimize.nsga2(lambda g: np.tile([np.nan, 1.0], (len(g), 1)), bounds,
                        budget=4, seed=0, population_size=4)
-
-
-def test_parallel_evaluation_matches_serial(monkeypatch):
-    bounds = (np.array([-10.0]), np.array([10.0]))
-    serial = optimize.nsga2(_convex_problem, bounds, budget=200, seed=2,
-                            population_size=20)
-    monkeypatch.setenv("AFFERENTSIM_THREADS", "4")
-    parallel = optimize.nsga2(_convex_problem, bounds, budget=200, seed=2,
-                              population_size=20)
-    assert np.array_equal(serial.genes, parallel.genes)
-    assert np.array_equal(serial.objectives, parallel.objectives)
 
 
 # -------------------------------------------------------- candidate choice
