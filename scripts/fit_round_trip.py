@@ -16,7 +16,13 @@ import argparse
 import sys
 import time
 
-from afferentsim import cli, config, mesh, neural, optimize, stimulus
+# names imported directly, so that `--help` fails if any of them is removed
+from afferentsim.cli import compute_stress_bank
+from afferentsim.config import config_from_dict
+from afferentsim.mesh import build_mesh
+from afferentsim.neural import default_afferent_params
+from afferentsim.optimize import OBJECTIVE_FREQS, recover_parameters
+from afferentsim.stimulus import builtin_protocol
 
 
 def main() -> int:
@@ -28,18 +34,18 @@ def main() -> int:
     parser.add_argument("--cache-dir", default="out-roundtrip/cache/stress")
     args = parser.parse_args()
 
-    cfg = config.config_from_dict({})
-    m = mesh.build_mesh(cfg.geometry, cfg.materials)
-    specs = stimulus.builtin_protocol("appendixA", dt_ms=cfg.dt_ms)
-    bank = cli.compute_stress_bank(cfg, m, None, specs, args.cache_dir)
+    cfg = config_from_dict({})
+    m = build_mesh(cfg.geometry, cfg.materials)
+    specs = builtin_protocol("appendixA", dt_ms=cfg.dt_ms)
+    bank = compute_stress_bank(cfg, m, None, specs, args.cache_dir)
     type_bank = {
         (s.freq_hz, s.amplitude_um): bank[s.stimulus_id][args.afferent]
         for s in specs
     }
 
-    truth = neural.default_afferent_params()[args.afferent]
+    truth = default_afferent_params()[args.afferent]
     t0 = time.perf_counter()
-    outcome = optimize.recover_parameters(
+    outcome = recover_parameters(
         truth, type_bank, seed=args.seed,
         budget=args.budget, population_size=args.population,
     )
@@ -50,7 +56,7 @@ def main() -> int:
     print(f"recovered : {picked.to_dict()}")
     print(f"objectives: "
           + ", ".join(f"{f:.0f} Hz = {o:.3f}" for f, o in
-                      zip(optimize.OBJECTIVE_FREQS, outcome.selected_objectives)))
+                      zip(OBJECTIVE_FREQS, outcome.selected_objectives)))
     print(f"objective sum: {outcome.objective_sum:.4f} ips^2 "
           f"({elapsed:.1f} s, front size {outcome.front.front_indices().size})")
     return 0

@@ -14,7 +14,13 @@ about 20 s on the default mesh (FEM dominated).
 import argparse
 import sys
 
-from afferentsim import analysis, cli, config, mesh, neural, stimulus
+# names imported directly, so that `--help` fails if any of them is removed
+from afferentsim.analysis import firing_rate
+from afferentsim.cli import compute_stress_bank
+from afferentsim.config import config_from_dict
+from afferentsim.mesh import build_mesh
+from afferentsim.neural import default_afferent_params, run_afferent
+from afferentsim.stimulus import SINUSOID_TABLE, builtin_protocol
 
 
 def main() -> int:
@@ -23,23 +29,23 @@ def main() -> int:
     parser.add_argument("--cache-dir", default="out-trends/cache/stress")
     args = parser.parse_args()
 
-    cfg = config.config_from_dict({})
-    m = mesh.build_mesh(cfg.geometry, cfg.materials)
-    specs = stimulus.builtin_protocol("appendixA", dt_ms=cfg.dt_ms)
-    bank = cli.compute_stress_bank(cfg, m, None, specs, args.cache_dir)
-    params = neural.default_afferent_params()
+    cfg = config_from_dict({})
+    m = build_mesh(cfg.geometry, cfg.materials)
+    specs = builtin_protocol("appendixA", dt_ms=cfg.dt_ms)
+    bank = compute_stress_bank(cfg, m, None, specs, args.cache_dir)
+    params = default_afferent_params()
 
     rates = {}
     for spec in specs:
         for atype, p in params.items():
-            train = neural.run_afferent(bank[spec.stimulus_id][atype], p,
-                                        record_membrane=False)
-            rates[(atype, spec.freq_hz, spec.amplitude_um)] = analysis.firing_rate(
+            train = run_afferent(bank[spec.stimulus_id][atype], p,
+                                 record_membrane=False)
+            rates[(atype, spec.freq_hz, spec.amplitude_um)] = firing_rate(
                 train, spec.discard_ms, spec.window_ms
             )
 
-    freqs = sorted(stimulus.SINUSOID_TABLE)
-    all_amps = sorted({a for amps in stimulus.SINUSOID_TABLE.values() for a in amps})
+    freqs = sorted(SINUSOID_TABLE)
+    all_amps = sorted({a for amps in SINUSOID_TABLE.values() for a in amps})
     for atype in ("SA", "RA", "PC"):
         print(f"\n{atype} predicted rate (ips); rows: amplitude um, "
               f"cols: {[int(f) for f in freqs]} Hz")

@@ -79,7 +79,6 @@ from .optimize import (
     gene_bounds,
     genes_to_params,
     nsga2,
-    objectives,
     params_to_genes,
     predict_rates,
     recover_parameters,
@@ -143,7 +142,6 @@ __all__ = [
     "load_spike_trains",
     "moving_average_abs",
     "nsga2",
-    "objectives",
     "params_to_genes",
     "plane_strain_d",
     "predict_rates",

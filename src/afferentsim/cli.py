@@ -3,7 +3,8 @@
 Every command takes --config (JSON, see config module), with optional
 --seed / --out / --protocol overrides.  Exit codes: 0 success, 2 validation
 error, 3 numerical failure.  Concurrent runs against one output directory
-are rejected via a `.lock` file.
+are rejected via a `.lock` file holding the owner's PID; a lock whose owner
+no longer exists is removed with a warning.
 
 FEM results are cached under <out>/cache/stress keyed by the content of
 (mesh, materials, indenter, stimulus), so re-running a protocol or fitting
@@ -45,24 +46,56 @@ from .optimize import (
     predict_rates,
     selected_to_json,
 )
-from .stimulus import StimulusSpec, builtin_protocol, load_protocol, sinusoid_window_ms
+from .stimulus import (
+    DISCARD_MS, StimulusSpec, builtin_protocol, load_protocol, sinusoid_window_ms,
+)
 
 logger = logging.getLogger("afferentsim")
 
 _BUILTIN_PROTOCOLS = ("appendixA", "appendixB", "appendixC")
 
 
+def _dead_lock_owner(path: str) -> int | None:
+    """The PID recorded in a lock file, if that process no longer exists.
+
+    None when the file cannot be read, holds no positive PID, or names a
+    process that is still alive (or that this user may not signal).
+    """
+    try:
+        with open(path) as fh:
+            pid = int(fh.read())
+        if pid > 0:
+            os.kill(pid, 0)  # signal 0: existence check only
+    except ProcessLookupError:
+        return pid
+    except (OSError, ValueError):
+        pass
+    return None
+
+
 @contextmanager
 def output_lock(out_dir: str):
-    """Reject concurrent invocations against the same output directory."""
+    """Reject concurrent invocations against the same output directory.
+
+    A lock left behind by a process that no longer exists is removed with
+    a warning and taken over.
+    """
     path = os.path.join(out_dir, ".lock")
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ValidationError(
-            f"output directory {out_dir!r} is in use by another invocation "
-            f"(remove {path} if that run crashed)"
-        ) from None
+    for attempt in range(2):
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            # a second refusal means another run took the lock meanwhile
+            pid = _dead_lock_owner(path) if attempt == 0 else None
+            if pid is None:
+                raise ValidationError(
+                    f"output directory {out_dir!r} is in use by another "
+                    f"invocation (remove {path} if that run crashed)"
+                ) from None
+            logger.warning("removing stale lock %s: process %d no longer exists",
+                           path, pid)
+            os.unlink(path)
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
@@ -313,16 +346,24 @@ def cmd_fit(cfg: RunConfig) -> int:
     sin_specs = [s for s in specs if s.kind == "sinusoid"]
     if not sin_specs:
         raise ValidationError("fit needs a sinusoid protocol (no sinusoids found)")
-    by_condition: dict[tuple[float, float], str] = {}
+    by_condition: dict[tuple[float, float], StimulusSpec] = {}
     for s in sin_specs:
+        window = sinusoid_window_ms(s.freq_hz)
+        if s.discard_ms != DISCARD_MS or s.window_ms != window:
+            raise ValidationError(
+                f"stimulus {s.stimulus_id!r} counts spikes over "
+                f"[{s.discard_ms}, {s.discard_ms + s.window_ms}) ms; fit counts "
+                f"every {s.freq_hz} Hz sinusoid over "
+                f"[{DISCARD_MS}, {DISCARD_MS + window}) ms"
+            )
         condition = (s.freq_hz, s.amplitude_um)
         if condition in by_condition:
             raise ValidationError(
-                f"stimuli {by_condition[condition]!r} and {s.stimulus_id!r} are "
-                f"both {s.freq_hz} Hz at {s.amplitude_um} um; fit needs one "
-                "stimulus per condition"
+                f"stimuli {by_condition[condition].stimulus_id!r} and "
+                f"{s.stimulus_id!r} are both {s.freq_hz} Hz at {s.amplitude_um} "
+                "um; fit needs one stimulus per condition"
             )
-        by_condition[condition] = s.stimulus_id
+        by_condition[condition] = s
     mesh = build_mesh(cfg.geometry, cfg.materials)
     bank = compute_stress_bank(
         cfg, mesh, None, sin_specs, os.path.join(out, "cache", "stress")
@@ -359,11 +400,11 @@ def cmd_fit(cfg: RunConfig) -> int:
         records = [
             RateRecord(
                 afferent_type=atype,
-                stimulus_id=f"sin_{f:03.0f}hz_{a:06.2f}um",
+                stimulus_id=by_condition[(f, a)].stimulus_id,
                 freq_hz=f, amplitude_um=a,
                 predicted_ips=predicted[(f, a)],
                 observed_ips=obs_map.get((f, a)),
-                window_ms=sinusoid_window_ms(f),
+                window_ms=by_condition[(f, a)].window_ms,
             )
             for (f, a) in sorted(predicted)
         ]

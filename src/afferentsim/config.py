@@ -19,7 +19,9 @@ valid config reproducing the reference setup.  Recognized keys:
                "pre_indentation_mm": 0.0},
   "dt_ms": 0.5,
   "protocol": "appendixA",            # or a protocol JSON path
-  "afferent_params": "default",       # or {"path": "selected.json" | dir}
+  "afferent_params": "default",       # or {"path": "selected_RA.json"}: a
+                                      # fit's selected_<TYPE>.json export, or
+                                      # a JSON mapping {TYPE: params}
   "seed": 0,
   "output_dir": "out",
   "fit": {

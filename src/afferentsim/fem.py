@@ -8,9 +8,10 @@ von Mises traces are exported in Pa because the neural constants are
 Pa-based.
 
 Assembly uses 4-node bilinear isoparametric quads with 2x2 Gauss
-quadrature.  Factorizations are cached per constrained-DOF set: the
-active set takes only a handful of distinct values over a vibration
-cycle, so refactorization is rare.
+quadrature (the element map and its Jacobians live in mesh).
+Factorizations are kept per constrained-DOF set, for the life of the
+system: contact sets are nested in depth, so one indenter gives at most
+one set per surface node under it.
 """
 
 from __future__ import annotations
@@ -21,16 +22,11 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import InvertedElementError, NumericalError, ValidationError
-from .mesh import AFFERENT_TYPES, Mesh
+from .errors import NumericalError, ValidationError
+from .mesh import AFFERENT_TYPES, GAUSS_GRADIENTS, Mesh, check_jacobians
 
 # --------------------------------------------------------------------------
 # element machinery
-
-_G = 1.0 / np.sqrt(3.0)
-# Gauss points ordered like the reference corners (-,-), (+,-), (+,+), (-,+).
-GAUSS_POINTS = np.array([[-_G, -_G], [_G, -_G], [_G, _G], [-_G, _G]])
-GAUSS_WEIGHTS = np.ones(4)
 
 
 def shape_functions(xi: float, eta: float) -> np.ndarray:
@@ -43,18 +39,6 @@ def shape_functions(xi: float, eta: float) -> np.ndarray:
         ]
     )
 
-
-def shape_gradients(xi: float, eta: float) -> np.ndarray:
-    """(2, 4): rows d/dxi, d/deta."""
-    return 0.25 * np.array(
-        [
-            [-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)],
-            [-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)],
-        ]
-    )
-
-
-_DN = np.stack([shape_gradients(x, e) for x, e in GAUSS_POINTS])  # (4, 2, 4)
 
 # Gauss -> corner extrapolation: bilinear basis anchored at the Gauss points,
 # evaluated at the corners (i.e. shape functions at sqrt(3) * corner coords).
@@ -200,8 +184,6 @@ class StiffnessSystem:
         self.mesh = mesh
         self.ndof = 2 * mesh.n_nodes
         self._factor_cache: dict[tuple, object] = {}
-        self._factor_order: list[tuple] = []
-        self.max_cached_factors = 64
 
         d_table = np.stack(
             [plane_strain_d(m.elastic_modulus_mpa, m.poisson_ratio) for m in mesh.materials]
@@ -211,20 +193,11 @@ class StiffnessSystem:
         )
         self.d_by_element = d_table[mesh.element_material]  # (m, 3, 3)
 
-        coords = mesh.nodes[mesh.elements]  # (m, 4, 2)
+        jacobians, dets = check_jacobians(mesh)  # (4, m, 2, 2), (4, m)
         m = mesh.n_elements
         self.B = np.empty((m, 4, 3, 8))
-        self.detjw = np.empty((m, 4))
         ke = np.zeros((m, 8, 8))
-        for g in range(4):
-            dn = _DN[g]  # (2, 4)
-            jac = np.einsum("rk,mkc->mrc", dn, coords)  # (m, 2, 2)
-            det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-            if not (det > 0).all():
-                bad = int(np.flatnonzero(det <= 0)[0])
-                raise InvertedElementError(
-                    f"non-positive Jacobian at Gauss point {g} of element {bad}"
-                )
+        for g, (dn, jac, det) in enumerate(zip(GAUSS_GRADIENTS, jacobians, dets)):
             inv = np.empty_like(jac)
             inv[:, 0, 0] = jac[:, 1, 1]
             inv[:, 0, 1] = -jac[:, 0, 1]
@@ -238,10 +211,8 @@ class StiffnessSystem:
             b[:, 2, 0::2] = dnxy[:, 1]
             b[:, 2, 1::2] = dnxy[:, 0]
             self.B[:, g] = b
-            self.detjw[:, g] = det * GAUSS_WEIGHTS[g]
-            ke += np.einsum(
-                "mji,mjk,mkl,m->mil", b, self.d_by_element, b, self.detjw[:, g]
-            )
+            # 2x2 Gauss weights are all 1
+            ke += np.einsum("mji,mjk,mkl,m->mil", b, self.d_by_element, b, det)
 
         edof = np.empty((m, 8), dtype=np.int64)
         edof[:, 0::2] = 2 * mesh.elements
@@ -265,16 +236,8 @@ class StiffnessSystem:
             raise NumericalError(
                 f"stiffness factorization failed with {len(fixed)} constrained DOFs: {exc}"
             ) from exc
-        if len(self._factor_order) >= self.max_cached_factors:
-            oldest = self._factor_order.pop(0)
-            self._factor_cache.pop(oldest, None)
         self._factor_cache[key] = lu
-        self._factor_order.append(key)
         return lu
-
-
-def assemble_stiffness(mesh: Mesh) -> StiffnessSystem:
-    return StiffnessSystem(mesh)
 
 
 # --------------------------------------------------------------------------
@@ -425,7 +388,7 @@ def run_indentation(
             f"got {sorted(mesh.afferent_nodes)}"
         )
     if system is None:
-        system = assemble_stiffness(mesh)
+        system = StiffnessSystem(mesh)
 
     trace = np.asarray(indenter.displacement_trace, dtype=float)
     n_steps = trace.size

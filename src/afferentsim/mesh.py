@@ -19,11 +19,24 @@ from .errors import InvertedElementError, ValidationError
 
 AFFERENT_TYPES = ("SA", "RA", "PC")
 
-# 2x2 Gauss points on the reference square, used for the Jacobian check.
-_GAUSS = 1.0 / np.sqrt(3.0)
-_GAUSS_PTS = np.array(
-    [[-_GAUSS, -_GAUSS], [_GAUSS, -_GAUSS], [_GAUSS, _GAUSS], [-_GAUSS, _GAUSS]]
-)
+# 2x2 Gauss quadrature on the reference square (unit weights), points
+# ordered like the reference corners (-,-), (+,-), (+,+), (-,+).
+_G = 1.0 / np.sqrt(3.0)
+GAUSS_POINTS = np.array([[-_G, -_G], [_G, -_G], [_G, _G], [-_G, _G]])
+
+
+def shape_gradients(xi: float, eta: float) -> np.ndarray:
+    """(2, 4): rows d/dxi, d/deta of the bilinear corner shape functions."""
+    return 0.25 * np.array(
+        [
+            [-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)],
+            [-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)],
+        ]
+    )
+
+
+# (4 gauss, 2, 4): shape gradients at each Gauss point
+GAUSS_GRADIENTS = np.stack([shape_gradients(x, e) for x, e in GAUSS_POINTS])
 
 
 @dataclass(frozen=True)
@@ -281,39 +294,37 @@ def build_mesh(spec: GeometrySpec, materials: list[MaterialLayer] | None = None)
     )
 
 
-def locate_afferent_nodes(
-    mesh: Mesh, depths: dict[str, float], center_x: float = 0.0
-) -> dict[str, int]:
-    """Nearest mesh node to (center_x, -depth) per afferent type.
+def locate_afferent_nodes(mesh: Mesh, depths: dict[str, float]) -> dict[str, int]:
+    """Nearest mesh node to (0, -depth), on the centerline, per afferent type.
 
     Ties resolve to the lowest node id (argmin returns the first minimum).
     """
     out: dict[str, int] = {}
     for atype in sorted(depths):
-        target = np.array([center_x, -depths[atype]])
+        target = np.array([0.0, -depths[atype]])
         d2 = ((mesh.nodes - target) ** 2).sum(axis=1)
         out[atype] = int(np.argmin(d2))
     return out
 
 
-def check_jacobians(mesh: Mesh) -> None:
-    """Raise InvertedElementError unless det J > 0 at all 2x2 Gauss points."""
-    xi = _GAUSS_PTS[:, 0][:, None]
-    eta = _GAUSS_PTS[:, 1][:, None]
-    # dN/dxi, dN/deta for corners ordered (-1,-1), (1,-1), (1,1), (-1,1).
-    dn_dxi = 0.25 * np.hstack([-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)])
-    dn_deta = 0.25 * np.hstack([-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)])
+def check_jacobians(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobians (4 gauss, m, 2, 2) and their determinants (4 gauss, m).
+
+    The one isoparametric map of the quad elements, shared by the mesh
+    builders and the stiffness assembly.  Raises InvertedElementError
+    unless det J > 0 at all 2x2 Gauss points of every element.
+    """
     coords = mesh.nodes[mesh.elements]  # (m, 4, 2)
-    j11 = dn_dxi @ coords[..., 0].T  # (4 gauss, m)
-    j12 = dn_dxi @ coords[..., 1].T
-    j21 = dn_deta @ coords[..., 0].T
-    j22 = dn_deta @ coords[..., 1].T
-    det = j11 * j22 - j12 * j21  # (4 gauss, m)
+    jac = np.stack([np.einsum("rk,mkc->mrc", dn, coords) for dn in GAUSS_GRADIENTS])
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     if not (det > 0).all():
         bad = int(np.flatnonzero((det <= 0).any(axis=0))[0])
+        g = int(np.flatnonzero(det[:, bad] <= 0)[0])
         raise InvertedElementError(
-            f"non-positive Jacobian in element {bad}: min det J = {det.min():.3e}"
+            f"non-positive Jacobian at Gauss point {g} of element {bad}: "
+            f"min det J = {det.min():.3e}"
         )
+    return jac, det
 
 
 def export_mesh_text(mesh: Mesh) -> str:

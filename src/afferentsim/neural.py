@@ -229,14 +229,9 @@ def _lif_full(drive, c1, c3, u_rest, u_reset, theta, n_refr):
     return u, spike_steps[:ns]
 
 
-def _step_coefficients(tau_m_ms: float, dt_ms: float, method: str) -> tuple[float, float]:
-    """Affine one-step update u <- c1*u + (1-c1)*u_rest + c3*D."""
-    if method == "euler":
-        return 1.0 - dt_ms / tau_m_ms, dt_ms
-    if method == "exact":
-        c1 = float(np.exp(-dt_ms / tau_m_ms))
-        return c1, tau_m_ms * (1.0 - c1)
-    raise ValidationError(f"unknown integration method {method!r}")
+def _step_coefficients(tau_m_ms: float, dt_ms: float) -> tuple[float, float]:
+    """Forward-Euler step u <- c1*u + (1-c1)*u_rest + c3*D."""
+    return 1.0 - dt_ms / tau_m_ms, dt_ms
 
 
 @dataclass(frozen=True)
@@ -276,10 +271,10 @@ class SpikeTrain:
 
 
 def simulate_lif(
-    drive: DriveTrace, params: AfferentParams, method: str = "euler",
+    drive: DriveTrace, params: AfferentParams,
     record_membrane: bool = True, meta: dict | None = None,
 ) -> SpikeTrain:
-    """Integrate the leaky IAF over the drive; spikes land on step times.
+    """Forward-Euler leaky IAF over the drive; spikes land on step times.
 
     A spike is recorded when the post-update potential reaches threshold, at
     the post-update step time; the potential resets and the drive is gated
@@ -292,7 +287,7 @@ def simulate_lif(
     if not np.all(np.isfinite(values)):
         raise NumericalError("drive contains non-finite samples")
     dt = float(drive.dt_ms)
-    c1, c3 = _step_coefficients(params.tau_m_ms, dt, method)
+    c1, c3 = _step_coefficients(params.tau_m_ms, dt)
     n_refr = int(np.ceil(params.tau_r_ms / dt))
     u, steps = _lif_full(
         values, c1, c3, params.u_rest_mv, params.u_reset_mv,
@@ -381,7 +376,7 @@ class SpikeCounter:
     def n_stimuli(self) -> int:
         return self._order.size
 
-    def __call__(self, params, method: str = "euler") -> np.ndarray:
+    def __call__(self, params) -> np.ndarray:
         """(N, S) int64 counts for the N parameter sets in `params`."""
         n_par, n_stim = len(params), self.n_stimuli
         sat = np.empty((self.n_terms, n_par))
@@ -406,7 +401,7 @@ class SpikeCounter:
         for dt in np.unique(self._dt):
             rows = self._dt == dt
             for i, p in enumerate(params):
-                c1[rows, i], c3[rows, i] = _step_coefficients(p.tau_m_ms, dt, method)
+                c1[rows, i], c3[rows, i] = _step_coefficients(p.tau_m_ms, dt)
                 n_refr[rows, i] = int(np.ceil(p.tau_r_ms / dt))
         rest = (1.0 - c1) * u_rest
 
@@ -457,9 +452,15 @@ class SpikeCounter:
         return out
 
 
+def drive_for_stress(
+    stress_pa: np.ndarray, params: AfferentParams, dt_ms: float
+) -> DriveTrace:
+    """Filter + transform only (the sub-chain ahead of the spiking unit)."""
+    return stress_to_drive(filtered_inputs(params, stress_pa, dt_ms), params, dt_ms)
+
+
 def run_afferent(
-    stress: StressTrace, params: AfferentParams, method: str = "euler",
-    record_membrane: bool = True,
+    stress: StressTrace, params: AfferentParams, record_membrane: bool = True,
 ) -> SpikeTrain:
     """Full chain: stress trace -> type-specific filters -> drive -> spikes."""
     if stress.afferent_type != params.afferent_type:
@@ -467,20 +468,10 @@ def run_afferent(
             f"stress trace is {stress.afferent_type}, params are "
             f"{params.afferent_type}"
         )
-    drive = stress_to_drive(
-        filtered_inputs(params, stress.values, stress.dt_ms), params, stress.dt_ms
-    )
     return simulate_lif(
-        drive, params, method=method, record_membrane=record_membrane,
-        meta={"node_id": stress.node_id},
+        drive_for_stress(stress.values, params, stress.dt_ms), params,
+        record_membrane=record_membrane, meta={"node_id": stress.node_id},
     )
-
-
-def drive_for_stress(
-    stress_pa: np.ndarray, params: AfferentParams, dt_ms: float
-) -> DriveTrace:
-    """Filter + transform only (the sub-chain ahead of the spiking unit)."""
-    return stress_to_drive(filtered_inputs(params, stress_pa, dt_ms), params, dt_ms)
 
 
 # --------------------------------------------------------------------------

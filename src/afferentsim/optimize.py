@@ -36,6 +36,12 @@ TAU_M_BOUNDS = (1.0, 2000.0)
 LOG10_A_BOUNDS = (0.0, 6.0)
 ALPHA_BOUNDS = (0.01, 100.0)
 
+# NSGA-II variation operators: SBX crossover and polynomial mutation with
+# these distribution indices; each gene mutates with probability 1/n_genes.
+ETA_CROSSOVER = 15.0
+ETA_MUTATION = 20.0
+CROSSOVER_PROB = 0.9
+
 _SAT_FIELDS = {
     "SA": ("a1_pa", "a2_pa_per_ms"),
     "RA": ("a3_pa_per_ms",),
@@ -139,15 +145,15 @@ def observed_rates_to_csv(sets: list[ObservedRateSet], path) -> None:
 
 
 def _window_counter(
-    params: AfferentParams, traces: list[tuple[float, StressTrace]], discard_ms: float
+    params: AfferentParams, traces: list[tuple[float, StressTrace]]
 ) -> tuple[SpikeCounter, np.ndarray]:
     """Counter over (freq, trace) pairs, each counted in its frequency's
-    window after `discard_ms`; also returns the window lengths in s."""
+    window after DISCARD_MS; also returns the window lengths in s."""
     windows = [sinusoid_window_ms(f) for f, _ in traces]
     counter = SpikeCounter(
         [filtered_inputs(params, t.values, t.dt_ms) for _, t in traces],
         [t.dt_ms for _, t in traces],
-        [(discard_ms, discard_ms + w) for w in windows],
+        [(DISCARD_MS, DISCARD_MS + w) for w in windows],
     )
     return counter, np.array([w / 1000.0 for w in windows])
 
@@ -167,8 +173,6 @@ class RateEvaluator:
         afferent_type: str,
         stress_bank: dict[tuple[float, float], StressTrace],
         observed: ObservedRateSet,
-        discard_ms: float = DISCARD_MS,
-        method: str = "euler",
     ):
         observed.validate()
         if observed.afferent_type != afferent_type:
@@ -181,18 +185,16 @@ class RateEvaluator:
                 + ", ".join(f"({f} Hz, {a} um)" for f, a in sorted(missing))
             )
         self.afferent_type = afferent_type
-        self.method = method
         for f, a, _ in observed.records:
             window = sinusoid_window_ms(f)
-            if discard_ms + window > stress_bank[(f, a)].duration_ms + 1e-9:
+            if DISCARD_MS + window > stress_bank[(f, a)].duration_ms + 1e-9:
                 raise ValidationError(
                     f"stress trace for ({f} Hz, {a} um) is shorter than "
-                    f"discard + window = {discard_ms + window} ms"
+                    f"discard + window = {DISCARD_MS + window} ms"
                 )
         self._counter, self._window_s = _window_counter(
             default_afferent_params()[afferent_type],
             [(f, stress_bank[(f, a)]) for f, a, _ in observed.records],
-            discard_ms,
         )
         self._observed = np.array([r for _, _, r in observed.records])
         self._freq_idx = [OBJECTIVE_FREQS.index(f) for f, _, _ in observed.records]
@@ -202,7 +204,7 @@ class RateEvaluator:
         if genes.ndim != 2:
             raise ValidationError(f"expected genes of shape (N, n_genes), got {genes.shape}")
         params = [genes_to_params(self.afferent_type, g) for g in genes]
-        err = self._counter(params, self.method) / self._window_s - self._observed
+        err = self._counter(params) / self._window_s - self._observed
         sq = err * err
         # accumulate in record order, as a per-candidate loop would
         sums = np.zeros((genes.shape[0], len(OBJECTIVE_FREQS)))
@@ -213,28 +215,15 @@ class RateEvaluator:
         return sums / np.maximum(counts, 1)
 
 
-def objectives(
-    genes: np.ndarray,
-    stress_bank: dict[tuple[float, float], StressTrace],
-    observed: ObservedRateSet,
-) -> np.ndarray:
-    """One-shot evaluation of one gene vector; build a RateEvaluator for more."""
-    evaluator = RateEvaluator(observed.afferent_type, stress_bank, observed)
-    return evaluator(np.asarray(genes, dtype=float)[None, :])[0]
-
-
 def predict_rates(
-    params: AfferentParams,
-    stress_bank: dict[tuple[float, float], StressTrace],
-    discard_ms: float = DISCARD_MS,
-    method: str = "euler",
+    params: AfferentParams, stress_bank: dict[tuple[float, float], StressTrace]
 ) -> list[tuple[float, float, float]]:
     """(freq, amplitude, predicted ips) over the whole bank, sorted."""
     keys = sorted(stress_bank)
     counter, window_s = _window_counter(
-        params, [(f, stress_bank[(f, a)]) for f, a in keys], discard_ms
+        params, [(f, stress_bank[(f, a)]) for f, a in keys]
     )
-    rates = counter([params], method)[0] / window_s
+    rates = counter([params])[0] / window_s
     return [(f, a, float(r)) for (f, a), r in zip(keys, rates)]
 
 
@@ -304,7 +293,8 @@ def _tournament(rng, ranks, crowd) -> int:
     return int(min(i, j))
 
 
-def _sbx_pair(p1, p2, low, high, eta, rng):
+def _sbx_pair(p1, p2, low, high, rng):
+    eta = ETA_CROSSOVER
     c1, c2 = p1.copy(), p2.copy()
     for g in range(p1.size):
         if rng.random() > 0.5 or abs(p1[g] - p2[g]) < 1e-14:
@@ -321,9 +311,10 @@ def _sbx_pair(p1, p2, low, high, eta, rng):
     return c1, c2
 
 
-def _polynomial_mutation(x, low, high, eta, rate, rng):
+def _polynomial_mutation(x, low, high, rng):
+    eta = ETA_MUTATION
     for g in range(x.size):
-        if rng.random() >= rate:
+        if rng.random() >= 1.0 / x.size:
             continue
         xl, xu = low[g], high[g]
         span = xu - xl
@@ -376,16 +367,15 @@ def nsga2(
     budget: int,
     seed: int,
     population_size: int = 100,
-    eta_crossover: float = 15.0,
-    eta_mutation: float = 20.0,
-    crossover_prob: float = 0.9,
-    mutation_rate: float | None = None,
 ) -> ParetoFront:
     """Elitist NSGA-II; stops when the evaluation budget would be exceeded.
 
     `evaluate` maps a population, genes of shape (N, n_genes), to its
     objectives, shape (N, n_objectives); it is called once per generation.
-    Fully deterministic for a fixed seed: one generator drives all draws and
+    Children come from binary tournaments, SBX crossover (ETA_CROSSOVER,
+    applied with probability CROSSOVER_PROB) and polynomial mutation
+    (ETA_MUTATION, each gene with probability 1/n_genes).  Fully
+    deterministic for a fixed seed: one generator drives all draws and
     every sort is stable.
     """
     low = np.asarray(bounds[0], dtype=float)
@@ -399,8 +389,6 @@ def nsga2(
     if budget < population_size:
         raise ValidationError("budget must cover at least the initial population")
     n_genes = low.size
-    if mutation_rate is None:
-        mutation_rate = 1.0 / n_genes
     rng = np.random.default_rng(seed)
 
     pop = rng.uniform(low, high, size=(population_size, n_genes))
@@ -415,17 +403,17 @@ def nsga2(
         for i in range(0, population_size - 1, 2):
             a = _tournament(rng, ranks, crowd)
             b = _tournament(rng, ranks, crowd)
-            if rng.random() < crossover_prob:
-                c1, c2 = _sbx_pair(pop[a], pop[b], low, high, eta_crossover, rng)
+            if rng.random() < CROSSOVER_PROB:
+                c1, c2 = _sbx_pair(pop[a], pop[b], low, high, rng)
             else:
                 c1, c2 = pop[a].copy(), pop[b].copy()
-            _polynomial_mutation(c1, low, high, eta_mutation, mutation_rate, rng)
-            _polynomial_mutation(c2, low, high, eta_mutation, mutation_rate, rng)
+            _polynomial_mutation(c1, low, high, rng)
+            _polynomial_mutation(c2, low, high, rng)
             children[i], children[i + 1] = c1, c2
         if population_size % 2:
             a = _tournament(rng, ranks, crowd)
             c1 = pop[a].copy()
-            _polynomial_mutation(c1, low, high, eta_mutation, mutation_rate, rng)
+            _polynomial_mutation(c1, low, high, rng)
             children[-1] = c1
         child_objs = _evaluate_population(evaluate, children)
         evals += population_size

@@ -31,6 +31,9 @@ DISCARD_MS = 100.0
 WINDOW_20HZ_MS = 245.0
 WINDOW_FAST_MS = 100.0
 
+# Band-pass noise: Butterworth order, applied forward-backward.
+NOISE_FILTER_ORDER = 4
+
 # Sinusoid bank: frequency -> amplitudes (um).
 SINUSOID_TABLE: dict[float, tuple[float, ...]] = {
     20.0: (6.71, 9.32, 12.50, 18.00, 25.000, 34.74, 48.27, 67.07, 93.19,
@@ -102,14 +105,14 @@ def diharmonic(
 
 def bandpass_noise(
     lo_hz: float, hi_hz: float, rms_um: float, duration_ms: float,
-    dt_ms: float = DEFAULT_DT_MS, seed: int = 0, order: int = 4,
+    dt_ms: float = DEFAULT_DT_MS, seed: int = 0,
 ) -> np.ndarray:
     """Seeded Gaussian noise, zero-phase band-pass filtered, exact-RMS scaled.
 
-    The band-pass is an order-`order` Butterworth applied forward-backward
-    (zero phase, so no spurious transients enter the downstream derivative
-    filters); after filtering the mean is removed and the trace rescaled so
-    its sample RMS equals rms_um exactly.
+    The band-pass is a Butterworth of order NOISE_FILTER_ORDER (4) applied
+    forward-backward (zero phase, so no spurious transients enter the
+    downstream derivative filters); after filtering the mean is removed and
+    the trace rescaled so its sample RMS equals rms_um exactly.
     """
     nyq = _nyquist_hz(dt_ms)
     if not 0.0 < lo_hz < hi_hz < nyq:
@@ -121,7 +124,7 @@ def bandpass_noise(
     n = _n_samples(duration_ms, dt_ms)
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(n)
-    sos = butter(order, [lo_hz / nyq, hi_hz / nyq], btype="bandpass", output="sos")
+    sos = butter(NOISE_FILTER_ORDER, [lo_hz / nyq, hi_hz / nyq], btype="bandpass", output="sos")
     shaped = sosfiltfilt(sos, raw)
     shaped = shaped - shaped.mean()
     rms = np.sqrt(np.mean(shaped**2))

@@ -1,6 +1,8 @@
 import json
 import logging
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -256,11 +258,26 @@ def test_cli_lock_rejects_concurrent_use(tmp_path):
     cfg_path = write_config(tmp_path, {})
     out = tmp_path / "out"
     out.mkdir()
-    (out / ".lock").write_text("12345\n")
+    (out / ".lock").write_text(f"{os.getpid()}\n")  # a live owner
+    assert cli.main(["mesh", "--config", cfg_path, "--out", str(out)]) == 2
+    (out / ".lock").write_text("not a pid\n")  # unreadable: refused too
     assert cli.main(["mesh", "--config", cfg_path, "--out", str(out)]) == 2
     (out / ".lock").unlink()
     assert cli.main(["mesh", "--config", cfg_path, "--out", str(out)]) == 0
     assert not (out / ".lock").exists()  # released on success
+
+
+def test_cli_lock_of_exited_process_is_taken_over(tmp_path, caplog):
+    cfg_path = write_config(tmp_path, {})
+    out = tmp_path / "out"
+    out.mkdir()
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    assert child.wait() == 0  # exited and reaped: its PID names no process
+    (out / ".lock").write_text(f"{child.pid}\n")
+    with caplog.at_level(logging.WARNING, logger="afferentsim"):
+        assert cli.main(["mesh", "--config", cfg_path, "--out", str(out)]) == 0
+    assert "stale lock" in caplog.text and str(child.pid) in caplog.text
+    assert not (out / ".lock").exists()
 
 
 def test_cli_exit_codes_for_bad_input(tmp_path):
@@ -321,6 +338,46 @@ def test_cli_fit_end_to_end(tmp_path):
     assert "pooled" in reg and "per_frequency" in reg
     if "error" not in reg["pooled"]:
         assert reg["pooled"]["n"] == 4
+
+
+def test_cli_fit_rejects_nonstandard_window(tmp_path, caplog):
+    probe = stimulus.StimulusSpec(
+        stimulus_id="probe_a", kind="sinusoid", duration_ms=200.0, dt_ms=0.5,
+        discard_ms=50.0, window_ms=150.0, freq_hz=50.0, amplitude_um=113.60,
+    )
+    protocol = write_protocol(tmp_path, [probe])
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\nRA,50.0,113.6,20.0\n")
+    cfg_path = write_config(tmp_path, {
+        "protocol": protocol,
+        "fit": {"afferents": ["RA"], "observed_rates_csv": str(observed),
+                "population": 4, "budget": 8},
+    })
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        assert cli.main(["fit", "--config", cfg_path,
+                         "--out", str(tmp_path / "out")]) == 2
+    assert "probe_a" in caplog.text
+
+
+def test_cli_fit_rates_keep_stimulus_ids(tmp_path):
+    probe = stimulus.StimulusSpec(
+        stimulus_id="probe_b", kind="sinusoid", duration_ms=200.0, dt_ms=0.5,
+        discard_ms=100.0, window_ms=100.0, freq_hz=50.0, amplitude_um=113.60,
+    )
+    protocol = write_protocol(tmp_path, [probe])
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\nRA,50.0,113.6,20.0\n")
+    cfg_path = write_config(tmp_path, {
+        "protocol": protocol,
+        "fit": {"afferents": ["RA"], "observed_rates_csv": str(observed),
+                "population": 4, "budget": 8},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--config", cfg_path, "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in (out / "fit_rates_RA.csv").read_text().splitlines()
+            if ln and not ln.startswith("#")]
+    assert rows[0][1] == "stimulus_id"
+    assert [r[1] for r in rows[1:]] == ["probe_b"]
 
 
 def test_cli_fit_requires_observed_rates(tmp_path):

@@ -203,13 +203,24 @@ def test_run_indentation_requires_afferent_nodes():
 
 
 def test_factor_cache_bounded(default_mesh):
+    """One factorization per distinct contact set solved, and contact sets
+    are nested in depth: at most one per surface node under the indenter."""
     system = fem.StiffnessSystem(default_mesh)
     from afferentsim import stimulus
 
     trace = stimulus.sinusoid(20.0, 100.0, 50.0)
     indenter = fem.IndenterSpec(diameter_mm=1.0, displacement_trace=trace)
     fem.run_indentation(default_mesh, indenter, system=system)
-    assert 1 <= len(system._factor_cache) <= 64
+
+    base = fem.bottom_constraints(default_mesh)
+    seen = set()
+    for depth in trace:
+        active = fem.contact_active_set(default_mesh, indenter, depth)
+        if any(v != 0.0 for v in active.values()):  # run_indentation's solve rule
+            seen.add(tuple(sorted({**base, **active})))
+    assert set(system._factor_cache) == seen
+    xs = default_mesh.nodes[default_mesh.surface_nodes, 0]
+    assert 1 <= len(seen) <= np.count_nonzero(np.abs(xs) <= indenter.diameter_mm / 2)
 
 
 def test_stress_trace_csv_round_trip(tmp_path):

@@ -216,18 +216,6 @@ def test_membrane_trace_below_threshold():
     assert np.allclose(train.membrane_mv[steps], ra.u_reset_mv)
 
 
-def test_exact_integrator_close_to_euler():
-    ra = PARAMS["RA"]
-    d = 2.0 * (ra.threshold_mv - ra.u_reset_mv) / ra.tau_m_ms
-    drive = constant_drive(d, n=4001)
-    t_euler = neural.simulate_lif(drive, ra, method="euler")
-    t_exact = neural.simulate_lif(drive, ra, method="exact")
-    # dt << tau so both integrators give nearly the same rate
-    assert abs(t_euler.n_spikes - t_exact.n_spikes) <= 2
-    with pytest.raises(ValidationError):
-        neural.simulate_lif(drive, ra, method="rk4")
-
-
 def _lif_count_py(drive, c1, c3, u_rest, u_reset, theta, n_refr, k_lo, k_hi):
     """Scalar windowed-count loop; the oracle for SpikeCounter."""
     n = drive.shape[0]
@@ -252,11 +240,10 @@ def _lif_count_py(drive, c1, c3, u_rest, u_reset, theta, n_refr, k_lo, k_hi):
 @given(
     seed=st.integers(0, 2**32 - 1),
     afferent=st.sampled_from(["SA", "RA", "PC"]),
-    method=st.sampled_from(["euler", "exact"]),
     n_stim=st.integers(1, 5),
     n_par=st.integers(1, 4),
 )
-def test_spike_counter_matches_scalar_loop(seed, afferent, method, n_stim, n_par):
+def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
     """Batched window counts equal the scalar loop's, unit by unit, and the
     spikes simulate_lif records inside the same window."""
     rng = np.random.default_rng(seed)
@@ -285,7 +272,7 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, method, n_stim, n_par
             updates[name] = float(10.0 ** rng.uniform(0.0, 6.0))
         params.append(dataclasses.replace(PARAMS[afferent], **updates))
 
-    got = neural.SpikeCounter(features, dts, windows)(params, method=method)
+    got = neural.SpikeCounter(features, dts, windows)(params)
     assert got.shape == (n_par, n_stim)
     for i, p in enumerate(params):
         for s, (terms, dt, (start, end)) in enumerate(zip(features, dts, windows)):
@@ -293,7 +280,7 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, method, n_stim, n_par
             for f, a in zip(terms, p.saturation()):
                 drive += f / (a + f)
             drive *= p.alpha_prime
-            c1, c3 = neural._step_coefficients(p.tau_m_ms, dt, method)
+            c1, c3 = neural._step_coefficients(p.tau_m_ms, dt)
             expected = _lif_count_py(
                 drive, c1, c3, p.u_rest_mv, p.u_reset_mv, p.threshold_mv,
                 int(np.ceil(p.tau_r_ms / dt)),
@@ -302,8 +289,7 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, method, n_stim, n_par
             assert got[i, s] == expected, (i, s)
             if drive.size >= 2:
                 train = neural.simulate_lif(
-                    neural.stress_to_drive(terms, p, dt), p, method=method,
-                    record_membrane=False,
+                    neural.stress_to_drive(terms, p, dt), p, record_membrane=False,
                 )
                 assert train.count_in_window(start, end) == expected, (i, s)
 

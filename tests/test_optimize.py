@@ -107,7 +107,8 @@ def test_objectives_self_consistency():
     observed = optimize.ObservedRateSet(
         "RA", records=tuple(optimize.predict_rates(truth, bank))
     )
-    objs = optimize.objectives(optimize.params_to_genes(truth), bank, observed)
+    genes = optimize.params_to_genes(truth)
+    objs = optimize.RateEvaluator("RA", bank, observed)(genes[None])[0]
     assert objs.shape == (4,)
     assert np.all(objs == 0.0)
 
@@ -115,7 +116,7 @@ def test_objectives_self_consistency():
     shifted = optimize.ObservedRateSet(
         "RA", records=tuple((f, a, r + 10.0) for f, a, r in observed.records)
     )
-    objs = optimize.objectives(optimize.params_to_genes(truth), bank, shifted)
+    objs = optimize.RateEvaluator("RA", bank, shifted)(genes[None])[0]
     assert np.allclose(objs, 100.0, atol=1e-9)
 
 
@@ -127,7 +128,7 @@ def test_objective_scaling_is_quadratic(monkeypatch):
         def __init__(self, features, dt_ms, windows_ms):
             self.n_stimuli = len(features)
 
-        def __call__(self, params, method="euler"):
+        def __call__(self, params):
             return np.zeros((len(params), self.n_stimuli), dtype=np.int64)
 
     monkeypatch.setattr(optimize, "SpikeCounter", SilentCounter)
@@ -139,8 +140,8 @@ def test_objective_scaling_is_quadratic(monkeypatch):
     scaled = optimize.ObservedRateSet(
         "RA", tuple((f, a, c * r) for f, a, r in base.records)
     )
-    o1 = optimize.objectives(genes, bank, base)
-    o2 = optimize.objectives(genes, bank, scaled)
+    o1 = optimize.RateEvaluator("RA", bank, base)(genes[None])[0]
+    o2 = optimize.RateEvaluator("RA", bank, scaled)(genes[None])[0]
     assert np.allclose(o2, c**2 * o1, rtol=1e-12)
 
 
@@ -161,9 +162,8 @@ def test_rate_evaluator_batch_equals_single_rows(afferent):
     assert batch.shape == (12, 4)
     rows = np.vstack([evaluator(genes[i:i + 1]) for i in range(12)])
     assert np.array_equal(batch, rows)
-    assert np.array_equal(
-        batch[0], optimize.objectives(genes[0], bank, observed)
-    )
+    single = optimize.RateEvaluator(afferent, bank, observed)(genes[0][None])[0]
+    assert np.array_equal(batch[0], single)
     with pytest.raises(ValidationError):
         evaluator(genes[0])  # one candidate is still a (1, n_genes) batch
 
@@ -413,6 +413,6 @@ def test_recover_parameters_wiring():
                                           budget=32, population_size=16)
     assert outcome.observed.records == tuple(optimize.predict_rates(truth, bank))
     # the synthesized observations are attainable: truth itself scores zero
-    objs = optimize.objectives(optimize.params_to_genes(truth), bank,
-                               outcome.observed)
+    genes = optimize.params_to_genes(truth)
+    objs = optimize.RateEvaluator("RA", bank, outcome.observed)(genes[None])[0]
     assert np.all(objs == 0.0)
