@@ -19,7 +19,11 @@ from .neural import SpikeTrain
 
 
 def firing_rate(train: SpikeTrain, discard_ms: float, window_ms: float) -> float:
-    """Spikes with discard <= t < discard + window, per second."""
+    """Spikes in the window [discard, discard + window), per second.
+
+    Counts with SpikeTrain.count_in_window, the step rule of simulate's
+    rate table and of fitting.
+    """
     if discard_ms < 0 or window_ms <= 0:
         raise ValidationError("need discard >= 0 and window > 0")
     if discard_ms + window_ms > train.duration_ms + 1e-9:
@@ -27,8 +31,7 @@ def firing_rate(train: SpikeTrain, discard_ms: float, window_ms: float) -> float
             f"window [{discard_ms}, {discard_ms + window_ms}) ms overruns the "
             f"simulated {train.duration_ms} ms"
         )
-    t = train.spike_times_ms
-    n = int(np.sum((t >= discard_ms) & (t < discard_ms + window_ms)))
+    n = train.count_in_window(discard_ms, discard_ms + window_ms)
     return n / (window_ms / 1000.0)
 
 

@@ -198,7 +198,10 @@ def compute_stress_bank(
             trace.to_csv(tmp, provenance=f"cache-key={key}")
             os.replace(tmp, files[a])
         bank[spec.stimulus_id] = result.stress_traces
-        logger.info("FEM solved %s (%d steps)", spec.stimulus_id, displacement.size)
+        logger.info(
+            "FEM solved %s (%d steps, %d contact sets)",
+            spec.stimulus_id, displacement.size, result.contact_sets,
+        )
     return bank
 
 

@@ -1,11 +1,14 @@
 """Quasi-static plane-strain solver with rigid-indenter contact.
 
-Each time step is an independent linear static solve: the indenter is a
-rigid circle whose instantaneous depth prescribes vertical displacements
-on the surface nodes it overlaps (frictionless active set); the bottom
-boundary is fixed.  Units are mm / MPa internally (1 MPa = 1 N/mm^2);
-von Mises traces are exported in Pa because the neural constants are
-Pa-based.
+The indenter is a rigid circle whose depth at each time step prescribes
+vertical displacements on the surface nodes it overlaps (frictionless
+active set); the bottom boundary is fixed.  Within one active set every
+prescribed displacement is the node's offset under the circle minus the
+depth, so the field is affine in depth: run_indentation solves twice per
+distinct active set (one profile, and unit values) and forms each step's
+stress from those two fields.  Units are mm / MPa internally
+(1 MPa = 1 N/mm^2); von Mises traces are exported in Pa because the
+neural constants are Pa-based.
 
 Assembly uses 4-node bilinear isoparametric quads with 2x2 Gauss
 quadrature (the element map and its Jacobians live in mesh).
@@ -169,6 +172,7 @@ class StressTrace:
 @dataclass
 class IndentationResult:
     stress_traces: dict[str, StressTrace]
+    contact_sets: int  # distinct active sets solved
     deflection_x_mm: np.ndarray | None = None
     deflection_mm: np.ndarray | None = None  # (n_steps, n_samples)
 
@@ -254,6 +258,27 @@ def bottom_constraints(mesh: Mesh) -> dict[int, float]:
     return out
 
 
+def _contact(
+    mesh: Mesh, indenter: IndenterSpec, depths_mm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The contact rule at many depths at once.
+
+    Returns (nodes, profile, active) for the surface nodes within the
+    indenter's radius: the circle profile above each at each depth
+    (n_depths, n_nodes), and whether the node is in contact (gap to the
+    undeformed surface non-positive, indenter not lifted).
+    """
+    depths = np.asarray(depths_mm, dtype=float)
+    radius = indenter.diameter_mm / 2.0
+    xs = mesh.nodes[mesh.surface_nodes, 0] - indenter.center_x_mm
+    inside = np.abs(xs) <= radius + 1e-12
+    profile = (radius - depths)[:, None] - np.sqrt(
+        np.maximum(radius**2 - xs[inside] ** 2, 0.0)
+    )
+    active = (profile <= 1e-12) & (depths >= 0)[:, None]
+    return mesh.surface_nodes[inside], profile, active
+
+
 def contact_active_set(
     mesh: Mesh, indenter: IndenterSpec, depth_mm: float
 ) -> dict[int, float]:
@@ -262,19 +287,11 @@ def contact_active_set(
     Gaps are evaluated on the undeformed surface; every surface node with a
     non-positive gap gets its vertical DOF prescribed to the circle profile
     (horizontal DOF free).  depth < 0 means the indenter is above the
-    surface: empty set.
+    surface: empty set.  This is the one-depth view of the rule that
+    run_indentation applies to a whole trace.
     """
-    if depth_mm < 0:
-        return {}
-    radius = indenter.diameter_mm / 2.0
-    xs = mesh.nodes[mesh.surface_nodes, 0] - indenter.center_x_mm
-    inside = np.abs(xs) <= radius + 1e-12
-    out: dict[int, float] = {}
-    for node, x in zip(mesh.surface_nodes[inside], xs[inside]):
-        profile = (radius - depth_mm) - np.sqrt(max(radius**2 - x**2, 0.0))
-        if profile <= 1e-12:  # gap to the undeformed surface (y = 0)
-            out[2 * int(node) + 1] = profile
-    return out
+    nodes, profile, active = _contact(mesh, indenter, np.array([depth_mm]))
+    return {2 * int(n) + 1: p for n, p in zip(nodes[active[0]], profile[0, active[0]])}
 
 
 def solve_step(
@@ -376,10 +393,19 @@ def run_indentation(
 ) -> IndentationResult:
     """Step the indenter through its displacement trace.
 
-    For each step: place the circle at pre_indentation + trace[k], rebuild
-    the active set, solve, and record von Mises stress (Pa) at each afferent
-    node.  Steps where nothing is prescribed (indenter lifted) are exactly
-    zero and skip the solver.
+    The contact rule is applied to all steps at once, with the circle at
+    pre_indentation + trace[k].  Steps where nothing is prescribed, or every
+    prescribed value is zero (indenter lifted or exactly grazing), give a
+    zero field and skip the solver.  The others are grouped by active set.
+    Within a set the prescribed value at node j is
+    r - sqrt(r^2 - x_j^2) - delta_k, with delta_k = r - (r - depth_k) the
+    depth as the profile rounds it, so the field is affine in delta.  Each
+    set is solved twice, for the profile at its shallowest step (ref) and
+    for unit values, and step k's stress is
+    sigma_ref - (delta_k - delta_ref) * sigma_1.  Referring to the
+    shallowest step keeps the two terms from cancelling where the indenter
+    barely touches off its centre.  von Mises stress (Pa) at each afferent
+    node is then taken for the whole trace in one pass.
     """
     indenter.validate()
     if set(mesh.afferent_nodes) != set(AFFERENT_TYPES):
@@ -393,31 +419,51 @@ def run_indentation(
     trace = np.asarray(indenter.displacement_trace, dtype=float)
     n_steps = trace.size
     afferent_ids = np.array([mesh.afferent_nodes[t] for t in AFFERENT_TYPES])
-    vm = np.zeros((n_steps, len(AFFERENT_TYPES)))
+    stress = np.zeros((n_steps, len(AFFERENT_TYPES), 4))
 
-    base = bottom_constraints(mesh)
     defl_r = None
     defl = None
     if record_deflection:
-        defl_r, probe = surface_deflection(mesh, np.zeros(system.ndof), deflection_spacing_mm)
+        defl_r, _ = surface_deflection(mesh, np.zeros(system.ndof), deflection_spacing_mm)
         defl = np.zeros((n_steps, defl_r.size))
 
-    for k in range(n_steps):
-        depth = indenter.pre_indentation_mm + trace[k]
-        active = contact_active_set(mesh, indenter, depth)
-        if active and any(v != 0.0 for v in active.values()):
-            constraints = dict(base)
-            constraints.update(active)
-            try:
-                u = solve_step(system, constraints)
-            except NumericalError as exc:
-                raise NumericalError(f"step {k} (depth {depth:.6f} mm): {exc}") from exc
-            stress = recover_stress(system, u, afferent_ids)
-            vm[k] = von_mises(stress)
-            if record_deflection:
-                defl[k] = surface_deflection(mesh, u, deflection_spacing_mm)[1]
-        # else: indenter lifted or exactly grazing -> zero field
+    depths = indenter.pre_indentation_mm + trace
+    nodes, profile, active = _contact(mesh, indenter, depths)
+    solved = np.flatnonzero((active & (profile != 0.0)).any(axis=1))
+    solved = solved[np.argsort(depths[solved], kind="stable")]  # shallowest first
+    sets, ref, which = np.unique(
+        active[solved], axis=0, return_index=True, return_inverse=True
+    )
+    which = which.reshape(-1)  # numpy 2.0.0 returns it 2-D for axis=0
+    ref = solved[ref]  # each set's shallowest step
+    base = bottom_constraints(mesh)
+    fields = []  # per set: displacements for the profile at ref, and for unit values
+    for s, k in enumerate(ref):
+        dofs = (2 * nodes[sets[s]] + 1).tolist()
+        try:
+            u_ref = solve_step(system, {**base, **dict(zip(dofs, profile[k, sets[s]]))})
+            u_1 = solve_step(system, {**base, **dict.fromkeys(dofs, 1.0)})
+        except NumericalError as exc:
+            k = solved[which == s].min()
+            raise NumericalError(f"step {k} (depth {depths[k]:.6f} mm): {exc}") from exc
+        fields.append((u_ref, u_1))
 
+    if fields:
+        radius = indenter.diameter_mm / 2.0
+        delta = radius - (radius - depths)  # the depth as the profile rounds it
+        shift = (delta[solved] - delta[ref][which])[:, None]
+        sigma = np.array(
+            [[recover_stress(system, u, afferent_ids) for u in pair] for pair in fields]
+        )  # (sets, 2, afferents, 4)
+        stress[solved] = sigma[which, 0] - shift[:, :, None] * sigma[which, 1]
+        if record_deflection:
+            w = np.array(
+                [[surface_deflection(mesh, u, deflection_spacing_mm)[1] for u in pair]
+                 for pair in fields]
+            )  # (sets, 2, samples)
+            defl[solved] = w[which, 0] - shift * w[which, 1]
+
+    vm = von_mises(stress)
     traces = {
         atype: StressTrace(
             afferent_type=atype,
@@ -428,5 +474,6 @@ def run_indentation(
         for i, atype in enumerate(AFFERENT_TYPES)
     }
     return IndentationResult(
-        stress_traces=traces, deflection_x_mm=defl_r, deflection_mm=defl
+        stress_traces=traces, contact_sets=len(sets),
+        deflection_x_mm=defl_r, deflection_mm=defl,
     )

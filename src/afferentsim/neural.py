@@ -254,9 +254,14 @@ class SpikeTrain:
         return int(self.spike_times_ms.size)
 
     def count_in_window(self, start_ms: float, end_ms: float) -> int:
-        """Spikes in [start, end), by the step rule of window_steps."""
+        """Spikes in [start, end), by the step rule of window_steps.
+
+        A spike counts on the last step at or before its time (its own step,
+        since simulated spikes land on step times), so for windows whose
+        edges are step times this is also the rule start <= t < end.
+        """
         k_lo, k_hi = window_steps(start_ms, end_ms, self.dt_ms)
-        steps = np.rint(self.spike_times_ms / self.dt_ms)
+        steps = np.floor(self.spike_times_ms / self.dt_ms + 1e-9)
         return int(np.count_nonzero((steps >= k_lo) & (steps < k_hi)))
 
     def to_record(self) -> dict:

@@ -8,9 +8,9 @@ from afferentsim import analysis, neural
 from afferentsim.errors import ValidationError
 
 
-def make_train(spikes, duration=345.0, afferent="RA"):
+def make_train(spikes, duration=345.0, afferent="RA", dt=0.5):
     return neural.SpikeTrain(
-        afferent_type=afferent, dt_ms=0.5, duration_ms=duration,
+        afferent_type=afferent, dt_ms=dt, duration_ms=duration,
         spike_times_ms=np.asarray(spikes, dtype=float),
         membrane_mv=None, params_hash="x" * 16,
     )
@@ -31,6 +31,12 @@ def test_firing_rate_window_edges():
     assert analysis.firing_rate(train, 100.0, 100.0) == pytest.approx(2 / 0.1)
     train = make_train([], duration=345.0)
     assert analysis.firing_rate(train, 100.0, 245.0) == 0.0
+    # a spike on step 170 at dt 0.7 sits at 118.99999999999999 ms: it opens
+    # the window that starts at 119 ms, as in simulate's rate table
+    train = make_train([170 * 0.7], duration=140.0, dt=0.7)
+    assert train.spike_times_ms[0] < 119.0
+    assert train.count_in_window(119.0, 129.0) == 1
+    assert analysis.firing_rate(train, 119.0, 10.0) == pytest.approx(1 / 0.01)
 
 
 def test_firing_rate_discard_excludes_onset():

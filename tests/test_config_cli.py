@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from afferentsim import cli, config, mesh, neural, stimulus
+from afferentsim import cli, config, fem, mesh, neural, stimulus
 from afferentsim.errors import ValidationError
 
 
@@ -191,6 +191,23 @@ def test_cli_simulate_rerun_is_byte_identical(tmp_path, caplog):
     assert "cache hit" in caplog.text  # FEM stage skipped on the rerun
     for p, blob in before.items():
         assert (out / p).read_bytes() == blob, p
+
+
+def test_stress_bank_logs_contact_sets(tmp_path, caplog, default_config, default_mesh,
+                                       default_system):
+    spec = sin_spec(50.0, 113.60)
+    indenter = cli._indenter_for(default_config, spec.generate(), spec.dt_ms)
+    result = fem.run_indentation(default_mesh, indenter, system=default_system)
+    assert result.contact_sets == 2  # the centre node, then its neighbours too
+
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        cli.compute_stress_bank(
+            default_config, default_mesh, default_system, [spec], str(tmp_path)
+        )
+    assert (
+        f"FEM solved {spec.stimulus_id} ({spec.n_steps} steps, "
+        f"{result.contact_sets} contact sets)"
+    ) in caplog.text
 
 
 @pytest.mark.parametrize("keep_lines", [200, None])

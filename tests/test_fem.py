@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afferentsim import fem, mesh
+from afferentsim import fem, mesh, stimulus
 from afferentsim.errors import NumericalError, ValidationError
+from afferentsim.mesh import AFFERENT_TYPES
 
 SOFT = mesh.MaterialLayer("soft", 1.0, 0.3, (0.0, 1.0))
 
@@ -206,8 +207,6 @@ def test_factor_cache_bounded(default_mesh):
     """One factorization per distinct contact set solved, and contact sets
     are nested in depth: at most one per surface node under the indenter."""
     system = fem.StiffnessSystem(default_mesh)
-    from afferentsim import stimulus
-
     trace = stimulus.sinusoid(20.0, 100.0, 50.0)
     indenter = fem.IndenterSpec(diameter_mm=1.0, displacement_trace=trace)
     fem.run_indentation(default_mesh, indenter, system=system)
@@ -244,3 +243,157 @@ def test_deeper_contact_is_superset(default_mesh, depth):
     assert set(shallow).issubset(deep)
     for dof, val in shallow.items():
         assert deep[dof] <= val + 1e-12  # deeper indentation presses further
+
+
+# ------------------------------------------- per-step oracle (reference)
+
+
+def contact_active_set_oracle(mesh, indenter, depth_mm):
+    """The contact rule as evaluated one depth at a time, before
+    run_indentation tabulated its solves per contact set."""
+    if depth_mm < 0:
+        return {}
+    radius = indenter.diameter_mm / 2.0
+    xs = mesh.nodes[mesh.surface_nodes, 0] - indenter.center_x_mm
+    inside = np.abs(xs) <= radius + 1e-12
+    out: dict[int, float] = {}
+    for node, x in zip(mesh.surface_nodes[inside], xs[inside]):
+        profile = (radius - depth_mm) - np.sqrt(max(radius**2 - x**2, 0.0))
+        if profile <= 1e-12:  # gap to the undeformed surface (y = 0)
+            out[2 * int(node) + 1] = profile
+    return out
+
+
+def run_indentation_oracle(mesh, indenter, system, record_deflection=False,
+                           deflection_spacing_mm=0.5):
+    """One solve per time step: run_indentation's loop before the
+    tabulation.  Returns (von Mises in Pa, deflection, solved active sets)."""
+    trace = np.asarray(indenter.displacement_trace, dtype=float)
+    n_steps = trace.size
+    afferent_ids = np.array([mesh.afferent_nodes[t] for t in AFFERENT_TYPES])
+    vm = np.zeros((n_steps, len(AFFERENT_TYPES)))
+    sets = set()
+
+    base = fem.bottom_constraints(mesh)
+    defl = None
+    if record_deflection:
+        defl_r, _ = fem.surface_deflection(mesh, np.zeros(system.ndof), deflection_spacing_mm)
+        defl = np.zeros((n_steps, defl_r.size))
+
+    for k in range(n_steps):
+        depth = indenter.pre_indentation_mm + trace[k]
+        active = contact_active_set_oracle(mesh, indenter, depth)
+        if active and any(v != 0.0 for v in active.values()):
+            sets.add(tuple(sorted(active)))
+            constraints = dict(base)
+            constraints.update(active)
+            try:
+                u = fem.solve_step(system, constraints)
+            except NumericalError as exc:
+                raise NumericalError(f"step {k} (depth {depth:.6f} mm): {exc}") from exc
+            stress = fem.recover_stress(system, u, afferent_ids)
+            vm[k] = fem.von_mises(stress)
+            if record_deflection:
+                defl[k] = fem.surface_deflection(mesh, u, deflection_spacing_mm)[1]
+        # else: indenter lifted or exactly grazing -> zero field
+    return vm * 1.0e6, defl, sets
+
+
+TINY = np.array([0.0, 1e-18, -1e-18, 0.0, 1e-15, 3e-13, 1e-12, 2e-12, 1e-10,
+                 -1e-10, 1e-9, 0.0, -1e-9, 5e-16])
+ORACLE_CASES = {
+    "sinusoid": dict(trace=stimulus.sinusoid(50.0, 113.6, 40.0), diameter_mm=1.0),
+    "pre-pressed": dict(trace=stimulus.sinusoid(100.0, 80.0, 30.0), diameter_mm=1.0,
+                        pre_indentation_mm=0.05),
+    "pre-lifted": dict(trace=stimulus.sinusoid(50.0, 150.0, 40.0), diameter_mm=1.0,
+                       pre_indentation_mm=-0.04),
+    "diharmonic-2mm": dict(trace=stimulus.diharmonic(20.0, 60.0, 150.0, 30.0, 50.0),
+                           diameter_mm=2.0),
+    "noise-0.5mm": dict(trace=stimulus.bandpass_noise(10.0, 200.0, 40.0, 50.0, seed=3),
+                        diameter_mm=0.5, pre_indentation_mm=0.02),
+    "off-centre": dict(trace=stimulus.sinusoid(50.0, 150.0, 40.0), diameter_mm=1.0,
+                       center_x_mm=0.3),
+    "tiny-depths": dict(trace=TINY, diameter_mm=1.0),
+    "tiny-depths-2mm": dict(trace=np.concatenate([TINY, 1e-3 + TINY]), diameter_mm=2.0),
+    # nodes at x = 0.2 and 0.4 sit 0.1 mm off the centre: they touch at
+    # depth r - sqrt(r^2 - 0.1^2)
+    "tiny-off-centre": dict(trace=np.concatenate([TINY, 0.5 - np.sqrt(0.24) + TINY]),
+                            diameter_mm=1.0, center_x_mm=0.3),
+    "deflection": dict(trace=stimulus.sinusoid(50.0, 113.6, 20.0), diameter_mm=1.0,
+                       record_deflection=True),
+    "validate-probe": dict(trace=np.zeros(1), diameter_mm=0.05, pre_indentation_mm=1.0,
+                           record_deflection=True),
+}
+
+
+def assert_same_samples(got, expected, rtol=1e-12):
+    assert got.shape == expected.shape
+    assert np.array_equal(got == 0.0, expected == 0.0)  # zeros on the same steps
+    nz = expected != 0.0
+    rel = np.abs(got[nz] - expected[nz]) / np.abs(expected[nz])
+    assert rel.size == 0 or rel.max() <= rtol, rel.max()
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_run_indentation_matches_per_step_oracle(default_mesh, default_system,
+                                                 monkeypatch, case):
+    kwargs = dict(ORACLE_CASES[case])
+    trace = kwargs.pop("trace")
+    record = kwargs.pop("record_deflection", False)
+    indenter = fem.IndenterSpec(displacement_trace=trace, **kwargs)
+    vm, defl, sets = run_indentation_oracle(
+        default_mesh, indenter, default_system, record_deflection=record
+    )
+
+    calls = []
+    solve_step = fem.solve_step
+
+    def counting_solve(*args, **kw):
+        calls.append(1)
+        return solve_step(*args, **kw)
+
+    monkeypatch.setattr(fem, "solve_step", counting_solve)
+    result = fem.run_indentation(
+        default_mesh, indenter, system=default_system, record_deflection=record
+    )
+    got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
+    assert_same_samples(got, vm)
+    assert result.contact_sets == len(sets)
+    assert len(calls) == 2 * len(sets)  # two solves per distinct non-empty set
+    if record:
+        assert_same_samples(result.deflection_mm, defl)
+    else:
+        assert result.deflection_mm is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.one_of(st.floats(-0.2, 1.2), st.floats(-1e-9, 1e-9)),
+    diameter=st.sampled_from([0.5, 1.0, 2.0]),
+    center=st.sampled_from([0.0, 0.3, -0.1]),
+)
+def test_contact_active_set_matches_oracle(default_mesh, depth, diameter, center):
+    indenter = fem.IndenterSpec(diameter_mm=diameter, center_x_mm=center)
+    got = fem.contact_active_set(default_mesh, indenter, depth)
+    expected = contact_active_set_oracle(default_mesh, indenter, depth)
+    assert got == expected  # same DOFs, bit-identical profile values
+
+
+def test_run_indentation_error_names_first_step_of_set(default_mesh, default_system,
+                                                       monkeypatch):
+    trace = stimulus.sinusoid(50.0, 113.6, 40.0)
+    indenter = fem.IndenterSpec(diameter_mm=1.0, displacement_trace=trace)
+    n_bottom = len(fem.bottom_constraints(default_mesh))
+    wide = [k for k, depth in enumerate(trace)
+            if len(contact_active_set_oracle(default_mesh, indenter, depth)) > 1]
+    solve_step = fem.solve_step
+
+    def failing_solve(system, constraints, forces=None):
+        if len(constraints) > n_bottom + 1:
+            raise NumericalError("solve residual 1e+00 exceeds 1e-8 relative")
+        return solve_step(system, constraints, forces)
+
+    monkeypatch.setattr(fem, "solve_step", failing_solve)
+    first = rf"^step {wide[0]} \(depth {trace[wide[0]]:.6f} mm\): solve residual"
+    with pytest.raises(NumericalError, match=first):
+        fem.run_indentation(default_mesh, indenter, system=default_system)
