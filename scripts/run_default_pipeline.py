@@ -4,8 +4,9 @@ deflection check, then the complete 37-stimulus sinusoid protocol.
 
     python3 scripts/run_default_pipeline.py [--out DIR] [--protocol NAME]
 
-First run solves ~19k FEM steps (about 15 s); reruns hit the stress cache
-and finish in ~2 s.  Outputs: mesh.txt, validation_report.json,
+Every run solves the FEM afresh: appendixA's 18 317 steps take 112 solves
+(two per contact set), and the whole script about 1.5 s on a 2-core x86-64
+host.  Outputs: mesh.txt, validation_report.json,
 deflection.csv, rates.csv, spikes.jsonl, per-stimulus stress traces.
 """
 

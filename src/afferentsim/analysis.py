@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ValidationError
 from .neural import SpikeTrain
@@ -95,10 +95,21 @@ def regression(observed, predicted) -> RegressionReport:
         raise ValidationError(f"regression needs n >= 3, got {x.size}")
     if np.all(x == x[0]):
         raise ValidationError("observed values are all equal; slope is undefined")
-    fit = stats.linregress(x, y)
+    # centred (co)variances, formed in the order scipy.stats.linregress
+    # forms them, so the two agree to the last bit in nearly every case
+    d = np.stack([x, y])
+    d -= d.mean(axis=1, keepdims=True)
+    (sxx, sxy), (_, syy) = (d @ d.T) * (1.0 / x.size)
+    slope = sxy / sxx
+    intercept = y.mean() - slope * x.mean()
+    # constant predictions leave r (and so R^2 and p) undefined: NaN
+    r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0) if syy > 0 else np.nan
+    df = x.size - 2
+    # the 1e-20 terms keep t finite (p = 0) for a perfect fit, |r| = 1
+    t = r * np.sqrt(df / ((1.0 - r + 1e-20) * (1.0 + r + 1e-20)))
     return RegressionReport(
-        slope=float(fit.slope), intercept=float(fit.intercept),
-        r_squared=float(fit.rvalue**2), p_value=float(fit.pvalue), n=int(x.size),
+        slope=float(slope), intercept=float(intercept), r_squared=float(r * r),
+        p_value=float(2.0 * special.stdtr(df, -abs(t))), n=int(x.size),
     )
 
 

@@ -6,17 +6,16 @@ error, 3 numerical failure.  Concurrent runs against one output directory
 are rejected via a `.lock` file holding the owner's PID; a lock whose owner
 no longer exists is removed with a warning.
 
-FEM results are cached under <out>/cache/stress keyed by the content of
-(mesh, materials, indenter, stimulus), so re-running a protocol or fitting
-against an existing bank skips the solver entirely.  Cache files are written
-whole or not at all (temp file, then rename); a cached trace that does not
-parse or does not match its stimulus's length and dt is recomputed.
+Every `simulate` and `fit` solves the skin FEM for its protocol; nothing
+is read back from an earlier run.  The FEM is tabulated per contact set
+(two solves per distinct set), so appendixA's 37 stimuli take a fraction
+of a second.  `simulate` writes each stress trace once, to <out>/stress;
+`fit` writes none.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -127,76 +126,21 @@ def _indenter_for(cfg: RunConfig, trace: np.ndarray, dt_ms: float) -> IndenterSp
     )
 
 
-def _stimulus_cache_key(cfg: RunConfig, mesh_hash: str, spec: StimulusSpec) -> str:
-    blob = json.dumps({
-        "mesh": mesh_hash,
-        "materials": [
-            [m.name, repr(m.elastic_modulus_mpa), repr(m.poisson_ratio),
-             repr(m.depth_range[0]), repr(m.depth_range[1])]
-            for m in cfg.materials
-        ],
-        "indenter": {
-            "diameter_mm": repr(cfg.indenter_diameter_mm),
-            "center_x_mm": repr(cfg.indenter_center_x_mm),
-            "pre_indentation_mm": repr(cfg.indenter_pre_indentation_mm),
-        },
-        "stimulus": spec.content_key(),
-    }, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:24]
-
-
-def _load_cached(
-    files: dict[str, str], spec: StimulusSpec
-) -> dict[str, StressTrace] | None:
-    """The cached traces for one stimulus, or None when they must be computed."""
-    if not all(os.path.exists(p) for p in files.values()):
-        return None
-    try:
-        traces = {a: StressTrace.from_csv(p) for a, p in files.items()}
-    except ValidationError as exc:
-        logger.warning("stale cache for %s: %s; recomputing", spec.stimulus_id, exc)
-        return None
-    for a, trace in traces.items():
-        if trace.n_steps != spec.n_steps or trace.dt_ms != spec.dt_ms:
-            logger.warning(
-                "stale cache for %s: %s holds %d steps at dt %r ms, the "
-                "stimulus has %d at dt %r ms; recomputing",
-                spec.stimulus_id, files[a], trace.n_steps, trace.dt_ms,
-                spec.n_steps, spec.dt_ms,
-            )
-            return None
-    return traces
-
-
 def compute_stress_bank(
     cfg: RunConfig, mesh, system: StiffnessSystem | None,
-    specs: list[StimulusSpec], cache_dir: str,
+    specs: list[StimulusSpec],
 ) -> dict[str, dict[str, StressTrace]]:
-    """Per-stimulus, per-afferent stress traces, cache-backed."""
-    os.makedirs(cache_dir, exist_ok=True)
-    mesh_hash = mesh.content_hash()
+    """Per-stimulus, per-afferent stress traces, solved for every stimulus."""
+    if system is None:
+        system = StiffnessSystem(mesh)
     bank: dict[str, dict[str, StressTrace]] = {}
     for spec in specs:
-        key = _stimulus_cache_key(cfg, mesh_hash, spec)
-        files = {a: os.path.join(cache_dir, f"{key}_{a}.csv") for a in AFFERENT_TYPES}
-        cached = _load_cached(files, spec)
-        if cached is not None:
-            logger.info("cache hit: FEM stage skipped for %s", spec.stimulus_id)
-            bank[spec.stimulus_id] = cached
-            continue
-        if system is None:
-            system = StiffnessSystem(mesh)
         displacement = spec.generate()
         indenter = _indenter_for(cfg, displacement, spec.dt_ms)
         try:
             result = run_indentation(mesh, indenter, system=system)
         except NumericalError as exc:
             raise NumericalError(f"stimulus {spec.stimulus_id}: {exc}") from exc
-        for a, trace in result.stress_traces.items():
-            # a crash mid-write leaves only the temp file behind
-            tmp = f"{files[a]}.tmp"
-            trace.to_csv(tmp, provenance=f"cache-key={key}")
-            os.replace(tmp, files[a])
         bank[spec.stimulus_id] = result.stress_traces
         logger.info(
             "FEM solved %s (%d steps, %d contact sets)",
@@ -260,9 +204,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     specs = _resolve_protocol(cfg)
     mesh = build_mesh(cfg.geometry, cfg.materials)
     save_mesh(mesh, os.path.join(out, "mesh.txt"))
-    bank = compute_stress_bank(
-        cfg, mesh, None, specs, os.path.join(out, "cache", "stress")
-    )
+    bank = compute_stress_bank(cfg, mesh, None, specs)
     params = _load_afferent_params(cfg.afferent_params_source)
     prov = _provenance(cfg)
 
@@ -368,9 +310,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             )
         by_condition[condition] = s
     mesh = build_mesh(cfg.geometry, cfg.materials)
-    bank = compute_stress_bank(
-        cfg, mesh, None, sin_specs, os.path.join(out, "cache", "stress")
-    )
+    bank = compute_stress_bank(cfg, mesh, None, sin_specs)
     prov = _provenance(cfg)
 
     for atype in cfg.fit.afferents:

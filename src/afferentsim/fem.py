@@ -137,37 +137,6 @@ class StressTrace:
             for k, v in enumerate(self.values):
                 fh.write(f"{k * self.dt_ms!r},{float(v)!r}\n")
 
-    @classmethod
-    def from_csv(cls, path) -> "StressTrace":
-        meta = None
-        values = []
-        raw = ""
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if meta is None and not body.startswith(("afferent", "provenance")):
-                        meta = body.split(",")
-                    continue
-                if not line or line.startswith("t_ms"):
-                    continue
-                try:
-                    values.append(float(line.split(",")[1]))
-                except (IndexError, ValueError):
-                    raise ValidationError(f"{path}: malformed row {line!r}") from None
-        if meta is None or len(meta) != 3:
-            raise ValidationError(f"{path}: missing '# afferent,node,dt_ms' metadata")
-        if not raw.endswith("\n"):
-            # to_csv ends every row with a newline; a cut file may not
-            raise ValidationError(f"{path}: truncated inside its last row")
-        return cls(
-            afferent_type=meta[0],
-            node_id=int(meta[1]),
-            dt_ms=float(meta[2]),
-            values=np.array(values),
-        )
-
 
 @dataclass
 class IndentationResult:

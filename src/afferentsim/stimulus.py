@@ -19,7 +19,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
 
 from .errors import ValidationError
 
@@ -122,6 +121,10 @@ def bandpass_noise(
     if not rms_um > 0:
         raise ValidationError(f"rms_um must be > 0, got {rms_um}")
     n = _n_samples(duration_ms, dt_ms)
+    # imported here, not at module top: scipy.signal and the scipy.stats it
+    # loads add about 1 s to every import, and only noise stimuli need them
+    from scipy.signal import butter, sosfiltfilt
+
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(n)
     sos = butter(NOISE_FILTER_ORDER, [lo_hz / nyq, hi_hz / nyq], btype="bandpass", output="sos")
@@ -192,16 +195,6 @@ class StimulusSpec:
         return bandpass_noise(
             self.lo_hz, self.hi_hz, self.rms_um, self.duration_ms, self.dt_ms, self.seed
         )
-
-    @property
-    def n_steps(self) -> int:
-        """Samples in the rendered trace, t = 0 through duration."""
-        return _n_samples(self.duration_ms, self.dt_ms)
-
-    def content_key(self) -> str:
-        """Canonical JSON of every generation-relevant field."""
-        d = {k: v for k, v in asdict(self).items() if v is not None}
-        return json.dumps(d, sort_keys=True)
 
 
 def sinusoid_window_ms(freq_hz: float) -> float:
@@ -286,12 +279,19 @@ def load_protocol(path) -> list[StimulusSpec]:
     if not isinstance(payload, dict) or "stimuli" not in payload:
         raise ValidationError(f"{path}: protocol file needs a 'stimuli' list")
     specs = []
+    seen: set[str] = set()
     for i, rec in enumerate(payload["stimuli"]):
         try:
             spec = StimulusSpec(**rec)
         except TypeError as exc:
             raise ValidationError(f"{path}: stimulus #{i}: {exc}") from exc
         spec.validate()
+        if spec.stimulus_id in seen:
+            # rates, spike trains and stress exports are keyed by the id
+            raise ValidationError(
+                f"{path}: stimulus #{i} repeats stimulus_id {spec.stimulus_id!r}"
+            )
+        seen.add(spec.stimulus_id)
         specs.append(spec)
     if not specs:
         raise ValidationError(f"{path}: protocol contains no stimuli")

@@ -22,13 +22,10 @@ def default_system(default_mesh):
 
 
 @pytest.fixture(scope="session")
-def appendix_a_bank(default_config, default_mesh, default_system, tmp_path_factory):
+def appendix_a_bank(default_config, default_mesh, default_system):
     """stimulus_id -> {afferent -> StressTrace} for the 37-sinusoid bank."""
-    cache = tmp_path_factory.mktemp("stress_cache")
     specs = cli._resolve_protocol(default_config)
-    bank = cli.compute_stress_bank(
-        default_config, default_mesh, default_system, specs, str(cache)
-    )
+    bank = cli.compute_stress_bank(default_config, default_mesh, default_system, specs)
     return specs, bank
 
 

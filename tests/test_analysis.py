@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -152,6 +152,26 @@ def test_regression_against_normal_equations(rng):
     assert rep.r_squared == pytest.approx(r2, rel=1e-9)
     assert rep.p_value == pytest.approx(p, rel=1e-6)
     assert rep.n == 20
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(3, 40), slope=st.floats(-2.0, 2.0), noise=st.floats(0.0, 50.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=4, slope=0.0, noise=0.0, seed=0)  # constant predictions
+def test_regression_matches_linregress(n, slope, noise, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 150.0, size=n)
+    y = slope * x + 4.0 + rng.normal(scale=noise, size=n)
+    rep = analysis.regression(x, y)
+    ref = stats.linregress(x, y)
+    # relative bounds only (abs=0), so p-values far below 1e-12 count too;
+    # constant predictions give NaN R^2 and p on both sides
+    assert rep.slope == pytest.approx(ref.slope, rel=1e-12, abs=0)
+    assert rep.intercept == pytest.approx(ref.intercept, rel=1e-12, abs=0)
+    assert rep.r_squared == pytest.approx(ref.rvalue**2, rel=1e-12, abs=0, nan_ok=True)
+    assert rep.p_value == pytest.approx(ref.pvalue, rel=1e-9, abs=0, nan_ok=True)
 
 
 def test_regression_degenerate_inputs():

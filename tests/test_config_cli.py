@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -177,7 +178,7 @@ def test_cli_simulate_zero_amplitude_is_silent(tmp_path):
             assert float(ln.split(",")[4]) == 0.0
 
 
-def test_cli_simulate_rerun_is_byte_identical(tmp_path, caplog):
+def test_cli_simulate_rerun_is_byte_identical(tmp_path):
     protocol = write_protocol(tmp_path, [sin_spec(50.0, 34.80)])
     cfg_path = write_config(tmp_path, {"protocol": protocol})
     out = tmp_path / "out"
@@ -186,14 +187,26 @@ def test_cli_simulate_rerun_is_byte_identical(tmp_path, caplog):
     exports += [os.path.join("stress", p) for p in os.listdir(out / "stress")]
     before = {p: (out / p).read_bytes() for p in exports}
 
-    with caplog.at_level(logging.INFO, logger="afferentsim"):
-        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
-    assert "cache hit" in caplog.text  # FEM stage skipped on the rerun
+    assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert not (out / "cache").exists()  # every run solves its FEM
     for p, blob in before.items():
         assert (out / p).read_bytes() == blob, p
 
 
-def test_stress_bank_logs_contact_sets(tmp_path, caplog, default_config, default_mesh,
+def test_cli_simulate_rejects_repeated_stimulus_id(tmp_path, caplog):
+    # one id for 10 um and 250 um would report the 250 um rates twice
+    low = sin_spec(50.0, 10.0)
+    high = dataclasses.replace(low, amplitude_um=250.0)
+    protocol = write_protocol(tmp_path, [low, high])
+    cfg_path = write_config(tmp_path, {"protocol": protocol})
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"repeats stimulus_id {low.stimulus_id!r}" in caplog.text
+    assert not (out / "rates.csv").exists()
+
+
+def test_stress_bank_logs_contact_sets(caplog, default_config, default_mesh,
                                        default_system):
     spec = sin_spec(50.0, 113.60)
     indenter = cli._indenter_for(default_config, spec.generate(), spec.dt_ms)
@@ -201,42 +214,11 @@ def test_stress_bank_logs_contact_sets(tmp_path, caplog, default_config, default
     assert result.contact_sets == 2  # the centre node, then its neighbours too
 
     with caplog.at_level(logging.INFO, logger="afferentsim"):
-        cli.compute_stress_bank(
-            default_config, default_mesh, default_system, [spec], str(tmp_path)
-        )
+        cli.compute_stress_bank(default_config, default_mesh, default_system, [spec])
     assert (
-        f"FEM solved {spec.stimulus_id} ({spec.n_steps} steps, "
+        f"FEM solved {spec.stimulus_id} ({spec.generate().size} steps, "
         f"{result.contact_sets} contact sets)"
     ) in caplog.text
-
-
-@pytest.mark.parametrize("keep_lines", [200, None])
-def test_cli_simulate_recomputes_truncated_cache(tmp_path, caplog, keep_lines):
-    protocol = write_protocol(tmp_path, [sin_spec(50.0, 113.60)])
-    cfg_path = write_config(tmp_path, {"protocol": protocol})
-    cold = tmp_path / "cold"
-    assert cli.main(["simulate", "--config", cfg_path, "--out", str(cold)]) == 0
-    expected = (cold / "rates.csv").read_bytes()
-
-    out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
-    cache_dir = out / "cache" / "stress"
-    (cached,) = cache_dir.glob("*_RA.csv")
-    whole = cached.read_text()
-    # cut at a row boundary (too few steps) or inside the last row
-    cached.write_text(
-        "".join(whole.splitlines(keepends=True)[:keep_lines]) if keep_lines
-        else whole[:-3]
-    )
-    with caplog.at_level(logging.INFO, logger="afferentsim"):
-        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
-    assert "stale cache" in caplog.text
-    assert "cache hit" not in caplog.text
-    assert (out / "rates.csv").read_bytes() == expected
-    assert cached.read_text() == whole  # rewritten in full
-    assert sorted(p.name for p in cache_dir.iterdir()) == sorted(
-        p.name for p in (cold / "cache" / "stress").iterdir()
-    )  # no temp file left behind
 
 
 def test_cli_fit_rejects_duplicate_conditions(tmp_path):
@@ -295,6 +277,20 @@ def test_cli_lock_of_exited_process_is_taken_over(tmp_path, caplog):
         assert cli.main(["mesh", "--config", cfg_path, "--out", str(out)]) == 0
     assert "stale lock" in caplog.text and str(child.pid) in caplog.text
     assert not (out / ".lock").exists()
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    # together about 1 s and 40 MB of import; only noise stimuli need them
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = (
+        "import sys, afferentsim.cli; print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.signal', 'scipy.stats'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_cli_exit_codes_for_bad_input(tmp_path):

@@ -144,13 +144,6 @@ def test_protocol_json_round_trip(tmp_path):
     assert len(raw["stimuli"]) == 20
 
 
-def test_content_key_distinguishes_specs():
-    specs = stimulus.builtin_protocol("appendixA")
-    keys = {s.content_key() for s in specs}
-    assert len(keys) == len(specs)
-    assert specs[0].content_key() == specs[0].content_key()
-
-
 def test_trace_csv_format(tmp_path):
     s = stimulus.builtin_protocol("appendixA")[0]
     path = tmp_path / "trace.csv"
