@@ -19,7 +19,7 @@ from afferentsim.analysis import firing_rate
 from afferentsim.cli import compute_stress_bank
 from afferentsim.config import config_from_dict
 from afferentsim.mesh import build_mesh
-from afferentsim.neural import default_afferent_params, run_afferent
+from afferentsim.neural import default_afferent_params, run_afferents
 from afferentsim.stimulus import SINUSOID_TABLE, builtin_protocol
 
 
@@ -35,10 +35,9 @@ def main() -> int:
     params = default_afferent_params()
 
     rates = {}
-    for spec in specs:
-        for atype, p in params.items():
-            train = run_afferent(bank[spec.stimulus_id][atype], p,
-                                 record_membrane=False)
+    for atype, p in params.items():
+        trains = run_afferents([bank[s.stimulus_id][atype] for s in specs], p)
+        for spec, train in zip(specs, trains):
             rates[(atype, spec.freq_hz, spec.amplitude_um)] = firing_rate(
                 train, spec.discard_ms, spec.window_ms
             )

@@ -54,19 +54,15 @@ from .stimulus import (
 )
 from .neural import (
     AfferentParams,
-    DriveTrace,
     SpikeCounter,
     SpikeTrain,
     abs_difference_filter,
     default_afferent_params,
     derivative,
-    drive_for_stress,
     filtered_inputs,
-    load_spike_trains,
     moving_average_abs,
-    run_afferent,
+    run_afferents,
     save_spike_trains,
-    simulate_lif,
     stress_to_drive,
     window_steps,
 )
@@ -88,7 +84,6 @@ from .analysis import (
     RateRecord,
     RegressionReport,
     firing_rate,
-    raster,
     rate_records_to_csv,
     regression,
 )
@@ -98,7 +93,6 @@ __all__ = [
     "AFFERENT_TYPES",
     "AfferentParams",
     "AfferentSimError",
-    "DriveTrace",
     "FitOutcome",
     "GeometrySpec",
     "IndentationResult",
@@ -130,7 +124,6 @@ __all__ = [
     "default_material_layers",
     "derivative",
     "diharmonic",
-    "drive_for_stress",
     "filtered_inputs",
     "firing_rate",
     "fit_afferent",
@@ -139,24 +132,21 @@ __all__ = [
     "load_config",
     "load_mesh",
     "load_protocol",
-    "load_spike_trains",
     "moving_average_abs",
     "nsga2",
     "params_to_genes",
     "plane_strain_d",
     "predict_rates",
-    "raster",
     "rate_records_to_csv",
     "recover_parameters",
     "recover_stress",
     "regression",
-    "run_afferent",
+    "run_afferents",
     "run_indentation",
     "save_mesh",
     "save_protocol",
     "save_spike_trains",
     "select_candidate",
-    "simulate_lif",
     "sinusoid",
     "solve_step",
     "stress_to_drive",

@@ -1,4 +1,4 @@
-"""Firing-rate extraction, rate tables, rasters, and rate regressions.
+"""Firing-rate extraction, rate tables, and rate regressions.
 
 Rates are spike counts over a half-open window [discard, discard + window)
 divided by the window length, in impulses per second (ips).  The minimum
@@ -111,22 +111,3 @@ def regression(observed, predicted) -> RegressionReport:
         slope=float(slope), intercept=float(intercept), r_squared=float(r * r),
         p_value=float(2.0 * special.stdtr(df, -abs(t))), n=int(x.size),
     )
-
-
-def raster(trains: list[SpikeTrain]) -> list[tuple[int, float]]:
-    """(trial, spike time) rows, trial = position in the input list."""
-    if not trains:
-        raise ValidationError("raster needs at least one spike train")
-    rows: list[tuple[int, float]] = []
-    for trial, train in enumerate(trains):
-        rows.extend((trial, float(t)) for t in train.spike_times_ms)
-    return rows
-
-
-def raster_to_csv(rows: list[tuple[int, float]], path, provenance: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if provenance:
-            fh.write(f"# provenance: {provenance}\n")
-        fh.write("trial,t_ms\n")
-        for trial, t in rows:
-            fh.write(f"{trial},{t!r}\n")

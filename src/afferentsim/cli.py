@@ -25,7 +25,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .analysis import RateRecord, rate_records_to_csv, regression
+from .analysis import RateRecord, firing_rate, rate_records_to_csv, regression
 from .config import RunConfig, load_config
 from .config import save_resolved_config
 from .errors import AfferentSimError, NumericalError, ValidationError
@@ -34,7 +34,7 @@ from .mesh import AFFERENT_TYPES, build_mesh, save_mesh
 from .neural import (
     AfferentParams,
     default_afferent_params,
-    run_afferent,
+    run_afferents,
     save_spike_trains,
 )
 from .optimize import (
@@ -159,14 +159,24 @@ def _load_afferent_params(source: str) -> dict[str, AfferentParams]:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read afferent params {source}: {exc}") from exc
-    if "afferent" in raw and "params" in raw:  # selected-candidate export
-        p = AfferentParams.from_dict(raw["params"])
-        params[p.afferent_type] = p
-    else:  # mapping {type: params}
-        for atype, rec in raw.items():
-            if atype not in AFFERENT_TYPES:
-                raise ValidationError(f"{source}: unknown afferent type {atype!r}")
-            params[atype] = AfferentParams.from_dict(rec)
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{source}: expected a JSON object, got {raw!r}")
+    try:
+        if "afferent" in raw and "params" in raw:  # selected-candidate export
+            p = AfferentParams.from_dict(raw["params"])
+            params[p.afferent_type] = p
+        else:  # mapping {type: params}
+            for atype, rec in raw.items():
+                if atype not in AFFERENT_TYPES:
+                    raise ValidationError(f"unknown afferent type {atype!r}")
+                p = AfferentParams.from_dict(rec)
+                if p.afferent_type != atype:
+                    raise ValidationError(
+                        f"entry {atype!r} holds {p.afferent_type} params"
+                    )
+                params[atype] = p
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from exc
     return params
 
 
@@ -202,32 +212,36 @@ def cmd_mesh(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     out = cfg.output_dir
     specs = _resolve_protocol(cfg)
+    params = _load_afferent_params(cfg.afferent_params_source)
     mesh = build_mesh(cfg.geometry, cfg.materials)
     save_mesh(mesh, os.path.join(out, "mesh.txt"))
     bank = compute_stress_bank(cfg, mesh, None, specs)
-    params = _load_afferent_params(cfg.afferent_params_source)
     prov = _provenance(cfg)
+    by_type = {
+        atype: run_afferents(
+            [bank[spec.stimulus_id][atype] for spec in specs], params[atype]
+        )
+        for atype in AFFERENT_TYPES
+    }
 
     stress_dir = os.path.join(out, "stress")
     os.makedirs(stress_dir, exist_ok=True)
     trains = []
     records = []
-    for spec in specs:
+    for s, spec in enumerate(specs):
         freq, amp = _spec_descriptor(spec)
         for atype in AFFERENT_TYPES:
-            trace = bank[spec.stimulus_id][atype]
-            trace.to_csv(
+            bank[spec.stimulus_id][atype].to_csv(
                 os.path.join(stress_dir, f"{spec.stimulus_id}_{atype}.csv"),
                 provenance=prov,
             )
-            train = run_afferent(trace, params[atype], record_membrane=False)
-            train.meta.update({"stimulus_id": spec.stimulus_id})
+            train = by_type[atype][s]
+            train.meta["stimulus_id"] = spec.stimulus_id
             trains.append(train)
-            n = train.count_in_window(spec.discard_ms, spec.discard_ms + spec.window_ms)
             records.append(RateRecord(
                 afferent_type=atype, stimulus_id=spec.stimulus_id,
                 freq_hz=freq, amplitude_um=amp,
-                predicted_ips=n / (spec.window_ms / 1000.0),
+                predicted_ips=firing_rate(train, spec.discard_ms, spec.window_ms),
                 window_ms=spec.window_ms,
             ))
 
@@ -309,12 +323,15 @@ def cmd_fit(cfg: RunConfig) -> int:
                 "um; fit needs one stimulus per condition"
             )
         by_condition[condition] = s
+    observed_by_type = {
+        atype: ObservedRateSet.from_csv(cfg.fit.observed_rates_csv, atype)
+        for atype in cfg.fit.afferents
+    }
     mesh = build_mesh(cfg.geometry, cfg.materials)
     bank = compute_stress_bank(cfg, mesh, None, sin_specs)
     prov = _provenance(cfg)
 
-    for atype in cfg.fit.afferents:
-        observed = ObservedRateSet.from_csv(cfg.fit.observed_rates_csv, atype)
+    for atype, observed in observed_by_type.items():
         type_bank = {
             (s.freq_hz, s.amplitude_um): bank[s.stimulus_id][atype]
             for s in sin_specs

@@ -9,7 +9,10 @@ Each afferent class reads a different feature of the local von Mises stress:
 
 The feature passes through a saturating transform ``alpha' * x / (a + x)``
 to a membrane drive in mV/ms, then a leaky integrate-and-fire unit with an
-absolute refractory period.  Stress is in Pa, time in ms throughout.
+absolute refractory period.  SpikeCounter holds the one integrate-and-fire
+loop: run_afferents turns whole stress traces into spike trains with it,
+and fitting counts spikes in windows with it.  Stress is in Pa, time in ms
+throughout.
 """
 
 from __future__ import annotations
@@ -93,8 +96,13 @@ class AfferentParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AfferentParams":
-        p = cls(**d)
-        p.validate()
+        if not isinstance(d, dict):
+            raise ValidationError(f"afferent params must be an object, got {d!r}")
+        try:
+            p = cls(**d)
+            p.validate()
+        except TypeError as exc:  # unknown or missing fields, a string value
+            raise ValidationError(f"afferent params: {exc}") from exc
         return p
 
     def content_hash(self) -> str:
@@ -176,19 +184,27 @@ def filtered_inputs(
 # drive
 
 
-@dataclass(frozen=True)
-class DriveTrace:
-    dt_ms: float
-    values: np.ndarray  # mV/ms, bounded by alpha_prime per saturation term
+def _saturate(inputs, sats, alpha, out=None, scratch=None):
+    """alpha' * sum_j f_j / (a_j + f_j) over nonnegative inputs f_j.
 
-    def __post_init__(self):
-        self.values.setflags(write=False)
+    The terms are summed in chain order.  This is the one saturating
+    transform: stress_to_drive applies it to whole traces and SpikeCounter
+    to one step of every unit, so the two agree bit for bit.
+    """
+    f = inputs[0]
+    out = np.add(sats[0], f, out=out)
+    np.divide(f, out, out=out)
+    for f, a in zip(inputs[1:], sats[1:]):
+        term = np.add(a, f, out=scratch)
+        np.divide(f, term, out=term)
+        np.add(out, term, out=out)
+    return np.multiply(out, alpha, out=out)
 
 
 def stress_to_drive(
-    inputs: tuple[np.ndarray, ...], params: AfferentParams, dt_ms: float
-) -> DriveTrace:
-    """Saturating transform alpha' * sum_i |f_i| / (a_i + |f_i|)."""
+    inputs: tuple[np.ndarray, ...], params: AfferentParams
+) -> np.ndarray:
+    """Drive in mV/ms: alpha' * sum_i |f_i| / (a_i + |f_i|)."""
     params.validate()
     sats = params.saturation()
     if len(inputs) != len(sats):
@@ -196,37 +212,14 @@ def stress_to_drive(
             f"{params.afferent_type} expects {len(sats)} filtered inputs, "
             f"got {len(inputs)}"
         )
-    total = np.zeros_like(np.asarray(inputs[0], dtype=float))
-    for f, a in zip(inputs, sats):
-        f = np.abs(np.asarray(f, dtype=float))
-        total += f / (a + f)
-    return DriveTrace(dt_ms=dt_ms, values=params.alpha_prime * total)
+    return _saturate(
+        [np.abs(np.asarray(f, dtype=float)) for f in inputs], sats,
+        params.alpha_prime,
+    )
 
 
 # --------------------------------------------------------------------------
 # integrate-and-fire
-
-
-def _lif_full(drive, c1, c3, u_rest, u_reset, theta, n_refr):
-    n = drive.shape[0]
-    u = np.empty(n)
-    u[0] = u_rest
-    spike_steps = np.empty(n, dtype=np.int64)
-    ns = 0
-    refr = 0
-    for k in range(n - 1):
-        d = drive[k]
-        if refr > 0:
-            d = 0.0
-            refr -= 1
-        uk = c1 * u[k] + (1.0 - c1) * u_rest + c3 * d
-        if uk >= theta:
-            spike_steps[ns] = k + 1
-            ns += 1
-            uk = u_reset
-            refr = n_refr
-        u[k + 1] = uk
-    return u, spike_steps[:ns]
 
 
 def _step_coefficients(tau_m_ms: float, dt_ms: float) -> tuple[float, float]:
@@ -240,14 +233,11 @@ class SpikeTrain:
     dt_ms: float
     duration_ms: float  # simulated span; spikes lie in (0, duration]
     spike_times_ms: np.ndarray  # strictly increasing
-    membrane_mv: np.ndarray | None
     params_hash: str
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.spike_times_ms.setflags(write=False)
-        if self.membrane_mv is not None:
-            self.membrane_mv.setflags(write=False)
 
     @property
     def n_spikes(self) -> int:
@@ -275,40 +265,6 @@ class SpikeTrain:
         }
 
 
-def simulate_lif(
-    drive: DriveTrace, params: AfferentParams,
-    record_membrane: bool = True, meta: dict | None = None,
-) -> SpikeTrain:
-    """Forward-Euler leaky IAF over the drive; spikes land on step times.
-
-    A spike is recorded when the post-update potential reaches threshold, at
-    the post-update step time; the potential resets and the drive is gated
-    off for ceil(tau_r/dt) steps while the leak stays active.
-    """
-    params.validate()
-    values = np.ascontiguousarray(drive.values, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise ValidationError("drive must be 1-D with length >= 2")
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("drive contains non-finite samples")
-    dt = float(drive.dt_ms)
-    c1, c3 = _step_coefficients(params.tau_m_ms, dt)
-    n_refr = int(np.ceil(params.tau_r_ms / dt))
-    u, steps = _lif_full(
-        values, c1, c3, params.u_rest_mv, params.u_reset_mv,
-        params.threshold_mv, n_refr,
-    )
-    return SpikeTrain(
-        afferent_type=params.afferent_type,
-        dt_ms=dt,
-        duration_ms=(values.size - 1) * dt,
-        spike_times_ms=steps.astype(float) * dt,
-        membrane_mv=u if record_membrane else None,
-        params_hash=params.content_hash(),
-        meta=dict(meta or {}),
-    )
-
-
 def window_steps(start_ms: float, end_ms: float, dt_ms: float) -> tuple[int, int]:
     """Step indices [k_lo, k_hi) whose step times k*dt lie in [start, end).
 
@@ -322,18 +278,25 @@ def window_steps(start_ms: float, end_ms: float, dt_ms: float) -> tuple[int, int
 
 
 class SpikeCounter:
-    """Windowed spike counts of many parameter sets on one bank of inputs.
+    """The integrate-and-fire loop, for many parameter sets on one bank.
 
     The bank holds S stimuli, each a tuple of filter-chain outputs (one per
     saturation term, as from filtered_inputs) with its own dt and count
-    window [start, end) in ms.  Calling the counter with N parameter sets
-    integrates all N x S integrate-and-fire units together, one time step
-    at a time, and returns the (N, S) spike counts inside each window.
+    window [start, end) in ms.  Given N parameter sets, the loop integrates
+    all N x S units together, one time step at a time, and records which
+    units spike at each step (one byte per unit and step).  Calling the
+    counter returns the (N, S) spike counts inside each window;
+    spike_steps returns the spike steps themselves.
 
-    Every unit goes through the same IEEE operations in the same order as
-    simulate_lif on the drive of stress_to_drive, so the counts equal a
-    per-unit scalar loop's exactly.  The drive is formed for the current
-    step only: memory stays O(N x S), never O(N x S x steps).
+    Each unit is a forward-Euler leaky integrate-and-fire cell driven by
+    stress_to_drive of its inputs.  A spike is recorded when the
+    post-update potential reaches threshold, at the post-update step; the
+    potential resets and the drive is gated off for ceil(tau_r/dt) steps
+    while the leak stays active.  A unit stops at its window end (or its
+    trace end), since later steps cannot add to the count.  The drive is
+    formed for the current step only, and every unit goes through the same
+    IEEE operations as a per-unit scalar loop, so its spikes equal that
+    loop's exactly.
     """
 
     def __init__(self, features, dt_ms, windows_ms):
@@ -357,7 +320,7 @@ class SpikeCounter:
             # step k moves the potential to step k + 1; steps past the
             # window end, or past the trace end, cannot add to the count
             stop[s] = min(next(iter(n))[0], k_hi) - 1
-            first[s] = k_lo - 1
+            first[s] = max(k_lo - 1, 0)
         # rows run longest first, so the units still integrating at any
         # step are a leading slice of the state arrays
         order = np.argsort(-stop, kind="stable")
@@ -366,23 +329,43 @@ class SpikeCounter:
         self._stop = stop[order]
         self._first = first[order]
         n_steps = max(int(self._stop[0]), 0)
-        # time-major inputs: row k holds every stimulus's input at step k
-        self._inputs = []
-        for j in range(self.n_terms):
-            table = np.zeros((n_steps, n_stim))
-            for row, s in enumerate(order):
-                k = max(int(self._stop[row]), 0)
-                table[:k, row] = np.abs(np.asarray(features[s][j], dtype=float)[:k])
-            if not np.all(np.isfinite(table)):
-                raise NumericalError("filtered inputs contain non-finite samples")
-            self._inputs.append(table)
+        # time-major inputs: [j, k] holds every stimulus's input j at step k
+        self._inputs = np.zeros((self.n_terms, n_steps, n_stim))
+        for row, s in enumerate(order):
+            k = max(int(self._stop[row]), 0)
+            for j, f in enumerate(features[s]):
+                self._inputs[j, :k, row] = np.abs(np.asarray(f, dtype=float)[:k])
+        if not np.all(np.isfinite(self._inputs)):
+            raise NumericalError("filtered inputs contain non-finite samples")
 
     @property
     def n_stimuli(self) -> int:
         return self._order.size
 
     def __call__(self, params) -> np.ndarray:
-        """(N, S) int64 counts for the N parameter sets in `params`."""
+        """(N, S) int64 spike counts inside each stimulus's window."""
+        # summed as bytes into uint32: several times faster than bool to int64
+        spiked = self._integrate(params).view(np.uint8)
+        counts = np.empty(spiked.shape[1:], dtype=np.int64)
+        for k0 in np.unique(self._first):
+            rows = self._first == k0
+            counts[rows] = spiked[k0:].sum(axis=0, dtype=np.uint32)[rows]
+        out = np.empty((len(params), self.n_stimuli), dtype=np.int64)
+        out[:, self._order] = counts.T
+        return out
+
+    def spike_steps(self, params) -> list[list[np.ndarray]]:
+        """Steps of every spike, [parameter set][stimulus], each increasing."""
+        by_unit = self._integrate(params).transpose(2, 1, 0)  # [i, row, k]
+        steps = np.flatnonzero(by_unit) % by_unit.shape[2] + 1
+        per_unit = np.split(steps, np.cumsum(by_unit.sum(axis=2).ravel())[:-1])
+        rows = np.argsort(self._order)  # the row of each stimulus
+        n_stim = self.n_stimuli
+        return [[per_unit[i * n_stim + r] for r in rows] for i in range(len(params))]
+
+    def _integrate(self, params) -> np.ndarray:
+        """spiked[k, row, i]: unit (row, i) reached threshold moving to step
+        k + 1; rows are stimuli longest first, i indexes `params`."""
         n_par, n_stim = len(params), self.n_stimuli
         sat = np.empty((self.n_terms, n_par))
         for i, p in enumerate(params):
@@ -398,8 +381,6 @@ class SpikeCounter:
         theta = np.array([p.threshold_mv for p in params])
         u_rest = np.array([p.u_rest_mv for p in params])
         u_reset = np.array([p.u_reset_mv for p in params])
-        # coefficients through the scalar rule simulate_lif uses, so that
-        # every unit's arithmetic matches it bit for bit
         c1 = np.empty((n_stim, n_par))
         c3 = np.empty((n_stim, n_par))
         n_refr = np.empty((n_stim, n_par), dtype=np.int64)
@@ -413,70 +394,68 @@ class SpikeCounter:
         u = np.empty((n_stim, n_par))
         u[:] = u_rest
         refr = np.zeros((n_stim, n_par), dtype=np.int64)
-        count = np.zeros((n_stim, n_par), dtype=np.int64)
         drive = np.empty((n_stim, n_par))
         term = np.empty((n_stim, n_par))
         gated = np.empty((n_stim, n_par), dtype=bool)
-        spiked = np.empty((n_stim, n_par), dtype=bool)
-        stop, first = self._stop, self._first
-        first_min, first_max = int(first.min()), int(first.max())
-        m = n_stim
-        for k in range(self._inputs[0].shape[0]):
-            while stop[m - 1] <= k:
-                m -= 1
-            uu, dd, rr, gg, ss = u[:m], drive[:m], refr[:m], gated[:m], spiked[:m]
-            # drive alpha' * sum_j f_j / (a_j + f_j), summed in term order
-            f = self._inputs[0][k, :m, None]
-            np.add(sat[0], f, out=dd)
-            np.divide(f, dd, out=dd)
-            for j in range(1, self.n_terms):
-                f = self._inputs[j][k, :m, None]
-                tt = term[:m]
-                np.add(sat[j], f, out=tt)
-                np.divide(f, tt, out=tt)
-                np.add(dd, tt, out=dd)
-            np.multiply(dd, alpha, out=dd)
-            # refractory units get no drive this step
-            np.greater(rr, 0, out=gg)
-            np.copyto(dd, 0.0, where=gg)
-            np.subtract(rr, gg, out=rr)
-            # u <- (c1*u + (1 - c1)*u_rest) + c3*d
-            np.multiply(uu, c1[:m], out=uu)
-            np.add(uu, rest[:m], out=uu)
-            np.multiply(dd, c3[:m], out=dd)
-            np.add(uu, dd, out=uu)
-            np.greater_equal(uu, theta, out=ss)
-            if k >= first_max:
-                count[:m] += ss
-            elif k >= first_min:
-                count[:m] += ss & (k >= first[:m])[:, None]
-            np.copyto(uu, u_reset, where=ss)
-            np.copyto(rr, n_refr[:m], where=ss)
-        out = np.empty((n_par, n_stim), dtype=np.int64)
-        out[:, self._order] = count.T
-        return out
+        n_steps = self._inputs.shape[1]
+        spiked = np.zeros((n_steps, n_stim, n_par), dtype=bool)
+        stop = self._stop.tolist()
+        tables, sat_rows = list(self._inputs), list(sat)
+        start = 0
+        for m in range(n_stim, 0, -1):
+            # steps [start, end) integrate the leading m rows: row m - 1 is
+            # the shortest still running
+            end = stop[m - 1]
+            if end <= start:
+                continue
+            uu, dd, rr, gg, tt = u[:m], drive[:m], refr[:m], gated[:m], term[:m]
+            c1m, restm, c3m, refrm = c1[:m], rest[:m], c3[:m], n_refr[:m]
+            inputs = [table[:, :m, None] for table in tables]
+            for k in range(start, end):
+                ss = spiked[k, :m]
+                _saturate([f[k] for f in inputs], sat_rows, alpha, out=dd, scratch=tt)
+                # refractory units get no drive this step
+                np.greater(rr, 0, out=gg)
+                np.copyto(dd, 0.0, where=gg)
+                np.subtract(rr, gg, out=rr)
+                # u <- (c1*u + (1 - c1)*u_rest) + c3*d
+                np.multiply(uu, c1m, out=uu)
+                np.add(uu, restm, out=uu)
+                np.multiply(dd, c3m, out=dd)
+                np.add(uu, dd, out=uu)
+                np.greater_equal(uu, theta, out=ss)
+                np.copyto(uu, u_reset, where=ss)
+                np.copyto(rr, refrm, where=ss)
+            start = end
+        return spiked
 
 
-def drive_for_stress(
-    stress_pa: np.ndarray, params: AfferentParams, dt_ms: float
-) -> DriveTrace:
-    """Filter + transform only (the sub-chain ahead of the spiking unit)."""
-    return stress_to_drive(filtered_inputs(params, stress_pa, dt_ms), params, dt_ms)
+def run_afferents(
+    traces: list[StressTrace], params: AfferentParams,
+) -> list[SpikeTrain]:
+    """Spike trains of one afferent type over whole stress traces.
 
-
-def run_afferent(
-    stress: StressTrace, params: AfferentParams, record_membrane: bool = True,
-) -> SpikeTrain:
-    """Full chain: stress trace -> type-specific filters -> drive -> spikes."""
-    if stress.afferent_type != params.afferent_type:
-        raise ValidationError(
-            f"stress trace is {stress.afferent_type}, params are "
-            f"{params.afferent_type}"
-        )
-    return simulate_lif(
-        drive_for_stress(stress.values, params, stress.dt_ms), params,
-        record_membrane=record_membrane, meta={"node_id": stress.node_id},
+    Each trace goes through the type's filter chain, and one SpikeCounter
+    loop integrates them all; spikes land on step times in (0, duration].
+    """
+    counter = SpikeCounter(
+        [filtered_inputs(params, t.values, t.dt_ms) for t in traces],
+        [t.dt_ms for t in traces],
+        # a window past the last step keeps each unit running to its end
+        [(0.0, t.n_steps * t.dt_ms) for t in traces],
     )
+    params_hash = params.content_hash()
+    return [
+        SpikeTrain(
+            afferent_type=params.afferent_type,
+            dt_ms=float(t.dt_ms),
+            duration_ms=(t.n_steps - 1) * float(t.dt_ms),
+            spike_times_ms=steps.astype(float) * float(t.dt_ms),
+            params_hash=params_hash,
+            meta={"node_id": t.node_id},
+        )
+        for t, steps in zip(traces, counter.spike_steps([params])[0])
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -488,24 +467,3 @@ def save_spike_trains(trains: list[SpikeTrain], path) -> None:
         for tr in trains:
             fh.write(json.dumps(tr.to_record(), sort_keys=True))
             fh.write("\n")
-
-
-def load_spike_trains(path) -> list[SpikeTrain]:
-    """Rebuild spike trains from JSONL; membrane traces are not serialized."""
-    trains = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            trains.append(SpikeTrain(
-                afferent_type=rec["afferent"],
-                dt_ms=float(rec["dt"]),
-                duration_ms=float(rec["duration_ms"]),
-                spike_times_ms=np.asarray(rec["spikes"], dtype=float),
-                membrane_mv=None,
-                params_hash=rec["params_hash"],
-                meta=rec.get("meta", {}),
-            ))
-    return trains

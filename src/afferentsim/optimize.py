@@ -119,29 +119,31 @@ class ObservedRateSet:
         records = []
         try:
             with open(path) as fh:
-                lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+                lines = [
+                    (no, ln.strip()) for no, ln in enumerate(fh, 1)
+                    if ln.strip() and not ln.startswith("#")
+                ]
         except OSError as exc:
             raise ValidationError(f"cannot read observed rates {path}: {exc}") from exc
         header = "afferent,freq_hz,amplitude_um,rate_ips"
-        if not lines or [c.strip() for c in lines[0].split(",")] != header.split(","):
+        if not lines or [c.strip() for c in lines[0][1].split(",")] != header.split(","):
             raise ValidationError(f"{path}: expected header {header}")
-        for ln in lines[1:]:
+        for no, ln in lines[1:]:
             parts = ln.split(",")
-            if len(parts) != 4:
-                raise ValidationError(f"{path}: malformed row {ln!r}")
+            try:
+                values = tuple(float(c) for c in parts[1:])
+            except ValueError:
+                values = ()
+            if len(values) != 3 or not np.all(np.isfinite(values)):
+                raise ValidationError(
+                    f"{path}: line {no}: malformed row {ln!r} (need an afferent "
+                    "and three finite numbers)"
+                )
             if parts[0] == afferent_type:
-                records.append((float(parts[1]), float(parts[2]), float(parts[3])))
+                records.append(values)
         out = cls(afferent_type=afferent_type, records=tuple(records))
         out.validate()
         return out
-
-
-def observed_rates_to_csv(sets: list[ObservedRateSet], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("afferent,freq_hz,amplitude_um,rate_ips\n")
-        for s in sets:
-            for f, a, r in s.records:
-                fh.write(f"{s.afferent_type},{f!r},{a!r},{r!r}\n")
 
 
 def _window_counter(

@@ -296,13 +296,3 @@ def load_protocol(path) -> list[StimulusSpec]:
     if not specs:
         raise ValidationError(f"{path}: protocol contains no stimuli")
     return specs
-
-
-def trace_to_csv(spec: StimulusSpec, trace: np.ndarray, path, provenance=None) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# stimulus: {spec.stimulus_id}\n")
-        if provenance:
-            fh.write(f"# provenance: {provenance}\n")
-        fh.write("t_ms,displacement_mm\n")
-        for k, v in enumerate(trace):
-            fh.write(f"{k * spec.dt_ms!r},{float(v)!r}\n")

@@ -125,22 +125,33 @@ def test_criterion_04_von_mises_identities():
 
 def test_criterion_05_lif_closed_form_isi():
     """Constant-drive ISI matches tau_r + tau*ln(tau*D/(tau*D - (theta-reset)))
-    within 2*dt over 20 draws bracketing the shipped parameter values."""
+    within 2*dt over 20 draws bracketing the shipped parameter values.
+
+    The draws run as 20 parameter sets in one SpikeCounter call.  The input
+    is held at a3 = 1000, so each unit's drive is alpha' * 1/2 with
+    alpha' = 2d: exactly the constant drive d."""
     rng = np.random.default_rng(12345)
+    draws = []
     for _ in range(20):
         tau = float(np.exp(rng.uniform(np.log(25.0), np.log(800.0))))
         tau_r = float(rng.choice([0.5, 1.0]))
         theta = float(rng.choice([-50.0, -55.0]))
-        params = neural.AfferentParams(
-            afferent_type="RA", tau_m_ms=tau, alpha_prime=10.0,
+        gap = theta - neural.U_RESET_MV
+        d = float(rng.uniform(1.2, 30.0)) * gap / tau
+        draws.append((tau, tau_r, theta, d))
+    units = [
+        neural.AfferentParams(
+            afferent_type="RA", tau_m_ms=tau, alpha_prime=2.0 * d,
             a3_pa_per_ms=1000.0, threshold_mv=theta, tau_r_ms=tau_r,
         )
-        gap = theta - params.u_reset_mv
-        d = float(rng.uniform(1.2, 30.0)) * gap / tau
-        drive = neural.DriveTrace(DT, np.full(120001, d))
-        train = neural.simulate_lif(drive, params, record_membrane=False)
-        assert train.n_spikes >= 3
-        isi = float(np.diff(train.spike_times_ms)[-1])
+        for tau, tau_r, theta, d in draws
+    ]
+    n = 120001
+    counter = neural.SpikeCounter([(np.full(n, 1000.0),)], [DT], [(0.0, n * DT)])
+    for (tau, tau_r, theta, d), (steps,) in zip(draws, counter.spike_steps(units)):
+        assert steps.size >= 3
+        isi = float(np.diff(steps)[-1]) * DT
+        gap = theta - neural.U_RESET_MV
         closed = tau_r + tau * math.log(tau * d / (tau * d - gap))
         assert abs(isi - closed) <= 2 * DT, (tau, tau_r, theta, d)
 
@@ -154,7 +165,7 @@ def test_criterion_06_filter_selectivity(fifty_um_traces):
         n = round(345.0 / DT) + 1
         t = np.arange(n) * DT
         stress = np.sin(2 * np.pi * freq * t / 1000.0)  # unit-amplitude
-        values = neural.drive_for_stress(stress, sa, DT).values
+        values = neural.stress_to_drive(neural.filtered_inputs(sa, stress, DT), sa)
         interior = values[50:-50]
         return float(interior.max() - interior.min())
 
@@ -167,7 +178,9 @@ def test_criterion_06_filter_selectivity(fifty_um_traces):
     levels = []
     for freq in (20.0, 50.0, 100.0, 300.0):
         trace = fifty_um_traces[freq]
-        values = neural.drive_for_stress(trace.values, pc, trace.dt_ms).values
+        values = neural.stress_to_drive(
+            neural.filtered_inputs(pc, trace.values, trace.dt_ms), pc
+        )
         start = round(100.0 / trace.dt_ms)
         levels.append(float(values[start:].mean()))
     assert all(b > a for a, b in zip(levels, levels[1:])), levels
@@ -178,12 +191,12 @@ def test_criterion_07_saturation_identities():
     mV/ms); every term stays below alpha'."""
     params = neural.default_afferent_params()
     ra, pc = params["RA"], params["PC"]
-    half_ra = neural.stress_to_drive((np.full(8, ra.a3_pa_per_ms),), ra, DT)
-    assert np.all(half_ra.values == ra.alpha_prime / 2.0)
-    assert half_ra.values[0] == pytest.approx(5.115, abs=1e-12)
-    half_pc = neural.stress_to_drive((np.full(8, pc.a4_pa_per_ms2),), pc, DT)
-    assert np.all(half_pc.values == pc.alpha_prime / 2.0)
-    assert half_pc.values[0] == pytest.approx(2.07, abs=1e-12)
+    half_ra = neural.stress_to_drive((np.full(8, ra.a3_pa_per_ms),), ra)
+    assert np.all(half_ra == ra.alpha_prime / 2.0)
+    assert half_ra[0] == pytest.approx(5.115, abs=1e-12)
+    half_pc = neural.stress_to_drive((np.full(8, pc.a4_pa_per_ms2),), pc)
+    assert np.all(half_pc == pc.alpha_prime / 2.0)
+    assert half_pc[0] == pytest.approx(2.07, abs=1e-12)
 
     rng = np.random.default_rng(7)
     huge = np.abs(rng.normal(scale=1e12, size=200))
@@ -200,10 +213,9 @@ def test_criterion_08_rate_trends(appendix_a_bank):
     specs, bank = appendix_a_bank
     params = neural.default_afferent_params()
     rates: dict[tuple[str, float, float], float] = {}
-    for spec in specs:
-        for atype, p in params.items():
-            trace = bank[spec.stimulus_id][atype]
-            train = neural.run_afferent(trace, p, record_membrane=False)
+    for atype, p in params.items():
+        trains = neural.run_afferents([bank[s.stimulus_id][atype] for s in specs], p)
+        for spec, train in zip(specs, trains):
             rate = analysis.firing_rate(train, spec.discard_ms, spec.window_ms)
             rates[(atype, spec.freq_hz, spec.amplitude_um)] = rate
 

@@ -12,7 +12,7 @@ def make_train(spikes, duration=345.0, afferent="RA", dt=0.5):
     return neural.SpikeTrain(
         afferent_type=afferent, dt_ms=dt, duration_ms=duration,
         spike_times_ms=np.asarray(spikes, dtype=float),
-        membrane_mv=None, params_hash="x" * 16,
+        params_hash="x" * 16,
     )
 
 
@@ -198,41 +198,3 @@ def test_regression_report_dict():
     rep = analysis.regression([1.0, 2.0, 3.0], [1.0, 2.1, 2.9])
     d = rep.to_dict()
     assert set(d) == {"slope", "intercept", "r_squared", "p_value", "n"}
-
-
-# ------------------------------------------------------------------ raster
-
-
-def test_raster_rows():
-    trains = [
-        make_train([110.0, 150.0]),
-        make_train([]),
-        make_train([120.0]),
-    ]
-    rows = analysis.raster(trains)
-    assert rows == [(0, 110.0), (0, 150.0), (2, 120.0)]
-    assert rows == sorted(rows)
-
-
-def test_raster_identical_trials():
-    spikes = [105.0, 160.0, 210.0]
-    rows = analysis.raster([make_train(spikes)] * 5)
-    assert len(rows) == 15
-    for trial in range(5):
-        assert [t for tr, t in rows if tr == trial] == spikes
-
-
-def test_raster_requires_trains():
-    with pytest.raises(ValidationError):
-        analysis.raster([])
-
-
-def test_raster_csv(tmp_path):
-    rows = analysis.raster([make_train([110.0, 150.25])])
-    path = tmp_path / "raster.csv"
-    analysis.raster_to_csv(rows, path, provenance="prov")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# provenance: prov"
-    assert lines[1] == "trial,t_ms"
-    assert lines[2] == "0,110.0"
-    assert lines[3] == "0,150.25"

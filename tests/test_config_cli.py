@@ -440,6 +440,56 @@ def test_load_afferent_params_sources(tmp_path):
         cli._load_afferent_params(str(bad))
 
 
+_RA = neural.default_afferent_params()["RA"].to_dict()
+
+
+@pytest.mark.parametrize("raw", [
+    pytest.param([1, 2], id="not-an-object"),
+    pytest.param({"RA": 3}, id="entry-not-an-object"),
+    pytest.param({"RA": {**_RA, "bogus": 1.0}}, id="unknown-field"),
+    pytest.param({"RA": {k: v for k, v in _RA.items() if k != "tau_m_ms"}},
+                 id="missing-field"),
+    pytest.param({"RA": {**_RA, "tau_m_ms": "abc"}}, id="non-numeric-value"),
+    pytest.param({"SA": _RA}, id="type-differs-from-key"),
+    pytest.param({"afferent": "RA", "params": [1]}, id="selected-params-not-an-object"),
+])
+def test_load_afferent_params_rejects(tmp_path, raw):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValidationError, match="params.json"):
+        cli._load_afferent_params(str(path))
+
+
+def test_cli_simulate_bad_params_exits_2_before_fem(tmp_path, caplog):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"SA": _RA}))
+    protocol = write_protocol(tmp_path, [sin_spec(50.0, 34.80)])
+    cfg_path = write_config(
+        tmp_path, {"protocol": protocol, "afferent_params": {"path": str(params)}}
+    )
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "'SA' holds RA params" in caplog.text
+    assert not (out / "mesh.txt").exists()  # refused before the FEM
+
+
+def test_cli_fit_rejects_non_numeric_observed(tmp_path, caplog):
+    protocol = write_protocol(tmp_path, [sin_spec(50.0, 34.80)])
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\nRA,20,abc,5\n")
+    cfg_path = write_config(tmp_path, {
+        "protocol": protocol,
+        "fit": {"afferents": ["RA"], "observed_rates_csv": str(observed),
+                "population": 4, "budget": 8},
+    })
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        assert cli.main(["fit", "--config", cfg_path,
+                         "--out", str(tmp_path / "out")]) == 2
+    assert "line 2" in caplog.text
+    assert "FEM solved" not in caplog.text  # refused before the FEM
+
+
 def test_spec_descriptor_noise_uses_band_center():
     spec = stimulus.builtin_protocol("appendixC", base_seed=0)[0]
     freq, amp = cli._spec_descriptor(spec)

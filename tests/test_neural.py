@@ -16,8 +16,28 @@ DT = 0.5
 PARAMS = neural.default_afferent_params()
 
 
-def constant_drive(value, n=2001, dt_ms=DT):
-    return neural.DriveTrace(dt_ms=dt_ms, values=np.full(n, float(value)))
+def drive_for(stress, params):
+    return neural.stress_to_drive(neural.filtered_inputs(params, stress, DT), params)
+
+
+def whole_trace_steps(features, params, dt_ms=DT):
+    """Spike steps, [parameter set][stimulus], over whole input traces."""
+    counter = neural.SpikeCounter(
+        features, [dt_ms] * len(features),
+        [(0.0, len(f[0]) * dt_ms) for f in features],
+    )
+    return counter.spike_steps(params)
+
+
+def constant_drive_steps(params, drives, n=2001, dt_ms=DT):
+    """Spike steps under each constant drive d in `drives` (mV/ms).  Inputs
+    held at the saturation constants make each term exactly 1/2, so
+    alpha' = 2d/n_terms gives the drive d bit for bit."""
+    sats = params.saturation()
+    units = [dataclasses.replace(params, alpha_prime=2.0 * d / len(sats))
+             for d in drives]
+    steps = whole_trace_steps([tuple(np.full(n, a) for a in sats)], units, dt_ms)
+    return [s for (s,) in steps]
 
 
 # ---------------------------------------------------------------- filters
@@ -100,17 +120,17 @@ def test_abs_difference_filter():
 
 def test_zero_stress_zero_drive():
     for params in PARAMS.values():
-        drive = neural.drive_for_stress(np.zeros(300), params, DT)
-        assert np.all(drive.values == 0.0)
+        drive = drive_for(np.zeros(300), params)
+        assert np.all(drive == 0.0)
 
 
 def test_half_saturation_points():
     ra = PARAMS["RA"]
     # constant-slope stress: |d sigma/dt| equals a3 -> drive = alpha'/2
     ramp = ra.a3_pa_per_ms * np.arange(100) * DT
-    drive = neural.drive_for_stress(ramp, ra, DT)
-    assert drive.values[1] == pytest.approx(ra.alpha_prime / 2.0, rel=1e-12)
-    assert drive.values[1] == pytest.approx(5.115, abs=5e-4)
+    drive = drive_for(ramp, ra)
+    assert drive[1] == pytest.approx(ra.alpha_prime / 2.0, rel=1e-12)
+    assert drive[1] == pytest.approx(5.115, abs=5e-4)
 
     pc = PARAMS["PC"]
     # build stress by double cumulative integration so that the second
@@ -118,25 +138,25 @@ def test_half_saturation_points():
     d2 = pc.a4_pa_per_ms2 * np.maximum(0, np.arange(100) - 1).astype(float)
     s1 = DT * np.cumsum(d2)
     s0 = DT * np.cumsum(s1)
-    drive = neural.drive_for_stress(s0, pc, DT)
-    assert drive.values[10] == pytest.approx(pc.alpha_prime / 2.0, rel=1e-9)
-    assert drive.values[10] == pytest.approx(2.07, abs=5e-4)
+    drive = drive_for(s0, pc)
+    assert drive[10] == pytest.approx(pc.alpha_prime / 2.0, rel=1e-9)
+    assert drive[10] == pytest.approx(2.07, abs=5e-4)
 
     # the saturating transform itself, probed exactly at each half point
-    half_ra = neural.stress_to_drive((np.full(5, ra.a3_pa_per_ms),), ra, DT)
-    assert np.allclose(half_ra.values, 5.115, atol=1e-12)
-    half_pc = neural.stress_to_drive((np.full(5, pc.a4_pa_per_ms2),), pc, DT)
-    assert np.allclose(half_pc.values, 2.07, atol=1e-12)
+    half_ra = neural.stress_to_drive((np.full(5, ra.a3_pa_per_ms),), ra)
+    assert np.allclose(half_ra, 5.115, atol=1e-12)
+    half_pc = neural.stress_to_drive((np.full(5, pc.a4_pa_per_ms2),), pc)
+    assert np.allclose(half_pc, 2.07, atol=1e-12)
 
 
 def test_drive_bounded_by_alpha(rng):
     stress = np.abs(rng.normal(scale=5e4, size=400))
     for name, params in PARAMS.items():
-        drive = neural.drive_for_stress(stress, params, DT)
+        drive = drive_for(stress, params)
         n_terms = len(params.saturation())
-        assert np.all(drive.values >= 0.0)
+        assert np.all(drive >= 0.0)
         # each saturating term contributes strictly less than alpha'
-        assert np.all(drive.values < n_terms * params.alpha_prime), name
+        assert np.all(drive < n_terms * params.alpha_prime), name
 
 
 def test_sa_drive_uses_two_terms():
@@ -144,8 +164,7 @@ def test_sa_drive_uses_two_terms():
     # large constant stress saturates the first term only; the derivative
     # term is zero, so the drive tends to alpha'*(1) not alpha'*(2)
     stress = np.full(300, 1e9)
-    drive = neural.drive_for_stress(stress, sa, DT)
-    mid = drive.values[50]
+    mid = drive_for(stress, sa)[50]
     # term 1 saturates to within a1/|f1| of 1; term 2 sees a zero derivative
     assert mid == pytest.approx(sa.alpha_prime, rel=1e-5)
     assert mid < sa.alpha_prime
@@ -156,19 +175,24 @@ def test_sa_drive_uses_two_terms():
 
 def test_zero_drive_rests():
     for params in PARAMS.values():
-        train = neural.simulate_lif(constant_drive(0.0), params)
-        assert train.n_spikes == 0
-        assert np.allclose(train.membrane_mv, params.u_rest_mv, atol=1e-12)
+        zeros = tuple(np.zeros(2001) for _ in params.saturation())
+        assert whole_trace_steps([zeros], [params])[0][0].size == 0
+        # zero stress filters to zero input, hence zero drive
+        trace = StressTrace(params.afferent_type, 0, DT, np.zeros(2001))
+        assert neural.run_afferents([trace], params)[0].n_spikes == 0
 
 
 def test_subthreshold_asymptote():
-    sa = PARAMS["SA"]
-    d = 0.4  # asymptote -65 + tau*d = -52.14 < -50 threshold
-    train = neural.simulate_lif(constant_drive(d, n=40001), sa)
-    assert train.n_spikes == 0
-    assert train.membrane_mv[-1] == pytest.approx(
-        sa.u_rest_mv + sa.tau_m_ms * d, rel=1e-6
-    )
+    """The potential tends to u_rest + tau*d: a drive just below
+    (theta - u_rest)/tau never fires, one just above does."""
+    for params in PARAMS.values():
+        rheobase = (params.threshold_mv - params.u_rest_mv) / params.tau_m_ms
+        # 12 000 steps: 9.4 tau_m for PC, the slowest type to reach threshold
+        below, above = constant_drive_steps(
+            params, [rheobase * (1.0 - 1e-3), rheobase * (1.0 + 1e-3)], n=12001,
+        )
+        assert below.size == 0, params.afferent_type
+        assert above.size > 0, params.afferent_type
 
 
 def closed_form_isi(params, d):
@@ -179,49 +203,41 @@ def closed_form_isi(params, d):
 
 
 def test_isi_matches_closed_form(rng):
+    """20 draws as one SpikeCounter call: the input sits at a3, so each
+    unit's drive is alpha'/2 = d exactly."""
+    units, drives = [], []
     for _ in range(20):
         tau = float(np.exp(rng.uniform(np.log(25.0), np.log(800.0))))
         tau_r = float(rng.choice([0.5, 1.0]))
         theta = float(rng.choice([-50.0, -55.0]))
-        params = neural.AfferentParams(
-            afferent_type="RA", tau_m_ms=tau, alpha_prime=10.0,
+        gap = theta - neural.U_RESET_MV
+        d = float(rng.uniform(1.2, 30.0)) * gap / tau
+        units.append(neural.AfferentParams(
+            afferent_type="RA", tau_m_ms=tau, alpha_prime=2.0 * d,
             a3_pa_per_ms=1000.0, threshold_mv=theta, tau_r_ms=tau_r,
-        )
-        gap = theta - params.u_reset_mv
-        ratio = float(rng.uniform(1.2, 30.0))
-        d = ratio * gap / tau
-        train = neural.simulate_lif(constant_drive(d, n=120001, dt_ms=DT), params)
-        spikes = train.spike_times_ms
+        ))
+        drives.append(d)
+    steps = whole_trace_steps([(np.full(120001, 1000.0),)], units)
+    for params, d, (spikes,) in zip(units, drives, steps):
         assert len(spikes) >= 3
-        isi = np.diff(spikes)[-1]
+        isi = np.diff(spikes)[-1] * DT
         assert abs(isi - closed_form_isi(params, d)) <= 2 * DT
 
 
 def test_refractory_gap_enforced():
     for params in PARAMS.values():
-        d = 100.0  # very strong drive
-        train = neural.simulate_lif(constant_drive(d), params)
-        gaps = np.diff(train.spike_times_ms)
-        assert gaps.min() >= params.tau_r_ms - DT / 2
+        (steps,) = constant_drive_steps(params, [100.0])  # very strong drive
+        spikes = steps * DT
+        assert spikes.size > 1
+        assert np.diff(spikes).min() >= params.tau_r_ms - DT / 2
 
 
-def test_membrane_trace_below_threshold():
-    ra = PARAMS["RA"]
-    d = 2.0 * (ra.threshold_mv - ra.u_reset_mv) / ra.tau_m_ms
-    train = neural.simulate_lif(constant_drive(d, n=8001), ra)
-    assert train.n_spikes > 0
-    # recorded membrane shows the reset value at spike steps
-    assert np.all(train.membrane_mv < ra.threshold_mv)
-    steps = np.rint(np.asarray(train.spike_times_ms) / DT).astype(int)
-    assert np.allclose(train.membrane_mv[steps], ra.u_reset_mv)
-
-
-def _lif_count_py(drive, c1, c3, u_rest, u_reset, theta, n_refr, k_lo, k_hi):
-    """Scalar windowed-count loop; the oracle for SpikeCounter."""
+def _lif_spike_steps_py(drive, c1, c3, u_rest, u_reset, theta, n_refr):
+    """Scalar integrate-and-fire loop; the oracle for SpikeCounter."""
     n = drive.shape[0]
     uk = u_rest
     refr = 0
-    count = 0
+    steps = []
     for k in range(n - 1):
         d = drive[k]
         if refr > 0:
@@ -229,11 +245,10 @@ def _lif_count_py(drive, c1, c3, u_rest, u_reset, theta, n_refr, k_lo, k_hi):
             refr -= 1
         uk = c1 * uk + (1.0 - c1) * u_rest + c3 * d
         if uk >= theta:
-            if k_lo <= k + 1 < k_hi:
-                count += 1
+            steps.append(k + 1)
             uk = u_reset
             refr = n_refr
-    return count
+    return steps
 
 
 @settings(max_examples=40, deadline=None)
@@ -244,8 +259,8 @@ def _lif_count_py(drive, c1, c3, u_rest, u_reset, theta, n_refr, k_lo, k_hi):
     n_par=st.integers(1, 4),
 )
 def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
-    """Batched window counts equal the scalar loop's, unit by unit, and the
-    spikes simulate_lif records inside the same window."""
+    """Batched spike steps equal the scalar loop's, unit by unit, up to each
+    window's end, and so do the window counts."""
     rng = np.random.default_rng(seed)
     features, dts, windows = [], [], []
     for _ in range(n_stim):
@@ -272,7 +287,9 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
             updates[name] = float(10.0 ** rng.uniform(0.0, 6.0))
         params.append(dataclasses.replace(PARAMS[afferent], **updates))
 
-    got = neural.SpikeCounter(features, dts, windows)(params)
+    counter = neural.SpikeCounter(features, dts, windows)
+    got = counter(params)
+    got_steps = counter.spike_steps(params)
     assert got.shape == (n_par, n_stim)
     for i, p in enumerate(params):
         for s, (terms, dt, (start, end)) in enumerate(zip(features, dts, windows)):
@@ -281,79 +298,78 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
                 drive += f / (a + f)
             drive *= p.alpha_prime
             c1, c3 = neural._step_coefficients(p.tau_m_ms, dt)
-            expected = _lif_count_py(
+            steps = _lif_spike_steps_py(
                 drive, c1, c3, p.u_rest_mv, p.u_reset_mv, p.threshold_mv,
                 int(np.ceil(p.tau_r_ms / dt)),
-                int(np.ceil(start / dt - 1e-9)), int(np.ceil(end / dt - 1e-9)),
             )
-            assert got[i, s] == expected, (i, s)
-            if drive.size >= 2:
-                train = neural.simulate_lif(
-                    neural.stress_to_drive(terms, p, dt), p, record_membrane=False,
-                )
-                assert train.count_in_window(start, end) == expected, (i, s)
+            k_lo, k_hi = neural.window_steps(start, end, dt)
+            # the counter stops at the window end: later spikes are not kept
+            assert got_steps[i][s].tolist() == [k for k in steps if k < k_hi], (i, s)
+            assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
 
 
 def test_count_spikes_in_window_matches_simulation():
+    """The counter's window count equals SpikeTrain.count_in_window on the
+    whole-trace spike train."""
     ra = PARAMS["RA"]
     d = 2.0 * (ra.threshold_mv - ra.u_reset_mv) / ra.tau_m_ms
     # the constant feature whose saturating drive is close to d
     feature = np.full(691, ra.a3_pa_per_ms * d / (ra.alpha_prime - d))
-    drive = neural.stress_to_drive((feature,), ra, DT)
-    train = neural.simulate_lif(drive, ra)
+    trace = neural.SpikeTrain(
+        afferent_type="RA", dt_ms=DT, duration_ms=690 * DT,
+        spike_times_ms=whole_trace_steps([(feature,)], [ra])[0][0] * DT,
+        params_hash=ra.content_hash(),
+    )
     lo, hi = 100.0, 345.0
     expected = np.count_nonzero(
-        (np.asarray(train.spike_times_ms) >= lo)
-        & (np.asarray(train.spike_times_ms) < hi)
+        (trace.spike_times_ms >= lo) & (trace.spike_times_ms < hi)
     )
     assert expected > 0
+    assert trace.count_in_window(lo, hi) == expected
     got = neural.SpikeCounter([(feature,)], [DT], [(lo, hi)])([ra])
     assert got.shape == (1, 1)
     assert got[0, 0] == expected
 
 
 def test_time_shift_equivariance(rng):
-    """Prepending k zero-drive samples shifts every spike by exactly k*dt."""
+    """Prepending k zero inputs shifts every spike by exactly k steps."""
     ra = PARAMS["RA"]
-    base = np.abs(rng.normal(scale=0.5, size=1200)) * 0.4
-    base[0] = 0.0
+    base = np.abs(rng.normal(scale=0.5, size=1200)) * 0.4 * ra.a3_pa_per_ms
     k = 40
     shifted = np.concatenate([np.zeros(k), base])
-    t0 = neural.simulate_lif(neural.DriveTrace(DT, base), ra, record_membrane=False)
-    t1 = neural.simulate_lif(neural.DriveTrace(DT, shifted), ra, record_membrane=False)
-    assert np.allclose(
-        np.asarray(t1.spike_times_ms),
-        np.asarray(t0.spike_times_ms) + k * DT,
-        atol=1e-9,
-    )
+    s0, s1 = whole_trace_steps([(base,), (shifted,)], [ra])[0]
+    assert s0.size > 0
+    assert np.array_equal(s1, s0 + k)
 
 
 # ----------------------------------------------------------- composition
 
 
-def test_run_afferent_composition(rng):
-    stress = np.abs(rng.normal(scale=2e4, size=691))
+def test_run_afferents_composition(rng):
+    """One call over several traces gives each trace the spike train of its
+    own filter chain through the counter, with its node id and params hash."""
+    stress = [np.abs(rng.normal(scale=2e4, size=n)) for n in (691, 401, 691)]
     for name, params in PARAMS.items():
-        trace = StressTrace(name, node_id=5, dt_ms=DT, values=stress)
-        train = neural.run_afferent(trace, params)
-        drive = neural.drive_for_stress(stress, params, DT)
-        again = neural.simulate_lif(drive, params, meta={"node_id": 5})
-        assert np.array_equal(train.spike_times_ms, again.spike_times_ms)
-        assert train.params_hash == params.content_hash()
-        assert train.meta["node_id"] == 5
-
-
-def test_run_afferent_type_mismatch():
-    trace = StressTrace("SA", node_id=1, dt_ms=DT, values=np.zeros(10))
-    with pytest.raises(ValidationError):
-        neural.run_afferent(trace, PARAMS["RA"])
+        traces = [StressTrace(name, node_id=5 + j, dt_ms=DT, values=x)
+                  for j, x in enumerate(stress)]
+        trains = neural.run_afferents(traces, params)
+        assert len(trains) == len(traces)
+        for j, (trace, train) in enumerate(zip(traces, trains)):
+            inputs = neural.filtered_inputs(params, trace.values, DT)
+            steps = whole_trace_steps([inputs], [params])[0][0]
+            assert np.array_equal(train.spike_times_ms, steps * DT)
+            alone = neural.run_afferents([trace], params)[0]
+            assert np.array_equal(train.spike_times_ms, alone.spike_times_ms)
+            assert train.duration_ms == trace.duration_ms
+            assert train.params_hash == params.content_hash()
+            assert train.meta == {"node_id": 5 + j}
 
 
 def test_constant_stress_silences_ra_pc():
     stress = np.full(691, 5e4)
     for name in ("RA", "PC"):
         trace = StressTrace(name, node_id=0, dt_ms=DT, values=stress)
-        train = neural.run_afferent(trace, PARAMS[name])
+        train = neural.run_afferents([trace], PARAMS[name])[0]
         # rate-sensitive types ignore the standing load (only the onset
         # transient at sample 1 can contribute)
         assert train.n_spikes <= 1
@@ -367,22 +383,21 @@ def test_spike_jsonl_round_trip(tmp_path, rng):
     for name, params in PARAMS.items():
         stress = np.abs(rng.normal(scale=3e4, size=691))
         trace = StressTrace(name, node_id=2, dt_ms=DT, values=stress)
-        trains.append(neural.run_afferent(trace, params))
+        trains.extend(neural.run_afferents([trace], params))
     path = tmp_path / "spikes.jsonl"
     neural.save_spike_trains(trains, path)
-    again = neural.load_spike_trains(path)
-    assert len(again) == len(trains)
-    for a, b in zip(trains, again):
-        assert b.afferent_type == a.afferent_type
-        assert b.params_hash == a.params_hash
-        assert b.dt_ms == a.dt_ms
-        assert b.duration_ms == a.duration_ms
-        assert np.array_equal(b.spike_times_ms, a.spike_times_ms)
-        assert b.membrane_mv is None
-    # each line is standalone JSON with the required keys
-    for line in path.read_text().splitlines():
-        rec = json.loads(line)
-        assert set(rec) >= {"afferent", "params_hash", "dt", "spikes", "meta"}
+    # each line is standalone JSON holding one train
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(records) == len(trains)
+    for train, rec in zip(trains, records):
+        assert set(rec) == {"afferent", "params_hash", "dt", "duration_ms",
+                            "spikes", "meta"}
+        assert rec["afferent"] == train.afferent_type
+        assert rec["params_hash"] == train.params_hash
+        assert rec["dt"] == train.dt_ms
+        assert rec["duration_ms"] == train.duration_ms
+        assert rec["spikes"] == train.spike_times_ms.tolist()
+        assert rec["meta"] == {"node_id": 2}
 
 
 def test_params_validation_and_hash():
@@ -428,8 +443,8 @@ def test_drive_monotone_in_stress_scale(scale):
     t = np.arange(200) * DT
     base = 1e4 * (1.0 + np.sin(2 * np.pi * 30.0 * t / 1000.0))
     for params in PARAMS.values():
-        lo = neural.drive_for_stress(base, params, DT).values
-        hi = neural.drive_for_stress(base * (1.0 + scale), params, DT).values
+        lo = drive_for(base, params)
+        hi = drive_for(base * (1.0 + scale), params)
         # tolerance covers rounding noise in the double-difference chain,
         # which is amplified by 1/dt^2 relative to the stress magnitude
         assert np.all(hi >= lo - 1e-7)

@@ -79,9 +79,9 @@ def test_observed_rate_csv_round_trip(tmp_path):
         optimize.ObservedRateSet("RA", ((100.0, 10.0, 80.5),)),
     ]
     path = tmp_path / "observed.csv"
-    optimize.observed_rates_to_csv(sets, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "afferent,freq_hz,amplitude_um,rate_ips"
+    path.write_text("afferent,freq_hz,amplitude_um,rate_ips\n" + "".join(
+        f"{s.afferent_type},{f!r},{a!r},{r!r}\n" for s in sets for f, a, r in s.records
+    ))
     sa = optimize.ObservedRateSet.from_csv(path, "SA")
     assert sa.records == sets[0].records
     ra = optimize.ObservedRateSet.from_csv(path, "RA")
@@ -95,6 +95,20 @@ def test_observed_rate_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("afferent,frequency,amp,rate\nRA,20,10,5\n")
     with pytest.raises(ValidationError):
+        optimize.ObservedRateSet.from_csv(path, "RA")
+
+
+@pytest.mark.parametrize("row", [
+    "RA,20,abc,5", "RA,20,10,nan", "RA,inf,10,5", "SA,20,10,", "RA,20,10",
+])
+def test_observed_rate_csv_rejects_bad_cells(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "# comment\nafferent,freq_hz,amplitude_um,rate_ips\nRA,50,10,5\n"
+        f"{row}\n"
+    )
+    # every row must parse, whichever afferent type is read
+    with pytest.raises(ValidationError, match="line 4"):
         optimize.ObservedRateSet.from_csv(path, "RA")
 
 

@@ -144,17 +144,6 @@ def test_protocol_json_round_trip(tmp_path):
     assert len(raw["stimuli"]) == 20
 
 
-def test_trace_csv_format(tmp_path):
-    s = stimulus.builtin_protocol("appendixA")[0]
-    path = tmp_path / "trace.csv"
-    stimulus.trace_to_csv(s, s.generate(), path, provenance="prov")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# stimulus:")
-    assert lines[1] == "# provenance: prov"
-    assert lines[2] == "t_ms,displacement_mm"
-    assert lines[3].startswith("0.0,")
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     freq=st.floats(1.0, 900.0),
