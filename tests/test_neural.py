@@ -195,6 +195,33 @@ def test_subthreshold_asymptote():
         assert above.size > 0, params.afferent_type
 
 
+def test_membrane_trace_below_threshold():
+    """Rebuilt from the kernel's spike steps, with a reset at each of them,
+    the membrane stays below threshold: it crosses exactly at the recorded
+    steps and shows the reset value there."""
+    ra = PARAMS["RA"]
+    d = 2.0 * (ra.threshold_mv - ra.u_reset_mv) / ra.tau_m_ms
+    (steps,) = constant_drive_steps(ra, [d], n=8001)
+    assert steps.size > 0
+    c1, c3 = neural._step_coefficients(ra.tau_m_ms, DT)
+    n_refr = int(np.ceil(ra.tau_r_ms / DT))
+    spiked = np.zeros(8001, dtype=bool)
+    spiked[steps] = True
+    membrane = np.empty(8001)
+    membrane[0] = ra.u_rest_mv
+    refr = 0
+    for k in range(8000):
+        dk = 0.0 if refr > 0 else d
+        refr = max(refr - 1, 0)
+        u = c1 * membrane[k] + (1.0 - c1) * ra.u_rest_mv + c3 * dk
+        assert (u >= ra.threshold_mv) == spiked[k + 1], k + 1
+        membrane[k + 1] = ra.u_reset_mv if spiked[k + 1] else u
+        if spiked[k + 1]:
+            refr = n_refr
+    assert np.all(membrane < ra.threshold_mv)
+    assert np.allclose(membrane[steps], ra.u_reset_mv)
+
+
 def closed_form_isi(params, d):
     """Steady-state inter-spike interval for a constant suprathreshold drive."""
     tau = params.tau_m_ms
