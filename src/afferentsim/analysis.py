@@ -9,10 +9,11 @@ floor are flagged, since finer rates are unresolvable by counting.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 from .neural import SpikeTrain
@@ -109,5 +110,56 @@ def regression(observed, predicted) -> RegressionReport:
     t = r * np.sqrt(df / ((1.0 - r + 1e-20) * (1.0 + r + 1e-20)))
     return RegressionReport(
         slope=float(slope), intercept=float(intercept), r_squared=float(r * r),
-        p_value=float(2.0 * special.stdtr(df, -abs(t))), n=int(x.size),
+        p_value=t_two_sided_p(float(t), df), n=int(x.size),
     )
+
+
+def t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom.
+
+    This is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df / (df + t^2), summed as a continued fraction on the side of its
+    symmetry I_x(a, b) = 1 - I_(1-x)(b, a) where that converges fast.
+    1 - x = t^2 / (df + t^2) is formed directly, not by subtraction, so p
+    keeps its precision near 1 (t near 0).
+    """
+    if math.isnan(t):
+        return math.nan
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    if math.isinf(t2):
+        return 0.0
+    a, b = 0.5 * df, 0.5
+    x, y = df / (df + t2), t2 / (df + t2)
+    # x^a y^b / B(a, b), the factor both sides share
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log(y)
+    )
+    if x < (a + 1.0) / (a + b + 2.0):
+        if front < sys.float_info.min:  # underflow: p is 0, as stdtr reports it
+            return 0.0
+        return front * _beta_continued_fraction(a, b, x) / a
+    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) by the modified Lentz method;
+    it converges in O(sqrt(max(a, b))) terms for x < (a + 1) / (a + b + 2)."""
+    tiny = 1e-300  # stands in for a zero denominator
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 10_000):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        for coeff in (even, odd):
+            d = 1.0 + coeff * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + coeff / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-16:
+            break
+    return h

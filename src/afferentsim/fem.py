@@ -4,17 +4,23 @@ The indenter is a rigid circle whose depth at each time step prescribes
 vertical displacements on the surface nodes it overlaps (frictionless
 active set); the bottom boundary is fixed.  Within one active set every
 prescribed displacement is the node's offset under the circle minus the
-depth, so the field is affine in depth: run_indentation solves twice per
-distinct active set (one profile, and unit values) and forms each step's
-stress from those two fields.  Units are mm / MPa internally
+depth, so the field is affine in depth: run_indentation solves two fields
+per distinct active set (one profile, and unit values) in one call and
+forms each step's stress from them.  Units are mm / MPa internally
 (1 MPa = 1 N/mm^2); von Mises traces are exported in Pa because the
 neural constants are Pa-based.
 
 Assembly uses 4-node bilinear isoparametric quads with 2x2 Gauss
-quadrature (the element map and its Jacobians live in mesh).
-Factorizations are kept per constrained-DOF set, for the life of the
-system: contact sets are nested in depth, so one indenter gives at most
-one set per surface node under it.
+quadrature (the element map and its Jacobians live in mesh).  The DOFs
+are numbered by node (x, y), both DOFs of a node together; on the
+structured skin grid this makes K banded, and with blocks as wide as the
+band K is block-tridiagonal (BlockTridiagonal: dense diagonal and
+sub-diagonal blocks, 33 DOFs wide at h = 0.2 mm).  K_ff is factored by a
+block Cholesky (BlockCholesky, np.linalg.cholesky per block) in plain
+NumPy.  StiffnessSystem keeps one factor per constrained-DOF set, for the
+life of the system, in a dict keyed by the sorted constrained DOFs; each
+holds two arrays of nb blocks of b x b.  Contact sets are nested in
+depth, so one indenter gives at most one set per surface node under it.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import NumericalError, ValidationError
 from .mesh import AFFERENT_TYPES, GAUSS_GRADIENTS, Mesh, check_jacobians
@@ -147,6 +151,125 @@ class IndentationResult:
 
 
 # --------------------------------------------------------------------------
+# banded storage and block Cholesky
+
+# Smallest squared Cholesky pivot, as a fraction of max |K_ii|, that a set
+# of constrained DOFs may leave.  One rigid-body mode left free gives about
+# 1e-16 (round-off); the skin meshes stay above 1e-3.
+PIVOT_FLOOR = 1e-12
+
+
+class BlockTridiagonal:
+    """Symmetric matrix held as dense diagonal and sub-diagonal blocks.
+
+    Stored row i is DOF order[i]; the rows past len(order) pad the last
+    block and are zero.  `K @ u` takes u of shape (ndof,) or (ndof, c) in
+    DOF order.
+    """
+
+    def __init__(self, diag: np.ndarray, lower: np.ndarray, order: np.ndarray):
+        self.diag = diag  # (nb, b, b)
+        self.lower = lower  # (nb - 1, b, b): block (k + 1, k)
+        self.order = order
+        self.position = np.argsort(order)  # DOF -> stored row
+
+    @classmethod
+    def from_elements(
+        cls, edof: np.ndarray, ke: np.ndarray, order: np.ndarray
+    ) -> BlockTridiagonal:
+        """Sum element matrices ke (m, p, p) on DOFs edof (m, p).
+
+        The block size is the largest spread of stored rows within one
+        element, so every entry lies in a diagonal block or next to one.
+        Only the diagonal and sub-diagonal blocks are summed; the
+        super-diagonal ones are their transposes.
+        """
+        pe = np.argsort(order)[edof]
+        b = max(int((pe.max(axis=1) - pe.min(axis=1)).max()), 1)
+        nb = -(-order.size // b)
+        p = pe.shape[1]
+        rows = np.repeat(pe, p, axis=1).ravel()
+        cols = np.tile(pe, (1, p)).ravel()
+        bi, bj = rows // b, cols // b
+        lower = bi == bj + 1
+        kept = lower | (bi == bj)
+        slot = np.where(lower, nb + bj, bi)  # diagonal blocks, then sub-diagonal
+        flat = (slot * b + rows % b) * b + cols % b
+        blocks = np.bincount(
+            flat[kept], weights=ke.ravel()[kept], minlength=(2 * nb - 1) * b * b
+        ).reshape(2 * nb - 1, b, b)
+        return cls(blocks[:nb], blocks[nb:], order)
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        nb, b = self.diag.shape[:2]
+        ub = np.zeros((nb * b, u[0].size))
+        ub[: self.order.size] = u[self.order].reshape(self.order.size, -1)
+        ub = ub.reshape(nb, b, -1)
+        y = self.diag @ ub
+        y[1:] += self.lower @ ub[:-1]
+        y[:-1] += self.lower.transpose(0, 2, 1) @ ub[1:]
+        out = np.empty(u.shape)
+        out[self.order] = y.reshape(nb * b, *u.shape[1:])[: self.order.size]
+        return out
+
+
+class BlockCholesky:
+    """Block Cholesky factor of K restricted to the stored rows `rows`.
+
+    The other rows and columns (constrained DOFs and padding) are replaced
+    by max |K_ii| on the diagonal, which decouples them and keeps K's
+    blocks.  With B_k the sub-diagonal blocks and S_k the Schur complements
+    (S_0 = K_00, S_(k+1) = K_(k+1,k+1) - N_k B_k^T, N_k = B_k S_k^-1), the
+    factor is L = (I + N) blockdiag(L_k), L_k L_k^T = S_k.  It stores N_k
+    and inv(L_k), so a solve is one sequential sweep each way around two
+    batched products.  Raises LinAlgError if a Schur complement is singular
+    or not positive definite, or a squared pivot falls below
+    PIVOT_FLOOR * max |K_ii|.
+    """
+
+    def __init__(self, K: BlockTridiagonal, rows: np.ndarray):
+        nb, b = K.diag.shape[:2]
+        scale = np.abs(np.einsum("kii->ki", K.diag)).max()
+        keep = np.zeros(nb * b)
+        keep[rows] = 1.0
+        blk, i = np.divmod(np.flatnonzero(keep == 0.0), b)
+        keep = keep.reshape(nb, b)
+        schur = K.diag * keep[:, :, None] * keep[:, None, :]
+        schur[blk, i, i] = scale
+        lower = K.lower * keep[1:, :, None] * keep[:-1, None, :]
+
+        self.rows = rows
+        self.n = np.empty_like(lower)
+        for k in range(nb - 1):
+            self.n[k] = np.linalg.solve(schur[k], lower[k].T).T
+            schur[k + 1] -= self.n[k] @ lower[k].T
+        chol = np.linalg.cholesky(schur)
+        pivot = np.einsum("kii->ki", chol).min() ** 2 / scale
+        if not pivot >= PIVOT_FLOOR:
+            raise np.linalg.LinAlgError(
+                f"squared pivot {pivot:.1e} of max |K_ii| (below {PIVOT_FLOOR:g}): "
+                "the constraints leave a rigid-body mode free"
+            )
+        self.inv_l = np.linalg.inv(chol)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for rhs of shape (len(rows),) or (len(rows), c)."""
+        nb, b = self.inv_l.shape[:2]
+        y = np.zeros((nb * b, rhs[0].size))
+        y[self.rows] = rhs.reshape(self.rows.size, -1)
+        y = y.reshape(nb, b, -1)
+        ys = list(y)  # a view per block
+        for n, prev, cur in zip(self.n, ys, ys[1:]):
+            cur -= n @ prev
+        y = self.inv_l.transpose(0, 2, 1) @ (self.inv_l @ y)
+        ys = list(y)
+        for n, nxt, cur in zip(self.n[::-1], ys[:0:-1], ys[-2::-1]):
+            cur -= n.T @ nxt
+        return y.reshape(nb * b, -1)[self.rows].reshape(rhs.shape)
+
+
+# --------------------------------------------------------------------------
 # assembly
 
 
@@ -156,7 +279,7 @@ class StiffnessSystem:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.ndof = 2 * mesh.n_nodes
-        self._factor_cache: dict[tuple, object] = {}
+        self._factor_cache: dict[tuple, BlockCholesky] = {}
 
         d_table = np.stack(
             [plane_strain_d(m.elastic_modulus_mpa, m.poisson_ratio) for m in mesh.materials]
@@ -190,27 +313,26 @@ class StiffnessSystem:
         edof = np.empty((m, 8), dtype=np.int64)
         edof[:, 0::2] = 2 * mesh.elements
         edof[:, 1::2] = 2 * mesh.elements + 1
-        rows = np.repeat(edof, 8, axis=1).ravel()
-        cols = np.tile(edof, (1, 8)).ravel()
-        self.K = sp.coo_matrix(
-            (ke.ravel(), (rows, cols)), shape=(self.ndof, self.ndof)
-        ).tocsc()
         self.edof = edof
+        # nodes by (x, y): column after column on the structured grid, where
+        # an element couples two neighbouring columns, so K is banded
+        by_xy = np.lexsort((mesh.nodes[:, 1], mesh.nodes[:, 0]))
+        order = np.column_stack([2 * by_xy, 2 * by_xy + 1]).ravel()
+        self.K = BlockTridiagonal.from_elements(edof, ke, order)
 
-    def factorization(self, fixed: np.ndarray, free: np.ndarray):
+    def factorization(self, fixed: np.ndarray, free: np.ndarray) -> BlockCholesky:
         key = tuple(fixed.tolist())
         hit = self._factor_cache.get(key)
         if hit is not None:
             return hit
-        kff = self.K[free][:, free].tocsc()
         try:
-            lu = splu(kff)
-        except RuntimeError as exc:
+            factor = BlockCholesky(self.K, self.K.position[free])
+        except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"stiffness factorization failed with {len(fixed)} constrained DOFs: {exc}"
             ) from exc
-        self._factor_cache[key] = lu
-        return lu
+        self._factor_cache[key] = factor
+        return factor
 
 
 # --------------------------------------------------------------------------
@@ -265,35 +387,46 @@ def contact_active_set(
 
 def solve_step(
     system: StiffnessSystem,
-    constraints: dict[int, float],
+    constraints: dict[int, float | np.ndarray],
     forces: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve K u = f with prescribed-displacement elimination.
 
-    Raises NumericalError if the free-DOF residual exceeds 1e-8 relative.
+    Every prescribed value is a number, or every one holds c values: then
+    the c fields that share the constrained DOFs are solved in one call and
+    u is (ndof, c).  forces (ndof,) load every field alike.  Raises
+    NumericalError if the constraints leave K singular, or if a field's
+    free-DOF residual exceeds 1e-8 of its right-hand side.
     """
     ndof = system.ndof
     if not constraints:
         raise ValidationError("solve_step needs constraints to remove rigid-body modes")
     fixed = np.fromiter(sorted(constraints), dtype=np.int64)
-    vals = np.array([constraints[d] for d in fixed])
+    try:
+        vals = np.array([constraints[d] for d in fixed], dtype=float)
+    except ValueError as exc:
+        raise ValidationError(
+            "prescribed values must be all numbers or all of one length"
+        ) from exc
     mask = np.ones(ndof, dtype=bool)
     mask[fixed] = False
     free = np.flatnonzero(mask)
 
     f = np.zeros(ndof) if forces is None else np.asarray(forces, dtype=float)
-    u = np.zeros(ndof)
+    f = f.reshape(ndof, *(1,) * (vals.ndim - 1))
+    u = np.zeros((ndof, *vals.shape[1:]))
     u[fixed] = vals
     rhs = f[free] - (system.K @ u)[free]
 
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm > 0.0:
-        lu = system.factorization(fixed, free)
-        u[free] = lu.solve(rhs)
-        residual = np.linalg.norm((system.K @ u - f)[free])
-        if not np.isfinite(residual) or residual > 1e-8 * rhs_norm:
+    rhs_norm = np.linalg.norm(rhs, axis=0)
+    if np.any(rhs_norm > 0.0):
+        factor = system.factorization(fixed, free)
+        u[free] = factor.solve(rhs)
+        residual = np.linalg.norm((system.K @ u - f)[free], axis=0)
+        bad = ~(residual <= 1e-8 * rhs_norm)  # NaN counts as failed
+        if np.any(bad):
             raise NumericalError(
-                f"solve residual {residual:.3e} exceeds 1e-8 relative "
+                f"solve residual {np.max(residual[bad]):.3e} exceeds 1e-8 relative "
                 f"({len(fixed)} constrained DOFs)"
             )
     return u
@@ -405,17 +538,17 @@ def run_indentation(
     )
     which = which.reshape(-1)  # numpy 2.0.0 returns it 2-D for axis=0
     ref = solved[ref]  # each set's shallowest step
-    base = bottom_constraints(mesh)
+    base = dict.fromkeys(bottom_constraints(mesh), np.zeros(2))
     fields = []  # per set: displacements for the profile at ref, and for unit values
     for s, k in enumerate(ref):
         dofs = (2 * nodes[sets[s]] + 1).tolist()
+        values = np.column_stack([profile[k, sets[s]], np.ones(len(dofs))])
         try:
-            u_ref = solve_step(system, {**base, **dict(zip(dofs, profile[k, sets[s]]))})
-            u_1 = solve_step(system, {**base, **dict.fromkeys(dofs, 1.0)})
+            u = solve_step(system, {**base, **dict(zip(dofs, values))})
         except NumericalError as exc:
             k = solved[which == s].min()
             raise NumericalError(f"step {k} (depth {depths[k]:.6f} mm): {exc}") from exc
-        fields.append((u_ref, u_1))
+        fields.append(u.T)
 
     if fields:
         radius = indenter.diameter_mm / 2.0

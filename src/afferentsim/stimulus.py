@@ -123,7 +123,10 @@ def bandpass_noise(
     n = _n_samples(duration_ms, dt_ms)
     # imported here, not at module top: scipy.signal and the scipy.stats it
     # loads add about 1 s to every import, and only noise stimuli need them
-    from scipy.signal import butter, sosfiltfilt
+    try:
+        from scipy.signal import butter, sosfiltfilt
+    except ImportError as exc:
+        raise ValidationError(f"band-pass noise stimuli need SciPy: {exc}") from exc
 
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(n)

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from afferentsim import analysis, neural
 from afferentsim.errors import ValidationError
@@ -172,6 +174,38 @@ def test_regression_matches_linregress(n, slope, noise, seed):
     assert rep.intercept == pytest.approx(ref.intercept, rel=1e-12, abs=0)
     assert rep.r_squared == pytest.approx(ref.rvalue**2, rel=1e-12, abs=0, nan_ok=True)
     assert rep.p_value == pytest.approx(ref.pvalue, rel=1e-9, abs=0, nan_ok=True)
+
+
+def test_t_p_value_closed_forms():
+    # df = 1 (Cauchy): 1 - (2/pi) atan|t| = (2/pi) atan(1/|t|);
+    # df = 2: 1 - |t|/sqrt(2 + t^2) = 2 / (s (s + |t|)), s = sqrt(2 + t^2).
+    # The right-hand forms have no cancellation, so they are exact to a few
+    # ulps at every t.
+    for t in np.concatenate([[1e-300, 1e-12, 1.04e-8, 1e-3], np.geomspace(0.01, 1e12, 60)]):
+        s = math.sqrt(2.0 + t * t)
+        for sign in (1.0, -1.0):
+            assert analysis.t_two_sided_p(sign * t, 1) == pytest.approx(
+                2.0 / math.pi * math.atan(1.0 / t), rel=1e-13, abs=0), t
+            assert analysis.t_two_sided_p(sign * t, 2) == pytest.approx(
+                2.0 / (s * (s + t)), rel=1e-13, abs=0), t
+
+
+def test_t_p_value_matches_stdtr():
+    # below |t| = 1e-3 stdtr itself drifts from the exact tail
+    for df in range(1, 61):
+        for t in np.geomspace(1e-3, 1e6, 40):
+            expected = 2.0 * special.stdtr(df, -t)
+            got = analysis.t_two_sided_p(float(t), df)
+            assert got == pytest.approx(expected, rel=2e-12, abs=0), (df, t)
+
+
+def test_t_p_value_limits():
+    assert analysis.t_two_sided_p(0.0, 5) == 1.0
+    assert analysis.t_two_sided_p(math.inf, 5) == 0.0
+    assert analysis.t_two_sided_p(-math.inf, 5) == 0.0
+    assert math.isnan(analysis.t_two_sided_p(math.nan, 5))
+    # p below the smallest normal double is reported as 0, as stdtr does
+    assert analysis.t_two_sided_p(4e10, 32) == 0.0 == special.stdtr(32, -4e10)
 
 
 def test_regression_degenerate_inputs():

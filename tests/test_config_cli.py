@@ -293,6 +293,51 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     assert done.stdout.strip() == "[]"
 
 
+def test_simulate_and_fit_load_no_scipy(tmp_path):
+    # SciPy serves only the band-pass noise stimuli (and the tests)
+    specs = stimulus.builtin_protocol("appendixA", dt_ms=0.5, base_seed=0)
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\n" + "".join(
+        f"RA,{s.freq_hz!r},{s.amplitude_um!r},{10.0 + s.amplitude_um / 10.0!r}\n"
+        for s in specs
+    ))
+    cfg_path = write_config(tmp_path, {})
+    fit_cfg = write_config(tmp_path, {"fit": {
+        "afferents": ["RA"], "observed_rates_csv": str(observed),
+        "population": 12, "budget": 36,
+    }}, name="fit.json")
+    runs = [
+        ["simulate", "--config", cfg_path, "--protocol", "appendixA",
+         "--out", str(tmp_path / "sim")],
+        ["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")],
+    ]
+    code = (
+        "import sys\nfrom afferentsim import cli\n"
+        f"for argv in {runs!r}:\n    assert cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "fit" / "selected_RA.json").exists()
+
+
+def test_cli_underconstrained_fem_exits_3(tmp_path, monkeypatch, caplog):
+    # a bottom held only vertically leaves the skin free to slide sideways
+    bottom = fem.bottom_constraints
+    monkeypatch.setattr(fem, "bottom_constraints",
+                        lambda m: {d: v for d, v in bottom(m).items() if d % 2})
+    protocol = write_protocol(tmp_path, [sin_spec(50.0, 113.60)])
+    cfg_path = write_config(tmp_path, {"protocol": protocol})
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        code = cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "factorization failed" in caplog.text
+
+
 def test_cli_exit_codes_for_bad_input(tmp_path):
     bad_cfg = write_config(tmp_path, {"geometry": {"domain_width_mm": 0.0}})
     assert cli.main(["mesh", "--config", bad_cfg, "--out", str(tmp_path / "a")]) == 2

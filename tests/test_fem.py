@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
-from afferentsim import fem, mesh, stimulus
+from afferentsim import config, fem, mesh, stimulus
 from afferentsim.errors import NumericalError, ValidationError
 from afferentsim.mesh import AFFERENT_TYPES
 
@@ -38,7 +40,7 @@ def test_unit_square_stiffness_matches_analytic_integrals():
     # integrals of shape-gradient products over the unit square are
     # closed-form: K[0,0] = E*(1/3 + 1/6) = E/2, K[0,1] = E/8.
     system = fem.StiffnessSystem(single_element_mesh(E=2.0, nu=0.0))
-    K = system.K.toarray()
+    K = system.K @ np.eye(8)  # the dense matrix, column by column
     E = 2.0
     assert K[0, 0] == pytest.approx(E * 0.5, rel=1e-12)
     assert K[0, 1] == pytest.approx(E * 0.125, rel=1e-12)
@@ -50,8 +52,13 @@ def test_unit_square_stiffness_matches_analytic_integrals():
 
 
 def test_stiffness_symmetric(default_system):
-    K = default_system.K
-    asym = abs(K - K.T).max()
+    ndof = default_system.ndof
+    K = np.empty((ndof, ndof))
+    for cols in np.array_split(np.arange(ndof), 10):  # identity columns, in chunks
+        e = np.zeros((ndof, cols.size))
+        e[cols, np.arange(cols.size)] = 1.0
+        K[:, cols] = default_system.K @ e
+    asym = max(abs(K[rows] - K[:, rows].T).max() for rows in np.array_split(np.arange(ndof), 10))
     assert asym <= 1e-12 * abs(K).max()
 
 
@@ -147,6 +154,116 @@ def test_solve_linearity_with_pinned_active_set(default_mesh, default_system):
 def test_solve_requires_constraints(default_system):
     with pytest.raises(ValidationError):
         fem.solve_step(default_system, {})
+
+
+@pytest.mark.parametrize("constraints", [
+    {0: 0.0, 1: 0.0, 2: 0.1},  # node 0 pinned, node 1 held in x: rotation is free
+    {1: 0.0, 3: 0.0, 5: 0.1},  # vertical DOFs only: x translation is free
+])
+def test_underconstrained_solve_raises(constraints):
+    system = fem.StiffnessSystem(single_element_mesh())
+    with pytest.raises(NumericalError, match="factorization failed"):
+        fem.solve_step(system, constraints)
+
+
+# ------------------------------------------ sparse direct solver (oracle)
+
+
+def sparse_stiffness(system):
+    """system.K entry for entry as a SciPy matrix in DOF order, built from
+    its diagonal blocks, its sub-diagonal blocks and their transposes."""
+    K, n = system.K, system.ndof
+    b = K.diag.shape[1]
+    k, i, j = np.indices(K.diag.shape)
+    kl, il, jl = np.indices(K.lower.shape)
+    rows = np.concatenate([k * b + i, (kl + 1) * b + il, kl * b + jl], axis=None)
+    cols = np.concatenate([k * b + j, kl * b + jl, (kl + 1) * b + il], axis=None)
+    vals = np.concatenate([K.diag, K.lower, K.lower], axis=None)
+    kept = (vals != 0.0) & (rows < n) & (cols < n)
+    return sp.csc_matrix(
+        (vals[kept], (K.order[rows[kept]], K.order[cols[kept]])), shape=(n, n)
+    )
+
+
+def spsolve_fields(system, K, constraints):
+    """solve_step's fields from SuperLU on the same K_ff."""
+    fixed = np.array(sorted(constraints))
+    vals = np.array([constraints[d] for d in fixed], dtype=float)
+    free = np.setdiff1d(np.arange(system.ndof), fixed)
+    u = np.zeros((system.ndof, *vals.shape[1:]))
+    u[fixed] = vals
+    rhs = -(K[free][:, fixed] @ vals)
+    u[free] = spsolve(K[free][:, free].tocsc(), rhs).reshape(rhs.shape)
+    return u
+
+
+def appendix_a_contact_sets(m, indenter):
+    """Every active set appendixA's sinusoids reach, with the profile at
+    the shallowest step of each, as run_indentation solves them."""
+    specs = stimulus.builtin_protocol("appendixA", dt_ms=0.5, base_seed=0)
+    depths = np.concatenate([spec.generate() for spec in specs])
+    nodes, profile, active = fem._contact(m, indenter, depths)
+    solved = np.flatnonzero((active & (profile != 0.0)).any(axis=1))
+    solved = solved[np.argsort(depths[solved], kind="stable")]
+    sets, first = np.unique(active[solved], axis=0, return_index=True)
+    return [(nodes[s], profile[solved[k], s]) for s, k in zip(sets, first)]
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1])
+def test_solve_matches_spsolve_on_appendix_a_sets(h):
+    cfg = config.config_from_dict({"geometry": {"surface_element_mm": h}})
+    m = mesh.build_mesh(cfg.geometry, cfg.materials)
+    system = fem.StiffnessSystem(m)
+    K = sparse_stiffness(system)
+    afferent_ids = np.array([m.afferent_nodes[t] for t in AFFERENT_TYPES])
+    base = dict.fromkeys(fem.bottom_constraints(m), np.zeros(2))
+    contact_sets = appendix_a_contact_sets(m, fem.IndenterSpec(diameter_mm=1.0))
+    assert len(contact_sets) >= 3
+    for nodes, profile in contact_sets:
+        values = np.column_stack([profile, np.ones(nodes.size)])
+        constraints = {**base, **dict(zip((2 * nodes + 1).tolist(), values))}
+        got = fem.solve_step(system, constraints)
+        expected = spsolve_fields(system, K, constraints)
+        for c in range(2):
+            vm = fem.von_mises(fem.recover_stress(system, got[:, c], afferent_ids))
+            ref = fem.von_mises(fem.recover_stress(system, expected[:, c], afferent_ids))
+            assert (np.abs(vm - ref) <= 1e-12 * ref).all()
+
+
+@pytest.fixture(scope="module")
+def graded_system():
+    return fem.StiffnessSystem(graded_square_mesh())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fixed=st.sets(st.integers(0, 49), min_size=3, max_size=45),
+    fields=st.sampled_from([(), (2,)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_on_random_constraint_sets(graded_system, fixed, fields, seed):
+    """Well-posed sets (the three rigid-body modes held) match SuperLU;
+    the others raise."""
+    assert graded_system.ndof == 50  # the DOFs drawn above
+    m = graded_system.mesh
+    fixed = np.array(sorted(fixed))
+    values = np.random.default_rng(seed).uniform(-1e-2, 1e-2, size=(fixed.size, *fields))
+    constraints = dict(zip(fixed.tolist(), values))
+    rigid = np.zeros((graded_system.ndof, 3))
+    rigid[0::2, 0] = 1.0
+    rigid[1::2, 1] = 1.0
+    rigid[0::2, 2] = -m.nodes[:, 1]
+    rigid[1::2, 2] = m.nodes[:, 0]
+    if np.linalg.matrix_rank(rigid[fixed]) < 3:
+        with pytest.raises(NumericalError):
+            fem.solve_step(graded_system, constraints)
+        return
+    got = fem.solve_step(graded_system, constraints)
+    expected = spsolve_fields(graded_system, sparse_stiffness(graded_system), constraints)
+    assert got.shape == expected.shape
+    # K on this mesh has condition number below 1e6, so float64 solvers
+    # agree to about 1e-10 of the largest displacement
+    assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
 
 
 def test_flamant_surface_deflection_differences():
@@ -361,7 +478,7 @@ def test_run_indentation_matches_per_step_oracle(default_mesh, default_system,
     got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
     assert_same_samples(got, vm)
     assert result.contact_sets == len(sets)
-    assert len(calls) == 2 * len(sets)  # two solves per distinct non-empty set
+    assert len(calls) == len(sets)  # one solve per distinct non-empty set, both fields
     if record:
         assert_same_samples(result.deflection_mm, defl)
     else:

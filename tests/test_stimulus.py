@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ def test_bandpass_noise_seed_determinism():
     c = stimulus.bandpass_noise(5.0, 100.0, 10.0, 345.0, seed=12)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_bandpass_noise_without_scipy_is_a_validation_error(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.signal", None)  # import raises ImportError
+    with pytest.raises(ValidationError, match="need SciPy"):
+        stimulus.bandpass_noise(5.0, 100.0, 10.0, 345.0, seed=11)
 
 
 def test_amplitude_tables_frozen():
