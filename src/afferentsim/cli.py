@@ -7,9 +7,10 @@ are rejected via a `.lock` file holding the owner's PID; a lock whose owner
 no longer exists is removed with a warning.
 
 Every `simulate` and `fit` solves the skin FEM for its protocol; nothing
-is read back from an earlier run.  The FEM is tabulated per contact set
-(two solves per distinct set), so appendixA's 37 stimuli take a fraction
-of a second.  `simulate` writes each stress trace once, to <out>/stress;
+is read back from an earlier run.  The FEM is condensed to the indenter's
+footprint: one factorization and one multi-column solve per run, then a
+small dense solve per distinct contact set of each stimulus, so
+appendixA's 37 stimuli take a few hundredths of a second.  `simulate` writes each stress trace once, to <out>/stress;
 `fit` writes none.
 """
 
@@ -130,9 +131,17 @@ def compute_stress_bank(
     cfg: RunConfig, mesh, system: StiffnessSystem | None,
     specs: list[StimulusSpec],
 ) -> dict[str, dict[str, StressTrace]]:
-    """Per-stimulus, per-afferent stress traces, solved for every stimulus."""
+    """Per-stimulus, per-afferent stress traces, solved for every stimulus.
+
+    Every stimulus reads the system's footprint response for the
+    configured indenter (built by the first one that touches the skin).
+    One line per bank logs the footprint's DOFs, the factorizations made
+    and the largest unit-load residual.
+    """
     if system is None:
         system = StiffnessSystem(mesh)
+    made = system.factorizations
+    footprint = None
     bank: dict[str, dict[str, StressTrace]] = {}
     for spec in specs:
         displacement = spec.generate()
@@ -145,6 +154,17 @@ def compute_stress_bank(
         logger.info(
             "FEM solved %s (%d steps, %d contact sets)",
             spec.stimulus_id, displacement.size, result.contact_sets,
+        )
+        if result.footprint is not None:
+            footprint = result.footprint
+    if footprint is None:
+        logger.info("FEM bank: %d stimuli, none in contact", len(specs))
+    else:
+        logger.info(
+            "FEM bank: %d stimuli, %d footprint DOFs, %d factorizations made, "
+            "largest unit-load residual %.2e",
+            len(specs), footprint.nodes.size, system.factorizations - made,
+            footprint.residual,
         )
     return bank
 

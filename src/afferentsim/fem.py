@@ -2,13 +2,23 @@
 
 The indenter is a rigid circle whose depth at each time step prescribes
 vertical displacements on the surface nodes it overlaps (frictionless
-active set); the bottom boundary is fixed.  Within one active set every
-prescribed displacement is the node's offset under the circle minus the
-depth, so the field is affine in depth: run_indentation solves two fields
-per distinct active set (one profile, and unit values) in one call and
-forms each step's stress from them.  Units are mm / MPa internally
+active set); the bottom boundary is fixed.  Units are mm / MPa internally
 (1 MPa = 1 N/mm^2); von Mises traces are exported in Pa because the
 neural constants are Pa-based.
+
+Only the surface nodes within the indenter's radius (its footprint: 5 at
+h = 0.2 mm, 11 at 0.1) can ever be prescribed, so run_indentation works on
+the skin condensed to them (influence coefficients, as in Kalker's and
+Polonsky & Keer's contact solvers).  FootprintResponse holds the
+displacement field for a unit vertical load at each footprint node, with
+the bottom fixed: one factorization and one multi-column solve per
+(system, indenter diameter and centre), cached on the StiffnessSystem.
+Its compliance C (vertical displacement at each footprint node per unit
+load) and afferent stress S per unit load turn any contact set A with
+prescribed displacements g_A into loads f_A = C_AA^-1 g_A and stress
+S_A f_A.  Within one set every prescribed value is the node's offset
+under the circle minus the depth, so the stress is affine in depth and
+each distinct set takes one small n_A x n_A solve for two columns.
 
 Assembly uses 4-node bilinear isoparametric quads with 2x2 Gauss
 quadrature (the element map and its Jacobians live in mesh).  The DOFs
@@ -19,13 +29,21 @@ sub-diagonal blocks, 33 DOFs wide at h = 0.2 mm).  K_ff is factored by a
 block Cholesky (BlockCholesky, np.linalg.cholesky per block) in plain
 NumPy.  StiffnessSystem keeps one factor per constrained-DOF set, for the
 life of the system, in a dict keyed by the sorted constrained DOFs; each
-holds two arrays of nb blocks of b x b.  Contact sets are nested in
-depth, so one indenter gives at most one set per surface node under it.
+holds two arrays of nb blocks of b x b.  run_indentation needs only the
+bottom-fixed one; the others serve solve_step, the one-shot solve with
+arbitrary constraints.  Every solve is refined once against a residual
+summed in extended precision (np.longdouble), so the condensed path and a
+one-shot solve with the contact set fixed agree to round-off of the
+answer, not of the factorization: at h = 0.2 mm the surface deflection at
+its zero crossing near x = 7 mm agrees within 1e-13 relative (3.7e-12
+without the refinement).  Where np.longdouble is no wider than float64
+the refinement still runs, at working precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -142,12 +160,31 @@ class StressTrace:
                 fh.write(f"{k * self.dt_ms!r},{float(v)!r}\n")
 
 
+@dataclass(frozen=True)
+class FootprintResponse:
+    """The skin's response to unit vertical loads on the footprint nodes.
+
+    Column j of fields is the displacement (ndof) under a unit upward load
+    on the vertical DOF of nodes[j], with the bottom fixed; compliance[i, j]
+    is the vertical displacement of nodes[i] in it, and stress[j] the
+    afferent stress (afferents in AFFERENT_TYPES order, 4 components, MPa).
+    residual is the largest relative residual of the unit-load solves.
+    """
+
+    nodes: np.ndarray  # (n_c,)
+    fields: np.ndarray  # (ndof, n_c)
+    compliance: np.ndarray  # (n_c, n_c)
+    stress: np.ndarray  # (n_c, afferents, 4)
+    residual: float
+
+
 @dataclass
 class IndentationResult:
     stress_traces: dict[str, StressTrace]
     contact_sets: int  # distinct active sets solved
     deflection_x_mm: np.ndarray | None = None
     deflection_mm: np.ndarray | None = None  # (n_steps, n_samples)
+    footprint: FootprintResponse | None = None  # None when no step was solved
 
 
 # --------------------------------------------------------------------------
@@ -213,6 +250,32 @@ class BlockTridiagonal:
         out[self.order] = y.reshape(nb * b, *u.shape[1:])[: self.order.size]
         return out
 
+    @cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries by stored row: (rows, their starts, columns,
+        values in extended precision)."""
+        b = self.diag.shape[1]
+        k, i, j = np.nonzero(self.diag)
+        kl, il, jl = np.nonzero(self.lower)
+        rows = np.concatenate([k * b + i, (kl + 1) * b + il, kl * b + jl])
+        cols = np.concatenate([k * b + j, kl * b + jl, (kl + 1) * b + il])
+        vals = np.concatenate([self.diag[k, i, j], self.lower[kl, il, jl],
+                               self.lower[kl, il, jl]])
+        by_row = np.argsort(rows, kind="stable")
+        rows, cols, vals = rows[by_row], cols[by_row], vals[by_row]
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        return rows[starts], starts, cols, vals.astype(np.longdouble)
+
+    def residual(self, f: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """f - K x for (nb * b, c) arrays in stored order, summed in extended
+        precision (np.longdouble) and rounded once."""
+        rows, starts, cols, vals = self._entries
+        r = f.copy()
+        for c in range(x.shape[1]):  # a column at a time keeps the products small
+            kx = np.add.reduceat(vals * x[cols, c], starts)
+            r[rows, c] = (f[rows, c] - kx).astype(float)
+        return r
+
 
 class BlockCholesky:
     """Block Cholesky factor of K restricted to the stored rows `rows`.
@@ -223,7 +286,7 @@ class BlockCholesky:
     (S_0 = K_00, S_(k+1) = K_(k+1,k+1) - N_k B_k^T, N_k = B_k S_k^-1), the
     factor is L = (I + N) blockdiag(L_k), L_k L_k^T = S_k.  It stores N_k
     and inv(L_k), so a solve is one sequential sweep each way around two
-    batched products.  Raises LinAlgError if a Schur complement is singular
+    batched products, done twice (see solve).  Raises LinAlgError if a Schur complement is singular
     or not positive definite, or a squared pivot falls below
     PIVOT_FLOOR * max |K_ii|.
     """
@@ -239,6 +302,7 @@ class BlockCholesky:
         schur[blk, i, i] = scale
         lower = K.lower * keep[1:, :, None] * keep[:-1, None, :]
 
+        self.K = K
         self.rows = rows
         self.n = np.empty_like(lower)
         for k in range(nb - 1):
@@ -254,11 +318,26 @@ class BlockCholesky:
         self.inv_l = np.linalg.inv(chol)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for rhs of shape (len(rows),) or (len(rows), c)."""
+        """Solve for rhs of shape (len(rows),) or (len(rows), c).
+
+        The sweeps' answer is refined once against a residual summed in
+        extended precision, which brings it to about the accuracy of the
+        float64 answer whatever the constrained set: a solve with one set
+        and a condensed solve with another then agree to round-off.
+        """
         nb, b = self.inv_l.shape[:2]
-        y = np.zeros((nb * b, rhs[0].size))
-        y[self.rows] = rhs.reshape(self.rows.size, -1)
-        y = y.reshape(nb, b, -1)
+        f = np.zeros((nb * b, rhs[0].size))
+        f[self.rows] = rhs.reshape(self.rows.size, -1)
+        x = self._sweeps(f)
+        correction = np.zeros_like(f)
+        correction[self.rows] = self.K.residual(f, x)[self.rows]
+        x += self._sweeps(correction)
+        return x[self.rows].reshape(rhs.shape)
+
+    def _sweeps(self, f: np.ndarray) -> np.ndarray:
+        """L^-T L^-1 f for f of shape (nb * b, c) in stored order."""
+        nb, b = self.inv_l.shape[:2]
+        y = f.reshape(nb, b, -1).copy()
         ys = list(y)  # a view per block
         for n, prev, cur in zip(self.n, ys, ys[1:]):
             cur -= n @ prev
@@ -266,7 +345,7 @@ class BlockCholesky:
         ys = list(y)
         for n, nxt, cur in zip(self.n[::-1], ys[:0:-1], ys[-2::-1]):
             cur -= n.T @ nxt
-        return y.reshape(nb * b, -1)[self.rows].reshape(rhs.shape)
+        return y.reshape(nb * b, -1)
 
 
 # --------------------------------------------------------------------------
@@ -280,6 +359,7 @@ class StiffnessSystem:
         self.mesh = mesh
         self.ndof = 2 * mesh.n_nodes
         self._factor_cache: dict[tuple, BlockCholesky] = {}
+        self._footprints: dict[tuple[float, float], FootprintResponse] = {}
 
         d_table = np.stack(
             [plane_strain_d(m.elastic_modulus_mpa, m.poisson_ratio) for m in mesh.materials]
@@ -334,6 +414,19 @@ class StiffnessSystem:
         self._factor_cache[key] = factor
         return factor
 
+    @property
+    def factorizations(self) -> int:
+        """Factorizations made so far: one per distinct constrained-DOF set."""
+        return len(self._factor_cache)
+
+    def footprint(self, diameter_mm: float, center_x_mm: float) -> FootprintResponse:
+        """The unit-load response for one indenter, built on first use."""
+        key = (diameter_mm, center_x_mm)
+        hit = self._footprints.get(key)
+        if hit is None:
+            hit = self._footprints[key] = build_footprint_response(self, *key)
+        return hit
+
 
 # --------------------------------------------------------------------------
 # constraints and solves
@@ -349,25 +442,32 @@ def bottom_constraints(mesh: Mesh) -> dict[int, float]:
     return out
 
 
+def _footprint(
+    mesh: Mesh, diameter_mm: float, center_x_mm: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Surface nodes within the indenter's radius, and their offsets from
+    its centre."""
+    xs = mesh.nodes[mesh.surface_nodes, 0] - center_x_mm
+    inside = np.abs(xs) <= diameter_mm / 2.0 + 1e-12
+    return mesh.surface_nodes[inside], xs[inside]
+
+
 def _contact(
     mesh: Mesh, indenter: IndenterSpec, depths_mm: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The contact rule at many depths at once.
 
-    Returns (nodes, profile, active) for the surface nodes within the
-    indenter's radius: the circle profile above each at each depth
-    (n_depths, n_nodes), and whether the node is in contact (gap to the
-    undeformed surface non-positive, indenter not lifted).
+    Returns (nodes, profile, active) for the footprint nodes: the circle
+    profile above each at each depth (n_depths, n_nodes), and whether the
+    node is in contact (gap to the undeformed surface non-positive,
+    indenter not lifted).
     """
     depths = np.asarray(depths_mm, dtype=float)
     radius = indenter.diameter_mm / 2.0
-    xs = mesh.nodes[mesh.surface_nodes, 0] - indenter.center_x_mm
-    inside = np.abs(xs) <= radius + 1e-12
-    profile = (radius - depths)[:, None] - np.sqrt(
-        np.maximum(radius**2 - xs[inside] ** 2, 0.0)
-    )
+    nodes, xs = _footprint(mesh, indenter.diameter_mm, indenter.center_x_mm)
+    profile = (radius - depths)[:, None] - np.sqrt(np.maximum(radius**2 - xs**2, 0.0))
     active = (profile <= 1e-12) & (depths >= 0)[:, None]
-    return mesh.surface_nodes[inside], profile, active
+    return nodes, profile, active
 
 
 def contact_active_set(
@@ -483,6 +583,72 @@ def surface_deflection(
 
 
 # --------------------------------------------------------------------------
+# the skin condensed to the indenter's footprint
+
+
+def build_footprint_response(
+    system: StiffnessSystem, diameter_mm: float, center_x_mm: float
+) -> FootprintResponse:
+    """Solve for a unit vertical load on each footprint node at once.
+
+    K is factored with only the bottom fixed, and all unit loads go
+    through one multi-column solve.  Raises NumericalError if a column's
+    free-DOF residual exceeds 1e-8 of its (unit) load.  The mesh must
+    name its afferent nodes.
+    """
+    mesh = system.mesh
+    nodes, _ = _footprint(mesh, diameter_mm, center_x_mm)
+    fixed = np.fromiter(sorted(bottom_constraints(mesh)), dtype=np.int64)
+    mask = np.ones(system.ndof, dtype=bool)
+    mask[fixed] = False
+    free = np.flatnonzero(mask)
+
+    loads = np.zeros((system.ndof, nodes.size))
+    loads[2 * nodes + 1, np.arange(nodes.size)] = 1.0
+    fields = np.zeros_like(loads)
+    fields[free] = system.factorization(fixed, free).solve(loads[free])
+    residual = np.linalg.norm((system.K @ fields - loads)[free], axis=0)
+    bad = ~(residual <= 1e-8)  # NaN counts as failed
+    if np.any(bad):
+        j = np.flatnonzero(bad)[0]
+        raise NumericalError(
+            f"unit load at footprint node {nodes[j]}: solve residual "
+            f"{residual[j]:.3e} exceeds 1e-8 relative"
+        )
+    afferent_ids = np.array([mesh.afferent_nodes[t] for t in AFFERENT_TYPES])
+    return FootprintResponse(
+        nodes=nodes,
+        fields=fields,
+        compliance=fields[2 * nodes + 1],
+        stress=np.array([recover_stress(system, u, afferent_ids) for u in fields.T]),
+        residual=float(residual.max(initial=0.0)),
+    )
+
+
+def _contact_loads(compliance: np.ndarray, displacements: np.ndarray) -> np.ndarray:
+    """Footprint loads that give a contact set its prescribed displacements.
+
+    compliance is C restricted to the set (n_A x n_A), displacements
+    (n_A, c) one column per field.  Raises NumericalError if C_AA is
+    singular or a column's residual exceeds 1e-8 of its right-hand side.
+    """
+    try:
+        loads = np.linalg.solve(compliance, displacements)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"footprint compliance of {len(compliance)} contact nodes is singular: {exc}"
+        ) from exc
+    residual = np.linalg.norm(compliance @ loads - displacements, axis=0)
+    bad = ~(residual <= 1e-8 * np.linalg.norm(displacements, axis=0))
+    if np.any(bad):
+        raise NumericalError(
+            f"contact-set solve residual {np.max(residual[bad]):.3e} exceeds 1e-8 "
+            f"relative ({len(compliance)} contact nodes)"
+        )
+    return loads
+
+
+# --------------------------------------------------------------------------
 # time stepping
 
 
@@ -498,12 +664,14 @@ def run_indentation(
     The contact rule is applied to all steps at once, with the circle at
     pre_indentation + trace[k].  Steps where nothing is prescribed, or every
     prescribed value is zero (indenter lifted or exactly grazing), give a
-    zero field and skip the solver.  The others are grouped by active set.
-    Within a set the prescribed value at node j is
-    r - sqrt(r^2 - x_j^2) - delta_k, with delta_k = r - (r - depth_k) the
-    depth as the profile rounds it, so the field is affine in delta.  Each
-    set is solved twice, for the profile at its shallowest step (ref) and
-    for unit values, and step k's stress is
+    zero field and are not solved.  The profile rounds monotonically in
+    depth, so the contact sets are nested and each is known by its size:
+    the solved steps are grouped by their count of contact nodes.  Within a
+    set the prescribed value at node j is r - sqrt(r^2 - x_j^2) - delta_k,
+    with delta_k = r - (r - depth_k) the depth as the profile rounds it, so
+    the field is affine in delta.  Each set's loads come from the system's
+    footprint response (built on first use) for two fields, the profile at
+    its shallowest step (ref) and unit values, and step k's stress is
     sigma_ref - (delta_k - delta_ref) * sigma_1.  Referring to the
     shallowest step keeps the two terms from cancelling where the indenter
     barely touches off its centre.  von Mises stress (Pa) at each afferent
@@ -533,36 +701,40 @@ def run_indentation(
     nodes, profile, active = _contact(mesh, indenter, depths)
     solved = np.flatnonzero((active & (profile != 0.0)).any(axis=1))
     solved = solved[np.argsort(depths[solved], kind="stable")]  # shallowest first
-    sets, ref, which = np.unique(
-        active[solved], axis=0, return_index=True, return_inverse=True
+    sizes, ref, which = np.unique(
+        np.count_nonzero(active[solved], axis=1), return_index=True, return_inverse=True
     )
-    which = which.reshape(-1)  # numpy 2.0.0 returns it 2-D for axis=0
     ref = solved[ref]  # each set's shallowest step
-    base = dict.fromkeys(bottom_constraints(mesh), np.zeros(2))
-    fields = []  # per set: displacements for the profile at ref, and for unit values
-    for s, k in enumerate(ref):
-        dofs = (2 * nodes[sets[s]] + 1).tolist()
-        values = np.column_stack([profile[k, sets[s]], np.ones(len(dofs))])
-        try:
-            u = solve_step(system, {**base, **dict(zip(dofs, values))})
-        except NumericalError as exc:
-            k = solved[which == s].min()
-            raise NumericalError(f"step {k} (depth {depths[k]:.6f} mm): {exc}") from exc
-        fields.append(u.T)
 
-    if fields:
+    def failed(exc: NumericalError, steps: np.ndarray) -> NumericalError:
+        k = steps.min()  # the first step of the set in time
+        return NumericalError(f"step {k} (depth {depths[k]:.6f} mm): {exc}")
+
+    response = None
+    if solved.size:
+        try:
+            response = system.footprint(indenter.diameter_mm, indenter.center_x_mm)
+        except NumericalError as exc:
+            raise failed(exc, solved) from exc
+        # per set: footprint loads for the profile at ref, and for unit values
+        loads = np.zeros((sizes.size, 2, nodes.size))
+        for s, k in enumerate(ref):
+            a = active[k]
+            g = np.column_stack([profile[k, a], np.ones(sizes[s])])
+            try:
+                loads[s][:, a] = _contact_loads(response.compliance[np.ix_(a, a)], g).T
+            except NumericalError as exc:
+                raise failed(exc, solved[which == s]) from exc
+
         radius = indenter.diameter_mm / 2.0
         delta = radius - (radius - depths)  # the depth as the profile rounds it
         shift = (delta[solved] - delta[ref][which])[:, None]
-        sigma = np.array(
-            [[recover_stress(system, u, afferent_ids) for u in pair] for pair in fields]
-        )  # (sets, 2, afferents, 4)
+        sigma = np.einsum("sfj,jak->sfak", loads, response.stress)  # (sets, 2, afferents, 4)
         stress[solved] = sigma[which, 0] - shift[:, :, None] * sigma[which, 1]
         if record_deflection:
-            w = np.array(
-                [[surface_deflection(mesh, u, deflection_spacing_mm)[1] for u in pair]
-                 for pair in fields]
-            )  # (sets, 2, samples)
+            unit = np.array([surface_deflection(mesh, u, deflection_spacing_mm)[1]
+                             for u in response.fields.T])  # (n_c, samples)
+            w = loads @ unit  # (sets, 2, samples)
             defl[solved] = w[which, 0] - shift * w[which, 1]
 
     vm = von_mises(stress)
@@ -576,6 +748,6 @@ def run_indentation(
         for i, atype in enumerate(AFFERENT_TYPES)
     }
     return IndentationResult(
-        stress_traces=traces, contact_sets=len(sets),
-        deflection_x_mm=defl_r, deflection_mm=defl,
+        stress_traces=traces, contact_sets=sizes.size,
+        deflection_x_mm=defl_r, deflection_mm=defl, footprint=response,
     )

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -219,6 +220,32 @@ def test_stress_bank_logs_contact_sets(caplog, default_config, default_mesh,
         f"FEM solved {spec.stimulus_id} ({spec.generate().size} steps, "
         f"{result.contact_sets} contact sets)"
     ) in caplog.text
+
+
+def test_stress_bank_logs_footprint(caplog, default_config, default_mesh):
+    system = fem.StiffnessSystem(default_mesh)
+    specs = [sin_spec(50.0, 113.60), sin_spec(20.0, 250.0)]
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        cli.compute_stress_bank(default_config, default_mesh, system, specs)
+    found = re.findall(
+        r"FEM bank: 2 stimuli, 5 footprint DOFs, 1 factorizations made, "
+        r"largest unit-load residual (\S+)", caplog.text,
+    )
+    assert len(found) == 1
+    response = system.footprint(default_config.indenter_diameter_mm,
+                                default_config.indenter_center_x_mm)
+    assert float(found[0]) == float(f"{response.residual:.2e}")
+    assert response.residual <= 1e-8
+
+    caplog.clear()  # the system keeps its factor and response
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        cli.compute_stress_bank(default_config, default_mesh, system, specs[:1])
+    assert "FEM bank: 1 stimuli, 5 footprint DOFs, 0 factorizations made" in caplog.text
+
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        cli.compute_stress_bank(default_config, default_mesh, system, [sin_spec(50.0, 0.0)])
+    assert "FEM bank: 1 stimuli, none in contact" in caplog.text
 
 
 def test_cli_fit_rejects_duplicate_conditions(tmp_path):

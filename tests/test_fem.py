@@ -1,3 +1,8 @@
+import dataclasses
+import json
+import logging
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -320,23 +325,38 @@ def test_run_indentation_requires_afferent_nodes():
         fem.run_indentation(m, indenter)
 
 
-def test_factor_cache_bounded(default_mesh):
-    """One factorization per distinct contact set solved, and contact sets
-    are nested in depth: at most one per surface node under the indenter."""
-    system = fem.StiffnessSystem(default_mesh)
-    trace = stimulus.sinusoid(20.0, 100.0, 50.0)
-    indenter = fem.IndenterSpec(diameter_mm=1.0, displacement_trace=trace)
-    fem.run_indentation(default_mesh, indenter, system=system)
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that each call appends to the returned list."""
+    calls = []
+    real = getattr(owner, name)
 
-    base = fem.bottom_constraints(default_mesh)
-    seen = set()
-    for depth in trace:
-        active = fem.contact_active_set(default_mesh, indenter, depth)
-        if any(v != 0.0 for v in active.values()):  # run_indentation's solve rule
-            seen.add(tuple(sorted({**base, **active})))
-    assert set(system._factor_cache) == seen
-    xs = default_mesh.nodes[default_mesh.surface_nodes, 0]
-    assert 1 <= len(seen) <= np.count_nonzero(np.abs(xs) <= indenter.diameter_mm / 2)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_factor_cache_bounded(default_config, default_mesh, monkeypatch):
+    """appendixA's whole bank: one factorization, one footprint response
+    and one multi-column solve, and no per-step or per-set solve_step."""
+    from afferentsim import cli
+
+    system = fem.StiffnessSystem(default_mesh)
+    builds = count_calls(monkeypatch, fem, "build_footprint_response")
+    solves = count_calls(monkeypatch, fem.BlockCholesky, "solve")
+    steps = count_calls(monkeypatch, fem, "solve_step")
+    specs = cli._resolve_protocol(default_config)
+    cli.compute_stress_bank(default_config, default_mesh, system, specs)
+    assert system.factorizations == 1
+    assert (len(builds), len(solves), len(steps)) == (1, 1, 0)
+
+    response = system.footprint(default_config.indenter_diameter_mm,
+                                default_config.indenter_center_x_mm)
+    xs = default_mesh.nodes[response.nodes, 0]
+    assert np.array_equal(np.sort(xs), [-0.4, -0.2, 0.0, 0.2, 0.4])
+    assert len(builds) == 1  # cached on the system
 
 
 def test_stress_trace_csv_round_trip(tmp_path):
@@ -464,21 +484,17 @@ def test_run_indentation_matches_per_step_oracle(default_mesh, default_system,
         default_mesh, indenter, default_system, record_deflection=record
     )
 
-    calls = []
-    solve_step = fem.solve_step
-
-    def counting_solve(*args, **kw):
-        calls.append(1)
-        return solve_step(*args, **kw)
-
-    monkeypatch.setattr(fem, "solve_step", counting_solve)
+    steps = count_calls(monkeypatch, fem, "solve_step")
+    builds = count_calls(monkeypatch, fem, "build_footprint_response")
     result = fem.run_indentation(
-        default_mesh, indenter, system=default_system, record_deflection=record
+        default_mesh, indenter, system=fem.StiffnessSystem(default_mesh),
+        record_deflection=record,
     )
     got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
     assert_same_samples(got, vm)
     assert result.contact_sets == len(sets)
-    assert len(calls) == len(sets)  # one solve per distinct non-empty set, both fields
+    assert len(steps) == 0  # every set is read from the footprint response
+    assert len(builds) == (1 if sets else 0)
     if record:
         assert_same_samples(result.deflection_mm, defl)
     else:
@@ -502,17 +518,138 @@ def test_run_indentation_error_names_first_step_of_set(default_mesh, default_sys
                                                        monkeypatch):
     trace = stimulus.sinusoid(50.0, 113.6, 40.0)
     indenter = fem.IndenterSpec(diameter_mm=1.0, displacement_trace=trace)
-    n_bottom = len(fem.bottom_constraints(default_mesh))
     wide = [k for k, depth in enumerate(trace)
             if len(contact_active_set_oracle(default_mesh, indenter, depth)) > 1]
-    solve_step = fem.solve_step
+    contact_loads = fem._contact_loads
 
-    def failing_solve(system, constraints, forces=None):
-        if len(constraints) > n_bottom + 1:
+    def failing_loads(compliance, displacements):
+        if len(compliance) > 1:
             raise NumericalError("solve residual 1e+00 exceeds 1e-8 relative")
-        return solve_step(system, constraints, forces)
+        return contact_loads(compliance, displacements)
 
-    monkeypatch.setattr(fem, "solve_step", failing_solve)
+    monkeypatch.setattr(fem, "_contact_loads", failing_loads)
     first = rf"^step {wide[0]} \(depth {trace[wide[0]]:.6f} mm\): solve residual"
     with pytest.raises(NumericalError, match=first):
         fem.run_indentation(default_mesh, indenter, system=default_system)
+
+
+# ---------------------------------------- footprint response (condensed)
+
+
+def singular_compliance(monkeypatch):
+    # C = all ones: regular for one contact node, singular for more
+    build = fem.build_footprint_response
+    monkeypatch.setattr(fem, "build_footprint_response", lambda *a: dataclasses.replace(
+        build(*a), compliance=np.ones((5, 5))))
+    return 3, "footprint compliance of 3 contact nodes is singular"
+
+
+def sloppy_set_solve(monkeypatch):
+    # the per-set solve is the only one with two right-hand sides (ref, unit)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: (
+        solve(a, b) * (1.0 + 1e-6) if b.shape[-1] == 2 else solve(a, b)))
+    return 1, r"contact-set solve residual \S+ exceeds 1e-8 relative \(1 contact nodes\)"
+
+
+def sloppy_unit_loads(monkeypatch):
+    solve = fem.BlockCholesky.solve
+    monkeypatch.setattr(fem.BlockCholesky, "solve",
+                        lambda self, rhs: solve(self, rhs) * (1.0 + 1e-6))
+    return 1, r"unit load at footprint node \d+: solve residual \S+ exceeds 1e-8 relative"
+
+
+FOOTPRINT_FAILURES = {
+    "singular-set": singular_compliance,
+    "set-residual": sloppy_set_solve,
+    "unit-load-residual": sloppy_unit_loads,
+}
+
+
+def first_step_with_set_size(m, indenter, size):
+    depths = indenter.pre_indentation_mm + indenter.displacement_trace
+    _, profile, active = fem._contact(m, indenter, depths)
+    solved = (active & (profile != 0.0)).any(axis=1)
+    k = int(np.flatnonzero(solved & (active.sum(axis=1) >= size))[0])
+    return rf"step {k} \(depth {depths[k]:.6f} mm\)"
+
+
+@pytest.mark.parametrize("failure", sorted(FOOTPRINT_FAILURES))
+def test_footprint_failures_raise(default_mesh, monkeypatch, failure):
+    indenter = fem.IndenterSpec(diameter_mm=1.0,
+                                displacement_trace=stimulus.sinusoid(50.0, 113.6, 40.0))
+    size, message = FOOTPRINT_FAILURES[failure](monkeypatch)
+    step = first_step_with_set_size(default_mesh, indenter, size)
+    with pytest.raises(NumericalError, match=f"^{step}: {message}"):
+        fem.run_indentation(default_mesh, indenter, system=fem.StiffnessSystem(default_mesh))
+
+
+@pytest.mark.parametrize("failure", sorted(FOOTPRINT_FAILURES))
+def test_cli_footprint_failures_exit_3(default_mesh, tmp_path, monkeypatch, caplog, failure):
+    from afferentsim import cli
+
+    spec = stimulus.StimulusSpec(
+        stimulus_id="probe", kind="sinusoid", duration_ms=200.0, dt_ms=0.5,
+        discard_ms=100.0, window_ms=100.0, freq_hz=50.0, amplitude_um=113.6,
+    )
+    protocol = tmp_path / "protocol.json"
+    stimulus.save_protocol([spec], protocol, name="custom")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"protocol": str(protocol)}))
+    indenter = fem.IndenterSpec(diameter_mm=1.0, displacement_trace=spec.generate())
+    size, message = FOOTPRINT_FAILURES[failure](monkeypatch)
+    step = first_step_with_set_size(default_mesh, indenter, size)
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert re.search(f"numerical failure: stimulus probe: {step}: {message}", caplog.text)
+
+
+def per_step_stress(m, system, indenter, depth):
+    """solve_step + recover_stress at one depth: [s_xx, s_yy, s_zz, t_xy]
+    per afferent in MPa, zero where nothing is prescribed."""
+    active = fem.contact_active_set(m, indenter, depth)
+    afferent_ids = np.array([m.afferent_nodes[t] for t in AFFERENT_TYPES])
+    if not any(v != 0.0 for v in active.values()):
+        return np.zeros((len(AFFERENT_TYPES), 4))
+    u = fem.solve_step(system, {**fem.bottom_constraints(m), **active})
+    return fem.recover_stress(system, u, afferent_ids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    depths=st.lists(st.one_of(st.floats(-0.1, 1.2), st.floats(-1e-9, 1e-9)),
+                    min_size=1, max_size=4),
+    diameter=st.sampled_from([0.5, 1.0, 2.0]),
+    center=st.sampled_from([0.0, 0.3, -0.1]),
+)
+def test_footprint_stress_matches_per_step_solve(default_mesh, default_system,
+                                                 depths, diameter, center):
+    """Off the centre the footprint is asymmetric (the 1 mm probe at
+    x = 0.3 covers the nodes at -0.2 ... 0.8), and depths that share a
+    contact set are referred to the shallowest of them."""
+    indenter = fem.IndenterSpec(diameter_mm=diameter, center_x_mm=center,
+                                displacement_trace=np.array(depths))
+    result = fem.run_indentation(default_mesh, indenter, system=default_system)
+    got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
+    expected = np.array([
+        fem.von_mises(per_step_stress(default_mesh, default_system, indenter, d))
+        for d in depths
+    ]) * 1.0e6
+    assert_same_samples(got, expected)
+
+
+def test_footprint_stress_matches_oracle_on_fine_mesh():
+    cfg = config.config_from_dict({"geometry": {"surface_element_mm": 0.1}})
+    m = mesh.build_mesh(cfg.geometry, cfg.materials)
+    system = fem.StiffnessSystem(m)
+    # down to 0.55 mm, so the x = +-0.5 mm nodes touch too
+    indenter = fem.IndenterSpec(diameter_mm=1.0, pre_indentation_mm=0.25,
+                                displacement_trace=stimulus.sinusoid(50.0, 300.0, 20.0))
+    vm, _, sets = run_indentation_oracle(m, indenter, system)
+    result = fem.run_indentation(m, indenter, system=system)
+    assert result.footprint.nodes.size == 11
+    assert max(len(s) for s in sets) == 11  # every footprint node touches
+    got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
+    assert_same_samples(got, vm)
+    assert result.contact_sets == len(sets)
