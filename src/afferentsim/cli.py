@@ -47,12 +47,11 @@ from .optimize import (
     selected_to_json,
 )
 from .stimulus import (
-    DISCARD_MS, StimulusSpec, builtin_protocol, load_protocol, sinusoid_window_ms,
+    BUILTIN_PROTOCOLS, DISCARD_MS, StimulusSpec, builtin_protocol, load_protocol,
+    sinusoid_window_ms,
 )
 
 logger = logging.getLogger("afferentsim")
-
-_BUILTIN_PROTOCOLS = ("appendixA", "appendixB", "appendixC")
 
 
 def _dead_lock_owner(path: str) -> int | None:
@@ -112,7 +111,7 @@ def _provenance(cfg: RunConfig) -> str:
 
 
 def _resolve_protocol(cfg: RunConfig) -> list[StimulusSpec]:
-    if cfg.protocol in _BUILTIN_PROTOCOLS:
+    if cfg.protocol in BUILTIN_PROTOCOLS:
         return builtin_protocol(cfg.protocol, dt_ms=cfg.dt_ms, base_seed=cfg.seed)
     return load_protocol(cfg.protocol)
 
@@ -446,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="override output directory")
         p.add_argument(
             "--protocol", default=None,
-            help="appendixA|appendixB|appendixC or a protocol JSON path",
+            help=f"{'|'.join(BUILTIN_PROTOCOLS)} or a protocol JSON path",
         )
     return parser
 

@@ -1,36 +1,12 @@
 """Run configuration: JSON schema, validation with field paths, hashing.
 
-A config file is a JSON object; everything has a default, so `{}` is a
-valid config reproducing the reference setup.  Recognized keys:
-
-{
-  "geometry": {
-    "domain_width_mm": 20.0,
-    "surface_element_mm": 0.2,
-    "coarsening": 8.0,
-    "afferent_depths_mm": {"SA": 1.0, "RA": 0.75, "PC": 3.0}
-  },
-  "materials": [
-    {"name": "stratum_corneum", "elastic_modulus_mpa": 2.0,
-     "poisson_ratio": 0.3, "depth_top_mm": 0.0, "depth_bottom_mm": 0.2},
-    ...
-  ],
-  "indenter": {"diameter_mm": 1.0, "center_x_mm": 0.0,
-               "pre_indentation_mm": 0.0},
-  "dt_ms": 0.5,
-  "protocol": "appendixA",            # or a protocol JSON path
-  "afferent_params": "default",       # or {"path": "selected_RA.json"}: a
-                                      # fit's selected_<TYPE>.json export, or
-                                      # a JSON mapping {TYPE: params}
-  "seed": 0,
-  "output_dir": "out",
-  "fit": {
-    "afferents": ["SA", "RA", "PC"],
-    "observed_rates_csv": null,       # required by the fit command
-    "population": 100,
-    "budget": 10000
-  }
-}
+A config file is a JSON object; every key is optional, so `{}` is a valid
+config reproducing the reference setup.  The key tables below name each
+JSON object's keys and the kind of value each takes; the dataclasses hold
+the defaults of the keys left out.  README's configuration section shows
+the whole schema with its defaults.  `protocol` is a built-in protocol name
+or a protocol JSON path; `afferent_params` is "default" or {"path": ...},
+a fit's selected_<TYPE>.json export or a JSON mapping {TYPE: params}.
 """
 
 from __future__ import annotations
@@ -38,29 +14,30 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .errors import ValidationError
-from .mesh import (
-    AFFERENT_TYPES,
-    GeometrySpec,
-    MaterialLayer,
-    default_afferent_depths,
-    default_material_layers,
-)
+from .errors import INTEGER, NUMBER, STRING, ValidationError, check_kind
+from .mesh import AFFERENT_TYPES, GeometrySpec, MaterialLayer, default_material_layers
+from .stimulus import BUILTIN_PROTOCOLS
 
 
 @dataclass
 class FitConfig:
-    afferents: tuple[str, ...] = ("SA", "RA", "PC")
+    afferents: tuple[str, ...] = AFFERENT_TYPES
     observed_rates_csv: str | None = None
     population: int = 100
     budget: int = 10000
 
     def validate(self) -> None:
+        if not self.afferents:
+            raise ValidationError("fit.afferents must name at least one type")
         for a in self.afferents:
             if a not in AFFERENT_TYPES:
                 raise ValidationError(f"fit.afferents: unknown type {a!r}")
+        if len(set(self.afferents)) < len(self.afferents):
+            raise ValidationError(
+                f"fit.afferents: {list(self.afferents)} names a type twice"
+            )
         if self.population < 2:
             raise ValidationError("fit.population must be >= 2")
         if self.budget < self.population:
@@ -83,8 +60,6 @@ class RunConfig:
 
     def validate(self) -> None:
         try:
-            for m in self.materials:
-                m.validate()
             self.geometry.validate(self.materials)
         except ValidationError as exc:
             raise ValidationError(f"geometry/materials: {exc}") from exc
@@ -99,28 +74,17 @@ class RunConfig:
         self.fit.validate()
 
     def to_dict(self) -> dict:
+        fit = asdict(self.fit)
+        fit["afferents"] = list(self.fit.afferents)
         return {
-            "geometry": {
-                "domain_width_mm": self.geometry.domain_width_mm,
-                "surface_element_mm": self.geometry.surface_element_mm,
-                "coarsening": self.geometry.coarsening,
-                "afferent_depths_mm": dict(sorted(self.geometry.afferent_depths_mm.items())),
-            },
+            "geometry": asdict(self.geometry),
             "materials": [
-                {
-                    "name": m.name,
-                    "elastic_modulus_mpa": m.elastic_modulus_mpa,
-                    "poisson_ratio": m.poisson_ratio,
-                    "depth_top_mm": m.depth_range[0],
-                    "depth_bottom_mm": m.depth_range[1],
-                }
+                {"name": m.name, "elastic_modulus_mpa": m.elastic_modulus_mpa,
+                 "poisson_ratio": m.poisson_ratio, "depth_top_mm": m.depth_range[0],
+                 "depth_bottom_mm": m.depth_range[1]}
                 for m in self.materials
             ],
-            "indenter": {
-                "diameter_mm": self.indenter_diameter_mm,
-                "center_x_mm": self.indenter_center_x_mm,
-                "pre_indentation_mm": self.indenter_pre_indentation_mm,
-            },
+            "indenter": {key: getattr(self, f"indenter_{key}") for key in _INDENTER},
             "dt_ms": self.dt_ms,
             "protocol": self.protocol,
             "afferent_params": (
@@ -129,12 +93,7 @@ class RunConfig:
             ),
             "seed": self.seed,
             "output_dir": self.output_dir,
-            "fit": {
-                "afferents": list(self.fit.afferents),
-                "observed_rates_csv": self.fit.observed_rates_csv,
-                "population": self.fit.population,
-                "budget": self.fit.budget,
-            },
+            "fit": fit,
         }
 
     def content_hash(self) -> str:
@@ -145,133 +104,89 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _expect(obj, key, types, path, default):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if types is not None and not isinstance(val, types):
-        raise ValidationError(f"{path}.{key}: expected {types}, got {type(val).__name__}")
-    return val
+OBJECT = ("an object", dict)
+LIST = ("a list", list)
+
+# One table per JSON object: its keys and the kind of value each takes.
+_TOP = {
+    "geometry": OBJECT, "materials": LIST, "indenter": OBJECT, "dt_ms": NUMBER,
+    "protocol": STRING, "afferent_params": ('"default" or {"path": ...}', (str, dict)),
+    "seed": INTEGER, "output_dir": STRING, "fit": OBJECT,
+}
+_GEOMETRY = {
+    "domain_width_mm": NUMBER, "surface_element_mm": NUMBER, "coarsening": NUMBER,
+    "afferent_depths_mm": OBJECT,
+}
+_AFFERENT_DEPTHS = dict.fromkeys(AFFERENT_TYPES, NUMBER)
+_MATERIAL = {
+    "name": STRING, "elastic_modulus_mpa": NUMBER, "poisson_ratio": NUMBER,
+    "depth_top_mm": NUMBER, "depth_bottom_mm": NUMBER,
+}
+_INDENTER = dict.fromkeys(("diameter_mm", "center_x_mm", "pre_indentation_mm"), NUMBER)
+_AFFERENT_PARAMS = {"path": STRING}
+_FIT = {
+    "afferents": LIST, "observed_rates_csv": ("a string or null", (str, type(None))),
+    "population": INTEGER, "budget": INTEGER,
+}
 
 
-def _reject_unknown(obj: dict, known: set, path: str) -> None:
-    unknown = set(obj) - known
+def _fields(obj: dict, table: dict, path: str = "") -> dict:
+    """The keys present in the JSON object `obj`, each checked as its kind in `table`."""
+    unknown = sorted(set(obj) - set(table))
     if unknown:
-        raise ValidationError(f"unknown {path} keys: {sorted(unknown)}")
+        raise ValidationError(f"unknown {path or 'config'} keys: {unknown}")
+    prefix = f"{path}." if path else ""
+    return {key: check_kind(value, table[key], prefix + key) for key, value in obj.items()}
 
 
-def _num(obj, key, path, default):
-    val = _expect(obj, key, (int, float), path, default)
-    if isinstance(val, bool):
-        raise ValidationError(f"{path}.{key}: expected a number")
-    return float(val)
+def _material(raw, path: str) -> MaterialLayer:
+    m = _fields(check_kind(raw, OBJECT, path), _MATERIAL, path)
+    missing = [key for key in _MATERIAL if key not in m]
+    if missing:
+        raise ValidationError(f"{path}: missing field {missing[0]}")
+    return MaterialLayer(
+        m["name"], m["elastic_modulus_mpa"], m["poisson_ratio"],
+        (m["depth_top_mm"], m["depth_bottom_mm"]),
+    )
 
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
+    """Check `raw` against the key tables; relative paths are taken from `base_dir`."""
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
-    known = {
-        "geometry", "materials", "indenter", "dt_ms", "protocol",
-        "afferent_params", "seed", "output_dir", "fit",
-    }
-    _reject_unknown(raw, known, "config")
-
-    g = _expect(raw, "geometry", dict, "config", {})
-    _reject_unknown(g, {
-        "domain_width_mm", "surface_element_mm", "coarsening", "afferent_depths_mm",
-    }, "geometry")
-    depths_raw = _expect(g, "afferent_depths_mm", dict, "geometry", None)
-    if depths_raw is None:
-        depths = default_afferent_depths()
-    else:
-        depths = {}
-        for k, v in depths_raw.items():
-            if k not in AFFERENT_TYPES:
-                raise ValidationError(f"geometry.afferent_depths_mm: unknown type {k!r}")
-            depths[k] = float(v)
-    geometry = GeometrySpec(
-        domain_width_mm=_num(g, "domain_width_mm", "geometry", 20.0),
-        surface_element_mm=_num(g, "surface_element_mm", "geometry", 0.2),
-        coarsening=_num(g, "coarsening", "geometry", 8.0),
-        afferent_depths_mm=depths,
-    )
-
-    mats_raw = _expect(raw, "materials", list, "config", None)
-    if mats_raw is None:
-        materials = default_material_layers()
-    else:
-        materials = []
-        for i, m in enumerate(mats_raw):
-            path = f"materials[{i}]"
-            if not isinstance(m, dict):
-                raise ValidationError(f"{path}: expected an object")
-            _reject_unknown(m, {
-                "name", "elastic_modulus_mpa", "poisson_ratio",
-                "depth_top_mm", "depth_bottom_mm",
-            }, path)
-            try:
-                materials.append(MaterialLayer(
-                    name=str(m["name"]),
-                    elastic_modulus_mpa=float(m["elastic_modulus_mpa"]),
-                    poisson_ratio=float(m["poisson_ratio"]),
-                    depth_range=(float(m["depth_top_mm"]), float(m["depth_bottom_mm"])),
-                ))
-            except KeyError as exc:
-                raise ValidationError(f"{path}: missing field {exc.args[0]}") from exc
-        materials = tuple(materials)
-
-    ind = _expect(raw, "indenter", dict, "config", {})
-    _reject_unknown(ind, {"diameter_mm", "center_x_mm", "pre_indentation_mm"},
-                    "indenter")
-
-    ap = raw.get("afferent_params", "default")
-    if ap == "default":
-        ap_source = "default"
-    elif isinstance(ap, dict) and "path" in ap:
-        ap_source = os.path.join(base_dir, ap["path"]) if not os.path.isabs(ap["path"]) else ap["path"]
-    else:
+    top = _fields(raw, _TOP)
+    if "geometry" in top:
+        geometry = _fields(top["geometry"], _GEOMETRY, "geometry")
+        if "afferent_depths_mm" in geometry:
+            geometry["afferent_depths_mm"] = _fields(
+                geometry["afferent_depths_mm"], _AFFERENT_DEPTHS,
+                "geometry.afferent_depths_mm",
+            )
+        top["geometry"] = GeometrySpec(**geometry)
+    if "materials" in top:
+        top["materials"] = tuple(
+            _material(m, f"materials[{i}]") for i, m in enumerate(top["materials"])
+        )
+    for key, value in _fields(top.pop("indenter", {}), _INDENTER, "indenter").items():
+        top[f"indenter_{key}"] = value
+    params = top.pop("afferent_params", "default")
+    if isinstance(params, dict) and "path" in params:
+        path = _fields(params, _AFFERENT_PARAMS, "afferent_params")["path"]
+        top["afferent_params_source"] = os.path.join(base_dir, path)
+    elif params != "default":
         raise ValidationError('afferent_params: expected "default" or {"path": ...}')
-
-    fit_raw = _expect(raw, "fit", dict, "config", {})
-    _reject_unknown(fit_raw, {
-        "afferents", "observed_rates_csv", "population", "budget",
-    }, "fit")
-    aff = fit_raw.get("afferents", list(AFFERENT_TYPES))
-    if not isinstance(aff, list):
-        raise ValidationError("fit.afferents: expected a list")
-    obs = fit_raw.get("observed_rates_csv")
-    if obs is not None:
-        obs = os.path.join(base_dir, obs) if not os.path.isabs(obs) else obs
-    fit = FitConfig(
-        afferents=tuple(aff),
-        observed_rates_csv=obs,
-        population=int(_num(fit_raw, "population", "fit", 100)),
-        budget=int(_num(fit_raw, "budget", "fit", 10000)),
-    )
-
-    protocol = _expect(raw, "protocol", str, "config", "appendixA")
-    if protocol not in ("appendixA", "appendixB", "appendixC") and not os.path.isabs(protocol):
-        candidate = os.path.join(base_dir, protocol)
+    if "fit" in top:
+        fit = _fields(top["fit"], _FIT, "fit")
+        if "afferents" in fit:
+            fit["afferents"] = tuple(fit["afferents"])
+        if fit.get("observed_rates_csv") is not None:
+            fit["observed_rates_csv"] = os.path.join(base_dir, fit["observed_rates_csv"])
+        top["fit"] = FitConfig(**fit)
+    if "protocol" in top and top["protocol"] not in BUILTIN_PROTOCOLS:
+        candidate = os.path.join(base_dir, top["protocol"])
         if os.path.exists(candidate):
-            protocol = candidate
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError("seed: expected an integer")
-
-    cfg = RunConfig(
-        geometry=geometry,
-        materials=materials,
-        indenter_diameter_mm=_num(ind, "diameter_mm", "indenter", 1.0),
-        indenter_center_x_mm=_num(ind, "center_x_mm", "indenter", 0.0),
-        indenter_pre_indentation_mm=_num(ind, "pre_indentation_mm", "indenter", 0.0),
-        dt_ms=_num(raw, "dt_ms", "config", 0.5),
-        protocol=protocol,
-        afferent_params_source=ap_source,
-        seed=seed,
-        output_dir=str(_expect(raw, "output_dir", str, "config", "out")),
-        fit=fit,
-    )
+            top["protocol"] = candidate
+    cfg = RunConfig(**top)
     cfg.validate()
     return cfg
 

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the kind check of
+JSON input.
 
 The CLI maps ValidationError to exit code 2 and NumericalError to exit
 code 3; everything else is a bug.
 """
+
+import json
 
 
 class AfferentSimError(Exception):
@@ -19,3 +22,22 @@ class NumericalError(AfferentSimError):
 
 class InvertedElementError(NumericalError):
     """A mesh element has a non-positive Jacobian at a quadrature point."""
+
+
+# The kind of a JSON value: its name and the Python types json.load gives it.
+NUMBER = ("a number", (int, float))
+INTEGER = ("an integer", int)
+STRING = ("a string", str)
+
+
+def check_kind(value, kind, path: str):
+    """`value` if it is of `kind` (a number as a float); else a
+    ValidationError naming `path`.  No kind admits a bool, although Python
+    counts one as an int.
+    """
+    name, types = kind
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValidationError(
+            f"{path}: expected {name}, got {json.dumps(value, default=repr)}"
+        )
+    return float(value) if kind is NUMBER else value

@@ -16,13 +16,16 @@ ms, dt defaults to 0.5 ms (Nyquist 1 kHz).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import INTEGER, NUMBER, STRING, ValidationError, check_kind
 
 DEFAULT_DT_MS = 0.5
+
+# The bundled stimulus banks builtin_protocol renders.
+BUILTIN_PROTOCOLS = ("appendixA", "appendixB", "appendixC")
 
 # Rate analysis windows: discard the first 100 ms (filter/start transients),
 # then count spikes over 245 ms at 20 Hz and 100 ms at higher frequencies.
@@ -163,6 +166,13 @@ class StimulusSpec:
     seed: int | None = None
 
     def validate(self) -> None:
+        # every field is a number except these; those defaulting to None may be None
+        kinds = {"stimulus_id": STRING, "kind": STRING, "seed": INTEGER}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                path = f"{self.stimulus_id}: {f.name}"
+                check_kind(value, kinds.get(f.name, NUMBER), path)
         if self.kind not in ("sinusoid", "diharmonic", "bandpass_noise"):
             raise ValidationError(f"{self.stimulus_id}: unknown kind {self.kind!r}")
         if not self.duration_ms > 0 or not self.dt_ms > 0:
@@ -212,7 +222,7 @@ def sinusoid_window_ms(freq_hz: float) -> float:
 def builtin_protocol(
     name: str, dt_ms: float = DEFAULT_DT_MS, base_seed: int = 0
 ) -> list[StimulusSpec]:
-    """Render one of the bundled banks: appendixA, appendixB, appendixC."""
+    """Render one of the bundled banks named in BUILTIN_PROTOCOLS."""
     specs: list[StimulusSpec] = []
     if name == "appendixA":
         for freq, amps in SINUSOID_TABLE.items():
@@ -254,7 +264,7 @@ def builtin_protocol(
                 row += 1
     else:
         raise ValidationError(
-            f"unknown builtin protocol {name!r}; expected appendixA, appendixB or appendixC"
+            f"unknown builtin protocol {name!r}; expected one of {BUILTIN_PROTOCOLS}"
         )
     for s in specs:
         s.validate()
@@ -279,16 +289,16 @@ def load_protocol(path) -> list[StimulusSpec]:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read protocol file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "stimuli" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("stimuli"), list):
         raise ValidationError(f"{path}: protocol file needs a 'stimuli' list")
     specs = []
     seen: set[str] = set()
     for i, rec in enumerate(payload["stimuli"]):
         try:
             spec = StimulusSpec(**rec)
-        except TypeError as exc:
+            spec.validate()
+        except (TypeError, ValidationError) as exc:
             raise ValidationError(f"{path}: stimulus #{i}: {exc}") from exc
-        spec.validate()
         if spec.stimulus_id in seen:
             # rates, spike trains and stress exports are keyed by the id
             raise ValidationError(

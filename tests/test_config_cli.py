@@ -103,6 +103,66 @@ def test_config_custom_materials_validated():
         config.config_from_dict(raw)
 
 
+@pytest.mark.parametrize("raw, field_path", [
+    ({"geometry": {"afferent_depths_mm": {"SA": "deep", "RA": 0.75, "PC": 3.0}}},
+     "geometry.afferent_depths_mm.SA"),
+    ({"geometry": {"afferent_depths_mm": {"SA": True, "RA": 0.75, "PC": 3.0}}},
+     "geometry.afferent_depths_mm.SA"),
+    ({"materials": [{"name": "x", "elastic_modulus_mpa": "soft", "poisson_ratio": 0.3,
+                     "depth_top_mm": 0, "depth_bottom_mm": 8}]},
+     "materials[0].elastic_modulus_mpa"),
+    ({"afferent_params": {"path": 5}}, "afferent_params.path"),
+    ({"afferent_params": {"path": "sel.json", "typo": 1}},
+     "afferent_params keys: ['typo']"),
+    ({"fit": {"observed_rates_csv": 5}}, "fit.observed_rates_csv"),
+    ({"fit": {"population": 100.5, "budget": 500}}, "fit.population"),
+], ids=["string-depth", "bool-depth", "string-modulus", "numeric-params-path",
+        "params-typo", "numeric-observed-path", "fractional-population"])
+def test_config_malformed_value_exits_2(tmp_path, caplog, raw, field_path):
+    with pytest.raises(ValidationError, match=re.escape(field_path)):
+        config.config_from_dict(raw)
+    cfg_path = write_config(tmp_path, raw)
+    for command in ("mesh", "validate", "simulate", "fit"):
+        out = tmp_path / command
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="afferentsim"):
+            assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 2
+        assert field_path in caplog.text
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("afferents", [[], ["SA", "RA", "SA"]], ids=["empty", "repeated"])
+def test_config_fit_afferents_name_each_type_once(afferents):
+    with pytest.raises(ValidationError, match="fit.afferents"):
+        config.config_from_dict({"fit": {"afferents": afferents}})
+
+
+# every key set; the hash of each config is stamped on every output it makes
+_EVERY_KEY = {
+    "geometry": {"domain_width_mm": 18.5, "surface_element_mm": 0.1, "coarsening": 8.0,
+                 "afferent_depths_mm": {"SA": 1, "RA": 0.75, "PC": 3}},
+    "materials": [
+        {"name": "a", "elastic_modulus_mpa": 1, "poisson_ratio": 0.3,
+         "depth_top_mm": 0, "depth_bottom_mm": 1.0},
+        {"name": "b", "elastic_modulus_mpa": 0.5, "poisson_ratio": 0.45,
+         "depth_top_mm": 1.0, "depth_bottom_mm": 8},
+    ],
+    "indenter": {"diameter_mm": 0.5, "center_x_mm": 0.3, "pre_indentation_mm": 0},
+    "dt_ms": 1, "protocol": "appendixB", "afferent_params": {"path": "selected_RA.json"},
+    "seed": 3, "output_dir": "o",
+    "fit": {"afferents": ["RA"], "observed_rates_csv": "/abs/obs.csv",
+            "population": 20, "budget": 400},
+}
+
+
+@pytest.mark.parametrize("raw, digest", [
+    ({}, "bef095db23d68bdb"),
+    (_EVERY_KEY, "284af79d3257c881"),
+], ids=["defaults", "every-key"])
+def test_config_hash_is_pinned(raw, digest):
+    assert config.config_from_dict(raw).content_hash() == digest
+
+
 # --------------------------------------------------------------------- CLI
 
 
@@ -205,6 +265,39 @@ def test_cli_simulate_rejects_repeated_stimulus_id(tmp_path, caplog):
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     assert f"repeats stimulus_id {low.stimulus_id!r}" in caplog.text
     assert not (out / "rates.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("duration_ms", "200"),
+    ("freq_hz", "50"),
+    ("amplitude_um", True),
+    ("stimulus_id", 5),
+], ids=["string-duration", "string-freq", "bool-amplitude", "numeric-id"])
+def test_cli_simulate_rejects_protocol_field_of_wrong_kind(tmp_path, caplog, field,
+                                                           value):
+    protocol = write_protocol(tmp_path, [sin_spec(50.0, 10.0), sin_spec(50.0, 34.80)])
+    payload = json.loads(open(protocol).read())
+    payload["stimuli"][1][field] = value
+    with open(protocol, "w") as fh:
+        json.dump(payload, fh)
+    cfg_path = write_config(tmp_path, {"protocol": protocol})
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"{protocol}: stimulus #1: " in caplog.text
+    assert f"{field}: expected a" in caplog.text
+    assert not (out / "mesh.txt").exists()  # refused before the FEM
+
+
+def test_cli_simulate_rejects_stimuli_not_a_list(tmp_path, caplog):
+    protocol = tmp_path / "protocol.json"
+    protocol.write_text(json.dumps({"name": "custom", "stimuli": 5}))
+    cfg_path = write_config(tmp_path, {"protocol": str(protocol)})
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"{protocol}: protocol file needs a 'stimuli' list" in caplog.text
+    assert not (out / "mesh.txt").exists()
 
 
 def test_stress_bank_logs_contact_sets(caplog, default_config, default_mesh,
