@@ -4,10 +4,12 @@ deflection check, then the complete 37-stimulus sinusoid protocol.
 
     python3 scripts/run_default_pipeline.py [--out DIR] [--protocol NAME]
 
-Every run solves the FEM afresh: appendixA's 18 317 steps take 112 solves
-(two per contact set), and the whole script about 1.5 s on a 2-core x86-64
-host.  Outputs: mesh.txt, validation_report.json,
-deflection.csv, rates.csv, spikes.jsonl, per-stimulus stress traces.
+Every run solves the FEM afresh: appendixA's 18 317 steps take one
+factorization, one 5-column solve for the unit loads on the indenter's
+footprint and 56 small dense solves (one per contact set of each
+stimulus), and the whole script about 0.75-0.9 s on a 2-core x86-64 host.
+Outputs: mesh.txt, validation_report.json, deflection.csv, rates.csv,
+spikes.jsonl, per-stimulus stress traces.
 """
 
 import argparse

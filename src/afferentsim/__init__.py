@@ -35,7 +35,6 @@ from .fem import (
     IndentationResult,
     StiffnessSystem,
     StressTrace,
-    contact_active_set,
     plane_strain_d,
     recover_stress,
     run_indentation,
@@ -118,7 +117,6 @@ __all__ = [
     "build_mesh",
     "builtin_protocol",
     "config_from_dict",
-    "contact_active_set",
     "default_afferent_depths",
     "default_afferent_params",
     "default_material_layers",

@@ -31,6 +31,7 @@ from .config import RunConfig, load_config
 from .config import save_resolved_config
 from .errors import AfferentSimError, NumericalError, ValidationError
 from .fem import IndenterSpec, StiffnessSystem, StressTrace, run_indentation
+from .fem import surface_deflection
 from .mesh import AFFERENT_TYPES, build_mesh, save_mesh
 from .neural import (
     AfferentParams,
@@ -188,7 +189,7 @@ def _load_afferent_params(source: str) -> dict[str, AfferentParams]:
             for atype, rec in raw.items():
                 if atype not in AFFERENT_TYPES:
                     raise ValidationError(f"unknown afferent type {atype!r}")
-                p = AfferentParams.from_dict(rec)
+                p = AfferentParams.from_dict(rec, path=atype)
                 if p.afferent_type != atype:
                     raise ValidationError(
                         f"entry {atype!r} holds {p.afferent_type} params"
@@ -233,8 +234,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     specs = _resolve_protocol(cfg)
     params = _load_afferent_params(cfg.afferent_params_source)
     mesh = build_mesh(cfg.geometry, cfg.materials)
-    save_mesh(mesh, os.path.join(out, "mesh.txt"))
     bank = compute_stress_bank(cfg, mesh, None, specs)
+    save_mesh(mesh, os.path.join(out, "mesh.txt"))
     prov = _provenance(cfg)
     by_type = {
         atype: run_afferents(
@@ -282,11 +283,8 @@ def cmd_validate(cfg: RunConfig) -> int:
         diameter_mm=0.05, center_x_mm=0.0, pre_indentation_mm=1.0,
         displacement_trace=np.zeros(1), dt_ms=cfg.dt_ms,
     )
-    result = run_indentation(
-        mesh, indenter, record_deflection=True, deflection_spacing_mm=0.5
-    )
-    xs = result.deflection_x_mm
-    profile = result.deflection_mm[0]
+    result = run_indentation(mesh, indenter)
+    xs, profile = surface_deflection(mesh, result.footprint.fields @ result.loads[0])
     prov = _provenance(cfg)
     with open(os.path.join(out, "deflection.csv"), "w") as fh:
         fh.write(f"# provenance: {prov}\n")

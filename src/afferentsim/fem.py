@@ -14,11 +14,12 @@ displacement field for a unit vertical load at each footprint node, with
 the bottom fixed: one factorization and one multi-column solve per
 (system, indenter diameter and centre), cached on the StiffnessSystem.
 Its compliance C (vertical displacement at each footprint node per unit
-load) and afferent stress S per unit load turn any contact set A with
-prescribed displacements g_A into loads f_A = C_AA^-1 g_A and stress
-S_A f_A.  Within one set every prescribed value is the node's offset
-under the circle minus the depth, so the stress is affine in depth and
-each distinct set takes one small n_A x n_A solve for two columns.
+load) turns any contact set A with prescribed displacements g_A into
+footprint loads f_A = C_AA^-1 g_A: run_indentation's result, of which the
+afferent stress and the displacement field are linear maps.  Within one
+set every prescribed value is the node's offset under the circle minus
+the depth, so the loads are affine in depth and each distinct set takes
+one small n_A x n_A solve for two columns.
 
 Assembly uses 4-node bilinear isoparametric quads with 2x2 Gauss
 quadrature (the element map and its Jacobians live in mesh).  The DOFs
@@ -164,11 +165,13 @@ class StressTrace:
 class FootprintResponse:
     """The skin's response to unit vertical loads on the footprint nodes.
 
-    Column j of fields is the displacement (ndof) under a unit upward load
-    on the vertical DOF of nodes[j], with the bottom fixed; compliance[i, j]
-    is the vertical displacement of nodes[i] in it, and stress[j] the
-    afferent stress (afferents in AFFERENT_TYPES order, 4 components, MPa).
-    residual is the largest relative residual of the unit-load solves.
+    Column j of fields is the displacement (ndof, mm) under a unit upward
+    load (1 N/mm) on the vertical DOF of nodes[j], with the bottom fixed;
+    compliance[i, j] is the vertical displacement of nodes[i] in it, and
+    stress[j] the afferent stress (afferents in AFFERENT_TYPES order, 4
+    components, MPa).  For footprint loads f the field is fields @ f and
+    the stress is f @ stress.  residual is the largest relative residual of
+    the unit-load solves.
     """
 
     nodes: np.ndarray  # (n_c,)
@@ -182,8 +185,9 @@ class FootprintResponse:
 class IndentationResult:
     stress_traces: dict[str, StressTrace]
     contact_sets: int  # distinct active sets solved
-    deflection_x_mm: np.ndarray | None = None
-    deflection_mm: np.ndarray | None = None  # (n_steps, n_samples)
+    # (n_steps, n_c) footprint loads in N/mm, positive upward, columns in
+    # footprint.nodes order; exactly 0 off the contact set and on unsolved steps
+    loads: np.ndarray
     footprint: FootprintResponse | None = None  # None when no step was solved
 
 
@@ -470,21 +474,6 @@ def _contact(
     return nodes, profile, active
 
 
-def contact_active_set(
-    mesh: Mesh, indenter: IndenterSpec, depth_mm: float
-) -> dict[int, float]:
-    """Vertical-gap active set against the rigid circle at the given depth.
-
-    Gaps are evaluated on the undeformed surface; every surface node with a
-    non-positive gap gets its vertical DOF prescribed to the circle profile
-    (horizontal DOF free).  depth < 0 means the indenter is above the
-    surface: empty set.  This is the one-depth view of the rule that
-    run_indentation applies to a whole trace.
-    """
-    nodes, profile, active = _contact(mesh, indenter, np.array([depth_mm]))
-    return {2 * int(n) + 1: p for n, p in zip(nodes[active[0]], profile[0, active[0]])}
-
-
 def solve_step(
     system: StiffnessSystem,
     constraints: dict[int, float | np.ndarray],
@@ -537,24 +526,18 @@ def solve_step(
 
 
 def recover_stress(
-    system: StiffnessSystem, u: np.ndarray, node_ids: np.ndarray | None = None
+    system: StiffnessSystem, u: np.ndarray, node_ids: np.ndarray
 ) -> np.ndarray:
-    """Nodal stress [s_xx, s_yy, s_zz, t_xy] in MPa.
+    """Nodal stress [s_xx, s_yy, s_zz, t_xy] in MPa at node_ids.
 
     Gauss-point stresses are extrapolated to element corners with the
-    bilinear basis and averaged over all elements sharing each node.  When
-    node_ids is given, only elements touching those nodes are visited; the
-    element visit order is preserved, so the restricted result is
-    bit-identical to the full-field values at the selected nodes.
+    bilinear basis and averaged over all elements sharing each node.  Only
+    elements touching node_ids are visited, in mesh order, so the result at
+    a node does not depend on which other nodes are asked for.
     """
     mesh = system.mesh
-    if node_ids is None:
-        elem_idx = np.arange(mesh.n_elements)
-        targets = np.arange(mesh.n_nodes)
-    else:
-        targets = np.asarray(node_ids, dtype=np.int64)
-        touching = np.isin(mesh.elements, targets).any(axis=1)
-        elem_idx = np.flatnonzero(touching)
+    targets = np.asarray(node_ids, dtype=np.int64)
+    elem_idx = np.flatnonzero(np.isin(mesh.elements, targets).any(axis=1))
 
     elems = mesh.elements[elem_idx]
     ue = u[system.edof[elem_idx]]  # (me, 8)
@@ -571,14 +554,16 @@ def recover_stress(
     return sums[targets] / counts[targets, None]
 
 
-def surface_deflection(
-    mesh: Mesh, u: np.ndarray, spacing_mm: float = 0.5
-) -> tuple[np.ndarray, np.ndarray]:
-    """Downward surface deflection sampled from the center outward (x >= 0)."""
+# Sample spacing of surface_deflection (the profile that validate writes).
+DEFLECTION_SPACING_MM = 0.5
+
+
+def surface_deflection(mesh: Mesh, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Downward surface deflection sampled every DEFLECTION_SPACING_MM from
+    the center outward (x >= 0)."""
     xs = mesh.nodes[mesh.surface_nodes, 0]
     defl = -u[2 * mesh.surface_nodes + 1]
-    half_width = xs.max()
-    r = np.arange(0.0, half_width + spacing_mm / 2.0, spacing_mm)
+    r = np.arange(0.0, xs.max() + DEFLECTION_SPACING_MM / 2.0, DEFLECTION_SPACING_MM)
     return r, np.interp(r, xs, defl)
 
 
@@ -653,29 +638,28 @@ def _contact_loads(compliance: np.ndarray, displacements: np.ndarray) -> np.ndar
 
 
 def run_indentation(
-    mesh: Mesh,
-    indenter: IndenterSpec,
-    system: StiffnessSystem | None = None,
-    record_deflection: bool = False,
-    deflection_spacing_mm: float = 0.5,
+    mesh: Mesh, indenter: IndenterSpec, system: StiffnessSystem | None = None
 ) -> IndentationResult:
     """Step the indenter through its displacement trace.
 
-    The contact rule is applied to all steps at once, with the circle at
-    pre_indentation + trace[k].  Steps where nothing is prescribed, or every
-    prescribed value is zero (indenter lifted or exactly grazing), give a
-    zero field and are not solved.  The profile rounds monotonically in
-    depth, so the contact sets are nested and each is known by its size:
-    the solved steps are grouped by their count of contact nodes.  Within a
-    set the prescribed value at node j is r - sqrt(r^2 - x_j^2) - delta_k,
-    with delta_k = r - (r - depth_k) the depth as the profile rounds it, so
-    the field is affine in delta.  Each set's loads come from the system's
-    footprint response (built on first use) for two fields, the profile at
-    its shallowest step (ref) and unit values, and step k's stress is
-    sigma_ref - (delta_k - delta_ref) * sigma_1.  Referring to the
-    shallowest step keeps the two terms from cancelling where the indenter
-    barely touches off its centre.  von Mises stress (Pa) at each afferent
-    node is then taken for the whole trace in one pass.
+    It computes the footprint loads at every step (N/mm, positive upward);
+    the von Mises stress (Pa) at each afferent node is their product with
+    the footprint's stress per unit load.  The contact rule is applied to
+    all steps at once, with the circle at pre_indentation + trace[k].  Steps
+    where nothing is prescribed, or every prescribed value is zero (indenter
+    lifted or exactly grazing), get zero loads and are not solved.  The
+    profile rounds monotonically in depth, so the contact sets are nested
+    and each is known by its size: the solved steps are grouped by their
+    count of contact nodes.  Within a set the prescribed value at node j is
+    r - sqrt(r^2 - x_j^2) - delta_k, with delta_k = r - (r - depth_k) the
+    depth as the profile rounds it, so the loads are affine in delta.  Each
+    set's loads come from the system's footprint compliance (built on first
+    use) for two right-hand sides, the profile at its shallowest step (ref)
+    and unit values, and step k's loads are
+    f_ref - (delta_k - delta_ref) * f_1.  Referring to the shallowest step
+    keeps the two terms from cancelling where the indenter barely touches
+    off its centre.  Raises ValidationError if the indenter covers no
+    surface node, so that it can never touch the skin.
     """
     indenter.validate()
     if set(mesh.afferent_nodes) != set(AFFERENT_TYPES):
@@ -683,22 +667,17 @@ def run_indentation(
             f"mesh.afferent_nodes must cover {AFFERENT_TYPES}, "
             f"got {sorted(mesh.afferent_nodes)}"
         )
+    depths = indenter.pre_indentation_mm + np.asarray(indenter.displacement_trace, float)
+    nodes, profile, active = _contact(mesh, indenter, depths)
+    if nodes.size == 0:
+        raise ValidationError(
+            f"an indenter {indenter.diameter_mm} mm wide centred at x = "
+            f"{indenter.center_x_mm} mm covers no surface node: it can never "
+            "touch the skin"
+        )
     if system is None:
         system = StiffnessSystem(mesh)
 
-    trace = np.asarray(indenter.displacement_trace, dtype=float)
-    n_steps = trace.size
-    afferent_ids = np.array([mesh.afferent_nodes[t] for t in AFFERENT_TYPES])
-    stress = np.zeros((n_steps, len(AFFERENT_TYPES), 4))
-
-    defl_r = None
-    defl = None
-    if record_deflection:
-        defl_r, _ = surface_deflection(mesh, np.zeros(system.ndof), deflection_spacing_mm)
-        defl = np.zeros((n_steps, defl_r.size))
-
-    depths = indenter.pre_indentation_mm + trace
-    nodes, profile, active = _contact(mesh, indenter, depths)
     solved = np.flatnonzero((active & (profile != 0.0)).any(axis=1))
     solved = solved[np.argsort(depths[solved], kind="stable")]  # shallowest first
     sizes, ref, which = np.unique(
@@ -710,44 +689,40 @@ def run_indentation(
         k = steps.min()  # the first step of the set in time
         return NumericalError(f"step {k} (depth {depths[k]:.6f} mm): {exc}")
 
+    loads = np.zeros((depths.size, nodes.size))
+    stress = np.zeros((depths.size, len(AFFERENT_TYPES), 4))
     response = None
     if solved.size:
         try:
             response = system.footprint(indenter.diameter_mm, indenter.center_x_mm)
         except NumericalError as exc:
             raise failed(exc, solved) from exc
-        # per set: footprint loads for the profile at ref, and for unit values
-        loads = np.zeros((sizes.size, 2, nodes.size))
+        # per set: the loads for the profile at ref, and for unit values
+        set_loads = np.zeros((sizes.size, 2, nodes.size))
         for s, k in enumerate(ref):
             a = active[k]
             g = np.column_stack([profile[k, a], np.ones(sizes[s])])
             try:
-                loads[s][:, a] = _contact_loads(response.compliance[np.ix_(a, a)], g).T
+                set_loads[s][:, a] = _contact_loads(response.compliance[np.ix_(a, a)], g).T
             except NumericalError as exc:
                 raise failed(exc, solved[which == s]) from exc
 
         radius = indenter.diameter_mm / 2.0
         delta = radius - (radius - depths)  # the depth as the profile rounds it
         shift = (delta[solved] - delta[ref][which])[:, None]
-        sigma = np.einsum("sfj,jak->sfak", loads, response.stress)  # (sets, 2, afferents, 4)
-        stress[solved] = sigma[which, 0] - shift[:, :, None] * sigma[which, 1]
-        if record_deflection:
-            unit = np.array([surface_deflection(mesh, u, deflection_spacing_mm)[1]
-                             for u in response.fields.T])  # (n_c, samples)
-            w = loads @ unit  # (sets, 2, samples)
-            defl[solved] = w[which, 0] - shift * w[which, 1]
+        loads[solved] = set_loads[which, 0] - shift * set_loads[which, 1]
+        stress = np.tensordot(loads, response.stress, axes=1)
 
     vm = von_mises(stress)
     traces = {
         atype: StressTrace(
             afferent_type=atype,
-            node_id=int(afferent_ids[i]),
+            node_id=int(mesh.afferent_nodes[atype]),
             dt_ms=indenter.dt_ms,
             values=vm[:, i] * 1.0e6,  # MPa -> Pa for the neural stage
         )
         for i, atype in enumerate(AFFERENT_TYPES)
     }
     return IndentationResult(
-        stress_traces=traces, contact_sets=sizes.size,
-        deflection_x_mm=defl_r, deflection_mm=defl, footprint=response,
+        stress_traces=traces, contact_sets=sizes.size, loads=loads, footprint=response,
     )

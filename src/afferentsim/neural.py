@@ -19,16 +19,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import INTEGER, NUMBER, STRING, NumericalError, ValidationError, check_kind
 from .fem import StressTrace
 from .mesh import AFFERENT_TYPES
 
 U_REST_MV = -65.0
 U_RESET_MV = -65.0
+
+# The half-saturation constants each afferent type reads, in chain order.
+SATURATION_FIELDS = {
+    "SA": ("a1_pa", "a2_pa_per_ms"),
+    "RA": ("a3_pa_per_ms",),
+    "PC": ("a4_pa_per_ms2",),
+}
 
 
 @dataclass(frozen=True)
@@ -79,12 +86,7 @@ class AfferentParams:
 
     def saturation(self) -> tuple[float, ...]:
         """Half-saturation constants in chain order for this type."""
-        if self.afferent_type == "SA":
-            need = (self.a1_pa, self.a2_pa_per_ms)
-        elif self.afferent_type == "RA":
-            need = (self.a3_pa_per_ms,)
-        else:
-            need = (self.a4_pa_per_ms2,)
+        need = [getattr(self, name) for name in SATURATION_FIELDS[self.afferent_type]]
         if any(a is None for a in need):
             raise ValidationError(
                 f"{self.afferent_type} params missing saturation constants"
@@ -95,19 +97,38 @@ class AfferentParams:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AfferentParams":
+    def from_dict(cls, d: dict, path: str = "params") -> "AfferentParams":
+        """Params from a JSON object, each field of its kind: afferent_type a
+        string, m1..m4 integers, every other field a number (never a bool),
+        and null allowed for the saturation constants.  Errors name the field
+        as path.field."""
         if not isinstance(d, dict):
-            raise ValidationError(f"afferent params must be an object, got {d!r}")
+            raise ValidationError(f"{path}: expected an object, got {d!r}")
+        unknown = sorted(set(d) - set(_PARAM_KINDS))
+        if unknown:
+            raise ValidationError(f"{path}: unknown fields {unknown}")
+        checked = {
+            name: None if value is None and name in _NULLABLE
+            else check_kind(value, _PARAM_KINDS[name], f"{path}.{name}")
+            for name, value in d.items()
+        }
         try:
-            p = cls(**d)
-            p.validate()
-        except TypeError as exc:  # unknown or missing fields, a string value
-            raise ValidationError(f"afferent params: {exc}") from exc
+            p = cls(**checked)
+        except TypeError as exc:  # a missing field
+            raise ValidationError(f"{path}: {exc}") from exc
+        p.validate()
         return p
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, default=repr)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# The saturation constants may be null: each type reads only its own.
+_NULLABLE = set().union(*SATURATION_FIELDS.values())
+_PARAM_KINDS = {f.name: NUMBER for f in fields(AfferentParams)} | {
+    "afferent_type": STRING, "m1": INTEGER, "m2": INTEGER, "m3": INTEGER, "m4": INTEGER,
+}
 
 
 def default_afferent_params() -> dict[str, AfferentParams]:

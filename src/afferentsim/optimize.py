@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .fem import StressTrace
 from .neural import AfferentParams, SpikeCounter, default_afferent_params, filtered_inputs
+from .neural import SATURATION_FIELDS
 from .stimulus import DISCARD_MS, sinusoid_window_ms
 
 OBJECTIVE_FREQS = (20.0, 50.0, 100.0, 300.0)
@@ -42,20 +43,14 @@ ETA_CROSSOVER = 15.0
 ETA_MUTATION = 20.0
 CROSSOVER_PROB = 0.9
 
-_SAT_FIELDS = {
-    "SA": ("a1_pa", "a2_pa_per_ms"),
-    "RA": ("a3_pa_per_ms",),
-    "PC": ("a4_pa_per_ms2",),
-}
-
 
 def gene_names(afferent_type: str) -> tuple[str, ...]:
-    sats = _SAT_FIELDS[afferent_type]
+    sats = SATURATION_FIELDS[afferent_type]
     return ("tau_m_ms",) + tuple(f"log10_{f}" for f in sats) + ("alpha_prime",)
 
 
 def gene_bounds(afferent_type: str) -> tuple[np.ndarray, np.ndarray]:
-    n_sat = len(_SAT_FIELDS[afferent_type])
+    n_sat = len(SATURATION_FIELDS[afferent_type])
     low = np.array([TAU_M_BOUNDS[0]] + [LOG10_A_BOUNDS[0]] * n_sat + [ALPHA_BOUNDS[0]])
     high = np.array([TAU_M_BOUNDS[1]] + [LOG10_A_BOUNDS[1]] * n_sat + [ALPHA_BOUNDS[1]])
     return low, high
@@ -63,7 +58,7 @@ def gene_bounds(afferent_type: str) -> tuple[np.ndarray, np.ndarray]:
 
 def genes_to_params(afferent_type: str, genes: np.ndarray) -> AfferentParams:
     """Decode a search vector onto the fixed-constant template for the type."""
-    sats = _SAT_FIELDS[afferent_type]
+    sats = SATURATION_FIELDS[afferent_type]
     if genes.shape != (len(sats) + 2,):
         raise ValidationError(
             f"{afferent_type} expects {len(sats) + 2} genes, got {genes.shape}"
@@ -368,7 +363,8 @@ def nsga2(
     bounds: tuple[np.ndarray, np.ndarray],
     budget: int,
     seed: int,
-    population_size: int = 100,
+    *,
+    population_size: int,
 ) -> ParetoFront:
     """Elitist NSGA-II; stops when the evaluation budget would be exceeded.
 
@@ -493,8 +489,9 @@ def fit_afferent(
     stress_bank: dict[tuple[float, float], StressTrace],
     observed: ObservedRateSet,
     seed: int,
-    budget: int = 10000,
-    population_size: int = 100,
+    *,
+    budget: int,
+    population_size: int,
 ) -> FitOutcome:
     evaluator = RateEvaluator(afferent_type, stress_bank, observed)
     front = nsga2(evaluator, gene_bounds(afferent_type), budget, seed,
@@ -513,8 +510,9 @@ def recover_parameters(
     ground_truth: AfferentParams,
     stress_bank: dict[tuple[float, float], StressTrace],
     seed: int,
-    budget: int = 10000,
-    population_size: int = 100,
+    *,
+    budget: int,
+    population_size: int,
 ) -> FitOutcome:
     """Self-test: fit against rates synthesized from a known parameter set."""
     synthetic = ObservedRateSet(
@@ -533,7 +531,7 @@ def recover_parameters(
 
 def front_to_csv(front: ParetoFront, afferent_type: str, path, provenance=None) -> None:
     """Full final population, front first, decoded parameter columns."""
-    sats = _SAT_FIELDS[afferent_type]
+    sats = SATURATION_FIELDS[afferent_type]
     param_cols = ("tau_m_ms",) + sats + ("alpha_prime",)
     order = sorted(
         range(front.genes.shape[0]),

@@ -94,10 +94,10 @@ def test_criterion_03_deflection_profile(default_mesh):
         diameter_mm=0.05, center_x_mm=0.0, pre_indentation_mm=1.0,
         displacement_trace=np.zeros(1), dt_ms=DT,
     )
-    result = fem.run_indentation(
-        default_mesh, indenter, record_deflection=True, deflection_spacing_mm=0.5
+    result = fem.run_indentation(default_mesh, indenter)
+    _, profile = fem.surface_deflection(
+        default_mesh, result.footprint.fields @ result.loads[0]
     )
-    profile = result.deflection_mm[0]
     assert 0.9 <= profile.max() <= 1.1
     assert profile.argmax() == 0  # peak under the probe
     assert np.all(np.diff(profile) < 0)  # strict decay with distance

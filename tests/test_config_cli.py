@@ -458,6 +458,22 @@ def test_cli_underconstrained_fem_exits_3(tmp_path, monkeypatch, caplog):
     assert "factorization failed" in caplog.text
 
 
+@pytest.mark.parametrize("indenter", [
+    # between the 0.2 mm-spaced surface nodes at x = 0 and x = 0.2
+    pytest.param({"diameter_mm": 0.1, "center_x_mm": 0.1}, id="between-nodes"),
+    pytest.param({"center_x_mm": 50.0}, id="off-the-skin"),  # the skin is 20 mm wide
+])
+def test_cli_simulate_rejects_indenter_that_never_touches(tmp_path, caplog, indenter):
+    cfg_path = write_config(tmp_path, {"indenter": indenter})
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    diameter = indenter.get("diameter_mm", 1.0)
+    assert (f"an indenter {diameter} mm wide centred at x = {indenter['center_x_mm']} mm "
+            "covers no surface node") in caplog.text
+    assert os.listdir(out) == []  # nothing written, the mesh included
+
+
 def test_cli_exit_codes_for_bad_input(tmp_path):
     bad_cfg = write_config(tmp_path, {"geometry": {"domain_width_mm": 0.0}})
     assert cli.main(["mesh", "--config", bad_cfg, "--out", str(tmp_path / "a")]) == 2
@@ -636,6 +652,27 @@ def test_cli_simulate_bad_params_exits_2_before_fem(tmp_path, caplog):
     with caplog.at_level(logging.ERROR, logger="afferentsim"):
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     assert "'SA' holds RA params" in caplog.text
+    assert not (out / "mesh.txt").exists()  # refused before the FEM
+
+
+@pytest.mark.parametrize("atype, name, value", [
+    ("RA", "tau_m_ms", True),  # a bool is not the number 1
+    ("SA", "m1", True),
+    ("SA", "m1", 9.5),  # filter widths are JSON integers
+], ids=["bool-number", "bool-integer", "fractional-integer"])
+def test_cli_simulate_params_field_of_wrong_kind_exits_2(tmp_path, caplog, atype, name,
+                                                         value):
+    params = tmp_path / "params.json"
+    entry = neural.default_afferent_params()[atype].to_dict() | {name: value}
+    params.write_text(json.dumps({atype: entry}))
+    protocol = write_protocol(tmp_path, [sin_spec(50.0, 34.80)])
+    cfg_path = write_config(
+        tmp_path, {"protocol": protocol, "afferent_params": {"path": str(params)}}
+    )
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"{params}: {atype}.{name}: expected" in caplog.text
     assert not (out / "mesh.txt").exists()  # refused before the FEM
 
 

@@ -90,7 +90,7 @@ def test_patch_constant_strain_reproduced():
     # recovered stress equals D @ [b, f, c+e] everywhere
     E, nu = 1.0, 0.3
     expected = fem.plane_strain_d(E, nu) @ np.array([b, f, c + e])
-    sig = fem.recover_stress(system, u)
+    sig = fem.recover_stress(system, u, np.arange(m.n_nodes))
     assert np.abs(sig[:, 0] - expected[0]).max() <= 1e-9
     assert np.abs(sig[:, 1] - expected[1]).max() <= 1e-9
     assert np.abs(sig[:, 3] - expected[2]).max() <= 1e-9
@@ -102,7 +102,7 @@ def test_stress_recovery_subset_matches_full():
     system = fem.StiffnessSystem(m)
     rng = np.random.default_rng(7)
     u = rng.normal(scale=1e-3, size=2 * m.n_nodes)
-    full = fem.recover_stress(system, u)
+    full = fem.recover_stress(system, u, np.arange(m.n_nodes))
     subset = np.array([0, 3, 7, m.n_nodes - 1])
     partial = fem.recover_stress(system, u, node_ids=subset)
     assert np.array_equal(partial, full[subset])
@@ -126,9 +126,16 @@ def test_von_mises_identities(rng):
         assert abs(vm0 - vm1) <= 1e-10 * max(1.0, vm0)
 
 
+def contact_active_set(mesh, indenter, depth_mm):
+    """The contact rule at one depth, {vertical DOF: prescribed value}, as
+    fem._contact applies it to a whole trace."""
+    nodes, profile, active = fem._contact(mesh, indenter, np.array([depth_mm]))
+    return {2 * int(n) + 1: p for n, p in zip(nodes[active[0]], profile[0, active[0]])}
+
+
 def test_contact_active_set_contiguous_symmetric(default_mesh):
     indenter = fem.IndenterSpec(diameter_mm=1.0)
-    active = fem.contact_active_set(default_mesh, indenter, depth_mm=0.3)
+    active = contact_active_set(default_mesh, indenter, depth_mm=0.3)
     assert active
     nodes = sorted(dof // 2 for dof in active)
     xs = np.sort(default_mesh.nodes[nodes, 0])
@@ -138,14 +145,14 @@ def test_contact_active_set_contiguous_symmetric(default_mesh):
     assert np.allclose(xs + xs[::-1], 0.0, atol=1e-12)
     assert all(v <= 0.0 for v in active.values())
 
-    deeper = fem.contact_active_set(default_mesh, indenter, depth_mm=0.5)
+    deeper = contact_active_set(default_mesh, indenter, depth_mm=0.5)
     assert set(active).issubset(set(deeper))
-    assert fem.contact_active_set(default_mesh, indenter, depth_mm=-0.1) == {}
+    assert contact_active_set(default_mesh, indenter, depth_mm=-0.1) == {}
 
 
 def test_solve_linearity_with_pinned_active_set(default_mesh, default_system):
     indenter = fem.IndenterSpec(diameter_mm=1.0)
-    active = fem.contact_active_set(default_mesh, indenter, depth_mm=0.2)
+    active = contact_active_set(default_mesh, indenter, depth_mm=0.2)
     base = fem.bottom_constraints(default_mesh)
     u1 = fem.solve_step(default_system, {**base, **active})
     doubled = {k: 2.0 * v for k, v in active.items()}
@@ -377,8 +384,8 @@ def test_stress_trace_csv_round_trip(tmp_path):
 @given(depth=st.floats(0.01, 0.9))
 def test_deeper_contact_is_superset(default_mesh, depth):
     indenter = fem.IndenterSpec(diameter_mm=1.0)
-    shallow = fem.contact_active_set(default_mesh, indenter, depth_mm=depth)
-    deep = fem.contact_active_set(default_mesh, indenter, depth_mm=depth + 0.1)
+    shallow = contact_active_set(default_mesh, indenter, depth_mm=depth)
+    deep = contact_active_set(default_mesh, indenter, depth_mm=depth + 0.1)
     assert set(shallow).issubset(deep)
     for dof, val in shallow.items():
         assert deep[dof] <= val + 1e-12  # deeper indentation presses further
@@ -403,8 +410,7 @@ def contact_active_set_oracle(mesh, indenter, depth_mm):
     return out
 
 
-def run_indentation_oracle(mesh, indenter, system, record_deflection=False,
-                           deflection_spacing_mm=0.5):
+def run_indentation_oracle(mesh, indenter, system, record_deflection=False):
     """One solve per time step: run_indentation's loop before the
     tabulation.  Returns (von Mises in Pa, deflection, solved active sets)."""
     trace = np.asarray(indenter.displacement_trace, dtype=float)
@@ -416,7 +422,7 @@ def run_indentation_oracle(mesh, indenter, system, record_deflection=False,
     base = fem.bottom_constraints(mesh)
     defl = None
     if record_deflection:
-        defl_r, _ = fem.surface_deflection(mesh, np.zeros(system.ndof), deflection_spacing_mm)
+        defl_r, _ = fem.surface_deflection(mesh, np.zeros(system.ndof))
         defl = np.zeros((n_steps, defl_r.size))
 
     for k in range(n_steps):
@@ -433,7 +439,7 @@ def run_indentation_oracle(mesh, indenter, system, record_deflection=False,
             stress = fem.recover_stress(system, u, afferent_ids)
             vm[k] = fem.von_mises(stress)
             if record_deflection:
-                defl[k] = fem.surface_deflection(mesh, u, deflection_spacing_mm)[1]
+                defl[k] = fem.surface_deflection(mesh, u)[1]
         # else: indenter lifted or exactly grazing -> zero field
     return vm * 1.0e6, defl, sets
 
@@ -487,18 +493,20 @@ def test_run_indentation_matches_per_step_oracle(default_mesh, default_system,
     steps = count_calls(monkeypatch, fem, "solve_step")
     builds = count_calls(monkeypatch, fem, "build_footprint_response")
     result = fem.run_indentation(
-        default_mesh, indenter, system=fem.StiffnessSystem(default_mesh),
-        record_deflection=record,
+        default_mesh, indenter, system=fem.StiffnessSystem(default_mesh)
     )
     got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
     assert_same_samples(got, vm)
     assert result.contact_sets == len(sets)
     assert len(steps) == 0  # every set is read from the footprint response
     assert len(builds) == (1 if sets else 0)
-    if record:
-        assert_same_samples(result.deflection_mm, defl)
-    else:
-        assert result.deflection_mm is None
+    if record:  # the deflection is a linear map of the loads
+        fields = result.footprint.fields
+        assert_same_samples(
+            np.array([fem.surface_deflection(default_mesh, fields @ f)[1]
+                      for f in result.loads]),
+            defl,
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,7 +517,7 @@ def test_run_indentation_matches_per_step_oracle(default_mesh, default_system,
 )
 def test_contact_active_set_matches_oracle(default_mesh, depth, diameter, center):
     indenter = fem.IndenterSpec(diameter_mm=diameter, center_x_mm=center)
-    got = fem.contact_active_set(default_mesh, indenter, depth)
+    got = contact_active_set(default_mesh, indenter, depth)
     expected = contact_active_set_oracle(default_mesh, indenter, depth)
     assert got == expected  # same DOFs, bit-identical profile values
 
@@ -608,7 +616,7 @@ def test_cli_footprint_failures_exit_3(default_mesh, tmp_path, monkeypatch, capl
 def per_step_stress(m, system, indenter, depth):
     """solve_step + recover_stress at one depth: [s_xx, s_yy, s_zz, t_xy]
     per afferent in MPa, zero where nothing is prescribed."""
-    active = fem.contact_active_set(m, indenter, depth)
+    active = contact_active_set(m, indenter, depth)
     afferent_ids = np.array([m.afferent_nodes[t] for t in AFFERENT_TYPES])
     if not any(v != 0.0 for v in active.values()):
         return np.zeros((len(AFFERENT_TYPES), 4))
@@ -627,7 +635,9 @@ def test_footprint_stress_matches_per_step_solve(default_mesh, default_system,
                                                  depths, diameter, center):
     """Off the centre the footprint is asymmetric (the 1 mm probe at
     x = 0.3 covers the nodes at -0.2 ... 0.8), and depths that share a
-    contact set are referred to the shallowest of them."""
+    contact set are referred to the shallowest of them.  The loads give
+    each solved step's contact set its prescribed profile and are zero
+    everywhere else."""
     indenter = fem.IndenterSpec(diameter_mm=diameter, center_x_mm=center,
                                 displacement_trace=np.array(depths))
     result = fem.run_indentation(default_mesh, indenter, system=default_system)
@@ -637,6 +647,17 @@ def test_footprint_stress_matches_per_step_solve(default_mesh, default_system,
         for d in depths
     ]) * 1.0e6
     assert_same_samples(got, expected)
+
+    _, profile, active = fem._contact(default_mesh, indenter, np.array(depths))
+    assert result.loads.shape == active.shape
+    for k, a in enumerate(active):
+        if not (profile[k, a] != 0.0).any():
+            a = np.zeros_like(a)  # an unsolved step: no loads anywhere
+        assert np.all(result.loads[k, ~a] == 0.0)
+        if a.any():
+            c_aa = result.footprint.compliance[np.ix_(a, a)]
+            err = np.abs(c_aa @ result.loads[k, a] - profile[k, a]).max()
+            assert err <= 1e-12 * np.abs(profile[k, a]).max()
 
 
 def test_footprint_stress_matches_oracle_on_fine_mesh():

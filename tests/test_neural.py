@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afferentsim import neural
-from afferentsim.optimize import _SAT_FIELDS
+from afferentsim.neural import SATURATION_FIELDS
 from afferentsim.errors import ValidationError
 from afferentsim.fem import StressTrace
 
@@ -296,7 +296,7 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
         scale = 10.0 ** rng.uniform(0.0, 5.0)
         terms = tuple(
             np.abs(rng.normal(scale=scale, size=n)) * (rng.random(n) < 0.8)
-            for _ in _SAT_FIELDS[afferent]
+            for _ in SATURATION_FIELDS[afferent]
         )
         start = float(rng.uniform(0.0, 80.0))
         features.append(terms)
@@ -310,7 +310,7 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
             "alpha_prime": float(rng.uniform(0.01, 100.0)),
             "tau_r_ms": float(rng.choice([0.0, 0.5, 1.0, 2.5])),
         }
-        for name in _SAT_FIELDS[afferent]:
+        for name in SATURATION_FIELDS[afferent]:
             updates[name] = float(10.0 ** rng.uniform(0.0, 6.0))
         params.append(dataclasses.replace(PARAMS[afferent], **updates))
 
