@@ -6,8 +6,8 @@ parameters, then try to recover them with the multi-objective fit.
 
 Reports the selected candidate, its per-frequency squared-error objectives,
 and the objective sum (0 means the synthetic rates were matched exactly).
-The full budget takes about 6 s on a 2-core x86-64 host: about 5 s to fit,
-under 1 s to import and to solve the appendixA stress bank.
+The full budget takes about 3 s on one core of a 2-core x86-64 host: 2-2.5 s
+to fit, under 1 s to import and to solve the appendixA stress bank.
 Note: several (tau_m, a, alpha') combinations can produce identical spike
 counts, so recovered parameter values may differ from the generator while
 the objective sum is still 0 — rate data alone does not pin the parameters.

@@ -53,6 +53,7 @@ from .stimulus import (
 )
 from .neural import (
     AfferentParams,
+    ParamTable,
     SpikeCounter,
     SpikeTrain,
     abs_difference_filter,
@@ -62,7 +63,6 @@ from .neural import (
     moving_average_abs,
     run_afferents,
     save_spike_trains,
-    stress_to_drive,
     window_steps,
 )
 from .optimize import (
@@ -101,6 +101,7 @@ __all__ = [
     "Mesh",
     "NumericalError",
     "ObservedRateSet",
+    "ParamTable",
     "ParetoFront",
     "RateEvaluator",
     "RateRecord",
@@ -147,7 +148,6 @@ __all__ = [
     "select_candidate",
     "sinusoid",
     "solve_step",
-    "stress_to_drive",
     "surface_deflection",
     "von_mises",
     "window_steps",

@@ -97,11 +97,30 @@ class RunConfig:
         }
 
     def content_hash(self) -> str:
-        """Hash of everything that affects results; output routing excluded."""
+        """Hash of everything that affects results; output routing excluded.
+
+        Input files enter by their bytes, not their paths, so the same inputs
+        hash the same in any directory.  A file that cannot be read (one this
+        command does not use) enters by its path.
+        """
         d = self.to_dict()
         del d["output_dir"]
+        if self.afferent_params_source != "default":
+            d["afferent_params"] = _file_digest(self.afferent_params_source)
+        if self.fit.observed_rates_csv is not None:
+            d["fit"]["observed_rates_csv"] = _file_digest(self.fit.observed_rates_csv)
+        if self.protocol not in BUILTIN_PROTOCOLS:
+            d["protocol"] = _file_digest(self.protocol)
         blob = json.dumps(d, sort_keys=True, default=repr)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _file_digest(path: str) -> dict:
+    try:
+        with open(path, "rb") as fh:
+            return {"sha256": hashlib.sha256(fh.read()).hexdigest()}
+    except OSError:
+        return {"path": path}
 
 
 OBJECT = ("an object", dict)

@@ -202,49 +202,12 @@ def filtered_inputs(
 
 
 # --------------------------------------------------------------------------
-# drive
-
-
-def _saturate(inputs, sats, alpha, out=None, scratch=None):
-    """alpha' * sum_j f_j / (a_j + f_j) over nonnegative inputs f_j.
-
-    The terms are summed in chain order.  This is the one saturating
-    transform: stress_to_drive applies it to whole traces and SpikeCounter
-    to one step of every unit, so the two agree bit for bit.
-    """
-    f = inputs[0]
-    out = np.add(sats[0], f, out=out)
-    np.divide(f, out, out=out)
-    for f, a in zip(inputs[1:], sats[1:]):
-        term = np.add(a, f, out=scratch)
-        np.divide(f, term, out=term)
-        np.add(out, term, out=out)
-    return np.multiply(out, alpha, out=out)
-
-
-def stress_to_drive(
-    inputs: tuple[np.ndarray, ...], params: AfferentParams
-) -> np.ndarray:
-    """Drive in mV/ms: alpha' * sum_i |f_i| / (a_i + |f_i|)."""
-    params.validate()
-    sats = params.saturation()
-    if len(inputs) != len(sats):
-        raise ValidationError(
-            f"{params.afferent_type} expects {len(sats)} filtered inputs, "
-            f"got {len(inputs)}"
-        )
-    return _saturate(
-        [np.abs(np.asarray(f, dtype=float)) for f in inputs], sats,
-        params.alpha_prime,
-    )
-
-
-# --------------------------------------------------------------------------
 # integrate-and-fire
 
 
-def _step_coefficients(tau_m_ms: float, dt_ms: float) -> tuple[float, float]:
-    """Forward-Euler step u <- c1*u + (1-c1)*u_rest + c3*D."""
+def _step_coefficients(tau_m_ms, dt_ms):
+    """Forward-Euler step u <- c1*u + (1-c1)*u_rest + c3*D, for scalars or
+    arrays that broadcast."""
     return 1.0 - dt_ms / tau_m_ms, dt_ms
 
 
@@ -298,26 +261,102 @@ def window_steps(start_ms: float, end_ms: float, dt_ms: float) -> tuple[int, int
     )
 
 
+@dataclass(eq=False)
+class ParamTable:
+    """N parameter sets as columns: the one entry type of SpikeCounter.
+
+    Each field holds one value per set, in set order; `saturation` holds
+    the half-saturation constants in chain order, one row per term, shape
+    (n_terms, N).  The checks AfferentParams.validate makes on these fields
+    run on whole columns when the table is made, so every table is valid.
+    Fitting builds one straight from a population's genes; from_params
+    makes one from a list of AfferentParams.
+    """
+
+    tau_m_ms: np.ndarray
+    alpha_prime: np.ndarray
+    saturation: np.ndarray
+    threshold_mv: np.ndarray
+    u_rest_mv: np.ndarray
+    u_reset_mv: np.ndarray
+    tau_r_ms: np.ndarray
+
+    def __post_init__(self):
+        self.saturation = np.array(self.saturation, dtype=float, ndmin=2)
+        if self.saturation.ndim != 2 or self.saturation.shape[1] == 0:
+            raise ValidationError(
+                "saturation must have shape (n_terms, N) with N >= 1, got "
+                f"{self.saturation.shape}"
+            )
+        n = self.saturation.shape[1]
+        for name in _TABLE_COLUMNS:
+            col = np.array(getattr(self, name), dtype=float)
+            if col.shape != (n,):
+                raise ValidationError(f"{name} must have shape ({n},), got {col.shape}")
+            setattr(self, name, col)
+        for rule, ok in (
+            ("tau_m_ms must be > 0", self.tau_m_ms > 0),
+            ("alpha_prime must be > 0", self.alpha_prime > 0),
+            ("saturation constants must be > 0", (self.saturation > 0).all(axis=0)),
+            ("need u_reset <= u_rest < threshold",
+             (self.u_reset_mv <= self.u_rest_mv) & (self.u_rest_mv < self.threshold_mv)),
+            ("tau_r_ms must be >= 0", self.tau_r_ms >= 0),
+        ):
+            if not ok.all():
+                raise ValidationError(f"{rule}; parameter set {np.argmin(ok)} breaks it")
+
+    def __len__(self) -> int:
+        return self.tau_m_ms.size
+
+    @classmethod
+    def from_params(cls, params) -> "ParamTable":
+        """The table of a list of AfferentParams, each validated first."""
+        for p in params:
+            p.validate()
+        if len({len(p.saturation()) for p in params}) > 1:
+            raise ValidationError("parameter sets differ in their number of saturation terms")
+        return cls(
+            saturation=np.array([p.saturation() for p in params]).T,
+            **{name: [getattr(p, name) for p in params] for name in _TABLE_COLUMNS},
+        )
+
+
+# The ParamTable fields that hold one number per parameter set.
+_TABLE_COLUMNS = ("tau_m_ms", "alpha_prime", "threshold_mv", "u_rest_mv",
+                  "u_reset_mv", "tau_r_ms")
+
+
 class SpikeCounter:
     """The integrate-and-fire loop, for many parameter sets on one bank.
 
     The bank holds S stimuli, each a tuple of filter-chain outputs (one per
     saturation term, as from filtered_inputs) with its own dt and count
-    window [start, end) in ms.  Given N parameter sets, the loop integrates
-    all N x S units together, one time step at a time, and records which
-    units spike at each step (one byte per unit and step).  Calling the
-    counter returns the (N, S) spike counts inside each window;
+    window [start, end) in ms.  Given a ParamTable of N parameter sets, the
+    loop integrates all S x N units together, one time step at a time, and
+    records which units spike at each step (one byte per unit and step).
+    Calling the counter returns the (N, S) spike counts inside each window;
     spike_steps returns the spike steps themselves.
 
     Each unit is a forward-Euler leaky integrate-and-fire cell driven by
-    stress_to_drive of its inputs.  A spike is recorded when the
-    post-update potential reaches threshold, at the post-update step; the
-    potential resets and the drive is gated off for ceil(tau_r/dt) steps
-    while the leak stays active.  A unit stops at its window end (or its
-    trace end), since later steps cannot add to the count.  The drive is
-    formed for the current step only, and every unit goes through the same
-    IEEE operations as a per-unit scalar loop, so its spikes equal that
-    loop's exactly.
+    alpha' * sum_j f_j / (a_j + f_j) over its inputs f_j, summed in chain
+    order.  A spike is recorded when the post-update potential reaches
+    threshold, at the post-update step; the potential resets and the drive
+    is gated off for n_refr = ceil(tau_r/dt) steps while the leak stays
+    active.  A unit stops at its window end (or its trace end), since later
+    steps cannot add to the count.  The drive is formed for the current
+    step only, and every unit goes through the same IEEE operations as a
+    per-unit scalar loop, so its spikes equal that loop's exactly.
+
+    The loop is NumPy ufuncs on whole (S, N) arrays, and every operand of
+    its arithmetic is laid out in that full shape, C-contiguous, so none of
+    it broadcasts: the per-unit constants once per call, and each step's
+    input column copied once per term into a buffer that the add and the
+    divide both read.  The refractory gate is read from the spike record
+    itself: a unit is gated at a step exactly when it spiked at one of its
+    previous n_refr steps, and the record starts with max(n_refr) rows of
+    zeros so those reads need no bounds.  The gate so costs one masked copy
+    per step of the longest refractory period (one for RA and PC at
+    dt = 0.5 ms, two for SA), and no countdown.
     """
 
     def __init__(self, features, dt_ms, windows_ms):
@@ -363,92 +402,108 @@ class SpikeCounter:
     def n_stimuli(self) -> int:
         return self._order.size
 
-    def __call__(self, params) -> np.ndarray:
+    def __call__(self, table: ParamTable) -> np.ndarray:
         """(N, S) int64 spike counts inside each stimulus's window."""
         # summed as bytes into uint32: several times faster than bool to int64
-        spiked = self._integrate(params).view(np.uint8)
+        spiked = self._integrate(table).view(np.uint8)
         counts = np.empty(spiked.shape[1:], dtype=np.int64)
-        for k0 in np.unique(self._first):
+        # a set, not np.unique: NumPy's first np.unique imports numpy.ma
+        for k0 in set(self._first.tolist()):
             rows = self._first == k0
             counts[rows] = spiked[k0:].sum(axis=0, dtype=np.uint32)[rows]
-        out = np.empty((len(params), self.n_stimuli), dtype=np.int64)
+        out = np.empty((len(table), self.n_stimuli), dtype=np.int64)
         out[:, self._order] = counts.T
         return out
 
-    def spike_steps(self, params) -> list[list[np.ndarray]]:
+    def spike_steps(self, table: ParamTable) -> list[list[np.ndarray]]:
         """Steps of every spike, [parameter set][stimulus], each increasing."""
-        by_unit = self._integrate(params).transpose(2, 1, 0)  # [i, row, k]
+        by_unit = self._integrate(table).transpose(2, 1, 0)  # [i, row, k]
         steps = np.flatnonzero(by_unit) % by_unit.shape[2] + 1
         per_unit = np.split(steps, np.cumsum(by_unit.sum(axis=2).ravel())[:-1])
         rows = np.argsort(self._order)  # the row of each stimulus
         n_stim = self.n_stimuli
-        return [[per_unit[i * n_stim + r] for r in rows] for i in range(len(params))]
+        return [[per_unit[i * n_stim + r] for r in rows] for i in range(len(table))]
 
-    def _integrate(self, params) -> np.ndarray:
+    def _integrate(self, table: ParamTable) -> np.ndarray:
         """spiked[k, row, i]: unit (row, i) reached threshold moving to step
-        k + 1; rows are stimuli longest first, i indexes `params`."""
-        n_par, n_stim = len(params), self.n_stimuli
-        sat = np.empty((self.n_terms, n_par))
-        for i, p in enumerate(params):
-            p.validate()
-            a = p.saturation()
-            if len(a) != self.n_terms:
-                raise ValidationError(
-                    f"{p.afferent_type} params have {len(a)} saturation terms, "
-                    f"the inputs have {self.n_terms}"
-                )
-            sat[:, i] = a
-        alpha = np.array([p.alpha_prime for p in params])
-        theta = np.array([p.threshold_mv for p in params])
-        u_rest = np.array([p.u_rest_mv for p in params])
-        u_reset = np.array([p.u_reset_mv for p in params])
-        c1 = np.empty((n_stim, n_par))
-        c3 = np.empty((n_stim, n_par))
-        n_refr = np.empty((n_stim, n_par), dtype=np.int64)
-        for dt in np.unique(self._dt):
-            rows = self._dt == dt
-            for i, p in enumerate(params):
-                c1[rows, i], c3[rows, i] = _step_coefficients(p.tau_m_ms, dt)
-                n_refr[rows, i] = int(np.ceil(p.tau_r_ms / dt))
-        rest = (1.0 - c1) * u_rest
+        k + 1; rows are stimuli longest first, i indexes the table."""
+        if table.saturation.shape[0] != self.n_terms:
+            raise ValidationError(
+                f"the parameter sets have {table.saturation.shape[0]} saturation "
+                f"terms, the inputs have {self.n_terms}"
+            )
+        shape = (self.n_stimuli, len(table))
 
-        u = np.empty((n_stim, n_par))
-        u[:] = u_rest
-        refr = np.zeros((n_stim, n_par), dtype=np.int64)
-        drive = np.empty((n_stim, n_par))
-        term = np.empty((n_stim, n_par))
-        gated = np.empty((n_stim, n_par), dtype=bool)
+        def full(values):  # a fresh C-contiguous (S, N) array
+            out = np.empty(shape)
+            out[...] = values
+            return out
+
+        dt = self._dt[:, None]
+        c1, c3 = _step_coefficients(table.tau_m_ms, dt)  # c1 is (S, N) already
+        c3 = full(c3)
+        rest = (1.0 - c1) * table.u_rest_mv
+        sat = [full(a) for a in table.saturation]
+        alpha = full(table.alpha_prime)
+        theta = full(table.threshold_mv)
+        u_reset = full(table.u_reset_mv)
         n_steps = self._inputs.shape[1]
-        spiked = np.zeros((n_steps, n_stim, n_par), dtype=bool)
+        n_refr = np.ceil(table.tau_r_ms / dt)
+        # lags past the last step never reach a spike
+        lead = int(min(n_refr.max(), n_steps))
+        # step k reads record row lead + k - j for each lag j, which gates
+        # the units with n_refr >= j: every unit, or those under a mask
+        gates = [(lead - j, None if (n_refr >= j).all() else n_refr >= j)
+                 for j in range(1, lead + 1)]
+
+        u = full(table.u_rest_mv)
+        drive = np.empty(shape)
+        term = np.empty(shape)
+        gated = np.empty(shape, dtype=bool)
+        expanded = [np.empty(shape) for _ in range(self.n_terms)]
+        spiked = np.zeros((lead + n_steps,) + shape, dtype=bool)
         stop = self._stop.tolist()
-        tables, sat_rows = list(self._inputs), list(sat)
         start = 0
-        for m in range(n_stim, 0, -1):
+        for m in range(shape[0], 0, -1):
             # steps [start, end) integrate the leading m rows: row m - 1 is
             # the shortest still running
             end = stop[m - 1]
             if end <= start:
                 continue
-            uu, dd, rr, gg, tt = u[:m], drive[:m], refr[:m], gated[:m], term[:m]
-            c1m, restm, c3m, refrm = c1[:m], rest[:m], c3[:m], n_refr[:m]
-            inputs = [table[:, :m, None] for table in tables]
+            uu, dd, tt, gg = u[:m], drive[:m], term[:m], gated[:m]
+            c1m, restm, c3m = c1[:m], rest[:m], c3[:m]
+            alpham, thetam, resetm = alpha[:m], theta[:m], u_reset[:m]
+            record = spiked[:, :m]
+            fill = [(f[:m], x[:, :m, None]) for f, x in zip(expanded, self._inputs)]
+            (f0, a0), *more = [(f[:m], a[:m]) for f, a in zip(expanded, sat)]
+            masks = [(back, None if g is None else g[:m]) for back, g in gates]
             for k in range(start, end):
-                ss = spiked[k, :m]
-                _saturate([f[k] for f in inputs], sat_rows, alpha, out=dd, scratch=tt)
-                # refractory units get no drive this step
-                np.greater(rr, 0, out=gg)
-                np.copyto(dd, 0.0, where=gg)
-                np.subtract(rr, gg, out=rr)
+                for f, column in fill:
+                    np.copyto(f, column[k])
+                # the drive, alpha' * sum_j f_j / (a_j + f_j)
+                np.add(a0, f0, out=dd)
+                np.divide(f0, dd, out=dd)
+                for f, a in more:
+                    np.add(a, f, out=tt)
+                    np.divide(f, tt, out=tt)
+                    np.add(dd, tt, out=dd)
+                np.multiply(dd, alpham, out=dd)
+                # units that spiked in their last n_refr steps get no drive
+                for back, mask in masks:
+                    g = record[k + back]
+                    if mask is not None:
+                        g = np.logical_and(g, mask, out=gg)
+                    np.copyto(dd, 0.0, where=g)
                 # u <- (c1*u + (1 - c1)*u_rest) + c3*d
                 np.multiply(uu, c1m, out=uu)
                 np.add(uu, restm, out=uu)
                 np.multiply(dd, c3m, out=dd)
                 np.add(uu, dd, out=uu)
-                np.greater_equal(uu, theta, out=ss)
-                np.copyto(uu, u_reset, where=ss)
-                np.copyto(rr, refrm, where=ss)
+                ss = record[lead + k]
+                np.greater_equal(uu, thetam, out=ss)
+                np.copyto(uu, resetm, where=ss)
             start = end
-        return spiked
+        return spiked[lead:]
 
 
 def run_afferents(
@@ -475,7 +530,7 @@ def run_afferents(
             params_hash=params_hash,
             meta={"node_id": t.node_id},
         )
-        for t, steps in zip(traces, counter.spike_steps([params])[0])
+        for t, steps in zip(traces, counter.spike_steps(ParamTable.from_params([params]))[0])
     ]
 
 

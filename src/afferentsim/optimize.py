@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .fem import StressTrace
-from .neural import AfferentParams, SpikeCounter, default_afferent_params, filtered_inputs
-from .neural import SATURATION_FIELDS
+from .neural import AfferentParams, ParamTable, SpikeCounter, default_afferent_params
+from .neural import SATURATION_FIELDS, filtered_inputs
 from .stimulus import DISCARD_MS, sinusoid_window_ms
 
 OBJECTIVE_FREQS = (20.0, 50.0, 100.0, 300.0)
@@ -56,6 +56,12 @@ def gene_bounds(afferent_type: str) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
+def _pow10(log10_a) -> float:
+    # a scalar power on every path: NumPy's vectorised power may round
+    # differently in the last bit on some CPUs, and that would move fronts
+    return float(10.0 ** log10_a)
+
+
 def genes_to_params(afferent_type: str, genes: np.ndarray) -> AfferentParams:
     """Decode a search vector onto the fixed-constant template for the type."""
     sats = SATURATION_FIELDS[afferent_type]
@@ -66,10 +72,31 @@ def genes_to_params(afferent_type: str, genes: np.ndarray) -> AfferentParams:
     template = default_afferent_params()[afferent_type]
     updates = {"tau_m_ms": float(genes[0]), "alpha_prime": float(genes[-1])}
     for i, name in enumerate(sats):
-        updates[name] = float(10.0 ** genes[1 + i])
+        updates[name] = _pow10(genes[1 + i])
     p = dataclasses.replace(template, **updates)
     p.validate()
     return p
+
+
+def genes_to_table(afferent_type: str, genes: np.ndarray) -> ParamTable:
+    """Decode a population, genes of shape (N, n_genes), into one parameter
+    table: set i holds exactly the values genes_to_params(genes[i]) does."""
+    n_sat = len(SATURATION_FIELDS[afferent_type])
+    if genes.ndim != 2 or genes.shape[1] != n_sat + 2:
+        raise ValidationError(
+            f"{afferent_type} expects genes of shape (N, {n_sat + 2}), got {genes.shape}"
+        )
+    template = default_afferent_params()[afferent_type]
+    n = genes.shape[0]
+    return ParamTable(
+        tau_m_ms=genes[:, 0],
+        alpha_prime=genes[:, -1],
+        saturation=[[_pow10(g) for g in col] for col in genes[:, 1:-1].T],
+        threshold_mv=np.full(n, template.threshold_mv),
+        u_rest_mv=np.full(n, template.u_rest_mv),
+        u_reset_mv=np.full(n, template.u_reset_mv),
+        tau_r_ms=np.full(n, template.tau_r_ms),
+    )
 
 
 def params_to_genes(params: AfferentParams) -> np.ndarray:
@@ -160,9 +187,10 @@ class RateEvaluator:
 
     Called with genes of shape (N, n_genes), returns objectives of shape
     (N, 4).  The filter chain does not depend on any tunable gene, so each
-    stimulus is filtered once up front; per population only the saturating
-    transform and the windowed spike count run, for all candidates and
-    stimuli in one SpikeCounter call.
+    stimulus is filtered once up front.  Per population the genes are
+    decoded into one ParamTable, with no AfferentParams per candidate, and
+    the saturating transform and the windowed spike count run for all
+    candidates and stimuli in one SpikeCounter call.
     """
 
     def __init__(
@@ -198,10 +226,8 @@ class RateEvaluator:
 
     def __call__(self, genes: np.ndarray) -> np.ndarray:
         genes = np.asarray(genes, dtype=float)
-        if genes.ndim != 2:
-            raise ValidationError(f"expected genes of shape (N, n_genes), got {genes.shape}")
-        params = [genes_to_params(self.afferent_type, g) for g in genes]
-        err = self._counter(params) / self._window_s - self._observed
+        table = genes_to_table(self.afferent_type, genes)
+        err = self._counter(table) / self._window_s - self._observed
         sq = err * err
         # accumulate in record order, as a per-candidate loop would
         sums = np.zeros((genes.shape[0], len(OBJECTIVE_FREQS)))
@@ -220,7 +246,7 @@ def predict_rates(
     counter, window_s = _window_counter(
         params, [(f, stress_bank[(f, a)]) for f, a in keys]
     )
-    rates = counter([params])[0] / window_s
+    rates = counter(ParamTable.from_params([params]))[0] / window_s
     return [(f, a, float(r)) for (f, a), r in zip(keys, rates)]
 
 
@@ -228,17 +254,21 @@ def predict_rates(
 # NSGA-II machinery
 
 
-def dominates(a: np.ndarray, b: np.ndarray) -> bool:
-    """Minimization dominance: a no worse everywhere, better somewhere."""
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
 def fast_non_dominated_sort(objs: np.ndarray) -> np.ndarray:
-    """Rank array: 0 for the non-dominated set, 1 for the next layer, ..."""
+    """Rank array: 0 for the non-dominated set, 1 for the next layer, ...
+
+    Under minimization i dominates j when it is no worse on every objective
+    and better on some.  Once i is <= j everywhere, "better on some" is the
+    same as "not equal on all", so the matrix is built one objective at a
+    time from two (n, n) comparisons, with no (n, n, k) intermediate.
+    """
     n = objs.shape[0]
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=2)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=2)
-    dom = le & lt  # dom[i, j]: i dominates j
+    le = np.ones((n, n), dtype=bool)
+    eq = np.ones((n, n), dtype=bool)
+    for col in objs.T:
+        le &= np.less_equal.outer(col, col)
+        eq &= np.equal.outer(col, col)
+    dom = le & ~eq  # dom[i, j]: i dominates j
     n_dominators = dom.sum(axis=0)
     ranks = np.full(n, -1, dtype=int)
     current = 0

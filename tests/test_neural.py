@@ -11,13 +11,14 @@ from afferentsim import neural
 from afferentsim.neural import SATURATION_FIELDS
 from afferentsim.errors import ValidationError
 from afferentsim.fem import StressTrace
+from oracles import stress_to_drive
 
 DT = 0.5
 PARAMS = neural.default_afferent_params()
 
 
 def drive_for(stress, params):
-    return neural.stress_to_drive(neural.filtered_inputs(params, stress, DT), params)
+    return stress_to_drive(neural.filtered_inputs(params, stress, DT), params)
 
 
 def whole_trace_steps(features, params, dt_ms=DT):
@@ -26,7 +27,7 @@ def whole_trace_steps(features, params, dt_ms=DT):
         features, [dt_ms] * len(features),
         [(0.0, len(f[0]) * dt_ms) for f in features],
     )
-    return counter.spike_steps(params)
+    return counter.spike_steps(neural.ParamTable.from_params(params))
 
 
 def constant_drive_steps(params, drives, n=2001, dt_ms=DT):
@@ -143,9 +144,9 @@ def test_half_saturation_points():
     assert drive[10] == pytest.approx(2.07, abs=5e-4)
 
     # the saturating transform itself, probed exactly at each half point
-    half_ra = neural.stress_to_drive((np.full(5, ra.a3_pa_per_ms),), ra)
+    half_ra = stress_to_drive((np.full(5, ra.a3_pa_per_ms),), ra)
     assert np.allclose(half_ra, 5.115, atol=1e-12)
-    half_pc = neural.stress_to_drive((np.full(5, pc.a4_pa_per_ms2),), pc)
+    half_pc = stress_to_drive((np.full(5, pc.a4_pa_per_ms2),), pc)
     assert np.allclose(half_pc, 2.07, atol=1e-12)
 
 
@@ -287,7 +288,13 @@ def _lif_spike_steps_py(drive, c1, c3, u_rest, u_reset, theta, n_refr):
 )
 def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
     """Batched spike steps equal the scalar loop's, unit by unit, up to each
-    window's end, and so do the window counts."""
+    window's end, and so do the window counts.
+
+    Each parameter set draws its own cell constants with u_reset < u_rest,
+    and half of them a tau_m below every dt.  There c1 = 1 - dt/tau_m < 0:
+    a unit reset below rest overshoots past rest with the drive gated off,
+    so it can reach threshold while refractory, and its gate must restart
+    at that latest spike, as the scalar loop's countdown does."""
     rng = np.random.default_rng(seed)
     features, dts, windows = [], [], []
     for _ in range(n_stim):
@@ -305,29 +312,32 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
         windows.append((start, start + float(rng.uniform(0.0, 250.0))))
     params = []
     for _ in range(n_par):
+        theta = float(rng.uniform(-60.0, -40.0))
+        u_rest = theta - float(rng.uniform(1.0, 20.0))
         updates = {
-            "tau_m_ms": float(rng.uniform(1.0, 2000.0)),
+            "tau_m_ms": float(rng.uniform(0.1, 0.25) if rng.random() < 0.5
+                              else rng.uniform(1.0, 2000.0)),
             "alpha_prime": float(rng.uniform(0.01, 100.0)),
             "tau_r_ms": float(rng.choice([0.0, 0.5, 1.0, 2.5])),
+            "threshold_mv": theta,
+            "u_rest_mv": u_rest,
+            "u_reset_mv": u_rest - float(rng.uniform(0.5, 15.0)),
         }
         for name in SATURATION_FIELDS[afferent]:
             updates[name] = float(10.0 ** rng.uniform(0.0, 6.0))
         params.append(dataclasses.replace(PARAMS[afferent], **updates))
 
     counter = neural.SpikeCounter(features, dts, windows)
-    got = counter(params)
-    got_steps = counter.spike_steps(params)
+    table = neural.ParamTable.from_params(params)
+    got = counter(table)
+    got_steps = counter.spike_steps(table)
     assert got.shape == (n_par, n_stim)
     for i, p in enumerate(params):
         for s, (terms, dt, (start, end)) in enumerate(zip(features, dts, windows)):
-            drive = np.zeros_like(terms[0])
-            for f, a in zip(terms, p.saturation()):
-                drive += f / (a + f)
-            drive *= p.alpha_prime
             c1, c3 = neural._step_coefficients(p.tau_m_ms, dt)
             steps = _lif_spike_steps_py(
-                drive, c1, c3, p.u_rest_mv, p.u_reset_mv, p.threshold_mv,
-                int(np.ceil(p.tau_r_ms / dt)),
+                stress_to_drive(terms, p), c1, c3, p.u_rest_mv, p.u_reset_mv,
+                p.threshold_mv, int(np.ceil(p.tau_r_ms / dt)),
             )
             k_lo, k_hi = neural.window_steps(start, end, dt)
             # the counter stops at the window end: later spikes are not kept
@@ -353,7 +363,9 @@ def test_count_spikes_in_window_matches_simulation():
     )
     assert expected > 0
     assert trace.count_in_window(lo, hi) == expected
-    got = neural.SpikeCounter([(feature,)], [DT], [(lo, hi)])([ra])
+    got = neural.SpikeCounter([(feature,)], [DT], [(lo, hi)])(
+        neural.ParamTable.from_params([ra])
+    )
     assert got.shape == (1, 1)
     assert got[0, 0] == expected
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from afferentsim import neural, optimize
 from afferentsim.errors import ValidationError
 from afferentsim.fem import StressTrace
+from oracles import dominates
 
 DT = 0.5
 
@@ -142,8 +143,9 @@ def test_objective_scaling_is_quadratic(monkeypatch):
         def __init__(self, features, dt_ms, windows_ms):
             self.n_stimuli = len(features)
 
-        def __call__(self, params):
-            return np.zeros((len(params), self.n_stimuli), dtype=np.int64)
+        def __call__(self, table):
+            assert isinstance(table, neural.ParamTable)
+            return np.zeros((len(table), self.n_stimuli), dtype=np.int64)
 
     monkeypatch.setattr(optimize, "SpikeCounter", SilentCounter)
     genes = optimize.params_to_genes(neural.default_afferent_params()["RA"])
@@ -182,6 +184,44 @@ def test_rate_evaluator_batch_equals_single_rows(afferent):
         evaluator(genes[0])  # one candidate is still a (1, n_genes) batch
 
 
+@pytest.mark.parametrize("afferent", ["SA", "RA", "PC"])
+def test_gene_columns_match_afferent_params_path(afferent):
+    """The evaluator's table, built straight from the genes, gives bit for
+    bit the objectives of decoding each gene vector with genes_to_params and
+    counting through ParamTable.from_params, over genes spanning the bounds."""
+    bank = synthetic_bank()
+    truth = neural.default_afferent_params()[afferent]
+    observed = optimize.ObservedRateSet(
+        afferent, records=tuple(
+            (f, a, r + 3.0) for f, a, r in optimize.predict_rates(truth, bank)
+        )
+    )
+    low, high = optimize.gene_bounds(afferent)
+    genes = np.random.default_rng(11).uniform(low, high, size=(200, low.size))
+    genes[0], genes[1] = low, high
+    got = optimize.RateEvaluator(afferent, bank, observed)(genes)
+
+    params = [optimize.genes_to_params(afferent, g) for g in genes]
+    table = optimize.genes_to_table(afferent, genes)
+    by_params = neural.ParamTable.from_params(params)
+    for name in ("saturation",) + neural._TABLE_COLUMNS:
+        assert getattr(table, name).tobytes() == getattr(by_params, name).tobytes(), name
+    counter, window_s = optimize._window_counter(
+        truth, [(f, bank[(f, a)]) for f, a, _ in observed.records]
+    )
+    rates = counter(by_params) / window_s
+    expected = np.zeros((len(params), len(optimize.OBJECTIVE_FREQS)))
+    for i, row in enumerate(rates):
+        for j, freq in enumerate(optimize.OBJECTIVE_FREQS):
+            acc, n = 0.0, 0
+            for rate, (f, _, obs) in zip(row, observed.records):
+                if f == freq:
+                    acc += (rate - obs) * (rate - obs)
+                    n += 1
+            expected[i, j] = acc / max(n, 1)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_evaluator_rejects_missing_conditions():
     bank = synthetic_bank()
     observed = optimize.ObservedRateSet("RA", ((20.0, 123.0, 5.0),))
@@ -198,10 +238,14 @@ def test_evaluator_rejects_missing_conditions():
 
 def test_dominates_examples():
     a, b = np.array([1.0, 2.0]), np.array([2.0, 3.0])
-    assert optimize.dominates(a, b)
-    assert not optimize.dominates(b, a)
-    assert not optimize.dominates(a, a)
-    assert not optimize.dominates(np.array([1.0, 4.0]), np.array([2.0, 3.0]))
+    assert dominates(a, b)
+    assert not dominates(b, a)
+    assert not dominates(a, a)
+    assert not dominates(np.array([1.0, 4.0]), np.array([2.0, 3.0]))
+    # the sort's dominance matrix agrees on each pair
+    for pair, ranks in [((a, b), [0, 1]), ((b, a), [1, 0]), ((a, a), [0, 0]),
+                        (([1.0, 4.0], [2.0, 3.0]), [0, 0])]:
+        assert optimize.fast_non_dominated_sort(np.array(pair)).tolist() == ranks
 
 
 def _brute_force_ranks(objs):
@@ -274,8 +318,7 @@ def test_nsga2_converges_on_convex_front():
     for i in idx:
         for j in range(front.objectives.shape[0]):
             if j != i:
-                assert not optimize.dominates(front.objectives[j],
-                                              front.objectives[i])
+                assert not dominates(front.objectives[j], front.objectives[i])
     hv = _staircase_hypervolume(objs, (25.0, 25.0))
     exact = 625.0 - 8.0 / 3.0
     assert hv >= 0.95 * exact
