@@ -27,7 +27,6 @@ from .mesh import (
     build_mesh,
     default_afferent_depths,
     default_material_layers,
-    load_mesh,
     save_mesh,
 )
 from .fem import (
@@ -129,7 +128,6 @@ __all__ = [
     "gene_bounds",
     "genes_to_params",
     "load_config",
-    "load_mesh",
     "load_protocol",
     "moving_average_abs",
     "nsga2",

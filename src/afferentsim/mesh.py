@@ -310,8 +310,8 @@ def locate_afferent_nodes(mesh: Mesh, depths: dict[str, float]) -> dict[str, int
 def check_jacobians(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Jacobians (4 gauss, m, 2, 2) and their determinants (4 gauss, m).
 
-    The one isoparametric map of the quad elements, shared by the mesh
-    builders and the stiffness assembly.  Raises InvertedElementError
+    The one isoparametric map of the quad elements, shared by build_mesh
+    and the stiffness assembly.  Raises InvertedElementError
     unless det J > 0 at all 2x2 Gauss points of every element.
     """
     coords = mesh.nodes[mesh.elements]  # (m, 4, 2)
@@ -330,11 +330,13 @@ def check_jacobians(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
 def export_mesh_text(mesh: Mesh) -> str:
     """Plain-text export: header, then N/E/A records ordered by id."""
     lines = ["afferentsim-mesh v1"]
-    for i, (x, y) in enumerate(mesh.nodes):
-        lines.append(f"N {i} {float(x)!r} {float(y)!r}")
-    for i, (quad, mat) in enumerate(zip(mesh.elements, mesh.element_material)):
-        a, b, c, d = (int(v) for v in quad)
-        lines.append(f"E {i} {a} {b} {c} {d} {int(mat)}")
+    lines += [f"N {i} {x!r} {y!r}" for i, (x, y) in enumerate(mesh.nodes.tolist())]
+    lines += [
+        f"E {i} {a} {b} {c} {d} {mat}"
+        for i, ((a, b, c, d), mat) in enumerate(
+            zip(mesh.elements.tolist(), mesh.element_material.tolist())
+        )
+    ]
     for atype in AFFERENT_TYPES:
         if atype in mesh.afferent_nodes:
             lines.append(f"A {atype} {mesh.afferent_nodes[atype]}")
@@ -344,43 +346,3 @@ def export_mesh_text(mesh: Mesh) -> str:
 def save_mesh(mesh: Mesh, path) -> None:
     with open(path, "w") as fh:
         fh.write(export_mesh_text(mesh))
-
-
-def load_mesh(path, materials: list[MaterialLayer]) -> Mesh:
-    """Inverse of save_mesh; materials are not stored in the file."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "afferentsim-mesh v1":
-        raise ValidationError(f"{path}: not an afferentsim-mesh v1 file")
-    nodes, elements, mats, afferents = [], [], [], {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "N":
-            nodes.append((float(parts[2]), float(parts[3])))
-        elif parts[0] == "E":
-            elements.append([int(p) for p in parts[2:6]])
-            mats.append(int(parts[6]))
-        elif parts[0] == "A":
-            afferents[parts[1]] = int(parts[2])
-        else:
-            raise ValidationError(f"{path}: unknown record {parts[0]!r}")
-    node_arr = np.array(nodes, dtype=np.float64)
-    elem_arr = np.array(elements, dtype=np.int64)
-    mat_arr = np.array(mats, dtype=np.int64)
-    if mat_arr.size and mat_arr.max() >= len(materials):
-        raise ValidationError(
-            f"{path}: element material index {mat_arr.max()} out of range for "
-            f"{len(materials)} materials"
-        )
-    surface = np.flatnonzero(np.abs(node_arr[:, 1]) < 1e-12)
-    surface = surface[np.argsort(node_arr[surface, 0], kind="stable")]
-    mesh = Mesh(
-        nodes=node_arr,
-        elements=elem_arr,
-        element_material=mat_arr,
-        materials=tuple(materials),
-        surface_nodes=surface.astype(np.int64),
-        afferent_nodes=afferents,
-    )
-    check_jacobians(mesh)
-    return mesh

@@ -1,10 +1,15 @@
 """Reference implementations that the tests compare the program against.
 
 Each is the plain form of something the program computes in a faster or
-fused way; none of them is on a command's path.
+fused way, or (load_mesh) the reader of an export that only the tests
+read back; none of them is on a command's path.
 """
 
 import numpy as np
+
+from afferentsim import fem
+from afferentsim.errors import ValidationError
+from afferentsim.mesh import AFFERENT_TYPES, Mesh, MaterialLayer, check_jacobians
 
 
 def stress_to_drive(inputs, params):
@@ -27,3 +32,80 @@ def stress_to_drive(inputs, params):
 def dominates(a, b):
     """Minimization dominance: a no worse everywhere, better somewhere."""
     return bool(np.all(a <= b) and np.any(a < b))
+
+
+def stress_csv_text(trace, provenance=None):
+    """StressTrace.to_csv's text, one row at a time from NumPy scalars."""
+    dt = float(trace.dt_ms)
+    lines = ["# afferent,node,dt_ms\n", f"# {trace.afferent_type},{trace.node_id},{dt!r}\n"]
+    if provenance:
+        lines.append(f"# provenance: {provenance}\n")
+    lines.append("t_ms,sigma_pa\n")
+    for k, v in enumerate(trace.values):
+        lines.append(f"{k * dt!r},{float(v)!r}\n")
+    return "".join(lines)
+
+
+def einsum_stiffness(system):
+    """system's K assembled from element matrices sum_g B_g^T D B_g det J_g,
+    each taken by one four-operand einsum over the full 3 x 3 D."""
+    _, dets = check_jacobians(system.mesh)
+    ke = np.zeros((system.mesh.n_elements, 8, 8))
+    for g, det in enumerate(dets):
+        b = system.B[:, g]
+        ke += np.einsum("mji,mjk,mkl,m->mil", b, system.d_by_element, b, det)
+    return fem.BlockTridiagonal.from_elements(system.edof, ke, system.K.order)
+
+
+def mesh_text(mesh):
+    """export_mesh_text's text, one record at a time from NumPy scalars."""
+    lines = ["afferentsim-mesh v1"]
+    for i, (x, y) in enumerate(mesh.nodes):
+        lines.append(f"N {i} {float(x)!r} {float(y)!r}")
+    for i, (quad, mat) in enumerate(zip(mesh.elements, mesh.element_material)):
+        a, b, c, d = (int(v) for v in quad)
+        lines.append(f"E {i} {a} {b} {c} {d} {int(mat)}")
+    for atype in AFFERENT_TYPES:
+        if atype in mesh.afferent_nodes:
+            lines.append(f"A {atype} {mesh.afferent_nodes[atype]}")
+    return "\n".join(lines) + "\n"
+
+
+def load_mesh(path, materials: list[MaterialLayer]) -> Mesh:
+    """Inverse of save_mesh; materials are not stored in the file."""
+    with open(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines or lines[0] != "afferentsim-mesh v1":
+        raise ValidationError(f"{path}: not an afferentsim-mesh v1 file")
+    nodes, elements, mats, afferents = [], [], [], {}
+    for ln in lines[1:]:
+        parts = ln.split()
+        if parts[0] == "N":
+            nodes.append((float(parts[2]), float(parts[3])))
+        elif parts[0] == "E":
+            elements.append([int(p) for p in parts[2:6]])
+            mats.append(int(parts[6]))
+        elif parts[0] == "A":
+            afferents[parts[1]] = int(parts[2])
+        else:
+            raise ValidationError(f"{path}: unknown record {parts[0]!r}")
+    node_arr = np.array(nodes, dtype=np.float64)
+    elem_arr = np.array(elements, dtype=np.int64)
+    mat_arr = np.array(mats, dtype=np.int64)
+    if mat_arr.size and mat_arr.max() >= len(materials):
+        raise ValidationError(
+            f"{path}: element material index {mat_arr.max()} out of range for "
+            f"{len(materials)} materials"
+        )
+    surface = np.flatnonzero(np.abs(node_arr[:, 1]) < 1e-12)
+    surface = surface[np.argsort(node_arr[surface, 0], kind="stable")]
+    mesh = Mesh(
+        nodes=node_arr,
+        elements=elem_arr,
+        element_material=mat_arr,
+        materials=tuple(materials),
+        surface_nodes=surface.astype(np.int64),
+        afferent_nodes=afferents,
+    )
+    check_jacobians(mesh)
+    return mesh

@@ -11,6 +11,7 @@ import pytest
 
 from afferentsim import cli, config, fem, mesh, neural, stimulus
 from afferentsim.errors import ValidationError
+from oracles import load_mesh
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -200,7 +201,7 @@ def test_cli_mesh_outputs(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["mesh", "--config", cfg_path, "--out", str(out)]) == 0
     meta = json.loads((out / "mesh_meta.json").read_text())
-    built = mesh.load_mesh(out / "mesh.txt", config.config_from_dict({}).materials)
+    built = load_mesh(out / "mesh.txt", config.config_from_dict({}).materials)
     assert meta["nodes"] == built.n_nodes
     assert meta["elements"] == built.n_elements
     assert meta["mesh_hash"] == built.content_hash()

