@@ -4,10 +4,12 @@ parameters, then try to recover them with the multi-objective fit.
 
     python3 scripts/fit_round_trip.py [--budget 10000] [--seed 0]
 
-Reports the selected candidate, its per-frequency squared-error objectives,
-and the objective sum (0 means the synthetic rates were matched exactly).
-The full budget takes about 3 s on one core of a 2-core x86-64 host: 2-2.5 s
-to fit, under 1 s to import and to solve the appendixA stress bank.
+The stress bank is `pipeline.stress_bank` for appendixA on the default mesh,
+keyed by condition with `pipeline.condition_bank`.  Reports the selected
+candidate, its per-frequency squared-error objectives, and the objective
+sum (0 means the synthetic rates were matched exactly).  The full budget
+takes about 2.5 s on one core of a 2-core x86-64 host: about 2 s to fit,
+the rest to import and to solve the stress bank.
 Note: several (tau_m, a, alpha') combinations can produce identical spike
 counts, so recovered parameter values may differ from the generator while
 the objective sum is still 0 — rate data alone does not pin the parameters.
@@ -18,12 +20,11 @@ import sys
 import time
 
 # names imported directly, so that `--help` fails if any of them is removed
-from afferentsim.cli import compute_stress_bank
 from afferentsim.config import config_from_dict
 from afferentsim.mesh import build_mesh
 from afferentsim.neural import default_afferent_params
 from afferentsim.optimize import OBJECTIVE_FREQS, recover_parameters
-from afferentsim.stimulus import builtin_protocol
+from afferentsim.pipeline import condition_bank, resolve_protocol, stress_bank
 
 
 def main() -> int:
@@ -34,14 +35,10 @@ def main() -> int:
     parser.add_argument("--afferent", default="RA", choices=["SA", "RA", "PC"])
     args = parser.parse_args()
 
-    cfg = config_from_dict({})
-    m = build_mesh(cfg.geometry, cfg.materials)
-    specs = builtin_protocol("appendixA", dt_ms=cfg.dt_ms)
-    bank = compute_stress_bank(cfg, m, None, specs)
-    type_bank = {
-        (s.freq_hz, s.amplitude_um): bank[s.stimulus_id][args.afferent]
-        for s in specs
-    }
+    cfg = config_from_dict({})  # appendixA on the default mesh
+    specs = resolve_protocol(cfg)
+    bank = stress_bank(cfg, build_mesh(cfg.geometry, cfg.materials), specs)
+    type_bank = condition_bank(bank, specs, args.afferent)
 
     truth = default_afferent_params()[args.afferent]
     t0 = time.perf_counter()

@@ -4,23 +4,23 @@ afferent parameters, over the built-in sinusoid bank.
 
     python3 scripts/rate_trends.py [--out rates_table.csv]
 
-Prints one block per afferent type: rows are amplitudes, columns are
-frequencies (20/50/100/300 Hz), entries are rates in ips.  Reproduces the
-qualitative picture: SA saturates at one spike per cycle and is silent at
-300 Hz; RA and PC rates climb with both amplitude and frequency.  Takes
-about 1.2 s on the default mesh (2-core x86-64 host).
+The rates are those of `pipeline.simulate` on the default config (appendixA
+on the default mesh), so the --out table holds the afferent, frequency,
+amplitude and predicted-rate columns of that run's rates.csv.  Prints one
+block per afferent type: rows are amplitudes, columns are frequencies
+(20/50/100/300 Hz), entries are rates in ips.  Reproduces the qualitative
+picture: SA saturates at one spike per cycle and is silent at 300 Hz; RA
+and PC rates climb with both amplitude and frequency.  Takes about 0.45 s,
+import included, on a 2-core x86-64 host.
 """
 
 import argparse
 import sys
 
 # names imported directly, so that `--help` fails if any of them is removed
-from afferentsim.analysis import firing_rate
-from afferentsim.cli import compute_stress_bank
 from afferentsim.config import config_from_dict
-from afferentsim.mesh import build_mesh
-from afferentsim.neural import default_afferent_params, run_afferents
-from afferentsim.stimulus import SINUSOID_TABLE, builtin_protocol
+from afferentsim.pipeline import simulate
+from afferentsim.stimulus import SINUSOID_TABLE
 
 
 def main() -> int:
@@ -28,19 +28,9 @@ def main() -> int:
     parser.add_argument("--out", default=None, help="also write a CSV table")
     args = parser.parse_args()
 
-    cfg = config_from_dict({})
-    m = build_mesh(cfg.geometry, cfg.materials)
-    specs = builtin_protocol("appendixA", dt_ms=cfg.dt_ms)
-    bank = compute_stress_bank(cfg, m, None, specs)
-    params = default_afferent_params()
-
-    rates = {}
-    for atype, p in params.items():
-        trains = run_afferents([bank[s.stimulus_id][atype] for s in specs], p)
-        for spec, train in zip(specs, trains):
-            rates[(atype, spec.freq_hz, spec.amplitude_um)] = firing_rate(
-                train, spec.discard_ms, spec.window_ms
-            )
+    records = simulate(config_from_dict({})).records
+    rates = {(r.afferent_type, r.freq_hz, r.amplitude_um): r.predicted_ips
+             for r in records}
 
     freqs = sorted(SINUSOID_TABLE)
     all_amps = sorted({a for amps in SINUSOID_TABLE.values() for a in amps})

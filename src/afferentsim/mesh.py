@@ -343,6 +343,9 @@ def export_mesh_text(mesh: Mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_mesh(mesh: Mesh, path) -> None:
+def save_mesh(mesh: Mesh, path) -> str:
+    """Write the text export to `path`; returns the text written."""
+    text = export_mesh_text(mesh)
     with open(path, "w") as fh:
-        fh.write(export_mesh_text(mesh))
+        fh.write(text)
+    return text

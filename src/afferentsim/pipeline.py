@@ -1,0 +1,273 @@
+"""Pipeline stages: skin FEM -> stress traces -> afferents -> rates -> fit.
+
+`simulate`, `validate` and `fit` each take a `RunConfig`, run one command's
+stages and return plain results; none writes a file or prints.  The CLI
+writes what they return, and scripts and tests call them directly.
+
+Every `simulate` and `fit` solves the skin FEM for its protocol; nothing
+is read back from an earlier run.  The FEM is condensed to the indenter's
+footprint: one factorization and one multi-column solve per run, then a
+small dense solve per distinct contact set of each stimulus, so
+appendixA's 37 stimuli take a few hundredths of a second.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+from collections import namedtuple
+
+import numpy as np
+
+from .analysis import RateRecord, firing_rate, regression
+from .config import RunConfig
+from .errors import STRING, NumericalError, ValidationError, check_kind
+from .fem import IndenterSpec, StiffnessSystem, StressTrace, run_indentation
+from .fem import surface_deflection
+from .mesh import AFFERENT_TYPES, Mesh, build_mesh
+from .neural import AfferentParams, default_afferent_params, run_afferents
+from .optimize import ObservedRateSet, OBJECTIVE_FREQS, fit_afferent, predict_rates
+from .stimulus import (
+    BUILTIN_PROTOCOLS, DISCARD_MS, StimulusSpec, builtin_protocol, load_protocol,
+    sinusoid_window_ms,
+)
+
+logger = logging.getLogger("afferentsim")
+
+SimulateResult = namedtuple("SimulateResult", "mesh bank trains records")
+ValidateResult = namedtuple("ValidateResult", "x_mm deflection_mm report")
+FitResult = namedtuple("FitResult", "outcome records regression")
+
+
+def resolve_protocol(cfg: RunConfig) -> list[StimulusSpec]:
+    """The configured protocol: a built-in bank or a protocol JSON file."""
+    if cfg.protocol in BUILTIN_PROTOCOLS:
+        return builtin_protocol(cfg.protocol, dt_ms=cfg.dt_ms, base_seed=cfg.seed)
+    return load_protocol(cfg.protocol)
+
+
+def load_afferent_params(source: str) -> dict[str, AfferentParams]:
+    """Default table, or overrides from a selected-candidate/params JSON."""
+    params = default_afferent_params()
+    if source == "default":
+        return params
+    try:
+        with open(source) as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read afferent params {source}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{source}: expected a JSON object, got {raw!r}")
+    try:
+        if "afferent" in raw and "params" in raw:  # selected-candidate export
+            raw = {check_kind(raw["afferent"], STRING, "afferent"): raw["params"]}
+        for atype, rec in raw.items():  # mapping {type: params}
+            if atype not in AFFERENT_TYPES:
+                raise ValidationError(f"unknown afferent type {atype!r}")
+            p = AfferentParams.from_dict(rec, path=atype)
+            if p.afferent_type != atype:
+                raise ValidationError(f"entry {atype!r} holds {p.afferent_type} params")
+            params[atype] = p
+    except ValidationError as exc:
+        raise ValidationError(f"{source}: {exc}") from exc
+    return params
+
+
+def stress_bank(
+    cfg: RunConfig, mesh: Mesh, specs: list[StimulusSpec],
+    system: StiffnessSystem | None = None,
+) -> dict[str, dict[str, StressTrace]]:
+    """Per-stimulus, per-afferent stress traces, solved for every stimulus.
+
+    Every stimulus reads the system's footprint response for the
+    configured indenter (built by the first one that touches the skin).
+    One line per bank logs the footprint's DOFs, the factorizations made
+    and the largest unit-load residual.
+    """
+    if system is None:
+        system = StiffnessSystem(mesh)
+    made = system.factorizations
+    footprint = None
+    bank: dict[str, dict[str, StressTrace]] = {}
+    for spec in specs:
+        displacement = spec.generate()
+        indenter = IndenterSpec(
+            diameter_mm=cfg.indenter_diameter_mm,
+            center_x_mm=cfg.indenter_center_x_mm,
+            pre_indentation_mm=cfg.indenter_pre_indentation_mm,
+            displacement_trace=displacement,
+            dt_ms=spec.dt_ms,
+        )
+        try:
+            result = run_indentation(mesh, indenter, system=system)
+        except NumericalError as exc:
+            raise NumericalError(f"stimulus {spec.stimulus_id}: {exc}") from exc
+        bank[spec.stimulus_id] = result.stress_traces
+        logger.info(
+            "FEM solved %s (%d steps, %d contact sets)",
+            spec.stimulus_id, displacement.size, result.contact_sets,
+        )
+        if result.footprint is not None:
+            footprint = result.footprint
+    if footprint is None:
+        logger.info("FEM bank: %d stimuli, none in contact", len(specs))
+    else:
+        logger.info(
+            "FEM bank: %d stimuli, %d footprint DOFs, %d factorizations made, "
+            "largest unit-load residual %.2e",
+            len(specs), footprint.nodes.size, system.factorizations - made,
+            footprint.residual,
+        )
+    return bank
+
+
+def condition_bank(bank: dict, specs: list[StimulusSpec], afferent: str) -> dict:
+    """One afferent's traces of sinusoid `specs`, keyed by (freq, amplitude)."""
+    return {(s.freq_hz, s.amplitude_um): bank[s.stimulus_id][afferent] for s in specs}
+
+
+def simulate(cfg: RunConfig) -> SimulateResult:
+    """The mesh, the stress bank (in protocol order), and the spike trains
+    and rate records of every stimulus, then every afferent type.
+
+    Noise stimuli describe their rate rows by the band centre and the RMS
+    amplitude, diharmonics by their first component.
+    """
+    specs = resolve_protocol(cfg)
+    params = load_afferent_params(cfg.afferent_params_source)
+    mesh = build_mesh(cfg.geometry, cfg.materials)
+    bank = stress_bank(cfg, mesh, specs)
+    by_type = {
+        atype: run_afferents(
+            [bank[spec.stimulus_id][atype] for spec in specs], params[atype]
+        )
+        for atype in AFFERENT_TYPES
+    }
+    trains, records = [], []
+    for s, spec in enumerate(specs):
+        if spec.kind in ("sinusoid", "diharmonic"):
+            freq, amp = spec.freq_hz, spec.amplitude_um
+        else:
+            freq, amp = (spec.lo_hz + spec.hi_hz) / 2.0, spec.rms_um
+        for atype in AFFERENT_TYPES:
+            train = by_type[atype][s]
+            train.meta["stimulus_id"] = spec.stimulus_id
+            trains.append(train)
+            records.append(RateRecord(
+                afferent_type=atype, stimulus_id=spec.stimulus_id,
+                freq_hz=freq, amplitude_um=amp,
+                predicted_ips=firing_rate(train, spec.discard_ms, spec.window_ms),
+                window_ms=spec.window_ms,
+            ))
+    return SimulateResult(mesh, bank, trains, records)
+
+
+def validate(cfg: RunConfig) -> ValidateResult:
+    """Static press: 50 um probe, 1 mm indentation, deflection every 0.5 mm.
+
+    Returns the surface profile and a report of its checks.
+    """
+    mesh = build_mesh(cfg.geometry, cfg.materials)
+    indenter = IndenterSpec(
+        diameter_mm=0.05, center_x_mm=0.0, pre_indentation_mm=1.0,
+        displacement_trace=np.zeros(1), dt_ms=cfg.dt_ms,
+    )
+    result = run_indentation(mesh, indenter)
+    xs, profile = surface_deflection(mesh, result.footprint.fields @ result.loads[0])
+    max_deflection = float(profile.max())
+    max_ok = 0.9 <= max_deflection <= 1.1
+    monotone = bool(np.all(np.diff(profile) < 0))
+    report = {
+        "max_deflection_mm": max_deflection,
+        "max_deflection_in_range": max_ok,
+        "monotone_decay": monotone,
+        "passed": max_ok and monotone,
+    }
+    return ValidateResult(xs, profile, report)
+
+
+def fit(cfg: RunConfig) -> dict[str, FitResult]:
+    """Fit each configured afferent type to its observed rates, in order:
+    the fit outcome, the predicted (and observed) rate per condition, and
+    the pooled and per-frequency regressions of observed on predicted.
+
+    Every sinusoid of the protocol must count spikes over the fit's window
+    for its frequency, and each (freq, amplitude) condition may occur once.
+    """
+    if cfg.fit.observed_rates_csv is None:
+        raise ValidationError("fit.observed_rates_csv must be set in the config")
+    specs = resolve_protocol(cfg)
+    sin_specs = [s for s in specs if s.kind == "sinusoid"]
+    if not sin_specs:
+        raise ValidationError("fit needs a sinusoid protocol (no sinusoids found)")
+    by_condition: dict[tuple[float, float], StimulusSpec] = {}
+    for s in sin_specs:
+        window = sinusoid_window_ms(s.freq_hz)
+        if s.discard_ms != DISCARD_MS or s.window_ms != window:
+            raise ValidationError(
+                f"stimulus {s.stimulus_id!r} counts spikes over "
+                f"[{s.discard_ms}, {s.discard_ms + s.window_ms}) ms; fit counts "
+                f"every {s.freq_hz} Hz sinusoid over "
+                f"[{DISCARD_MS}, {DISCARD_MS + window}) ms"
+            )
+        condition = (s.freq_hz, s.amplitude_um)
+        if condition in by_condition:
+            raise ValidationError(
+                f"stimuli {by_condition[condition].stimulus_id!r} and "
+                f"{s.stimulus_id!r} are both {s.freq_hz} Hz at {s.amplitude_um} "
+                "um; fit needs one stimulus per condition"
+            )
+        by_condition[condition] = s
+    observed_by_type = {
+        atype: ObservedRateSet.from_csv(cfg.fit.observed_rates_csv, atype)
+        for atype in cfg.fit.afferents
+    }
+    mesh = build_mesh(cfg.geometry, cfg.materials)
+    bank = stress_bank(cfg, mesh, sin_specs)
+
+    results = {}
+    for atype, observed in observed_by_type.items():
+        type_bank = condition_bank(bank, sin_specs, atype)
+        logger.info(
+            "fitting %s: %d observed conditions, budget %d",
+            atype, len(observed.records), cfg.fit.budget,
+        )
+        outcome = fit_afferent(
+            atype, type_bank, observed, seed=cfg.seed,
+            budget=cfg.fit.budget, population_size=cfg.fit.population,
+        )
+
+        predicted = {(f, a): r for f, a, r in predict_rates(outcome.selected, type_bank)}
+        obs_map = {(f, a): r for f, a, r in observed.records}
+        records = [
+            RateRecord(
+                afferent_type=atype,
+                stimulus_id=by_condition[(f, a)].stimulus_id,
+                freq_hz=f, amplitude_um=a,
+                predicted_ips=predicted[(f, a)],
+                observed_ips=obs_map.get((f, a)),
+                window_ms=by_condition[(f, a)].window_ms,
+            )
+            for (f, a) in sorted(predicted)
+        ]
+
+        pairs = [(obs_map[(f, a)], predicted[(f, a)]) for (f, a) in sorted(obs_map)]
+        reg: dict[str, object] = {}
+        try:
+            pooled = regression([p[0] for p in pairs], [p[1] for p in pairs])
+            reg["pooled"] = pooled.to_dict()
+        except ValidationError as exc:
+            reg["pooled"] = {"error": str(exc)}
+        per_freq = {}
+        for f in OBJECTIVE_FREQS:
+            sub = [(o, p) for (ff, _), (o, p) in zip(sorted(obs_map), pairs) if ff == f]
+            if len(sub) >= 3:
+                try:
+                    per_freq[f"{int(f)}"] = regression(
+                        [o for o, _ in sub], [p for _, p in sub]
+                    ).to_dict()
+                except ValidationError as exc:
+                    per_freq[f"{int(f)}"] = {"error": str(exc)}
+        reg["per_frequency"] = per_freq
+        results[atype] = FitResult(outcome, records, reg)
+    return results

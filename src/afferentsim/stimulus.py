@@ -173,6 +173,9 @@ class StimulusSpec:
             if value is not None or f.default is not None:
                 path = f"{self.stimulus_id}: {f.name}"
                 check_kind(value, kinds.get(f.name, NUMBER), path)
+        # the id names the stimulus's stress exports inside <out>/stress
+        if self.stimulus_id in ("", ".", "..") or any(c in self.stimulus_id for c in "/\\"):
+            raise ValidationError(f"stimulus_id {self.stimulus_id!r} is not a plain file name")
         if self.kind not in ("sinusoid", "diharmonic", "bandpass_noise"):
             raise ValidationError(f"{self.stimulus_id}: unknown kind {self.kind!r}")
         if not self.duration_ms > 0 or not self.dt_ms > 0:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from afferentsim import cli, config, fem, mesh
+from afferentsim import config, fem, mesh, pipeline
 
 
 @pytest.fixture(scope="session")
@@ -24,8 +24,8 @@ def default_system(default_mesh):
 @pytest.fixture(scope="session")
 def appendix_a_bank(default_config, default_mesh, default_system):
     """stimulus_id -> {afferent -> StressTrace} for the 37-sinusoid bank."""
-    specs = cli._resolve_protocol(default_config)
-    bank = cli.compute_stress_bank(default_config, default_mesh, default_system, specs)
+    specs = pipeline.resolve_protocol(default_config)
+    bank = pipeline.stress_bank(default_config, default_mesh, specs, default_system)
     return specs, bank
 
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from afferentsim import cli, config, fem, mesh, neural, stimulus
+from afferentsim import cli, config, fem, mesh, neural, pipeline, stimulus
 from afferentsim.errors import ValidationError
 from oracles import load_mesh
 
@@ -333,12 +333,17 @@ def test_cli_simulate_rejects_stimuli_not_a_list(tmp_path, caplog):
 def test_stress_bank_logs_contact_sets(caplog, default_config, default_mesh,
                                        default_system):
     spec = sin_spec(50.0, 113.60)
-    indenter = cli._indenter_for(default_config, spec.generate(), spec.dt_ms)
+    indenter = fem.IndenterSpec(
+        diameter_mm=default_config.indenter_diameter_mm,
+        center_x_mm=default_config.indenter_center_x_mm,
+        pre_indentation_mm=default_config.indenter_pre_indentation_mm,
+        displacement_trace=spec.generate(), dt_ms=spec.dt_ms,
+    )
     result = fem.run_indentation(default_mesh, indenter, system=default_system)
     assert result.contact_sets == 2  # the centre node, then its neighbours too
 
     with caplog.at_level(logging.INFO, logger="afferentsim"):
-        cli.compute_stress_bank(default_config, default_mesh, default_system, [spec])
+        pipeline.stress_bank(default_config, default_mesh, [spec], default_system)
     assert (
         f"FEM solved {spec.stimulus_id} ({spec.generate().size} steps, "
         f"{result.contact_sets} contact sets)"
@@ -349,7 +354,7 @@ def test_stress_bank_logs_footprint(caplog, default_config, default_mesh):
     system = fem.StiffnessSystem(default_mesh)
     specs = [sin_spec(50.0, 113.60), sin_spec(20.0, 250.0)]
     with caplog.at_level(logging.INFO, logger="afferentsim"):
-        cli.compute_stress_bank(default_config, default_mesh, system, specs)
+        pipeline.stress_bank(default_config, default_mesh, specs, system)
     found = re.findall(
         r"FEM bank: 2 stimuli, 5 footprint DOFs, 1 factorizations made, "
         r"largest unit-load residual (\S+)", caplog.text,
@@ -362,12 +367,12 @@ def test_stress_bank_logs_footprint(caplog, default_config, default_mesh):
 
     caplog.clear()  # the system keeps its factor and response
     with caplog.at_level(logging.INFO, logger="afferentsim"):
-        cli.compute_stress_bank(default_config, default_mesh, system, specs[:1])
+        pipeline.stress_bank(default_config, default_mesh, specs[:1], system)
     assert "FEM bank: 1 stimuli, 5 footprint DOFs, 0 factorizations made" in caplog.text
 
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="afferentsim"):
-        cli.compute_stress_bank(default_config, default_mesh, system, [sin_spec(50.0, 0.0)])
+        pipeline.stress_bank(default_config, default_mesh, [sin_spec(50.0, 0.0)], system)
     assert "FEM bank: 1 stimuli, none in contact" in caplog.text
 
 
@@ -386,9 +391,8 @@ def test_cli_fit_rejects_duplicate_conditions(tmp_path):
         "fit": {"afferents": ["RA"], "observed_rates_csv": str(observed),
                 "population": 4, "budget": 8},
     })
-    cfg.output_dir = str(tmp_path / "out")
     with pytest.raises(ValidationError, match="sin_050hz_034.80um_again") as exc:
-        cli.cmd_fit(cfg)
+        pipeline.fit(cfg)
     assert "'sin_050hz_034.80um'" in str(exc.value)
 
 
@@ -431,7 +435,7 @@ def test_cli_lock_of_exited_process_is_taken_over(tmp_path, caplog):
 
 def test_cli_import_leaves_out_scipy_signal_and_stats():
     # together about 1 s and 40 MB of import; only noise stimuli need them
-    src = os.path.dirname(os.path.dirname(cli.__file__))
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
     code = (
         "import sys, afferentsim.cli; print(sorted(m for m in sys.modules "
         "if m.startswith(('scipy.signal', 'scipy.stats'))))"
@@ -444,7 +448,7 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
 
 
 def _loaded_modules(code):
-    src = os.path.dirname(os.path.dirname(cli.__file__))
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
     done = subprocess.run(
         [sys.executable, "-c", code + "\nimport json\nprint(json.dumps(sorted(sys.modules)))"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
@@ -644,7 +648,7 @@ def test_cli_fit_rejects_empty_observed(tmp_path):
 
 
 def test_load_afferent_params_sources(tmp_path):
-    defaults = cli._load_afferent_params("default")
+    defaults = pipeline.load_afferent_params("default")
     assert set(defaults) == {"SA", "RA", "PC"}
 
     ra = neural.default_afferent_params()["RA"]
@@ -653,7 +657,7 @@ def test_load_afferent_params_sources(tmp_path):
     selected.write_text(json.dumps(
         {"afferent": "RA", "params": tweaked.to_dict(), "provenance": {}}
     ))
-    loaded = cli._load_afferent_params(str(selected))
+    loaded = pipeline.load_afferent_params(str(selected))
     assert loaded["RA"].tau_m_ms == 123.0
     assert loaded["SA"] == defaults["SA"]
 
@@ -661,13 +665,13 @@ def test_load_afferent_params_sources(tmp_path):
     mapping.write_text(json.dumps({"PC": tweaked.to_dict() | {
         "afferent_type": "PC", "a3_pa_per_ms": None, "a4_pa_per_ms2": 20.0
     }}))
-    loaded = cli._load_afferent_params(str(mapping))
+    loaded = pipeline.load_afferent_params(str(mapping))
     assert loaded["PC"].a4_pa_per_ms2 == 20.0
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"XX": ra.to_dict()}))
     with pytest.raises(ValidationError):
-        cli._load_afferent_params(str(bad))
+        pipeline.load_afferent_params(str(bad))
 
 
 _RA = neural.default_afferent_params()["RA"].to_dict()
@@ -682,12 +686,13 @@ _RA = neural.default_afferent_params()["RA"].to_dict()
     pytest.param({"RA": {**_RA, "tau_m_ms": "abc"}}, id="non-numeric-value"),
     pytest.param({"SA": _RA}, id="type-differs-from-key"),
     pytest.param({"afferent": "RA", "params": [1]}, id="selected-params-not-an-object"),
+    pytest.param({"afferent": "SA", "params": _RA}, id="selected-type-differs-from-params"),
 ])
 def test_load_afferent_params_rejects(tmp_path, raw):
     path = tmp_path / "params.json"
     path.write_text(json.dumps(raw))
     with pytest.raises(ValidationError, match="params.json"):
-        cli._load_afferent_params(str(path))
+        pipeline.load_afferent_params(str(path))
 
 
 def test_cli_simulate_bad_params_exits_2_before_fem(tmp_path, caplog):
@@ -741,8 +746,63 @@ def test_cli_fit_rejects_non_numeric_observed(tmp_path, caplog):
     assert "FEM solved" not in caplog.text  # refused before the FEM
 
 
-def test_spec_descriptor_noise_uses_band_center():
+def test_spec_descriptor_noise_uses_band_center(tmp_path):
     spec = stimulus.builtin_protocol("appendixC", base_seed=0)[0]
-    freq, amp = cli._spec_descriptor(spec)
-    assert freq == (spec.lo_hz + spec.hi_hz) / 2.0
-    assert amp == spec.rms_um
+    cfg = config.config_from_dict({"protocol": write_protocol(tmp_path, [spec])})
+    for record in pipeline.simulate(cfg).records:
+        freq, amp = record.freq_hz, record.amplitude_um
+        assert freq == (spec.lo_hz + spec.hi_hz) / 2.0
+        assert amp == spec.rms_um
+
+
+def test_pipeline_stages_write_no_file(tmp_path_factory, monkeypatch):
+    inputs = tmp_path_factory.mktemp("inputs")
+    specs = [sin_spec(50.0, 113.60), sin_spec(100.0, 55.39)]
+    protocol = write_protocol(inputs, specs)
+    observed = inputs / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\n"
+                        "RA,50.0,113.6,20.0\nRA,100.0,55.39,30.0\n")
+    cfg = config.config_from_dict({
+        "protocol": protocol,
+        "fit": {"afferents": ["RA"], "observed_rates_csv": str(observed),
+                "population": 4, "budget": 8},
+    })
+    workdir = tmp_path_factory.mktemp("empty")
+    monkeypatch.chdir(workdir)
+
+    simulated = pipeline.simulate(cfg)
+    assert list(simulated.bank) == [s.stimulus_id for s in specs]
+    assert len(simulated.trains) == len(simulated.records) == 2 * len(mesh.AFFERENT_TYPES)
+    assert pipeline.validate(cfg).report["passed"]
+    fitted = pipeline.fit(cfg)
+    assert list(fitted) == ["RA"]
+    assert [r.stimulus_id for r in fitted["RA"].records] == [s.stimulus_id for s in specs]
+    assert os.listdir(workdir) == []
+    assert sorted(os.listdir(inputs)) == ["observed.csv", "protocol.json"]
+
+
+@pytest.mark.parametrize("stimulus_id", [
+    "../../escaped", "sub/dir", "back\\slash", "..", ".", "",
+])
+def test_cli_simulate_rejects_stimulus_id_not_a_file_name(tmp_path, caplog, stimulus_id):
+    spec = dataclasses.replace(sin_spec(50.0, 34.80), stimulus_id=stimulus_id)
+    cfg_path = write_config(tmp_path, {"protocol": write_protocol(tmp_path, [spec])})
+    out = tmp_path / "a" / "out"
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"stimulus_id {stimulus_id!r} is not a plain file name" in caplog.text
+    assert os.listdir(out) == []  # refused before the FEM
+    assert os.listdir(tmp_path / "a") == ["out"]
+
+
+def test_cli_out_naming_a_file_exits_2(tmp_path, caplog):
+    cfg_path = write_config(tmp_path, {})
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    for out in (taken, taken / "sub"):
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="afferentsim"):
+            assert cli.main(["mesh", "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"cannot create output directory {str(out)!r}" in caplog.text
+    assert taken.read_text() == "not a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "taken"]

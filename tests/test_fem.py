@@ -349,14 +349,14 @@ def count_calls(monkeypatch, owner, name):
 def test_factor_cache_bounded(default_config, default_mesh, monkeypatch):
     """appendixA's whole bank: one factorization, one footprint response
     and one multi-column solve, and no per-step or per-set solve_step."""
-    from afferentsim import cli
+    from afferentsim import pipeline
 
     system = fem.StiffnessSystem(default_mesh)
     builds = count_calls(monkeypatch, fem, "build_footprint_response")
     solves = count_calls(monkeypatch, fem.BlockCholesky, "solve")
     steps = count_calls(monkeypatch, fem, "solve_step")
-    specs = cli._resolve_protocol(default_config)
-    cli.compute_stress_bank(default_config, default_mesh, system, specs)
+    specs = pipeline.resolve_protocol(default_config)
+    pipeline.stress_bank(default_config, default_mesh, specs, system)
     assert system.factorizations == 1
     assert (len(builds), len(solves), len(steps)) == (1, 1, 0)
 
