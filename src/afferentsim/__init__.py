@@ -37,7 +37,6 @@ from .fem import (
     plane_strain_d,
     recover_stress,
     run_indentation,
-    solve_step,
     surface_deflection,
     von_mises,
 )
@@ -73,7 +72,6 @@ from .optimize import (
     gene_bounds,
     genes_to_params,
     nsga2,
-    params_to_genes,
     predict_rates,
     recover_parameters,
     select_candidate,
@@ -131,7 +129,6 @@ __all__ = [
     "load_protocol",
     "moving_average_abs",
     "nsga2",
-    "params_to_genes",
     "plane_strain_d",
     "predict_rates",
     "rate_records_to_csv",
@@ -145,7 +142,6 @@ __all__ = [
     "save_spike_trains",
     "select_candidate",
     "sinusoid",
-    "solve_step",
     "surface_deflection",
     "von_mises",
     "window_steps",

@@ -6,6 +6,7 @@ code 3; everything else is a bug.
 """
 
 import json
+import math
 
 
 class AfferentSimError(Exception):
@@ -25,7 +26,7 @@ class InvertedElementError(NumericalError):
 
 
 # The kind of a JSON value: its name and the Python types json.load gives it.
-NUMBER = ("a number", (int, float))
+NUMBER = ("a finite number", (int, float))
 INTEGER = ("an integer", int)
 STRING = ("a string", str)
 
@@ -33,10 +34,17 @@ STRING = ("a string", str)
 def check_kind(value, kind, path: str):
     """`value` if it is of `kind` (a number as a float); else a
     ValidationError naming `path`.  No kind admits a bool, although Python
-    counts one as an int.
+    counts one as an int.  A number must be finite: json.load reads NaN and
+    Infinity, and an integer too large for a float would overflow it.
     """
     name, types = kind
-    if isinstance(value, bool) or not isinstance(value, types):
+    ok = isinstance(value, types) and not isinstance(value, bool)
+    if ok and kind is NUMBER:
+        try:
+            ok = math.isfinite(value)
+        except OverflowError:
+            ok = False
+    if not ok:
         raise ValidationError(
             f"{path}: expected {name}, got {json.dumps(value, default=repr)}"
         )

@@ -11,8 +11,8 @@ h = 0.2 mm, 11 at 0.1) can ever be prescribed, so run_indentation works on
 the skin condensed to them (influence coefficients, as in Kalker's and
 Polonsky & Keer's contact solvers).  FootprintResponse holds the
 displacement field for a unit vertical load at each footprint node, with
-the bottom fixed: one factorization and one multi-column solve per
-(system, indenter diameter and centre), cached on the StiffnessSystem.
+the bottom fixed: one multi-column solve per indenter diameter and centre
+through the system's one factorization, cached on the StiffnessSystem.
 Its compliance C (vertical displacement at each footprint node per unit
 load) turns any contact set A with prescribed displacements g_A into
 footprint loads f_A = C_AA^-1 g_A: run_indentation's result, of which the
@@ -28,17 +28,16 @@ structured skin grid this makes K banded, and with blocks as wide as the
 band K is block-tridiagonal (BlockTridiagonal: dense diagonal and
 sub-diagonal blocks, 33 DOFs wide at h = 0.2 mm).  K_ff is factored by a
 block Cholesky (BlockCholesky, np.linalg.cholesky per block) in plain
-NumPy.  StiffnessSystem keeps one factor per constrained-DOF set, for the
-life of the system, in a dict keyed by the sorted constrained DOFs; each
-holds two arrays of nb blocks of b x b.  run_indentation needs only the
-bottom-fixed one; the others serve solve_step, the one-shot solve with
-arbitrary constraints.  Every solve is refined once against a residual
-summed in extended precision (np.longdouble), so the condensed path and a
-one-shot solve with the contact set fixed agree to round-off of the
-answer, not of the factorization: at h = 0.2 mm the surface deflection at
-its zero crossing near x = 7 mm agrees within 1e-13 relative (3.7e-12
-without the refinement).  Where np.longdouble is no wider than float64
-the refinement still runs, at working precision.
+NumPy.  StiffnessSystem holds one factor, K with only the bottom fixed,
+built with its first footprint response and kept for the life of the
+system (two arrays of nb blocks of b x b).  Every solve is refined once
+against a residual summed in extended precision (np.longdouble), so the
+condensed path and a one-shot solve with the contact set fixed (the tests'
+reference, constrained_solve in tests/oracles.py) agree to round-off of
+the answer, not of the factorization: at h = 0.2 mm the surface
+deflection at its zero crossing near x = 7 mm agrees within 1e-13
+relative (3.7e-12 without the refinement).  Where np.longdouble is no
+wider than float64 the refinement still runs, at working precision.
 """
 
 from __future__ import annotations
@@ -343,8 +342,10 @@ class BlockCholesky:
 
         The sweeps' answer is refined once against a residual summed in
         extended precision, which brings it to about the accuracy of the
-        float64 answer whatever the constrained set: a solve with one set
-        and a condensed solve with another then agree to round-off.
+        float64 answer whatever the constrained set: the system's one
+        bottom-fixed factor, condensed to a contact set, and a one-shot
+        solve with that set fixed (tests/oracles.py) then agree to
+        round-off.
         """
         nb, b = self.inv_l.shape[:2]
         f = np.zeros((nb * b, rhs[0].size))
@@ -379,7 +380,8 @@ class StiffnessSystem:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.ndof = 2 * mesh.n_nodes
-        self._factor_cache: dict[tuple, BlockCholesky] = {}
+        # K with only the bottom fixed, made by the first footprint response
+        self.factor: BlockCholesky | None = None
         self._footprints: dict[tuple[float, float], FootprintResponse] = {}
 
         d_table = np.stack(
@@ -428,25 +430,6 @@ class StiffnessSystem:
         order = np.column_stack([2 * by_xy, 2 * by_xy + 1]).ravel()
         self.K = BlockTridiagonal.from_elements(edof, ke, order)
 
-    def factorization(self, fixed: np.ndarray, free: np.ndarray) -> BlockCholesky:
-        key = tuple(fixed.tolist())
-        hit = self._factor_cache.get(key)
-        if hit is not None:
-            return hit
-        try:
-            factor = BlockCholesky(self.K, self.K.position[free])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"stiffness factorization failed with {len(fixed)} constrained DOFs: {exc}"
-            ) from exc
-        self._factor_cache[key] = factor
-        return factor
-
-    @property
-    def factorizations(self) -> int:
-        """Factorizations made so far: one per distinct constrained-DOF set."""
-        return len(self._factor_cache)
-
     def footprint(self, diameter_mm: float, center_x_mm: float) -> FootprintResponse:
         """The unit-load response for one indenter, built on first use."""
         key = (diameter_mm, center_x_mm)
@@ -457,7 +440,7 @@ class StiffnessSystem:
 
 
 # --------------------------------------------------------------------------
-# constraints and solves
+# constraints and contact
 
 
 def bottom_constraints(mesh: Mesh) -> dict[int, float]:
@@ -496,53 +479,6 @@ def _contact(
     profile = (radius - depths)[:, None] - np.sqrt(np.maximum(radius**2 - xs**2, 0.0))
     active = (profile <= 1e-12) & (depths >= 0)[:, None]
     return nodes, profile, active
-
-
-def solve_step(
-    system: StiffnessSystem,
-    constraints: dict[int, float | np.ndarray],
-    forces: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solve K u = f with prescribed-displacement elimination.
-
-    Every prescribed value is a number, or every one holds c values: then
-    the c fields that share the constrained DOFs are solved in one call and
-    u is (ndof, c).  forces (ndof,) load every field alike.  Raises
-    NumericalError if the constraints leave K singular, or if a field's
-    free-DOF residual exceeds 1e-8 of its right-hand side.
-    """
-    ndof = system.ndof
-    if not constraints:
-        raise ValidationError("solve_step needs constraints to remove rigid-body modes")
-    fixed = np.fromiter(sorted(constraints), dtype=np.int64)
-    try:
-        vals = np.array([constraints[d] for d in fixed], dtype=float)
-    except ValueError as exc:
-        raise ValidationError(
-            "prescribed values must be all numbers or all of one length"
-        ) from exc
-    mask = np.ones(ndof, dtype=bool)
-    mask[fixed] = False
-    free = np.flatnonzero(mask)
-
-    f = np.zeros(ndof) if forces is None else np.asarray(forces, dtype=float)
-    f = f.reshape(ndof, *(1,) * (vals.ndim - 1))
-    u = np.zeros((ndof, *vals.shape[1:]))
-    u[fixed] = vals
-    rhs = f[free] - (system.K @ u)[free]
-
-    rhs_norm = np.linalg.norm(rhs, axis=0)
-    if np.any(rhs_norm > 0.0):
-        factor = system.factorization(fixed, free)
-        u[free] = factor.solve(rhs)
-        residual = np.linalg.norm((system.K @ u - f)[free], axis=0)
-        bad = ~(residual <= 1e-8 * rhs_norm)  # NaN counts as failed
-        if np.any(bad):
-            raise NumericalError(
-                f"solve residual {np.max(residual[bad]):.3e} exceeds 1e-8 relative "
-                f"({len(fixed)} constrained DOFs)"
-            )
-    return u
 
 
 # --------------------------------------------------------------------------
@@ -600,22 +536,30 @@ def build_footprint_response(
 ) -> FootprintResponse:
     """Solve for a unit vertical load on each footprint node at once.
 
-    K is factored with only the bottom fixed, and all unit loads go
-    through one multi-column solve.  Raises NumericalError if a column's
-    free-DOF residual exceeds 1e-8 of its (unit) load.  The mesh must
-    name its afferent nodes.
+    K is factored with only the bottom fixed (once per system: the factor
+    is kept on it), and all unit loads go through one multi-column solve.
+    Raises NumericalError if the factorization fails or a column's
+    free-DOF residual exceeds 1e-8 of its (unit) load.  The mesh must name
+    its afferent nodes.
     """
     mesh = system.mesh
     nodes, _ = _footprint(mesh, diameter_mm, center_x_mm)
-    fixed = np.fromiter(sorted(bottom_constraints(mesh)), dtype=np.int64)
+    fixed = np.fromiter(bottom_constraints(mesh), dtype=np.int64)
     mask = np.ones(system.ndof, dtype=bool)
     mask[fixed] = False
     free = np.flatnonzero(mask)
+    if system.factor is None:
+        try:
+            system.factor = BlockCholesky(system.K, system.K.position[free])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"stiffness factorization failed with {fixed.size} constrained DOFs: {exc}"
+            ) from exc
 
     loads = np.zeros((system.ndof, nodes.size))
     loads[2 * nodes + 1, np.arange(nodes.size)] = 1.0
     fields = np.zeros_like(loads)
-    fields[free] = system.factorization(fixed, free).solve(loads[free])
+    fields[free] = system.factor.solve(loads[free])
     residual = np.linalg.norm((system.K @ fields - loads)[free], axis=0)
     bad = ~(residual <= 1e-8)  # NaN counts as failed
     if np.any(bad):

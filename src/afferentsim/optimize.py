@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fem import StressTrace
+from .mesh import AFFERENT_TYPES
 from .neural import AfferentParams, ParamTable, SpikeCounter, default_afferent_params
 from .neural import SATURATION_FIELDS, filtered_inputs
 from .stimulus import DISCARD_MS, sinusoid_window_ms
@@ -99,11 +100,6 @@ def genes_to_table(afferent_type: str, genes: np.ndarray) -> ParamTable:
     )
 
 
-def params_to_genes(params: AfferentParams) -> np.ndarray:
-    sats = params.saturation()
-    return np.array([params.tau_m_ms] + [np.log10(a) for a in sats] + [params.alpha_prime])
-
-
 # --------------------------------------------------------------------------
 # observed data and objective evaluation
 
@@ -161,7 +157,13 @@ class ObservedRateSet:
                     f"{path}: line {no}: malformed row {ln!r} (need an afferent "
                     "and three finite numbers)"
                 )
-            if parts[0] == afferent_type:
+            afferent = parts[0].strip()
+            if afferent not in AFFERENT_TYPES:
+                raise ValidationError(
+                    f"{path}: line {no}: unknown afferent {parts[0]!r} (need one of "
+                    f"{', '.join(AFFERENT_TYPES)})"
+                )
+            if afferent == afferent_type:
                 records.append(values)
         out = cls(afferent_type=afferent_type, records=tuple(records))
         out.validate()

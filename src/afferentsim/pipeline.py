@@ -82,11 +82,12 @@ def stress_bank(
     Every stimulus reads the system's footprint response for the
     configured indenter (built by the first one that touches the skin).
     One line per bank logs the footprint's DOFs, the factorizations made
-    and the largest unit-load residual.
+    (1 if this bank made the system's one factor, else 0) and the largest
+    unit-load residual.
     """
     if system is None:
         system = StiffnessSystem(mesh)
-    made = system.factorizations
+    factored = system.factor is not None
     footprint = None
     bank: dict[str, dict[str, StressTrace]] = {}
     for spec in specs:
@@ -115,7 +116,7 @@ def stress_bank(
         logger.info(
             "FEM bank: %d stimuli, %d footprint DOFs, %d factorizations made, "
             "largest unit-load residual %.2e",
-            len(specs), footprint.nodes.size, system.factorizations - made,
+            len(specs), footprint.nodes.size, 0 if factored else 1,
             footprint.residual,
         )
     return bank

@@ -1,9 +1,12 @@
 """Reference implementations that the tests compare the program against.
 
 Each is the plain form of something the program computes in a faster or
-fused way, or (load_mesh) the reader of an export that only the tests
-read back; none of them is on a command's path.
+fused way, or (load_mesh, params_to_genes) the reader of an export or the
+inverse of a map that only the tests need; none of them is on a command's
+path.
 """
+
+import weakref
 
 import numpy as np
 
@@ -27,6 +30,37 @@ def stress_to_drive(inputs, params):
         term = f / (a + f)
         drive = term if drive is None else drive + term
     return drive * params.alpha_prime
+
+
+# system -> {constrained DOFs: their BlockCholesky factor}
+_FACTORS = weakref.WeakKeyDictionary()
+
+
+def constrained_solve(system, constraints):
+    """u prescribed on the DOFs of `constraints` ({DOF: value}) and K u = 0
+    on the others: the one-shot solve with any constrained set, against
+    which the footprint path is checked.
+
+    Each set's factor is kept per system, since the per-step oracles
+    revisit a few sets hundreds of times.  Raises LinAlgError if the
+    constraints leave K singular.
+    """
+    fixed = np.array(sorted(constraints), dtype=np.int64)
+    free = np.setdiff1d(np.arange(system.ndof), fixed)
+    u = np.zeros(system.ndof)
+    u[fixed] = [constraints[d] for d in fixed]
+    factors = _FACTORS.setdefault(system, {})
+    key = tuple(fixed.tolist())
+    if key not in factors:
+        factors[key] = fem.BlockCholesky(system.K, system.K.position[free])
+    u[free] = factors[key].solve(-(system.K @ u)[free])
+    return u
+
+
+def params_to_genes(params):
+    """The gene vector that genes_to_params maps back to `params`."""
+    sats = params.saturation()
+    return np.array([params.tau_m_ms] + [np.log10(a) for a in sats] + [params.alpha_prime])
 
 
 def dominates(a, b):

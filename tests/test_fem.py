@@ -13,7 +13,7 @@ from scipy.sparse.linalg import spsolve
 from afferentsim import config, fem, mesh, stimulus
 from afferentsim.errors import NumericalError, ValidationError
 from afferentsim.mesh import AFFERENT_TYPES
-from oracles import einsum_stiffness, stress_csv_text
+from oracles import constrained_solve, einsum_stiffness, stress_csv_text
 
 SOFT = mesh.MaterialLayer("soft", 1.0, 0.3, (0.0, 1.0))
 
@@ -84,7 +84,7 @@ def test_patch_constant_strain_reproduced():
     for nid in boundary:
         constraints[2 * nid] = exact[nid, 0]
         constraints[2 * nid + 1] = exact[nid, 1]
-    u = fem.solve_step(system, constraints)
+    u = constrained_solve(system, constraints)
     err = np.abs(u.reshape(-1, 2) - exact).max() / np.abs(exact).max()
     assert err <= 1e-9
 
@@ -155,18 +155,13 @@ def test_solve_linearity_with_pinned_active_set(default_mesh, default_system):
     indenter = fem.IndenterSpec(diameter_mm=1.0)
     active = contact_active_set(default_mesh, indenter, depth_mm=0.2)
     base = fem.bottom_constraints(default_mesh)
-    u1 = fem.solve_step(default_system, {**base, **active})
+    u1 = constrained_solve(default_system, {**base, **active})
     doubled = {k: 2.0 * v for k, v in active.items()}
-    u2 = fem.solve_step(default_system, {**base, **doubled})
+    u2 = constrained_solve(default_system, {**base, **doubled})
     assert np.allclose(u2, 2.0 * u1, rtol=1e-12, atol=1e-15)
     s1 = fem.recover_stress(default_system, u1, node_ids=np.array([100, 500]))
     s2 = fem.recover_stress(default_system, u2, node_ids=np.array([100, 500]))
     assert np.allclose(s2, 2.0 * s1, rtol=1e-12, atol=1e-18)
-
-
-def test_solve_requires_constraints(default_system):
-    with pytest.raises(ValidationError):
-        fem.solve_step(default_system, {})
 
 
 @pytest.mark.parametrize("constraints", [
@@ -175,8 +170,9 @@ def test_solve_requires_constraints(default_system):
 ])
 def test_underconstrained_solve_raises(constraints):
     system = fem.StiffnessSystem(single_element_mesh())
-    with pytest.raises(NumericalError, match="factorization failed"):
-        fem.solve_step(system, constraints)
+    free = np.setdiff1d(np.arange(system.ndof), list(constraints))
+    with pytest.raises(np.linalg.LinAlgError):
+        fem.BlockCholesky(system.K, system.K.position[free])
 
 
 # ------------------------------------------ sparse direct solver (oracle)
@@ -199,7 +195,7 @@ def sparse_stiffness(system):
 
 
 def spsolve_fields(system, K, constraints):
-    """solve_step's fields from SuperLU on the same K_ff."""
+    """constrained_solve's fields from SuperLU on the same K_ff."""
     fixed = np.array(sorted(constraints))
     vals = np.array([constraints[d] for d in fixed], dtype=float)
     free = np.setdiff1d(np.arange(system.ndof), fixed)
@@ -211,36 +207,47 @@ def spsolve_fields(system, K, constraints):
 
 
 def appendix_a_contact_sets(m, indenter):
-    """Every active set appendixA's sinusoids reach, with the profile at
-    the shallowest step of each, as run_indentation solves them."""
+    """Every active set appendixA's sinusoids reach, with the depth and the
+    profile at the shallowest and at the deepest step of each: the step
+    that run_indentation refers the set to, and the one farthest from it."""
     specs = stimulus.builtin_protocol("appendixA", dt_ms=0.5, base_seed=0)
     depths = np.concatenate([spec.generate() for spec in specs])
     nodes, profile, active = fem._contact(m, indenter, depths)
     solved = np.flatnonzero((active & (profile != 0.0)).any(axis=1))
     solved = solved[np.argsort(depths[solved], kind="stable")]
     sets, first = np.unique(active[solved], axis=0, return_index=True)
-    return [(nodes[s], profile[solved[k], s]) for s, k in zip(sets, first)]
+    _, last = np.unique(active[solved][::-1], axis=0, return_index=True)
+    ends = zip(solved[first], solved[solved.size - 1 - last])
+    return [(nodes[s], [(depths[k], profile[k, s]) for k in ks])
+            for s, ks in zip(sets, ends)]
 
 
 @pytest.mark.parametrize("h", [0.2, 0.1])
 def test_solve_matches_spsolve_on_appendix_a_sets(h):
+    """run_indentation's afferent stresses at both ends of each contact set
+    that appendixA reaches match SuperLU's solve with that set prescribed."""
     cfg = config.config_from_dict({"geometry": {"surface_element_mm": h}})
     m = mesh.build_mesh(cfg.geometry, cfg.materials)
     system = fem.StiffnessSystem(m)
     K = sparse_stiffness(system)
     afferent_ids = np.array([m.afferent_nodes[t] for t in AFFERENT_TYPES])
-    base = dict.fromkeys(fem.bottom_constraints(m), np.zeros(2))
-    contact_sets = appendix_a_contact_sets(m, fem.IndenterSpec(diameter_mm=1.0))
+    base = fem.bottom_constraints(m)
+    indenter = fem.IndenterSpec(diameter_mm=1.0)
+    contact_sets = appendix_a_contact_sets(m, indenter)
     assert len(contact_sets) >= 3
-    for nodes, profile in contact_sets:
-        values = np.column_stack([profile, np.ones(nodes.size)])
-        constraints = {**base, **dict(zip((2 * nodes + 1).tolist(), values))}
-        got = fem.solve_step(system, constraints)
+    steps = [(nodes, depth, profile)
+             for nodes, ends in contact_sets for depth, profile in ends]
+    trace = np.array([depth for _, depth, _ in steps])
+    result = fem.run_indentation(
+        m, dataclasses.replace(indenter, displacement_trace=trace), system=system
+    )
+    assert result.contact_sets == len(contact_sets)
+    got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
+    for vm, (nodes, _, profile) in zip(got, steps):
+        constraints = {**base, **dict(zip((2 * nodes + 1).tolist(), profile))}
         expected = spsolve_fields(system, K, constraints)
-        for c in range(2):
-            vm = fem.von_mises(fem.recover_stress(system, got[:, c], afferent_ids))
-            ref = fem.von_mises(fem.recover_stress(system, expected[:, c], afferent_ids))
-            assert (np.abs(vm - ref) <= 1e-12 * ref).all()
+        ref = fem.von_mises(fem.recover_stress(system, expected, afferent_ids)) * 1.0e6
+        assert (np.abs(vm - ref) <= 1e-12 * ref).all()
 
 
 @pytest.fixture(scope="module")
@@ -267,11 +274,15 @@ def test_solve_on_random_constraint_sets(graded_system, fixed, fields, seed):
     rigid[1::2, 1] = 1.0
     rigid[0::2, 2] = -m.nodes[:, 1]
     rigid[1::2, 2] = m.nodes[:, 0]
+    K = graded_system.K
+    free = np.setdiff1d(np.arange(graded_system.ndof), fixed)
     if np.linalg.matrix_rank(rigid[fixed]) < 3:
-        with pytest.raises(NumericalError):
-            fem.solve_step(graded_system, constraints)
+        with pytest.raises(np.linalg.LinAlgError):
+            fem.BlockCholesky(K, K.position[free])
         return
-    got = fem.solve_step(graded_system, constraints)
+    got = np.zeros((graded_system.ndof, *fields))
+    got[fixed] = values
+    got[free] = fem.BlockCholesky(K, K.position[free]).solve(-(K @ got)[free])
     expected = spsolve_fields(graded_system, sparse_stiffness(graded_system), constraints)
     assert got.shape == expected.shape
     # K on this mesh has condition number below 1e6, so float64 solvers
@@ -290,11 +301,11 @@ def test_flamant_surface_deflection_differences():
     )
     m = mesh.build_mesh(spec, layers)
     system = fem.StiffnessSystem(m)
-    center = int(m.surface_nodes[np.argmin(np.abs(m.nodes[m.surface_nodes, 0]))])
-    forces = np.zeros(2 * m.n_nodes)
-    forces[2 * center + 1] = -P
-    u = fem.solve_step(system, fem.bottom_constraints(m), forces=forces)
-    xs, w = np.sort(m.nodes[m.surface_nodes, 0]), None
+    # the downward load P on the centre node: -P times the unit upward load's
+    # field, from a footprint (0.1 mm wide at x = 0) of that node alone
+    response = fem.build_footprint_response(system, 0.1, 0.0)
+    assert m.nodes[response.nodes, 0].tolist() == [0.0]
+    u = -P * response.fields[:, 0]
     surf_x = m.nodes[m.surface_nodes, 0]
     order = np.argsort(surf_x)
     xs = surf_x[order]
@@ -348,17 +359,16 @@ def count_calls(monkeypatch, owner, name):
 
 def test_factor_cache_bounded(default_config, default_mesh, monkeypatch):
     """appendixA's whole bank: one factorization, one footprint response
-    and one multi-column solve, and no per-step or per-set solve_step."""
+    and one multi-column solve, and no per-step or per-set solve."""
     from afferentsim import pipeline
 
     system = fem.StiffnessSystem(default_mesh)
     builds = count_calls(monkeypatch, fem, "build_footprint_response")
+    factors = count_calls(monkeypatch, fem.BlockCholesky, "__init__")
     solves = count_calls(monkeypatch, fem.BlockCholesky, "solve")
-    steps = count_calls(monkeypatch, fem, "solve_step")
     specs = pipeline.resolve_protocol(default_config)
     pipeline.stress_bank(default_config, default_mesh, specs, system)
-    assert system.factorizations == 1
-    assert (len(builds), len(solves), len(steps)) == (1, 1, 0)
+    assert (len(builds), len(factors), len(solves)) == (1, 1, 1)
 
     response = system.footprint(default_config.indenter_diameter_mm,
                                 default_config.indenter_center_x_mm)
@@ -491,12 +501,7 @@ def run_indentation_oracle(mesh, indenter, system, record_deflection=False):
         active = contact_active_set_oracle(mesh, indenter, depth)
         if active and any(v != 0.0 for v in active.values()):
             sets.add(tuple(sorted(active)))
-            constraints = dict(base)
-            constraints.update(active)
-            try:
-                u = fem.solve_step(system, constraints)
-            except NumericalError as exc:
-                raise NumericalError(f"step {k} (depth {depth:.6f} mm): {exc}") from exc
+            u = constrained_solve(system, {**base, **active})
             stress = fem.recover_stress(system, u, afferent_ids)
             vm[k] = fem.von_mises(stress)
             if record_deflection:
@@ -551,7 +556,7 @@ def test_run_indentation_matches_per_step_oracle(default_mesh, default_system,
         default_mesh, indenter, default_system, record_deflection=record
     )
 
-    steps = count_calls(monkeypatch, fem, "solve_step")
+    solves = count_calls(monkeypatch, fem.BlockCholesky, "solve")
     builds = count_calls(monkeypatch, fem, "build_footprint_response")
     result = fem.run_indentation(
         default_mesh, indenter, system=fem.StiffnessSystem(default_mesh)
@@ -559,8 +564,8 @@ def test_run_indentation_matches_per_step_oracle(default_mesh, default_system,
     got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
     assert_same_samples(got, vm)
     assert result.contact_sets == len(sets)
-    assert len(steps) == 0  # every set is read from the footprint response
-    assert len(builds) == (1 if sets else 0)
+    # every set is read from the footprint response: one solve, for the unit loads
+    assert len(solves) == len(builds) == (1 if sets else 0)
     if record:  # the deflection is a linear map of the loads
         fields = result.footprint.fields
         assert_same_samples(
@@ -675,13 +680,13 @@ def test_cli_footprint_failures_exit_3(default_mesh, tmp_path, monkeypatch, capl
 
 
 def per_step_stress(m, system, indenter, depth):
-    """solve_step + recover_stress at one depth: [s_xx, s_yy, s_zz, t_xy]
+    """constrained_solve + recover_stress at one depth: [s_xx, s_yy, s_zz, t_xy]
     per afferent in MPa, zero where nothing is prescribed."""
     active = contact_active_set(m, indenter, depth)
     afferent_ids = np.array([m.afferent_nodes[t] for t in AFFERENT_TYPES])
     if not any(v != 0.0 for v in active.values()):
         return np.zeros((len(AFFERENT_TYPES), 4))
-    u = fem.solve_step(system, {**fem.bottom_constraints(m), **active})
+    u = constrained_solve(system, {**fem.bottom_constraints(m), **active})
     return fem.recover_stress(system, u, afferent_ids)
 
 

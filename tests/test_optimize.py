@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from afferentsim import neural, optimize
 from afferentsim.errors import ValidationError
 from afferentsim.fem import StressTrace
-from oracles import dominates
+from oracles import dominates, params_to_genes
 
 DT = 0.5
 
@@ -32,7 +32,7 @@ def synthetic_bank(amps=(10.0, 50.0)):
 
 def test_gene_round_trip():
     for name, params in neural.default_afferent_params().items():
-        genes = optimize.params_to_genes(params)
+        genes = params_to_genes(params)
         names = optimize.gene_names(name)
         assert len(genes) == len(names)
         assert names[0] == "tau_m_ms" and names[-1] == "alpha_prime"
@@ -113,6 +113,14 @@ def test_observed_rate_csv_rejects_bad_cells(tmp_path, row):
         optimize.ObservedRateSet.from_csv(path, "RA")
 
 
+def test_observed_rate_csv_strips_afferent_cell(tmp_path):
+    path = tmp_path / "observed.csv"
+    path.write_text("afferent,freq_hz,amplitude_um,rate_ips\n"
+                    "RA,20,10,5\nRA ,50,10,40\n PC,20,10,1\n")
+    ra = optimize.ObservedRateSet.from_csv(path, "RA")
+    assert ra.records == ((20.0, 10.0, 5.0), (50.0, 10.0, 40.0))
+
+
 # -------------------------------------------------------------- objectives
 
 
@@ -122,7 +130,7 @@ def test_objectives_self_consistency():
     observed = optimize.ObservedRateSet(
         "RA", records=tuple(optimize.predict_rates(truth, bank))
     )
-    genes = optimize.params_to_genes(truth)
+    genes = params_to_genes(truth)
     objs = optimize.RateEvaluator("RA", bank, observed)(genes[None])[0]
     assert objs.shape == (4,)
     assert np.all(objs == 0.0)
@@ -148,7 +156,7 @@ def test_objective_scaling_is_quadratic(monkeypatch):
             return np.zeros((len(table), self.n_stimuli), dtype=np.int64)
 
     monkeypatch.setattr(optimize, "SpikeCounter", SilentCounter)
-    genes = optimize.params_to_genes(neural.default_afferent_params()["RA"])
+    genes = params_to_genes(neural.default_afferent_params()["RA"])
     base = optimize.ObservedRateSet(
         "RA", tuple((f, a, 3.0 + f / 10.0) for (f, a) in sorted(synthetic_bank()))
     )
@@ -173,7 +181,7 @@ def test_rate_evaluator_batch_equals_single_rows(afferent):
     evaluator = optimize.RateEvaluator(afferent, bank, observed)
     low, high = optimize.gene_bounds(afferent)
     genes = np.random.default_rng(7).uniform(low, high, size=(12, low.size))
-    genes[0] = optimize.params_to_genes(truth)
+    genes[0] = params_to_genes(truth)
     batch = evaluator(genes)
     assert batch.shape == (12, 4)
     rows = np.vstack([evaluator(genes[i:i + 1]) for i in range(12)])
@@ -470,6 +478,6 @@ def test_recover_parameters_wiring():
                                           budget=32, population_size=16)
     assert outcome.observed.records == tuple(optimize.predict_rates(truth, bank))
     # the synthesized observations are attainable: truth itself scores zero
-    genes = optimize.params_to_genes(truth)
+    genes = params_to_genes(truth)
     objs = optimize.RateEvaluator("RA", bank, outcome.observed)(genes[None])[0]
     assert np.all(objs == 0.0)
