@@ -11,15 +11,16 @@ h = 0.2 mm, 11 at 0.1) can ever be prescribed, so run_indentation works on
 the skin condensed to them (influence coefficients, as in Kalker's and
 Polonsky & Keer's contact solvers).  FootprintResponse holds the
 displacement field for a unit vertical load at each footprint node, with
-the bottom fixed: one multi-column solve per indenter diameter and centre
-through the system's one factorization, cached on the StiffnessSystem.
-Its compliance C (vertical displacement at each footprint node per unit
-load) turns any contact set A with prescribed displacements g_A into
-footprint loads f_A = C_AA^-1 g_A: run_indentation's result, of which the
-afferent stress and the displacement field are linear maps.  Within one
-set every prescribed value is the node's offset under the circle minus
-the depth, so the loads are affine in depth and each distinct set takes
-one small n_A x n_A solve for two columns.
+the bottom fixed: build_footprint_response factors K once and makes one
+multi-column solve, and a run builds one response for its indenter and
+passes it to every run_indentation.  Its compliance C (vertical
+displacement at each footprint node per unit load) turns any contact set A
+with prescribed displacements g_A into footprint loads f_A = C_AA^-1 g_A:
+run_indentation's result, of which the afferent stress and the
+displacement field are linear maps.  Within one set every prescribed value
+is the node's offset under the circle minus the depth, so the loads are
+affine in depth and each distinct set takes one small n_A x n_A solve for
+two columns.
 
 Assembly uses 4-node bilinear isoparametric quads with 2x2 Gauss
 quadrature (the element map and its Jacobians live in mesh).  The DOFs
@@ -28,13 +29,14 @@ structured skin grid this makes K banded, and with blocks as wide as the
 band K is block-tridiagonal (BlockTridiagonal: dense diagonal and
 sub-diagonal blocks, 33 DOFs wide at h = 0.2 mm).  K_ff is factored by a
 block Cholesky (BlockCholesky, np.linalg.cholesky per block) in plain
-NumPy.  StiffnessSystem holds one factor, K with only the bottom fixed,
-built with its first footprint response and kept for the life of the
-system (two arrays of nb blocks of b x b).  Every solve is refined once
-against a residual summed in extended precision (np.longdouble), so the
-condensed path and a one-shot solve with the contact set fixed (the tests'
-reference, constrained_solve in tests/oracles.py) agree to round-off of
-the answer, not of the factorization: at h = 0.2 mm the surface
+NumPy: the one factor, K with only the bottom fixed, lives only while its
+footprint response is built (two arrays of nb blocks of b x b), and
+StiffnessSystem is assembled once and never changed.  Every solve is
+refined once against a residual summed in extended precision
+(np.longdouble), so the condensed path and a one-shot solve with the
+contact set fixed (the tests' reference, constrained_solve in
+tests/oracles.py) agree to round-off of the answer, not of the
+factorization: at h = 0.2 mm the surface
 deflection at its zero crossing near x = 7 mm agrees within 1e-13
 relative (3.7e-12 without the refinement).  Where np.longdouble is no
 wider than float64 the refinement still runs, at working precision.
@@ -131,6 +133,10 @@ class IndenterSpec:
             raise ValidationError("displacement_trace must be a non-empty 1-D array")
         if not np.isfinite(trace).all():
             raise ValidationError("displacement_trace contains non-finite values")
+        if not np.isfinite(self.pre_indentation_mm):
+            raise ValidationError(
+                f"pre_indentation_mm must be finite, got {self.pre_indentation_mm}"
+            )
 
 
 @dataclass(frozen=True)
@@ -204,7 +210,6 @@ class IndentationResult:
     # (n_steps, n_c) footprint loads in N/mm, positive upward, columns in
     # footprint.nodes order; exactly 0 off the contact set and on unsolved steps
     loads: np.ndarray
-    footprint: FootprintResponse | None = None  # None when no step was solved
 
 
 # --------------------------------------------------------------------------
@@ -380,9 +385,6 @@ class StiffnessSystem:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.ndof = 2 * mesh.n_nodes
-        # K with only the bottom fixed, made by the first footprint response
-        self.factor: BlockCholesky | None = None
-        self._footprints: dict[tuple[float, float], FootprintResponse] = {}
 
         d_table = np.stack(
             [plane_strain_d(m.elastic_modulus_mpa, m.poisson_ratio) for m in mesh.materials]
@@ -429,14 +431,6 @@ class StiffnessSystem:
         by_xy = np.lexsort((mesh.nodes[:, 1], mesh.nodes[:, 0]))
         order = np.column_stack([2 * by_xy, 2 * by_xy + 1]).ravel()
         self.K = BlockTridiagonal.from_elements(edof, ke, order)
-
-    def footprint(self, diameter_mm: float, center_x_mm: float) -> FootprintResponse:
-        """The unit-load response for one indenter, built on first use."""
-        key = (diameter_mm, center_x_mm)
-        hit = self._footprints.get(key)
-        if hit is None:
-            hit = self._footprints[key] = build_footprint_response(self, *key)
-        return hit
 
 
 # --------------------------------------------------------------------------
@@ -536,30 +530,40 @@ def build_footprint_response(
 ) -> FootprintResponse:
     """Solve for a unit vertical load on each footprint node at once.
 
-    K is factored with only the bottom fixed (once per system: the factor
-    is kept on it), and all unit loads go through one multi-column solve.
-    Raises NumericalError if the factorization fails or a column's
-    free-DOF residual exceeds 1e-8 of its (unit) load.  The mesh must name
-    its afferent nodes.
+    K is factored with only the bottom fixed, and all unit loads go through
+    one multi-column solve; the factor is dropped once they are solved.
+    Raises ValidationError if the mesh does not name all its afferent nodes
+    or the indenter covers no surface node, so that it can never touch the
+    skin, and NumericalError if the factorization fails or a column's
+    free-DOF residual exceeds 1e-8 of its (unit) load.
     """
     mesh = system.mesh
+    if set(mesh.afferent_nodes) != set(AFFERENT_TYPES):
+        raise ValidationError(
+            f"mesh.afferent_nodes must cover {AFFERENT_TYPES}, "
+            f"got {sorted(mesh.afferent_nodes)}"
+        )
     nodes, _ = _footprint(mesh, diameter_mm, center_x_mm)
+    if nodes.size == 0:
+        raise ValidationError(
+            f"an indenter {diameter_mm} mm wide centred at x = {center_x_mm} mm "
+            "covers no surface node: it can never touch the skin"
+        )
     fixed = np.fromiter(bottom_constraints(mesh), dtype=np.int64)
     mask = np.ones(system.ndof, dtype=bool)
     mask[fixed] = False
     free = np.flatnonzero(mask)
-    if system.factor is None:
-        try:
-            system.factor = BlockCholesky(system.K, system.K.position[free])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"stiffness factorization failed with {fixed.size} constrained DOFs: {exc}"
-            ) from exc
+    try:
+        factor = BlockCholesky(system.K, system.K.position[free])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"stiffness factorization failed with {fixed.size} constrained DOFs: {exc}"
+        ) from exc
 
     loads = np.zeros((system.ndof, nodes.size))
     loads[2 * nodes + 1, np.arange(nodes.size)] = 1.0
     fields = np.zeros_like(loads)
-    fields[free] = system.factor.solve(loads[free])
+    fields[free] = factor.solve(loads[free])
     residual = np.linalg.norm((system.K @ fields - loads)[free], axis=0)
     bad = ~(residual <= 1e-8)  # NaN counts as failed
     if np.any(bad):
@@ -606,7 +610,7 @@ def _contact_loads(compliance: np.ndarray, displacements: np.ndarray) -> np.ndar
 
 
 def run_indentation(
-    mesh: Mesh, indenter: IndenterSpec, system: StiffnessSystem | None = None
+    mesh: Mesh, indenter: IndenterSpec, footprint: FootprintResponse
 ) -> IndentationResult:
     """Step the indenter through its displacement trace.
 
@@ -621,30 +625,23 @@ def run_indentation(
     count of contact nodes.  Within a set the prescribed value at node j is
     r - sqrt(r^2 - x_j^2) - delta_k, with delta_k = r - (r - depth_k) the
     depth as the profile rounds it, so the loads are affine in delta.  Each
-    set's loads come from the system's footprint compliance (built on first
-    use) for two right-hand sides, the profile at its shallowest step (ref)
-    and unit values, and step k's loads are
-    f_ref - (delta_k - delta_ref) * f_1.  Referring to the shallowest step
-    keeps the two terms from cancelling where the indenter barely touches
-    off its centre.  Raises ValidationError if the indenter covers no
-    surface node, so that it can never touch the skin.
+    set's loads come from the footprint compliance for two right-hand
+    sides, the profile at its shallowest step (ref) and unit values, and
+    step k's loads are f_ref - (delta_k - delta_ref) * f_1.  Referring to
+    the shallowest step keeps the two terms from cancelling where the
+    indenter barely touches off its centre.  `footprint` is the response build_footprint_response
+    made for this mesh and the indenter's diameter and centre; raises
+    ValidationError if its nodes are not the indenter's footprint.
     """
     indenter.validate()
-    if set(mesh.afferent_nodes) != set(AFFERENT_TYPES):
-        raise ValidationError(
-            f"mesh.afferent_nodes must cover {AFFERENT_TYPES}, "
-            f"got {sorted(mesh.afferent_nodes)}"
-        )
     depths = indenter.pre_indentation_mm + np.asarray(indenter.displacement_trace, float)
     nodes, profile, active = _contact(mesh, indenter, depths)
-    if nodes.size == 0:
+    if not np.array_equal(nodes, footprint.nodes):
         raise ValidationError(
+            f"the footprint response covers nodes {footprint.nodes.tolist()}, but "
             f"an indenter {indenter.diameter_mm} mm wide centred at x = "
-            f"{indenter.center_x_mm} mm covers no surface node: it can never "
-            "touch the skin"
+            f"{indenter.center_x_mm} mm covers {nodes.tolist()}"
         )
-    if system is None:
-        system = StiffnessSystem(mesh)
 
     solved = np.flatnonzero((active & (profile != 0.0)).any(axis=1))
     solved = solved[np.argsort(depths[solved], kind="stable")]  # shallowest first
@@ -659,19 +656,14 @@ def run_indentation(
 
     loads = np.zeros((depths.size, nodes.size))
     stress = np.zeros((depths.size, len(AFFERENT_TYPES), 4))
-    response = None
     if solved.size:
-        try:
-            response = system.footprint(indenter.diameter_mm, indenter.center_x_mm)
-        except NumericalError as exc:
-            raise failed(exc, solved) from exc
         # per set: the loads for the profile at ref, and for unit values
         set_loads = np.zeros((sizes.size, 2, nodes.size))
         for s, k in enumerate(ref):
             a = active[k]
             g = np.column_stack([profile[k, a], np.ones(sizes[s])])
             try:
-                set_loads[s][:, a] = _contact_loads(response.compliance[np.ix_(a, a)], g).T
+                set_loads[s][:, a] = _contact_loads(footprint.compliance[np.ix_(a, a)], g).T
             except NumericalError as exc:
                 raise failed(exc, solved[which == s]) from exc
 
@@ -679,7 +671,7 @@ def run_indentation(
         delta = radius - (radius - depths)  # the depth as the profile rounds it
         shift = (delta[solved] - delta[ref][which])[:, None]
         loads[solved] = set_loads[which, 0] - shift * set_loads[which, 1]
-        stress = np.tensordot(loads, response.stress, axes=1)
+        stress = np.tensordot(loads, footprint.stress, axes=1)
 
     vm = von_mises(stress)
     traces = {
@@ -691,6 +683,4 @@ def run_indentation(
         )
         for i, atype in enumerate(AFFERENT_TYPES)
     }
-    return IndentationResult(
-        stress_traces=traces, contact_sets=sizes.size, loads=loads, footprint=response,
-    )
+    return IndentationResult(stress_traces=traces, contact_sets=sizes.size, loads=loads)

@@ -45,11 +45,6 @@ ETA_MUTATION = 20.0
 CROSSOVER_PROB = 0.9
 
 
-def gene_names(afferent_type: str) -> tuple[str, ...]:
-    sats = SATURATION_FIELDS[afferent_type]
-    return ("tau_m_ms",) + tuple(f"log10_{f}" for f in sats) + ("alpha_prime",)
-
-
 def gene_bounds(afferent_type: str) -> tuple[np.ndarray, np.ndarray]:
     n_sat = len(SATURATION_FIELDS[afferent_type])
     low = np.array([TAU_M_BOUNDS[0]] + [LOG10_A_BOUNDS[0]] * n_sat + [ALPHA_BOUNDS[0]])
@@ -304,13 +299,34 @@ def crowding_distance(objs: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _rank_and_crowd(objs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ranks = fast_non_dominated_sort(objs)
+def _crowding_by_rank(objs: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Each member's crowding distance within its own front."""
     crowd = np.empty(objs.shape[0])
     for r in range(ranks.max() + 1):
         idx = np.flatnonzero(ranks == r)
         crowd[idx] = crowding_distance(objs[idx])
-    return ranks, crowd
+    return crowd
+
+
+def _survivors(objs: np.ndarray, ranks: np.ndarray, size: int) -> np.ndarray:
+    """Indices of the `size` members kept: whole fronts in rank order, then
+    the most crowding-distant members of the first front that does not fit.
+
+    Every dominator of a survivor lies in an earlier front and so survives
+    too, so each survivor's rank among the survivors is its rank here.
+    """
+    chosen: list[int] = []
+    for r in range(ranks.max() + 1):
+        idx = np.flatnonzero(ranks == r)
+        if len(chosen) + idx.size <= size:
+            chosen.extend(idx.tolist())
+        else:
+            dist = crowding_distance(objs[idx])
+            order = np.argsort(-dist, kind="stable")
+            chosen.extend(idx[order[: size - len(chosen)]].tolist())
+        if len(chosen) >= size:
+            break
+    return np.array(chosen, dtype=int)
 
 
 def _tournament(rng, ranks, crowd) -> int:
@@ -375,7 +391,6 @@ def _evaluate_population(evaluate, genes: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ParetoFront:
-    gene_names: tuple[str, ...]
     genes: np.ndarray  # final population, (N, n_genes)
     objectives: np.ndarray  # (N, n_objectives)
     ranks: np.ndarray
@@ -424,7 +439,8 @@ def nsga2(
     pop = rng.uniform(low, high, size=(population_size, n_genes))
     objs = _evaluate_population(evaluate, pop)
     evals = population_size
-    ranks, crowd = _rank_and_crowd(objs)
+    ranks = fast_non_dominated_sort(objs)
+    crowd = _crowding_by_rank(objs, ranks)
     best = float(objs.sum(axis=1).min())
     history = [best]
 
@@ -451,31 +467,15 @@ def nsga2(
         merged = np.vstack([pop, children])
         merged_objs = np.vstack([objs, child_objs])
         merged_ranks = fast_non_dominated_sort(merged_objs)
-        chosen: list[int] = []
-        for r in range(merged_ranks.max() + 1):
-            idx = np.flatnonzero(merged_ranks == r)
-            if len(chosen) + idx.size <= population_size:
-                chosen.extend(idx.tolist())
-            else:
-                dist = crowding_distance(merged_objs[idx])
-                order = np.argsort(-dist, kind="stable")
-                need = population_size - len(chosen)
-                chosen.extend(idx[order[:need]].tolist())
-            if len(chosen) >= population_size:
-                break
-        pick = np.array(chosen[:population_size], dtype=int)
-        pop = merged[pick].copy()
-        objs = merged_objs[pick].copy()
-        ranks, crowd = _rank_and_crowd(objs)
+        pick = _survivors(merged_objs, merged_ranks, population_size)
+        pop = merged[pick]
+        objs = merged_objs[pick]
+        ranks = merged_ranks[pick]
+        crowd = _crowding_by_rank(objs, ranks)
         best = min(best, float(objs.sum(axis=1).min()))
         history.append(best)
 
-    if hasattr(evaluate, "afferent_type"):
-        names = gene_names(evaluate.afferent_type)
-    else:
-        names = tuple(f"g{i}" for i in range(n_genes))
     return ParetoFront(
-        gene_names=names,
         genes=pop, objectives=objs, ranks=ranks, crowding=crowd,
         seed=seed, budget=budget, bounds_low=low, bounds_high=high,
         best_sum_history=history,

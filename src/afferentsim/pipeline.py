@@ -6,9 +6,10 @@ writes what they return, and scripts and tests call them directly.
 
 Every `simulate` and `fit` solves the skin FEM for its protocol; nothing
 is read back from an earlier run.  The FEM is condensed to the indenter's
-footprint: one factorization and one multi-column solve per run, then a
-small dense solve per distinct contact set of each stimulus, so
-appendixA's 37 stimuli take a few hundredths of a second.
+footprint: each run builds one footprint response (one factorization and
+one multi-column solve) before its first stimulus and passes it to every
+stimulus, which then takes a small dense solve per distinct contact set,
+so appendixA's 37 stimuli take a few hundredths of a second.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .analysis import RateRecord, firing_rate, regression
 from .config import RunConfig
 from .errors import STRING, NumericalError, ValidationError, check_kind
 from .fem import IndenterSpec, StiffnessSystem, StressTrace, run_indentation
-from .fem import surface_deflection
+from .fem import build_footprint_response, surface_deflection
 from .mesh import AFFERENT_TYPES, Mesh, build_mesh
 from .neural import AfferentParams, default_afferent_params, run_afferents
 from .optimize import ObservedRateSet, OBJECTIVE_FREQS, fit_afferent, predict_rates
@@ -74,21 +75,17 @@ def load_afferent_params(source: str) -> dict[str, AfferentParams]:
 
 
 def stress_bank(
-    cfg: RunConfig, mesh: Mesh, specs: list[StimulusSpec],
-    system: StiffnessSystem | None = None,
+    cfg: RunConfig, mesh: Mesh, specs: list[StimulusSpec]
 ) -> dict[str, dict[str, StressTrace]]:
     """Per-stimulus, per-afferent stress traces, solved for every stimulus.
 
-    Every stimulus reads the system's footprint response for the
-    configured indenter (built by the first one that touches the skin).
-    One line per bank logs the footprint's DOFs, the factorizations made
-    (1 if this bank made the system's one factor, else 0) and the largest
-    unit-load residual.
+    One footprint response for the configured indenter is built before the
+    first stimulus and serves them all.  One line per bank logs the
+    footprint's DOFs and its largest unit-load residual.
     """
-    if system is None:
-        system = StiffnessSystem(mesh)
-    factored = system.factor is not None
-    footprint = None
+    footprint = build_footprint_response(
+        StiffnessSystem(mesh), cfg.indenter_diameter_mm, cfg.indenter_center_x_mm
+    )
     bank: dict[str, dict[str, StressTrace]] = {}
     for spec in specs:
         displacement = spec.generate()
@@ -100,7 +97,7 @@ def stress_bank(
             dt_ms=spec.dt_ms,
         )
         try:
-            result = run_indentation(mesh, indenter, system=system)
+            result = run_indentation(mesh, indenter, footprint)
         except NumericalError as exc:
             raise NumericalError(f"stimulus {spec.stimulus_id}: {exc}") from exc
         bank[spec.stimulus_id] = result.stress_traces
@@ -108,17 +105,10 @@ def stress_bank(
             "FEM solved %s (%d steps, %d contact sets)",
             spec.stimulus_id, displacement.size, result.contact_sets,
         )
-        if result.footprint is not None:
-            footprint = result.footprint
-    if footprint is None:
-        logger.info("FEM bank: %d stimuli, none in contact", len(specs))
-    else:
-        logger.info(
-            "FEM bank: %d stimuli, %d footprint DOFs, %d factorizations made, "
-            "largest unit-load residual %.2e",
-            len(specs), footprint.nodes.size, 0 if factored else 1,
-            footprint.residual,
-        )
+    logger.info(
+        "FEM bank: %d stimuli, %d footprint DOFs, largest unit-load residual %.2e",
+        len(specs), footprint.nodes.size, footprint.residual,
+    )
     return bank
 
 
@@ -173,8 +163,11 @@ def validate(cfg: RunConfig) -> ValidateResult:
         diameter_mm=0.05, center_x_mm=0.0, pre_indentation_mm=1.0,
         displacement_trace=np.zeros(1), dt_ms=cfg.dt_ms,
     )
-    result = run_indentation(mesh, indenter)
-    xs, profile = surface_deflection(mesh, result.footprint.fields @ result.loads[0])
+    footprint = build_footprint_response(
+        StiffnessSystem(mesh), indenter.diameter_mm, indenter.center_x_mm
+    )
+    result = run_indentation(mesh, indenter, footprint)
+    xs, profile = surface_deflection(mesh, footprint.fields @ result.loads[0])
     max_deflection = float(profile.max())
     max_ok = 0.9 <= max_deflection <= 1.1
     monotone = bool(np.all(np.diff(profile) < 0))

@@ -22,15 +22,24 @@ def default_system(default_mesh):
 
 
 @pytest.fixture(scope="session")
-def appendix_a_bank(default_config, default_mesh, default_system):
+def default_footprint(default_config, default_system):
+    """The footprint response of the configured 1 mm probe at the centre."""
+    return fem.build_footprint_response(
+        default_system, default_config.indenter_diameter_mm,
+        default_config.indenter_center_x_mm,
+    )
+
+
+@pytest.fixture(scope="session")
+def appendix_a_bank(default_config, default_mesh):
     """stimulus_id -> {afferent -> StressTrace} for the 37-sinusoid bank."""
     specs = pipeline.resolve_protocol(default_config)
-    bank = pipeline.stress_bank(default_config, default_mesh, specs, default_system)
+    bank = pipeline.stress_bank(default_config, default_mesh, specs)
     return specs, bank
 
 
 @pytest.fixture(scope="session")
-def fifty_um_traces(default_config, default_mesh, default_system):
+def fifty_um_traces(default_config, default_mesh, default_footprint):
     """PC stress traces for 50 um sinusoids at 20/50/100/300 Hz."""
     from afferentsim import stimulus
 
@@ -43,7 +52,7 @@ def fifty_um_traces(default_config, default_mesh, default_system):
             displacement_trace=trace,
             dt_ms=0.5,
         )
-        result = fem.run_indentation(default_mesh, indenter, system=default_system)
+        result = fem.run_indentation(default_mesh, indenter, default_footprint)
         out[freq] = result.stress_traces["PC"]
     return out
 

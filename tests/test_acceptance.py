@@ -89,17 +89,16 @@ def test_criterion_02_flamant_half_plane():
         assert abs(measured - analytic) <= 0.05 * abs(analytic), f"x={x}"
 
 
-def test_criterion_03_deflection_profile(default_mesh):
+def test_criterion_03_deflection_profile(default_mesh, default_system):
     """50 um probe at 1 mm indentation: max deflection in [0.9, 1.1] mm and
     strictly monotone decay at 0.5 mm sampling."""
     indenter = fem.IndenterSpec(
         diameter_mm=0.05, center_x_mm=0.0, pre_indentation_mm=1.0,
         displacement_trace=np.zeros(1), dt_ms=DT,
     )
-    result = fem.run_indentation(default_mesh, indenter)
-    _, profile = fem.surface_deflection(
-        default_mesh, result.footprint.fields @ result.loads[0]
-    )
+    footprint = fem.build_footprint_response(default_system, 0.05, 0.0)
+    result = fem.run_indentation(default_mesh, indenter, footprint)
+    _, profile = fem.surface_deflection(default_mesh, footprint.fields @ result.loads[0])
     assert 0.9 <= profile.max() <= 1.1
     assert profile.argmax() == 0  # peak under the probe
     assert np.all(np.diff(profile) < 0)  # strict decay with distance

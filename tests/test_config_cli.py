@@ -336,7 +336,7 @@ def test_cli_simulate_rejects_stimuli_not_a_list(tmp_path, caplog):
 
 
 def test_stress_bank_logs_contact_sets(caplog, default_config, default_mesh,
-                                       default_system):
+                                       default_footprint):
     spec = sin_spec(50.0, 113.60)
     indenter = fem.IndenterSpec(
         diameter_mm=default_config.indenter_diameter_mm,
@@ -344,41 +344,34 @@ def test_stress_bank_logs_contact_sets(caplog, default_config, default_mesh,
         pre_indentation_mm=default_config.indenter_pre_indentation_mm,
         displacement_trace=spec.generate(), dt_ms=spec.dt_ms,
     )
-    result = fem.run_indentation(default_mesh, indenter, system=default_system)
+    result = fem.run_indentation(default_mesh, indenter, default_footprint)
     assert result.contact_sets == 2  # the centre node, then its neighbours too
 
     with caplog.at_level(logging.INFO, logger="afferentsim"):
-        pipeline.stress_bank(default_config, default_mesh, [spec], default_system)
+        pipeline.stress_bank(default_config, default_mesh, [spec])
     assert (
         f"FEM solved {spec.stimulus_id} ({spec.generate().size} steps, "
         f"{result.contact_sets} contact sets)"
     ) in caplog.text
 
 
-def test_stress_bank_logs_footprint(caplog, default_config, default_mesh):
-    system = fem.StiffnessSystem(default_mesh)
+def test_stress_bank_logs_footprint(caplog, default_config, default_mesh,
+                                    default_footprint):
     specs = [sin_spec(50.0, 113.60), sin_spec(20.0, 250.0)]
     with caplog.at_level(logging.INFO, logger="afferentsim"):
-        pipeline.stress_bank(default_config, default_mesh, specs, system)
+        pipeline.stress_bank(default_config, default_mesh, specs)
     found = re.findall(
-        r"FEM bank: 2 stimuli, 5 footprint DOFs, 1 factorizations made, "
-        r"largest unit-load residual (\S+)", caplog.text,
+        r"FEM bank: 2 stimuli, 5 footprint DOFs, largest unit-load residual (\S+)",
+        caplog.text,
     )
     assert len(found) == 1
-    response = system.footprint(default_config.indenter_diameter_mm,
-                                default_config.indenter_center_x_mm)
-    assert float(found[0]) == float(f"{response.residual:.2e}")
-    assert response.residual <= 1e-8
+    assert float(found[0]) == float(f"{default_footprint.residual:.2e}")
+    assert default_footprint.residual <= 1e-8
 
-    caplog.clear()  # the system keeps its factor and response
+    caplog.clear()  # a bank that never touches the skin still builds its footprint
     with caplog.at_level(logging.INFO, logger="afferentsim"):
-        pipeline.stress_bank(default_config, default_mesh, specs[:1], system)
-    assert "FEM bank: 1 stimuli, 5 footprint DOFs, 0 factorizations made" in caplog.text
-
-    caplog.clear()
-    with caplog.at_level(logging.INFO, logger="afferentsim"):
-        pipeline.stress_bank(default_config, default_mesh, [sin_spec(50.0, 0.0)], system)
-    assert "FEM bank: 1 stimuli, none in contact" in caplog.text
+        pipeline.stress_bank(default_config, default_mesh, [sin_spec(50.0, 0.0)])
+    assert "FEM bank: 1 stimuli, 5 footprint DOFs, largest unit-load residual" in caplog.text
 
 
 def test_cli_fit_rejects_duplicate_conditions(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import logging
 import re
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from afferentsim import config, fem, mesh, stimulus
+from afferentsim import config, fem, mesh, pipeline, stimulus
 from afferentsim.errors import NumericalError, ValidationError
 from afferentsim.mesh import AFFERENT_TYPES
 from oracles import constrained_solve, einsum_stiffness, stress_csv_text
@@ -239,7 +240,8 @@ def test_solve_matches_spsolve_on_appendix_a_sets(h):
              for nodes, ends in contact_sets for depth, profile in ends]
     trace = np.array([depth for _, depth, _ in steps])
     result = fem.run_indentation(
-        m, dataclasses.replace(indenter, displacement_trace=trace), system=system
+        m, dataclasses.replace(indenter, displacement_trace=trace),
+        fem.build_footprint_response(system, indenter.diameter_mm, indenter.center_x_mm),
     )
     assert result.contact_sets == len(contact_sets)
     got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
@@ -320,61 +322,84 @@ def test_flamant_surface_deflection_differences():
         assert abs(measured - analytic) <= 0.05 * abs(analytic)
 
 
-def test_run_indentation_zero_trace_is_silent(default_mesh, default_system):
+def test_run_indentation_zero_trace_is_silent(default_mesh, default_footprint):
     indenter = fem.IndenterSpec(diameter_mm=1.0, displacement_trace=np.zeros(5))
-    result = fem.run_indentation(default_mesh, indenter, system=default_system)
+    result = fem.run_indentation(default_mesh, indenter, default_footprint)
     for trace in result.stress_traces.values():
         assert np.all(trace.values == 0.0)
 
 
-def test_run_indentation_lifted_is_silent(default_mesh, default_system):
+def test_run_indentation_lifted_is_silent(default_mesh, default_footprint):
     indenter = fem.IndenterSpec(
         diameter_mm=1.0, pre_indentation_mm=0.0,
         displacement_trace=np.array([-0.05, -0.2, -0.01]),
     )
-    result = fem.run_indentation(default_mesh, indenter, system=default_system)
+    result = fem.run_indentation(default_mesh, indenter, default_footprint)
     for trace in result.stress_traces.values():
         assert np.all(trace.values == 0.0)
 
 
 def test_run_indentation_requires_afferent_nodes():
+    # the footprint response that run_indentation needs is refused for a
+    # mesh that does not name its afferent nodes
     m = single_element_mesh()
     indenter = fem.IndenterSpec(diameter_mm=1.0)
-    with pytest.raises(ValidationError):
-        fem.run_indentation(m, indenter)
+    with pytest.raises(ValidationError, match=r"^mesh\.afferent_nodes must cover"):
+        fem.run_indentation(m, indenter, fem.build_footprint_response(
+            fem.StiffnessSystem(m), indenter.diameter_mm, indenter.center_x_mm))
+
+
+@pytest.mark.parametrize("diameter, center", [(2.0, 0.0), (1.0, 0.3)])
+def test_run_indentation_refuses_footprint_of_another_indenter(
+        default_mesh, default_footprint, diameter, center):
+    indenter = fem.IndenterSpec(diameter_mm=diameter, center_x_mm=center,
+                                displacement_trace=np.array([0.1]))
+    with pytest.raises(ValidationError, match=(
+            r"^the footprint response covers nodes \[.*\], but an indenter "
+            rf"{diameter} mm wide centred at x = {center} mm covers \[")):
+        fem.run_indentation(default_mesh, indenter, default_footprint)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_indenter_refuses_non_finite_pre_indentation(default_mesh, default_footprint,
+                                                     value):
+    # unchecked, NaN gives zero stress on every step with no error, and inf
+    # a misleading contact-set solve residual
+    indenter = fem.IndenterSpec(diameter_mm=1.0, pre_indentation_mm=value,
+                                displacement_trace=np.array([0.0, 0.1]))
+    with pytest.raises(ValidationError, match=r"^pre_indentation_mm must be finite"):
+        fem.run_indentation(default_mesh, indenter, default_footprint)
 
 
 def count_calls(monkeypatch, owner, name):
-    """Wrap owner.name so that each call appends to the returned list."""
+    """Wrap owner.name so that each call appends its result to the returned
+    list."""
     calls = []
     real = getattr(owner, name)
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        result = real(*args, **kwargs)
+        calls.append(result)
+        return result
 
     monkeypatch.setattr(owner, name, counting)
     return calls
 
 
-def test_factor_cache_bounded(default_config, default_mesh, monkeypatch):
-    """appendixA's whole bank: one factorization, one footprint response
-    and one multi-column solve, and no per-step or per-set solve."""
-    from afferentsim import pipeline
-
-    system = fem.StiffnessSystem(default_mesh)
-    builds = count_calls(monkeypatch, fem, "build_footprint_response")
+def test_stress_bank_factors_once(default_config, default_mesh, monkeypatch):
+    """Each bank: one footprint response, one factorization and one
+    multi-column solve, and no per-step or per-set solve."""
+    builds = count_calls(monkeypatch, pipeline, "build_footprint_response")
     factors = count_calls(monkeypatch, fem.BlockCholesky, "__init__")
     solves = count_calls(monkeypatch, fem.BlockCholesky, "solve")
     specs = pipeline.resolve_protocol(default_config)
-    pipeline.stress_bank(default_config, default_mesh, specs, system)
+    pipeline.stress_bank(default_config, default_mesh, specs)  # appendixA
     assert (len(builds), len(factors), len(solves)) == (1, 1, 1)
-
-    response = system.footprint(default_config.indenter_diameter_mm,
-                                default_config.indenter_center_x_mm)
-    xs = default_mesh.nodes[response.nodes, 0]
+    xs = default_mesh.nodes[builds[0].nodes, 0]
     assert np.array_equal(np.sort(xs), [-0.4, -0.2, 0.0, 0.2, 0.4])
-    assert len(builds) == 1  # cached on the system
+
+    pipeline.stress_bank(default_config, default_mesh, specs[:1])
+    assert (len(builds), len(factors), len(solves)) == (2, 2, 2)
 
 
 def test_stress_trace_csv_round_trip(tmp_path):
@@ -545,9 +570,18 @@ def assert_same_samples(got, expected, rtol=1e-12):
     assert rel.size == 0 or rel.max() <= rtol, rel.max()
 
 
+@pytest.fixture(scope="module")
+def footprint_of(default_system):
+    """(diameter, centre) -> the default mesh's footprint response for that
+    indenter, built once per pair for the tests that draw many indenters."""
+    return functools.lru_cache(maxsize=None)(
+        functools.partial(fem.build_footprint_response, default_system)
+    )
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_run_indentation_matches_per_step_oracle(default_mesh, default_system,
-                                                 monkeypatch, case):
+                                                 footprint_of, monkeypatch, case):
     kwargs = dict(ORACLE_CASES[case])
     trace = kwargs.pop("trace")
     record = kwargs.pop("record_deflection", False)
@@ -556,18 +590,16 @@ def test_run_indentation_matches_per_step_oracle(default_mesh, default_system,
         default_mesh, indenter, default_system, record_deflection=record
     )
 
+    footprint = footprint_of(indenter.diameter_mm, indenter.center_x_mm)
     solves = count_calls(monkeypatch, fem.BlockCholesky, "solve")
-    builds = count_calls(monkeypatch, fem, "build_footprint_response")
-    result = fem.run_indentation(
-        default_mesh, indenter, system=fem.StiffnessSystem(default_mesh)
-    )
+    result = fem.run_indentation(default_mesh, indenter, footprint)
     got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
     assert_same_samples(got, vm)
     assert result.contact_sets == len(sets)
-    # every set is read from the footprint response: one solve, for the unit loads
-    assert len(solves) == len(builds) == (1 if sets else 0)
+    # every set is read from the footprint response: no solve with K
+    assert solves == []
     if record:  # the deflection is a linear map of the loads
-        fields = result.footprint.fields
+        fields = footprint.fields
         assert_same_samples(
             np.array([fem.surface_deflection(default_mesh, fields @ f)[1]
                       for f in result.loads]),
@@ -588,7 +620,7 @@ def test_contact_active_set_matches_oracle(default_mesh, depth, diameter, center
     assert got == expected  # same DOFs, bit-identical profile values
 
 
-def test_run_indentation_error_names_first_step_of_set(default_mesh, default_system,
+def test_run_indentation_error_names_first_step_of_set(default_mesh, default_footprint,
                                                        monkeypatch):
     trace = stimulus.sinusoid(50.0, 113.6, 40.0)
     indenter = fem.IndenterSpec(diameter_mm=1.0, displacement_trace=trace)
@@ -604,7 +636,7 @@ def test_run_indentation_error_names_first_step_of_set(default_mesh, default_sys
     monkeypatch.setattr(fem, "_contact_loads", failing_loads)
     first = rf"^step {wide[0]} \(depth {trace[wide[0]]:.6f} mm\): solve residual"
     with pytest.raises(NumericalError, match=first):
-        fem.run_indentation(default_mesh, indenter, system=default_system)
+        fem.run_indentation(default_mesh, indenter, default_footprint)
 
 
 # ---------------------------------------- footprint response (condensed)
@@ -613,8 +645,12 @@ def test_run_indentation_error_names_first_step_of_set(default_mesh, default_sys
 def singular_compliance(monkeypatch):
     # C = all ones: regular for one contact node, singular for more
     build = fem.build_footprint_response
-    monkeypatch.setattr(fem, "build_footprint_response", lambda *a: dataclasses.replace(
-        build(*a), compliance=np.ones((5, 5))))
+
+    def singular(*args):
+        return dataclasses.replace(build(*args), compliance=np.ones((5, 5)))
+
+    for owner in (fem, pipeline):
+        monkeypatch.setattr(owner, "build_footprint_response", singular)
     return 3, "footprint compliance of 3 contact nodes is singular"
 
 
@@ -627,12 +663,15 @@ def sloppy_set_solve(monkeypatch):
 
 
 def sloppy_unit_loads(monkeypatch):
+    # fails while the footprint response is built, which belongs to no step
     solve = fem.BlockCholesky.solve
     monkeypatch.setattr(fem.BlockCholesky, "solve",
                         lambda self, rhs: solve(self, rhs) * (1.0 + 1e-6))
-    return 1, r"unit load at footprint node \d+: solve residual \S+ exceeds 1e-8 relative"
+    return None, r"unit load at footprint node \d+: solve residual \S+ exceeds 1e-8 relative"
 
 
+# failure -> patch(monkeypatch) returning (the smallest contact set that
+# fails, or None if building the footprint response fails; the message)
 FOOTPRINT_FAILURES = {
     "singular-set": singular_compliance,
     "set-residual": sloppy_set_solve,
@@ -641,21 +680,26 @@ FOOTPRINT_FAILURES = {
 
 
 def first_step_with_set_size(m, indenter, size):
+    """The prefix naming the first step whose contact set has `size` or
+    more nodes, "" for size None."""
+    if size is None:
+        return ""
     depths = indenter.pre_indentation_mm + indenter.displacement_trace
     _, profile, active = fem._contact(m, indenter, depths)
     solved = (active & (profile != 0.0)).any(axis=1)
     k = int(np.flatnonzero(solved & (active.sum(axis=1) >= size))[0])
-    return rf"step {k} \(depth {depths[k]:.6f} mm\)"
+    return rf"step {k} \(depth {depths[k]:.6f} mm\): "
 
 
 @pytest.mark.parametrize("failure", sorted(FOOTPRINT_FAILURES))
-def test_footprint_failures_raise(default_mesh, monkeypatch, failure):
+def test_footprint_failures_raise(default_mesh, default_system, monkeypatch, failure):
     indenter = fem.IndenterSpec(diameter_mm=1.0,
                                 displacement_trace=stimulus.sinusoid(50.0, 113.6, 40.0))
     size, message = FOOTPRINT_FAILURES[failure](monkeypatch)
     step = first_step_with_set_size(default_mesh, indenter, size)
-    with pytest.raises(NumericalError, match=f"^{step}: {message}"):
-        fem.run_indentation(default_mesh, indenter, system=fem.StiffnessSystem(default_mesh))
+    with pytest.raises(NumericalError, match=f"^{step}{message}"):
+        fem.run_indentation(default_mesh, indenter,
+                            fem.build_footprint_response(default_system, 1.0, 0.0))
 
 
 @pytest.mark.parametrize("failure", sorted(FOOTPRINT_FAILURES))
@@ -673,10 +717,12 @@ def test_cli_footprint_failures_exit_3(default_mesh, tmp_path, monkeypatch, capl
     indenter = fem.IndenterSpec(diameter_mm=1.0, displacement_trace=spec.generate())
     size, message = FOOTPRINT_FAILURES[failure](monkeypatch)
     step = first_step_with_set_size(default_mesh, indenter, size)
+    # a contact set's failure names its stimulus; the footprint's names none
+    stimulus_prefix = "" if size is None else "stimulus probe: "
     with caplog.at_level(logging.ERROR, logger="afferentsim"):
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 3
-    assert re.search(f"numerical failure: stimulus probe: {step}: {message}", caplog.text)
+    assert re.search(f"numerical failure: {stimulus_prefix}{step}{message}", caplog.text)
 
 
 def per_step_stress(m, system, indenter, depth):
@@ -698,7 +744,7 @@ def per_step_stress(m, system, indenter, depth):
     center=st.sampled_from([0.0, 0.3, -0.1]),
 )
 def test_footprint_stress_matches_per_step_solve(default_mesh, default_system,
-                                                 depths, diameter, center):
+                                                 footprint_of, depths, diameter, center):
     """Off the centre the footprint is asymmetric (the 1 mm probe at
     x = 0.3 covers the nodes at -0.2 ... 0.8), and depths that share a
     contact set are referred to the shallowest of them.  The loads give
@@ -706,7 +752,8 @@ def test_footprint_stress_matches_per_step_solve(default_mesh, default_system,
     everywhere else."""
     indenter = fem.IndenterSpec(diameter_mm=diameter, center_x_mm=center,
                                 displacement_trace=np.array(depths))
-    result = fem.run_indentation(default_mesh, indenter, system=default_system)
+    footprint = footprint_of(diameter, center)
+    result = fem.run_indentation(default_mesh, indenter, footprint)
     got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
     expected = np.array([
         fem.von_mises(per_step_stress(default_mesh, default_system, indenter, d))
@@ -721,7 +768,7 @@ def test_footprint_stress_matches_per_step_solve(default_mesh, default_system,
             a = np.zeros_like(a)  # an unsolved step: no loads anywhere
         assert np.all(result.loads[k, ~a] == 0.0)
         if a.any():
-            c_aa = result.footprint.compliance[np.ix_(a, a)]
+            c_aa = footprint.compliance[np.ix_(a, a)]
             err = np.abs(c_aa @ result.loads[k, a] - profile[k, a]).max()
             assert err <= 1e-12 * np.abs(profile[k, a]).max()
 
@@ -734,8 +781,9 @@ def test_footprint_stress_matches_oracle_on_fine_mesh():
     indenter = fem.IndenterSpec(diameter_mm=1.0, pre_indentation_mm=0.25,
                                 displacement_trace=stimulus.sinusoid(50.0, 300.0, 20.0))
     vm, _, sets = run_indentation_oracle(m, indenter, system)
-    result = fem.run_indentation(m, indenter, system=system)
-    assert result.footprint.nodes.size == 11
+    footprint = fem.build_footprint_response(system, 1.0, 0.0)
+    result = fem.run_indentation(m, indenter, footprint)
+    assert footprint.nodes.size == 11
     assert max(len(s) for s in sets) == 11  # every footprint node touches
     got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
     assert_same_samples(got, vm)

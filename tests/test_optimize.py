@@ -33,9 +33,7 @@ def synthetic_bank(amps=(10.0, 50.0)):
 def test_gene_round_trip():
     for name, params in neural.default_afferent_params().items():
         genes = params_to_genes(params)
-        names = optimize.gene_names(name)
-        assert len(genes) == len(names)
-        assert names[0] == "tau_m_ms" and names[-1] == "alpha_prime"
+        assert len(genes) == len(optimize.gene_bounds(name)[0])
         again = optimize.genes_to_params(name, genes)
         assert again.tau_m_ms == pytest.approx(params.tau_m_ms, rel=1e-12)
         assert again.alpha_prime == pytest.approx(params.alpha_prime, rel=1e-12)
@@ -53,9 +51,9 @@ def test_gene_round_trip():
 
 
 def test_gene_count_by_type():
-    assert len(optimize.gene_names("SA")) == 4
-    assert len(optimize.gene_names("RA")) == 3
-    assert len(optimize.gene_names("PC")) == 3
+    for atype, n_genes in (("SA", 4), ("RA", 3), ("PC", 3)):
+        low, high = optimize.gene_bounds(atype)
+        assert low.size == high.size == n_genes
 
 
 # ---------------------------------------------------------- observed rates
@@ -288,6 +286,19 @@ def test_sort_matches_brute_force(seed, n, m):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 30), st.integers(2, 4))
+def test_survivors_keep_their_ranks(seed, size, m):
+    """nsga2 reads the survivors' ranks from the merged population's sort:
+    they equal a fresh sort of the survivors alone."""
+    rng = np.random.default_rng(seed)
+    objs = rng.integers(0, 5, size=(2 * size, m)).astype(float)  # ties are common
+    ranks = optimize.fast_non_dominated_sort(objs)
+    pick = optimize._survivors(objs, ranks, size)
+    assert pick.size == size and np.unique(pick).size == size
+    assert np.array_equal(optimize.fast_non_dominated_sort(objs[pick]), ranks[pick])
+
+
 def test_crowding_distance():
     objs = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
     d = optimize.crowding_distance(objs)
@@ -390,7 +401,6 @@ def _front(genes, objectives, ranks=None):
     objectives = np.asarray(objectives, dtype=float)
     n = genes.shape[0]
     return optimize.ParetoFront(
-        gene_names=tuple(f"g{i}" for i in range(genes.shape[1])),
         genes=genes,
         objectives=objectives,
         ranks=np.zeros(n, dtype=int) if ranks is None else np.asarray(ranks),
