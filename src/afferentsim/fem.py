@@ -124,19 +124,19 @@ class IndenterSpec:
     dt_ms: float = 0.5
 
     def validate(self) -> None:
-        if not self.diameter_mm > 0:
-            raise ValidationError(f"diameter_mm must be > 0, got {self.diameter_mm}")
-        if not self.dt_ms > 0:
-            raise ValidationError(f"dt_ms must be > 0, got {self.dt_ms}")
+        for name in ("diameter_mm", "dt_ms"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be finite and > 0, got {value}")
         trace = np.asarray(self.displacement_trace, dtype=float)
         if trace.ndim != 1 or trace.size == 0:
             raise ValidationError("displacement_trace must be a non-empty 1-D array")
         if not np.isfinite(trace).all():
             raise ValidationError("displacement_trace contains non-finite values")
-        if not np.isfinite(self.pre_indentation_mm):
-            raise ValidationError(
-                f"pre_indentation_mm must be finite, got {self.pre_indentation_mm}"
-            )
+        for name in ("pre_indentation_mm", "center_x_mm"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

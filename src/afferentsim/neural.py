@@ -326,6 +326,12 @@ _TABLE_COLUMNS = ("tau_m_ms", "alpha_prime", "threshold_mv", "u_rest_mv",
                   "u_reset_mv", "tau_r_ms")
 
 
+# Steps whose drive SpikeCounter forms at once.  Its (STEP_BLOCK, S, N)
+# buffers, one per saturation term and one for the drive, take 1.4 MB for
+# SA at a fit's 37 stimuli x 100 sets and so fit a 2 MB L2; 64 steps do not.
+STEP_BLOCK = 16
+
+
 class SpikeCounter:
     """The integrate-and-fire loop, for many parameter sets on one bank.
 
@@ -343,20 +349,29 @@ class SpikeCounter:
     threshold, at the post-update step; the potential resets and the drive
     is gated off for n_refr = ceil(tau_r/dt) steps while the leak stays
     active.  A unit stops at its window end (or its trace end), since later
-    steps cannot add to the count.  The drive is formed for the current
-    step only, and every unit goes through the same IEEE operations as a
-    per-unit scalar loop, so its spikes equal that loop's exactly.
+    steps cannot add to the count.  Every unit goes through the same IEEE
+    operations as a per-unit scalar loop, so its spikes equal that loop's
+    exactly.
+
+    With the drive gated off, the n_refr steps after a spike follow a fixed
+    trajectory: after[0] = u_reset and after[j] = (after[j-1] * c1 + rest)
+    + c3 * 0, the step's own operations in its own order.  The loop makes
+    after[1..n_refr] once per call, and at each step writes after[j] over
+    the potential of every unit that spiked j steps before, oldest lag
+    first so that the latest spike wins; units with n_refr = 0 reset at the
+    spike itself.  The lags are read from the spike record, which starts
+    with max(n_refr) rows of zeros so those reads need no bounds.  Since no
+    step then changes a unit's drive, c3 * alpha' * sum_j f_j / (a_j + f_j)
+    is formed for STEP_BLOCK steps at once, one input copy per term and one
+    ufunc call per operation into (STEP_BLOCK, S, N) buffers.
 
     The loop is NumPy ufuncs on whole (S, N) arrays, and every operand of
-    its arithmetic is laid out in that full shape, C-contiguous, so none of
-    it broadcasts: the per-unit constants once per call, and each step's
-    input column copied once per term into a buffer that the add and the
-    divide both read.  The refractory gate is read from the spike record
-    itself: a unit is gated at a step exactly when it spiked at one of its
-    previous n_refr steps, and the record starts with max(n_refr) rows of
-    zeros so those reads need no bounds.  The gate so costs one masked copy
-    per step of the longest refractory period (one for RA and PC at
-    dt = 0.5 ms, two for SA), and no countdown.
+    its per-step arithmetic is laid out in that full shape, C-contiguous, so
+    none of it broadcasts.  A step is u * c1, + rest, + drive, one masked
+    copy per lag of the longest refractory period and the compare into the
+    spike record: 5 ufunc calls for RA and PC at dt = 0.5 ms (one lag) and
+    6 for SA (two).  A lag that only some units reach, and the reset of
+    units with n_refr = 0 among others, each add one logical_and.
     """
 
     def __init__(self, features, dt_ms, windows_ms):
@@ -446,21 +461,25 @@ class SpikeCounter:
         sat = [full(a) for a in table.saturation]
         alpha = full(table.alpha_prime)
         theta = full(table.threshold_mv)
-        u_reset = full(table.u_reset_mv)
         n_steps = self._inputs.shape[1]
         n_refr = np.ceil(table.tau_r_ms / dt)
         # lags past the last step never reach a spike
         lead = int(min(n_refr.max(), n_steps))
-        # step k reads record row lead + k - j for each lag j, which gates
+        after = [full(table.u_reset_mv)]
+        for _ in range(lead):
+            after.append((after[-1] * c1 + rest) + c3 * 0.0)
+        # step k reads record row lead + k - j for each lag j, which holds
         # the units with n_refr >= j: every unit, or those under a mask
-        gates = [(lead - j, None if (n_refr >= j).all() else n_refr >= j)
-                 for j in range(1, lead + 1)]
+        lags = [(lead - j, after[j], None if (n_refr >= j).all() else n_refr >= j)
+                for j in range(lead, 0, -1)]
+        no_refr = n_refr == 0
+        resets = [(after[0], None if no_refr.all() else no_refr)] if no_refr.any() else []
 
         u = full(table.u_rest_mv)
-        drive = np.empty(shape)
-        term = np.empty(shape)
         gated = np.empty(shape, dtype=bool)
-        expanded = [np.empty(shape) for _ in range(self.n_terms)]
+        # flat, so that each block's (steps, m, N) view is C-contiguous
+        size = min(STEP_BLOCK, n_steps) * shape[0] * shape[1]
+        buffers = [np.empty(size) for _ in range(self.n_terms + 1)]  # drive, inputs
         spiked = np.zeros((lead + n_steps,) + shape, dtype=bool)
         stop = self._stop.tolist()
         start = 0
@@ -470,38 +489,47 @@ class SpikeCounter:
             end = stop[m - 1]
             if end <= start:
                 continue
-            uu, dd, tt, gg = u[:m], drive[:m], term[:m], gated[:m]
+            uu, gg = u[:m], gated[:m]
             c1m, restm, c3m = c1[:m], rest[:m], c3[:m]
-            alpham, thetam, resetm = alpha[:m], theta[:m], u_reset[:m]
+            alpham, thetam = alpha[:m], theta[:m]
+            satm = [a[:m] for a in sat]
             record = spiked[:, :m]
-            fill = [(f[:m], x[:, :m, None]) for f, x in zip(expanded, self._inputs)]
-            (f0, a0), *more = [(f[:m], a[:m]) for f, a in zip(expanded, sat)]
-            masks = [(back, None if g is None else g[:m]) for back, g in gates]
-            for k in range(start, end):
-                for f, column in fill:
-                    np.copyto(f, column[k])
-                # the drive, alpha' * sum_j f_j / (a_j + f_j)
-                np.add(a0, f0, out=dd)
-                np.divide(f0, dd, out=dd)
-                for f, a in more:
+            overwrites = [(back, x[:m], None if g is None else g[:m]) for back, x, g in lags]
+            at_spike = [(x[:m], None if g is None else g[:m]) for x, g in resets]
+            for k0 in range(start, end, STEP_BLOCK):
+                k1 = min(k0 + STEP_BLOCK, end)
+                n = (k1 - k0) * m * shape[1]
+                dd, *fs = [b[:n].reshape(k1 - k0, m, shape[1]) for b in buffers]
+                for f, x in zip(fs, self._inputs):
+                    np.copyto(f, x[k0:k1, :m, None])
+                # the drive, c3 * alpha' * sum_j f_j / (a_j + f_j); the first
+                # input's buffer holds each later term
+                np.add(satm[0], fs[0], out=dd)
+                np.divide(fs[0], dd, out=dd)
+                tt = fs[0]
+                for f, a in zip(fs[1:], satm[1:]):
                     np.add(a, f, out=tt)
                     np.divide(f, tt, out=tt)
                     np.add(dd, tt, out=dd)
                 np.multiply(dd, alpham, out=dd)
-                # units that spiked in their last n_refr steps get no drive
-                for back, mask in masks:
-                    g = record[k + back]
-                    if mask is not None:
-                        g = np.logical_and(g, mask, out=gg)
-                    np.copyto(dd, 0.0, where=g)
-                # u <- (c1*u + (1 - c1)*u_rest) + c3*d
-                np.multiply(uu, c1m, out=uu)
-                np.add(uu, restm, out=uu)
                 np.multiply(dd, c3m, out=dd)
-                np.add(uu, dd, out=uu)
-                ss = record[lead + k]
-                np.greater_equal(uu, thetam, out=ss)
-                np.copyto(uu, resetm, where=ss)
+                for k in range(k0, k1):
+                    # u <- (c1*u + (1 - c1)*u_rest) + c3*d
+                    np.multiply(uu, c1m, out=uu)
+                    np.add(uu, restm, out=uu)
+                    np.add(uu, dd[k - k0], out=uu)
+                    # units that spiked in their last n_refr steps follow
+                    # the gated trajectory instead
+                    for back, x, mask in overwrites:
+                        g = record[k + back]
+                        if mask is not None:
+                            g = np.logical_and(g, mask, out=gg)
+                        np.copyto(uu, x, where=g)
+                    ss = record[lead + k]
+                    np.greater_equal(uu, thetam, out=ss)
+                    for x, mask in at_spike:
+                        g = ss if mask is None else np.logical_and(ss, mask, out=gg)
+                        np.copyto(uu, x, where=g)
             start = end
         return spiked[lead:]
 

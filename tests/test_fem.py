@@ -371,6 +371,17 @@ def test_indenter_refuses_non_finite_pre_indentation(default_mesh, default_footp
         fem.run_indentation(default_mesh, indenter, default_footprint)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["diameter_mm", "dt_ms", "center_x_mm"])
+def test_indenter_refuses_non_finite_fields(default_mesh, default_footprint, name, value):
+    # unchecked, an infinite diameter condenses onto every surface node and
+    # gives all-zero traces, and an infinite dt an infinite trace duration
+    indenter = fem.IndenterSpec(**{"diameter_mm": 1.0, name: value},
+                                displacement_trace=np.array([0.0, 0.1]))
+    with pytest.raises(ValidationError, match=rf"^{name} must be finite"):
+        fem.run_indentation(default_mesh, indenter, default_footprint)
+
+
 def count_calls(monkeypatch, owner, name):
     """Wrap owner.name so that each call appends its result to the returned
     list."""

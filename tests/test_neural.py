@@ -345,6 +345,50 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
             assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
 
 
+@pytest.mark.parametrize("block", [1, 3, 16, 10_000])
+def test_spike_counter_is_block_invariant(monkeypatch, block):
+    """Spike steps and window counts do not depend on how many steps of drive
+    are formed at once: every block size gives the scalar loop's.
+
+    The units mix n_refr = ceil(tau_r/dt) of 0, 1, 2 and 5.  Those with
+    tau_m < dt (c1 = -4) and a reset below rest overshoot past threshold
+    while refractory: half of them on every step, half every third step,
+    so lags reach back across block boundaries.  The stops (steps 76, 52,
+    46 and 28) and the window starts at steps 11 and 25 fall inside blocks
+    of 3 and of 16."""
+    monkeypatch.setattr(neural, "STEP_BLOCK", block)
+    rng = np.random.default_rng(3)
+    features, windows = [], [(5.5, 38.5), (0.0, 100.0), (12.5, 26.5), (3.0, 40.0)]
+    for n in (80, 47, 61, 29):
+        features.append(tuple(np.abs(rng.normal(scale=2e4, size=n)) * (rng.random(n) < 0.8)
+                              for _ in range(2)))
+    params = []
+    for tau_r in (0.0, 0.5, 1.0, 2.5):
+        params.append(dataclasses.replace(PARAMS["SA"], tau_m_ms=20.0, alpha_prime=4.0,
+                                          threshold_mv=-55.0, tau_r_ms=tau_r))
+        for below_rest in (5.0, 0.5):
+            params.append(dataclasses.replace(
+                PARAMS["SA"], tau_m_ms=0.1, threshold_mv=-55.0, u_rest_mv=-65.0,
+                u_reset_mv=-65.0 - below_rest, tau_r_ms=tau_r))
+
+    counter = neural.SpikeCounter(features, [DT] * 4, windows)
+    table = neural.ParamTable.from_params(params)
+    got, got_steps = counter(table), counter.spike_steps(table)
+    for i, p in enumerate(params):
+        for s, (terms, (start, end)) in enumerate(zip(features, windows)):
+            c1, c3 = neural._step_coefficients(p.tau_m_ms, DT)
+            steps = _lif_spike_steps_py(
+                stress_to_drive(terms, p), c1, c3, p.u_rest_mv, p.u_reset_mv,
+                p.threshold_mv, int(np.ceil(p.tau_r_ms / DT)),
+            )
+            k_lo, k_hi = neural.window_steps(start, end, DT)
+            assert got_steps[i][s].tolist() == [k for k in steps if k < k_hi], (i, s)
+            assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
+    # the overshooting units with n_refr = 5 spike 1 and 3 steps apart
+    assert set(np.diff(got_steps[10][0])) == {1}
+    assert 3 in set(np.diff(got_steps[11][0]))
+
+
 def test_count_spikes_in_window_matches_simulation():
     """The counter's window count equals SpikeTrain.count_in_window on the
     whole-trace spike train."""
