@@ -8,8 +8,9 @@ The stress bank is `pipeline.stress_bank` for appendixA on the default mesh,
 keyed by condition with `pipeline.condition_bank`.  Reports the selected
 candidate, its per-frequency squared-error objectives, and the objective
 sum (0 means the synthetic rates were matched exactly).  The full budget
-takes about 2.5 s on one core of a 2-core x86-64 host: about 2 s to fit,
-the rest to import and to solve the stress bank.
+takes 1.9-2.3 s on one core of a 2-core x86-64 host: 1.6-1.9 s to fit
+(7% of the children repeat a candidate already counted, and are not
+integrated again), the rest to import and to solve the stress bank.
 Note: several (tau_m, a, alpha') combinations can produce identical spike
 counts, so recovered parameter values may differ from the generator while
 the objective sum is still 0 — rate data alone does not pin the parameters.

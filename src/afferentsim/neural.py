@@ -419,13 +419,17 @@ class SpikeCounter:
 
     def __call__(self, table: ParamTable) -> np.ndarray:
         """(N, S) int64 spike counts inside each stimulus's window."""
-        # summed as bytes into uint32: several times faster than bool to int64
         spiked = self._integrate(table).view(np.uint8)
         counts = np.empty(spiked.shape[1:], dtype=np.int64)
         # a set, not np.unique: NumPy's first np.unique imports numpy.ma
         for k0 in set(self._first.tolist()):
             rows = self._first == k0
-            counts[rows] = spiked[k0:].sum(axis=0, dtype=np.uint32)[rows]
+            total = np.zeros_like(counts)
+            # 0/1 bytes summed over at most 255 steps fit a byte, and a byte
+            # sum is about five times faster than one widened to uint32
+            for a in range(k0, spiked.shape[0], 255):
+                total += spiked[a:a + 255].sum(axis=0, dtype=np.uint8)
+            counts[rows] = total[rows]
         out = np.empty((len(table), self.n_stimuli), dtype=np.int64)
         out[:, self._order] = counts.T
         return out

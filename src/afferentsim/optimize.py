@@ -74,14 +74,18 @@ def genes_to_params(afferent_type: str, genes: np.ndarray) -> AfferentParams:
     return p
 
 
+def _check_genes(afferent_type: str, genes: np.ndarray) -> None:
+    n_genes = len(SATURATION_FIELDS[afferent_type]) + 2
+    if genes.ndim != 2 or genes.shape[1] != n_genes:
+        raise ValidationError(
+            f"{afferent_type} expects genes of shape (N, {n_genes}), got {genes.shape}"
+        )
+
+
 def genes_to_table(afferent_type: str, genes: np.ndarray) -> ParamTable:
     """Decode a population, genes of shape (N, n_genes), into one parameter
     table: set i holds exactly the values genes_to_params(genes[i]) does."""
-    n_sat = len(SATURATION_FIELDS[afferent_type])
-    if genes.ndim != 2 or genes.shape[1] != n_sat + 2:
-        raise ValidationError(
-            f"{afferent_type} expects genes of shape (N, {n_sat + 2}), got {genes.shape}"
-        )
+    _check_genes(afferent_type, genes)
     template = default_afferent_params()[afferent_type]
     n = genes.shape[0]
     return ParamTable(
@@ -166,14 +170,26 @@ class ObservedRateSet:
 
 
 def _window_counter(
-    params: AfferentParams, traces: list[tuple[float, StressTrace]]
+    params: AfferentParams,
+    stress_bank: dict[tuple[float, float], StressTrace],
+    conditions: list[tuple[float, float]],
 ) -> tuple[SpikeCounter, np.ndarray]:
-    """Counter over (freq, trace) pairs, each counted in its frequency's
-    window after DISCARD_MS; also returns the window lengths in s."""
-    windows = [sinusoid_window_ms(f) for f, _ in traces]
+    """Counter over the bank's traces for `conditions`, (freq, amplitude)
+    pairs, each counted in its frequency's window after DISCARD_MS; also
+    returns the window lengths in s.  A trace that ends before its window
+    does is refused: counting it would divide a partial count by the full
+    window."""
+    windows = [sinusoid_window_ms(f) for f, _ in conditions]
+    for (f, a), window in zip(conditions, windows):
+        if DISCARD_MS + window > stress_bank[(f, a)].duration_ms + 1e-9:
+            raise ValidationError(
+                f"stress trace for ({f} Hz, {a} um) is shorter than "
+                f"discard + window = {DISCARD_MS + window} ms"
+            )
+    traces = [stress_bank[c] for c in conditions]
     counter = SpikeCounter(
-        [filtered_inputs(params, t.values, t.dt_ms) for _, t in traces],
-        [t.dt_ms for _, t in traces],
+        [filtered_inputs(params, t.values, t.dt_ms) for t in traces],
+        [t.dt_ms for t in traces],
         [(DISCARD_MS, DISCARD_MS + w) for w in windows],
     )
     return counter, np.array([w / 1000.0 for w in windows])
@@ -188,6 +204,16 @@ class RateEvaluator:
     decoded into one ParamTable, with no AfferentParams per candidate, and
     the saturating transform and the windowed spike count run for all
     candidates and stimuli in one SpikeCounter call.
+
+    The evaluator keeps the window counts of every distinct gene vector it
+    has integrated, keyed by the vector's bytes, as rows of one int32 array
+    that grows by each call's unseen rows; only those go to SpikeCounter,
+    and a row repeated within a call goes once.  NSGA-II children repeat
+    an earlier vector when crossover and mutation both leave a parent
+    unchanged (3.5-7% of them at population 100).  The store holds at most
+    one row per evaluation, budget x conditions x 4 bytes (1.48 MB for a
+    default-budget fit on appendixA's 37 sinusoids), and gives the
+    selected candidate's rates without integrating it again.
     """
 
     def __init__(
@@ -207,27 +233,37 @@ class RateEvaluator:
                 + ", ".join(f"({f} Hz, {a} um)" for f, a in sorted(missing))
             )
         self.afferent_type = afferent_type
-        for f, a, _ in observed.records:
-            window = sinusoid_window_ms(f)
-            if DISCARD_MS + window > stress_bank[(f, a)].duration_ms + 1e-9:
-                raise ValidationError(
-                    f"stress trace for ({f} Hz, {a} um) is shorter than "
-                    f"discard + window = {DISCARD_MS + window} ms"
-                )
+        self.conditions = [(f, a) for f, a, _ in observed.records]
         self._counter, self._window_s = _window_counter(
-            default_afferent_params()[afferent_type],
-            [(f, stress_bank[(f, a)]) for f, a, _ in observed.records],
+            default_afferent_params()[afferent_type], stress_bank, self.conditions
         )
         self._observed = np.array([r for _, _, r in observed.records])
         self._freq_idx = [OBJECTIVE_FREQS.index(f) for f, _, _ in observed.records]
+        self._rows: dict[bytes, int] = {}
+        self._counts = np.empty((0, len(self.conditions)), dtype=np.int32)
+
+    def predicted_rates(self, genes: np.ndarray) -> np.ndarray:
+        """(N, conditions) predicted rates in ips of each gene vector,
+        count / window as predict_rates divides, integrating only the
+        vectors not counted before."""
+        genes = np.asarray(genes, dtype=float)
+        _check_genes(self.afferent_type, genes)
+        keys = [row.tobytes() for row in genes]
+        # each unseen vector once, in the order first seen
+        fresh = {key: i for i, key in enumerate(keys) if key not in self._rows}
+        if fresh:
+            table = genes_to_table(self.afferent_type, genes[list(fresh.values())])
+            counts = self._counter(table)
+            n = self._counts.shape[0]
+            self._rows.update((key, n + j) for j, key in enumerate(fresh))
+            self._counts = np.concatenate([self._counts, counts.astype(np.int32)])
+        return self._counts[[self._rows[key] for key in keys]] / self._window_s
 
     def __call__(self, genes: np.ndarray) -> np.ndarray:
-        genes = np.asarray(genes, dtype=float)
-        table = genes_to_table(self.afferent_type, genes)
-        err = self._counter(table) / self._window_s - self._observed
+        err = self.predicted_rates(genes) - self._observed
         sq = err * err
         # accumulate in record order, as a per-candidate loop would
-        sums = np.zeros((genes.shape[0], len(OBJECTIVE_FREQS)))
+        sums = np.zeros((sq.shape[0], len(OBJECTIVE_FREQS)))
         counts = np.zeros(len(OBJECTIVE_FREQS), dtype=int)
         for s, i in enumerate(self._freq_idx):
             sums[:, i] += sq[:, s]
@@ -240,9 +276,7 @@ def predict_rates(
 ) -> list[tuple[float, float, float]]:
     """(freq, amplitude, predicted ips) over the whole bank, sorted."""
     keys = sorted(stress_bank)
-    counter, window_s = _window_counter(
-        params, [(f, stress_bank[(f, a)]) for f, a in keys]
-    )
+    counter, window_s = _window_counter(params, stress_bank, keys)
     rates = counter(ParamTable.from_params([params]))[0] / window_s
     return [(f, a, float(r)) for (f, a), r in zip(keys, rates)]
 
@@ -510,6 +544,9 @@ class FitOutcome:
     selected_objectives: np.ndarray
     front: ParetoFront
     observed: ObservedRateSet
+    # (freq, amplitude, predicted ips) of the selected candidate over the
+    # whole bank, sorted: predict_rates(selected, bank), bit for bit
+    predicted: list[tuple[float, float, float]]
 
     @property
     def objective_sum(self) -> float:
@@ -525,16 +562,26 @@ def fit_afferent(
     budget: int,
     population_size: int,
 ) -> FitOutcome:
+    """Fit one afferent type; the selected candidate's rates on the observed
+    conditions come from the search's own counts, and only the bank's other
+    conditions are integrated again."""
     evaluator = RateEvaluator(afferent_type, stress_bank, observed)
     front = nsga2(evaluator, gene_bounds(afferent_type), budget, seed,
                   population_size=population_size)
     pick = select_candidate(front)
+    selected = genes_to_params(afferent_type, front.genes[pick])
+    counted = evaluator.predicted_rates(front.genes[pick:pick + 1])[0]
+    predicted = {c: float(r) for c, r in zip(evaluator.conditions, counted)}
+    rest = {c: t for c, t in stress_bank.items() if c not in predicted}
+    if rest:
+        predicted.update(((f, a), r) for f, a, r in predict_rates(selected, rest))
     return FitOutcome(
         afferent_type=afferent_type,
-        selected=genes_to_params(afferent_type, front.genes[pick]),
+        selected=selected,
         selected_objectives=front.objectives[pick].copy(),
         front=front,
         observed=observed,
+        predicted=[(f, a, predicted[(f, a)]) for f, a in sorted(predicted)],
     )
 
 
@@ -565,6 +612,11 @@ def front_to_csv(front: ParetoFront, afferent_type: str, path, provenance=None) 
     """Full final population, front first, decoded parameter columns."""
     sats = SATURATION_FIELDS[afferent_type]
     param_cols = ("tau_m_ms",) + sats + ("alpha_prime",)
+    # one decode for the whole population: its columns are genes_to_params's
+    # values bit for bit, so the text is that of a per-row decode
+    table = genes_to_table(afferent_type, front.genes)
+    params = np.column_stack([table.tau_m_ms, *table.saturation, table.alpha_prime]).tolist()
+    objectives = np.asarray(front.objectives, dtype=float).tolist()
     order = sorted(
         range(front.genes.shape[0]),
         key=lambda i: (
@@ -579,13 +631,11 @@ def front_to_csv(front: ParetoFront, afferent_type: str, path, provenance=None) 
         obj_cols = ",".join(f"objective_{int(f)}" for f in OBJECTIVE_FREQS)
         fh.write(f"rank,{obj_cols},{','.join(param_cols)}\n")
         for i in order:
-            params = genes_to_params(afferent_type, front.genes[i])
-            vals = [getattr(params, c) for c in param_cols]
             fh.write(
                 f"{int(front.ranks[i])},"
-                + ",".join(repr(float(v)) for v in front.objectives[i])
+                + ",".join(map(repr, objectives[i]))
                 + ","
-                + ",".join(repr(float(v)) for v in vals)
+                + ",".join(map(repr, params[i]))
                 + "\n"
             )
 

@@ -27,7 +27,7 @@ from .fem import IndenterSpec, StiffnessSystem, StressTrace, run_indentation
 from .fem import build_footprint_response, surface_deflection
 from .mesh import AFFERENT_TYPES, Mesh, build_mesh
 from .neural import AfferentParams, default_afferent_params, run_afferents
-from .optimize import ObservedRateSet, OBJECTIVE_FREQS, fit_afferent, predict_rates
+from .optimize import ObservedRateSet, OBJECTIVE_FREQS, fit_afferent
 from .stimulus import (
     BUILTIN_PROTOCOLS, DISCARD_MS, StimulusSpec, builtin_protocol, load_protocol,
     sinusoid_window_ms,
@@ -231,7 +231,7 @@ def fit(cfg: RunConfig) -> dict[str, FitResult]:
             budget=cfg.fit.budget, population_size=cfg.fit.population,
         )
 
-        predicted = {(f, a): r for f, a, r in predict_rates(outcome.selected, type_bank)}
+        predicted = {(f, a): r for f, a, r in outcome.predicted}
         obs_map = {(f, a): r for f, a, r in observed.records}
         records = [
             RateRecord(

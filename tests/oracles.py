@@ -13,6 +13,8 @@ import numpy as np
 from afferentsim import fem
 from afferentsim.errors import ValidationError
 from afferentsim.mesh import AFFERENT_TYPES, Mesh, MaterialLayer, check_jacobians
+from afferentsim.neural import SATURATION_FIELDS
+from afferentsim.optimize import OBJECTIVE_FREQS, genes_to_params
 
 
 def stress_to_drive(inputs, params):
@@ -61,6 +63,28 @@ def params_to_genes(params):
     """The gene vector that genes_to_params maps back to `params`."""
     sats = params.saturation()
     return np.array([params.tau_m_ms] + [np.log10(a) for a in sats] + [params.alpha_prime])
+
+
+def front_csv_text(front, afferent_type, provenance=None):
+    """front_to_csv's text, decoding one row at a time with genes_to_params."""
+    param_cols = ("tau_m_ms",) + SATURATION_FIELDS[afferent_type] + ("alpha_prime",)
+    order = sorted(
+        range(front.genes.shape[0]),
+        key=lambda i: (
+            int(front.ranks[i]),
+            float(front.objectives[i].sum()),
+            tuple(float(g) for g in front.genes[i]),
+        ),
+    )
+    lines = [f"# provenance: {provenance}\n"] if provenance else []
+    obj_cols = ",".join(f"objective_{int(f)}" for f in OBJECTIVE_FREQS)
+    lines.append(f"rank,{obj_cols},{','.join(param_cols)}\n")
+    for i in order:
+        params = genes_to_params(afferent_type, front.genes[i])
+        vals = [float(front.objectives[i][j]) for j in range(len(OBJECTIVE_FREQS))]
+        vals += [float(getattr(params, c)) for c in param_cols]
+        lines.append(f"{int(front.ranks[i])}," + ",".join(repr(v) for v in vals) + "\n")
+    return "".join(lines)
 
 
 def dominates(a, b):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from afferentsim import cli, config, fem, mesh, neural, pipeline, stimulus
+from afferentsim import cli, config, fem, mesh, neural, optimize, pipeline, stimulus
 from afferentsim.errors import ValidationError
 from oracles import load_mesh
 
@@ -803,6 +803,36 @@ def test_pipeline_stages_write_no_file(tmp_path_factory, monkeypatch):
     assert [r.stimulus_id for r in fitted["RA"].records] == [s.stimulus_id for s in specs]
     assert os.listdir(workdir) == []
     assert sorted(os.listdir(inputs)) == ["observed.csv", "protocol.json"]
+
+
+def test_fit_predicted_rates_equal_predict_rates(tmp_path, default_mesh):
+    """The fit reports the selected candidate's rates from the search's own
+    counts: bit for bit predict_rates(selected, bank) on every condition,
+    the 300 Hz one without an observed rate included."""
+    specs = [
+        sin_spec(20.0, 250.0, duration=345.0, window=245.0),
+        sin_spec(50.0, 113.60),
+        sin_spec(100.0, 55.39),
+        sin_spec(300.0, 19.24),
+    ]
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\n" + "".join(
+        f"{atype},{s.freq_hz},{s.amplitude_um},{rate}\n"
+        for atype in mesh.AFFERENT_TYPES for s, rate in zip(specs[:3], (8.0, 40.0, 60.0))
+    ))
+    cfg = config.config_from_dict({
+        "protocol": write_protocol(tmp_path, specs),
+        "fit": {"observed_rates_csv": str(observed), "population": 8, "budget": 24},
+    })
+    fitted = pipeline.fit(cfg)
+    bank = pipeline.stress_bank(cfg, default_mesh, specs)
+    for atype in mesh.AFFERENT_TYPES:
+        outcome, records = fitted[atype].outcome, fitted[atype].records
+        expected = optimize.predict_rates(
+            outcome.selected, pipeline.condition_bank(bank, specs, atype))
+        got = [(r.freq_hz, r.amplitude_um, r.predicted_ips) for r in records]
+        assert np.array(got).tobytes() == np.array(expected).tobytes(), atype
+        assert [r.observed_ips is None for r in records] == [False] * 3 + [True]
 
 
 @pytest.mark.parametrize("stimulus_id", [

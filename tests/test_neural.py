@@ -389,6 +389,34 @@ def test_spike_counter_is_block_invariant(monkeypatch, block):
     assert 3 in set(np.diff(got_steps[11][0]))
 
 
+def test_window_counts_above_a_byte_match_scalar_loop():
+    """Counts of more than 255 spikes per window equal the scalar loop's, so
+    the counter's byte-wide partial sums cross a chunk boundary exactly.
+
+    With tau_r = 0 and a drive of 25 mV per step against a 10 mV gap, the
+    first unit fires on every step of a 600-step window; the others fire
+    every third or fourth step, and one stimulus opens its window at step
+    21."""
+    sa = PARAMS["SA"]
+    features = [tuple(np.full(700, a) for a in sa.saturation())] * 2
+    windows = [(0.0, 300.0), (10.5, 320.0)]
+    params = [dataclasses.replace(sa, tau_r_ms=0.0, tau_m_ms=1e6, alpha_prime=alpha)
+              for alpha in (50.0, 15.0, 9.0)]
+    got = neural.SpikeCounter(features, [DT] * 2, windows)(
+        neural.ParamTable.from_params(params))
+    for i, p in enumerate(params):
+        for s, (terms, (start, end)) in enumerate(zip(features, windows)):
+            c1, c3 = neural._step_coefficients(p.tau_m_ms, DT)
+            steps = _lif_spike_steps_py(
+                stress_to_drive(terms, p), c1, c3, p.u_rest_mv, p.u_reset_mv,
+                p.threshold_mv, int(np.ceil(p.tau_r_ms / DT)),
+            )
+            k_lo, k_hi = neural.window_steps(start, end, DT)
+            assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
+    # the first unit's counts span three byte-wide chunks
+    assert got[0].min() > 2 * 255 and got[2].max() < 255
+
+
 def test_count_spikes_in_window_matches_simulation():
     """The counter's window count equals SpikeTrain.count_in_window on the
     whole-trace spike train."""

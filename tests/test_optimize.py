@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from afferentsim import neural, optimize
 from afferentsim.errors import ValidationError
 from afferentsim.fem import StressTrace
-from oracles import dominates, params_to_genes
+from oracles import dominates, front_csv_text, params_to_genes
 
 DT = 0.5
 
@@ -168,7 +168,11 @@ def test_objective_scaling_is_quadratic(monkeypatch):
 
 
 @pytest.mark.parametrize("afferent", ["SA", "RA", "PC"])
-def test_rate_evaluator_batch_equals_single_rows(afferent):
+def test_rate_evaluator_batch_equals_single_rows(afferent, monkeypatch):
+    """A batch's objectives equal those of each row on its own, and an
+    evaluator that has counted rows before, fed a batch that repeats rows
+    within itself and from an earlier call, gives a fresh evaluator's
+    objectives while handing SpikeCounter each distinct unseen row once."""
     bank = synthetic_bank()
     truth = neural.default_afferent_params()[afferent]
     observed = optimize.ObservedRateSet(
@@ -176,16 +180,36 @@ def test_rate_evaluator_batch_equals_single_rows(afferent):
             (f, a, r + 3.0) for f, a, r in optimize.predict_rates(truth, bank)
         )
     )
-    evaluator = optimize.RateEvaluator(afferent, bank, observed)
+
+    def fresh():
+        return optimize.RateEvaluator(afferent, bank, observed)
+
     low, high = optimize.gene_bounds(afferent)
     genes = np.random.default_rng(7).uniform(low, high, size=(12, low.size))
     genes[0] = params_to_genes(truth)
-    batch = evaluator(genes)
+    batch = fresh()(genes)
     assert batch.shape == (12, 4)
-    rows = np.vstack([evaluator(genes[i:i + 1]) for i in range(12)])
+    rows = np.vstack([fresh()(genes[i:i + 1]) for i in range(12)])
     assert np.array_equal(batch, rows)
-    single = optimize.RateEvaluator(afferent, bank, observed)(genes[0][None])[0]
-    assert np.array_equal(batch[0], single)
+    mixed = genes[[4, 9, 9, 0, 11, 5, 9, 7, 11, 2]]
+    expected = fresh()(mixed)
+
+    handed = []
+
+    class RecordingCounter(neural.SpikeCounter):
+        def __call__(self, table):
+            handed.extend(zip(table.tau_m_ms.tolist(), table.alpha_prime.tolist(),
+                              *table.saturation.tolist()))
+            return super().__call__(table)
+
+    monkeypatch.setattr(optimize, "SpikeCounter", RecordingCounter)
+    evaluator = fresh()
+    assert np.array_equal(evaluator(genes[:6]), batch[:6])
+    assert np.array_equal(evaluator(mixed), expected)
+    assert np.array_equal(evaluator(genes), batch)
+    table = optimize.genes_to_table(afferent, genes[[0, 1, 2, 3, 4, 5, 9, 11, 7, 6, 8, 10]])
+    assert handed == list(zip(table.tau_m_ms.tolist(), table.alpha_prime.tolist(),
+                              *table.saturation.tolist()))
     with pytest.raises(ValidationError):
         evaluator(genes[0])  # one candidate is still a (1, n_genes) batch
 
@@ -213,7 +237,7 @@ def test_gene_columns_match_afferent_params_path(afferent):
     for name in ("saturation",) + neural._TABLE_COLUMNS:
         assert getattr(table, name).tobytes() == getattr(by_params, name).tobytes(), name
     counter, window_s = optimize._window_counter(
-        truth, [(f, bank[(f, a)]) for f, a, _ in observed.records]
+        truth, bank, [(f, a) for f, a, _ in observed.records]
     )
     rates = counter(by_params) / window_s
     expected = np.zeros((len(params), len(optimize.OBJECTIVE_FREQS)))
@@ -226,6 +250,26 @@ def test_gene_columns_match_afferent_params_path(afferent):
                     n += 1
             expected[i, j] = acc / max(n, 1)
     assert got.tobytes() == expected.tobytes()
+
+
+def test_rate_paths_refuse_a_trace_shorter_than_its_window():
+    """A 150 ms trace cannot fill the 50 Hz window of [100, 200) ms: both
+    predict_rates and the evaluator refuse it and name the condition,
+    where counting up to the trace end would divide a partial count by the
+    full window."""
+    bank = synthetic_bank()
+    full = bank[(50.0, 10.0)]
+    bank[(50.0, 10.0)] = StressTrace("RA", node_id=0, dt_ms=DT, values=full.values[:301])
+    truth = neural.default_afferent_params()["RA"]
+    with pytest.raises(ValidationError, match=r"\(50.0 Hz, 10.0 um\) is shorter"):
+        optimize.predict_rates(truth, bank)
+    observed = optimize.ObservedRateSet("RA", ((20.0, 10.0, 5.0), (50.0, 10.0, 10.0)))
+    with pytest.raises(ValidationError, match=r"\(50.0 Hz, 10.0 um\) is shorter"):
+        optimize.RateEvaluator("RA", bank, observed)
+    # a trace exactly as long as discard + window is counted
+    bank[(50.0, 10.0)] = full
+    assert full.duration_ms == 200.0
+    optimize.predict_rates(truth, bank)
 
 
 def test_evaluator_rejects_missing_conditions():
@@ -479,6 +523,42 @@ def test_fit_afferent_and_exports(tmp_path):
     assert len(prov["bounds_low"]) == 3
     rebuilt = neural.AfferentParams.from_dict(doc["params"])
     assert rebuilt == outcome.selected
+
+
+@st.composite
+def fronts(draw):
+    """An afferent type and a final population whose genes sit on their
+    bounds or between them, always with the all-low and all-high corners."""
+    afferent = draw(st.sampled_from(["SA", "RA", "PC"]))
+    low, high = optimize.gene_bounds(afferent)
+    n = draw(st.integers(0, 8))
+    genes = [low, high] + [
+        [draw(st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)))
+         for lo, hi in zip(low, high)]
+        for _ in range(n)
+    ]
+    objectives = draw(st.lists(
+        st.lists(st.sampled_from([0.0, 1.5]) | st.floats(0.0, 1e6), min_size=4, max_size=4),
+        min_size=n + 2, max_size=n + 2,
+    ))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=n + 2, max_size=n + 2))
+    front = optimize.ParetoFront(
+        genes=np.array(genes, dtype=float), objectives=np.array(objectives),
+        ranks=np.array(ranks), crowding=np.zeros(n + 2), seed=0, budget=n + 2,
+        bounds_low=low, bounds_high=high,
+    )
+    return afferent, front
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=fronts(), provenance=st.sampled_from([None, "prov"]))
+def test_front_csv_matches_row_by_row_decode(tmp_path_factory, case, provenance):
+    """front_to_csv decodes the population as one table and writes the
+    bytes that decoding each row with genes_to_params writes."""
+    afferent, front = case
+    path = tmp_path_factory.mktemp("front") / "front.csv"
+    optimize.front_to_csv(front, afferent, path, provenance=provenance)
+    assert path.read_text() == front_csv_text(front, afferent, provenance)
 
 
 def test_recover_parameters_wiring():
