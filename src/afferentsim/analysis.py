@@ -55,7 +55,9 @@ class RateRecord:
 
 
 def rate_records_to_csv(records: list[RateRecord], path, provenance: str | None = None) -> None:
-    floor_ids = [r.stimulus_id for r in records if r.at_quantization_floor]
+    # one TYPE:stimulus_id per flagged row, since a stimulus has a row per type
+    floor_ids = [f"{r.afferent_type}:{r.stimulus_id}" for r in records
+                 if r.at_quantization_floor]
     with open(path, "w") as fh:
         if provenance:
             fh.write(f"# provenance: {provenance}\n")

@@ -87,10 +87,6 @@ def plane_strain_d(elastic_modulus: float, poisson_ratio: float) -> np.ndarray:
     )
 
 
-# (row, column) of the entries of plane_strain_d that are not always zero
-_D_NONZERO = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
-
-
 def von_mises(stress: np.ndarray) -> np.ndarray:
     """Equivalent stress from [s_xx, s_yy, s_zz, t_xy] along the last axis.
 
@@ -249,16 +245,14 @@ class BlockTridiagonal:
         pe = np.argsort(order)[edof]
         b = max(int((pe.max(axis=1) - pe.min(axis=1)).max()), 1)
         nb = -(-order.size // b)
-        p = pe.shape[1]
-        rows = np.repeat(pe, p, axis=1).ravel()
-        cols = np.tile(pe, (1, p)).ravel()
-        bi, bj = rows // b, cols // b
+        blk, row = np.divmod(pe, b)  # (m, p) each, broadcast over (m, p, p)
+        bi, bj = blk[:, :, None], blk[:, None, :]
         lower = bi == bj + 1
         kept = lower | (bi == bj)
         slot = np.where(lower, nb + bj, bi)  # diagonal blocks, then sub-diagonal
-        flat = (slot * b + rows % b) * b + cols % b
+        flat = (slot * b + row[:, :, None]) * b + row[:, None, :]
         blocks = np.bincount(
-            flat[kept], weights=ke.ravel()[kept], minlength=(2 * nb - 1) * b * b
+            flat[kept], weights=ke[kept], minlength=(2 * nb - 1) * b * b
         ).reshape(2 * nb - 1, b, b)
         return cls(blocks[:nb], blocks[nb:], order)
 
@@ -396,8 +390,13 @@ class StiffnessSystem:
 
         jacobians, dets = check_jacobians(mesh)  # (4, m, 2, 2), (4, m)
         m = mesh.n_elements
-        self.B = np.empty((m, 4, 3, 8))
-        ke = np.zeros((m, 8, 8))
+        self.B = np.zeros((m, 4, 3, 8))
+        # ke[a, p, c, q] couples DOF p of node a with DOF q of node c; the
+        # element axis comes last, so every product runs over all elements
+        # in one stride
+        ke = np.zeros((4, 2, 4, 2, m))
+        d_pq = d[:, :2, :2].transpose(1, 2, 0)[None]  # (1, p, q, m)
+        d_22 = d[:, 2, 2]
         for g, (dn, jac, det) in enumerate(zip(GAUSS_GRADIENTS, jacobians, dets)):
             inv = np.empty_like(jac)
             inv[:, 0, 0] = jac[:, 1, 1]
@@ -406,21 +405,26 @@ class StiffnessSystem:
             inv[:, 1, 1] = jac[:, 0, 0]
             inv /= det[:, None, None]
             dnxy = np.einsum("mrc,ck->mrk", inv, dn)  # (m, 2, 4)
-            b = np.zeros((m, 3, 8))
+            b = self.B[:, g]
             b[:, 0, 0::2] = dnxy[:, 0]
             b[:, 1, 1::2] = dnxy[:, 1]
             b[:, 2, 0::2] = dnxy[:, 1]
             b[:, 2, 1::2] = dnxy[:, 0]
-            self.B[:, g] = b
-            # B^T D B det J over the nonzero entries of D, each product grouped
-            # and summed in the order the four-operand einsum of the tests'
-            # oracle takes it, so K matches it bit for bit; 2x2 Gauss weights
-            # are all 1
-            ke += sum(
-                ((b[:, j, :, None] * d[:, j, k, None, None]) * b[:, k, None, :])
-                * det[:, None, None]
-                for j, k in _D_NONZERO
-            )
+            # B^T D B det J by node pairs (2x2 Gauss weights are all 1).  Row
+            # p < 2 of B is dN/dx_p on DOF p and zero on the other; the shear
+            # row is dN/dx_(1-q) on DOF q.  So of the terms (B_j^T D_jk B_k)
+            # det J of D's five nonzero entries, pairing (p, q) keeps (j, k) =
+            # (p, q) and (2, 2), and the other three multiply a structural zero
+            # of B.  The two kept terms are grouped as ((B_ja D_jk) B_kc) det J
+            # and added in the order the four-operand einsum of the tests'
+            # oracle adds its nine: a term that is exactly zero leaves a sum
+            # unchanged (up to the sign of a zero, which summing into ke and K
+            # drops), so K matches the oracle bit for bit.
+            grad = np.ascontiguousarray(dnxy.transpose(2, 1, 0))  # (a, p, m): dN_a/dx_p
+            shear = grad[:, ::-1]  # dN_a/dx_(1-p)
+            ke += (((grad[:, :, None] * d_pq)[:, :, None] * grad) * det
+                   + ((shear * d_22)[:, :, None, None] * shear) * det)
+        ke = ke.reshape(64, m).T.reshape(m, 8, 8)
 
         edof = np.empty((m, 8), dtype=np.int64)
         edof[:, 0::2] = 2 * mesh.elements

@@ -93,16 +93,21 @@ def test_rate_records_csv(tmp_path):
                             observed_ips=12.5, window_ms=245.0),
         analysis.RateRecord("RA", "s2", 50.0, 10.66, predicted_ips=40.0,
                             window_ms=100.0),
+        analysis.RateRecord("PC", "s1", 20.0, 6.71, predicted_ips=1 / 0.245,
+                            window_ms=245.0),
     ]
     path = tmp_path / "rates.csv"
     analysis.rate_records_to_csv(records, path, provenance="prov")
     lines = path.read_text().splitlines()
     assert lines[0] == "# provenance: prov"
-    assert lines[1] == "# at_quantization_floor: s1"
+    # each flagged row by type and stimulus, so a stimulus flagged for two
+    # types is named twice, once per type
+    assert lines[1] == "# at_quantization_floor: SA:s1,PC:s1"
     assert lines[2] == "afferent,stimulus_id,freq_hz,amplitude_um,predicted_ips,observed_ips"
     assert lines[3].startswith("SA,s1,20.0,6.71,")
     assert lines[3].endswith(",12.5")
     assert lines[4].endswith(",")  # missing observation stays blank
+    assert lines[5].startswith("PC,s1,20.0,6.71,")
 
 
 # -------------------------------------------------------------- regression

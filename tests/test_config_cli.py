@@ -860,3 +860,58 @@ def test_cli_out_naming_a_file_exits_2(tmp_path, caplog):
         assert f"cannot create output directory {str(out)!r}" in caplog.text
     assert taken.read_text() == "not a directory\n"
     assert sorted(os.listdir(tmp_path)) == ["config.json", "taken"]
+
+
+def _output_files(root):
+    """{relative path: bytes} of every file under root, with config_resolved.json
+    read as JSON and its output_dir dropped (the one field that names the
+    directory)."""
+    files = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, root)
+            with open(path, "rb") as fh:
+                files[rel] = fh.read()
+            if name == "config_resolved.json":
+                resolved = json.loads(files[rel])
+                del resolved["output_dir"]
+                files[rel] = resolved
+    return files
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_cli_closes_every_file_it_opens(tmp_path, command):
+    # cli.main freezes the objects the imports made, so no full collection
+    # looks at them again, at exit included.  Nothing may depend on the
+    # collector: in a development-mode interpreter that turns ResourceWarning
+    # into an error, a file left open for it to close would show on stderr.
+    # The run's files must also equal an in-process run's byte for byte.
+    specs = [sin_spec(20.0, 85.0, duration=345.0, window=245.0)] + [
+        sin_spec(freq, amp) for freq in (50.0, 100.0, 300.0) for amp in (10.0, 85.0)
+    ]
+    protocol = write_protocol(tmp_path, specs)
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\n" + "".join(
+        f"RA,{s.freq_hz!r},{s.amplitude_um!r},{10.0 + s.amplitude_um / 10.0!r}\n"
+        for s in specs
+    ))
+    cfg_path = write_config(tmp_path, {"protocol": protocol, "fit": {
+        "afferents": ["RA"], "observed_rates_csv": str(observed),
+        "population": 8, "budget": 24,
+    }})
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    fresh = tmp_path / "fresh"
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "afferentsim.cli",
+         command, "--config", cfg_path, "--out", str(fresh)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "ResourceWarning" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+    in_process = tmp_path / "in-process"
+    assert cli.main([command, "--config", cfg_path, "--out", str(in_process)]) == 0
+    expected = _output_files(in_process)
+    assert "config_resolved.json" in expected and len(expected) > 2
+    assert _output_files(fresh) == expected

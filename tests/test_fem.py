@@ -7,12 +7,12 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from afferentsim import config, fem, mesh, pipeline, stimulus
-from afferentsim.errors import NumericalError, ValidationError
+from afferentsim.errors import InvertedElementError, NumericalError, ValidationError
 from afferentsim.mesh import AFFERENT_TYPES
 from oracles import constrained_solve, einsum_stiffness, stress_csv_text
 
@@ -481,6 +481,55 @@ def test_stiffness_matches_einsum_oracle_bit_for_bit(h):
     else:
         cfg = config.config_from_dict({"geometry": {"surface_element_mm": h}})
         m = mesh.build_mesh(cfg.geometry, cfg.materials)
+    system = fem.StiffnessSystem(m)
+    expected = einsum_stiffness(system)
+    assert system.K.diag.tobytes() == expected.diag.tobytes()
+    assert system.K.lower.tobytes() == expected.lower.tobytes()
+
+
+def distorted_grid_mesh(shifts, layers, nx=4, ny=3, hx=0.3, hy=0.2):
+    """An nx x ny grid of quads whose interior nodes move by shifts (fractions
+    of a spacing, one (dx, dy) per interior node), with the bottom element
+    row in layers[0] and the rows above it in layers[1]."""
+    xs, ys = np.meshgrid(np.arange(nx + 1) * hx, np.arange(ny + 1) * hy)
+    nodes = np.column_stack([xs.ravel(), ys.ravel()])  # row by row from the bottom
+    interior = [j * (nx + 1) + i for j in range(1, ny) for i in range(1, nx)]
+    nodes[interior] += np.array(shifts) * [hx, hy]
+    corners = [j * (nx + 1) + i for j in range(ny) for i in range(nx)]
+    elements = np.array(
+        [[c, c + 1, c + nx + 2, c + nx + 1] for c in corners], dtype=np.int64
+    )  # CCW from the bottom-left corner
+    return mesh.Mesh(
+        nodes=nodes,
+        elements=elements,
+        element_material=np.repeat([0, 1], [nx, nx * (ny - 1)]).astype(np.int64),
+        materials=tuple(
+            mesh.MaterialLayer(f"layer{k}", e, nu, (k * 1.0, k + 1.0))
+            for k, (e, nu) in enumerate(layers)
+        ),
+        surface_nodes=np.arange(ny * (nx + 1), (ny + 1) * (nx + 1), dtype=np.int64),
+        afferent_nodes={},
+    )
+
+
+# The node-pair assembly drops the terms that multiply a structural zero of
+# B, which every quad has, so K must match the full einsum on any shape and
+# materials, not only on the rectangles of the structured skin mesh.
+@settings(max_examples=40, deadline=None)
+@given(
+    shifts=st.lists(
+        st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)), min_size=6, max_size=6
+    ),
+    layers=st.lists(
+        st.tuples(st.floats(0.01, 10.0), st.floats(0.0, 0.49)), min_size=2, max_size=2
+    ),
+)
+def test_stiffness_matches_einsum_oracle_on_distorted_meshes(shifts, layers):
+    m = distorted_grid_mesh(shifts, layers)
+    try:
+        mesh.check_jacobians(m)
+    except InvertedElementError:
+        assume(False)
     system = fem.StiffnessSystem(m)
     expected = einsum_stiffness(system)
     assert system.K.diag.tobytes() == expected.diag.tobytes()
