@@ -327,10 +327,25 @@ def check_jacobians(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return jac, det
 
 
+def _distinct_reprs(values: np.ndarray, suffix: str = "") -> tuple[list[str], np.ndarray]:
+    """The shortest repr, with `suffix` attached, of each distinct value of
+    `values` as float64, and the index of each value's text (in C order).
+
+    Exports repeat few numbers (the default mesh's 3 030 coordinates take
+    113 values), so each is formatted once.  Values are keyed by their
+    bits, since -0.0 == 0.0 but the two print differently.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.uint64)
+    keys, index = np.unique(bits, return_inverse=True)
+    return [f"{v!r}{suffix}" for v in keys.view(np.float64).tolist()], index
+
+
 def export_mesh_text(mesh: Mesh) -> str:
     """Plain-text export: header, then N/E/A records ordered by id."""
     lines = ["afferentsim-mesh v1"]
-    lines += [f"N {i} {x!r} {y!r}" for i, (x, y) in enumerate(mesh.nodes.tolist())]
+    texts, index = _distinct_reprs(mesh.nodes)
+    cells = [texts[k] for k in index.tolist()]
+    lines += [f"N {i} {x} {y}" for i, (x, y) in enumerate(zip(cells[0::2], cells[1::2]))]
     lines += [
         f"E {i} {a} {b} {c} {d} {mat}"
         for i, ((a, b, c, d), mat) in enumerate(

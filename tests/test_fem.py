@@ -461,6 +461,58 @@ def test_stress_trace_csv_time_column_not_stale(tmp_path, rng):
         assert path.read_text() == stress_csv_text(trace, "p"), (dt, n)
 
 
+# the subnormal and large values of SPECIAL_FLOATS
+EXTREME_FLOATS = [5e-324, -1.5e-310, 1e16, -1.2345678901234567e16, 1e300]
+
+
+@st.composite
+def repeated_values(draw):
+    """Up to 700 values from a pool of at most 4: both signed zeros, one
+    subnormal or large value, and perhaps one more float."""
+    pool = [0.0, -0.0, draw(st.sampled_from(EXTREME_FLOATS))]
+    pool += draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=1))
+    n = draw(st.one_of(st.sampled_from([401, 691]), st.integers(1, 700)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return np.array([pool[i] for i in picks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=repeated_values(), dt=st.sampled_from([0.5, 0.1]))
+def test_stress_trace_csv_repeated_values_match_oracle(tmp_path_factory, values, dt):
+    # each distinct value is formatted once: -0.0 and 0.0 must keep their own text
+    trace = fem.StressTrace("SA", node_id=3, dt_ms=dt, values=values)
+    path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    trace.to_csv(path, provenance="p")
+    assert path.read_text() == stress_csv_text(trace, "p")
+
+
+@pytest.mark.parametrize("values", [
+    np.array([1, 2, 3, 0, 2, -4], dtype=np.int64),
+    np.array([0.1, -0.0, 2.5, 0.1, 3e-40, 0.0], dtype=np.float32),
+    np.arange(6.0)[::2],
+], ids=["int64", "float32", "strided"])
+def test_stress_trace_csv_writes_values_as_float64(tmp_path, values):
+    trace = fem.StressTrace("RA", node_id=1, dt_ms=0.5, values=values)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert path.read_text() == stress_csv_text(trace)
+
+
+def test_stress_trace_csv_matches_oracle_on_simulated_bank(tmp_path, default_config):
+    # appendixA's traces: zero while the indenter is lifted, and each
+    # sinusoid repeats its depths every half cycle
+    traces = [t for by_type in pipeline.simulate(default_config).bank.values()
+              for t in by_type.values()]
+    assert len(traces) == 111
+    values = np.concatenate([t.values for t in traces])
+    assert (values == 0).sum() > values.size // 3
+    assert sum(np.unique(t.values).size for t in traces) < values.size // 4
+    for i, trace in enumerate(traces):
+        path = tmp_path / f"trace_{i}.csv"
+        trace.to_csv(path, provenance="config=0123abcd")
+        assert path.read_text() == stress_csv_text(trace, "config=0123abcd"), i
+
+
 @pytest.mark.parametrize("dt, header, times", [
     (np.float64(0.5), "# RA,1,0.5", ["0.0", "0.5", "1.0"]),
     (1, "# RA,1,1.0", ["0.0", "1.0", "2.0"]),

@@ -124,6 +124,30 @@ def test_export_matches_per_record_oracle(default_mesh):
         assert mesh.export_mesh_text(m) == mesh_text(m)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(*[st.sampled_from([0.0, -0.0, 0.1, -0.30000000000000004, 5e-324, 1e16])] * 2),
+        min_size=4, max_size=100,
+    ),
+    order=st.sampled_from(["C", "F"]),
+)
+def test_export_repeated_coordinates_match_oracle(points, order):
+    # coordinates repeat (as on a grid) and hold both signed zeros: each
+    # distinct value is formatted once, and -0.0 keeps its sign
+    nodes = np.array(points, order=order)
+    n = nodes.shape[0]
+    m = mesh.Mesh(
+        nodes=nodes,
+        elements=np.array([[0, 1, 2, 3], [n - 4, n - 3, n - 2, n - 1]], dtype=np.int64),
+        element_material=np.zeros(2, dtype=np.int64),
+        materials=SINGLE_LAYER,
+        surface_nodes=np.arange(2),
+        afferent_nodes={"SA": 0, "RA": 1, "PC": n - 1},
+    )
+    assert mesh.export_mesh_text(m) == mesh_text(m)
+
+
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "mesh.txt"
     path.write_text("not-a-mesh v9\n")
