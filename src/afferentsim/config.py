@@ -71,6 +71,8 @@ class RunConfig:
             raise ValidationError("dt_ms must be > 0")
         if not isinstance(self.seed, int):
             raise ValidationError("seed must be an integer")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         self.fit.validate()
 
     def to_dict(self) -> dict:

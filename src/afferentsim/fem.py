@@ -9,18 +9,22 @@ neural constants are Pa-based.
 Only the surface nodes within the indenter's radius (its footprint: 5 at
 h = 0.2 mm, 11 at 0.1) can ever be prescribed, so run_indentation works on
 the skin condensed to them (influence coefficients, as in Kalker's and
-Polonsky & Keer's contact solvers).  FootprintResponse holds the
-displacement field for a unit vertical load at each footprint node, with
-the bottom fixed: build_footprint_response factors K once and makes one
-multi-column solve, and a run builds one response for its indenter and
-passes it to every run_indentation.  Its compliance C (vertical
-displacement at each footprint node per unit load) turns any contact set A
-with prescribed displacements g_A into footprint loads f_A = C_AA^-1 g_A:
-run_indentation's result, of which the afferent stress and the
-displacement field are linear maps.  Within one set every prescribed value
-is the node's offset under the circle minus the depth, so the loads are
-affine in depth and each distinct set takes one small n_A x n_A solve for
-two columns.
+Polonsky & Keer's contact solvers).  The probe's shape and its motion are
+held apart.  FootprintResponse is the one place that knows where the probe
+sits and how wide it is: build_footprint_response takes its diameter and
+centre, finds the footprint nodes and the circle's height over each, factors
+K once and makes one multi-column solve for the displacement field under a
+unit vertical load at each footprint node, with the bottom fixed.
+IndenterSpec holds only the motion (trace, pre-indentation, time step).  A
+run builds one response and passes it with each stimulus's motion to
+run_indentation(footprint, indenter), which needs no mesh.  The
+footprint's compliance C (vertical displacement at each footprint node per
+unit load) turns any contact set A with prescribed displacements g_A into
+footprint loads f_A = C_AA^-1 g_A: run_indentation's result, of which the
+afferent stress and the displacement field are linear maps.  Within one
+set every prescribed value is the node's offset under the circle minus the
+depth, so the loads are affine in depth and each distinct set takes one
+small n_A x n_A solve for two columns.
 
 Assembly uses 4-node bilinear isoparametric quads with 2x2 Gauss
 quadrature (the element map and its Jacobians live in mesh).  The DOFs
@@ -106,33 +110,30 @@ def von_mises(stress: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndenterSpec:
-    """Rigid circular indenter driven by a displacement trace.
+    """The motion of the rigid circular indenter: a displacement trace.
 
     displacement_trace holds the vibration in mm at step dt_ms; the
     instantaneous depth below the undeformed surface at step k is
     pre_indentation_mm + displacement_trace[k] (negative depth = lifted).
+    The probe's diameter and centre belong to its FootprintResponse.
     """
 
-    diameter_mm: float
-    center_x_mm: float = 0.0
     pre_indentation_mm: float = 0.0
     displacement_trace: np.ndarray = field(default_factory=lambda: np.zeros(1))
     dt_ms: float = 0.5
 
     def validate(self) -> None:
-        for name in ("diameter_mm", "dt_ms"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be finite and > 0, got {value}")
+        if not (np.isfinite(self.dt_ms) and self.dt_ms > 0):
+            raise ValidationError(f"dt_ms must be finite and > 0, got {self.dt_ms}")
         trace = np.asarray(self.displacement_trace, dtype=float)
         if trace.ndim != 1 or trace.size == 0:
             raise ValidationError("displacement_trace must be a non-empty 1-D array")
         if not np.isfinite(trace).all():
             raise ValidationError("displacement_trace contains non-finite values")
-        for name in ("pre_indentation_mm", "center_x_mm"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+        if not np.isfinite(self.pre_indentation_mm):
+            raise ValidationError(
+                f"pre_indentation_mm must be finite, got {self.pre_indentation_mm}"
+            )
 
 
 @dataclass(frozen=True)
@@ -191,18 +192,23 @@ def _time_column(dt_ms: float, n_steps: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class FootprintResponse:
-    """The skin's response to unit vertical loads on the footprint nodes.
+    """The probe and the skin's response to unit vertical loads under it.
 
-    Column j of fields is the displacement (ndof, mm) under a unit upward
-    load (1 N/mm) on the vertical DOF of nodes[j], with the bottom fixed;
-    compliance[i, j] is the vertical displacement of nodes[i] in it, and
-    stress[j] the afferent stress (afferents in AFFERENT_TYPES order, 4
-    components, MPa).  For footprint loads f the field is fields @ f and
-    the stress is f @ stress.  residual is the largest relative residual of
-    the unit-load solves.
+    nodes are the surface nodes within the probe's radius, and height the
+    circle's height over each (sqrt(r^2 - x^2), x the node's offset from the
+    probe's centre).  Column j of fields is the displacement (ndof, mm)
+    under a unit upward load (1 N/mm) on the vertical DOF of nodes[j], with
+    the bottom fixed; compliance[i, j] is the vertical displacement of
+    nodes[i] in it, and stress[j] the stress at afferent_nodes (in
+    AFFERENT_TYPES order, 4 components, MPa).  For footprint loads f the
+    field is fields @ f and the stress is f @ stress.  residual is the
+    largest relative residual of the unit-load solves.
     """
 
     nodes: np.ndarray  # (n_c,)
+    radius: float  # mm
+    height: np.ndarray  # (n_c,) mm
+    afferent_nodes: np.ndarray  # (afferents,)
     fields: np.ndarray  # (ndof, n_c)
     compliance: np.ndarray  # (n_c, n_c)
     stress: np.ndarray  # (n_c, afferents, 4)
@@ -461,32 +467,17 @@ def bottom_constraints(mesh: Mesh) -> dict[int, float]:
     return out
 
 
-def _footprint(
-    mesh: Mesh, diameter_mm: float, center_x_mm: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Surface nodes within the indenter's radius, and their offsets from
-    its centre."""
-    xs = mesh.nodes[mesh.surface_nodes, 0] - center_x_mm
-    inside = np.abs(xs) <= diameter_mm / 2.0 + 1e-12
-    return mesh.surface_nodes[inside], xs[inside]
-
-
-def _contact(
-    mesh: Mesh, indenter: IndenterSpec, depths_mm: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _contact(footprint: FootprintResponse, depths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The contact rule at many depths at once.
 
-    Returns (nodes, profile, active) for the footprint nodes: the circle
-    profile above each at each depth (n_depths, n_nodes), and whether the
-    node is in contact (gap to the undeformed surface non-positive,
-    indenter not lifted).
+    Returns (profile, active) for the footprint nodes: the circle profile
+    above each at each depth (n_depths, n_nodes), and whether the node is in
+    contact (gap to the undeformed surface non-positive, indenter not
+    lifted).
     """
-    depths = np.asarray(depths_mm, dtype=float)
-    radius = indenter.diameter_mm / 2.0
-    nodes, xs = _footprint(mesh, indenter.diameter_mm, indenter.center_x_mm)
-    profile = (radius - depths)[:, None] - np.sqrt(np.maximum(radius**2 - xs**2, 0.0))
+    profile = (footprint.radius - depths)[:, None] - footprint.height
     active = (profile <= 1e-12) & (depths >= 0)[:, None]
-    return nodes, profile, active
+    return profile, active
 
 
 # --------------------------------------------------------------------------
@@ -542,22 +533,31 @@ def surface_deflection(mesh: Mesh, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def build_footprint_response(
     system: StiffnessSystem, diameter_mm: float, center_x_mm: float
 ) -> FootprintResponse:
-    """Solve for a unit vertical load on each footprint node at once.
+    """The probe diameter_mm wide centred at x = center_x_mm, and the skin's
+    response to a unit vertical load on each surface node within its radius.
 
     K is factored with only the bottom fixed, and all unit loads go through
     one multi-column solve; the factor is dropped once they are solved.
-    Raises ValidationError if the mesh does not name all its afferent nodes
-    or the indenter covers no surface node, so that it can never touch the
-    skin, and NumericalError if the factorization fails or a column's
-    free-DOF residual exceeds 1e-8 of its (unit) load.
+    Raises ValidationError if the diameter or the centre is not finite (or
+    the diameter not > 0), the mesh does not name all its afferent nodes or
+    the probe covers no surface node, so that it can never touch the skin,
+    and NumericalError if the factorization fails or a column's free-DOF
+    residual exceeds 1e-8 of its (unit) load.
     """
+    if not (np.isfinite(diameter_mm) and diameter_mm > 0):
+        raise ValidationError(f"diameter_mm must be finite and > 0, got {diameter_mm}")
+    if not np.isfinite(center_x_mm):
+        raise ValidationError(f"center_x_mm must be finite, got {center_x_mm}")
     mesh = system.mesh
     if set(mesh.afferent_nodes) != set(AFFERENT_TYPES):
         raise ValidationError(
             f"mesh.afferent_nodes must cover {AFFERENT_TYPES}, "
             f"got {sorted(mesh.afferent_nodes)}"
         )
-    nodes, _ = _footprint(mesh, diameter_mm, center_x_mm)
+    radius = diameter_mm / 2.0
+    xs = mesh.nodes[mesh.surface_nodes, 0] - center_x_mm
+    inside = np.abs(xs) <= radius + 1e-12
+    nodes, xs = mesh.surface_nodes[inside], xs[inside]
     if nodes.size == 0:
         raise ValidationError(
             f"an indenter {diameter_mm} mm wide centred at x = {center_x_mm} mm "
@@ -589,6 +589,9 @@ def build_footprint_response(
     afferent_ids = np.array([mesh.afferent_nodes[t] for t in AFFERENT_TYPES])
     return FootprintResponse(
         nodes=nodes,
+        radius=radius,
+        height=np.sqrt(np.maximum(radius**2 - xs**2, 0.0)),
+        afferent_nodes=afferent_ids,
         fields=fields,
         compliance=fields[2 * nodes + 1],
         stress=np.array([recover_stress(system, u, afferent_ids) for u in fields.T]),
@@ -623,10 +626,8 @@ def _contact_loads(compliance: np.ndarray, displacements: np.ndarray) -> np.ndar
 # time stepping
 
 
-def run_indentation(
-    mesh: Mesh, indenter: IndenterSpec, footprint: FootprintResponse
-) -> IndentationResult:
-    """Step the indenter through its displacement trace.
+def run_indentation(footprint: FootprintResponse, indenter: IndenterSpec) -> IndentationResult:
+    """Step the probe of `footprint` through the indenter's displacement trace.
 
     It computes the footprint loads at every step (N/mm, positive upward);
     the von Mises stress (Pa) at each afferent node is their product with
@@ -643,19 +644,14 @@ def run_indentation(
     sides, the profile at its shallowest step (ref) and unit values, and
     step k's loads are f_ref - (delta_k - delta_ref) * f_1.  Referring to
     the shallowest step keeps the two terms from cancelling where the
-    indenter barely touches off its centre.  `footprint` is the response build_footprint_response
-    made for this mesh and the indenter's diameter and centre; raises
-    ValidationError if its nodes are not the indenter's footprint.
+    indenter barely touches off its centre.  The probe's radius, its
+    footprint nodes and the afferent nodes all come from `footprint`, so one
+    response serves every trace of that probe on its mesh.
     """
     indenter.validate()
     depths = indenter.pre_indentation_mm + np.asarray(indenter.displacement_trace, float)
-    nodes, profile, active = _contact(mesh, indenter, depths)
-    if not np.array_equal(nodes, footprint.nodes):
-        raise ValidationError(
-            f"the footprint response covers nodes {footprint.nodes.tolist()}, but "
-            f"an indenter {indenter.diameter_mm} mm wide centred at x = "
-            f"{indenter.center_x_mm} mm covers {nodes.tolist()}"
-        )
+    profile, active = _contact(footprint, depths)
+    n_c = footprint.nodes.size
 
     solved = np.flatnonzero((active & (profile != 0.0)).any(axis=1))
     solved = solved[np.argsort(depths[solved], kind="stable")]  # shallowest first
@@ -668,11 +664,11 @@ def run_indentation(
         k = steps.min()  # the first step of the set in time
         return NumericalError(f"step {k} (depth {depths[k]:.6f} mm): {exc}")
 
-    loads = np.zeros((depths.size, nodes.size))
+    loads = np.zeros((depths.size, n_c))
     stress = np.zeros((depths.size, len(AFFERENT_TYPES), 4))
     if solved.size:
         # per set: the loads for the profile at ref, and for unit values
-        set_loads = np.zeros((sizes.size, 2, nodes.size))
+        set_loads = np.zeros((sizes.size, 2, n_c))
         for s, k in enumerate(ref):
             a = active[k]
             g = np.column_stack([profile[k, a], np.ones(sizes[s])])
@@ -681,7 +677,7 @@ def run_indentation(
             except NumericalError as exc:
                 raise failed(exc, solved[which == s]) from exc
 
-        radius = indenter.diameter_mm / 2.0
+        radius = footprint.radius
         delta = radius - (radius - depths)  # the depth as the profile rounds it
         shift = (delta[solved] - delta[ref][which])[:, None]
         loads[solved] = set_loads[which, 0] - shift * set_loads[which, 1]
@@ -691,7 +687,7 @@ def run_indentation(
     traces = {
         atype: StressTrace(
             afferent_type=atype,
-            node_id=int(mesh.afferent_nodes[atype]),
+            node_id=int(footprint.afferent_nodes[i]),
             dt_ms=indenter.dt_ms,
             values=vm[:, i] * 1.0e6,  # MPa -> Pa for the neural stage
         )

@@ -280,29 +280,22 @@ def build_mesh(spec: GeometrySpec, materials: list[MaterialLayer] | None = None)
         element_material=element_material,
         materials=tuple(materials),
         surface_nodes=surface_nodes,
-        afferent_nodes={},
+        afferent_nodes=locate_afferent_nodes(nodes, spec.afferent_depths_mm),
     )
     check_jacobians(mesh)
-    afferents = locate_afferent_nodes(mesh, spec.afferent_depths_mm)
-    return Mesh(
-        nodes=nodes,
-        elements=elements,
-        element_material=element_material,
-        materials=tuple(materials),
-        surface_nodes=surface_nodes,
-        afferent_nodes=afferents,
-    )
+    return mesh
 
 
-def locate_afferent_nodes(mesh: Mesh, depths: dict[str, float]) -> dict[str, int]:
-    """Nearest mesh node to (0, -depth), on the centerline, per afferent type.
+def locate_afferent_nodes(nodes: np.ndarray, depths: dict[str, float]) -> dict[str, int]:
+    """Nearest of `nodes` (n, 2) to (0, -depth), on the centerline, per
+    afferent type.
 
     Ties resolve to the lowest node id (argmin returns the first minimum).
     """
     out: dict[str, int] = {}
     for atype in sorted(depths):
         target = np.array([0.0, -depths[atype]])
-        d2 = ((mesh.nodes - target) ** 2).sum(axis=1)
+        d2 = ((nodes - target) ** 2).sum(axis=1)
         out[atype] = int(np.argmin(d2))
     return out
 

@@ -176,7 +176,7 @@ def moving_average_abs(trace: np.ndarray, m_before: int, m_after: int) -> np.nda
     return full[m_before : m_before + x.size]
 
 
-def abs_difference_filter(trace: np.ndarray, dt_ms: float) -> np.ndarray:
+def abs_difference_filter(trace: np.ndarray) -> np.ndarray:
     """|x[t] - x[t - dt]| with y[0] = 0 (one-step change magnitude)."""
     x = np.asarray(trace, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -196,9 +196,9 @@ def filtered_inputs(
         f2 = moving_average_abs(derivative(stress_pa, dt_ms), params.m3, params.m4)
         return (f1, f2)
     if params.afferent_type == "RA":
-        return (abs_difference_filter(derivative(stress_pa, dt_ms), dt_ms),)
+        return (abs_difference_filter(derivative(stress_pa, dt_ms)),)
     d2 = derivative(derivative(stress_pa, dt_ms), dt_ms)
-    return (abs_difference_filter(d2, dt_ms),)
+    return (abs_difference_filter(d2),)
 
 
 # --------------------------------------------------------------------------

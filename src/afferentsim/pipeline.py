@@ -79,9 +79,9 @@ def stress_bank(
 ) -> dict[str, dict[str, StressTrace]]:
     """Per-stimulus, per-afferent stress traces, solved for every stimulus.
 
-    One footprint response for the configured indenter is built before the
-    first stimulus and serves them all.  One line per bank logs the
-    footprint's DOFs and its largest unit-load residual.
+    One footprint response, for the configured probe's diameter and centre,
+    is built before the first stimulus and serves them all.  One line per
+    bank logs the footprint's DOFs and its largest unit-load residual.
     """
     footprint = build_footprint_response(
         StiffnessSystem(mesh), cfg.indenter_diameter_mm, cfg.indenter_center_x_mm
@@ -89,15 +89,10 @@ def stress_bank(
     bank: dict[str, dict[str, StressTrace]] = {}
     for spec in specs:
         displacement = spec.generate()
-        indenter = IndenterSpec(
-            diameter_mm=cfg.indenter_diameter_mm,
-            center_x_mm=cfg.indenter_center_x_mm,
-            pre_indentation_mm=cfg.indenter_pre_indentation_mm,
-            displacement_trace=displacement,
-            dt_ms=spec.dt_ms,
-        )
+        indenter = IndenterSpec(pre_indentation_mm=cfg.indenter_pre_indentation_mm,
+                                displacement_trace=displacement, dt_ms=spec.dt_ms)
         try:
-            result = run_indentation(mesh, indenter, footprint)
+            result = run_indentation(footprint, indenter)
         except NumericalError as exc:
             raise NumericalError(f"stimulus {spec.stimulus_id}: {exc}") from exc
         bank[spec.stimulus_id] = result.stress_traces
@@ -159,14 +154,11 @@ def validate(cfg: RunConfig) -> ValidateResult:
     Returns the surface profile and a report of its checks.
     """
     mesh = build_mesh(cfg.geometry, cfg.materials)
+    footprint = build_footprint_response(StiffnessSystem(mesh), 0.05, 0.0)
     indenter = IndenterSpec(
-        diameter_mm=0.05, center_x_mm=0.0, pre_indentation_mm=1.0,
-        displacement_trace=np.zeros(1), dt_ms=cfg.dt_ms,
+        pre_indentation_mm=1.0, displacement_trace=np.zeros(1), dt_ms=cfg.dt_ms
     )
-    footprint = build_footprint_response(
-        StiffnessSystem(mesh), indenter.diameter_mm, indenter.center_x_mm
-    )
-    result = run_indentation(mesh, indenter, footprint)
+    result = run_indentation(footprint, indenter)
     xs, profile = surface_deflection(mesh, footprint.fields @ result.loads[0])
     max_deflection = float(profile.max())
     max_ok = 0.9 <= max_deflection <= 1.1

@@ -176,6 +176,12 @@ class StimulusSpec:
         # the id names the stimulus's stress exports inside <out>/stress
         if self.stimulus_id in ("", ".", "..") or any(c in self.stimulus_id for c in "/\\"):
             raise ValidationError(f"stimulus_id {self.stimulus_id!r} is not a plain file name")
+        # ... and a cell of rates.csv and of its at_quantization_floor line,
+        # each one line split at commas
+        if "," in self.stimulus_id or not self.stimulus_id.isprintable():
+            raise ValidationError(
+                f"stimulus_id {self.stimulus_id!r} holds a comma or a non-printable character"
+            )
         if self.kind not in ("sinusoid", "diharmonic", "bandpass_noise"):
             raise ValidationError(f"{self.stimulus_id}: unknown kind {self.kind!r}")
         if not self.duration_ms > 0 or not self.dt_ms > 0:
@@ -198,6 +204,8 @@ class StimulusSpec:
             raise ValidationError(
                 f"{self.stimulus_id}: lo_hz must be below hi_hz"
             )
+        if self.kind == "bandpass_noise" and self.seed < 0:
+            raise ValidationError(f"{self.stimulus_id}: seed must be >= 0, got {self.seed}")
 
     def generate(self) -> np.ndarray:
         self.validate()

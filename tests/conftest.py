@@ -39,7 +39,7 @@ def appendix_a_bank(default_config, default_mesh):
 
 
 @pytest.fixture(scope="session")
-def fifty_um_traces(default_config, default_mesh, default_footprint):
+def fifty_um_traces(default_footprint):
     """PC stress traces for 50 um sinusoids at 20/50/100/300 Hz."""
     from afferentsim import stimulus
 
@@ -47,12 +47,8 @@ def fifty_um_traces(default_config, default_mesh, default_footprint):
     for freq in (20.0, 50.0, 100.0, 300.0):
         duration = 345.0 if freq == 20.0 else 200.0
         trace = stimulus.sinusoid(freq, 50.0, duration)
-        indenter = fem.IndenterSpec(
-            diameter_mm=default_config.indenter_diameter_mm,
-            displacement_trace=trace,
-            dt_ms=0.5,
-        )
-        result = fem.run_indentation(default_mesh, indenter, default_footprint)
+        indenter = fem.IndenterSpec(displacement_trace=trace, dt_ms=0.5)
+        result = fem.run_indentation(default_footprint, indenter)
         out[freq] = result.stress_traces["PC"]
     return out
 

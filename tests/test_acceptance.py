@@ -92,12 +92,9 @@ def test_criterion_02_flamant_half_plane():
 def test_criterion_03_deflection_profile(default_mesh, default_system):
     """50 um probe at 1 mm indentation: max deflection in [0.9, 1.1] mm and
     strictly monotone decay at 0.5 mm sampling."""
-    indenter = fem.IndenterSpec(
-        diameter_mm=0.05, center_x_mm=0.0, pre_indentation_mm=1.0,
-        displacement_trace=np.zeros(1), dt_ms=DT,
-    )
     footprint = fem.build_footprint_response(default_system, 0.05, 0.0)
-    result = fem.run_indentation(default_mesh, indenter, footprint)
+    indenter = fem.IndenterSpec(pre_indentation_mm=1.0, displacement_trace=np.zeros(1), dt_ms=DT)
+    result = fem.run_indentation(footprint, indenter)
     _, profile = fem.surface_deflection(default_mesh, footprint.fields @ result.loads[0])
     assert 0.9 <= profile.max() <= 1.1
     assert profile.argmax() == 0  # peak under the probe

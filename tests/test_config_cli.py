@@ -339,12 +339,10 @@ def test_stress_bank_logs_contact_sets(caplog, default_config, default_mesh,
                                        default_footprint):
     spec = sin_spec(50.0, 113.60)
     indenter = fem.IndenterSpec(
-        diameter_mm=default_config.indenter_diameter_mm,
-        center_x_mm=default_config.indenter_center_x_mm,
         pre_indentation_mm=default_config.indenter_pre_indentation_mm,
         displacement_trace=spec.generate(), dt_ms=spec.dt_ms,
     )
-    result = fem.run_indentation(default_mesh, indenter, default_footprint)
+    result = fem.run_indentation(default_footprint, indenter)
     assert result.contact_sets == 2  # the centre node, then its neighbours too
 
     with caplog.at_level(logging.INFO, logger="afferentsim"):
@@ -847,6 +845,49 @@ def test_cli_simulate_rejects_stimulus_id_not_a_file_name(tmp_path, caplog, stim
     assert f"stimulus_id {stimulus_id!r} is not a plain file name" in caplog.text
     assert os.listdir(out) == []  # refused before the FEM
     assert os.listdir(tmp_path / "a") == ["out"]
+
+
+@pytest.mark.parametrize("stimulus_id", ["a,b", "tab\tid", "new\nline"])
+def test_cli_simulate_rejects_stimulus_id_not_a_csv_cell(tmp_path, caplog, stimulus_id):
+    # "a,b" would write a 7-cell row under rates.csv's 6-column header
+    spec = dataclasses.replace(sin_spec(50.0, 34.80), stimulus_id=stimulus_id)
+    protocol = write_protocol(tmp_path, [spec])
+    cfg_path = write_config(tmp_path, {"protocol": protocol})
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert (f"{protocol}: stimulus #0: stimulus_id {stimulus_id!r} holds a comma "
+            "or a non-printable character") in caplog.text
+    assert not (out / "rates.csv").exists()
+
+
+@pytest.mark.parametrize("command, raw", [
+    (["fit", "--seed", "-1"], {"fit": {"observed_rates_csv": "observed.csv"}}),
+    (["simulate", "--protocol", "appendixC"], {"seed": -3}),
+], ids=["fit-seed-flag", "appendixC-config-seed"])
+def test_cli_rejects_negative_seed(tmp_path, caplog, command, raw):
+    # unchecked, np.random.default_rng fails on it with a traceback (exit 1),
+    # fit only after building its whole FEM bank
+    cfg_path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        assert cli.main([*command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert "seed must be >= 0" in caplog.text
+    assert not out.exists()
+
+
+def test_cli_simulate_rejects_negative_noise_seed(tmp_path, caplog):
+    spec = stimulus.StimulusSpec(
+        stimulus_id="noise", kind="bandpass_noise", duration_ms=200.0, dt_ms=0.5,
+        discard_ms=100.0, window_ms=100.0, lo_hz=10.0, hi_hz=200.0, rms_um=40.0, seed=-1,
+    )
+    protocol = write_protocol(tmp_path, [spec])
+    cfg_path = write_config(tmp_path, {"protocol": protocol})
+    out = tmp_path / "out"
+    with caplog.at_level(logging.ERROR, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"{protocol}: stimulus #0: noise: seed must be >= 0, got -1" in caplog.text
+    assert not (out / "rates.csv").exists()
 
 
 def test_cli_out_naming_a_file_exits_2(tmp_path, caplog):

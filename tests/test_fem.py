@@ -128,16 +128,16 @@ def test_von_mises_identities(rng):
         assert abs(vm0 - vm1) <= 1e-10 * max(1.0, vm0)
 
 
-def contact_active_set(mesh, indenter, depth_mm):
+def contact_active_set(footprint, depth_mm):
     """The contact rule at one depth, {vertical DOF: prescribed value}, as
     fem._contact applies it to a whole trace."""
-    nodes, profile, active = fem._contact(mesh, indenter, np.array([depth_mm]))
-    return {2 * int(n) + 1: p for n, p in zip(nodes[active[0]], profile[0, active[0]])}
+    profile, active = fem._contact(footprint, np.array([depth_mm]))
+    nodes = footprint.nodes[active[0]]
+    return {2 * int(n) + 1: p for n, p in zip(nodes, profile[0, active[0]])}
 
 
-def test_contact_active_set_contiguous_symmetric(default_mesh):
-    indenter = fem.IndenterSpec(diameter_mm=1.0)
-    active = contact_active_set(default_mesh, indenter, depth_mm=0.3)
+def test_contact_active_set_contiguous_symmetric(default_mesh, default_footprint):
+    active = contact_active_set(default_footprint, depth_mm=0.3)
     assert active
     nodes = sorted(dof // 2 for dof in active)
     xs = np.sort(default_mesh.nodes[nodes, 0])
@@ -147,14 +147,14 @@ def test_contact_active_set_contiguous_symmetric(default_mesh):
     assert np.allclose(xs + xs[::-1], 0.0, atol=1e-12)
     assert all(v <= 0.0 for v in active.values())
 
-    deeper = contact_active_set(default_mesh, indenter, depth_mm=0.5)
+    deeper = contact_active_set(default_footprint, depth_mm=0.5)
     assert set(active).issubset(set(deeper))
-    assert contact_active_set(default_mesh, indenter, depth_mm=-0.1) == {}
+    assert contact_active_set(default_footprint, depth_mm=-0.1) == {}
 
 
-def test_solve_linearity_with_pinned_active_set(default_mesh, default_system):
-    indenter = fem.IndenterSpec(diameter_mm=1.0)
-    active = contact_active_set(default_mesh, indenter, depth_mm=0.2)
+def test_solve_linearity_with_pinned_active_set(default_mesh, default_system,
+                                                default_footprint):
+    active = contact_active_set(default_footprint, depth_mm=0.2)
     base = fem.bottom_constraints(default_mesh)
     u1 = constrained_solve(default_system, {**base, **active})
     doubled = {k: 2.0 * v for k, v in active.items()}
@@ -207,13 +207,14 @@ def spsolve_fields(system, K, constraints):
     return u
 
 
-def appendix_a_contact_sets(m, indenter):
+def appendix_a_contact_sets(footprint):
     """Every active set appendixA's sinusoids reach, with the depth and the
     profile at the shallowest and at the deepest step of each: the step
     that run_indentation refers the set to, and the one farthest from it."""
     specs = stimulus.builtin_protocol("appendixA", dt_ms=0.5, base_seed=0)
     depths = np.concatenate([spec.generate() for spec in specs])
-    nodes, profile, active = fem._contact(m, indenter, depths)
+    nodes = footprint.nodes
+    profile, active = fem._contact(footprint, depths)
     solved = np.flatnonzero((active & (profile != 0.0)).any(axis=1))
     solved = solved[np.argsort(depths[solved], kind="stable")]
     sets, first = np.unique(active[solved], axis=0, return_index=True)
@@ -233,16 +234,13 @@ def test_solve_matches_spsolve_on_appendix_a_sets(h):
     K = sparse_stiffness(system)
     afferent_ids = np.array([m.afferent_nodes[t] for t in AFFERENT_TYPES])
     base = fem.bottom_constraints(m)
-    indenter = fem.IndenterSpec(diameter_mm=1.0)
-    contact_sets = appendix_a_contact_sets(m, indenter)
+    footprint = fem.build_footprint_response(system, 1.0, 0.0)
+    contact_sets = appendix_a_contact_sets(footprint)
     assert len(contact_sets) >= 3
     steps = [(nodes, depth, profile)
              for nodes, ends in contact_sets for depth, profile in ends]
     trace = np.array([depth for _, depth, _ in steps])
-    result = fem.run_indentation(
-        m, dataclasses.replace(indenter, displacement_trace=trace),
-        fem.build_footprint_response(system, indenter.diameter_mm, indenter.center_x_mm),
-    )
+    result = fem.run_indentation(footprint, fem.IndenterSpec(displacement_trace=trace))
     assert result.contact_sets == len(contact_sets)
     got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
     for vm, (nodes, _, profile) in zip(got, steps):
@@ -322,19 +320,18 @@ def test_flamant_surface_deflection_differences():
         assert abs(measured - analytic) <= 0.05 * abs(analytic)
 
 
-def test_run_indentation_zero_trace_is_silent(default_mesh, default_footprint):
-    indenter = fem.IndenterSpec(diameter_mm=1.0, displacement_trace=np.zeros(5))
-    result = fem.run_indentation(default_mesh, indenter, default_footprint)
+def test_run_indentation_zero_trace_is_silent(default_footprint):
+    indenter = fem.IndenterSpec(displacement_trace=np.zeros(5))
+    result = fem.run_indentation(default_footprint, indenter)
     for trace in result.stress_traces.values():
         assert np.all(trace.values == 0.0)
 
 
-def test_run_indentation_lifted_is_silent(default_mesh, default_footprint):
+def test_run_indentation_lifted_is_silent(default_footprint):
     indenter = fem.IndenterSpec(
-        diameter_mm=1.0, pre_indentation_mm=0.0,
-        displacement_trace=np.array([-0.05, -0.2, -0.01]),
+        pre_indentation_mm=0.0, displacement_trace=np.array([-0.05, -0.2, -0.01]),
     )
-    result = fem.run_indentation(default_mesh, indenter, default_footprint)
+    result = fem.run_indentation(default_footprint, indenter)
     for trace in result.stress_traces.values():
         assert np.all(trace.values == 0.0)
 
@@ -343,43 +340,35 @@ def test_run_indentation_requires_afferent_nodes():
     # the footprint response that run_indentation needs is refused for a
     # mesh that does not name its afferent nodes
     m = single_element_mesh()
-    indenter = fem.IndenterSpec(diameter_mm=1.0)
     with pytest.raises(ValidationError, match=r"^mesh\.afferent_nodes must cover"):
-        fem.run_indentation(m, indenter, fem.build_footprint_response(
-            fem.StiffnessSystem(m), indenter.diameter_mm, indenter.center_x_mm))
-
-
-@pytest.mark.parametrize("diameter, center", [(2.0, 0.0), (1.0, 0.3)])
-def test_run_indentation_refuses_footprint_of_another_indenter(
-        default_mesh, default_footprint, diameter, center):
-    indenter = fem.IndenterSpec(diameter_mm=diameter, center_x_mm=center,
-                                displacement_trace=np.array([0.1]))
-    with pytest.raises(ValidationError, match=(
-            r"^the footprint response covers nodes \[.*\], but an indenter "
-            rf"{diameter} mm wide centred at x = {center} mm covers \[")):
-        fem.run_indentation(default_mesh, indenter, default_footprint)
+        fem.build_footprint_response(fem.StiffnessSystem(m), 1.0, 0.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_indenter_refuses_non_finite_pre_indentation(default_mesh, default_footprint,
-                                                     value):
+def test_indenter_refuses_non_finite_pre_indentation(default_footprint, value):
     # unchecked, NaN gives zero stress on every step with no error, and inf
     # a misleading contact-set solve residual
-    indenter = fem.IndenterSpec(diameter_mm=1.0, pre_indentation_mm=value,
+    indenter = fem.IndenterSpec(pre_indentation_mm=value,
                                 displacement_trace=np.array([0.0, 0.1]))
     with pytest.raises(ValidationError, match=r"^pre_indentation_mm must be finite"):
-        fem.run_indentation(default_mesh, indenter, default_footprint)
+        fem.run_indentation(default_footprint, indenter)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", ["diameter_mm", "dt_ms", "center_x_mm"])
-def test_indenter_refuses_non_finite_fields(default_mesh, default_footprint, name, value):
+def test_indenter_refuses_non_finite_fields(default_system, default_footprint, name, value):
     # unchecked, an infinite diameter condenses onto every surface node and
-    # gives all-zero traces, and an infinite dt an infinite trace duration
-    indenter = fem.IndenterSpec(**{"diameter_mm": 1.0, name: value},
-                                displacement_trace=np.array([0.0, 0.1]))
+    # gives all-zero traces, and an infinite dt an infinite trace duration.
+    # The probe's diameter and centre are checked where its footprint
+    # response is built, its motion where it runs.
+    if name == "dt_ms":
+        indenter = fem.IndenterSpec(dt_ms=value, displacement_trace=np.array([0.0, 0.1]))
+        call = functools.partial(fem.run_indentation, default_footprint, indenter)
+    else:
+        probe = {"diameter_mm": 1.0, "center_x_mm": 0.0, name: value}
+        call = functools.partial(fem.build_footprint_response, default_system, **probe)
     with pytest.raises(ValidationError, match=rf"^{name} must be finite"):
-        fem.run_indentation(default_mesh, indenter, default_footprint)
+        call()
 
 
 def count_calls(monkeypatch, owner, name):
@@ -590,10 +579,9 @@ def test_stiffness_matches_einsum_oracle_on_distorted_meshes(shifts, layers):
 
 @settings(max_examples=20, deadline=None)
 @given(depth=st.floats(0.01, 0.9))
-def test_deeper_contact_is_superset(default_mesh, depth):
-    indenter = fem.IndenterSpec(diameter_mm=1.0)
-    shallow = contact_active_set(default_mesh, indenter, depth_mm=depth)
-    deep = contact_active_set(default_mesh, indenter, depth_mm=depth + 0.1)
+def test_deeper_contact_is_superset(default_footprint, depth):
+    shallow = contact_active_set(default_footprint, depth_mm=depth)
+    deep = contact_active_set(default_footprint, depth_mm=depth + 0.1)
     assert set(shallow).issubset(deep)
     for dof, val in shallow.items():
         assert deep[dof] <= val + 1e-12  # deeper indentation presses further
@@ -602,13 +590,13 @@ def test_deeper_contact_is_superset(default_mesh, depth):
 # ------------------------------------------- per-step oracle (reference)
 
 
-def contact_active_set_oracle(mesh, indenter, depth_mm):
+def contact_active_set_oracle(mesh, diameter_mm, center_x_mm, depth_mm):
     """The contact rule as evaluated one depth at a time, before
     run_indentation tabulated its solves per contact set."""
     if depth_mm < 0:
         return {}
-    radius = indenter.diameter_mm / 2.0
-    xs = mesh.nodes[mesh.surface_nodes, 0] - indenter.center_x_mm
+    radius = diameter_mm / 2.0
+    xs = mesh.nodes[mesh.surface_nodes, 0] - center_x_mm
     inside = np.abs(xs) <= radius + 1e-12
     out: dict[int, float] = {}
     for node, x in zip(mesh.surface_nodes[inside], xs[inside]):
@@ -618,9 +606,11 @@ def contact_active_set_oracle(mesh, indenter, depth_mm):
     return out
 
 
-def run_indentation_oracle(mesh, indenter, system, record_deflection=False):
-    """One solve per time step: run_indentation's loop before the
-    tabulation.  Returns (von Mises in Pa, deflection, solved active sets)."""
+def run_indentation_oracle(mesh, system, diameter_mm, center_x_mm, indenter,
+                           record_deflection=False):
+    """One solve per time step of the probe diameter_mm wide centred at
+    x = center_x_mm: run_indentation's loop before the tabulation.  Returns
+    (von Mises in Pa, deflection, solved active sets)."""
     trace = np.asarray(indenter.displacement_trace, dtype=float)
     n_steps = trace.size
     afferent_ids = np.array([mesh.afferent_nodes[t] for t in AFFERENT_TYPES])
@@ -635,7 +625,7 @@ def run_indentation_oracle(mesh, indenter, system, record_deflection=False):
 
     for k in range(n_steps):
         depth = indenter.pre_indentation_mm + trace[k]
-        active = contact_active_set_oracle(mesh, indenter, depth)
+        active = contact_active_set_oracle(mesh, diameter_mm, center_x_mm, depth)
         if active and any(v != 0.0 for v in active.values()):
             sets.add(tuple(sorted(active)))
             u = constrained_solve(system, {**base, **active})
@@ -697,14 +687,15 @@ def test_run_indentation_matches_per_step_oracle(default_mesh, default_system,
     kwargs = dict(ORACLE_CASES[case])
     trace = kwargs.pop("trace")
     record = kwargs.pop("record_deflection", False)
+    diameter, center = kwargs.pop("diameter_mm"), kwargs.pop("center_x_mm", 0.0)
     indenter = fem.IndenterSpec(displacement_trace=trace, **kwargs)
     vm, defl, sets = run_indentation_oracle(
-        default_mesh, indenter, default_system, record_deflection=record
+        default_mesh, default_system, diameter, center, indenter, record_deflection=record
     )
 
-    footprint = footprint_of(indenter.diameter_mm, indenter.center_x_mm)
+    footprint = footprint_of(diameter, center)
     solves = count_calls(monkeypatch, fem.BlockCholesky, "solve")
-    result = fem.run_indentation(default_mesh, indenter, footprint)
+    result = fem.run_indentation(footprint, indenter)
     got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
     assert_same_samples(got, vm)
     assert result.contact_sets == len(sets)
@@ -725,19 +716,19 @@ def test_run_indentation_matches_per_step_oracle(default_mesh, default_system,
     diameter=st.sampled_from([0.5, 1.0, 2.0]),
     center=st.sampled_from([0.0, 0.3, -0.1]),
 )
-def test_contact_active_set_matches_oracle(default_mesh, depth, diameter, center):
-    indenter = fem.IndenterSpec(diameter_mm=diameter, center_x_mm=center)
-    got = contact_active_set(default_mesh, indenter, depth)
-    expected = contact_active_set_oracle(default_mesh, indenter, depth)
+def test_contact_active_set_matches_oracle(default_mesh, footprint_of, depth, diameter,
+                                           center):
+    got = contact_active_set(footprint_of(diameter, center), depth)
+    expected = contact_active_set_oracle(default_mesh, diameter, center, depth)
     assert got == expected  # same DOFs, bit-identical profile values
 
 
 def test_run_indentation_error_names_first_step_of_set(default_mesh, default_footprint,
                                                        monkeypatch):
     trace = stimulus.sinusoid(50.0, 113.6, 40.0)
-    indenter = fem.IndenterSpec(diameter_mm=1.0, displacement_trace=trace)
+    indenter = fem.IndenterSpec(displacement_trace=trace)
     wide = [k for k, depth in enumerate(trace)
-            if len(contact_active_set_oracle(default_mesh, indenter, depth)) > 1]
+            if len(contact_active_set_oracle(default_mesh, 1.0, 0.0, depth)) > 1]
     contact_loads = fem._contact_loads
 
     def failing_loads(compliance, displacements):
@@ -748,7 +739,7 @@ def test_run_indentation_error_names_first_step_of_set(default_mesh, default_foo
     monkeypatch.setattr(fem, "_contact_loads", failing_loads)
     first = rf"^step {wide[0]} \(depth {trace[wide[0]]:.6f} mm\): solve residual"
     with pytest.raises(NumericalError, match=first):
-        fem.run_indentation(default_mesh, indenter, default_footprint)
+        fem.run_indentation(default_footprint, indenter)
 
 
 # ---------------------------------------- footprint response (condensed)
@@ -791,31 +782,30 @@ FOOTPRINT_FAILURES = {
 }
 
 
-def first_step_with_set_size(m, indenter, size):
+def first_step_with_set_size(footprint, indenter, size):
     """The prefix naming the first step whose contact set has `size` or
     more nodes, "" for size None."""
     if size is None:
         return ""
     depths = indenter.pre_indentation_mm + indenter.displacement_trace
-    _, profile, active = fem._contact(m, indenter, depths)
+    profile, active = fem._contact(footprint, depths)
     solved = (active & (profile != 0.0)).any(axis=1)
     k = int(np.flatnonzero(solved & (active.sum(axis=1) >= size))[0])
     return rf"step {k} \(depth {depths[k]:.6f} mm\): "
 
 
 @pytest.mark.parametrize("failure", sorted(FOOTPRINT_FAILURES))
-def test_footprint_failures_raise(default_mesh, default_system, monkeypatch, failure):
-    indenter = fem.IndenterSpec(diameter_mm=1.0,
-                                displacement_trace=stimulus.sinusoid(50.0, 113.6, 40.0))
+def test_footprint_failures_raise(default_system, default_footprint, monkeypatch, failure):
+    indenter = fem.IndenterSpec(displacement_trace=stimulus.sinusoid(50.0, 113.6, 40.0))
     size, message = FOOTPRINT_FAILURES[failure](monkeypatch)
-    step = first_step_with_set_size(default_mesh, indenter, size)
+    step = first_step_with_set_size(default_footprint, indenter, size)
     with pytest.raises(NumericalError, match=f"^{step}{message}"):
-        fem.run_indentation(default_mesh, indenter,
-                            fem.build_footprint_response(default_system, 1.0, 0.0))
+        fem.run_indentation(fem.build_footprint_response(default_system, 1.0, 0.0), indenter)
 
 
 @pytest.mark.parametrize("failure", sorted(FOOTPRINT_FAILURES))
-def test_cli_footprint_failures_exit_3(default_mesh, tmp_path, monkeypatch, caplog, failure):
+def test_cli_footprint_failures_exit_3(default_footprint, tmp_path, monkeypatch, caplog,
+                                       failure):
     from afferentsim import cli
 
     spec = stimulus.StimulusSpec(
@@ -826,9 +816,9 @@ def test_cli_footprint_failures_exit_3(default_mesh, tmp_path, monkeypatch, capl
     stimulus.save_protocol([spec], protocol, name="custom")
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"protocol": str(protocol)}))
-    indenter = fem.IndenterSpec(diameter_mm=1.0, displacement_trace=spec.generate())
+    indenter = fem.IndenterSpec(displacement_trace=spec.generate())
     size, message = FOOTPRINT_FAILURES[failure](monkeypatch)
-    step = first_step_with_set_size(default_mesh, indenter, size)
+    step = first_step_with_set_size(default_footprint, indenter, size)
     # a contact set's failure names its stimulus; the footprint's names none
     stimulus_prefix = "" if size is None else "stimulus probe: "
     with caplog.at_level(logging.ERROR, logger="afferentsim"):
@@ -837,10 +827,11 @@ def test_cli_footprint_failures_exit_3(default_mesh, tmp_path, monkeypatch, capl
     assert re.search(f"numerical failure: {stimulus_prefix}{step}{message}", caplog.text)
 
 
-def per_step_stress(m, system, indenter, depth):
+def per_step_stress(system, footprint, depth):
     """constrained_solve + recover_stress at one depth: [s_xx, s_yy, s_zz, t_xy]
     per afferent in MPa, zero where nothing is prescribed."""
-    active = contact_active_set(m, indenter, depth)
+    m = system.mesh
+    active = contact_active_set(footprint, depth)
     afferent_ids = np.array([m.afferent_nodes[t] for t in AFFERENT_TYPES])
     if not any(v != 0.0 for v in active.values()):
         return np.zeros((len(AFFERENT_TYPES), 4))
@@ -855,25 +846,22 @@ def per_step_stress(m, system, indenter, depth):
     diameter=st.sampled_from([0.5, 1.0, 2.0]),
     center=st.sampled_from([0.0, 0.3, -0.1]),
 )
-def test_footprint_stress_matches_per_step_solve(default_mesh, default_system,
-                                                 footprint_of, depths, diameter, center):
+def test_footprint_stress_matches_per_step_solve(default_system, footprint_of, depths,
+                                                 diameter, center):
     """Off the centre the footprint is asymmetric (the 1 mm probe at
     x = 0.3 covers the nodes at -0.2 ... 0.8), and depths that share a
     contact set are referred to the shallowest of them.  The loads give
     each solved step's contact set its prescribed profile and are zero
     everywhere else."""
-    indenter = fem.IndenterSpec(diameter_mm=diameter, center_x_mm=center,
-                                displacement_trace=np.array(depths))
     footprint = footprint_of(diameter, center)
-    result = fem.run_indentation(default_mesh, indenter, footprint)
+    result = fem.run_indentation(footprint, fem.IndenterSpec(displacement_trace=np.array(depths)))
     got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
     expected = np.array([
-        fem.von_mises(per_step_stress(default_mesh, default_system, indenter, d))
-        for d in depths
+        fem.von_mises(per_step_stress(default_system, footprint, d)) for d in depths
     ]) * 1.0e6
     assert_same_samples(got, expected)
 
-    _, profile, active = fem._contact(default_mesh, indenter, np.array(depths))
+    profile, active = fem._contact(footprint, np.array(depths))
     assert result.loads.shape == active.shape
     for k, a in enumerate(active):
         if not (profile[k, a] != 0.0).any():
@@ -890,11 +878,11 @@ def test_footprint_stress_matches_oracle_on_fine_mesh():
     m = mesh.build_mesh(cfg.geometry, cfg.materials)
     system = fem.StiffnessSystem(m)
     # down to 0.55 mm, so the x = +-0.5 mm nodes touch too
-    indenter = fem.IndenterSpec(diameter_mm=1.0, pre_indentation_mm=0.25,
+    indenter = fem.IndenterSpec(pre_indentation_mm=0.25,
                                 displacement_trace=stimulus.sinusoid(50.0, 300.0, 20.0))
-    vm, _, sets = run_indentation_oracle(m, indenter, system)
+    vm, _, sets = run_indentation_oracle(m, system, 1.0, 0.0, indenter)
     footprint = fem.build_footprint_response(system, 1.0, 0.0)
-    result = fem.run_indentation(m, indenter, footprint)
+    result = fem.run_indentation(footprint, indenter)
     assert footprint.nodes.size == 11
     assert max(len(s) for s in sets) == 11  # every footprint node touches
     got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])

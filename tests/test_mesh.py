@@ -38,7 +38,7 @@ def test_afferent_node_near_requested_depth():
 def test_afferent_tie_breaks_to_lowest_node_id():
     # uniform 0.5 mm rows; depth 0.75 is equidistant from rows 1 and 2
     m = mesh.build_mesh(square_spec(1.0, 0.5, depth_frac=0.5), SINGLE_LAYER)
-    found = mesh.locate_afferent_nodes(m, {"SA": 0.75})
+    found = mesh.locate_afferent_nodes(m.nodes, {"SA": 0.75})
     alt = [
         nid for nid in range(m.n_nodes)
         if m.nodes[nid, 0] == 0.0 and m.nodes[nid, 1] in (-0.5, -1.0)
@@ -49,7 +49,7 @@ def test_afferent_tie_breaks_to_lowest_node_id():
 
 def test_afferent_below_bottom_clamps_to_deepest_centerline_node():
     m = mesh.build_mesh(square_spec(1.0, 0.5), SINGLE_LAYER)
-    found = mesh.locate_afferent_nodes(m, {"PC": 99.0})
+    found = mesh.locate_afferent_nodes(m.nodes, {"PC": 99.0})
     node = found["PC"]
     assert m.nodes[node, 0] == 0.0
     assert m.nodes[node, 1] == m.nodes[:, 1].min()

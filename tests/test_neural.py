@@ -106,13 +106,13 @@ def test_moving_average_abs_matches_direct_sum(rng):
 
 def test_abs_difference_filter():
     const = np.full(40, 7.0)
-    assert np.all(neural.abs_difference_filter(const, DT) == 0.0)
+    assert np.all(neural.abs_difference_filter(const) == 0.0)
     ramp = 3.0 * np.arange(40) * DT
-    y = neural.abs_difference_filter(ramp, DT)
+    y = neural.abs_difference_filter(ramp)
     assert y[0] == 0.0
     assert np.allclose(y[1:], 3.0 * DT, atol=1e-12)
     alternating = np.resize([1.0, -1.0], 40)
-    y = neural.abs_difference_filter(alternating, DT)
+    y = neural.abs_difference_filter(alternating)
     assert np.allclose(y[1:], 2.0, atol=1e-12)
 
 
