@@ -6,8 +6,8 @@ deflection check, then the complete 37-stimulus sinusoid protocol.
 
 Every run solves the FEM afresh: appendixA's 18 317 steps take one
 factorization, one 5-column solve for the unit loads on the indenter's
-footprint and 56 small dense solves (one per contact set of each
-stimulus), and the whole script about 0.75-0.9 s on a 2-core x86-64 host.
+footprint and 3 small dense solves (one per contact segment of the
+footprint's depth -> load table), and the whole script about 0.75-0.9 s on a 2-core x86-64 host.
 Outputs: mesh.txt, validation_report.json, deflection.csv, rates.csv,
 spikes.jsonl, per-stimulus stress traces.
 """

@@ -14,17 +14,19 @@ held apart.  FootprintResponse is the one place that knows where the probe
 sits and how wide it is: build_footprint_response takes its diameter and
 centre, finds the footprint nodes and the circle's height over each, factors
 K once and makes one multi-column solve for the displacement field under a
-unit vertical load at each footprint node, with the bottom fixed.
-IndenterSpec holds only the motion (trace, pre-indentation, time step).  A
-run builds one response and passes it with each stimulus's motion to
-run_indentation(footprint, indenter), which needs no mesh.  The
-footprint's compliance C (vertical displacement at each footprint node per
-unit load) turns any contact set A with prescribed displacements g_A into
-footprint loads f_A = C_AA^-1 g_A: run_indentation's result, of which the
-afferent stress and the displacement field are linear maps.  Within one
-set every prescribed value is the node's offset under the circle minus the
-depth, so the loads are affine in depth and each distinct set takes one
-small n_A x n_A solve for two columns.
+unit vertical load at each footprint node, with the bottom fixed.  Its
+compliance C (vertical displacement at each footprint node per unit load)
+turns a contact set A with prescribed displacements g_A into footprint
+loads f_A = C_AA^-1 g_A, of which the afferent stress and the displacement
+field are linear maps.  Nodes join the contact in order of decreasing
+height, and within one set every prescribed value is the node's offset
+under the circle minus the depth, so the loads are a piecewise-affine
+function of depth alone.  The response holds it as a table, one segment
+per contact set, each solved once (n_A x n_A, two columns).  IndenterSpec
+holds only the motion (trace, pre-indentation, time step).  A run builds
+one response and passes it with each stimulus's motion to
+run_indentation(footprint, indenter), which needs no mesh and makes no
+solve: it reads each step's loads off the table.
 
 Assembly uses 4-node bilinear isoparametric quads with 2x2 Gauss
 quadrature (the element map and its Jacobians live in mesh).  The DOFs
@@ -192,7 +194,8 @@ def _time_column(dt_ms: float, n_steps: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class FootprintResponse:
-    """The probe and the skin's response to unit vertical loads under it.
+    """The probe, the skin's response to unit vertical loads under it, and
+    the footprint loads as a function of depth.
 
     nodes are the surface nodes within the probe's radius, and height the
     circle's height over each (sqrt(r^2 - x^2), x the node's offset from the
@@ -203,6 +206,14 @@ class FootprintResponse:
     AFFERENT_TYPES order, 4 components, MPa).  For footprint loads f the
     field is fields @ f and the stress is f @ stress.  residual is the
     largest relative residual of the unit-load solves.
+
+    The depth -> load table has one segment per contact set A the rule can
+    produce, shallowest first: segment_active[s] (the nodes of the s + 1
+    greatest heights), segment_depth[s] = r - min(height[A]), where its last
+    node joins, and segment_loads[s], zero off A: the loads for the profile
+    at that depth (as _contact forms it), and for unit prescribed values.
+    Referred to its own start, a segment's two terms do not cancel where a
+    node barely touches.
     """
 
     nodes: np.ndarray  # (n_c,)
@@ -213,12 +224,15 @@ class FootprintResponse:
     compliance: np.ndarray  # (n_c, n_c)
     stress: np.ndarray  # (n_c, afferents, 4)
     residual: float
+    segment_depth: np.ndarray  # (n_s,) mm
+    segment_active: np.ndarray  # (n_s, n_c) bool
+    segment_loads: np.ndarray  # (n_s, 2, n_c) N/mm, and N/mm per mm
 
 
 @dataclass
 class IndentationResult:
     stress_traces: dict[str, StressTrace]
-    contact_sets: int  # distinct active sets solved
+    contact_sets: int  # segments of the footprint's table that the trace reaches
     # (n_steps, n_c) footprint loads in N/mm, positive upward, columns in
     # footprint.nodes order; exactly 0 off the contact set and on unsolved steps
     loads: np.ndarray
@@ -533,16 +547,19 @@ def surface_deflection(mesh: Mesh, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def build_footprint_response(
     system: StiffnessSystem, diameter_mm: float, center_x_mm: float
 ) -> FootprintResponse:
-    """The probe diameter_mm wide centred at x = center_x_mm, and the skin's
-    response to a unit vertical load on each surface node within its radius.
+    """The probe diameter_mm wide centred at x = center_x_mm, the skin's
+    response to a unit vertical load on each surface node within its radius,
+    and the table of footprint loads over depth built from it.
 
     K is factored with only the bottom fixed, and all unit loads go through
     one multi-column solve; the factor is dropped once they are solved.
+    Each contact segment then takes one small dense solve (_contact_loads).
     Raises ValidationError if the diameter or the centre is not finite (or
     the diameter not > 0), the mesh does not name all its afferent nodes or
     the probe covers no surface node, so that it can never touch the skin,
-    and NumericalError if the factorization fails or a column's free-DOF
-    residual exceeds 1e-8 of its (unit) load.
+    and NumericalError if the factorization fails, a column's free-DOF
+    residual exceeds 1e-8 of its (unit) load, or a segment's solve fails
+    (named by its start depth, whether or not any trace reaches it).
     """
     if not (np.isfinite(diameter_mm) and diameter_mm > 0):
         raise ValidationError(f"diameter_mm must be finite and > 0, got {diameter_mm}")
@@ -586,16 +603,33 @@ def build_footprint_response(
             f"unit load at footprint node {nodes[j]}: solve residual "
             f"{residual[j]:.3e} exceeds 1e-8 relative"
         )
+    height = np.sqrt(np.maximum(radius**2 - xs**2, 0.0))
+    compliance = fields[2 * nodes + 1]
+    tops = np.sort(height)[::-1]
+    tops = tops[np.r_[True, tops[1:] < tops[:-1]]]  # the distinct heights, decreasing
+    active = height >= tops[:, None]  # (segments, n_c), nested
+    start = radius - tops
+    profile = (radius - start)[:, None] - height  # as _contact forms it
+    table = np.zeros((tops.size, 2, nodes.size))
+    for s, a in enumerate(active):
+        g = np.column_stack([profile[s, a], np.ones(a.sum())])
+        try:
+            table[s][:, a] = _contact_loads(compliance[np.ix_(a, a)], g).T
+        except NumericalError as exc:
+            raise NumericalError(f"contact segment from depth {start[s]:.6f} mm: {exc}") from exc
     afferent_ids = np.array([mesh.afferent_nodes[t] for t in AFFERENT_TYPES])
     return FootprintResponse(
         nodes=nodes,
         radius=radius,
-        height=np.sqrt(np.maximum(radius**2 - xs**2, 0.0)),
+        height=height,
         afferent_nodes=afferent_ids,
         fields=fields,
-        compliance=fields[2 * nodes + 1],
+        compliance=compliance,
         stress=np.array([recover_stress(system, u, afferent_ids) for u in fields.T]),
         residual=float(residual.max(initial=0.0)),
+        segment_depth=start,
+        segment_active=active,
+        segment_loads=table,
     )
 
 
@@ -634,56 +668,31 @@ def run_indentation(footprint: FootprintResponse, indenter: IndenterSpec) -> Ind
     the footprint's stress per unit load.  The contact rule is applied to
     all steps at once, with the circle at pre_indentation + trace[k].  Steps
     where nothing is prescribed, or every prescribed value is zero (indenter
-    lifted or exactly grazing), get zero loads and are not solved.  The
-    profile rounds monotonically in depth, so the contact sets are nested
-    and each is known by its size: the solved steps are grouped by their
-    count of contact nodes.  Within a set the prescribed value at node j is
-    r - sqrt(r^2 - x_j^2) - delta_k, with delta_k = r - (r - depth_k) the
-    depth as the profile rounds it, so the loads are affine in delta.  Each
-    set's loads come from the footprint compliance for two right-hand
-    sides, the profile at its shallowest step (ref) and unit values, and
-    step k's loads are f_ref - (delta_k - delta_ref) * f_1.  Referring to
-    the shallowest step keeps the two terms from cancelling where the
-    indenter barely touches off its centre.  The probe's radius, its
-    footprint nodes and the afferent nodes all come from `footprint`, so one
-    response serves every trace of that probe on its mesh.
+    lifted or exactly grazing), get zero loads.  The profile (r - depth) -
+    height rounds monotonically in height, so each solved step's count of
+    contact nodes names its segment of the footprint's table, and its loads
+    are that segment's f_start - (delta_k - delta_start) * f_1, with delta =
+    r - (r - depth) the depth as the profile rounds it.  No system is
+    solved, and one depth gives the same loads in every trace.  The probe's
+    radius, its footprint nodes and the afferent nodes all come from
+    `footprint`, so one response serves every trace of that probe on its
+    mesh.
     """
     indenter.validate()
     depths = indenter.pre_indentation_mm + np.asarray(indenter.displacement_trace, float)
     profile, active = _contact(footprint, depths)
-    n_c = footprint.nodes.size
 
     solved = np.flatnonzero((active & (profile != 0.0)).any(axis=1))
-    solved = solved[np.argsort(depths[solved], kind="stable")]  # shallowest first
-    sizes, ref, which = np.unique(
-        np.count_nonzero(active[solved], axis=1), return_index=True, return_inverse=True
-    )
-    ref = solved[ref]  # each set's shallowest step
+    sizes = np.count_nonzero(footprint.segment_active, axis=1)
+    segment = np.searchsorted(sizes, np.count_nonzero(active[solved], axis=1))
+    radius = footprint.radius
+    delta = radius - (radius - depths)  # the depth as the profile rounds it
+    start = radius - (radius - footprint.segment_depth[segment])
+    table = footprint.segment_loads[segment]
+    loads = np.zeros((depths.size, footprint.nodes.size))
+    loads[solved] = table[:, 0] - (delta[solved] - start)[:, None] * table[:, 1]
 
-    def failed(exc: NumericalError, steps: np.ndarray) -> NumericalError:
-        k = steps.min()  # the first step of the set in time
-        return NumericalError(f"step {k} (depth {depths[k]:.6f} mm): {exc}")
-
-    loads = np.zeros((depths.size, n_c))
-    stress = np.zeros((depths.size, len(AFFERENT_TYPES), 4))
-    if solved.size:
-        # per set: the loads for the profile at ref, and for unit values
-        set_loads = np.zeros((sizes.size, 2, n_c))
-        for s, k in enumerate(ref):
-            a = active[k]
-            g = np.column_stack([profile[k, a], np.ones(sizes[s])])
-            try:
-                set_loads[s][:, a] = _contact_loads(footprint.compliance[np.ix_(a, a)], g).T
-            except NumericalError as exc:
-                raise failed(exc, solved[which == s]) from exc
-
-        radius = footprint.radius
-        delta = radius - (radius - depths)  # the depth as the profile rounds it
-        shift = (delta[solved] - delta[ref][which])[:, None]
-        loads[solved] = set_loads[which, 0] - shift * set_loads[which, 1]
-        stress = np.tensordot(loads, footprint.stress, axes=1)
-
-    vm = von_mises(stress)
+    vm = von_mises(np.tensordot(loads, footprint.stress, axes=1))
     traces = {
         atype: StressTrace(
             afferent_type=atype,
@@ -693,4 +702,6 @@ def run_indentation(footprint: FootprintResponse, indenter: IndenterSpec) -> Ind
         )
         for i, atype in enumerate(AFFERENT_TYPES)
     }
-    return IndentationResult(stress_traces=traces, contact_sets=sizes.size, loads=loads)
+    return IndentationResult(
+        stress_traces=traces, contact_sets=len(set(segment.tolist())), loads=loads
+    )

@@ -173,14 +173,6 @@ class Mesh:
     def n_elements(self) -> int:
         return self.elements.shape[0]
 
-    @property
-    def width_mm(self) -> float:
-        return float(self.nodes[:, 0].max() - self.nodes[:, 0].min())
-
-    @property
-    def depth_mm(self) -> float:
-        return float(-self.nodes[:, 1].min())
-
     def content_hash(self) -> str:
         """sha256 of the text export; stable across runs and platforms."""
         return hashlib.sha256(export_mesh_text(self).encode()).hexdigest()

@@ -223,10 +223,6 @@ class SpikeTrain:
     def __post_init__(self):
         self.spike_times_ms.setflags(write=False)
 
-    @property
-    def n_spikes(self) -> int:
-        return int(self.spike_times_ms.size)
-
     def count_in_window(self, start_ms: float, end_ms: float) -> int:
         """Spikes in [start, end), by the step rule of window_steps.
 

@@ -6,10 +6,11 @@ writes what they return, and scripts and tests call them directly.
 
 Every `simulate` and `fit` solves the skin FEM for its protocol; nothing
 is read back from an earlier run.  The FEM is condensed to the indenter's
-footprint: each run builds one footprint response (one factorization and
-one multi-column solve) before its first stimulus and passes it to every
-stimulus, which then takes a small dense solve per distinct contact set,
-so appendixA's 37 stimuli take a few hundredths of a second.
+footprint: each run builds one footprint response (one factorization, one
+multi-column solve and one small dense solve per contact segment) before its
+first stimulus and passes it to every stimulus, which then reads its loads
+off the footprint's depth -> load table without a solve, so appendixA's 37
+stimuli take a few hundredths of a second.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .analysis import RateRecord, firing_rate, regression
 from .config import RunConfig
-from .errors import STRING, NumericalError, ValidationError, check_kind
+from .errors import STRING, ValidationError, check_kind
 from .fem import IndenterSpec, StiffnessSystem, StressTrace, run_indentation
 from .fem import build_footprint_response, surface_deflection
 from .mesh import AFFERENT_TYPES, Mesh, build_mesh
@@ -80,7 +81,8 @@ def stress_bank(
     """Per-stimulus, per-afferent stress traces, solved for every stimulus.
 
     One footprint response, for the configured probe's diameter and centre,
-    is built before the first stimulus and serves them all.  One line per
+    is built before the first stimulus and serves them all; a contact
+    segment it cannot solve fails there, before any stimulus.  One line per
     bank logs the footprint's DOFs and its largest unit-load residual.
     """
     footprint = build_footprint_response(
@@ -91,10 +93,7 @@ def stress_bank(
         displacement = spec.generate()
         indenter = IndenterSpec(pre_indentation_mm=cfg.indenter_pre_indentation_mm,
                                 displacement_trace=displacement, dt_ms=spec.dt_ms)
-        try:
-            result = run_indentation(footprint, indenter)
-        except NumericalError as exc:
-            raise NumericalError(f"stimulus {spec.stimulus_id}: {exc}") from exc
+        result = run_indentation(footprint, indenter)
         bank[spec.stimulus_id] = result.stress_traces
         logger.info(
             "FEM solved %s (%d steps, %d contact sets)",

@@ -176,12 +176,11 @@ class StimulusSpec:
         # the id names the stimulus's stress exports inside <out>/stress
         if self.stimulus_id in ("", ".", "..") or any(c in self.stimulus_id for c in "/\\"):
             raise ValidationError(f"stimulus_id {self.stimulus_id!r} is not a plain file name")
-        # ... and a cell of rates.csv and of its at_quantization_floor line,
-        # each one line split at commas
-        if "," in self.stimulus_id or not self.stimulus_id.isprintable():
-            raise ValidationError(
-                f"stimulus_id {self.stimulus_id!r} holds a comma or a non-printable character"
-            )
+        # ... and an unquoted cell of rates.csv and of its
+        # at_quantization_floor line, each one line split at commas
+        if any(c in self.stimulus_id for c in ',"') or not self.stimulus_id.isprintable():
+            raise ValidationError(f"stimulus_id {self.stimulus_id!r} holds a comma, "
+                                  "a double quote or a non-printable character")
         if self.kind not in ("sinusoid", "diharmonic", "bandpass_noise"):
             raise ValidationError(f"{self.stimulus_id}: unknown kind {self.kind!r}")
         if not self.duration_ms > 0 or not self.dt_ms > 0:

@@ -847,18 +847,20 @@ def test_cli_simulate_rejects_stimulus_id_not_a_file_name(tmp_path, caplog, stim
     assert os.listdir(tmp_path / "a") == ["out"]
 
 
-@pytest.mark.parametrize("stimulus_id", ["a,b", "tab\tid", "new\nline"])
+@pytest.mark.parametrize("stimulus_id", ["a,b", "tab\tid", "new\nline", '"x'])
 def test_cli_simulate_rejects_stimulus_id_not_a_csv_cell(tmp_path, caplog, stimulus_id):
-    # "a,b" would write a 7-cell row under rates.csv's 6-column header
+    # "a,b" would write a 7-cell row under rates.csv's 6-column header, and
+    # a leading '"' opens a quoted cell that a CSV reader runs on into the
+    # next rows
     spec = dataclasses.replace(sin_spec(50.0, 34.80), stimulus_id=stimulus_id)
     protocol = write_protocol(tmp_path, [spec])
     cfg_path = write_config(tmp_path, {"protocol": protocol})
     out = tmp_path / "out"
     with caplog.at_level(logging.ERROR, logger="afferentsim"):
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
-    assert (f"{protocol}: stimulus #0: stimulus_id {stimulus_id!r} holds a comma "
-            "or a non-printable character") in caplog.text
-    assert not (out / "rates.csv").exists()
+    assert (f"{protocol}: stimulus #0: stimulus_id {stimulus_id!r} holds a comma, "
+            "a double quote or a non-printable character") in caplog.text
+    assert os.listdir(out) == []  # refused before anything is written
 
 
 @pytest.mark.parametrize("command, raw", [

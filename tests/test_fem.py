@@ -209,8 +209,8 @@ def spsolve_fields(system, K, constraints):
 
 def appendix_a_contact_sets(footprint):
     """Every active set appendixA's sinusoids reach, with the depth and the
-    profile at the shallowest and at the deepest step of each: the step
-    that run_indentation refers the set to, and the one farthest from it."""
+    profile at the shallowest and at the deepest step of each: the two ends
+    of the set as the protocol reaches it."""
     specs = stimulus.builtin_protocol("appendixA", dt_ms=0.5, base_seed=0)
     depths = np.concatenate([spec.generate() for spec in specs])
     nodes = footprint.nodes
@@ -388,7 +388,7 @@ def count_calls(monkeypatch, owner, name):
 
 def test_stress_bank_factors_once(default_config, default_mesh, monkeypatch):
     """Each bank: one footprint response, one factorization and one
-    multi-column solve, and no per-step or per-set solve."""
+    multi-column solve, and no solve with K per step or per contact set."""
     builds = count_calls(monkeypatch, pipeline, "build_footprint_response")
     factors = count_calls(monkeypatch, fem.BlockCholesky, "__init__")
     solves = count_calls(monkeypatch, fem.BlockCholesky, "solve")
@@ -591,8 +591,8 @@ def test_deeper_contact_is_superset(default_footprint, depth):
 
 
 def contact_active_set_oracle(mesh, diameter_mm, center_x_mm, depth_mm):
-    """The contact rule as evaluated one depth at a time, before
-    run_indentation tabulated its solves per contact set."""
+    """The contact rule as evaluated one depth at a time, before the
+    footprint tabulated its loads per contact segment."""
     if depth_mm < 0:
         return {}
     radius = diameter_mm / 2.0
@@ -723,23 +723,53 @@ def test_contact_active_set_matches_oracle(default_mesh, footprint_of, depth, di
     assert got == expected  # same DOFs, bit-identical profile values
 
 
-def test_run_indentation_error_names_first_step_of_set(default_mesh, default_footprint,
-                                                       monkeypatch):
-    trace = stimulus.sinusoid(50.0, 113.6, 40.0)
-    indenter = fem.IndenterSpec(displacement_trace=trace)
-    wide = [k for k, depth in enumerate(trace)
-            if len(contact_active_set_oracle(default_mesh, 1.0, 0.0, depth)) > 1]
+def test_footprint_error_names_segment_start_depth(default_system, default_footprint,
+                                                  monkeypatch):
+    # a contact segment fails when the footprint is built, before any trace
+    # runs: here the deepest, where the nodes at x = +-0.4 mm join
     contact_loads = fem._contact_loads
 
     def failing_loads(compliance, displacements):
-        if len(compliance) > 1:
+        if len(compliance) == default_footprint.nodes.size:
             raise NumericalError("solve residual 1e+00 exceeds 1e-8 relative")
         return contact_loads(compliance, displacements)
 
     monkeypatch.setattr(fem, "_contact_loads", failing_loads)
-    first = rf"^step {wide[0]} \(depth {trace[wide[0]]:.6f} mm\): solve residual"
-    with pytest.raises(NumericalError, match=first):
-        fem.run_indentation(default_footprint, indenter)
+    with pytest.raises(NumericalError,
+                       match=r"^contact segment from depth 0\.200000 mm: solve residual"):
+        fem.build_footprint_response(default_system, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("amplitude", [51.62, 113.6, 250.0])
+def test_run_indentation_loads_depend_on_depth_alone(default_footprint, amplitude):
+    """A 50 Hz sinusoid, its second half, and its first half reversed before
+    the whole: every step at one depth gets the same loads, bit for bit,
+    whichever trace it is in and whatever depths that trace reaches."""
+    trace = stimulus.sinusoid(50.0, amplitude, 200.0)
+    half = trace.size // 2
+    traces = [trace, trace[half:], np.concatenate([trace[:half][::-1], trace])]
+    depths = np.concatenate(traces)
+    loads = np.concatenate([
+        fem.run_indentation(default_footprint, fem.IndenterSpec(displacement_trace=t)).loads
+        for t in traces
+    ])
+    _, first, which = np.unique(depths, return_index=True, return_inverse=True)
+    assert first.size < depths.size // 2  # the depths repeat within and across traces
+    assert np.array_equal(loads.view(np.uint64), loads[first][which].view(np.uint64))
+
+
+def test_run_indentation_makes_no_solve(default_footprint, monkeypatch):
+    # the table is built with the footprint; the traces only read it
+    def no_solve(*args, **kwargs):
+        raise AssertionError("run_indentation solved a system")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    monkeypatch.setattr(fem.BlockCholesky, "solve", no_solve)
+    sets = 0
+    for spec in stimulus.builtin_protocol("appendixA", dt_ms=0.5, base_seed=0):
+        indenter = fem.IndenterSpec(displacement_trace=spec.generate(), dt_ms=spec.dt_ms)
+        sets += fem.run_indentation(default_footprint, indenter).contact_sets
+    assert sets == 56
 
 
 # ---------------------------------------- footprint response (condensed)
@@ -747,18 +777,14 @@ def test_run_indentation_error_names_first_step_of_set(default_mesh, default_foo
 
 def singular_compliance(monkeypatch):
     # C = all ones: regular for one contact node, singular for more
-    build = fem.build_footprint_response
-
-    def singular(*args):
-        return dataclasses.replace(build(*args), compliance=np.ones((5, 5)))
-
-    for owner in (fem, pipeline):
-        monkeypatch.setattr(owner, "build_footprint_response", singular)
+    contact_loads = fem._contact_loads
+    monkeypatch.setattr(fem, "_contact_loads",
+                        lambda compliance, g: contact_loads(np.ones_like(compliance), g))
     return 3, "footprint compliance of 3 contact nodes is singular"
 
 
 def sloppy_set_solve(monkeypatch):
-    # the per-set solve is the only one with two right-hand sides (ref, unit)
+    # the per-segment solve is the only one with two right-hand sides (start, unit)
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: (
         solve(a, b) * (1.0 + 1e-6) if b.shape[-1] == 2 else solve(a, b)))
@@ -766,7 +792,7 @@ def sloppy_set_solve(monkeypatch):
 
 
 def sloppy_unit_loads(monkeypatch):
-    # fails while the footprint response is built, which belongs to no step
+    # fails before any contact segment is solved
     solve = fem.BlockCholesky.solve
     monkeypatch.setattr(fem.BlockCholesky, "solve",
                         lambda self, rhs: solve(self, rhs) * (1.0 + 1e-6))
@@ -774,7 +800,7 @@ def sloppy_unit_loads(monkeypatch):
 
 
 # failure -> patch(monkeypatch) returning (the smallest contact set that
-# fails, or None if building the footprint response fails; the message)
+# fails, or None if the unit-load solve fails; the message)
 FOOTPRINT_FAILURES = {
     "singular-set": singular_compliance,
     "set-residual": sloppy_set_solve,
@@ -782,25 +808,22 @@ FOOTPRINT_FAILURES = {
 }
 
 
-def first_step_with_set_size(footprint, indenter, size):
-    """The prefix naming the first step whose contact set has `size` or
-    more nodes, "" for size None."""
+def segment_prefix(footprint, size):
+    """The prefix naming the first contact segment of `size` or more nodes,
+    from the depth where its last node joins; "" for size None."""
     if size is None:
         return ""
-    depths = indenter.pre_indentation_mm + indenter.displacement_trace
-    profile, active = fem._contact(footprint, depths)
-    solved = (active & (profile != 0.0)).any(axis=1)
-    k = int(np.flatnonzero(solved & (active.sum(axis=1) >= size))[0])
-    return rf"step {k} \(depth {depths[k]:.6f} mm\): "
+    height = np.sort(footprint.height)[::-1][size - 1]
+    return re.escape(f"contact segment from depth {footprint.radius - height:.6f} mm: ")
 
 
 @pytest.mark.parametrize("failure", sorted(FOOTPRINT_FAILURES))
 def test_footprint_failures_raise(default_system, default_footprint, monkeypatch, failure):
-    indenter = fem.IndenterSpec(displacement_trace=stimulus.sinusoid(50.0, 113.6, 40.0))
+    # every failure belongs to the footprint, whatever the traces it will serve
     size, message = FOOTPRINT_FAILURES[failure](monkeypatch)
-    step = first_step_with_set_size(default_footprint, indenter, size)
-    with pytest.raises(NumericalError, match=f"^{step}{message}"):
-        fem.run_indentation(fem.build_footprint_response(default_system, 1.0, 0.0), indenter)
+    prefix = segment_prefix(default_footprint, size)
+    with pytest.raises(NumericalError, match=f"^{prefix}{message}"):
+        fem.build_footprint_response(default_system, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("failure", sorted(FOOTPRINT_FAILURES))
@@ -816,15 +839,13 @@ def test_cli_footprint_failures_exit_3(default_footprint, tmp_path, monkeypatch,
     stimulus.save_protocol([spec], protocol, name="custom")
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"protocol": str(protocol)}))
-    indenter = fem.IndenterSpec(displacement_trace=spec.generate())
     size, message = FOOTPRINT_FAILURES[failure](monkeypatch)
-    step = first_step_with_set_size(default_footprint, indenter, size)
-    # a contact set's failure names its stimulus; the footprint's names none
-    stimulus_prefix = "" if size is None else "stimulus probe: "
+    prefix = segment_prefix(default_footprint, size)
+    # the footprint fails before the first stimulus, so no message names one
     with caplog.at_level(logging.ERROR, logger="afferentsim"):
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 3
-    assert re.search(f"numerical failure: {stimulus_prefix}{step}{message}", caplog.text)
+    assert re.search(f"numerical failure: {prefix}{message}", caplog.text)
 
 
 def per_step_stress(system, footprint, depth):
@@ -850,8 +871,8 @@ def test_footprint_stress_matches_per_step_solve(default_system, footprint_of, d
                                                  diameter, center):
     """Off the centre the footprint is asymmetric (the 1 mm probe at
     x = 0.3 covers the nodes at -0.2 ... 0.8), and depths that share a
-    contact set are referred to the shallowest of them.  The loads give
-    each solved step's contact set its prescribed profile and are zero
+    contact set are referred to the depth where the set begins.  The loads
+    give each solved step's contact set its prescribed profile and are zero
     everywhere else."""
     footprint = footprint_of(diameter, center)
     result = fem.run_indentation(footprint, fem.IndenterSpec(displacement_trace=np.array(depths)))
@@ -871,6 +892,54 @@ def test_footprint_stress_matches_per_step_solve(default_system, footprint_of, d
             c_aa = footprint.compliance[np.ix_(a, a)]
             err = np.abs(c_aa @ result.loads[k, a] - profile[k, a]).max()
             assert err <= 1e-12 * np.abs(profile[k, a]).max()
+
+
+@functools.lru_cache(maxsize=None)
+def footprint_on_mesh(h, diameter_mm, center_x_mm):
+    """(system, footprint) of a probe on the default skin at surface element h."""
+    cfg = config.config_from_dict({"geometry": {"surface_element_mm": h}})
+    system = fem.StiffnessSystem(mesh.build_mesh(cfg.geometry, cfg.materials))
+    return system, fem.build_footprint_response(system, diameter_mm, center_x_mm)
+
+
+@st.composite
+def segment_depths(draw):
+    """Depths anywhere, or within a nanometre of where the k-th highest
+    footprint node joins: as (k, offset), resolved once the probe is known."""
+    return draw(st.one_of(
+        st.tuples(st.just(None), st.floats(-0.1, 1.2)),
+        st.tuples(st.integers(0, 10), st.floats(-1e-9, 1e-9)),
+    ))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    h=st.sampled_from([0.2, 0.1]),
+    diameter=st.sampled_from([0.5, 1.0, 2.0]),
+    center=st.sampled_from([0.0, 0.3, -0.1]),
+    draws=st.lists(segment_depths(), min_size=1, max_size=4),
+)
+def test_table_loads_match_per_step_reactions(h, diameter, center, draws):
+    """Each step's loads, read off the footprint's table, are the reactions
+    on the footprint of a one-shot solve with that step's contact set
+    prescribed (constrained_solve), within 1e-12 of their largest; steps
+    with nothing to prescribe get exact zeros."""
+    system, footprint = footprint_on_mesh(h, diameter, center)
+    heights = np.sort(footprint.height)[::-1]
+    depths = np.array([
+        offset if k is None else footprint.radius - heights[min(k, heights.size - 1)] + offset
+        for k, offset in draws
+    ])
+    result = fem.run_indentation(footprint, fem.IndenterSpec(displacement_trace=depths))
+    base = fem.bottom_constraints(system.mesh)
+    for depth, got in zip(depths, result.loads):
+        active = contact_active_set_oracle(system.mesh, diameter, center, depth)
+        if not any(v != 0.0 for v in active.values()):
+            assert np.all(got == 0.0)
+            continue
+        u = constrained_solve(system, {**base, **active})
+        expected = (system.K @ u)[2 * footprint.nodes + 1]
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_footprint_stress_matches_oracle_on_fine_mesh():

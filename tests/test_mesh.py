@@ -79,8 +79,9 @@ def test_material_layers_must_tile_from_surface():
 
 def test_default_mesh_shape_and_centerline(default_mesh):
     assert default_mesh.n_elements <= 5000
-    assert default_mesh.width_mm == pytest.approx(20.0)
-    assert default_mesh.depth_mm == pytest.approx(8.0)
+    xs, ys = default_mesh.nodes.T
+    assert xs.max() - xs.min() == pytest.approx(20.0)  # width
+    assert -ys.min() == pytest.approx(8.0)  # depth
     # even column count guarantees a node on the centerline
     assert np.any((default_mesh.nodes[:, 0] == 0.0) & (default_mesh.nodes[:, 1] == 0.0))
     # all three afferent nodes sit on the centerline

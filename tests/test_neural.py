@@ -180,7 +180,7 @@ def test_zero_drive_rests():
         assert whole_trace_steps([zeros], [params])[0][0].size == 0
         # zero stress filters to zero input, hence zero drive
         trace = StressTrace(params.afferent_type, 0, DT, np.zeros(2001))
-        assert neural.run_afferents([trace], params)[0].n_spikes == 0
+        assert neural.run_afferents([trace], params)[0].spike_times_ms.size == 0
 
 
 def test_subthreshold_asymptote():
@@ -483,7 +483,7 @@ def test_constant_stress_silences_ra_pc():
         train = neural.run_afferents([trace], PARAMS[name])[0]
         # rate-sensitive types ignore the standing load (only the onset
         # transient at sample 1 can contribute)
-        assert train.n_spikes <= 1
+        assert train.spike_times_ms.size <= 1
 
 
 # --------------------------------------------------------- serialization
