@@ -27,7 +27,7 @@ from .mesh import (
     build_mesh,
     default_afferent_depths,
     default_material_layers,
-    save_mesh,
+    export_mesh_text,
 )
 from .fem import (
     IndenterSpec,
@@ -46,7 +46,6 @@ from .stimulus import (
     builtin_protocol,
     diharmonic,
     load_protocol,
-    save_protocol,
     sinusoid,
 )
 from .neural import (
@@ -60,7 +59,6 @@ from .neural import (
     filtered_inputs,
     moving_average_abs,
     run_afferents,
-    save_spike_trains,
     window_steps,
 )
 from .optimize import (
@@ -120,6 +118,7 @@ __all__ = [
     "default_material_layers",
     "derivative",
     "diharmonic",
+    "export_mesh_text",
     "filtered_inputs",
     "firing_rate",
     "fit_afferent",
@@ -137,9 +136,6 @@ __all__ = [
     "regression",
     "run_afferents",
     "run_indentation",
-    "save_mesh",
-    "save_protocol",
-    "save_spike_trains",
     "select_candidate",
     "sinusoid",
     "surface_deflection",

@@ -54,22 +54,25 @@ class RateRecord:
         return abs(self.predicted_ips * self.window_ms / 1000.0 - 1.0) < 1e-9
 
 
-def rate_records_to_csv(records: list[RateRecord], path, provenance: str | None = None) -> None:
+def rate_records_to_csv(records: list[RateRecord], provenance: str | None = None) -> str:
+    """The rates CSV text: provenance and quantization-floor comment lines,
+    the header, then one row per record."""
     # one TYPE:stimulus_id per flagged row, since a stimulus has a row per type
     floor_ids = [f"{r.afferent_type}:{r.stimulus_id}" for r in records
                  if r.at_quantization_floor]
-    with open(path, "w") as fh:
-        if provenance:
-            fh.write(f"# provenance: {provenance}\n")
-        if floor_ids:
-            fh.write(f"# at_quantization_floor: {','.join(floor_ids)}\n")
-        fh.write("afferent,stimulus_id,freq_hz,amplitude_um,predicted_ips,observed_ips\n")
-        for r in records:
-            obs = "" if r.observed_ips is None else repr(float(r.observed_ips))
-            fh.write(
-                f"{r.afferent_type},{r.stimulus_id},{float(r.freq_hz)!r},"
-                f"{float(r.amplitude_um)!r},{float(r.predicted_ips)!r},{obs}\n"
-            )
+    lines = []
+    if provenance:
+        lines.append(f"# provenance: {provenance}\n")
+    if floor_ids:
+        lines.append(f"# at_quantization_floor: {','.join(floor_ids)}\n")
+    lines.append("afferent,stimulus_id,freq_hz,amplitude_um,predicted_ips,observed_ips\n")
+    for r in records:
+        obs = "" if r.observed_ips is None else repr(float(r.observed_ips))
+        lines.append(
+            f"{r.afferent_type},{r.stimulus_id},{float(r.freq_hz)!r},"
+            f"{float(r.amplitude_um)!r},{float(r.predicted_ips)!r},{obs}\n"
+        )
+    return "".join(lines)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ no longer exists is removed with a warning.
 
 The stages live in `pipeline`; each command runs one of its functions and
 writes what it returns, with a provenance line.  `simulate` writes each
-stress trace once, to <out>/stress; `fit` writes none.
+stress trace once, to <out>/stress; `fit` writes none.  The library formats
+its outputs as text or JSON payloads and opens no file for writing: every
+output goes through `_write`, which creates the file's directory and turns a
+failed write into a ValidationError (exit 2, the lock removed).
 """
 
 from __future__ import annotations
@@ -25,10 +28,8 @@ from contextlib import contextmanager
 from . import __version__, pipeline
 from .analysis import rate_records_to_csv
 from .config import RunConfig, load_config
-from .config import save_resolved_config
 from .errors import AfferentSimError, NumericalError, ValidationError
-from .mesh import AFFERENT_TYPES, build_mesh, save_mesh
-from .neural import save_spike_trains
+from .mesh import AFFERENT_TYPES, build_mesh, export_mesh_text
 from .optimize import front_to_csv, selected_to_json
 from .stimulus import BUILTIN_PROTOCOLS
 
@@ -95,16 +96,26 @@ def _provenance(cfg: RunConfig) -> str:
 # commands
 
 
+def _write(path: str, text: str) -> None:
+    """Write one output file, creating its directory; an OSError becomes a
+    ValidationError naming the path."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_mesh(cfg: RunConfig) -> int:
     mesh = build_mesh(cfg.geometry, cfg.materials)
     out = cfg.output_dir
-    text = save_mesh(mesh, os.path.join(out, "mesh.txt"))
+    text = export_mesh_text(mesh)
+    _write(os.path.join(out, "mesh.txt"), text)
     _write_json(os.path.join(out, "mesh_meta.json"), {
         "nodes": mesh.n_nodes,
         "elements": mesh.n_elements,
@@ -119,18 +130,17 @@ def cmd_mesh(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     out = cfg.output_dir
     result = pipeline.simulate(cfg)
-    save_mesh(result.mesh, os.path.join(out, "mesh.txt"))
+    _write(os.path.join(out, "mesh.txt"), export_mesh_text(result.mesh))
     prov = _provenance(cfg)
-    stress_dir = os.path.join(out, "stress")
-    os.makedirs(stress_dir, exist_ok=True)
     for stimulus_id, traces in result.bank.items():
         for atype, trace in traces.items():
-            trace.to_csv(
-                os.path.join(stress_dir, f"{stimulus_id}_{atype}.csv"), provenance=prov,
-            )
-    save_spike_trains(result.trains, os.path.join(out, "spikes.jsonl"))
-    rate_records_to_csv(result.records, os.path.join(out, "rates.csv"), provenance=prov)
-    save_resolved_config(cfg, os.path.join(out, "config_resolved.json"))
+            _write(os.path.join(out, "stress", f"{stimulus_id}_{atype}.csv"),
+                   trace.csv_text(provenance=prov))
+    _write(os.path.join(out, "spikes.jsonl"), "".join(
+        json.dumps(tr.to_record(), sort_keys=True) + "\n" for tr in result.trains
+    ))
+    _write(os.path.join(out, "rates.csv"), rate_records_to_csv(result.records, provenance=prov))
+    _write_json(os.path.join(out, "config_resolved.json"), cfg.to_dict())
     print(
         f"simulate: {len(result.bank)} stimuli x {len(AFFERENT_TYPES)} afferents -> "
         f"{out}/rates.csv ({len(result.records)} rows)"
@@ -142,11 +152,10 @@ def cmd_validate(cfg: RunConfig) -> int:
     out = cfg.output_dir
     result = pipeline.validate(cfg)
     prov = _provenance(cfg)
-    with open(os.path.join(out, "deflection.csv"), "w") as fh:
-        fh.write(f"# provenance: {prov}\n")
-        fh.write("x_mm,deflection_mm\n")
-        for x, w in zip(result.x_mm, result.deflection_mm):
-            fh.write(f"{float(x)!r},{float(w)!r}\n")
+    _write(os.path.join(out, "deflection.csv"), "".join(
+        [f"# provenance: {prov}\n", "x_mm,deflection_mm\n"]
+        + [f"{float(x)!r},{float(w)!r}\n" for x, w in zip(result.x_mm, result.deflection_mm)]
+    ))
     report = result.report
     _write_json(os.path.join(out, "validation_report.json"), report | {"provenance": prov})
     print(f"validate: max deflection {report['max_deflection_mm']:.4f} mm (in [0.9, 1.1]: "
@@ -162,17 +171,13 @@ def cmd_fit(cfg: RunConfig) -> int:
     prov = _provenance(cfg)
     for atype, result in results.items():
         outcome = result.outcome
-        front_to_csv(
-            outcome.front, atype, os.path.join(out, f"front_{atype}.csv"),
-            provenance=prov,
-        )
-        selected_to_json(
-            outcome, os.path.join(out, f"selected_{atype}.json"),
-            extra_provenance={"config": cfg.content_hash(), "version": __version__},
-        )
-        rate_records_to_csv(
-            result.records, os.path.join(out, f"fit_rates_{atype}.csv"), provenance=prov
-        )
+        _write(os.path.join(out, f"front_{atype}.csv"),
+               front_to_csv(outcome.front, atype, provenance=prov))
+        _write_json(os.path.join(out, f"selected_{atype}.json"), selected_to_json(
+            outcome, extra_provenance={"config": cfg.content_hash(), "version": __version__},
+        ))
+        _write(os.path.join(out, f"fit_rates_{atype}.csv"),
+               rate_records_to_csv(result.records, provenance=prov))
         _write_json(os.path.join(out, f"regression_{atype}.json"),
                     result.regression | {"provenance": prov})
         print(
@@ -180,7 +185,7 @@ def cmd_fit(cfg: RunConfig) -> int:
             f"front size {outcome.front.front_indices().size} -> "
             f"{out}/selected_{atype}.json"
         )
-    save_resolved_config(cfg, os.path.join(out, "config_resolved.json"))
+    _write_json(os.path.join(out, "config_resolved.json"), cfg.to_dict())
     return 0
 
 
@@ -224,11 +229,11 @@ def main(argv: list[str] | None = None) -> int:
     # Move every object alive now (about 22.5k after the imports, NumPy's
     # included) to the collector's permanent generation.  None of them is
     # garbage, yet the full collections that finalization runs at exit
-    # would scan them all again.  Freezing changes no output: the files a
-    # command writes are closed by the code that opens them, not by a
-    # collection.  Only this entry point freezes; an in-process caller
-    # keeps what was alive when each command started out of the
-    # collector's reach, and pipeline.* never freezes.
+    # would scan them all again.  Freezing changes no output: _write closes
+    # each file it opens, so none waits for a collection.  Only this entry
+    # point freezes; an in-process caller keeps what was alive when each
+    # command started out of the collector's reach, and pipeline.* never
+    # freezes.
     gc.freeze()
     args = _build_parser().parse_args(argv)
     logging.basicConfig(

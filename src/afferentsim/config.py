@@ -221,9 +221,3 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def save_resolved_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

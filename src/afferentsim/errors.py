@@ -14,7 +14,8 @@ class AfferentSimError(Exception):
 
 
 class ValidationError(AfferentSimError):
-    """Bad user input: config fields, protocol files, CLI arguments."""
+    """Bad user input: config fields, protocol files, CLI arguments, and an
+    output path the CLI cannot write."""
 
 
 class NumericalError(AfferentSimError):

@@ -158,9 +158,9 @@ class StressTrace:
     def duration_ms(self) -> float:
         return (self.n_steps - 1) * self.dt_ms
 
-    def to_csv(self, path, provenance: str | None = None) -> None:
-        """Header lines, then one `t_ms,sigma_pa` row per step (shortest repr
-        of the value as a float64).
+    def csv_text(self, provenance: str | None = None) -> str:
+        """The trace as CSV text: header lines, then one `t_ms,sigma_pa` row
+        per step (shortest repr of the value as a float64).
 
         Each distinct value is formatted once: appendixA's 111 traces hold
         54 951 values, half of them zeros from the lifted indenter, but only
@@ -177,8 +177,7 @@ class StressTrace:
         body = [""] * (2 * self.n_steps)
         body[0::2] = _time_column(dt, self.n_steps)
         body[1::2] = [texts[k] for k in index.tolist()]
-        with open(path, "w") as fh:
-            fh.write("".join(head + body))
+        return "".join(head + body)
 
 
 @lru_cache(maxsize=4)
@@ -209,7 +208,8 @@ class FootprintResponse:
 
     The depth -> load table has one segment per contact set A the rule can
     produce, shallowest first: segment_active[s] (the nodes of the s + 1
-    greatest heights), segment_depth[s] = r - min(height[A]), where its last
+    greatest heights, heights within _contact's 1e-12 mm of each other
+    counting as one), segment_depth[s] = r - min(height[A]), where its last
     node joins, and segment_loads[s], zero off A: the loads for the profile
     at that depth (as _contact forms it), and for unit prescribed values.
     Referred to its own start, a segment's two terms do not cancel where a
@@ -606,7 +606,7 @@ def build_footprint_response(
     height = np.sqrt(np.maximum(radius**2 - xs**2, 0.0))
     compliance = fields[2 * nodes + 1]
     tops = np.sort(height)[::-1]
-    tops = tops[np.r_[True, tops[1:] < tops[:-1]]]  # the distinct heights, decreasing
+    tops = tops[np.r_[tops[:-1] - tops[1:] > 1e-12, True]]  # lowest of each 1e-12 group
     active = height >= tops[:, None]  # (segments, n_c), nested
     start = radius - tops
     profile = (radius - start)[:, None] - height  # as _contact forms it

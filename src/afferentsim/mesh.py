@@ -341,11 +341,3 @@ def export_mesh_text(mesh: Mesh) -> str:
         if atype in mesh.afferent_nodes:
             lines.append(f"A {atype} {mesh.afferent_nodes[atype]}")
     return "\n".join(lines) + "\n"
-
-
-def save_mesh(mesh: Mesh, path) -> str:
-    """Write the text export to `path`; returns the text written."""
-    text = export_mesh_text(mesh)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return text

@@ -560,14 +560,3 @@ def run_afferents(
         )
         for t, steps in zip(traces, counter.spike_steps(ParamTable.from_params([params]))[0])
     ]
-
-
-# --------------------------------------------------------------------------
-# spike-train serialization
-
-
-def save_spike_trains(trains: list[SpikeTrain], path) -> None:
-    with open(path, "w") as fh:
-        for tr in trains:
-            fh.write(json.dumps(tr.to_record(), sort_keys=True))
-            fh.write("\n")

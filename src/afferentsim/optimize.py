@@ -608,8 +608,9 @@ def recover_parameters(
 # exports
 
 
-def front_to_csv(front: ParetoFront, afferent_type: str, path, provenance=None) -> None:
-    """Full final population, front first, decoded parameter columns."""
+def front_to_csv(front: ParetoFront, afferent_type: str, provenance=None) -> str:
+    """CSV text of the full final population, front first, decoded parameter
+    columns."""
     sats = SATURATION_FIELDS[afferent_type]
     param_cols = ("tau_m_ms",) + sats + ("alpha_prime",)
     # one decode for the whole population: its columns are genes_to_params's
@@ -625,23 +626,21 @@ def front_to_csv(front: ParetoFront, afferent_type: str, path, provenance=None) 
             tuple(float(g) for g in front.genes[i]),
         ),
     )
-    with open(path, "w") as fh:
-        if provenance:
-            fh.write(f"# provenance: {provenance}\n")
-        obj_cols = ",".join(f"objective_{int(f)}" for f in OBJECTIVE_FREQS)
-        fh.write(f"rank,{obj_cols},{','.join(param_cols)}\n")
-        for i in order:
-            fh.write(
-                f"{int(front.ranks[i])},"
-                + ",".join(map(repr, objectives[i]))
-                + ","
-                + ",".join(map(repr, params[i]))
-                + "\n"
-            )
+    obj_cols = ",".join(f"objective_{int(f)}" for f in OBJECTIVE_FREQS)
+    lines = [f"# provenance: {provenance}\n"] if provenance else []
+    lines.append(f"rank,{obj_cols},{','.join(param_cols)}\n")
+    lines += [
+        f"{int(front.ranks[i])},{','.join(map(repr, objectives[i]))},"
+        f"{','.join(map(repr, params[i]))}\n"
+        for i in order
+    ]
+    return "".join(lines)
 
 
-def selected_to_json(outcome: FitOutcome, path, extra_provenance: dict | None = None) -> None:
-    payload = {
+def selected_to_json(outcome: FitOutcome, extra_provenance: dict | None = None) -> dict:
+    """The JSON payload of the selected candidate: its parameters,
+    objectives and provenance."""
+    return {
         "afferent": outcome.afferent_type,
         "params": outcome.selected.to_dict(),
         "objectives": {
@@ -659,6 +658,3 @@ def selected_to_json(outcome: FitOutcome, path, extra_provenance: dict | None = 
             **(extra_provenance or {}),
         },
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -16,7 +16,7 @@ ms, dt defaults to 0.5 ms (Nyquist 1 kHz).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -279,18 +279,6 @@ def builtin_protocol(
     for s in specs:
         s.validate()
     return specs
-
-
-def save_protocol(specs: list[StimulusSpec], path, name: str = "custom") -> None:
-    payload = {
-        "name": name,
-        "stimuli": [
-            {k: v for k, v in asdict(s).items() if v is not None} for s in specs
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def load_protocol(path) -> list[StimulusSpec]:

@@ -1,11 +1,13 @@
 """Reference implementations that the tests compare the program against.
 
 Each is the plain form of something the program computes in a faster or
-fused way, or (load_mesh, params_to_genes) the reader of an export or the
-inverse of a map that only the tests need; none of them is on a command's
-path.
+fused way, or (load_mesh, params_to_genes, write_protocol_file) the reader
+of an export, the inverse of a map or the writer of an input that only the
+tests need; none of them is on a command's path.
 """
 
+import dataclasses
+import json
 import weakref
 
 import numpy as np
@@ -93,7 +95,7 @@ def dominates(a, b):
 
 
 def stress_csv_text(trace, provenance=None):
-    """StressTrace.to_csv's text, one row at a time from NumPy scalars."""
+    """StressTrace.csv_text's text, one row at a time from NumPy scalars."""
     dt = float(trace.dt_ms)
     lines = ["# afferent,node,dt_ms\n", f"# {trace.afferent_type},{trace.node_id},{dt!r}\n"]
     if provenance:
@@ -130,7 +132,7 @@ def mesh_text(mesh):
 
 
 def load_mesh(path, materials: list[MaterialLayer]) -> Mesh:
-    """Inverse of save_mesh; materials are not stored in the file."""
+    """Inverse of export_mesh_text; materials are not stored in the file."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != "afferentsim-mesh v1":
@@ -167,3 +169,12 @@ def load_mesh(path, materials: list[MaterialLayer]) -> Mesh:
     )
     check_jacobians(mesh)
     return mesh
+
+
+def write_protocol_file(specs, path, name="custom"):
+    """A protocol file as load_protocol reads it: its name and one object per
+    stimulus, holding the StimulusSpec fields that are set."""
+    stimuli = [{k: v for k, v in dataclasses.asdict(s).items() if v is not None}
+               for s in specs]
+    with open(path, "w") as fh:
+        json.dump({"name": name, "stimuli": stimuli}, fh, indent=2)

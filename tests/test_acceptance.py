@@ -15,7 +15,7 @@ import pytest
 from scipy import signal, stats
 
 from afferentsim import analysis, cli, fem, mesh, neural, optimize, stimulus
-from oracles import constrained_solve, stress_to_drive
+from oracles import constrained_solve, stress_to_drive, write_protocol_file
 
 DT = 0.5
 
@@ -276,7 +276,7 @@ def test_criterion_10_deterministic_exports(tmp_path):
         ),
     ]
     protocol = tmp_path / "protocol.json"
-    stimulus.save_protocol(specs, protocol, name="tiny")
+    write_protocol_file(specs, protocol, name="tiny")
     observed = tmp_path / "observed.csv"
     observed.write_text(
         "afferent,freq_hz,amplitude_um,rate_ips\n"

@@ -87,7 +87,7 @@ def test_rate_record_quantization_floor():
     assert not rec3.at_quantization_floor
 
 
-def test_rate_records_csv(tmp_path):
+def test_rate_records_csv():
     records = [
         analysis.RateRecord("SA", "s1", 20.0, 6.71, predicted_ips=1 / 0.245,
                             observed_ips=12.5, window_ms=245.0),
@@ -96,9 +96,7 @@ def test_rate_records_csv(tmp_path):
         analysis.RateRecord("PC", "s1", 20.0, 6.71, predicted_ips=1 / 0.245,
                             window_ms=245.0),
     ]
-    path = tmp_path / "rates.csv"
-    analysis.rate_records_to_csv(records, path, provenance="prov")
-    lines = path.read_text().splitlines()
+    lines = analysis.rate_records_to_csv(records, provenance="prov").splitlines()
     assert lines[0] == "# provenance: prov"
     # each flagged row by type and stimulus, so a stimulus flagged for two
     # types is named twice, once per type

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import json
 import logging
@@ -11,7 +12,7 @@ import pytest
 
 from afferentsim import cli, config, fem, mesh, neural, optimize, pipeline, stimulus
 from afferentsim.errors import ValidationError
-from oracles import load_mesh
+from oracles import load_mesh, write_protocol_file
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -22,7 +23,7 @@ def write_config(tmp_path, raw, name="config.json"):
 
 def write_protocol(tmp_path, specs, name="protocol.json"):
     path = tmp_path / name
-    stimulus.save_protocol(list(specs), path, name="custom")
+    write_protocol_file(specs, path)
     return str(path)
 
 
@@ -87,7 +88,7 @@ def test_config_hash_tracks_content():
 def test_config_resolved_round_trip(tmp_path):
     cfg = config.config_from_dict({"seed": 5, "protocol": "appendixB"})
     path = tmp_path / "resolved.json"
-    config.save_resolved_config(cfg, path)
+    path.write_text(json.dumps(cfg.to_dict()))
     again = config.load_config(str(path))
     assert again.to_dict() == cfg.to_dict()
     assert again.content_hash() == cfg.content_hash()
@@ -903,6 +904,67 @@ def test_cli_out_naming_a_file_exits_2(tmp_path, caplog):
         assert f"cannot create output directory {str(out)!r}" in caplog.text
     assert taken.read_text() == "not a directory\n"
     assert sorted(os.listdir(tmp_path)) == ["config.json", "taken"]
+
+
+@pytest.mark.parametrize("taken", ["rates.csv", "stress"])
+def test_cli_simulate_write_failure_exits_2(tmp_path, taken):
+    # rates.csv taken by a directory, or stress/ by a file: the failed write
+    # is reported with its path and exit 2 (not a traceback and exit 1), and
+    # the lock is released
+    spec = sin_spec(50.0, 34.80)
+    cfg_path = write_config(tmp_path, {"protocol": write_protocol(tmp_path, [spec])})
+    out = tmp_path / "out"
+    if taken == "rates.csv":
+        (out / taken).mkdir(parents=True)
+        target = out / "rates.csv"
+    else:
+        out.mkdir()
+        (out / taken).write_text("")
+        target = out / "stress" / f"{spec.stimulus_id}_SA.csv"
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "afferentsim.cli", "simulate", "--config", cfg_path,
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    assert f"ERROR validation error: cannot write {target}: " in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (out / ".lock").exists()
+
+
+def test_cli_is_the_only_module_that_opens_files_for_writing(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, {})
+    observed = tmp_path / "observed.csv"
+    fit_cfg = write_config(tmp_path, {"fit": {
+        "observed_rates_csv": str(observed), "population": 8, "budget": 16,
+    }}, name="fit.json")
+    real_open = builtins.open
+    writes = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            writes.append((sys._getframe(1).f_globals.get("__name__"), str(file)))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    for command, cfg in [("mesh", cfg_path), ("validate", cfg_path),
+                         ("simulate", cfg_path), ("fit", fit_cfg)]:
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0, command
+        if command == "simulate":  # appendixA's rates, nudged, are the fit's observations
+            observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\n" + "".join(
+                f"{r[0]},{r[2]},{r[3]},{float(r[4]) + 1.0}\n"
+                for r in (ln.split(",") for ln in (out / "rates.csv").read_text().splitlines())
+                if r[0] in ("SA", "RA", "PC")
+            ))
+    assert {module for module, _ in writes} == {"afferentsim.cli"}
+    # every output file was written through such an open, and each once
+    outputs = [os.path.join(dirpath, name)
+               for command in ("mesh", "validate", "simulate", "fit")
+               for dirpath, _, names in os.walk(tmp_path / command) for name in names]
+    assert sorted(path for _, path in writes) == sorted(outputs)
+    assert len(outputs) == 2 + 2 + 4 + 111 + 4 * 3 + 1
 
 
 def _output_files(root):

@@ -14,7 +14,7 @@ from scipy.sparse.linalg import spsolve
 from afferentsim import config, fem, mesh, pipeline, stimulus
 from afferentsim.errors import InvertedElementError, NumericalError, ValidationError
 from afferentsim.mesh import AFFERENT_TYPES
-from oracles import constrained_solve, einsum_stiffness, stress_csv_text
+from oracles import constrained_solve, einsum_stiffness, stress_csv_text, write_protocol_file
 
 SOFT = mesh.MaterialLayer("soft", 1.0, 0.3, (0.0, 1.0))
 
@@ -406,7 +406,7 @@ def test_stress_trace_csv_round_trip(tmp_path):
     values = np.array([0.0, 1.5, 2.25, 1e-17, 3.333333333333333])
     trace = fem.StressTrace("RA", node_id=42, dt_ms=0.5, values=values)
     path = tmp_path / "trace.csv"
-    trace.to_csv(path, provenance="test")
+    path.write_text(trace.csv_text(provenance="test"))
     lines = path.read_text().splitlines()
     assert lines[:4] == [
         "# afferent,node,dt_ms", "# RA,42,0.5", "# provenance: test", "t_ms,sigma_pa",
@@ -432,22 +432,18 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308,
     dt=st.sampled_from([0.5, 0.1, 0.05, 1 / 3]),
     provenance=st.sampled_from([None, "", "config=0123abcd"]),
 )
-def test_stress_trace_csv_matches_per_row_oracle(tmp_path_factory, values, dt, provenance):
+def test_stress_trace_csv_matches_per_row_oracle(values, dt, provenance):
     trace = fem.StressTrace("PC", node_id=7, dt_ms=dt, values=np.array(values))
-    path = tmp_path_factory.mktemp("csv") / "trace.csv"
-    trace.to_csv(path, provenance=provenance)
-    assert path.read_text() == stress_csv_text(trace, provenance)
+    assert trace.csv_text(provenance=provenance) == stress_csv_text(trace, provenance)
 
 
-def test_stress_trace_csv_time_column_not_stale(tmp_path, rng):
+def test_stress_trace_csv_time_column_not_stale(rng):
     # alternate two (dt, length) pairs, then reuse a length with a new dt:
-    # each file's t_ms column must be its own
+    # each text's t_ms column must be its own
     cases = [(0.5, 691), (0.1, 401)] * 3 + [(0.05, 691), (1 / 3, 401), (0.5, 401)]
     for i, (dt, n) in enumerate(cases):
         trace = fem.StressTrace("SA", node_id=i, dt_ms=dt, values=rng.normal(size=n) * 1e3)
-        path = tmp_path / f"trace_{i}.csv"
-        trace.to_csv(path, provenance="p")
-        assert path.read_text() == stress_csv_text(trace, "p"), (dt, n)
+        assert trace.csv_text(provenance="p") == stress_csv_text(trace, "p"), (dt, n)
 
 
 # the subnormal and large values of SPECIAL_FLOATS
@@ -467,12 +463,10 @@ def repeated_values(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(values=repeated_values(), dt=st.sampled_from([0.5, 0.1]))
-def test_stress_trace_csv_repeated_values_match_oracle(tmp_path_factory, values, dt):
+def test_stress_trace_csv_repeated_values_match_oracle(values, dt):
     # each distinct value is formatted once: -0.0 and 0.0 must keep their own text
     trace = fem.StressTrace("SA", node_id=3, dt_ms=dt, values=values)
-    path = tmp_path_factory.mktemp("csv") / "trace.csv"
-    trace.to_csv(path, provenance="p")
-    assert path.read_text() == stress_csv_text(trace, "p")
+    assert trace.csv_text(provenance="p") == stress_csv_text(trace, "p")
 
 
 @pytest.mark.parametrize("values", [
@@ -480,14 +474,12 @@ def test_stress_trace_csv_repeated_values_match_oracle(tmp_path_factory, values,
     np.array([0.1, -0.0, 2.5, 0.1, 3e-40, 0.0], dtype=np.float32),
     np.arange(6.0)[::2],
 ], ids=["int64", "float32", "strided"])
-def test_stress_trace_csv_writes_values_as_float64(tmp_path, values):
+def test_stress_trace_csv_writes_values_as_float64(values):
     trace = fem.StressTrace("RA", node_id=1, dt_ms=0.5, values=values)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    assert path.read_text() == stress_csv_text(trace)
+    assert trace.csv_text() == stress_csv_text(trace)
 
 
-def test_stress_trace_csv_matches_oracle_on_simulated_bank(tmp_path, default_config):
+def test_stress_trace_csv_matches_oracle_on_simulated_bank(default_config):
     # appendixA's traces: zero while the indenter is lifted, and each
     # sinusoid repeats its depths every half cycle
     traces = [t for by_type in pipeline.simulate(default_config).bank.values()
@@ -497,20 +489,17 @@ def test_stress_trace_csv_matches_oracle_on_simulated_bank(tmp_path, default_con
     assert (values == 0).sum() > values.size // 3
     assert sum(np.unique(t.values).size for t in traces) < values.size // 4
     for i, trace in enumerate(traces):
-        path = tmp_path / f"trace_{i}.csv"
-        trace.to_csv(path, provenance="config=0123abcd")
-        assert path.read_text() == stress_csv_text(trace, "config=0123abcd"), i
+        text = trace.csv_text(provenance="config=0123abcd")
+        assert text == stress_csv_text(trace, "config=0123abcd"), i
 
 
 @pytest.mark.parametrize("dt, header, times", [
     (np.float64(0.5), "# RA,1,0.5", ["0.0", "0.5", "1.0"]),
     (1, "# RA,1,1.0", ["0.0", "1.0", "2.0"]),
 ])
-def test_stress_trace_csv_formats_dt_as_float(tmp_path, dt, header, times):
+def test_stress_trace_csv_formats_dt_as_float(dt, header, times):
     trace = fem.StressTrace("RA", node_id=1, dt_ms=dt, values=np.array([1.0, 2.0, 3.0]))
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().splitlines()
+    lines = trace.csv_text().splitlines()
     assert lines[1] == header
     assert [row.split(",")[0] for row in lines[3:]] == times
 
@@ -836,7 +825,7 @@ def test_cli_footprint_failures_exit_3(default_footprint, tmp_path, monkeypatch,
         discard_ms=100.0, window_ms=100.0, freq_hz=50.0, amplitude_um=113.6,
     )
     protocol = tmp_path / "protocol.json"
-    stimulus.save_protocol([spec], protocol, name="custom")
+    write_protocol_file([spec], protocol)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"protocol": str(protocol)}))
     size, message = FOOTPRINT_FAILURES[failure](monkeypatch)
@@ -940,6 +929,22 @@ def test_table_loads_match_per_step_reactions(h, diameter, center, draws):
         u = constrained_solve(system, {**base, **active})
         expected = (system.K @ u)[2 * footprint.nodes + 1]
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("center, sizes", [
+    (0.0, [1, 3, 5]), (0.3, [2, 4, 6]), (0.5, [2, 4, 6]),
+])
+def test_footprint_segments_join_heights_within_contact_tolerance(footprint_of, center,
+                                                                  sizes):
+    """Off the centre a node's offset x - center_x_mm is not symmetric in
+    floating point (at 0.3 the nodes at 0.0 and 0.6 mm get -0.3 and
+    0.29999999999999993), so two nodes the circle reaches together get
+    heights that differ in the last bit.  Heights within _contact's 1e-12 mm
+    form one segment, which starts where its lowest node joins."""
+    footprint = footprint_of(1.0, center)
+    assert np.count_nonzero(footprint.segment_active, axis=1).tolist() == sizes
+    for depth, a in zip(footprint.segment_depth, footprint.segment_active):
+        assert depth == footprint.radius - footprint.height[a].min()
 
 
 def test_footprint_stress_matches_oracle_on_fine_mesh():

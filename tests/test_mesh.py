@@ -100,7 +100,7 @@ def test_element_material_matches_centroid_layer(default_mesh):
 
 def test_export_import_round_trip(tmp_path, default_mesh):
     path = tmp_path / "mesh.txt"
-    mesh.save_mesh(default_mesh, path)
+    path.write_text(mesh.export_mesh_text(default_mesh))
     again = load_mesh(path, default_mesh.materials)
     assert np.array_equal(again.nodes, default_mesh.nodes)
     assert np.array_equal(again.elements, default_mesh.elements)

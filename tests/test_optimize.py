@@ -476,7 +476,7 @@ def test_select_candidate_rules():
 # -------------------------------------------------------------- end to end
 
 
-def test_fit_afferent_and_exports(tmp_path):
+def test_fit_afferent_and_exports():
     bank = synthetic_bank()
     truth = neural.default_afferent_params()["RA"]
     observed = optimize.ObservedRateSet(
@@ -490,9 +490,7 @@ def test_fit_afferent_and_exports(tmp_path):
     assert outcome.objective_sum >= 0.0
     assert outcome.front.genes.shape == (16, 3)
 
-    front_csv = tmp_path / "front.csv"
-    optimize.front_to_csv(outcome.front, "RA", front_csv, provenance="prov")
-    lines = front_csv.read_text().splitlines()
+    lines = optimize.front_to_csv(outcome.front, "RA", provenance="prov").splitlines()
     assert lines[0] == "# provenance: prov"
     assert lines[1] == ("rank,objective_20,objective_50,objective_100,"
                         "objective_300,tau_m_ms,a3_pa_per_ms,alpha_prime")
@@ -508,9 +506,7 @@ def test_fit_afferent_and_exports(tmp_path):
         )
         params.validate()
 
-    sel_json = tmp_path / "selected.json"
-    optimize.selected_to_json(outcome, sel_json, extra_provenance={"extra": "x"})
-    doc = json.loads(sel_json.read_text())
+    doc = json.loads(json.dumps(optimize.selected_to_json(outcome, extra_provenance={"extra": "x"})))
     assert doc["afferent"] == "RA"
     assert set(doc["objectives"]) == {
         "objective_20", "objective_50", "objective_100", "objective_300"
@@ -552,13 +548,12 @@ def fronts(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=fronts(), provenance=st.sampled_from([None, "prov"]))
-def test_front_csv_matches_row_by_row_decode(tmp_path_factory, case, provenance):
-    """front_to_csv decodes the population as one table and writes the
-    bytes that decoding each row with genes_to_params writes."""
+def test_front_csv_matches_row_by_row_decode(case, provenance):
+    """front_to_csv decodes the population as one table and returns the
+    text that decoding each row with genes_to_params gives."""
     afferent, front = case
-    path = tmp_path_factory.mktemp("front") / "front.csv"
-    optimize.front_to_csv(front, afferent, path, provenance=provenance)
-    assert path.read_text() == front_csv_text(front, afferent, provenance)
+    assert optimize.front_to_csv(front, afferent, provenance=provenance) == \
+        front_csv_text(front, afferent, provenance)
 
 
 def test_recover_parameters_wiring():

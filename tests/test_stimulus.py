@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from afferentsim import stimulus
 from afferentsim.errors import ValidationError
+from oracles import write_protocol_file
 
 
 def test_sinusoid_formula_and_length():
@@ -143,7 +144,7 @@ def test_spec_validation_errors():
 def test_protocol_json_round_trip(tmp_path):
     specs = stimulus.builtin_protocol("appendixB")
     path = tmp_path / "protocol.json"
-    stimulus.save_protocol(specs, path, name="appendixB")
+    write_protocol_file(specs, path, name="appendixB")
     again = stimulus.load_protocol(path)
     assert again == list(specs)
     raw = json.loads(path.read_text())
