@@ -135,12 +135,12 @@ class ObservedRateSet:
         """Read `afferent,freq_hz,amplitude_um,rate_ips` rows for one type."""
         records = []
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 lines = [
                     (no, ln.strip()) for no, ln in enumerate(fh, 1)
                     if ln.strip() and not ln.startswith("#")
                 ]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read observed rates {path}: {exc}") from exc
         header = "afferent,freq_hz,amplitude_um,rate_ips"
         if not lines or [c.strip() for c in lines[0][1].split(",")] != header.split(","):

@@ -54,9 +54,9 @@ def load_afferent_params(source: str) -> dict[str, AfferentParams]:
     if source == "default":
         return params
     try:
-        with open(source) as fh:
+        with open(source, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read afferent params {source}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{source}: expected a JSON object, got {raw!r}")

@@ -283,9 +283,9 @@ def builtin_protocol(
 
 def load_protocol(path) -> list[StimulusSpec]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read protocol file {path}: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("stimuli"), list):
         raise ValidationError(f"{path}: protocol file needs a 'stimuli' list")

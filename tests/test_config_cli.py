@@ -444,15 +444,6 @@ def test_cli_import_leaves_out_scipy_signal_and_stats():
     assert done.stdout.strip() == "[]"
 
 
-def test_every_exported_name_resolves():
-    # `from afferentsim import *` fails on a name left in __all__ after its
-    # definition is gone
-    import afferentsim
-
-    for name in afferentsim.__all__:
-        getattr(afferentsim, name)
-
-
 def _loaded_modules(code):
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
     done = subprocess.run(
@@ -460,6 +451,13 @@ def _loaded_modules(code):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
     )
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_package_root_loads_no_submodule():
+    # the root holds only __version__; each name is imported from its module
+    loaded = _loaded_modules("import sys, afferentsim")
+    assert sorted(m for m in loaded if m.startswith("afferentsim.")) == []
+    assert "numpy" not in loaded
 
 
 @pytest.fixture(scope="module")
@@ -931,6 +929,59 @@ def test_cli_simulate_write_failure_exits_2(tmp_path, taken):
     assert f"ERROR validation error: cannot write {target}: " in done.stderr
     assert "Traceback" not in done.stderr
     assert not (out / ".lock").exists()
+
+
+@pytest.mark.parametrize("reader", ["config", "protocol", "afferent_params", "observed"])
+def test_cli_input_not_utf8_exits_2(tmp_path, reader):
+    # a byte that is not UTF-8 in any input file is refused with its path and
+    # exit 2, whatever the locale, before the FEM runs
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    raw = {"protocol": write_protocol(tmp_path, [sin_spec(50.0, 34.80)])}
+    command = "fit" if reader == "observed" else "simulate"
+    if reader == "protocol":
+        raw["protocol"] = str(bad)
+    elif reader == "afferent_params":
+        raw["afferent_params"] = {"path": str(bad)}
+    elif reader == "observed":
+        raw["fit"] = {"afferents": ["RA"], "observed_rates_csv": str(bad),
+                      "population": 4, "budget": 8}
+    cfg_path = str(bad) if reader == "config" else write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "afferentsim.cli", command, "--config", cfg_path,
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                 LC_ALL="C"),
+        capture_output=True, text=True, errors="replace",
+    )
+    assert done.returncode == 2, done.stderr
+    assert "ERROR validation error: cannot read " in done.stderr
+    assert str(bad) in done.stderr
+    assert "Traceback" not in done.stderr
+    if reader == "config":
+        assert not out.exists()  # refused before anything is written
+    else:
+        assert os.listdir(out) == []  # no output and no .lock
+
+
+def test_load_protocol_reads_utf8_whatever_the_locale(tmp_path):
+    # the id's é as its two UTF-8 bytes, not as a JSON \u escape
+    path = tmp_path / "protocol.json"
+    write_protocol_file([sin_spec(50.0, 34.80)], path)
+    path.write_bytes(path.read_bytes().replace(b"sin_050hz_034.80um", "sin_\u00e9".encode()))
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    code = ("import sys\nfrom afferentsim import stimulus\n"
+            "(spec,) = stimulus.load_protocol(sys.argv[1])\n"
+            "assert spec.stimulus_id == 'sin_\\u00e9', ascii(spec.stimulus_id)")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                 LC_ALL="C"),
+        capture_output=True, text=True, errors="replace",
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_is_the_only_module_that_opens_files_for_writing(tmp_path, monkeypatch):
