@@ -7,7 +7,8 @@ multi-objective fit, once per seed.
                                       [--afferent RA]
 
 The stress bank is `pipeline.stress_bank` for appendixA on the default mesh,
-keyed by condition with `pipeline.condition_bank`; it is solved once and
+keyed by (freq, amplitude) condition, each with its stimulus spec (whose
+window the fit counts over) and the afferent's trace; it is solved once and
 serves every seed.  Prints the generator's parameters, then one line per
 seed: the objective sum (0 means the synthetic rates were matched exactly),
 the per-frequency squared-error objectives, the front size, the fit's time
@@ -31,7 +32,7 @@ from afferentsim.config import config_from_dict
 from afferentsim.mesh import build_mesh
 from afferentsim.neural import SATURATION_FIELDS, default_afferent_params
 from afferentsim.optimize import OBJECTIVE_FREQS, recover_parameters
-from afferentsim.pipeline import condition_bank, resolve_protocol, stress_bank
+from afferentsim.pipeline import resolve_protocol, stress_bank
 
 MISS_IPS2 = 4.0  # acceptance criterion 09's bound on the objective sum
 
@@ -62,7 +63,8 @@ def main() -> int:
     cfg = config_from_dict({})  # appendixA on the default mesh
     specs = resolve_protocol(cfg)
     bank = stress_bank(cfg, build_mesh(cfg.geometry, cfg.materials), specs)
-    type_bank = condition_bank(bank, specs, args.afferent)
+    type_bank = {(s.freq_hz, s.amplitude_um): (s, bank[s.stimulus_id][args.afferent])
+                 for s in specs}
 
     truth = default_afferent_params()[args.afferent]
     fitted = ("tau_m_ms",) + SATURATION_FIELDS[args.afferent] + ("alpha_prime",)

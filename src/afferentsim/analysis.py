@@ -1,10 +1,11 @@
-"""Firing-rate extraction, rate tables, and rate regressions.
+"""Rate tables and rate regressions.
 
-Rates are spike counts over a half-open window [discard, discard + window)
-divided by the window length, in impulses per second (ips).  The minimum
-nonzero rate is therefore 1/window (about 4.08 ips for the 245 ms window,
-10 ips for the 100 ms window); records sitting exactly at that quantization
-floor are flagged, since finer rates are unresolvable by counting.
+A rate is a stimulus's spike count over its half-open window [discard,
+discard + window) (SpikeTrain.count_in_window) divided by the window
+length, in impulses per second (ips).  The minimum nonzero rate is
+therefore 1/window (about 4.08 ips for the 245 ms window, 10 ips for the
+100 ms window); records sitting exactly at that quantization floor are
+flagged, since finer rates are unresolvable by counting.
 """
 
 from __future__ import annotations
@@ -16,24 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .neural import SpikeTrain
-
-
-def firing_rate(train: SpikeTrain, discard_ms: float, window_ms: float) -> float:
-    """Spikes in the window [discard, discard + window), per second.
-
-    Counts with SpikeTrain.count_in_window, the step rule of simulate's
-    rate table and of fitting.
-    """
-    if discard_ms < 0 or window_ms <= 0:
-        raise ValidationError("need discard >= 0 and window > 0")
-    if discard_ms + window_ms > train.duration_ms + 1e-9:
-        raise ValidationError(
-            f"window [{discard_ms}, {discard_ms + window_ms}) ms overruns the "
-            f"simulated {train.duration_ms} ms"
-        )
-    n = train.count_in_window(discard_ms, discard_ms + window_ms)
-    return n / (window_ms / 1000.0)
 
 
 @dataclass(frozen=True)

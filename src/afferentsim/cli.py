@@ -97,13 +97,14 @@ def _provenance(cfg: RunConfig) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    """Write one output file, creating its directory; an OSError becomes a
+    """Write one output file as UTF-8, creating its directory; an OSError,
+    or a name the filesystem encoding cannot hold (UnicodeError), becomes a
     ValidationError naming the path."""
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
@@ -250,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg.validate()
         try:
             os.makedirs(cfg.output_dir, exist_ok=True)
-        except OSError as exc:
+        except (OSError, UnicodeError) as exc:
             raise ValidationError(
                 f"cannot create output directory {cfg.output_dir!r}: {exc}"
             ) from exc

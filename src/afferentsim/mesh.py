@@ -10,7 +10,6 @@ bone and is fixed by the solver; the sides are free.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,10 +171,6 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
-
-    def content_hash(self) -> str:
-        """sha256 of the text export; stable across runs and platforms."""
-        return hashlib.sha256(export_mesh_text(self).encode()).hexdigest()
 
 
 # Depth-grading growth ratio cap.  Gentle growth keeps the grid fine enough

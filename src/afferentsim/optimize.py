@@ -5,7 +5,10 @@ cell constants (threshold, rest/reset, refractory, filter widths) stay
 fixed.  Saturation constants are searched in log10 space since plausible
 values span decades.  Objectives are the per-frequency mean squared rate
 errors over the stimulus bank, one objective per stimulus frequency
-(20/50/100/300 Hz), all to be minimized.
+(20/50/100/300 Hz), all to be minimized.  The bank maps each (freq,
+amplitude) condition to its StimulusSpec and one afferent's StressTrace,
+and each condition's spikes are counted over its spec's [discard, discard +
+window), the window simulate counts its rates over.
 
 The returned front is the rank-0 subset of the final population; the full
 population is exported so a human can re-pick, but select_candidate applies
@@ -27,7 +30,7 @@ from .fem import StressTrace
 from .mesh import AFFERENT_TYPES
 from .neural import AfferentParams, ParamTable, SpikeCounter, default_afferent_params
 from .neural import SATURATION_FIELDS, filtered_inputs
-from .stimulus import DISCARD_MS, sinusoid_window_ms
+from .stimulus import StimulusSpec
 
 OBJECTIVE_FREQS = (20.0, 50.0, 100.0, 300.0)
 
@@ -171,28 +174,27 @@ class ObservedRateSet:
 
 def _window_counter(
     params: AfferentParams,
-    stress_bank: dict[tuple[float, float], StressTrace],
+    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, StressTrace]],
     conditions: list[tuple[float, float]],
 ) -> tuple[SpikeCounter, np.ndarray]:
     """Counter over the bank's traces for `conditions`, (freq, amplitude)
-    pairs, each counted in its frequency's window after DISCARD_MS; also
-    returns the window lengths in s.  A trace that ends before its window
-    does is refused: counting it would divide a partial count by the full
-    window."""
-    windows = [sinusoid_window_ms(f) for f, _ in conditions]
-    for (f, a), window in zip(conditions, windows):
-        if DISCARD_MS + window > stress_bank[(f, a)].duration_ms + 1e-9:
+    pairs, each counted over its stimulus's [discard, discard + window);
+    also returns the window lengths in s.  A trace that ends before its
+    window does is refused: counting it would divide a partial count by the
+    full window."""
+    entries = [stress_bank[c] for c in conditions]
+    for (f, a), (spec, trace) in zip(conditions, entries):
+        if spec.discard_ms + spec.window_ms > trace.duration_ms + 1e-9:
             raise ValidationError(
                 f"stress trace for ({f} Hz, {a} um) is shorter than "
-                f"discard + window = {DISCARD_MS + window} ms"
+                f"discard + window = {spec.discard_ms + spec.window_ms} ms"
             )
-    traces = [stress_bank[c] for c in conditions]
     counter = SpikeCounter(
-        [filtered_inputs(params, t.values, t.dt_ms) for t in traces],
-        [t.dt_ms for t in traces],
-        [(DISCARD_MS, DISCARD_MS + w) for w in windows],
+        [filtered_inputs(params, t.values, t.dt_ms) for _, t in entries],
+        [t.dt_ms for _, t in entries],
+        [(s.discard_ms, s.discard_ms + s.window_ms) for s, _ in entries],
     )
-    return counter, np.array([w / 1000.0 for w in windows])
+    return counter, np.array([s.window_ms / 1000.0 for s, _ in entries])
 
 
 class RateEvaluator:
@@ -219,7 +221,7 @@ class RateEvaluator:
     def __init__(
         self,
         afferent_type: str,
-        stress_bank: dict[tuple[float, float], StressTrace],
+        stress_bank: dict[tuple[float, float], tuple[StimulusSpec, StressTrace]],
         observed: ObservedRateSet,
     ):
         observed.validate()
@@ -272,7 +274,8 @@ class RateEvaluator:
 
 
 def predict_rates(
-    params: AfferentParams, stress_bank: dict[tuple[float, float], StressTrace]
+    params: AfferentParams,
+    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, StressTrace]],
 ) -> list[tuple[float, float, float]]:
     """(freq, amplitude, predicted ips) over the whole bank, sorted."""
     keys = sorted(stress_bank)
@@ -555,7 +558,7 @@ class FitOutcome:
 
 def fit_afferent(
     afferent_type: str,
-    stress_bank: dict[tuple[float, float], StressTrace],
+    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, StressTrace]],
     observed: ObservedRateSet,
     seed: int,
     *,
@@ -572,7 +575,7 @@ def fit_afferent(
     selected = genes_to_params(afferent_type, front.genes[pick])
     counted = evaluator.predicted_rates(front.genes[pick:pick + 1])[0]
     predicted = {c: float(r) for c, r in zip(evaluator.conditions, counted)}
-    rest = {c: t for c, t in stress_bank.items() if c not in predicted}
+    rest = {c: entry for c, entry in stress_bank.items() if c not in predicted}
     if rest:
         predicted.update(((f, a), r) for f, a, r in predict_rates(selected, rest))
     return FitOutcome(
@@ -587,7 +590,7 @@ def fit_afferent(
 
 def recover_parameters(
     ground_truth: AfferentParams,
-    stress_bank: dict[tuple[float, float], StressTrace],
+    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, StressTrace]],
     seed: int,
     *,
     budget: int,

@@ -21,7 +21,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .analysis import RateRecord, firing_rate, regression
+from .analysis import RateRecord, regression
 from .config import RunConfig
 from .errors import STRING, ValidationError, check_kind
 from .fem import IndenterSpec, StiffnessSystem, StressTrace, run_indentation
@@ -29,10 +29,7 @@ from .fem import build_footprint_response, surface_deflection
 from .mesh import AFFERENT_TYPES, Mesh, build_mesh
 from .neural import AfferentParams, default_afferent_params, run_afferents
 from .optimize import ObservedRateSet, OBJECTIVE_FREQS, fit_afferent
-from .stimulus import (
-    BUILTIN_PROTOCOLS, DISCARD_MS, StimulusSpec, builtin_protocol, load_protocol,
-    sinusoid_window_ms,
-)
+from .stimulus import BUILTIN_PROTOCOLS, StimulusSpec, builtin_protocol, load_protocol
 
 logger = logging.getLogger("afferentsim")
 
@@ -106,11 +103,6 @@ def stress_bank(
     return bank
 
 
-def condition_bank(bank: dict, specs: list[StimulusSpec], afferent: str) -> dict:
-    """One afferent's traces of sinusoid `specs`, keyed by (freq, amplitude)."""
-    return {(s.freq_hz, s.amplitude_um): bank[s.stimulus_id][afferent] for s in specs}
-
-
 def simulate(cfg: RunConfig) -> SimulateResult:
     """The mesh, the stress bank (in protocol order), and the spike trains
     and rate records of every stimulus, then every afferent type.
@@ -141,7 +133,9 @@ def simulate(cfg: RunConfig) -> SimulateResult:
             records.append(RateRecord(
                 afferent_type=atype, stimulus_id=spec.stimulus_id,
                 freq_hz=freq, amplitude_um=amp,
-                predicted_ips=firing_rate(train, spec.discard_ms, spec.window_ms),
+                predicted_ips=train.count_in_window(
+                    spec.discard_ms, spec.discard_ms + spec.window_ms
+                ) / (spec.window_ms / 1000.0),
                 window_ms=spec.window_ms,
             ))
     return SimulateResult(mesh, bank, trains, records)
@@ -176,8 +170,9 @@ def fit(cfg: RunConfig) -> dict[str, FitResult]:
     the fit outcome, the predicted (and observed) rate per condition, and
     the pooled and per-frequency regressions of observed on predicted.
 
-    Every sinusoid of the protocol must count spikes over the fit's window
-    for its frequency, and each (freq, amplitude) condition may occur once.
+    Each sinusoid's spikes are counted over its own [discard, discard +
+    window), as simulate counts them, and each (freq, amplitude) condition
+    may occur once.
     """
     if cfg.fit.observed_rates_csv is None:
         raise ValidationError("fit.observed_rates_csv must be set in the config")
@@ -187,14 +182,6 @@ def fit(cfg: RunConfig) -> dict[str, FitResult]:
         raise ValidationError("fit needs a sinusoid protocol (no sinusoids found)")
     by_condition: dict[tuple[float, float], StimulusSpec] = {}
     for s in sin_specs:
-        window = sinusoid_window_ms(s.freq_hz)
-        if s.discard_ms != DISCARD_MS or s.window_ms != window:
-            raise ValidationError(
-                f"stimulus {s.stimulus_id!r} counts spikes over "
-                f"[{s.discard_ms}, {s.discard_ms + s.window_ms}) ms; fit counts "
-                f"every {s.freq_hz} Hz sinusoid over "
-                f"[{DISCARD_MS}, {DISCARD_MS + window}) ms"
-            )
         condition = (s.freq_hz, s.amplitude_um)
         if condition in by_condition:
             raise ValidationError(
@@ -212,7 +199,7 @@ def fit(cfg: RunConfig) -> dict[str, FitResult]:
 
     results = {}
     for atype, observed in observed_by_type.items():
-        type_bank = condition_bank(bank, sin_specs, atype)
+        type_bank = {c: (s, bank[s.stimulus_id][atype]) for c, s in by_condition.items()}
         logger.info(
             "fitting %s: %d observed conditions, budget %d",
             atype, len(observed.records), cfg.fit.budget,

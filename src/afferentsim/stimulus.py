@@ -187,9 +187,15 @@ class StimulusSpec:
             raise ValidationError(f"{self.stimulus_id}: non-positive duration or dt")
         if self.discard_ms < 0 or self.window_ms <= 0:
             raise ValidationError(f"{self.stimulus_id}: bad analysis window")
-        if self.discard_ms + self.window_ms > self.duration_ms + 1e-9:
+        # the rendered trace spans round(duration / dt) steps of dt, which
+        # can fall short of duration_ms; no spike is counted past its end
+        rendered = (_n_samples(self.duration_ms, self.dt_ms) - 1) * self.dt_ms
+        length = min(self.duration_ms, rendered)
+        if self.discard_ms + self.window_ms > length + 1e-9:
             raise ValidationError(
-                f"{self.stimulus_id}: discard+window exceeds duration"
+                f"{self.stimulus_id}: window [{self.discard_ms}, "
+                f"{self.discard_ms + self.window_ms}) ms overruns the rendered "
+                f"{length} ms trace"
             )
         need = {
             "sinusoid": ("freq_hz", "amplitude_um"),
@@ -221,10 +227,11 @@ class StimulusSpec:
 
 
 def sinusoid_window_ms(freq_hz: float) -> float:
-    """Rate-count window for a sinusoid: 245 ms at 20 Hz, 100 ms otherwise.
+    """appendixA's count window for a sinusoid: 245 ms at 20 Hz, 100 ms
+    otherwise, opening DISCARD_MS after stimulus onset.
 
-    The window opens DISCARD_MS after stimulus onset; builtin protocols and
-    the fitting objectives both take it from here.
+    builtin_protocol writes it into each spec; simulate and fit count over
+    the spec's own window, so a protocol file may set any other.
     """
     return WINDOW_20HZ_MS if freq_hz == 20.0 else WINDOW_FAST_MS
 

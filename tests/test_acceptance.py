@@ -215,8 +215,8 @@ def test_criterion_08_rate_trends(appendix_a_bank):
     for atype, p in params.items():
         trains = neural.run_afferents([bank[s.stimulus_id][atype] for s in specs], p)
         for spec, train in zip(specs, trains):
-            rate = analysis.firing_rate(train, spec.discard_ms, spec.window_ms)
-            rates[(atype, spec.freq_hz, spec.amplitude_um)] = rate
+            n = train.count_in_window(spec.discard_ms, spec.discard_ms + spec.window_ms)
+            rates[(atype, spec.freq_hz, spec.amplitude_um)] = n / (spec.window_ms / 1000.0)
 
     for atype in ("SA", "RA", "PC"):
         for freq, amps in stimulus.SINUSOID_TABLE.items():
@@ -241,7 +241,7 @@ def test_criterion_09_optimizer_round_trip(appendix_a_bank):
     mutually non-dominated by an O(n^2) oracle."""
     specs, bank = appendix_a_bank
     ra_bank = {
-        (s.freq_hz, s.amplitude_um): bank[s.stimulus_id]["RA"] for s in specs
+        (s.freq_hz, s.amplitude_um): (s, bank[s.stimulus_id]["RA"]) for s in specs
     }
     truth = neural.default_afferent_params()["RA"]
     t0 = time.perf_counter()

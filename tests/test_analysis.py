@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
-from afferentsim import analysis, neural
+from afferentsim import analysis, neural, stimulus
 from afferentsim.errors import ValidationError
 
 
@@ -19,46 +19,62 @@ def make_train(spikes, duration=345.0, afferent="RA", dt=0.5):
 
 
 # ------------------------------------------------------------- firing rate
+# A rate is count_in_window(discard, discard + window) / (window / 1000),
+# the one expression simulate and fit use.
 
 
 def test_firing_rate_basic():
     spikes = 100.0 + 10.0 * np.arange(10)  # ten spikes inside the window
     train = make_train(spikes, duration=200.0)
-    assert analysis.firing_rate(train, 100.0, 100.0) == pytest.approx(100.0)
+    assert train.count_in_window(100.0, 200.0) == 10
 
 
 def test_firing_rate_window_edges():
     # half-open window [discard, discard + window)
     train = make_train([99.9, 100.0, 199.9, 200.0, 250.0], duration=345.0)
-    assert analysis.firing_rate(train, 100.0, 100.0) == pytest.approx(2 / 0.1)
+    assert train.count_in_window(100.0, 200.0) == 2
     train = make_train([], duration=345.0)
-    assert analysis.firing_rate(train, 100.0, 245.0) == 0.0
+    assert train.count_in_window(100.0, 345.0) == 0
     # a spike on step 170 at dt 0.7 sits at 118.99999999999999 ms: it opens
     # the window that starts at 119 ms, as in simulate's rate table
     train = make_train([170 * 0.7], duration=140.0, dt=0.7)
     assert train.spike_times_ms[0] < 119.0
     assert train.count_in_window(119.0, 129.0) == 1
-    assert analysis.firing_rate(train, 119.0, 10.0) == pytest.approx(1 / 0.01)
+    assert train.count_in_window(119.7, 129.0) == 0
 
 
 def test_firing_rate_discard_excludes_onset():
     train = make_train([5.0, 20.0, 50.0, 99.0], duration=200.0)
-    assert analysis.firing_rate(train, 100.0, 100.0) == 0.0
+    assert train.count_in_window(100.0, 200.0) == 0
 
 
 def test_firing_rate_window_overrun():
-    train = make_train([150.0], duration=200.0)
-    with pytest.raises(ValidationError):
-        analysis.firing_rate(train, 100.0, 150.0)
-    analysis.firing_rate(train, 100.0, 100.0)  # exactly fits
+    # a window must end within the trace its stimulus renders, which can
+    # fall short of duration_ms: the protocol is refused when it loads
+    def spec(duration, window):
+        return stimulus.StimulusSpec(
+            stimulus_id="s", kind="sinusoid", duration_ms=duration, dt_ms=0.5,
+            discard_ms=100.0, window_ms=window, freq_hz=50.0, amplitude_um=10.0,
+        )
+    with pytest.raises(ValidationError, match=r"overruns the rendered 200.0 ms trace"):
+        spec(200.0, 150.0).validate()
+    with pytest.raises(ValidationError, match=r"\[100.0, 200.2\) ms overruns the "
+                                              r"rendered 200.0 ms trace"):
+        spec(200.2, 100.2).validate()  # 400 steps of 0.5 ms end at 200.0 ms
+    spec(200.0, 100.0).validate()  # exactly fits
+    spec(200.2, 100.0).validate()
 
 
 def test_firing_rate_single_spike_quantum():
-    train = make_train([200.0], duration=345.0)
-    rate = analysis.firing_rate(train, 100.0, 245.0)
-    assert rate == pytest.approx(1.0 / 0.245)
-    train = make_train([150.0], duration=200.0)
-    assert analysis.firing_rate(train, 100.0, 100.0) == pytest.approx(10.0)
+    # one spike in the window is the smallest nonzero rate, and its record
+    # sits at the quantization floor
+    for spike, duration, window in ((200.0, 345.0, 245.0), (150.0, 200.0, 100.0)):
+        train = make_train([spike], duration=duration)
+        rate = train.count_in_window(100.0, 100.0 + window) / (window / 1000.0)
+        assert rate == pytest.approx(1000.0 / window)
+        rec = analysis.RateRecord("RA", "s", 20.0, 6.71, predicted_ips=rate,
+                                  window_ms=window)
+        assert rec.at_quantization_floor
 
 
 @settings(max_examples=25, deadline=None)
@@ -67,9 +83,8 @@ def test_firing_rate_shift_invariance(shift):
     base = np.array([110.0, 130.0, 180.0, 210.0, 300.0])
     t0 = make_train(base, duration=400.0)
     t1 = make_train(base + shift, duration=400.0 + shift)
-    r0 = analysis.firing_rate(t0, 100.0, 245.0)
-    r1 = analysis.firing_rate(t1, 100.0 + shift, 245.0)
-    assert r1 == pytest.approx(r0)
+    n0 = t0.count_in_window(100.0, 345.0)
+    assert t1.count_in_window(100.0 + shift, 345.0 + shift) == n0
 
 
 # -------------------------------------------------------------- rate table

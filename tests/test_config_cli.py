@@ -1,5 +1,6 @@
 import builtins
 import dataclasses
+import hashlib
 import json
 import logging
 import os
@@ -209,7 +210,8 @@ def test_cli_mesh_outputs(tmp_path):
     built = load_mesh(out / "mesh.txt", config.config_from_dict({}).materials)
     assert meta["nodes"] == built.n_nodes
     assert meta["elements"] == built.n_elements
-    assert meta["mesh_hash"] == built.content_hash()
+    assert meta["mesh_hash"] == hashlib.sha256((out / "mesh.txt").read_bytes()).hexdigest()
+    assert mesh.export_mesh_text(built) == (out / "mesh.txt").read_text()
     assert set(meta["afferent_nodes"]) == {"SA", "RA", "PC"}
     assert "config=" in meta["provenance"]
 
@@ -591,7 +593,10 @@ def test_cli_fit_end_to_end(tmp_path):
         assert reg["pooled"]["n"] == 4
 
 
-def test_cli_fit_rejects_nonstandard_window(tmp_path, caplog):
+def test_cli_fit_counts_a_protocol_window_as_simulate_does(tmp_path):
+    # a sinusoid with its own window, [50, 200) ms rather than appendixA's
+    # [100, 200) ms, is fitted over that window: the fit's rate for the
+    # selected parameters is the one simulate reports for them
     probe = stimulus.StimulusSpec(
         stimulus_id="probe_a", kind="sinusoid", duration_ms=200.0, dt_ms=0.5,
         discard_ms=50.0, window_ms=150.0, freq_hz=50.0, amplitude_um=113.60,
@@ -602,12 +607,48 @@ def test_cli_fit_rejects_nonstandard_window(tmp_path, caplog):
     cfg_path = write_config(tmp_path, {
         "protocol": protocol,
         "fit": {"afferents": ["RA"], "observed_rates_csv": str(observed),
+                "population": 8, "budget": 24},
+    })
+    fitted = tmp_path / "fit"
+    assert cli.main(["fit", "--config", cfg_path, "--out", str(fitted)]) == 0
+    simulate_cfg = write_config(tmp_path, {
+        "protocol": protocol,
+        "afferent_params": {"path": str(fitted / "selected_RA.json")},
+    }, name="simulate.json")
+    simulated = tmp_path / "simulate"
+    assert cli.main(["simulate", "--config", simulate_cfg, "--out", str(simulated)]) == 0
+
+    def ra_rows(path):  # afferent, stimulus_id, freq, amplitude, predicted
+        return [ln.split(",")[:5] for ln in path.read_text().splitlines()
+                if ln.startswith("RA,")]
+
+    (row,) = ra_rows(fitted / "fit_rates_RA.csv")
+    assert row[:2] == ["RA", "probe_a"]
+    spikes = float(row[4]) * 0.150  # a whole count over the 150 ms window
+    assert spikes > 0.0 and spikes == pytest.approx(round(spikes))
+    assert ra_rows(simulated / "rates.csv") == [row]
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_cli_refuses_window_past_rendered_trace_before_fem(tmp_path, caplog, command):
+    # 200.2 ms at dt 0.5 ms renders 400 steps, ending at 200.0 ms, so the
+    # window [100, 200.2) ms cannot be counted: the protocol is refused
+    # when it loads, before any FEM solve
+    spec = sin_spec(50.0, 34.80, duration=200.2, window=100.2)
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\nRA,50.0,34.8,20.0\n")
+    cfg_path = write_config(tmp_path, {
+        "protocol": write_protocol(tmp_path, [spec]),
+        "fit": {"afferents": ["RA"], "observed_rates_csv": str(observed),
                 "population": 4, "budget": 8},
     })
-    with caplog.at_level(logging.ERROR, logger="afferentsim"):
-        assert cli.main(["fit", "--config", cfg_path,
-                         "--out", str(tmp_path / "out")]) == 2
-    assert "probe_a" in caplog.text
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert (f"{spec.stimulus_id}: window [100.0, 200.2) ms overruns the rendered "
+            "200.0 ms trace") in caplog.text
+    assert "FEM solved" not in caplog.text
+    assert os.listdir(out) == []
 
 
 def test_cli_fit_rates_keep_stimulus_ids(tmp_path):
@@ -825,8 +866,9 @@ def test_fit_predicted_rates_equal_predict_rates(tmp_path, default_mesh):
     bank = pipeline.stress_bank(cfg, default_mesh, specs)
     for atype in mesh.AFFERENT_TYPES:
         outcome, records = fitted[atype].outcome, fitted[atype].records
-        expected = optimize.predict_rates(
-            outcome.selected, pipeline.condition_bank(bank, specs, atype))
+        expected = optimize.predict_rates(outcome.selected, {
+            (s.freq_hz, s.amplitude_um): (s, bank[s.stimulus_id][atype]) for s in specs
+        })
         got = [(r.freq_hz, r.amplitude_um, r.predicted_ips) for r in records]
         assert np.array(got).tobytes() == np.array(expected).tobytes(), atype
         assert [r.observed_ips is None for r in records] == [False] * 3 + [True]
@@ -982,6 +1024,37 @@ def test_load_protocol_reads_utf8_whatever_the_locale(tmp_path):
         capture_output=True, text=True, errors="replace",
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("name", ["stimulus_id", "output_dir"])
+def test_cli_name_the_locale_cannot_encode_exits_2(tmp_path, name):
+    # under the C locale the filesystem encoding is ASCII: a stress export
+    # named by a stimulus id holding é, or an output directory so named in
+    # the config, cannot be created, and the run says so with exit 2, not
+    # with a traceback
+    spec = sin_spec(50.0, 34.80)
+    out = tmp_path / "out"
+    if name == "stimulus_id":
+        spec = dataclasses.replace(spec, stimulus_id="sin_\u00e9")
+    else:
+        out = tmp_path / "out_\u00e9"
+    raw = {"protocol": write_protocol(tmp_path, [spec]), "output_dir": str(out)}
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "afferentsim.cli", "simulate",
+         "--config", write_config(tmp_path, raw)],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                 LC_ALL="C"),
+        capture_output=True, text=True, errors="replace",
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    if name == "output_dir":
+        assert "ERROR validation error: cannot create output directory" in done.stderr
+        assert not out.exists()
+    else:
+        assert "ERROR validation error: cannot write " in done.stderr
+        assert not (out / ".lock").exists()
 
 
 def test_cli_is_the_only_module_that_opens_files_for_writing(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afferentsim import neural, optimize
+from afferentsim import neural, optimize, stimulus
 from afferentsim.errors import ValidationError
 from afferentsim.fem import StressTrace
 from oracles import dominates, front_csv_text, params_to_genes
@@ -15,15 +16,21 @@ DT = 0.5
 
 
 def synthetic_bank(amps=(10.0, 50.0)):
-    """Fabricated offset-sinusoid stress traces at each objective frequency."""
+    """Fabricated offset-sinusoid stress traces at each objective frequency,
+    each with the appendixA sinusoid spec whose window counts it."""
     bank = {}
     for f in optimize.OBJECTIVE_FREQS:
-        duration = 345.0 if f == 20.0 else 200.0
-        n = round(duration / DT) + 1
+        window = stimulus.sinusoid_window_ms(f)
+        n = round((stimulus.DISCARD_MS + window) / DT) + 1
         t = np.arange(n) * DT
         for amp in amps:
+            spec = stimulus.StimulusSpec(
+                stimulus_id=f"sin_{f:g}hz_{amp:g}um", kind="sinusoid",
+                duration_ms=stimulus.DISCARD_MS + window, dt_ms=DT,
+                discard_ms=stimulus.DISCARD_MS, window_ms=window, freq_hz=f, amplitude_um=amp,
+            )
             values = amp * 800.0 * (1.0 + np.sin(2 * np.pi * f * t / 1000.0))
-            bank[(f, amp)] = StressTrace("RA", node_id=0, dt_ms=DT, values=values)
+            bank[(f, amp)] = (spec, StressTrace("RA", node_id=0, dt_ms=DT, values=values))
     return bank
 
 
@@ -253,13 +260,14 @@ def test_gene_columns_match_afferent_params_path(afferent):
 
 
 def test_rate_paths_refuse_a_trace_shorter_than_its_window():
-    """A 150 ms trace cannot fill the 50 Hz window of [100, 200) ms: both
+    """A 150 ms trace cannot fill its spec's window of [100, 200) ms: both
     predict_rates and the evaluator refuse it and name the condition,
     where counting up to the trace end would divide a partial count by the
     full window."""
     bank = synthetic_bank()
-    full = bank[(50.0, 10.0)]
-    bank[(50.0, 10.0)] = StressTrace("RA", node_id=0, dt_ms=DT, values=full.values[:301])
+    spec, full = bank[(50.0, 10.0)]
+    short = StressTrace("RA", node_id=0, dt_ms=DT, values=full.values[:301])
+    bank[(50.0, 10.0)] = (spec, short)
     truth = neural.default_afferent_params()["RA"]
     with pytest.raises(ValidationError, match=r"\(50.0 Hz, 10.0 um\) is shorter"):
         optimize.predict_rates(truth, bank)
@@ -267,9 +275,26 @@ def test_rate_paths_refuse_a_trace_shorter_than_its_window():
     with pytest.raises(ValidationError, match=r"\(50.0 Hz, 10.0 um\) is shorter"):
         optimize.RateEvaluator("RA", bank, observed)
     # a trace exactly as long as discard + window is counted
-    bank[(50.0, 10.0)] = full
+    bank[(50.0, 10.0)] = (spec, full)
     assert full.duration_ms == 200.0
     optimize.predict_rates(truth, bank)
+
+
+def test_rates_count_over_each_spec_window():
+    """Each condition is counted over its own spec's [discard, discard +
+    window), so a spec with another window than appendixA's gets the rate
+    simulate reports: its spike train's count_in_window over the window."""
+    bank = synthetic_bank()
+    spec, trace = bank[(50.0, 10.0)]
+    bank[(50.0, 10.0)] = (dataclasses.replace(spec, discard_ms=20.0, window_ms=180.0), trace)
+    truth = neural.default_afferent_params()["RA"]
+    expected = []
+    for (f, a), (s, t) in sorted(bank.items()):
+        (train,) = neural.run_afferents([t], truth)
+        n = train.count_in_window(s.discard_ms, s.discard_ms + s.window_ms)
+        expected.append((f, a, n / (s.window_ms / 1000.0)))
+    assert optimize.predict_rates(truth, bank) == expected
+    assert expected != optimize.predict_rates(truth, synthetic_bank())
 
 
 def test_evaluator_rejects_missing_conditions():
