@@ -34,24 +34,28 @@ are numbered by node (x, y), both DOFs of a node together; on the
 structured skin grid this makes K banded, and with blocks as wide as the
 band K is block-tridiagonal (BlockTridiagonal: dense diagonal and
 sub-diagonal blocks, 33 DOFs wide at h = 0.2 mm).  K_ff is factored by a
-block Cholesky (BlockCholesky, np.linalg.cholesky per block) in plain
-NumPy: the one factor, K with only the bottom fixed, lives only while its
-footprint response is built (two arrays of nb blocks of b x b), and
-StiffnessSystem is assembled once and never changed.  Every solve is
-refined once against a residual summed in extended precision
-(np.longdouble), so the condensed path and a one-shot solve with the
-contact set fixed (the tests' reference, constrained_solve in
-tests/oracles.py) agree to round-off of the answer, not of the
-factorization: at h = 0.2 mm the surface
-deflection at its zero crossing near x = 7 mm agrees within 1e-13
-relative (3.7e-12 without the refinement).  Where np.longdouble is no
-wider than float64 the refinement still runs, at working precision.
+block Cholesky (BlockCholesky) in plain NumPy.  Every solve is refined once
+against a residual summed in extended precision (np.longdouble), so the
+condensed path and a one-shot solve with the contact set fixed
+(constrained_solve in tests/oracles.py) agree to round-off of the answer,
+not of the factorization: within 1e-13 relative at the surface
+deflection's zero crossing near x = 7 mm at h = 0.2 mm (3.7e-12 without
+the refinement; where np.longdouble is no wider than float64 it runs at
+working precision).
+
+The set-up, StiffnessSystem(mesh) then build_footprint_response, keeps
+three mesh-sized arrays alive at once: K (2 nb - 1 blocks of b x b), the
+factor (as many: N and inv(L_k)) and the element matrices B.  The element
+stiffnesses go once K is summed, and the factor, K with only the bottom
+fixed, once the unit loads are solved; factorization and residual work
+RUN_BLOCKS block rows at a time, so their temporaries do not grow with
+the mesh (the traced peak stays under 4 x K's bytes at h = 0.2 and 0.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,14 +67,8 @@ from .mesh import AFFERENT_TYPES, GAUSS_GRADIENTS, Mesh, _distinct_reprs, check_
 
 
 def shape_functions(xi: float, eta: float) -> np.ndarray:
-    return 0.25 * np.array(
-        [
-            (1 - xi) * (1 - eta),
-            (1 + xi) * (1 - eta),
-            (1 + xi) * (1 + eta),
-            (1 - xi) * (1 + eta),
-        ]
-    )
+    return 0.25 * np.array([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
+                            (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)])
 
 
 # Gauss -> corner extrapolation: bilinear basis anchored at the Gauss points,
@@ -84,13 +82,7 @@ EXTRAPOLATION = np.stack(
 def plane_strain_d(elastic_modulus: float, poisson_ratio: float) -> np.ndarray:
     e, nu = elastic_modulus, poisson_ratio
     c = e / ((1 + nu) * (1 - 2 * nu))
-    return c * np.array(
-        [
-            [1 - nu, nu, 0.0],
-            [nu, 1 - nu, 0.0],
-            [0.0, 0.0, (1 - 2 * nu) / 2.0],
-        ]
-    )
+    return c * np.array([[1 - nu, nu, 0.0], [nu, 1 - nu, 0.0], [0.0, 0.0, (1 - 2 * nu) / 2.0]])
 
 
 def von_mises(stress: np.ndarray) -> np.ndarray:
@@ -101,9 +93,7 @@ def von_mises(stress: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(stress, dtype=float)
     sxx, syy, szz, txy = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
-    return np.sqrt(
-        0.5 * ((sxx - syy) ** 2 + (syy - szz) ** 2 + (szz - sxx) ** 2 + 6.0 * txy**2)
-    )
+    return np.sqrt(0.5 * ((sxx - syy) ** 2 + (syy - szz) ** 2 + (szz - sxx) ** 2 + 6.0 * txy**2))
 
 
 # --------------------------------------------------------------------------
@@ -134,8 +124,7 @@ class IndenterSpec:
             raise ValidationError("displacement_trace contains non-finite values")
         if not np.isfinite(self.pre_indentation_mm):
             raise ValidationError(
-                f"pre_indentation_mm must be finite, got {self.pre_indentation_mm}"
-            )
+                f"pre_indentation_mm must be finite, got {self.pre_indentation_mm}")
 
 
 @dataclass(frozen=True)
@@ -246,6 +235,12 @@ class IndentationResult:
 # 1e-16 (round-off); the skin meshes stay above 1e-3.
 PIVOT_FLOOR = 1e-12
 
+# Block rows per run: BlockCholesky factors, and BlockTridiagonal.residual
+# sums, K a run at a time, which batches the LAPACK calls and reductions and
+# keeps the temporaries a few blocks wide (with 16 blocks the set-up's traced
+# peak at h = 0.2 mm is 4.2 x K's bytes, with 8 it is 3.7 x).
+RUN_BLOCKS = 8
+
 
 class BlockTridiagonal:
     """Symmetric matrix held as dense diagonal and sub-diagonal blocks.
@@ -279,10 +274,14 @@ class BlockTridiagonal:
         bi, bj = blk[:, :, None], blk[:, None, :]
         lower = bi == bj + 1
         kept = lower | (bi == bj)
-        slot = np.where(lower, nb + bj, bi)  # diagonal blocks, then sub-diagonal
-        flat = (slot * b + row[:, :, None]) * b + row[:, None, :]
+        flat = np.where(lower, nb + bj, bi)  # diagonal blocks, then sub-diagonal
+        flat *= b
+        flat += row[:, :, None]
+        flat *= b
+        flat += row[:, None, :]
+        flat = flat[kept]  # the full index array goes before the sum
         blocks = np.bincount(
-            flat[kept], weights=ke[kept], minlength=(2 * nb - 1) * b * b
+            flat, weights=ke[kept], minlength=(2 * nb - 1) * b * b
         ).reshape(2 * nb - 1, b, b)
         return cls(blocks[:nb], blocks[nb:], order)
 
@@ -299,30 +298,35 @@ class BlockTridiagonal:
         out[self.order] = y.reshape(nb * b, *u.shape[1:])[: self.order.size]
         return out
 
-    @cached_property
-    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero entries by stored row: (rows, their starts, columns,
-        values in extended precision)."""
-        b = self.diag.shape[1]
-        k, i, j = np.nonzero(self.diag)
-        kl, il, jl = np.nonzero(self.lower)
-        rows = np.concatenate([k * b + i, (kl + 1) * b + il, kl * b + jl])
-        cols = np.concatenate([k * b + j, kl * b + jl, (kl + 1) * b + il])
-        vals = np.concatenate([self.diag[k, i, j], self.lower[kl, il, jl],
-                               self.lower[kl, il, jl]])
-        by_row = np.argsort(rows, kind="stable")
-        rows, cols, vals = rows[by_row], cols[by_row], vals[by_row]
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        return rows[starts], starts, cols, vals.astype(np.longdouble)
-
     def residual(self, f: np.ndarray, x: np.ndarray) -> np.ndarray:
         """f - K x for (nb * b, c) arrays in stored order, summed in extended
-        precision (np.longdouble) and rounded once."""
-        rows, starts, cols, vals = self._entries
+        precision (np.longdouble) and rounded once.
+
+        A row's nonzeros are taken in one order, its own block, then block
+        k - 1, then k + 1, columns ascending, and np.add.reduceat sums them;
+        the rows are gathered RUN_BLOCKS block rows at a time, so no
+        mesh-sized copy of K's entries is made.
+        """
+        nb, b = self.diag.shape[:2]
+        shift = np.repeat([0, -b, b], b) + np.tile(np.arange(b), 3)  # band column -> K's, from k*b
         r = f.copy()
-        for c in range(x.shape[1]):  # a column at a time keeps the products small
-            kx = np.add.reduceat(vals * x[cols, c], starts)
-            r[rows, c] = (f[rows, c] - kx).astype(float)
+        for start in range(0, nb, RUN_BLOCKS):
+            stop = min(start + RUN_BLOCKS, nb)
+            band = np.zeros((stop - start, b, 3 * b))  # [K_kk, K_k(k-1), K_k(k+1)]
+            band[:, :, :b] = self.diag[start:stop]
+            band[int(start == 0):, :, b:2 * b] = self.lower[max(start - 1, 0):stop - 1]
+            band[:min(stop, nb - 1) - start, :, 2 * b:] = self.lower[start:stop].transpose(0, 2, 1)
+            nz = np.flatnonzero(band)  # (k * b + i) * 3b + j, row by row
+            vals = band.ravel()[nz].astype(np.longdouble)
+            row, j = np.divmod(nz, 3 * b)
+            lo = max(start - 1, 0) * b  # x's rows that the run reads, cast exactly
+            xt = x[lo:(stop + 1) * b].T.astype(np.longdouble)
+            cols = start * b - lo + row - row % b + shift[j]
+            starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+            rows = start * b + row[starts]
+            for c in range(x.shape[1]):  # a column at a time keeps the products small
+                kx = np.add.reduceat(vals * xt[c][cols], starts)
+                r[rows, c] = (f[rows, c] - kx).astype(float)
         return r
 
 
@@ -335,7 +339,11 @@ class BlockCholesky:
     (S_0 = K_00, S_(k+1) = K_(k+1,k+1) - N_k B_k^T, N_k = B_k S_k^-1), the
     factor is L = (I + N) blockdiag(L_k), L_k L_k^T = S_k.  It stores N_k
     and inv(L_k), so a solve is one sequential sweep each way around two
-    batched products, done twice (see solve).  Raises LinAlgError if a Schur complement is singular
+    batched products, done twice (see solve).  It is built RUN_BLOCKS
+    blocks at a time: K, n, inv_l and one run's masked blocks, S_k and L_k
+    are alive at once, never a full-size copy of K.  LAPACK factors each
+    block alike in a batch of any size, so the factor does not depend on
+    the run length.  Raises LinAlgError if a Schur complement is singular
     or not positive definite, or a squared pivot falls below
     PIVOT_FLOOR * max |K_ii|.
     """
@@ -345,26 +353,38 @@ class BlockCholesky:
         scale = np.abs(np.einsum("kii->ki", K.diag)).max()
         keep = np.zeros(nb * b)
         keep[rows] = 1.0
-        blk, i = np.divmod(np.flatnonzero(keep == 0.0), b)
         keep = keep.reshape(nb, b)
-        schur = K.diag * keep[:, :, None] * keep[:, None, :]
-        schur[blk, i, i] = scale
-        lower = K.lower * keep[1:, :, None] * keep[:-1, None, :]
 
         self.K = K
         self.rows = rows
-        self.n = np.empty_like(lower)
-        for k in range(nb - 1):
-            self.n[k] = np.linalg.solve(schur[k], lower[k].T).T
-            schur[k + 1] -= self.n[k] @ lower[k].T
-        chol = np.linalg.cholesky(schur)
-        pivot = np.einsum("kii->ki", chol).min() ** 2 / scale
+        self.n = np.empty_like(K.lower)
+        self.inv_l = np.empty_like(K.diag)
+        smallest = np.inf  # diagonal entry of any L_k
+        update = None  # N_k B_k^T owed to the first Schur complement of the next run
+        for start in range(0, nb, RUN_BLOCKS):
+            stop = min(start + RUN_BLOCKS, nb)
+            kr = keep[start:stop]
+            schur = K.diag[start:stop] * kr[:, :, None] * kr[:, None, :]
+            blk, i = np.nonzero(kr == 0.0)
+            schur[blk, i, i] = scale
+            if update is not None:
+                schur[0] -= update
+            lower = K.lower[start:stop]
+            lower = lower * keep[start + 1:stop + 1, :, None] * kr[:len(lower), None, :]
+            for j, sub in enumerate(lower):
+                self.n[start + j] = np.linalg.solve(schur[j], sub.T).T
+                update = self.n[start + j] @ sub.T
+                if j + 1 < len(schur):
+                    schur[j + 1] -= update
+            chol = np.linalg.cholesky(schur)
+            smallest = np.minimum(smallest, np.einsum("kii->ki", chol).min())
+            self.inv_l[start:stop] = np.linalg.inv(chol)
+        pivot = smallest**2 / scale
         if not pivot >= PIVOT_FLOOR:
             raise np.linalg.LinAlgError(
                 f"squared pivot {pivot:.1e} of max |K_ii| (below {PIVOT_FLOOR:g}): "
                 "the constraints leave a rigid-body mode free"
             )
-        self.inv_l = np.linalg.inv(chol)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for rhs of shape (len(rows),) or (len(rows), c).
@@ -380,9 +400,11 @@ class BlockCholesky:
         f = np.zeros((nb * b, rhs[0].size))
         f[self.rows] = rhs.reshape(self.rows.size, -1)
         x = self._sweeps(f)
-        correction = np.zeros_like(f)
-        correction[self.rows] = self.K.residual(f, x)[self.rows]
-        x += self._sweeps(correction)
+        f = self.K.residual(f, x)  # the correction's right-hand side
+        kept = np.zeros(len(f), dtype=bool)
+        kept[self.rows] = True
+        f[~kept] = 0.0
+        x += self._sweeps(f)
         return x[self.rows].reshape(rhs.shape)
 
     def _sweeps(self, f: np.ndarray) -> np.ndarray:
@@ -411,11 +433,9 @@ class StiffnessSystem:
         self.ndof = 2 * mesh.n_nodes
 
         d_table = np.stack(
-            [plane_strain_d(m.elastic_modulus_mpa, m.poisson_ratio) for m in mesh.materials]
-        )
-        self.nu_by_element = np.array(
-            [mesh.materials[i].poisson_ratio for i in mesh.element_material]
-        )
+            [plane_strain_d(m.elastic_modulus_mpa, m.poisson_ratio) for m in mesh.materials])
+        nu = np.array([m.poisson_ratio for m in mesh.materials])
+        self.nu_by_element = nu[mesh.element_material]
         self.d_by_element = d = d_table[mesh.element_material]  # (m, 3, 3)
 
         jacobians, dets = check_jacobians(mesh)  # (4, m, 2, 2), (4, m)
@@ -425,35 +445,33 @@ class StiffnessSystem:
         # element axis comes last, so every product runs over all elements
         # in one stride
         ke = np.zeros((4, 2, 4, 2, m))
+        prod, term = np.empty_like(ke), np.empty_like(ke)  # reused by every Gauss point
         d_pq = d[:, :2, :2].transpose(1, 2, 0)[None]  # (1, p, q, m)
         d_22 = d[:, 2, 2]
         for g, (dn, jac, det) in enumerate(zip(GAUSS_GRADIENTS, jacobians, dets)):
-            inv = np.empty_like(jac)
-            inv[:, 0, 0] = jac[:, 1, 1]
-            inv[:, 0, 1] = -jac[:, 0, 1]
-            inv[:, 1, 0] = -jac[:, 1, 0]
-            inv[:, 1, 1] = jac[:, 0, 0]
-            inv /= det[:, None, None]
+            inv = np.stack([jac[:, 1, 1], -jac[:, 0, 1], -jac[:, 1, 0], jac[:, 0, 0]], axis=1)
+            inv = inv.reshape(-1, 2, 2) / det[:, None, None]
             dnxy = np.einsum("mrc,ck->mrk", inv, dn)  # (m, 2, 4)
             b = self.B[:, g]
             b[:, 0, 0::2] = dnxy[:, 0]
             b[:, 1, 1::2] = dnxy[:, 1]
             b[:, 2, 0::2] = dnxy[:, 1]
             b[:, 2, 1::2] = dnxy[:, 0]
-            # B^T D B det J by node pairs (2x2 Gauss weights are all 1).  Row
-            # p < 2 of B is dN/dx_p on DOF p and zero on the other; the shear
-            # row is dN/dx_(1-q) on DOF q.  So of the terms (B_j^T D_jk B_k)
-            # det J of D's five nonzero entries, pairing (p, q) keeps (j, k) =
-            # (p, q) and (2, 2), and the other three multiply a structural zero
-            # of B.  The two kept terms are grouped as ((B_ja D_jk) B_kc) det J
-            # and added in the order the four-operand einsum of the tests'
-            # oracle adds its nine: a term that is exactly zero leaves a sum
-            # unchanged (up to the sign of a zero, which summing into ke and K
-            # drops), so K matches the oracle bit for bit.
+            # B^T D B det J by node pairs (2x2 Gauss weights are all 1).  Row p < 2
+            # of B is dN/dx_p on DOF p and zero on the other; the shear row is
+            # dN/dx_(1-q) on DOF q.  So of D's five nonzero entries, pairing (p, q)
+            # keeps (j, k) = (p, q) and (2, 2); the others multiply a zero of B.
+            # The kept terms, ((B_ja D_jk) B_kc) det J, are added in the order of
+            # the tests' four-operand einsum, so K matches it bit for bit.
             grad = np.ascontiguousarray(dnxy.transpose(2, 1, 0))  # (a, p, m): dN_a/dx_p
             shear = grad[:, ::-1]  # dN_a/dx_(1-p)
-            ke += (((grad[:, :, None] * d_pq)[:, :, None] * grad) * det
-                   + ((shear * d_22)[:, :, None, None] * shear) * det)
+            np.multiply((grad[:, :, None] * d_pq)[:, :, None], grad, out=prod)
+            prod *= det
+            np.multiply((shear * d_22)[:, :, None, None], shear, out=term)
+            term *= det
+            prod += term
+            ke += prod
+        del prod, term
         ke = ke.reshape(64, m).T.reshape(m, 8, 8)
 
         edof = np.empty((m, 8), dtype=np.int64)
@@ -567,10 +585,8 @@ def build_footprint_response(
         raise ValidationError(f"center_x_mm must be finite, got {center_x_mm}")
     mesh = system.mesh
     if set(mesh.afferent_nodes) != set(AFFERENT_TYPES):
-        raise ValidationError(
-            f"mesh.afferent_nodes must cover {AFFERENT_TYPES}, "
-            f"got {sorted(mesh.afferent_nodes)}"
-        )
+        raise ValidationError(f"mesh.afferent_nodes must cover {AFFERENT_TYPES}, "
+                              f"got {sorted(mesh.afferent_nodes)}")
     radius = diameter_mm / 2.0
     xs = mesh.nodes[mesh.surface_nodes, 0] - center_x_mm
     inside = np.abs(xs) <= radius + 1e-12
@@ -587,22 +603,20 @@ def build_footprint_response(
     try:
         factor = BlockCholesky(system.K, system.K.position[free])
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"stiffness factorization failed with {fixed.size} constrained DOFs: {exc}"
-        ) from exc
+        raise NumericalError(f"stiffness factorization failed with {fixed.size} constrained "
+                             f"DOFs: {exc}") from exc
 
     loads = np.zeros((system.ndof, nodes.size))
     loads[2 * nodes + 1, np.arange(nodes.size)] = 1.0
     fields = np.zeros_like(loads)
     fields[free] = factor.solve(loads[free])
+    del factor  # before the residual check, which is as large as a solve
     residual = np.linalg.norm((system.K @ fields - loads)[free], axis=0)
     bad = ~(residual <= 1e-8)  # NaN counts as failed
     if np.any(bad):
         j = np.flatnonzero(bad)[0]
-        raise NumericalError(
-            f"unit load at footprint node {nodes[j]}: solve residual "
-            f"{residual[j]:.3e} exceeds 1e-8 relative"
-        )
+        raise NumericalError(f"unit load at footprint node {nodes[j]}: solve residual "
+                             f"{residual[j]:.3e} exceeds 1e-8 relative")
     height = np.sqrt(np.maximum(radius**2 - xs**2, 0.0))
     compliance = fields[2 * nodes + 1]
     tops = np.sort(height)[::-1]
@@ -619,17 +633,11 @@ def build_footprint_response(
             raise NumericalError(f"contact segment from depth {start[s]:.6f} mm: {exc}") from exc
     afferent_ids = np.array([mesh.afferent_nodes[t] for t in AFFERENT_TYPES])
     return FootprintResponse(
-        nodes=nodes,
-        radius=radius,
-        height=height,
-        afferent_nodes=afferent_ids,
-        fields=fields,
-        compliance=compliance,
+        nodes=nodes, radius=radius, height=height, afferent_nodes=afferent_ids,
+        fields=fields, compliance=compliance,
         stress=np.array([recover_stress(system, u, afferent_ids) for u in fields.T]),
         residual=float(residual.max(initial=0.0)),
-        segment_depth=start,
-        segment_active=active,
-        segment_loads=table,
+        segment_depth=start, segment_active=active, segment_loads=table,
     )
 
 
@@ -643,16 +651,13 @@ def _contact_loads(compliance: np.ndarray, displacements: np.ndarray) -> np.ndar
     try:
         loads = np.linalg.solve(compliance, displacements)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"footprint compliance of {len(compliance)} contact nodes is singular: {exc}"
-        ) from exc
+        raise NumericalError(f"footprint compliance of {len(compliance)} contact nodes is "
+                             f"singular: {exc}") from exc
     residual = np.linalg.norm(compliance @ loads - displacements, axis=0)
     bad = ~(residual <= 1e-8 * np.linalg.norm(displacements, axis=0))
     if np.any(bad):
-        raise NumericalError(
-            f"contact-set solve residual {np.max(residual[bad]):.3e} exceeds 1e-8 "
-            f"relative ({len(compliance)} contact nodes)"
-        )
+        raise NumericalError(f"contact-set solve residual {np.max(residual[bad]):.3e} exceeds "
+                             f"1e-8 relative ({len(compliance)} contact nodes)")
     return loads
 
 
@@ -693,15 +698,10 @@ def run_indentation(footprint: FootprintResponse, indenter: IndenterSpec) -> Ind
     loads[solved] = table[:, 0] - (delta[solved] - start)[:, None] * table[:, 1]
 
     vm = von_mises(np.tensordot(loads, footprint.stress, axes=1))
-    traces = {
-        atype: StressTrace(
-            afferent_type=atype,
-            node_id=int(footprint.afferent_nodes[i]),
-            dt_ms=indenter.dt_ms,
-            values=vm[:, i] * 1.0e6,  # MPa -> Pa for the neural stage
-        )
+    traces = {  # MPa -> Pa for the neural stage
+        atype: StressTrace(afferent_type=atype, node_id=int(footprint.afferent_nodes[i]),
+                           dt_ms=indenter.dt_ms, values=vm[:, i] * 1.0e6)
         for i, atype in enumerate(AFFERENT_TYPES)
     }
-    return IndentationResult(
-        stress_traces=traces, contact_sets=len(set(segment.tolist())), loads=loads
-    )
+    return IndentationResult(stress_traces=traces, contact_sets=len(set(segment.tolist())),
+                             loads=loads)

@@ -61,6 +61,52 @@ def constrained_solve(system, constraints):
     return u
 
 
+def batched_block_cholesky(K, rows):
+    """BlockCholesky's (n, inv_l) from full-size masked copies of K's blocks,
+    with one np.linalg.cholesky and one np.linalg.inv over all the blocks.
+
+    Raises LinAlgError where BlockCholesky does (a singular or indefinite
+    Schur complement, or a squared pivot below PIVOT_FLOOR of max |K_ii|).
+    """
+    nb, b = K.diag.shape[:2]
+    scale = np.abs(np.einsum("kii->ki", K.diag)).max()
+    keep = np.zeros(nb * b)
+    keep[rows] = 1.0
+    blk, i = np.divmod(np.flatnonzero(keep == 0.0), b)
+    keep = keep.reshape(nb, b)
+    schur = K.diag * keep[:, :, None] * keep[:, None, :]
+    schur[blk, i, i] = scale
+    lower = K.lower * keep[1:, :, None] * keep[:-1, None, :]
+    n = np.empty_like(lower)
+    for k in range(nb - 1):
+        n[k] = np.linalg.solve(schur[k], lower[k].T).T
+        schur[k + 1] -= n[k] @ lower[k].T
+    chol = np.linalg.cholesky(schur)
+    if not np.einsum("kii->ki", chol).min() ** 2 / scale >= fem.PIVOT_FLOOR:
+        raise np.linalg.LinAlgError("the constraints leave a rigid-body mode free")
+    return n, np.linalg.inv(chol)
+
+
+def sorted_entries_residual(K, f, x):
+    """BlockTridiagonal.residual from all of K's nonzeros at once: gathered
+    block by block, sorted by stored row (stable) and summed per row by one
+    np.add.reduceat in extended precision for each column."""
+    b = K.diag.shape[1]
+    k, i, j = np.nonzero(K.diag)
+    kl, il, jl = np.nonzero(K.lower)
+    rows = np.concatenate([k * b + i, (kl + 1) * b + il, kl * b + jl])
+    cols = np.concatenate([k * b + j, kl * b + jl, (kl + 1) * b + il])
+    vals = np.concatenate([K.diag[k, i, j], K.lower[kl, il, jl], K.lower[kl, il, jl]])
+    by_row = np.argsort(rows, kind="stable")
+    rows, cols, vals = rows[by_row], cols[by_row], vals[by_row].astype(np.longdouble)
+    starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+    r = f.copy()
+    for c in range(x.shape[1]):
+        kx = np.add.reduceat(vals * x[cols, c], starts)
+        r[rows[starts], c] = (f[rows[starts], c] - kx).astype(float)
+    return r
+
+
 def params_to_genes(params):
     """The gene vector that genes_to_params maps back to `params`."""
     sats = params.saturation()

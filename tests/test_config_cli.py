@@ -1055,6 +1055,9 @@ def test_cli_name_the_locale_cannot_encode_exits_2(tmp_path, name):
     else:
         assert "ERROR validation error: cannot write " in done.stderr
         assert not (out / ".lock").exists()
+        # the name is refused before anything is written
+        assert not (out / "mesh.txt").exists()
+        assert not (out / "stress").exists()
 
 
 def test_cli_is_the_only_module_that_opens_files_for_writing(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import functools
 import json
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from scipy.sparse.linalg import spsolve
 from afferentsim import config, fem, mesh, pipeline, stimulus
 from afferentsim.errors import InvertedElementError, NumericalError, ValidationError
 from afferentsim.mesh import AFFERENT_TYPES
-from oracles import constrained_solve, einsum_stiffness, stress_csv_text, write_protocol_file
+from oracles import (
+    batched_block_cholesky,
+    constrained_solve,
+    einsum_stiffness,
+    sorted_entries_residual,
+    stress_csv_text,
+    write_protocol_file,
+)
 
 SOFT = mesh.MaterialLayer("soft", 1.0, 0.3, (0.0, 1.0))
 
@@ -542,11 +550,9 @@ def distorted_grid_mesh(shifts, layers, nx=4, ny=3, hx=0.3, hy=0.2):
     )
 
 
-# The node-pair assembly drops the terms that multiply a structural zero of
-# B, which every quad has, so K must match the full einsum on any shape and
-# materials, not only on the rectangles of the structured skin mesh.
-@settings(max_examples=40, deadline=None)
-@given(
+# distorted_grid_mesh's arguments: a shift for each of its 6 interior nodes,
+# and (E, nu) for each of its 2 layers
+distorted_meshes = given(
     shifts=st.lists(
         st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)), min_size=6, max_size=6
     ),
@@ -554,16 +560,87 @@ def distorted_grid_mesh(shifts, layers, nx=4, ny=3, hx=0.3, hy=0.2):
         st.tuples(st.floats(0.01, 10.0), st.floats(0.0, 0.49)), min_size=2, max_size=2
     ),
 )
-def test_stiffness_matches_einsum_oracle_on_distorted_meshes(shifts, layers):
+
+
+def distorted_system(shifts, layers):
+    """The stiffness system of a distorted_grid_mesh; examples whose shifts
+    invert an element are dropped."""
     m = distorted_grid_mesh(shifts, layers)
     try:
         mesh.check_jacobians(m)
     except InvertedElementError:
         assume(False)
-    system = fem.StiffnessSystem(m)
+    return fem.StiffnessSystem(m)
+
+
+# The node-pair assembly drops the terms that multiply a structural zero of
+# B, which every quad has, so K must match the full einsum on any shape and
+# materials, not only on the rectangles of the structured skin mesh.
+@settings(max_examples=40, deadline=None)
+@distorted_meshes
+def test_stiffness_matches_einsum_oracle_on_distorted_meshes(shifts, layers):
+    system = distorted_system(shifts, layers)
     expected = einsum_stiffness(system)
     assert system.K.diag.tobytes() == expected.diag.tobytes()
     assert system.K.lower.tobytes() == expected.lower.tobytes()
+
+
+def assert_factor_and_residual_match_oracles(system):
+    """BlockCholesky with the bottom fixed, and K.residual, equal the
+    batched factor and the sorted-entries residual bit for bit.
+
+    The residual is taken once against random loads and once against K x
+    itself, where it is round-off and so shows any change in the order of
+    the sums."""
+    K = system.K
+    fixed = list(fem.bottom_constraints(system.mesh))
+    rows = K.position[np.setdiff1d(np.arange(system.ndof), fixed)]
+    factor = fem.BlockCholesky(K, rows)
+    n, inv_l = batched_block_cholesky(K, rows)
+    assert factor.n.tobytes() == n.tobytes()
+    assert factor.inv_l.tobytes() == inv_l.tobytes()
+    f, x = np.random.default_rng(0).normal(size=(2, K.diag.shape[0] * K.diag.shape[1], 3))
+    kx = -sorted_entries_residual(K, np.zeros_like(x), x)
+    for rhs in (f, kx):
+        assert K.residual(rhs, x).tobytes() == sorted_entries_residual(K, rhs, x).tobytes()
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1])
+def test_factor_and_residual_match_oracles_bit_for_bit(h):
+    cfg = config.config_from_dict({"geometry": {"surface_element_mm": h}})
+    system = fem.StiffnessSystem(mesh.build_mesh(cfg.geometry, cfg.materials))
+    assert system.K.diag.shape[0] > 2 * fem.RUN_BLOCKS  # several runs, a short last one
+    assert_factor_and_residual_match_oracles(system)
+
+
+@settings(max_examples=20, deadline=None)
+@distorted_meshes
+def test_factor_and_residual_match_oracles_on_distorted_meshes(shifts, layers):
+    # these meshes span a few blocks, so runs of one and two blocks cross
+    # every run boundary the factor and the residual can meet
+    system = distorted_system(shifts, layers)
+    for run in (1, 2, fem.RUN_BLOCKS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fem, "RUN_BLOCKS", run)
+            assert_factor_and_residual_match_oracles(system)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.1])
+def test_setup_peak_memory_within_four_stiffness_matrices(h):
+    """The set-up keeps K, the factor and B alive, and temporaries a few
+    blocks wide: its traced peak stays within 4 x K's bytes.  Full-size
+    masked copies of K's blocks, or a cached copy of its entries, take it
+    past 5 x."""
+    cfg = config.config_from_dict({"geometry": {"surface_element_mm": h}})
+    m = mesh.build_mesh(cfg.geometry, cfg.materials)
+    tracemalloc.start()
+    try:
+        system = fem.StiffnessSystem(m)
+        fem.build_footprint_response(system, 1.0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (system.K.diag.nbytes + system.K.lower.nbytes)
 
 
 @settings(max_examples=20, deadline=None)
