@@ -131,19 +131,12 @@ def cmd_mesh(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     out = cfg.output_dir
     result = pipeline.simulate(cfg)
-    stress = {os.path.join(out, "stress", f"{stimulus_id}_{atype}.csv"): trace
-              for stimulus_id, traces in result.bank.items() for atype, trace in traces.items()}
-    # the output directory exists, so only a stimulus id can make a name the
-    # filesystem encoding cannot hold: refuse it before anything is written
-    for path in stress:
-        try:
-            os.fsencode(path)
-        except UnicodeError as exc:
-            raise ValidationError(f"cannot write {path}: {exc}") from exc
     _write(os.path.join(out, "mesh.txt"), export_mesh_text(result.mesh))
     prov = _provenance(cfg)
-    for path, trace in stress.items():
-        _write(path, trace.csv_text(provenance=prov))
+    for stimulus_id, traces in result.bank.items():
+        for atype, trace in traces.items():
+            _write(os.path.join(out, "stress", f"{stimulus_id}_{atype}.csv"),
+                   trace.csv_text(provenance=prov))
     _write(os.path.join(out, "spikes.jsonl"), "".join(
         json.dumps(tr.to_record(), sort_keys=True) + "\n" for tr in result.trains
     ))

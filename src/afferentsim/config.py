@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 from .errors import INTEGER, NUMBER, STRING, ValidationError, check_kind
 from .mesh import AFFERENT_TYPES, GeometrySpec, MaterialLayer, default_material_layers
-from .stimulus import BUILTIN_PROTOCOLS
+from .stimulus import BUILTIN_PROTOCOLS, DT_MS, check_dt
 
 
 @dataclass
@@ -51,7 +51,6 @@ class RunConfig:
     indenter_diameter_mm: float = 1.0
     indenter_center_x_mm: float = 0.0
     indenter_pre_indentation_mm: float = 0.0
-    dt_ms: float = 0.5
     protocol: str = "appendixA"
     afferent_params_source: str = "default"  # "default" or a path
     seed: int = 0
@@ -67,8 +66,6 @@ class RunConfig:
             raise ValidationError("indenter.diameter_mm must be > 0")
         if self.indenter_pre_indentation_mm < 0:
             raise ValidationError("indenter.pre_indentation_mm must be >= 0")
-        if not self.dt_ms > 0:
-            raise ValidationError("dt_ms must be > 0")
         if not isinstance(self.seed, int):
             raise ValidationError("seed must be an integer")
         if self.seed < 0:
@@ -87,7 +84,7 @@ class RunConfig:
                 for m in self.materials
             ],
             "indenter": {key: getattr(self, f"indenter_{key}") for key in _INDENTER},
-            "dt_ms": self.dt_ms,
+            "dt_ms": DT_MS,  # fixed, yet part of every resolved config and its hash
             "protocol": self.protocol,
             "afferent_params": (
                 "default" if self.afferent_params_source == "default"
@@ -188,6 +185,8 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
         top["materials"] = tuple(
             _material(m, f"materials[{i}]") for i, m in enumerate(top["materials"])
         )
+    if "dt_ms" in top:
+        check_dt(top.pop("dt_ms"), "dt_ms")
     for key, value in _fields(top.pop("indenter", {}), _INDENTER, "indenter").items():
         top[f"indenter_{key}"] = value
     params = top.pop("afferent_params", "default")

@@ -23,10 +23,12 @@ height, and within one set every prescribed value is the node's offset
 under the circle minus the depth, so the loads are a piecewise-affine
 function of depth alone.  The response holds it as a table, one segment
 per contact set, each solved once (n_A x n_A, two columns).  IndenterSpec
-holds only the motion (trace, pre-indentation, time step).  A run builds
-one response and passes it with each stimulus's motion to
+holds only the motion (trace and pre-indentation).  A run builds one
+response and passes it with each stimulus's motion to
 run_indentation(footprint, indenter), which needs no mesh and makes no
-solve: it reads each step's loads off the table.
+solve: it reads each step's loads off the table.  The solver is
+quasi-static and reads no time step; stimulus.DT_MS only labels the
+stress traces, one value per displacement sample.
 
 Assembly uses 4-node bilinear isoparametric quads with 2x2 Gauss
 quadrature (the element map and its Jacobians live in mesh).  The DOFs
@@ -61,6 +63,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .mesh import AFFERENT_TYPES, GAUSS_GRADIENTS, Mesh, _distinct_reprs, check_jacobians
+from .stimulus import DT_MS
 
 # --------------------------------------------------------------------------
 # element machinery
@@ -104,7 +107,7 @@ def von_mises(stress: np.ndarray) -> np.ndarray:
 class IndenterSpec:
     """The motion of the rigid circular indenter: a displacement trace.
 
-    displacement_trace holds the vibration in mm at step dt_ms; the
+    displacement_trace holds the vibration in mm, one value per DT_MS; the
     instantaneous depth below the undeformed surface at step k is
     pre_indentation_mm + displacement_trace[k] (negative depth = lifted).
     The probe's diameter and centre belong to its FootprintResponse.
@@ -112,11 +115,8 @@ class IndenterSpec:
 
     pre_indentation_mm: float = 0.0
     displacement_trace: np.ndarray = field(default_factory=lambda: np.zeros(1))
-    dt_ms: float = 0.5
 
     def validate(self) -> None:
-        if not (np.isfinite(self.dt_ms) and self.dt_ms > 0):
-            raise ValidationError(f"dt_ms must be finite and > 0, got {self.dt_ms}")
         trace = np.asarray(self.displacement_trace, dtype=float)
         if trace.ndim != 1 or trace.size == 0:
             raise ValidationError("displacement_trace must be a non-empty 1-D array")
@@ -129,11 +129,10 @@ class IndenterSpec:
 
 @dataclass(frozen=True)
 class StressTrace:
-    """von Mises stress (Pa) at one node, sampled at fixed dt (ms)."""
+    """von Mises stress (Pa) at one node, one value per DT_MS."""
 
     afferent_type: str
     node_id: int
-    dt_ms: float
     values: np.ndarray
 
     def __post_init__(self):
@@ -145,7 +144,7 @@ class StressTrace:
 
     @property
     def duration_ms(self) -> float:
-        return (self.n_steps - 1) * self.dt_ms
+        return (self.n_steps - 1) * DT_MS
 
     def csv_text(self, provenance: str | None = None) -> str:
         """The trace as CSV text: header lines, then one `t_ms,sigma_pa` row
@@ -157,27 +156,27 @@ class StressTrace:
         cycle.  The values are keyed by their bits, not compared as floats,
         which would merge -0.0 into 0.0 and write it as `0.0`.
         """
-        dt = float(self.dt_ms)
-        head = ["# afferent,node,dt_ms\n", f"# {self.afferent_type},{self.node_id},{dt!r}\n"]
+        head = ["# afferent,node,dt_ms\n",
+                f"# {self.afferent_type},{self.node_id},{DT_MS!r}\n"]
         if provenance:
             head.append(f"# provenance: {provenance}\n")
         head.append("t_ms,sigma_pa\n")
         texts, index = _distinct_reprs(self.values, "\n")
         body = [""] * (2 * self.n_steps)
-        body[0::2] = _time_column(dt, self.n_steps)
+        body[0::2] = _time_column(self.n_steps)
         body[1::2] = [texts[k] for k in index.tolist()]
         return "".join(head + body)
 
 
 @lru_cache(maxsize=4)
-def _time_column(dt_ms: float, n_steps: int) -> tuple[str, ...]:
-    """The `t_ms,` cell of each row, formatted once per (dt, length).
+def _time_column(n_steps: int) -> tuple[str, ...]:
+    """The `t_ms,` cell of each row, formatted once per length.
 
     A bank's traces share a few time columns (appendixA: two, for 111
     traces), and formatting a time costs as much as formatting a stress
     value.  The bound caps what long traces keep alive between calls.
     """
-    return tuple([f"{k * dt_ms!r}," for k in range(n_steps)])
+    return tuple([f"{k * DT_MS!r}," for k in range(n_steps)])
 
 
 @dataclass(frozen=True)
@@ -700,7 +699,7 @@ def run_indentation(footprint: FootprintResponse, indenter: IndenterSpec) -> Ind
     vm = von_mises(np.tensordot(loads, footprint.stress, axes=1))
     traces = {  # MPa -> Pa for the neural stage
         atype: StressTrace(afferent_type=atype, node_id=int(footprint.afferent_nodes[i]),
-                           dt_ms=indenter.dt_ms, values=vm[:, i] * 1.0e6)
+                           values=vm[:, i] * 1.0e6)
         for i, atype in enumerate(AFFERENT_TYPES)
     }
     return IndentationResult(stress_traces=traces, contact_sets=len(set(segment.tolist())),

@@ -12,7 +12,9 @@ to a membrane drive in mV/ms, then a leaky integrate-and-fire unit with an
 absolute refractory period.  SpikeCounter holds the one integrate-and-fire
 loop: run_afferents turns whole stress traces into spike trains with it,
 and fitting counts spikes in windows with it.  Stress is in Pa, time in ms
-throughout.
+throughout, and every trace is sampled at stimulus.DT_MS (0.5 ms), the one
+step at which the constants hold, since the filters difference and average
+whole samples and the shipped constants were fitted at that step.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .errors import INTEGER, NUMBER, STRING, NumericalError, ValidationError, check_kind
 from .fem import StressTrace
 from .mesh import AFFERENT_TYPES
+from .stimulus import DT_MS
 
 U_REST_MV = -65.0
 U_RESET_MV = -65.0
@@ -153,14 +156,14 @@ def default_afferent_params() -> dict[str, AfferentParams]:
 # filters
 
 
-def derivative(trace: np.ndarray, dt_ms: float) -> np.ndarray:
+def derivative(trace: np.ndarray) -> np.ndarray:
     """Backward difference (x[k] - x[k-1])/dt with d[0] = 0."""
     x = np.asarray(trace, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise ValidationError("derivative needs a 1-D trace of length >= 2")
     d = np.empty_like(x)
     d[0] = 0.0
-    d[1:] = np.diff(x) / dt_ms
+    d[1:] = np.diff(x) / DT_MS
     return d
 
 
@@ -187,17 +190,15 @@ def abs_difference_filter(trace: np.ndarray) -> np.ndarray:
     return y
 
 
-def filtered_inputs(
-    params: AfferentParams, stress_pa: np.ndarray, dt_ms: float
-) -> tuple[np.ndarray, ...]:
+def filtered_inputs(params: AfferentParams, stress_pa: np.ndarray) -> tuple[np.ndarray, ...]:
     """Type-appropriate filter chain outputs (all nonnegative)."""
     if params.afferent_type == "SA":
         f1 = moving_average_abs(stress_pa, params.m1, params.m2)
-        f2 = moving_average_abs(derivative(stress_pa, dt_ms), params.m3, params.m4)
+        f2 = moving_average_abs(derivative(stress_pa), params.m3, params.m4)
         return (f1, f2)
     if params.afferent_type == "RA":
-        return (abs_difference_filter(derivative(stress_pa, dt_ms)),)
-    d2 = derivative(derivative(stress_pa, dt_ms), dt_ms)
+        return (abs_difference_filter(derivative(stress_pa)),)
+    d2 = derivative(derivative(stress_pa))
     return (abs_difference_filter(d2),)
 
 
@@ -205,16 +206,15 @@ def filtered_inputs(
 # integrate-and-fire
 
 
-def _step_coefficients(tau_m_ms, dt_ms):
-    """Forward-Euler step u <- c1*u + (1-c1)*u_rest + c3*D, for scalars or
-    arrays that broadcast."""
-    return 1.0 - dt_ms / tau_m_ms, dt_ms
+def _step_coefficients(tau_m_ms):
+    """Forward-Euler step u <- c1*u + (1-c1)*u_rest + c3*D, for a scalar or
+    an array of tau_m."""
+    return 1.0 - DT_MS / tau_m_ms, DT_MS
 
 
 @dataclass(frozen=True)
 class SpikeTrain:
     afferent_type: str
-    dt_ms: float
     duration_ms: float  # simulated span; spikes lie in (0, duration]
     spike_times_ms: np.ndarray  # strictly increasing
     params_hash: str
@@ -230,30 +230,30 @@ class SpikeTrain:
         since simulated spikes land on step times), so for windows whose
         edges are step times this is also the rule start <= t < end.
         """
-        k_lo, k_hi = window_steps(start_ms, end_ms, self.dt_ms)
-        steps = np.floor(self.spike_times_ms / self.dt_ms + 1e-9)
+        k_lo, k_hi = window_steps(start_ms, end_ms)
+        steps = np.floor(self.spike_times_ms / DT_MS + 1e-9)
         return int(np.count_nonzero((steps >= k_lo) & (steps < k_hi)))
 
     def to_record(self) -> dict:
         return {
             "afferent": self.afferent_type,
             "params_hash": self.params_hash,
-            "dt": self.dt_ms,
+            "dt": DT_MS,
             "duration_ms": self.duration_ms,
             "spikes": [float(t) for t in self.spike_times_ms],
             "meta": self.meta,
         }
 
 
-def window_steps(start_ms: float, end_ms: float, dt_ms: float) -> tuple[int, int]:
+def window_steps(start_ms: float, end_ms: float) -> tuple[int, int]:
     """Step indices [k_lo, k_hi) whose step times k*dt lie in [start, end).
 
     The one window rule behind every windowed spike count: fitting, rate
     prediction and the simulate rate table.
     """
     return (
-        int(np.ceil(start_ms / dt_ms - 1e-9)),
-        int(np.ceil(end_ms / dt_ms - 1e-9)),
+        int(np.ceil(start_ms / DT_MS - 1e-9)),
+        int(np.ceil(end_ms / DT_MS - 1e-9)),
     )
 
 
@@ -332,8 +332,8 @@ class SpikeCounter:
     """The integrate-and-fire loop, for many parameter sets on one bank.
 
     The bank holds S stimuli, each a tuple of filter-chain outputs (one per
-    saturation term, as from filtered_inputs) with its own dt and count
-    window [start, end) in ms.  Given a ParamTable of N parameter sets, the
+    saturation term, as from filtered_inputs) with its own count window
+    [start, end) in ms.  Given a ParamTable of N parameter sets, the
     loop integrates all S x N units together, one time step at a time, and
     records which units spike at each step (one byte per unit and step).
     Calling the counter returns the (N, S) spike counts inside each window;
@@ -365,29 +365,26 @@ class SpikeCounter:
     its per-step arithmetic is laid out in that full shape, C-contiguous, so
     none of it broadcasts.  A step is u * c1, + rest, + drive, one masked
     copy per lag of the longest refractory period and the compare into the
-    spike record: 5 ufunc calls for RA and PC at dt = 0.5 ms (one lag) and
-    6 for SA (two).  A lag that only some units reach, and the reset of
-    units with n_refr = 0 among others, each add one logical_and.
+    spike record: 5 ufunc calls for RA and PC (one lag) and 6 for SA (two).
+    A lag that only some units reach, and the reset of units with
+    n_refr = 0 among others, each add one logical_and.
     """
 
-    def __init__(self, features, dt_ms, windows_ms):
+    def __init__(self, features, windows_ms):
         n_stim = len(features)
-        if n_stim == 0 or len(dt_ms) != n_stim or len(windows_ms) != n_stim:
-            raise ValidationError("need one dt and one window per stimulus")
+        if n_stim == 0 or len(windows_ms) != n_stim:
+            raise ValidationError("need one window per stimulus")
         n_terms = {len(f) for f in features}
         if len(n_terms) != 1:
             raise ValidationError("every stimulus needs the same number of inputs")
         self.n_terms = n_terms.pop()
-        dt = np.asarray(dt_ms, dtype=float)
-        if not np.all(dt > 0):
-            raise ValidationError("dt_ms must be > 0")
         stop = np.empty(n_stim, dtype=np.int64)
         first = np.empty(n_stim, dtype=np.int64)
         for s, (terms, (lo_ms, hi_ms)) in enumerate(zip(features, windows_ms)):
             n = {np.asarray(f).shape for f in terms}
             if len(n) != 1 or len(next(iter(n))) != 1:
                 raise ValidationError("inputs of one stimulus must be 1-D, equal length")
-            k_lo, k_hi = window_steps(lo_ms, hi_ms, dt[s])
+            k_lo, k_hi = window_steps(lo_ms, hi_ms)
             # step k moves the potential to step k + 1; steps past the
             # window end, or past the trace end, cannot add to the count
             stop[s] = min(next(iter(n))[0], k_hi) - 1
@@ -396,7 +393,6 @@ class SpikeCounter:
         # step are a leading slice of the state arrays
         order = np.argsort(-stop, kind="stable")
         self._order = order
-        self._dt = dt[order]
         self._stop = stop[order]
         self._first = first[order]
         n_steps = max(int(self._stop[0]), 0)
@@ -454,15 +450,13 @@ class SpikeCounter:
             out[...] = values
             return out
 
-        dt = self._dt[:, None]
-        c1, c3 = _step_coefficients(table.tau_m_ms, dt)  # c1 is (S, N) already
-        c3 = full(c3)
+        c1, c3 = map(full, _step_coefficients(table.tau_m_ms))
         rest = (1.0 - c1) * table.u_rest_mv
         sat = [full(a) for a in table.saturation]
         alpha = full(table.alpha_prime)
         theta = full(table.threshold_mv)
         n_steps = self._inputs.shape[1]
-        n_refr = np.ceil(table.tau_r_ms / dt)
+        n_refr = full(np.ceil(table.tau_r_ms / DT_MS))
         # lags past the last step never reach a spike
         lead = int(min(n_refr.max(), n_steps))
         after = [full(table.u_reset_mv)]
@@ -543,18 +537,16 @@ def run_afferents(
     loop integrates them all; spikes land on step times in (0, duration].
     """
     counter = SpikeCounter(
-        [filtered_inputs(params, t.values, t.dt_ms) for t in traces],
-        [t.dt_ms for t in traces],
+        [filtered_inputs(params, t.values) for t in traces],
         # a window past the last step keeps each unit running to its end
-        [(0.0, t.n_steps * t.dt_ms) for t in traces],
+        [(0.0, t.n_steps * DT_MS) for t in traces],
     )
     params_hash = params.content_hash()
     return [
         SpikeTrain(
             afferent_type=params.afferent_type,
-            dt_ms=float(t.dt_ms),
-            duration_ms=(t.n_steps - 1) * float(t.dt_ms),
-            spike_times_ms=steps.astype(float) * float(t.dt_ms),
+            duration_ms=t.duration_ms,
+            spike_times_ms=steps.astype(float) * DT_MS,
             params_hash=params_hash,
             meta={"node_id": t.node_id},
         )

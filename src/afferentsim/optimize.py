@@ -190,8 +190,7 @@ def _window_counter(
                 f"discard + window = {spec.discard_ms + spec.window_ms} ms"
             )
     counter = SpikeCounter(
-        [filtered_inputs(params, t.values, t.dt_ms) for _, t in entries],
-        [t.dt_ms for _, t in entries],
+        [filtered_inputs(params, t.values) for _, t in entries],
         [(s.discard_ms, s.discard_ms + s.window_ms) for s, _ in entries],
     )
     return counter, np.array([s.window_ms / 1000.0 for s, _ in entries])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import namedtuple
 
 import numpy as np
@@ -41,7 +42,7 @@ FitResult = namedtuple("FitResult", "outcome records regression")
 def resolve_protocol(cfg: RunConfig) -> list[StimulusSpec]:
     """The configured protocol: a built-in bank or a protocol JSON file."""
     if cfg.protocol in BUILTIN_PROTOCOLS:
-        return builtin_protocol(cfg.protocol, dt_ms=cfg.dt_ms, base_seed=cfg.seed)
+        return builtin_protocol(cfg.protocol, base_seed=cfg.seed)
     return load_protocol(cfg.protocol)
 
 
@@ -89,7 +90,7 @@ def stress_bank(
     for spec in specs:
         displacement = spec.generate()
         indenter = IndenterSpec(pre_indentation_mm=cfg.indenter_pre_indentation_mm,
-                                displacement_trace=displacement, dt_ms=spec.dt_ms)
+                                displacement_trace=displacement)
         result = run_indentation(footprint, indenter)
         bank[spec.stimulus_id] = result.stress_traces
         logger.info(
@@ -111,6 +112,14 @@ def simulate(cfg: RunConfig) -> SimulateResult:
     amplitude, diharmonics by their first component.
     """
     specs = resolve_protocol(cfg)
+    for spec in specs:
+        # the id names the stimulus's stress exports, so refuse one the
+        # filesystem encoding cannot hold before the FEM runs
+        try:
+            os.fsencode(spec.stimulus_id)
+        except UnicodeError as exc:
+            raise ValidationError(f"stimulus_id {spec.stimulus_id!r} cannot name a file "
+                                  f"in this filesystem's encoding: {exc}") from exc
     params = load_afferent_params(cfg.afferent_params_source)
     mesh = build_mesh(cfg.geometry, cfg.materials)
     bank = stress_bank(cfg, mesh, specs)
@@ -148,9 +157,7 @@ def validate(cfg: RunConfig) -> ValidateResult:
     """
     mesh = build_mesh(cfg.geometry, cfg.materials)
     footprint = build_footprint_response(StiffnessSystem(mesh), 0.05, 0.0)
-    indenter = IndenterSpec(
-        pre_indentation_mm=1.0, displacement_trace=np.zeros(1), dt_ms=cfg.dt_ms
-    )
+    indenter = IndenterSpec(pre_indentation_mm=1.0, displacement_trace=np.zeros(1))
     result = run_indentation(footprint, indenter)
     xs, profile = surface_deflection(mesh, footprint.fields @ result.loads[0])
     max_deflection = float(profile.max())

@@ -10,7 +10,7 @@ Three bundled protocols ship as machine-readable stimulus banks:
 
 All generators are pure functions of their parameters (plus seed for noise),
 so protocol runs are fully deterministic.  Displacements are in mm, time in
-ms, dt defaults to 0.5 ms (Nyquist 1 kHz).
+ms, dt is 0.5 ms (Nyquist 1 kHz).
 """
 
 from __future__ import annotations
@@ -22,7 +22,12 @@ import numpy as np
 
 from .errors import INTEGER, NUMBER, STRING, ValidationError, check_kind
 
-DEFAULT_DT_MS = 0.5
+# The model's one time step.  The neural constants were fitted at it: RA and
+# PC read per-step differences and SA's half-widths m1..m4 count samples, so
+# at another step the same constants give other rates.  A config or protocol
+# file may restate it (check_dt) but not change it.
+DT_MS = 0.5
+NYQUIST_HZ = 1000.0 / (2.0 * DT_MS)
 
 # The bundled stimulus banks builtin_protocol renders.
 BUILTIN_PROTOCOLS = ("appendixA", "appendixB", "appendixC")
@@ -68,46 +73,41 @@ NOISE_TABLE: dict[tuple[float, float], tuple[float, ...]] = {
 }
 
 
-def _nyquist_hz(dt_ms: float) -> float:
-    return 1000.0 / (2.0 * dt_ms)
+def check_dt(value, path: str) -> None:
+    """A `dt_ms` key of a config or protocol file, which may only restate DT_MS."""
+    if check_kind(value, NUMBER, path) != DT_MS:
+        raise ValidationError(f"{path}: expected a step of {DT_MS}, got {value} "
+                              f"(the model is defined at {DT_MS} ms only)")
 
 
-def _n_samples(duration_ms: float, dt_ms: float) -> int:
+def _n_samples(duration_ms: float) -> int:
     if not duration_ms > 0:
         raise ValidationError(f"duration_ms must be > 0, got {duration_ms}")
-    if not dt_ms > 0:
-        raise ValidationError(f"dt_ms must be > 0, got {dt_ms}")
-    return int(round(duration_ms / dt_ms)) + 1
+    return int(round(duration_ms / DT_MS)) + 1
 
 
-def sinusoid(
-    freq_hz: float, amplitude_um: float, duration_ms: float, dt_ms: float = DEFAULT_DT_MS
-) -> np.ndarray:
+def sinusoid(freq_hz: float, amplitude_um: float, duration_ms: float) -> np.ndarray:
     """s[k] = A sin(2 pi f k dt), in mm; starts at phase 0."""
-    if not freq_hz < _nyquist_hz(dt_ms):
+    if not freq_hz < NYQUIST_HZ:
         raise ValidationError(
-            f"freq_hz={freq_hz} violates Nyquist ({_nyquist_hz(dt_ms)} Hz at dt={dt_ms} ms)"
+            f"freq_hz={freq_hz} violates Nyquist ({NYQUIST_HZ} Hz at dt={DT_MS} ms)"
         )
     if amplitude_um < 0:
         raise ValidationError(f"amplitude_um must be >= 0, got {amplitude_um}")
-    n = _n_samples(duration_ms, dt_ms)
-    t_s = np.arange(n) * (dt_ms / 1000.0)
+    n = _n_samples(duration_ms)
+    t_s = np.arange(n) * (DT_MS / 1000.0)
     return (amplitude_um / 1000.0) * np.sin(2.0 * np.pi * freq_hz * t_s)
 
 
 def diharmonic(
-    f1_hz: float, a1_um: float, f2_hz: float, a2_um: float,
-    duration_ms: float, dt_ms: float = DEFAULT_DT_MS,
+    f1_hz: float, a1_um: float, f2_hz: float, a2_um: float, duration_ms: float,
 ) -> np.ndarray:
     """Sum of two sinusoids, both starting at phase 0."""
-    return sinusoid(f1_hz, a1_um, duration_ms, dt_ms) + sinusoid(
-        f2_hz, a2_um, duration_ms, dt_ms
-    )
+    return sinusoid(f1_hz, a1_um, duration_ms) + sinusoid(f2_hz, a2_um, duration_ms)
 
 
 def bandpass_noise(
-    lo_hz: float, hi_hz: float, rms_um: float, duration_ms: float,
-    dt_ms: float = DEFAULT_DT_MS, seed: int = 0,
+    lo_hz: float, hi_hz: float, rms_um: float, duration_ms: float, seed: int = 0,
 ) -> np.ndarray:
     """Seeded Gaussian noise, zero-phase band-pass filtered, exact-RMS scaled.
 
@@ -116,14 +116,13 @@ def bandpass_noise(
     downstream derivative filters); after filtering the mean is removed and
     the trace rescaled so its sample RMS equals rms_um exactly.
     """
-    nyq = _nyquist_hz(dt_ms)
-    if not 0.0 < lo_hz < hi_hz < nyq:
+    if not 0.0 < lo_hz < hi_hz < NYQUIST_HZ:
         raise ValidationError(
-            f"need 0 < lo < hi < Nyquist ({nyq} Hz): got ({lo_hz}, {hi_hz})"
+            f"need 0 < lo < hi < Nyquist ({NYQUIST_HZ} Hz): got ({lo_hz}, {hi_hz})"
         )
     if not rms_um > 0:
         raise ValidationError(f"rms_um must be > 0, got {rms_um}")
-    n = _n_samples(duration_ms, dt_ms)
+    n = _n_samples(duration_ms)
     # imported here, not at module top: scipy.signal and the scipy.stats it
     # loads add about 1 s to every import, and only noise stimuli need them
     try:
@@ -133,7 +132,8 @@ def bandpass_noise(
 
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(n)
-    sos = butter(NOISE_FILTER_ORDER, [lo_hz / nyq, hi_hz / nyq], btype="bandpass", output="sos")
+    band = [lo_hz / NYQUIST_HZ, hi_hz / NYQUIST_HZ]
+    sos = butter(NOISE_FILTER_ORDER, band, btype="bandpass", output="sos")
     shaped = sosfiltfilt(sos, raw)
     shaped = shaped - shaped.mean()
     rms = np.sqrt(np.mean(shaped**2))
@@ -153,7 +153,6 @@ class StimulusSpec:
     stimulus_id: str
     kind: str  # sinusoid | diharmonic | bandpass_noise
     duration_ms: float
-    dt_ms: float
     discard_ms: float
     window_ms: float
     freq_hz: float | None = None
@@ -183,13 +182,13 @@ class StimulusSpec:
                                   "a double quote or a non-printable character")
         if self.kind not in ("sinusoid", "diharmonic", "bandpass_noise"):
             raise ValidationError(f"{self.stimulus_id}: unknown kind {self.kind!r}")
-        if not self.duration_ms > 0 or not self.dt_ms > 0:
-            raise ValidationError(f"{self.stimulus_id}: non-positive duration or dt")
+        if not self.duration_ms > 0:
+            raise ValidationError(f"{self.stimulus_id}: non-positive duration")
         if self.discard_ms < 0 or self.window_ms <= 0:
             raise ValidationError(f"{self.stimulus_id}: bad analysis window")
         # the rendered trace spans round(duration / dt) steps of dt, which
         # can fall short of duration_ms; no spike is counted past its end
-        rendered = (_n_samples(self.duration_ms, self.dt_ms) - 1) * self.dt_ms
+        rendered = (_n_samples(self.duration_ms) - 1) * DT_MS
         length = min(self.duration_ms, rendered)
         if self.discard_ms + self.window_ms > length + 1e-9:
             raise ValidationError(
@@ -215,15 +214,13 @@ class StimulusSpec:
     def generate(self) -> np.ndarray:
         self.validate()
         if self.kind == "sinusoid":
-            return sinusoid(self.freq_hz, self.amplitude_um, self.duration_ms, self.dt_ms)
+            return sinusoid(self.freq_hz, self.amplitude_um, self.duration_ms)
         if self.kind == "diharmonic":
             return diharmonic(
                 self.freq_hz, self.amplitude_um, self.freq2_hz, self.amplitude2_um,
-                self.duration_ms, self.dt_ms,
+                self.duration_ms,
             )
-        return bandpass_noise(
-            self.lo_hz, self.hi_hz, self.rms_um, self.duration_ms, self.dt_ms, self.seed
-        )
+        return bandpass_noise(self.lo_hz, self.hi_hz, self.rms_um, self.duration_ms, self.seed)
 
 
 def sinusoid_window_ms(freq_hz: float) -> float:
@@ -236,9 +233,7 @@ def sinusoid_window_ms(freq_hz: float) -> float:
     return WINDOW_20HZ_MS if freq_hz == 20.0 else WINDOW_FAST_MS
 
 
-def builtin_protocol(
-    name: str, dt_ms: float = DEFAULT_DT_MS, base_seed: int = 0
-) -> list[StimulusSpec]:
+def builtin_protocol(name: str, base_seed: int = 0) -> list[StimulusSpec]:
     """Render one of the bundled banks named in BUILTIN_PROTOCOLS."""
     specs: list[StimulusSpec] = []
     if name == "appendixA":
@@ -247,7 +242,7 @@ def builtin_protocol(
             for amp in amps:
                 specs.append(StimulusSpec(
                     stimulus_id=f"sin_{freq:03.0f}hz_{amp:06.2f}um",
-                    kind="sinusoid", duration_ms=DISCARD_MS + window, dt_ms=dt_ms,
+                    kind="sinusoid", duration_ms=DISCARD_MS + window,
                     discard_ms=DISCARD_MS, window_ms=window,
                     freq_hz=freq, amplitude_um=amp,
                 ))
@@ -261,7 +256,7 @@ def builtin_protocol(
                     stimulus_id=(
                         f"dih_{f1:03.0f}hz_{a1:06.2f}um_{f2:03.0f}hz_{a2:06.2f}um"
                     ),
-                    kind="diharmonic", duration_ms=duration, dt_ms=dt_ms,
+                    kind="diharmonic", duration_ms=duration,
                     discard_ms=DISCARD_MS, window_ms=WINDOW_20HZ_MS,
                     freq_hz=f1, amplitude_um=a1, freq2_hz=f2, amplitude2_um=a2,
                 ))
@@ -274,7 +269,7 @@ def builtin_protocol(
                     stimulus_id=(
                         f"noise_{lo:03.0f}-{hi:03.0f}hz_rms{rms:05.2f}um_seed{base_seed + row}"
                     ),
-                    kind="bandpass_noise", duration_ms=duration, dt_ms=dt_ms,
+                    kind="bandpass_noise", duration_ms=duration,
                     discard_ms=DISCARD_MS, window_ms=WINDOW_20HZ_MS,
                     lo_hz=lo, hi_hz=hi, rms_um=rms, seed=base_seed + row,
                 ))
@@ -300,6 +295,9 @@ def load_protocol(path) -> list[StimulusSpec]:
     seen: set[str] = set()
     for i, rec in enumerate(payload["stimuli"]):
         try:
+            if isinstance(rec, dict) and "dt_ms" in rec:
+                rec = dict(rec)
+                check_dt(rec.pop("dt_ms"), "dt_ms")
             spec = StimulusSpec(**rec)
             spec.validate()
         except (TypeError, ValidationError) as exc:

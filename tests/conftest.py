@@ -47,7 +47,7 @@ def fifty_um_traces(default_footprint):
     for freq in (20.0, 50.0, 100.0, 300.0):
         duration = 345.0 if freq == 20.0 else 200.0
         trace = stimulus.sinusoid(freq, 50.0, duration)
-        indenter = fem.IndenterSpec(displacement_trace=trace, dt_ms=0.5)
+        indenter = fem.IndenterSpec(displacement_trace=trace)
         result = fem.run_indentation(default_footprint, indenter)
         out[freq] = result.stress_traces["PC"]
     return out

