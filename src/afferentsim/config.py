@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 from .errors import INTEGER, NUMBER, STRING, ValidationError, check_kind
 from .mesh import AFFERENT_TYPES, GeometrySpec, MaterialLayer, default_material_layers
-from .stimulus import BUILTIN_PROTOCOLS, DT_MS, check_dt
+from .stimulus import BUILTIN_PROTOCOLS, DT_MS, check_dt, load_protocol
 
 
 @dataclass
@@ -98,9 +98,10 @@ class RunConfig:
     def content_hash(self) -> str:
         """Hash of everything that affects results; output routing excluded.
 
-        Input files enter by their bytes, not their paths, so the same inputs
-        hash the same in any directory.  A file that cannot be read (one this
-        command does not use) enters by its path.
+        Input files enter by their content, not their paths, so the same
+        inputs hash the same in any directory: a protocol file by the stimuli
+        it loads to, each other file by its bytes.  A file that cannot be read
+        (one this command does not use) enters by its path.
         """
         d = self.to_dict()
         del d["output_dir"]
@@ -109,7 +110,7 @@ class RunConfig:
         if self.fit.observed_rates_csv is not None:
             d["fit"]["observed_rates_csv"] = _file_digest(self.fit.observed_rates_csv)
         if self.protocol not in BUILTIN_PROTOCOLS:
-            d["protocol"] = _file_digest(self.protocol)
+            d["protocol"] = _protocol_digest(self.protocol)
         blob = json.dumps(d, sort_keys=True, default=repr)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -120,6 +121,19 @@ def _file_digest(path: str) -> dict:
             return {"sha256": hashlib.sha256(fh.read()).hexdigest()}
     except OSError:
         return {"path": path}
+
+
+def _protocol_digest(path: str) -> list | dict:
+    """A protocol file's stimuli as the run reads them, each number a float:
+    files that spell the same stimuli differently (200 or 200.0, another key
+    order, a restated dt_ms) hash alike.  A file that does not load enters by
+    its bytes."""
+    try:
+        specs = load_protocol(path)
+    except ValidationError:
+        return _file_digest(path)
+    return [{name: float(value) if isinstance(value, int) and name != "seed" else value
+             for name, value in asdict(spec).items()} for spec in specs]
 
 
 OBJECT = ("an object", dict)

@@ -206,12 +206,6 @@ def filtered_inputs(params: AfferentParams, stress_pa: np.ndarray) -> tuple[np.n
 # integrate-and-fire
 
 
-def _step_coefficients(tau_m_ms):
-    """Forward-Euler step u <- c1*u + (1-c1)*u_rest + c3*D, for a scalar or
-    an array of tau_m."""
-    return 1.0 - DT_MS / tau_m_ms, DT_MS
-
-
 @dataclass(frozen=True)
 class SpikeTrain:
     afferent_type: str
@@ -351,13 +345,13 @@ class SpikeCounter:
 
     With the drive gated off, the n_refr steps after a spike follow a fixed
     trajectory: after[0] = u_reset and after[j] = (after[j-1] * c1 + rest)
-    + c3 * 0, the step's own operations in its own order.  The loop makes
+    + 0, the step's own operations in its own order.  The loop makes
     after[1..n_refr] once per call, and at each step writes after[j] over
     the potential of every unit that spiked j steps before, oldest lag
     first so that the latest spike wins; units with n_refr = 0 reset at the
     spike itself.  The lags are read from the spike record, which starts
     with max(n_refr) rows of zeros so those reads need no bounds.  Since no
-    step then changes a unit's drive, c3 * alpha' * sum_j f_j / (a_j + f_j)
+    step then changes a unit's drive, dt * alpha' * sum_j f_j / (a_j + f_j)
     is formed for STEP_BLOCK steps at once, one input copy per term and one
     ufunc call per operation into (STEP_BLOCK, S, N) buffers.
 
@@ -450,7 +444,7 @@ class SpikeCounter:
             out[...] = values
             return out
 
-        c1, c3 = map(full, _step_coefficients(table.tau_m_ms))
+        c1 = full(1.0 - DT_MS / table.tau_m_ms)
         rest = (1.0 - c1) * table.u_rest_mv
         sat = [full(a) for a in table.saturation]
         alpha = full(table.alpha_prime)
@@ -461,7 +455,7 @@ class SpikeCounter:
         lead = int(min(n_refr.max(), n_steps))
         after = [full(table.u_reset_mv)]
         for _ in range(lead):
-            after.append((after[-1] * c1 + rest) + c3 * 0.0)
+            after.append((after[-1] * c1 + rest) + 0.0)
         # step k reads record row lead + k - j for each lag j, which holds
         # the units with n_refr >= j: every unit, or those under a mask
         lags = [(lead - j, after[j], None if (n_refr >= j).all() else n_refr >= j)
@@ -484,7 +478,7 @@ class SpikeCounter:
             if end <= start:
                 continue
             uu, gg = u[:m], gated[:m]
-            c1m, restm, c3m = c1[:m], rest[:m], c3[:m]
+            c1m, restm = c1[:m], rest[:m]
             alpham, thetam = alpha[:m], theta[:m]
             satm = [a[:m] for a in sat]
             record = spiked[:, :m]
@@ -496,7 +490,7 @@ class SpikeCounter:
                 dd, *fs = [b[:n].reshape(k1 - k0, m, shape[1]) for b in buffers]
                 for f, x in zip(fs, self._inputs):
                     np.copyto(f, x[k0:k1, :m, None])
-                # the drive, c3 * alpha' * sum_j f_j / (a_j + f_j); the first
+                # the drive, dt * alpha' * sum_j f_j / (a_j + f_j); the first
                 # input's buffer holds each later term
                 np.add(satm[0], fs[0], out=dd)
                 np.divide(fs[0], dd, out=dd)
@@ -506,9 +500,9 @@ class SpikeCounter:
                     np.divide(f, tt, out=tt)
                     np.add(dd, tt, out=dd)
                 np.multiply(dd, alpham, out=dd)
-                np.multiply(dd, c3m, out=dd)
+                np.multiply(dd, DT_MS, out=dd)
                 for k in range(k0, k1):
-                    # u <- (c1*u + (1 - c1)*u_rest) + c3*d
+                    # u <- (c1*u + (1 - c1)*u_rest) + dt*d
                     np.multiply(uu, c1m, out=uu)
                     np.add(uu, restm, out=uu)
                     np.add(uu, dd[k - k0], out=uu)

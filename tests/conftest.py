@@ -6,6 +6,16 @@ import pytest
 from afferentsim import config, fem, mesh, pipeline
 
 
+def graded_square_mesh():
+    """4x4 graded mesh, 0.8 x 0.95 mm, on one material."""
+    layers = (mesh.MaterialLayer("soft", 1.0, 0.3, (0.0, 0.95)),)
+    spec = mesh.GeometrySpec(
+        domain_width_mm=0.8, surface_element_mm=0.2, coarsening=8.0,
+        afferent_depths_mm={t: 0.475 for t in mesh.AFFERENT_TYPES},
+    )
+    return mesh.build_mesh(spec, layers)
+
+
 @pytest.fixture(scope="session")
 def default_config():
     return config.config_from_dict({})

@@ -15,24 +15,16 @@ import pytest
 from scipy import signal, stats
 
 from afferentsim import analysis, cli, fem, mesh, neural, optimize, stimulus
+from conftest import graded_square_mesh
 from oracles import constrained_solve, stress_to_drive, write_protocol_file
 
 DT = 0.5
 
 
-def _graded_square_mesh(nu=0.3):
-    layers = (mesh.MaterialLayer("soft", 1.0, nu, (0.0, 0.95)),)
-    spec = mesh.GeometrySpec(
-        domain_width_mm=0.8, surface_element_mm=0.2, coarsening=8.0,
-        afferent_depths_mm={t: 0.5 for t in mesh.AFFERENT_TYPES},
-    )
-    return mesh.build_mesh(spec, layers)
-
-
 def test_criterion_01_patch_test():
     """Constant-strain states reproduced to <= 1e-9 on a graded mesh, < 1 s."""
     t0 = time.perf_counter()
-    m = _graded_square_mesh()
+    m = graded_square_mesh()
     system = fem.StiffnessSystem(m)
     a, b, c, d, e, f = 0.002, 0.003, -0.001, 0.001, -0.002, 0.004
     exact = np.column_stack([

@@ -216,15 +216,25 @@ def test_cli_mesh_outputs(tmp_path):
     assert set(meta["afferent_nodes"]) == {"SA", "RA", "PC"}
     assert "config=" in meta["provenance"]
 
+    # a rerun writes the same bytes, and simulate solves on this mesh
     out2 = tmp_path / "out2"
     assert cli.main(["mesh", "--config", cfg_path, "--out", str(out2)]) == 0
-    assert (out / "mesh.txt").read_bytes() == (out2 / "mesh.txt").read_bytes()
+    for name in ("mesh.txt", "mesh_meta.json"):
+        assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
+    simulated = tmp_path / "simulated"
+    protocol = write_protocol(tmp_path, [sin_spec(50.0, 34.80)])
+    sim_cfg = write_config(tmp_path, {"protocol": protocol}, "simulate.json")
+    assert cli.main(["simulate", "--config", sim_cfg, "--out", str(simulated)]) == 0
+    assert (simulated / "mesh.txt").read_bytes() == (out / "mesh.txt").read_bytes()
 
 
 def test_cli_validate_default_geometry(tmp_path):
     cfg_path = write_config(tmp_path, {})
-    out = tmp_path / "out"
+    out, again = tmp_path / "out", tmp_path / "again"
     assert cli.main(["validate", "--config", cfg_path, "--out", str(out)]) == 0
+    assert cli.main(["validate", "--config", cfg_path, "--out", str(again)]) == 0
+    for name in ("validation_report.json", "deflection.csv"):
+        assert (out / name).read_bytes() == (again / name).read_bytes(), name
     report = json.loads((out / "validation_report.json").read_text())
     assert report["passed"] is True
     assert 0.9 <= report["max_deflection_mm"] <= 1.1
@@ -291,12 +301,20 @@ def test_cli_simulate_rerun_is_byte_identical(tmp_path):
     for p, blob in before.items():
         assert (out / p).read_bytes() == blob, p
 
+    # the resolved config the run wrote reproduces it elsewhere
+    resolved = tmp_path / "resolved"
+    assert cli.main(["simulate", "--config", str(out / "config_resolved.json"),
+                     "--out", str(resolved)]) == 0
+    for p, blob in before.items():
+        if p != "config_resolved.json":
+            assert (resolved / p).read_bytes() == blob, p
+
 
 def test_cli_simulate_restated_step_changes_no_output(tmp_path):
     """"dt_ms": 0.5 in the config or in a protocol entry restates the model's
     step, and the run writes what it writes with the key left out.  The
-    config hash reads the protocol file's bytes, so there the provenance
-    lines name another hash; every other byte is the same."""
+    config hash reads the stimuli a protocol file loads to, not its bytes,
+    so even the provenance lines are the same."""
     plain = write_protocol(tmp_path, [sin_spec(50.0, 34.80)])
     payload = json.loads(open(plain).read())
     payload["stimuli"][0]["dt_ms"] = 0.5
@@ -313,10 +331,12 @@ def test_cli_simulate_restated_step_changes_no_output(tmp_path):
         resolved = json.loads((out / "config_resolved.json").read_text())
         del resolved["output_dir"], resolved["protocol"]
         outputs[name] = resolved, {
-            p.relative_to(out): p.read_bytes().replace(hashes[name].encode(), b"<hash>")
+            p.relative_to(out): p.read_bytes()
             for p in out.rglob("*") if p.is_file() and p.name != "config_resolved.json"
         }
-    assert hashes["config"] == hashes["plain"] != hashes["protocol"]
+    assert hashes["config"] == hashes["plain"] == hashes["protocol"]
+    other = write_protocol(tmp_path, [sin_spec(50.0, 34.81)], "other.json")
+    assert config.config_from_dict({"protocol": other}).content_hash() != hashes["plain"]
     assert len(outputs["plain"][1]) == 6  # rates, spikes, mesh and three traces
     assert outputs["config"] == outputs["plain"]
     assert outputs["protocol"] == outputs["plain"]
@@ -1044,16 +1064,21 @@ def test_cli_input_not_utf8_exits_2(tmp_path, reader):
 
 
 def test_load_protocol_reads_utf8_whatever_the_locale(tmp_path):
-    # the id's é as its two UTF-8 bytes, not as a JSON \u escape
+    # the id's é as its two UTF-8 bytes, not as a JSON \u escape; so too
+    # the output directory a config names
     path = tmp_path / "protocol.json"
     write_protocol_file([sin_spec(50.0, 34.80)], path)
     path.write_bytes(path.read_bytes().replace(b"sin_050hz_034.80um", "sin_\u00e9".encode()))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_bytes('{"output_dir": "out_\u00e9"}'.encode())
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
-    code = ("import sys\nfrom afferentsim import stimulus\n"
+    code = ("import sys\nfrom afferentsim import config, stimulus\n"
             "(spec,) = stimulus.load_protocol(sys.argv[1])\n"
-            "assert spec.stimulus_id == 'sin_\\u00e9', ascii(spec.stimulus_id)")
+            "assert spec.stimulus_id == 'sin_\\u00e9', ascii(spec.stimulus_id)\n"
+            "cfg = config.load_config(sys.argv[2])\n"
+            "assert cfg.output_dir == 'out_\\u00e9', ascii(cfg.output_dir)")
     done = subprocess.run(
-        [sys.executable, "-c", code, str(path)],
+        [sys.executable, "-c", code, str(path), str(cfg_path)],
         env=dict(os.environ, PYTHONPATH=src, PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
                  LC_ALL="C"),
         capture_output=True, text=True, errors="replace",

@@ -15,6 +15,7 @@ from scipy.sparse.linalg import spsolve
 from afferentsim import config, fem, mesh, pipeline, stimulus
 from afferentsim.errors import InvertedElementError, NumericalError, ValidationError
 from afferentsim.mesh import AFFERENT_TYPES
+from conftest import graded_square_mesh
 from oracles import (
     batched_block_cholesky,
     constrained_solve,
@@ -25,16 +26,6 @@ from oracles import (
 )
 
 SOFT = mesh.MaterialLayer("soft", 1.0, 0.3, (0.0, 1.0))
-
-
-def graded_square_mesh(nu=0.3, width=0.8, depth=0.95, h0=0.2):
-    """4x4 graded mesh on a single material."""
-    layers = (mesh.MaterialLayer("soft", 1.0, nu, (0.0, depth)),)
-    spec = mesh.GeometrySpec(
-        domain_width_mm=width, surface_element_mm=h0, coarsening=8.0,
-        afferent_depths_mm={t: depth / 2 for t in mesh.AFFERENT_TYPES},
-    )
-    return mesh.build_mesh(spec, layers)
 
 
 def single_element_mesh(E=1.0, nu=0.0):
@@ -116,24 +107,6 @@ def test_stress_recovery_subset_matches_full():
     subset = np.array([0, 3, 7, m.n_nodes - 1])
     partial = fem.recover_stress(system, u, node_ids=subset)
     assert np.array_equal(partial, full[subset])
-
-
-def test_von_mises_identities(rng):
-    s = 3.7
-    assert fem.von_mises(np.array([s, 0.0, 0.0, 0.0])) == pytest.approx(abs(s))
-    assert fem.von_mises(np.array([0.0, 0.0, 0.0, s])) == pytest.approx(np.sqrt(3) * abs(s))
-    assert fem.von_mises(np.array([s, s, s, 0.0])) == pytest.approx(0.0, abs=1e-14)
-    for _ in range(100):
-        sxx, syy, txy, szz = rng.normal(scale=5.0, size=4)
-        theta = rng.uniform(0, 2 * np.pi)
-        c, s_ = np.cos(theta), np.sin(theta)
-        # rotate the in-plane tensor; szz is unchanged by in-plane rotation
-        rxx = c * c * sxx + s_ * s_ * syy + 2 * c * s_ * txy
-        ryy = s_ * s_ * sxx + c * c * syy - 2 * c * s_ * txy
-        rxy = (syy - sxx) * c * s_ + (c * c - s_ * s_) * txy
-        vm0 = fem.von_mises(np.array([sxx, syy, szz, txy]))
-        vm1 = fem.von_mises(np.array([rxx, ryy, szz, rxy]))
-        assert abs(vm0 - vm1) <= 1e-10 * max(1.0, vm0)
 
 
 def contact_active_set(footprint, depth_mm):
@@ -296,36 +269,6 @@ def test_solve_on_random_constraint_sets(graded_system, fixed, fields, seed):
     # K on this mesh has condition number below 1e6, so float64 solvers
     # agree to about 1e-10 of the largest displacement
     assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
-
-
-def test_flamant_surface_deflection_differences():
-    # homogeneous half-plane, centered point load; deflection differences
-    # follow (2P(1-nu^2)/(pi E)) * ln(x_ref/x) away from the load
-    E, nu, P = 1.0, 0.3, 0.01
-    layers = (mesh.MaterialLayer("half", E, nu, (0.0, 40.0)),)
-    spec = mesh.GeometrySpec(
-        domain_width_mm=80.0, surface_element_mm=0.5, coarsening=20.0,
-        afferent_depths_mm={t: 1.0 for t in mesh.AFFERENT_TYPES},
-    )
-    m = mesh.build_mesh(spec, layers)
-    system = fem.StiffnessSystem(m)
-    # the downward load P on the centre node: -P times the unit upward load's
-    # field, from a footprint (0.1 mm wide at x = 0) of that node alone
-    response = fem.build_footprint_response(system, 0.1, 0.0)
-    assert m.nodes[response.nodes, 0].tolist() == [0.0]
-    u = -P * response.fields[:, 0]
-    surf_x = m.nodes[m.surface_nodes, 0]
-    order = np.argsort(surf_x)
-    xs = surf_x[order]
-    w = -u[2 * m.surface_nodes + 1][order]  # downward positive
-
-    x_ref = 6.0
-    w_ref = np.interp(x_ref, xs, w)
-    scale = 2.0 * P * (1.0 - nu**2) / (np.pi * E)
-    for x in np.arange(1.5, 5.51, 0.5):
-        measured = np.interp(x, xs, w) - w_ref
-        analytic = scale * np.log(x_ref / x)
-        assert abs(measured - analytic) <= 0.05 * abs(analytic)
 
 
 def test_run_indentation_zero_trace_is_silent(default_footprint):
@@ -493,16 +436,13 @@ def test_stress_trace_csv_matches_oracle_on_simulated_bank(default_config):
         assert text == stress_csv_text(trace, "config=0123abcd"), i
 
 
-@pytest.mark.parametrize("dt, header, times", [
-    (0.5, "# RA,1,0.5", ["0.0", "0.5", "1.0"]),
-])
-def test_stress_trace_csv_formats_dt_as_float(dt, header, times):
+def test_stress_trace_csv_formats_dt_as_float():
     # the header and the t_ms column carry the model's one step
-    assert stimulus.DT_MS == dt
+    assert stimulus.DT_MS == 0.5
     trace = fem.StressTrace("RA", node_id=1, values=np.array([1.0, 2.0, 3.0]))
     lines = trace.csv_text().splitlines()
-    assert lines[1] == header
-    assert [row.split(",")[0] for row in lines[3:]] == times
+    assert lines[1] == "# RA,1,0.5"
+    assert [row.split(",")[0] for row in lines[3:]] == ["0.0", "0.5", "1.0"]
 
 
 @pytest.mark.parametrize("h", [0.2, 0.1, 0.05, "single element"])

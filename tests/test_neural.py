@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -201,7 +200,7 @@ def test_membrane_trace_below_threshold():
     d = 2.0 * (ra.threshold_mv - ra.u_reset_mv) / ra.tau_m_ms
     (steps,) = constant_drive_steps(ra, [d], n=8001)
     assert steps.size > 0
-    c1, c3 = neural._step_coefficients(ra.tau_m_ms)
+    c1 = 1.0 - DT / ra.tau_m_ms
     n_refr = int(np.ceil(ra.tau_r_ms / DT))
     spiked = np.zeros(8001, dtype=bool)
     spiked[steps] = True
@@ -211,42 +210,13 @@ def test_membrane_trace_below_threshold():
     for k in range(8000):
         dk = 0.0 if refr > 0 else d
         refr = max(refr - 1, 0)
-        u = c1 * membrane[k] + (1.0 - c1) * ra.u_rest_mv + c3 * dk
+        u = c1 * membrane[k] + (1.0 - c1) * ra.u_rest_mv + DT * dk
         assert (u >= ra.threshold_mv) == spiked[k + 1], k + 1
         membrane[k + 1] = ra.u_reset_mv if spiked[k + 1] else u
         if spiked[k + 1]:
             refr = n_refr
     assert np.all(membrane < ra.threshold_mv)
     assert np.allclose(membrane[steps], ra.u_reset_mv)
-
-
-def closed_form_isi(params, d):
-    """Steady-state inter-spike interval for a constant suprathreshold drive."""
-    tau = params.tau_m_ms
-    gap = params.threshold_mv - params.u_reset_mv
-    return params.tau_r_ms + tau * math.log(tau * d / (tau * d - gap))
-
-
-def test_isi_matches_closed_form(rng):
-    """20 draws as one SpikeCounter call: the input sits at a3, so each
-    unit's drive is alpha'/2 = d exactly."""
-    units, drives = [], []
-    for _ in range(20):
-        tau = float(np.exp(rng.uniform(np.log(25.0), np.log(800.0))))
-        tau_r = float(rng.choice([0.5, 1.0]))
-        theta = float(rng.choice([-50.0, -55.0]))
-        gap = theta - neural.U_RESET_MV
-        d = float(rng.uniform(1.2, 30.0)) * gap / tau
-        units.append(neural.AfferentParams(
-            afferent_type="RA", tau_m_ms=tau, alpha_prime=2.0 * d,
-            a3_pa_per_ms=1000.0, threshold_mv=theta, tau_r_ms=tau_r,
-        ))
-        drives.append(d)
-    steps = whole_trace_steps([(np.full(120001, 1000.0),)], units)
-    for params, d, (spikes,) in zip(units, drives, steps):
-        assert len(spikes) >= 3
-        isi = np.diff(spikes)[-1] * DT
-        assert abs(isi - closed_form_isi(params, d)) <= 2 * DT
 
 
 def test_refractory_gap_enforced():
@@ -257,21 +227,24 @@ def test_refractory_gap_enforced():
         assert np.diff(spikes).min() >= params.tau_r_ms - DT / 2
 
 
-def _lif_spike_steps_py(drive, c1, c3, u_rest, u_reset, theta, n_refr):
-    """Scalar integrate-and-fire loop; the oracle for SpikeCounter."""
-    n = drive.shape[0]
-    uk = u_rest
+def _lif_spike_steps_py(terms, p):
+    """Scalar integrate-and-fire loop of parameter set p over its inputs
+    `terms`; the oracle for SpikeCounter."""
+    drive = stress_to_drive(terms, p)
+    c1 = 1.0 - DT / p.tau_m_ms
+    n_refr = int(np.ceil(p.tau_r_ms / DT))
+    uk = p.u_rest_mv
     refr = 0
     steps = []
-    for k in range(n - 1):
+    for k in range(drive.shape[0] - 1):
         d = drive[k]
         if refr > 0:
             d = 0.0
             refr -= 1
-        uk = c1 * uk + (1.0 - c1) * u_rest + c3 * d
-        if uk >= theta:
+        uk = c1 * uk + (1.0 - c1) * p.u_rest_mv + DT * d
+        if uk >= p.threshold_mv:
             steps.append(k + 1)
-            uk = u_reset
+            uk = p.u_reset_mv
             refr = n_refr
     return steps
 
@@ -329,11 +302,7 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
     assert got.shape == (n_par, n_stim)
     for i, p in enumerate(params):
         for s, (terms, (start, end)) in enumerate(zip(features, windows)):
-            c1, c3 = neural._step_coefficients(p.tau_m_ms)
-            steps = _lif_spike_steps_py(
-                stress_to_drive(terms, p), c1, c3, p.u_rest_mv, p.u_reset_mv,
-                p.threshold_mv, int(np.ceil(p.tau_r_ms / DT)),
-            )
+            steps = _lif_spike_steps_py(terms, p)
             k_lo, k_hi = neural.window_steps(start, end)
             # the counter stops at the window end: later spikes are not kept
             assert got_steps[i][s].tolist() == [k for k in steps if k < k_hi], (i, s)
@@ -371,11 +340,7 @@ def test_spike_counter_is_block_invariant(monkeypatch, block):
     got, got_steps = counter(table), counter.spike_steps(table)
     for i, p in enumerate(params):
         for s, (terms, (start, end)) in enumerate(zip(features, windows)):
-            c1, c3 = neural._step_coefficients(p.tau_m_ms)
-            steps = _lif_spike_steps_py(
-                stress_to_drive(terms, p), c1, c3, p.u_rest_mv, p.u_reset_mv,
-                p.threshold_mv, int(np.ceil(p.tau_r_ms / DT)),
-            )
+            steps = _lif_spike_steps_py(terms, p)
             k_lo, k_hi = neural.window_steps(start, end)
             assert got_steps[i][s].tolist() == [k for k in steps if k < k_hi], (i, s)
             assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
@@ -401,11 +366,7 @@ def test_window_counts_above_a_byte_match_scalar_loop():
         neural.ParamTable.from_params(params))
     for i, p in enumerate(params):
         for s, (terms, (start, end)) in enumerate(zip(features, windows)):
-            c1, c3 = neural._step_coefficients(p.tau_m_ms)
-            steps = _lif_spike_steps_py(
-                stress_to_drive(terms, p), c1, c3, p.u_rest_mv, p.u_reset_mv,
-                p.threshold_mv, int(np.ceil(p.tau_r_ms / DT)),
-            )
+            steps = _lif_spike_steps_py(terms, p)
             k_lo, k_hi = neural.window_steps(start, end)
             assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
     # the first unit's counts span three byte-wide chunks
