@@ -7,51 +7,33 @@ active set); the bottom boundary is fixed.  Units are mm / MPa internally
 neural constants are Pa-based.
 
 Only the surface nodes within the indenter's radius (its footprint: 5 at
-h = 0.2 mm, 11 at 0.1) can ever be prescribed, so run_indentation works on
-the skin condensed to them (influence coefficients, as in Kalker's and
-Polonsky & Keer's contact solvers).  The probe's shape and its motion are
-held apart.  FootprintResponse is the one place that knows where the probe
-sits and how wide it is: build_footprint_response takes its diameter and
-centre, finds the footprint nodes and the circle's height over each, factors
-K once and makes one multi-column solve for the displacement field under a
-unit vertical load at each footprint node, with the bottom fixed.  Its
-compliance C (vertical displacement at each footprint node per unit load)
-turns a contact set A with prescribed displacements g_A into footprint
-loads f_A = C_AA^-1 g_A, of which the afferent stress and the displacement
-field are linear maps.  Nodes join the contact in order of decreasing
-height, and within one set every prescribed value is the node's offset
-under the circle minus the depth, so the loads are a piecewise-affine
-function of depth alone.  The response holds it as a table, one segment
-per contact set, each solved once (n_A x n_A, two columns).  IndenterSpec
-holds only the motion (trace and pre-indentation).  A run builds one
-response and passes it with each stimulus's motion to
-run_indentation(footprint, indenter), which needs no mesh and makes no
-solve: it reads each step's loads off the table.  The solver is
-quasi-static and reads no time step; stimulus.DT_MS only labels the
-stress traces, one value per displacement sample.
+h = 0.2 mm, 11 at 0.1) can ever be prescribed, so the skin is condensed to
+them (influence coefficients, as in Kalker's and Polonsky & Keer's contact
+solvers).  build_footprint_response makes the FootprintResponse of one
+probe: the field under a unit load at each footprint node, and the loads
+over depth as a table of one segment per contact set, each solved once.
+run_indentation(footprint, indenter) reads each step's loads off it, with
+no mesh and no solve; IndenterSpec holds only the probe's motion.
 
 Assembly uses 4-node bilinear isoparametric quads with 2x2 Gauss
-quadrature (the element map and its Jacobians live in mesh).  The DOFs
-are numbered by node (x, y), both DOFs of a node together; on the
-structured skin grid this makes K banded, and with blocks as wide as the
-band K is block-tridiagonal (BlockTridiagonal: dense diagonal and
-sub-diagonal blocks, 33 DOFs wide at h = 0.2 mm).  K_ff is factored by a
-block Cholesky (BlockCholesky) in plain NumPy.  Every solve is refined once
-against a residual summed in extended precision (np.longdouble), so the
+quadrature (the element map and its gradients live in mesh).  The DOFs are
+numbered by node (x, y), so on the structured skin grid K is
+block-tridiagonal (BlockTridiagonal, 33 DOFs wide blocks at h = 0.2 mm),
+factored by a block Cholesky (BlockCholesky) in plain NumPy.  Every solve
+is refined once against a residual summed in extended precision, so the
 condensed path and a one-shot solve with the contact set fixed
-(constrained_solve in tests/oracles.py) agree to round-off of the answer,
-not of the factorization: within 1e-13 relative at the surface
-deflection's zero crossing near x = 7 mm at h = 0.2 mm (3.7e-12 without
-the refinement; where np.longdouble is no wider than float64 it runs at
-working precision).
+(constrained_solve in tests/oracles.py) agree to round-off of the answer:
+within 1e-13 relative at the surface deflection's zero crossing near
+x = 7 mm at h = 0.2 mm (3.7e-12 without the refinement).
 
-The set-up, StiffnessSystem(mesh) then build_footprint_response, keeps
-three mesh-sized arrays alive at once: K (2 nb - 1 blocks of b x b), the
-factor (as many: N and inv(L_k)) and the element matrices B.  The element
-stiffnesses go once K is summed, and the factor, K with only the bottom
-fixed, once the unit loads are solved; factorization and residual work
-RUN_BLOCKS block rows at a time, so their temporaries do not grow with
-the mesh (the traced peak stays under 4 x K's bytes at h = 0.2 and 0.1).
+The set-up, StiffnessSystem(mesh) then build_footprint_response, keeps two
+mesh-sized arrays alive: K and its factor, which goes once the unit loads
+are solved.  It keeps no strain matrices: the assembly uses each Gauss
+point's gradients only for the element stiffnesses, and recover_stress
+forms them for the elements it visits.  Factorization and residual work
+RUN_BLOCKS block rows, and the unit-load solve UNIT_LOAD_COLUMNS columns,
+at a time: the traced peak stays under 3.3 x K's bytes at h = 0.2, 0.1
+and 0.05 mm.
 """
 
 from __future__ import annotations
@@ -62,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .mesh import AFFERENT_TYPES, GAUSS_GRADIENTS, Mesh, _distinct_reprs, check_jacobians
+from .mesh import AFFERENT_TYPES, Mesh, _distinct_reprs, gauss_gradients
 from .stimulus import DT_MS
 
 # --------------------------------------------------------------------------
@@ -237,8 +219,14 @@ PIVOT_FLOOR = 1e-12
 # Block rows per run: BlockCholesky factors, and BlockTridiagonal.residual
 # sums, K a run at a time, which batches the LAPACK calls and reductions and
 # keeps the temporaries a few blocks wide (with 16 blocks the set-up's traced
-# peak at h = 0.2 mm is 4.2 x K's bytes, with 8 it is 3.7 x).
+# peak at h = 0.2 mm is 3.5 x K's bytes, with 8 it is 3.1 x).
 RUN_BLOCKS = 8
+
+# Unit loads per solve in build_footprint_response.  Chunks start at
+# multiples of it, which keeps each column's bits those of one solve over
+# all; a lone last column joins the chunk before it, since BLAS takes a
+# one-column product by another path, which rounds differently.
+UNIT_LOAD_COLUMNS = 8
 
 
 class BlockTridiagonal:
@@ -425,7 +413,9 @@ class BlockCholesky:
 
 
 class StiffnessSystem:
-    """Assembled global stiffness plus per-element data for stress recovery."""
+    """Assembled global stiffness plus the per-element data stress recovery
+    reads (DOFs, D and Poisson's ratio); it holds no strain matrices, which
+    recover_stress forms for the elements it visits."""
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
@@ -437,9 +427,8 @@ class StiffnessSystem:
         self.nu_by_element = nu[mesh.element_material]
         self.d_by_element = d = d_table[mesh.element_material]  # (m, 3, 3)
 
-        jacobians, dets = check_jacobians(mesh)  # (4, m, 2, 2), (4, m)
+        grads, dets = gauss_gradients(mesh)  # (4, m, 2, 4), (4, m)
         m = mesh.n_elements
-        self.B = np.zeros((m, 4, 3, 8))
         # ke[a, p, c, q] couples DOF p of node a with DOF q of node c; the
         # element axis comes last, so every product runs over all elements
         # in one stride
@@ -447,15 +436,7 @@ class StiffnessSystem:
         prod, term = np.empty_like(ke), np.empty_like(ke)  # reused by every Gauss point
         d_pq = d[:, :2, :2].transpose(1, 2, 0)[None]  # (1, p, q, m)
         d_22 = d[:, 2, 2]
-        for g, (dn, jac, det) in enumerate(zip(GAUSS_GRADIENTS, jacobians, dets)):
-            inv = np.stack([jac[:, 1, 1], -jac[:, 0, 1], -jac[:, 1, 0], jac[:, 0, 0]], axis=1)
-            inv = inv.reshape(-1, 2, 2) / det[:, None, None]
-            dnxy = np.einsum("mrc,ck->mrk", inv, dn)  # (m, 2, 4)
-            b = self.B[:, g]
-            b[:, 0, 0::2] = dnxy[:, 0]
-            b[:, 1, 1::2] = dnxy[:, 1]
-            b[:, 2, 0::2] = dnxy[:, 1]
-            b[:, 2, 1::2] = dnxy[:, 0]
+        for dnxy, det in zip(grads, dets):
             # B^T D B det J by node pairs (2x2 Gauss weights are all 1).  Row p < 2
             # of B is dN/dx_p on DOF p and zero on the other; the shear row is
             # dN/dx_(1-q) on DOF q.  So of D's five nonzero entries, pairing (p, q)
@@ -470,7 +451,7 @@ class StiffnessSystem:
             term *= det
             prod += term
             ke += prod
-        del prod, term
+        del prod, term, grads, dnxy
         ke = ke.reshape(64, m).T.reshape(m, 8, 8)
 
         edof = np.empty((m, 8), dtype=np.int64)
@@ -530,8 +511,12 @@ def recover_stress(
     elem_idx = np.flatnonzero(np.isin(mesh.elements, targets).any(axis=1))
 
     elems = mesh.elements[elem_idx]
+    dnxy = gauss_gradients(mesh, elem_idx)[0].transpose(1, 0, 2, 3)  # (me, 4, 2, 4)
+    b = np.zeros((elem_idx.size, 4, 3, 8))  # strain-displacement matrices
+    b[..., 0, 0::2] = b[..., 2, 1::2] = dnxy[..., 0, :]
+    b[..., 1, 1::2] = b[..., 2, 0::2] = dnxy[..., 1, :]
     ue = u[system.edof[elem_idx]]  # (me, 8)
-    eps = np.einsum("egij,ej->egi", system.B[elem_idx], ue)  # (me, 4, 3)
+    eps = np.einsum("egij,ej->egi", b, ue)  # (me, 4, 3)
     sig = np.einsum("eij,egj->egi", system.d_by_element[elem_idx], eps)  # (me, 4, 3)
     szz = system.nu_by_element[elem_idx][:, None] * (sig[..., 0] + sig[..., 1])
     gauss = np.concatenate([sig[..., :2], szz[..., None], sig[..., 2:]], axis=2)
@@ -568,8 +553,9 @@ def build_footprint_response(
     response to a unit vertical load on each surface node within its radius,
     and the table of footprint loads over depth built from it.
 
-    K is factored with only the bottom fixed, and all unit loads go through
-    one multi-column solve; the factor is dropped once they are solved.
+    K is factored with only the bottom fixed, and the unit loads go through
+    it UNIT_LOAD_COLUMNS at a time, each chunk's residual checked as it is
+    solved; the factor is dropped once they all are.
     Each contact segment then takes one small dense solve (_contact_loads).
     Raises ValidationError if the diameter or the centre is not finite (or
     the diameter not > 0), the mesh does not name all its afferent nodes or
@@ -605,12 +591,15 @@ def build_footprint_response(
         raise NumericalError(f"stiffness factorization failed with {fixed.size} constrained "
                              f"DOFs: {exc}") from exc
 
-    loads = np.zeros((system.ndof, nodes.size))
-    loads[2 * nodes + 1, np.arange(nodes.size)] = 1.0
-    fields = np.zeros_like(loads)
-    fields[free] = factor.solve(loads[free])
-    del factor  # before the residual check, which is as large as a solve
-    residual = np.linalg.norm((system.K @ fields - loads)[free], axis=0)
+    fields = np.zeros((system.ndof, nodes.size))
+    residual = np.empty(nodes.size)
+    starts = range(0, max(nodes.size - 1, 1), UNIT_LOAD_COLUMNS)  # no lone last column
+    for c0, c1 in zip(starts, [*starts[1:], nodes.size]):
+        loads = np.zeros((system.ndof, c1 - c0))
+        loads[2 * nodes[c0:c1] + 1, np.arange(c1 - c0)] = 1.0
+        fields[free, c0:c1] = factor.solve(loads[free])
+        residual[c0:c1] = np.linalg.norm((system.K @ fields[:, c0:c1] - loads)[free], axis=0)
+    del factor
     bad = ~(residual <= 1e-8)  # NaN counts as failed
     if np.any(bad):
         j = np.flatnonzero(bad)[0]

@@ -287,24 +287,33 @@ def locate_afferent_nodes(nodes: np.ndarray, depths: dict[str, float]) -> dict[s
     return out
 
 
-def check_jacobians(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians (4 gauss, m, 2, 2) and their determinants (4 gauss, m).
-
-    The one isoparametric map of the quad elements, shared by build_mesh
-    and the stiffness assembly.  Raises InvertedElementError
-    unless det J > 0 at all 2x2 Gauss points of every element.
-    """
-    coords = mesh.nodes[mesh.elements]  # (m, 4, 2)
+def check_jacobians(mesh: Mesh, elements=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobians (4 gauss, m, 2, 2) and determinants (4 gauss, m) of
+    mesh.elements[elements]: the one isoparametric map of the quads, for
+    build_mesh and gauss_gradients.  Raises InvertedElementError unless
+    det J > 0 at all 2x2 Gauss points of every element."""
+    coords = mesh.nodes[mesh.elements[elements]]  # (m, 4, 2)
     jac = np.stack([np.einsum("rk,mkc->mrc", dn, coords) for dn in GAUSS_GRADIENTS])
     det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     if not (det > 0).all():
         bad = int(np.flatnonzero((det <= 0).any(axis=0))[0])
         g = int(np.flatnonzero(det[:, bad] <= 0)[0])
         raise InvertedElementError(
-            f"non-positive Jacobian at Gauss point {g} of element {bad}: "
-            f"min det J = {det.min():.3e}"
+            f"non-positive Jacobian at Gauss point {g} of element "
+            f"{np.arange(mesh.n_elements)[elements][bad]}: min det J = {det.min():.3e}"
         )
     return jac, det
+
+
+def gauss_gradients(mesh: Mesh, elements=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Shape-function gradients dN/dx, dN/dy (4 gauss, m, 2, 4) and det J
+    (4 gauss, m) at the 2x2 Gauss points of mesh.elements[elements]: the one
+    inverse of check_jacobians' map, read by the stiffness assembly and by
+    stress recovery alike."""
+    jac, det = check_jacobians(mesh, elements)
+    inv = np.stack([jac[..., 1, 1], -jac[..., 0, 1], -jac[..., 1, 0], jac[..., 0, 0]], axis=-1)
+    inv = inv.reshape(jac.shape) / det[..., None, None]
+    return np.stack([np.einsum("mrc,ck->mrk", i, dn) for i, dn in zip(inv, GAUSS_GRADIENTS)]), det
 
 
 def _distinct_reprs(values: np.ndarray, suffix: str = "") -> tuple[list[str], np.ndarray]:

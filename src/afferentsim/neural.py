@@ -317,8 +317,10 @@ _TABLE_COLUMNS = ("tau_m_ms", "alpha_prime", "threshold_mv", "u_rest_mv",
 
 
 # Steps whose drive SpikeCounter forms at once.  Its (STEP_BLOCK, S, N)
-# buffers, one per saturation term and one for the drive, take 1.4 MB for
-# SA at a fit's 37 stimuli x 100 sets and so fit a 2 MB L2; 64 steps do not.
+# buffers, one per saturation term and one for the drive, are most of a
+# call's working memory: 1.4 MB for SA at a fit's 37 stimuli x 100 sets,
+# which fits a 2 MB L2.  64 steps do not fit; 8 take half, but 1-set calls
+# run about 10% slower and 100-set calls no faster.
 STEP_BLOCK = 16
 
 
@@ -327,41 +329,33 @@ class SpikeCounter:
 
     The bank holds S stimuli, each a tuple of filter-chain outputs (one per
     saturation term, as from filtered_inputs) with its own count window
-    [start, end) in ms.  Given a ParamTable of N parameter sets, the
-    loop integrates all S x N units together, one time step at a time, and
-    records which units spike at each step (one byte per unit and step).
-    Calling the counter returns the (N, S) spike counts inside each window;
-    spike_steps returns the spike steps themselves.
+    [start, end) in ms.  Given a ParamTable of N parameter sets, the loop
+    integrates all S x N units together, one time step at a time.  Calling
+    the counter returns the (N, S) spike counts inside each window, and
+    spike_steps the spike steps themselves.
 
     Each unit is a forward-Euler leaky integrate-and-fire cell driven by
     alpha' * sum_j f_j / (a_j + f_j) over its inputs f_j, summed in chain
     order.  A spike is recorded when the post-update potential reaches
     threshold, at the post-update step; the potential resets and the drive
     is gated off for n_refr = ceil(tau_r/dt) steps while the leak stays
-    active.  A unit stops at its window end (or its trace end), since later
-    steps cannot add to the count.  Every unit goes through the same IEEE
-    operations as a per-unit scalar loop, so its spikes equal that loop's
-    exactly.
+    active.  A unit stops at its window end (or its trace end).  Every unit
+    goes through the same IEEE operations as a per-unit scalar loop, so its
+    spikes equal that loop's exactly.
 
-    With the drive gated off, the n_refr steps after a spike follow a fixed
-    trajectory: after[0] = u_reset and after[j] = (after[j-1] * c1 + rest)
-    + 0, the step's own operations in its own order.  The loop makes
-    after[1..n_refr] once per call, and at each step writes after[j] over
-    the potential of every unit that spiked j steps before, oldest lag
-    first so that the latest spike wins; units with n_refr = 0 reset at the
-    spike itself.  The lags are read from the spike record, which starts
-    with max(n_refr) rows of zeros so those reads need no bounds.  Since no
-    step then changes a unit's drive, dt * alpha' * sum_j f_j / (a_j + f_j)
-    is formed for STEP_BLOCK steps at once, one input copy per term and one
-    ufunc call per operation into (STEP_BLOCK, S, N) buffers.
-
-    The loop is NumPy ufuncs on whole (S, N) arrays, and every operand of
-    its per-step arithmetic is laid out in that full shape, C-contiguous, so
-    none of it broadcasts.  A step is u * c1, + rest, + drive, one masked
-    copy per lag of the longest refractory period and the compare into the
-    spike record: 5 ufunc calls for RA and PC (one lag) and 6 for SA (two).
-    A lag that only some units reach, and the reset of units with
-    n_refr = 0 among others, each add one logical_and.
+    The n_refr steps after a spike follow a fixed trajectory, after[0] =
+    u_reset and after[j] = (after[j-1] * c1 + rest) + 0, made once per
+    call; each step writes after[j] over every unit that spiked j steps
+    before, oldest lag first so that the latest spike wins (n_refr = 0
+    resets at the spike itself).  The lags come from a ring spike record of
+    max(n_refr) + 1 rows (spike_steps keeps every step), and each step adds
+    its spikes into a byte-wide count that moves into an int64 total every
+    255 steps and at each window's opening, where its rows take a snapshot
+    of the total: a call's working memory does not grow with the trace.  As
+    no step changes a unit's drive, the drive is formed for STEP_BLOCK steps
+    at once.  A step is then u * c1, + rest, + drive, one masked copy per
+    lag, the compare into the record and the add into the count: 6 ufunc
+    calls for RA and PC and 7 for SA, on C-contiguous (S, N) operands.
     """
 
     def __init__(self, features, windows_ms):
@@ -405,33 +399,24 @@ class SpikeCounter:
 
     def __call__(self, table: ParamTable) -> np.ndarray:
         """(N, S) int64 spike counts inside each stimulus's window."""
-        spiked = self._integrate(table).view(np.uint8)
-        counts = np.empty(spiked.shape[1:], dtype=np.int64)
-        # a set, not np.unique: NumPy's first np.unique imports numpy.ma
-        for k0 in set(self._first.tolist()):
-            rows = self._first == k0
-            total = np.zeros_like(counts)
-            # 0/1 bytes summed over at most 255 steps fit a byte, and a byte
-            # sum is about five times faster than one widened to uint32
-            for a in range(k0, spiked.shape[0], 255):
-                total += spiked[a:a + 255].sum(axis=0, dtype=np.uint8)
-            counts[rows] = total[rows]
         out = np.empty((len(table), self.n_stimuli), dtype=np.int64)
-        out[:, self._order] = counts.T
+        out[:, self._order] = self._integrate(table)[0].T
         return out
 
     def spike_steps(self, table: ParamTable) -> list[list[np.ndarray]]:
         """Steps of every spike, [parameter set][stimulus], each increasing."""
-        by_unit = self._integrate(table).transpose(2, 1, 0)  # [i, row, k]
+        by_unit = self._integrate(table, whole=True)[1].transpose(2, 1, 0)  # [i, row, k]
         steps = np.flatnonzero(by_unit) % by_unit.shape[2] + 1
         per_unit = np.split(steps, np.cumsum(by_unit.sum(axis=2).ravel())[:-1])
         rows = np.argsort(self._order)  # the row of each stimulus
         n_stim = self.n_stimuli
         return [[per_unit[i * n_stim + r] for r in rows] for i in range(len(table))]
 
-    def _integrate(self, table: ParamTable) -> np.ndarray:
-        """spiked[k, row, i]: unit (row, i) reached threshold moving to step
-        k + 1; rows are stimuli longest first, i indexes the table."""
+    def _integrate(self, table: ParamTable, whole: bool = False) -> tuple[np.ndarray, ...]:
+        """(counts, spiked): counts[row, i] the spikes of unit (row, i) inside
+        its window, rows being stimuli longest first and i indexing the
+        table; with whole, spiked[k, row, i] whether the unit reached
+        threshold moving to step k + 1."""
         if table.saturation.shape[0] != self.n_terms:
             raise ValidationError(
                 f"the parameter sets have {table.saturation.shape[0]} saturation "
@@ -456,8 +441,8 @@ class SpikeCounter:
         after = [full(table.u_reset_mv)]
         for _ in range(lead):
             after.append((after[-1] * c1 + rest) + 0.0)
-        # step k reads record row lead + k - j for each lag j, which holds
-        # the units with n_refr >= j: every unit, or those under a mask
+        # step k writes row lead + k and reads lag j from row lead + k - j (mod
+        # the ring); lag j acts on the units with n_refr >= j: all, or a mask
         lags = [(lead - j, after[j], None if (n_refr >= j).all() else n_refr >= j)
                 for j in range(lead, 0, -1)]
         no_refr = n_refr == 0
@@ -468,7 +453,14 @@ class SpikeCounter:
         # flat, so that each block's (steps, m, N) view is C-contiguous
         size = min(STEP_BLOCK, n_steps) * shape[0] * shape[1]
         buffers = [np.empty(size) for _ in range(self.n_terms + 1)]  # drive, inputs
-        spiked = np.zeros((lead + n_steps,) + shape, dtype=bool)
+        ring = lead + (n_steps if whole else 1)  # lead + 1 rows hold every lag
+        spiked = np.zeros((ring,) + shape, dtype=bool)
+        # a byte-wide count, flushed every 255 steps so that it cannot wrap
+        recent = np.zeros(shape, dtype=np.uint8)
+        total, opened = np.zeros((2,) + shape, dtype=np.int64)
+        opens = {k: self._first == k for k in set(self._first.tolist())}
+        begin = min(opens)
+        flushes = set(range(begin, n_steps, 255)) | set(opens)
         stop = self._stop.tolist()
         start = 0
         for m in range(shape[0], 0, -1):
@@ -481,7 +473,7 @@ class SpikeCounter:
             c1m, restm = c1[:m], rest[:m]
             alpham, thetam = alpha[:m], theta[:m]
             satm = [a[:m] for a in sat]
-            record = spiked[:, :m]
+            record, record8, recentm = spiked[:, :m], spiked.view(np.uint8)[:, :m], recent[:m]
             overwrites = [(back, x[:m], None if g is None else g[:m]) for back, x, g in lags]
             at_spike = [(x[:m], None if g is None else g[:m]) for x, g in resets]
             for k0 in range(start, end, STEP_BLOCK):
@@ -502,6 +494,11 @@ class SpikeCounter:
                 np.multiply(dd, alpham, out=dd)
                 np.multiply(dd, DT_MS, out=dd)
                 for k in range(k0, k1):
+                    if k in flushes:
+                        total += recent
+                        recent[...] = 0
+                        if k in opens:
+                            opened[opens[k]] = total[opens[k]]
                     # u <- (c1*u + (1 - c1)*u_rest) + dt*d
                     np.multiply(uu, c1m, out=uu)
                     np.add(uu, restm, out=uu)
@@ -509,17 +506,22 @@ class SpikeCounter:
                     # units that spiked in their last n_refr steps follow
                     # the gated trajectory instead
                     for back, x, mask in overwrites:
-                        g = record[k + back]
+                        g = record[(k + back) % ring]
                         if mask is not None:
                             g = np.logical_and(g, mask, out=gg)
                         np.copyto(uu, x, where=g)
-                    ss = record[lead + k]
+                    w = (lead + k) % ring
+                    ss = record[w]
                     np.greater_equal(uu, thetam, out=ss)
+                    if k >= begin:
+                        np.add(recentm, record8[w], out=recentm)
                     for x, mask in at_spike:
                         g = ss if mask is None else np.logical_and(ss, mask, out=gg)
                         np.copyto(uu, x, where=g)
             start = end
-        return spiked[lead:]
+        total += recent
+        # a window that opens after its stimulus stops counts nothing
+        return np.where((self._first < self._stop)[:, None], total - opened, 0), spiked[lead:]
 
 
 def run_afferents(

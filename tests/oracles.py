@@ -14,7 +14,7 @@ import numpy as np
 
 from afferentsim import fem
 from afferentsim.errors import ValidationError
-from afferentsim.mesh import AFFERENT_TYPES, Mesh, MaterialLayer, check_jacobians
+from afferentsim.mesh import AFFERENT_TYPES, Mesh, MaterialLayer, check_jacobians, gauss_gradients
 from afferentsim.neural import SATURATION_FIELDS
 from afferentsim.optimize import OBJECTIVE_FREQS, genes_to_params
 
@@ -154,11 +154,16 @@ def stress_csv_text(trace, provenance=None):
 
 def einsum_stiffness(system):
     """system's K assembled from element matrices sum_g B_g^T D B_g det J_g,
-    each taken by one four-operand einsum over the full 3 x 3 D."""
-    _, dets = check_jacobians(system.mesh)
+    each taken by one four-operand einsum over the full 3 x 3 D, with the
+    strain matrices B formed here from the mesh's Gauss-point gradients."""
+    grads, dets = gauss_gradients(system.mesh)  # (4, m, 2, 4), (4, m)
     ke = np.zeros((system.mesh.n_elements, 8, 8))
-    for g, det in enumerate(dets):
-        b = system.B[:, g]
+    for dnxy, det in zip(grads, dets):
+        b = np.zeros((system.mesh.n_elements, 3, 8))
+        b[:, 0, 0::2] = dnxy[:, 0]
+        b[:, 1, 1::2] = dnxy[:, 1]
+        b[:, 2, 0::2] = dnxy[:, 1]
+        b[:, 2, 1::2] = dnxy[:, 0]
         ke += np.einsum("mji,mjk,mkl,m->mil", b, system.d_by_element, b, det)
     return fem.BlockTridiagonal.from_elements(system.edof, ke, system.K.order)
 

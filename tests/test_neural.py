@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,10 +320,11 @@ def test_spike_counter_is_block_invariant(monkeypatch, block):
     while refractory: half of them on every step, half every third step,
     so lags reach back across block boundaries.  The stops (steps 76, 52,
     46 and 28) and the window starts at steps 11 and 25 fall inside blocks
-    of 3 and of 16."""
+    of 3 and of 16.  The last window opens at step 90, after every trace
+    has stopped, so it counts nothing."""
     monkeypatch.setattr(neural, "STEP_BLOCK", block)
     rng = np.random.default_rng(3)
-    features, windows = [], [(5.5, 38.5), (0.0, 100.0), (12.5, 26.5), (3.0, 40.0)]
+    features, windows = [], [(5.5, 38.5), (0.0, 100.0), (12.5, 26.5), (45.0, 60.0)]
     for n in (80, 47, 61, 29):
         features.append(tuple(np.abs(rng.normal(scale=2e4, size=n)) * (rng.random(n) < 0.8)
                               for _ in range(2)))
@@ -371,6 +373,30 @@ def test_window_counts_above_a_byte_match_scalar_loop():
             assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
     # the first unit's counts span three byte-wide chunks
     assert got[0].min() > 2 * 255 and got[2].max() < 255
+
+
+def test_spike_counter_working_memory_does_not_grow_with_the_trace():
+    """One call's traced peak at 4 000 steps exceeds its peak at 400 by far
+    less than a spike record of every step would take (3 600 steps x 4
+    stimuli x 50 sets, one byte each): the record keeps only the rows the
+    refractory lags read, and the window counts are summed as it runs."""
+    rng = np.random.default_rng(5)
+    params = [dataclasses.replace(PARAMS["SA"], alpha_prime=float(a))
+              for a in np.linspace(1.0, 20.0, 50)]
+    table = neural.ParamTable.from_params(params)
+    peaks = []
+    for n in (400, 4000):
+        features = [tuple(np.abs(rng.normal(scale=2e4, size=n)) for _ in range(2))
+                    for _ in range(4)]
+        counter = neural.SpikeCounter(features, [(10.0, n * DT)] * 4)
+        assert counter(table).sum() > 0
+        tracemalloc.start()
+        try:
+            counter(table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 3600 * 4 * 50 / 10
 
 
 def test_count_spikes_in_window_matches_simulation():
