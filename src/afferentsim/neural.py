@@ -10,11 +10,12 @@ Each afferent class reads a different feature of the local von Mises stress:
 The feature passes through a saturating transform ``alpha' * x / (a + x)``
 to a membrane drive in mV/ms, then a leaky integrate-and-fire unit with an
 absolute refractory period.  SpikeCounter holds the one integrate-and-fire
-loop: run_afferents turns whole stress traces into spike trains with it,
-and fitting counts spikes in windows with it.  Stress is in Pa, time in ms
-throughout, and every trace is sampled at stimulus.DT_MS (0.5 ms), the one
-step at which the constants hold, since the filters difference and average
-whole samples and the shipped constants were fitted at that step.
+loop, over the parameter sets of one cell (a ParamTable): run_afferents
+turns whole stress traces into spike trains with it, and fitting counts
+spikes in windows with it.  Stress is in Pa, time in ms throughout, and
+every trace is sampled at stimulus.DT_MS (0.5 ms), the one step at which
+the constants hold, since the filters difference and average whole
+samples and the shipped constants were fitted at that step.
 """
 
 from __future__ import annotations
@@ -173,10 +174,11 @@ def moving_average_abs(trace: np.ndarray, m_before: int, m_after: int) -> np.nda
         raise ValidationError("filter widths must be >= 0")
     x = np.abs(np.asarray(trace, dtype=float))
     width = m_before + m_after + 1
-    full = np.convolve(x, np.ones(width)) / width
-    # full[i] sums x[j] for j in [i-width+1, i]; the window centered per the
-    # spec above starts at index t + m_before of the full output
-    return full[m_before : m_before + x.size]
+    # the window ends at the trace's edges, so no half-width need pass n - 1;
+    # full[i] sums x[j] for j in [i - b - a, i], so t's window is full[t + b]
+    b, a = min(m_before, x.size - 1), min(m_after, x.size - 1)
+    full = np.convolve(x, np.ones(b + a + 1)) / width
+    return full[b : b + x.size]
 
 
 def abs_difference_filter(trace: np.ndarray) -> np.ndarray:
@@ -253,33 +255,29 @@ def window_steps(start_ms: float, end_ms: float) -> tuple[int, int]:
 
 @dataclass(eq=False)
 class ParamTable:
-    """N parameter sets as columns: the one entry type of SpikeCounter.
+    """N parameter sets of one cell: the one entry type of SpikeCounter.
 
-    Each field holds one value per set, in set order; `saturation` holds
-    the half-saturation constants in chain order, one row per term, shape
-    (n_terms, N).  The checks AfferentParams.validate makes on these fields
-    run on whole columns when the table is made, so every table is valid.
-    Fitting builds one straight from a population's genes; from_params
-    makes one from a list of AfferentParams.
+    Set i is `cell` with its tau_m, alpha' and saturation constants replaced
+    by column i of `tau_m_ms`, `alpha_prime` and `saturation` (one row per
+    term in chain order, shape (n_terms, N)); the fit keeps every other
+    constant fixed.  The cell validates itself and the columns are checked
+    whole, so every table is valid.  Fitting builds one straight from a
+    population's genes; from_params makes one from a list of AfferentParams.
     """
 
+    cell: AfferentParams
     tau_m_ms: np.ndarray
     alpha_prime: np.ndarray
     saturation: np.ndarray
-    threshold_mv: np.ndarray
-    u_rest_mv: np.ndarray
-    u_reset_mv: np.ndarray
-    tau_r_ms: np.ndarray
 
     def __post_init__(self):
+        self.cell.validate()
         self.saturation = np.array(self.saturation, dtype=float, ndmin=2)
-        if self.saturation.ndim != 2 or self.saturation.shape[1] == 0:
-            raise ValidationError(
-                "saturation must have shape (n_terms, N) with N >= 1, got "
-                f"{self.saturation.shape}"
-            )
-        n = self.saturation.shape[1]
-        for name in _TABLE_COLUMNS:
+        n, n_terms = self.saturation.shape[-1], len(SATURATION_FIELDS[self.cell.afferent_type])
+        if self.saturation.shape != (n_terms, n) or n == 0:
+            raise ValidationError(f"{self.cell.afferent_type} saturation must have shape "
+                                  f"({n_terms}, N) with N >= 1, got {self.saturation.shape}")
+        for name in ("tau_m_ms", "alpha_prime"):
             col = np.array(getattr(self, name), dtype=float)
             if col.shape != (n,):
                 raise ValidationError(f"{name} must have shape ({n},), got {col.shape}")
@@ -288,9 +286,6 @@ class ParamTable:
             ("tau_m_ms must be > 0", self.tau_m_ms > 0),
             ("alpha_prime must be > 0", self.alpha_prime > 0),
             ("saturation constants must be > 0", (self.saturation > 0).all(axis=0)),
-            ("need u_reset <= u_rest < threshold",
-             (self.u_reset_mv <= self.u_rest_mv) & (self.u_rest_mv < self.threshold_mv)),
-            ("tau_r_ms must be >= 0", self.tau_r_ms >= 0),
         ):
             if not ok.all():
                 raise ValidationError(f"{rule}; parameter set {np.argmin(ok)} breaks it")
@@ -300,20 +295,26 @@ class ParamTable:
 
     @classmethod
     def from_params(cls, params) -> "ParamTable":
-        """The table of a list of AfferentParams, each validated first."""
-        for p in params:
-            p.validate()
-        if len({len(p.saturation()) for p in params}) > 1:
-            raise ValidationError("parameter sets differ in their number of saturation terms")
+        """The table of a list of AfferentParams of one cell: the sets may
+        differ only in tau_m, alpha' and the saturation constants."""
+        if not params:
+            raise ValidationError("need at least one parameter set")
+        cell = params[0]
+        for i, p in enumerate(params):
+            differ = ", ".join(f for f in CELL_FIELDS if getattr(p, f) != getattr(cell, f))
+            if differ:
+                raise ValidationError(f"parameter set {i} differs from set 0 in {differ}")
         return cls(
+            cell,
+            tau_m_ms=[p.tau_m_ms for p in params],
+            alpha_prime=[p.alpha_prime for p in params],
             saturation=np.array([p.saturation() for p in params]).T,
-            **{name: [getattr(p, name) for p in params] for name in _TABLE_COLUMNS},
         )
 
 
-# The ParamTable fields that hold one number per parameter set.
-_TABLE_COLUMNS = ("tau_m_ms", "alpha_prime", "threshold_mv", "u_rest_mv",
-                  "u_reset_mv", "tau_r_ms")
+# The AfferentParams fields every set of a ParamTable shares.
+CELL_FIELDS = tuple(f.name for f in fields(AfferentParams)
+                    if f.name not in _NULLABLE | {"tau_m_ms", "alpha_prime"})
 
 
 # Steps whose drive SpikeCounter forms at once.  Its (STEP_BLOCK, S, N)
@@ -329,10 +330,10 @@ class SpikeCounter:
 
     The bank holds S stimuli, each a tuple of filter-chain outputs (one per
     saturation term, as from filtered_inputs) with its own count window
-    [start, end) in ms.  Given a ParamTable of N parameter sets, the loop
-    integrates all S x N units together, one time step at a time.  Calling
-    the counter returns the (N, S) spike counts inside each window, and
-    spike_steps the spike steps themselves.
+    [start, end) in ms.  Given a ParamTable, N parameter sets of one cell,
+    the loop integrates all S x N units together, one time step at a time.
+    Calling the counter returns the (N, S) spike counts inside each window,
+    and spike_steps the spike steps themselves.
 
     Each unit is a forward-Euler leaky integrate-and-fire cell driven by
     alpha' * sum_j f_j / (a_j + f_j) over its inputs f_j, summed in chain
@@ -345,17 +346,18 @@ class SpikeCounter:
 
     The n_refr steps after a spike follow a fixed trajectory, after[0] =
     u_reset and after[j] = (after[j-1] * c1 + rest) + 0, made once per
-    call; each step writes after[j] over every unit that spiked j steps
-    before, oldest lag first so that the latest spike wins (n_refr = 0
-    resets at the spike itself).  The lags come from a ring spike record of
-    max(n_refr) + 1 rows (spike_steps keeps every step), and each step adds
-    its spikes into a byte-wide count that moves into an int64 total every
-    255 steps and at each window's opening, where its rows take a snapshot
-    of the total: a call's working memory does not grow with the trace.  As
-    no step changes a unit's drive, the drive is formed for STEP_BLOCK steps
-    at once.  A step is then u * c1, + rest, + drive, one masked copy per
-    lag, the compare into the record and the add into the count: 6 ufunc
-    calls for RA and PC and 7 for SA, on C-contiguous (S, N) operands.
+    call; each step copies after[j] over every unit that spiked j steps
+    before, oldest lag first so that the latest spike wins (a cell with
+    n_refr = 0 resets at the spike itself).  The lags come from a ring
+    spike record of n_refr + 1 rows (spike_steps keeps every step), and
+    each step adds its spikes into a byte-wide count that moves into an
+    int64 total every 255 steps and at each window's opening, where its
+    rows take a snapshot of the total: a call's working memory does not
+    grow with the trace.  As no step changes a unit's drive, the drive is
+    formed for STEP_BLOCK steps at once.  A step is then u * c1, + rest,
+    + drive, one copy per lag where its record row is set, the compare into
+    the record and the add into the count: 6 ufunc calls for RA and PC and
+    7 for SA, on C-contiguous (S, N) operands and the cell's threshold.
     """
 
     def __init__(self, features, windows_ms):
@@ -429,27 +431,21 @@ class SpikeCounter:
             out[...] = values
             return out
 
+        cell = table.cell
         c1 = full(1.0 - DT_MS / table.tau_m_ms)
-        rest = (1.0 - c1) * table.u_rest_mv
+        rest = (1.0 - c1) * cell.u_rest_mv
         sat = [full(a) for a in table.saturation]
         alpha = full(table.alpha_prime)
-        theta = full(table.threshold_mv)
+        theta = cell.threshold_mv
         n_steps = self._inputs.shape[1]
-        n_refr = full(np.ceil(table.tau_r_ms / DT_MS))
+        n_refr = int(np.ceil(cell.tau_r_ms / DT_MS))
         # lags past the last step never reach a spike
-        lead = int(min(n_refr.max(), n_steps))
-        after = [full(table.u_reset_mv)]
+        lead = min(n_refr, n_steps)
+        after = [full(cell.u_reset_mv)]
         for _ in range(lead):
             after.append((after[-1] * c1 + rest) + 0.0)
-        # step k writes row lead + k and reads lag j from row lead + k - j (mod
-        # the ring); lag j acts on the units with n_refr >= j: all, or a mask
-        lags = [(lead - j, after[j], None if (n_refr >= j).all() else n_refr >= j)
-                for j in range(lead, 0, -1)]
-        no_refr = n_refr == 0
-        resets = [(after[0], None if no_refr.all() else no_refr)] if no_refr.any() else []
 
-        u = full(table.u_rest_mv)
-        gated = np.empty(shape, dtype=bool)
+        u = full(cell.u_rest_mv)
         # flat, so that each block's (steps, m, N) view is C-contiguous
         size = min(STEP_BLOCK, n_steps) * shape[0] * shape[1]
         buffers = [np.empty(size) for _ in range(self.n_terms + 1)]  # drive, inputs
@@ -469,13 +465,13 @@ class SpikeCounter:
             end = stop[m - 1]
             if end <= start:
                 continue
-            uu, gg = u[:m], gated[:m]
-            c1m, restm = c1[:m], rest[:m]
-            alpham, thetam = alpha[:m], theta[:m]
+            uu, c1m, restm, alpham = u[:m], c1[:m], rest[:m], alpha[:m]
             satm = [a[:m] for a in sat]
             record, record8, recentm = spiked[:, :m], spiked.view(np.uint8)[:, :m], recent[:m]
-            overwrites = [(back, x[:m], None if g is None else g[:m]) for back, x, g in lags]
-            at_spike = [(x[:m], None if g is None else g[:m]) for x, g in resets]
+            # step k writes row lead + k and reads lag j from row lead + k - j
+            # (mod the ring), oldest lag first so that the latest spike wins
+            overwrites = [(lead - j, after[j][:m]) for j in range(lead, 0, -1)]
+            reset = after[0][:m]
             for k0 in range(start, end, STEP_BLOCK):
                 k1 = min(k0 + STEP_BLOCK, end)
                 n = (k1 - k0) * m * shape[1]
@@ -505,19 +501,15 @@ class SpikeCounter:
                     np.add(uu, dd[k - k0], out=uu)
                     # units that spiked in their last n_refr steps follow
                     # the gated trajectory instead
-                    for back, x, mask in overwrites:
-                        g = record[(k + back) % ring]
-                        if mask is not None:
-                            g = np.logical_and(g, mask, out=gg)
-                        np.copyto(uu, x, where=g)
+                    for back, x in overwrites:
+                        np.copyto(uu, x, where=record[(k + back) % ring])
                     w = (lead + k) % ring
                     ss = record[w]
-                    np.greater_equal(uu, thetam, out=ss)
+                    np.greater_equal(uu, theta, out=ss)
                     if k >= begin:
                         np.add(recentm, record8[w], out=recentm)
-                    for x, mask in at_spike:
-                        g = ss if mask is None else np.logical_and(ss, mask, out=gg)
-                        np.copyto(uu, x, where=g)
+                    if n_refr == 0:  # no lag follows, so reset at the spike
+                        np.copyto(uu, reset, where=ss)
             start = end
         total += recent
         # a window that opens after its stimulus stops counts nothing

@@ -87,18 +87,14 @@ def _check_genes(afferent_type: str, genes: np.ndarray) -> None:
 
 def genes_to_table(afferent_type: str, genes: np.ndarray) -> ParamTable:
     """Decode a population, genes of shape (N, n_genes), into one parameter
-    table: set i holds exactly the values genes_to_params(genes[i]) does."""
+    table of the type's fixed-constant template: set i holds exactly the
+    values genes_to_params(genes[i]) does."""
     _check_genes(afferent_type, genes)
-    template = default_afferent_params()[afferent_type]
-    n = genes.shape[0]
     return ParamTable(
+        default_afferent_params()[afferent_type],
         tau_m_ms=genes[:, 0],
         alpha_prime=genes[:, -1],
         saturation=[[_pow10(g) for g in col] for col in genes[:, 1:-1].T],
-        threshold_mv=np.full(n, template.threshold_mv),
-        u_rest_mv=np.full(n, template.u_rest_mv),
-        u_reset_mv=np.full(n, template.u_reset_mv),
-        tau_r_ms=np.full(n, template.tau_r_ms),
     )
 
 

@@ -86,14 +86,28 @@ def _n_samples(duration_ms: float) -> int:
     return int(round(duration_ms / DT_MS)) + 1
 
 
-def sinusoid(freq_hz: float, amplitude_um: float, duration_ms: float) -> np.ndarray:
-    """s[k] = A sin(2 pi f k dt), in mm; starts at phase 0."""
+def _check_tone(freq_hz: float, amplitude_um: float) -> None:
+    """A sinusoid's band rule: below Nyquist, with amplitude >= 0."""
     if not freq_hz < NYQUIST_HZ:
         raise ValidationError(
             f"freq_hz={freq_hz} violates Nyquist ({NYQUIST_HZ} Hz at dt={DT_MS} ms)"
         )
     if amplitude_um < 0:
         raise ValidationError(f"amplitude_um must be >= 0, got {amplitude_um}")
+
+
+def _check_band(lo_hz: float, hi_hz: float, rms_um: float) -> None:
+    """A noise band's rule: 0 < lo < hi < Nyquist, with rms > 0."""
+    if not 0.0 < lo_hz < hi_hz < NYQUIST_HZ:
+        raise ValidationError(f"need 0 < lo < hi < Nyquist ({NYQUIST_HZ} Hz): "
+                              f"got ({lo_hz}, {hi_hz})")
+    if not rms_um > 0:
+        raise ValidationError(f"rms_um must be > 0, got {rms_um}")
+
+
+def sinusoid(freq_hz: float, amplitude_um: float, duration_ms: float) -> np.ndarray:
+    """s[k] = A sin(2 pi f k dt), in mm; starts at phase 0."""
+    _check_tone(freq_hz, amplitude_um)
     n = _n_samples(duration_ms)
     t_s = np.arange(n) * (DT_MS / 1000.0)
     return (amplitude_um / 1000.0) * np.sin(2.0 * np.pi * freq_hz * t_s)
@@ -116,12 +130,7 @@ def bandpass_noise(
     downstream derivative filters); after filtering the mean is removed and
     the trace rescaled so its sample RMS equals rms_um exactly.
     """
-    if not 0.0 < lo_hz < hi_hz < NYQUIST_HZ:
-        raise ValidationError(
-            f"need 0 < lo < hi < Nyquist ({NYQUIST_HZ} Hz): got ({lo_hz}, {hi_hz})"
-        )
-    if not rms_um > 0:
-        raise ValidationError(f"rms_um must be > 0, got {rms_um}")
+    _check_band(lo_hz, hi_hz, rms_um)
     n = _n_samples(duration_ms)
     # imported here, not at module top: scipy.signal and the scipy.stats it
     # loads add about 1 s to every import, and only noise stimuli need them
@@ -204,10 +213,12 @@ class StimulusSpec:
         for fieldname in need:
             if getattr(self, fieldname) is None:
                 raise ValidationError(f"{self.stimulus_id}: missing {fieldname}")
-        if self.kind == "bandpass_noise" and not self.lo_hz < self.hi_hz:
-            raise ValidationError(
-                f"{self.stimulus_id}: lo_hz must be below hi_hz"
-            )
+        if self.kind == "bandpass_noise":
+            _check_band(self.lo_hz, self.hi_hz, self.rms_um)
+        else:
+            _check_tone(self.freq_hz, self.amplitude_um)
+        if self.kind == "diharmonic":
+            _check_tone(self.freq2_hz, self.amplitude2_um)
         if self.kind == "bandpass_noise" and self.seed < 0:
             raise ValidationError(f"{self.stimulus_id}: seed must be >= 0, got {self.seed}")
 

@@ -117,9 +117,10 @@ def test_criterion_05_lif_closed_form_isi():
     """Constant-drive ISI matches tau_r + tau*ln(tau*D/(tau*D - (theta-reset)))
     within 2*dt over 20 draws bracketing the shipped parameter values.
 
-    The draws run as 20 parameter sets in one SpikeCounter call.  The input
-    is held at a3 = 1000, so each unit's drive is alpha' * 1/2 with
-    alpha' = 2d: exactly the constant drive d."""
+    The draws sharing a cell, a (tau_r, threshold) pair, run as the
+    parameter sets of one spike_steps call.  The input is held at
+    a3 = 1000, so each unit's drive is alpha' * 1/2 with alpha' = 2d:
+    exactly the constant drive d."""
     rng = np.random.default_rng(12345)
     draws = []
     for _ in range(20):
@@ -129,17 +130,22 @@ def test_criterion_05_lif_closed_form_isi():
         gap = theta - neural.U_RESET_MV
         d = float(rng.uniform(1.2, 30.0)) * gap / tau
         draws.append((tau, tau_r, theta, d))
-    units = [
-        neural.AfferentParams(
-            afferent_type="RA", tau_m_ms=tau, alpha_prime=2.0 * d,
-            a3_pa_per_ms=1000.0, threshold_mv=theta, tau_r_ms=tau_r,
-        )
-        for tau, tau_r, theta, d in draws
-    ]
     n = 120001
     counter = neural.SpikeCounter([(np.full(n, 1000.0),)], [(0.0, n * DT)])
-    steps_by_draw = counter.spike_steps(neural.ParamTable.from_params(units))
-    for (tau, tau_r, theta, d), (steps,) in zip(draws, steps_by_draw):
+    steps_by_draw = {}
+    for cell in sorted({(tau_r, theta) for _, tau_r, theta, _ in draws}):
+        group = [draw for draw in draws if draw[1:3] == cell]
+        units = [
+            neural.AfferentParams(
+                afferent_type="RA", tau_m_ms=tau, alpha_prime=2.0 * d,
+                a3_pa_per_ms=1000.0, threshold_mv=theta, tau_r_ms=tau_r,
+            )
+            for tau, tau_r, theta, d in group
+        ]
+        steps = counter.spike_steps(neural.ParamTable.from_params(units))
+        steps_by_draw.update(zip(group, steps))
+    assert len(steps_by_draw) == 20
+    for (tau, tau_r, theta, d), (steps,) in steps_by_draw.items():
         assert steps.size >= 3
         isi = float(np.diff(steps)[-1]) * DT
         gap = theta - neural.U_RESET_MV

@@ -706,6 +706,43 @@ def test_cli_refuses_window_past_rendered_trace_before_fem(tmp_path, caplog, com
     assert os.listdir(out) == []
 
 
+def _two_tone_spec(f2, a2):
+    return stimulus.StimulusSpec(
+        stimulus_id="dih", kind="diharmonic", duration_ms=200.0, discard_ms=100.0,
+        window_ms=100.0, freq_hz=50.0, amplitude_um=10.0, freq2_hz=f2, amplitude2_um=a2,
+    )
+
+
+def _noise_spec(lo, hi, rms):
+    return stimulus.StimulusSpec(
+        stimulus_id="noise", kind="bandpass_noise", duration_ms=200.0, discard_ms=100.0,
+        window_ms=100.0, lo_hz=lo, hi_hz=hi, rms_um=rms, seed=0,
+    )
+
+
+@pytest.mark.parametrize("bad, message", [
+    (sin_spec(1500.0, 10.0), "freq_hz=1500.0 violates Nyquist"),
+    (sin_spec(50.0, -1.0), "amplitude_um must be >= 0, got -1.0"),
+    (_two_tone_spec(1000.0, 1.0), "freq_hz=1000.0 violates Nyquist"),
+    (_two_tone_spec(100.0, -0.5), "amplitude_um must be >= 0, got -0.5"),
+    (_noise_spec(0.0, 100.0, 1.0), "need 0 < lo < hi < Nyquist (1000.0 Hz): got (0.0, 100.0)"),
+    (_noise_spec(5.0, 1200.0, 1.0), "need 0 < lo < hi < Nyquist (1000.0 Hz): got (5.0, 1200.0)"),
+    (_noise_spec(100.0, 50.0, 1.0), "need 0 < lo < hi < Nyquist (1000.0 Hz): got (100.0, 50.0)"),
+    (_noise_spec(5.0, 100.0, 0.0), "rms_um must be > 0, got 0.0"),
+])
+def test_cli_refuses_out_of_band_stimulus_before_fem(tmp_path, caplog, bad, message):
+    # the first stimulus is valid, so a check made only when each stimulus
+    # renders would run the FEM on it before refusing the second
+    protocol = write_protocol(tmp_path, [sin_spec(50.0, 34.80), bad])
+    cfg_path = write_config(tmp_path, {"protocol": protocol})
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert f"stimulus #1: {message}" in caplog.text
+    assert "FEM solved" not in caplog.text
+    assert os.listdir(out) == []
+
+
 def test_cli_fit_rates_keep_stimulus_ids(tmp_path):
     probe = stimulus.StimulusSpec(
         stimulus_id="probe_b", kind="sinusoid", duration_ms=200.0,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -99,6 +100,30 @@ def test_moving_average_abs_matches_direct_sum(rng):
                     acc += abs(x[j])
             expected[t] = acc / width
         assert np.allclose(y, expected, atol=1e-12)
+
+
+def test_moving_average_abs_memory_is_bounded_by_the_trace(rng):
+    """Half-widths far past the trace cost no more memory than the trace:
+    each is clipped to n - 1, where the window already ends, and the mean
+    still divides by the declared width.  At m = 10**6 on a 691-sample trace
+    the traced peak stays under 1 MB (a full-width kernel takes 32 MB), and
+    every sample is within 1e-12 relative of a direct windowed sum."""
+    x = rng.normal(size=691)
+    ax = np.abs(x)
+    for m_before, m_after in [(10**6, 10**6), (10**6, 5), (4, 10**6), (690, 691)]:
+        tracemalloc.start()
+        try:
+            y = neural.moving_average_abs(x, m_before, m_after)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, (m_before, m_after, peak)
+        width = m_before + m_after + 1
+        expected = np.array([
+            math.fsum(ax[max(t - m_after, 0):t + m_before + 1]) / width
+            for t in range(x.size)
+        ])
+        assert np.all(np.abs(y - expected) <= 1e-12 * expected), (m_before, m_after)
 
 
 def test_abs_difference_filter():
@@ -261,11 +286,12 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
     """Batched spike steps equal the scalar loop's, unit by unit, up to each
     window's end, and so do the window counts.
 
-    Each parameter set draws its own cell constants with u_reset < u_rest,
-    and half of them a tau_m below the step.  There c1 = 1 - dt/tau_m < 0:
-    a unit reset below rest overshoots past rest with the drive gated off,
-    so it can reach threshold while refractory, and its gate must restart
-    at that latest spike, as the scalar loop's countdown does."""
+    Each example draws one cell, with u_reset < u_rest and tau_r among 0,
+    0.5, 1 and 2.5 ms, and its sets draw tau_m, alpha' and the saturation
+    constants, half of them a tau_m below the step.  There c1 = 1 - dt/tau_m
+    < 0: a unit reset below rest overshoots past rest with the drive gated
+    off, so it can reach threshold while refractory, and its gate must
+    restart at that latest spike, as the scalar loop's countdown does."""
     rng = np.random.default_rng(seed)
     features, windows = [], []
     for _ in range(n_stim):
@@ -279,22 +305,25 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
         features.append(terms)
         # windows may run past the end of the trace
         windows.append((start, start + float(rng.uniform(0.0, 250.0))))
+    theta = float(rng.uniform(-60.0, -40.0))
+    u_rest = theta - float(rng.uniform(1.0, 20.0))
+    cell = dataclasses.replace(
+        PARAMS[afferent],
+        tau_r_ms=float(rng.choice([0.0, 0.5, 1.0, 2.5])),
+        threshold_mv=theta,
+        u_rest_mv=u_rest,
+        u_reset_mv=u_rest - float(rng.uniform(0.5, 15.0)),
+    )
     params = []
     for _ in range(n_par):
-        theta = float(rng.uniform(-60.0, -40.0))
-        u_rest = theta - float(rng.uniform(1.0, 20.0))
         updates = {
             "tau_m_ms": float(rng.uniform(0.1, 0.25) if rng.random() < 0.5
                               else rng.uniform(1.0, 2000.0)),
             "alpha_prime": float(rng.uniform(0.01, 100.0)),
-            "tau_r_ms": float(rng.choice([0.0, 0.5, 1.0, 2.5])),
-            "threshold_mv": theta,
-            "u_rest_mv": u_rest,
-            "u_reset_mv": u_rest - float(rng.uniform(0.5, 15.0)),
         }
         for name in SATURATION_FIELDS[afferent]:
             updates[name] = float(10.0 ** rng.uniform(0.0, 6.0))
-        params.append(dataclasses.replace(PARAMS[afferent], **updates))
+        params.append(dataclasses.replace(cell, **updates))
 
     counter = neural.SpikeCounter(features, windows)
     table = neural.ParamTable.from_params(params)
@@ -310,6 +339,39 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
             assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
 
 
+def test_param_table_holds_sets_of_one_cell():
+    """A table is N sets of one cell.  from_params refuses sets that differ
+    in anything but tau_m, alpha' and the saturation constants, naming the
+    field, and an empty list; a table refuses saturation rows that are not
+    its cell type's terms, a cell its own validation refuses, and a column
+    that breaks its rule."""
+    sa = PARAMS["SA"]
+    other = dataclasses.replace(sa, tau_m_ms=5.0, alpha_prime=3.0, a1_pa=7.0,
+                                a2_pa_per_ms=8.0, a3_pa_per_ms=9.0)
+    table = neural.ParamTable.from_params([sa, other])
+    assert table.cell is sa and len(table) == 2
+    assert table.tau_m_ms.tolist() == [sa.tau_m_ms, 5.0]
+    assert table.alpha_prime.tolist() == [sa.alpha_prime, 3.0]
+    assert table.saturation.tolist() == [[sa.a1_pa, 7.0], [sa.a2_pa_per_ms, 8.0]]
+    for name, value in (("afferent_type", "RA"), ("threshold_mv", -52.0),
+                        ("u_rest_mv", -66.0), ("u_reset_mv", -70.0),
+                        ("tau_r_ms", 0.5), ("m1", 3), ("m4", 9)):
+        with pytest.raises(ValidationError,
+                           match=f"parameter set 2 differs from set 0 in {name}$"):
+            neural.ParamTable.from_params([sa, other, dataclasses.replace(other, **{name: value})])
+    with pytest.raises(ValidationError, match="need at least one parameter set"):
+        neural.ParamTable.from_params([])
+    for rows in ([[1.0]], [[1.0], [2.0], [3.0]], np.ones((2, 0))):
+        with pytest.raises(ValidationError, match=r"SA saturation must have shape \(2, N\)"):
+            neural.ParamTable(sa, [1.0], [1.0], rows)
+    with pytest.raises(ValidationError, match="need u_reset <= u_rest < threshold"):
+        neural.ParamTable(dataclasses.replace(sa, u_reset_mv=-50.0), [1.0], [1.0], [[1.0], [1.0]])
+    with pytest.raises(ValidationError, match=r"alpha_prime must have shape \(2,\)"):
+        neural.ParamTable(sa, [1.0, 2.0], [1.0], np.ones((2, 2)))
+    with pytest.raises(ValidationError, match="tau_m_ms must be > 0; parameter set 1 breaks it"):
+        neural.ParamTable(sa, [1.0, -1.0], [1.0, 1.0], np.ones((2, 2)))
+
+
 @pytest.mark.parametrize("block", [1, 3, 16, 10_000])
 def test_spike_counter_is_block_invariant(monkeypatch, block):
     """Spike steps and window counts do not depend on how many steps of drive
@@ -321,7 +383,8 @@ def test_spike_counter_is_block_invariant(monkeypatch, block):
     so lags reach back across block boundaries.  The stops (steps 76, 52,
     46 and 28) and the window starts at steps 11 and 25 fall inside blocks
     of 3 and of 16.  The last window opens at step 90, after every trace
-    has stopped, so it counts nothing."""
+    has stopped, so it counts nothing.  The units of one tau_r differ in
+    u_reset, so each unit is a cell of its own and runs as its own table."""
     monkeypatch.setattr(neural, "STEP_BLOCK", block)
     rng = np.random.default_rng(3)
     features, windows = [], [(5.5, 38.5), (0.0, 100.0), (12.5, 26.5), (45.0, 60.0)]
@@ -338,14 +401,16 @@ def test_spike_counter_is_block_invariant(monkeypatch, block):
                 u_reset_mv=-65.0 - below_rest, tau_r_ms=tau_r))
 
     counter = neural.SpikeCounter(features, windows)
-    table = neural.ParamTable.from_params(params)
-    got, got_steps = counter(table), counter.spike_steps(table)
+    got_steps = []
     for i, p in enumerate(params):
+        table = neural.ParamTable.from_params([p])
+        (got,), (unit_steps,) = counter(table), counter.spike_steps(table)
+        got_steps.append(unit_steps)
         for s, (terms, (start, end)) in enumerate(zip(features, windows)):
             steps = _lif_spike_steps_py(terms, p)
             k_lo, k_hi = neural.window_steps(start, end)
-            assert got_steps[i][s].tolist() == [k for k in steps if k < k_hi], (i, s)
-            assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
+            assert unit_steps[s].tolist() == [k for k in steps if k < k_hi], (i, s)
+            assert got[s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
     # the overshooting units with n_refr = 5 spike 1 and 3 steps apart
     assert set(np.diff(got_steps[10][0])) == {1}
     assert 3 in set(np.diff(got_steps[11][0]))

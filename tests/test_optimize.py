@@ -241,7 +241,9 @@ def test_gene_columns_match_afferent_params_path(afferent):
     params = [optimize.genes_to_params(afferent, g) for g in genes]
     table = optimize.genes_to_table(afferent, genes)
     by_params = neural.ParamTable.from_params(params)
-    for name in ("saturation",) + neural._TABLE_COLUMNS:
+    for name in neural.CELL_FIELDS:
+        assert getattr(table.cell, name) == getattr(by_params.cell, name), name
+    for name in ("tau_m_ms", "alpha_prime", "saturation"):
         assert getattr(table, name).tobytes() == getattr(by_params, name).tobytes(), name
     counter, window_s = optimize._window_counter(
         truth, bank, [(f, a) for f, a, _ in observed.records]
