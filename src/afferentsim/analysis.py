@@ -1,7 +1,7 @@
 """Rate tables and rate regressions.
 
 A rate is a stimulus's spike count over its half-open window [discard,
-discard + window) (SpikeTrain.count_in_window) divided by the window
+discard + window), as neural.SpikeCounter counts it, divided by the window
 length, in impulses per second (ips).  The minimum nonzero rate is
 therefore 1/window (about 4.08 ips for the 245 ms window, 10 ips for the
 100 ms window); records sitting exactly at that quantization floor are

@@ -10,12 +10,13 @@ Each afferent class reads a different feature of the local von Mises stress:
 The feature passes through a saturating transform ``alpha' * x / (a + x)``
 to a membrane drive in mV/ms, then a leaky integrate-and-fire unit with an
 absolute refractory period.  SpikeCounter holds the one integrate-and-fire
-loop, over the parameter sets of one cell (a ParamTable): run_afferents
-turns whole stress traces into spike trains with it, and fitting counts
-spikes in windows with it.  Stress is in Pa, time in ms throughout, and
-every trace is sampled at stimulus.DT_MS (0.5 ms), the one step at which
-the constants hold, since the filters difference and average whole
-samples and the shipped constants were fitted at that step.
+loop, over the parameter sets of one cell (a ParamTable), and the one
+window count: run_afferents turns whole stress traces into spike trains and
+window counts with it, and fitting counts spikes in windows with it.
+Stress is in Pa, time in ms throughout, and every trace is sampled at
+stimulus.DT_MS (0.5 ms), the one step at which the constants hold, since
+the filters difference and average whole samples and the shipped constants
+were fitted at that step.
 """
 
 from __future__ import annotations
@@ -219,17 +220,6 @@ class SpikeTrain:
     def __post_init__(self):
         self.spike_times_ms.setflags(write=False)
 
-    def count_in_window(self, start_ms: float, end_ms: float) -> int:
-        """Spikes in [start, end), by the step rule of window_steps.
-
-        A spike counts on the last step at or before its time (its own step,
-        since simulated spikes land on step times), so for windows whose
-        edges are step times this is also the rule start <= t < end.
-        """
-        k_lo, k_hi = window_steps(start_ms, end_ms)
-        steps = np.floor(self.spike_times_ms / DT_MS + 1e-9)
-        return int(np.count_nonzero((steps >= k_lo) & (steps < k_hi)))
-
     def to_record(self) -> dict:
         return {
             "afferent": self.afferent_type,
@@ -242,11 +232,8 @@ class SpikeTrain:
 
 
 def window_steps(start_ms: float, end_ms: float) -> tuple[int, int]:
-    """Step indices [k_lo, k_hi) whose step times k*dt lie in [start, end).
-
-    The one window rule behind every windowed spike count: fitting, rate
-    prediction and the simulate rate table.
-    """
+    """Step indices [k_lo, k_hi) whose step times k*dt lie in [start, end):
+    the window rule of SpikeCounter, so of every rate simulate and fit give."""
     return (
         int(np.ceil(start_ms / DT_MS - 1e-9)),
         int(np.ceil(end_ms / DT_MS - 1e-9)),
@@ -333,14 +320,15 @@ class SpikeCounter:
     [start, end) in ms.  Given a ParamTable, N parameter sets of one cell,
     the loop integrates all S x N units together, one time step at a time.
     Calling the counter returns the (N, S) spike counts inside each window,
-    and spike_steps the spike steps themselves.
+    and spike_steps those counts and the spike steps themselves.
 
     Each unit is a forward-Euler leaky integrate-and-fire cell driven by
     alpha' * sum_j f_j / (a_j + f_j) over its inputs f_j, summed in chain
     order.  A spike is recorded when the post-update potential reaches
     threshold, at the post-update step; the potential resets and the drive
     is gated off for n_refr = ceil(tau_r/dt) steps while the leak stays
-    active.  A unit stops at its window end (or its trace end).  Every unit
+    active.  Every unit runs to its trace end; its window bounds only its
+    count, and a window past the trace end counts to that end.  Every unit
     goes through the same IEEE operations as a per-unit scalar loop, so its
     spikes equal that loop's exactly.
 
@@ -351,13 +339,14 @@ class SpikeCounter:
     n_refr = 0 resets at the spike itself).  The lags come from a ring
     spike record of n_refr + 1 rows (spike_steps keeps every step), and
     each step adds its spikes into a byte-wide count that moves into an
-    int64 total every 255 steps and at each window's opening, where its
-    rows take a snapshot of the total: a call's working memory does not
-    grow with the trace.  As no step changes a unit's drive, the drive is
-    formed for STEP_BLOCK steps at once.  A step is then u * c1, + rest,
-    + drive, one copy per lag where its record row is set, the compare into
-    the record and the add into the count: 6 ufunc calls for RA and PC and
-    7 for SA, on C-contiguous (S, N) operands and the cell's threshold.
+    int64 total every 255 steps and at each window's opening and closing,
+    where its rows take a snapshot of the total, the count being the
+    difference: a call's working memory does not grow with the trace.  As
+    no step changes a unit's drive, the drive is formed for STEP_BLOCK
+    steps at once.  A step is then u * c1, + rest, + drive, one copy per
+    lag where its record row is set, the compare into the record and the
+    add into the count: 6 ufunc calls for RA and PC and 7 for SA, on
+    C-contiguous (S, N) operands and the cell's threshold.
     """
 
     def __init__(self, features, windows_ms):
@@ -368,27 +357,25 @@ class SpikeCounter:
         if len(n_terms) != 1:
             raise ValidationError("every stimulus needs the same number of inputs")
         self.n_terms = n_terms.pop()
-        stop = np.empty(n_stim, dtype=np.int64)
-        first = np.empty(n_stim, dtype=np.int64)
-        for s, (terms, (lo_ms, hi_ms)) in enumerate(zip(features, windows_ms)):
-            n = {np.asarray(f).shape for f in terms}
-            if len(n) != 1 or len(next(iter(n))) != 1:
+        bounds = []
+        for terms, (lo_ms, hi_ms) in zip(features, windows_ms):
+            shapes = {np.asarray(f).shape for f in terms}
+            if len(shapes) != 1 or len(next(iter(shapes))) != 1:
                 raise ValidationError("inputs of one stimulus must be 1-D, equal length")
-            k_lo, k_hi = window_steps(lo_ms, hi_ms)
-            # step k moves the potential to step k + 1; steps past the
-            # window end, or past the trace end, cannot add to the count
-            stop[s] = min(next(iter(n))[0], k_hi) - 1
-            first[s] = max(k_lo - 1, 0)
+            (n,), (k_lo, k_hi) = shapes.pop(), window_steps(lo_ms, hi_ms)
+            # step k moves the potential to step k + 1: a unit runs to its
+            # trace end, and its window counts the spikes of steps
+            # [first, last), which cannot pass the trace end
+            bounds.append((n - 1, max(k_lo - 1, 0), min(n, k_hi) - 1))
+        bounds = np.array(bounds, dtype=np.int64)
         # rows run longest first, so the units still integrating at any
         # step are a leading slice of the state arrays
-        order = np.argsort(-stop, kind="stable")
-        self._order = order
-        self._stop = stop[order]
-        self._first = first[order]
+        self._order = np.argsort(-bounds[:, 0], kind="stable")
+        self._stop, self._first, self._last = bounds[self._order].T
         n_steps = max(int(self._stop[0]), 0)
         # time-major inputs: [j, k] holds every stimulus's input j at step k
         self._inputs = np.zeros((self.n_terms, n_steps, n_stim))
-        for row, s in enumerate(order):
+        for row, s in enumerate(self._order):
             k = max(int(self._stop[row]), 0)
             for j, f in enumerate(features[s]):
                 self._inputs[j, :k, row] = np.abs(np.asarray(f, dtype=float)[:k])
@@ -401,24 +388,25 @@ class SpikeCounter:
 
     def __call__(self, table: ParamTable) -> np.ndarray:
         """(N, S) int64 spike counts inside each stimulus's window."""
-        out = np.empty((len(table), self.n_stimuli), dtype=np.int64)
-        out[:, self._order] = self._integrate(table)[0].T
-        return out
+        return self._integrate(table)[0]
 
-    def spike_steps(self, table: ParamTable) -> list[list[np.ndarray]]:
-        """Steps of every spike, [parameter set][stimulus], each increasing."""
-        by_unit = self._integrate(table, whole=True)[1].transpose(2, 1, 0)  # [i, row, k]
+    def spike_steps(self, table: ParamTable) -> tuple[np.ndarray, list[list[np.ndarray]]]:
+        """(counts, steps) of one pass: the window counts, as a call gives
+        them, and the steps of every spike, [parameter set][stimulus], each
+        increasing."""
+        counts, spiked = self._integrate(table, whole=True)
+        by_unit = spiked.transpose(2, 1, 0)  # [i, row, k]
         steps = np.flatnonzero(by_unit) % by_unit.shape[2] + 1
         per_unit = np.split(steps, np.cumsum(by_unit.sum(axis=2).ravel())[:-1])
         rows = np.argsort(self._order)  # the row of each stimulus
         n_stim = self.n_stimuli
-        return [[per_unit[i * n_stim + r] for r in rows] for i in range(len(table))]
+        return counts, [[per_unit[i * n_stim + r] for r in rows] for i in range(len(table))]
 
     def _integrate(self, table: ParamTable, whole: bool = False) -> tuple[np.ndarray, ...]:
-        """(counts, spiked): counts[row, i] the spikes of unit (row, i) inside
-        its window, rows being stimuli longest first and i indexing the
-        table; with whole, spiked[k, row, i] whether the unit reached
-        threshold moving to step k + 1."""
+        """(counts, spiked): counts[i, s] the spikes of set i on stimulus s
+        inside its window; with whole, spiked[k, row, i] whether unit
+        (row, i) reached threshold moving to step k + 1, rows being stimuli
+        longest first."""
         if table.saturation.shape[0] != self.n_terms:
             raise ValidationError(
                 f"the parameter sets have {table.saturation.shape[0]} saturation "
@@ -453,10 +441,10 @@ class SpikeCounter:
         spiked = np.zeros((ring,) + shape, dtype=bool)
         # a byte-wide count, flushed every 255 steps so that it cannot wrap
         recent = np.zeros(shape, dtype=np.uint8)
-        total, opened = np.zeros((2,) + shape, dtype=np.int64)
-        opens = {k: self._first == k for k in set(self._first.tolist())}
-        begin = min(opens)
-        flushes = set(range(begin, n_steps, 255)) | set(opens)
+        total, opened, closed = np.zeros((3,) + shape, dtype=np.int64)
+        snapshots = ((opened, self._first[:, None]), (closed, self._last[:, None]))
+        begin = int(self._first.min())
+        flushes = set(range(begin, n_steps, 255)).union(self._first.tolist(), self._last.tolist())
         stop = self._stop.tolist()
         start = 0
         for m in range(shape[0], 0, -1):
@@ -493,8 +481,9 @@ class SpikeCounter:
                     if k in flushes:
                         total += recent
                         recent[...] = 0
-                        if k in opens:
-                            opened[opens[k]] = total[opens[k]]
+                        # the rows whose window opens or closes here
+                        for snapshot, at in snapshots:
+                            np.copyto(snapshot, total, where=at == k)
                     # u <- (c1*u + (1 - c1)*u_rest) + dt*d
                     np.multiply(uu, c1m, out=uu)
                     np.add(uu, restm, out=uu)
@@ -512,31 +501,36 @@ class SpikeCounter:
                         np.copyto(uu, reset, where=ss)
             start = end
         total += recent
-        # a window that opens after its stimulus stops counts nothing
-        return np.where((self._first < self._stop)[:, None], total - opened, 0), spiked[lead:]
+        # a window that closes at its trace end takes the final total, and
+        # one that opens as or after it closes counts nothing
+        np.copyto(closed, total, where=(self._last == self._stop)[:, None])
+        counts = np.empty((len(table), self.n_stimuli), dtype=np.int64)
+        counts[:, self._order] = np.where((self._first < self._last)[:, None],
+                                          closed - opened, 0).T
+        return counts, spiked[lead:]
 
 
 def run_afferents(
-    traces: list[StressTrace], params: AfferentParams,
-) -> list[SpikeTrain]:
-    """Spike trains of one afferent type over whole stress traces.
+    traces: list[StressTrace], params: AfferentParams, windows_ms,
+) -> tuple[list[SpikeTrain], np.ndarray]:
+    """Spike trains of one afferent type over whole stress traces, and the
+    int64 spike count of each trace's window [start, end) in ms.
 
     Each trace goes through the type's filter chain, and one SpikeCounter
-    loop integrates them all; spikes land on step times in (0, duration].
+    pass integrates them all to their ends; spikes land on step times in
+    (0, duration].
     """
-    counter = SpikeCounter(
-        [filtered_inputs(params, t.values) for t in traces],
-        # a window past the last step keeps each unit running to its end
-        [(0.0, t.n_steps * DT_MS) for t in traces],
-    )
+    counter = SpikeCounter([filtered_inputs(params, t.values) for t in traces], windows_ms)
+    (counts,), (steps,) = counter.spike_steps(ParamTable.from_params([params]))
     params_hash = params.content_hash()
-    return [
+    trains = [
         SpikeTrain(
             afferent_type=params.afferent_type,
             duration_ms=t.duration_ms,
-            spike_times_ms=steps.astype(float) * DT_MS,
+            spike_times_ms=k.astype(float) * DT_MS,
             params_hash=params_hash,
             meta={"node_id": t.node_id},
         )
-        for t, steps in zip(traces, counter.spike_steps(ParamTable.from_params([params]))[0])
+        for t, k in zip(traces, steps)
     ]
+    return trains, counts

@@ -122,6 +122,13 @@ class ObservedRateSet:
                 raise ValidationError(f"duplicate observed condition ({f} Hz, {a} um)")
             seen.add((f, a))
 
+    def check_conditions(self, conditions) -> None:
+        """Refuse observed rates at a (freq, amplitude) not in `conditions`."""
+        missing = sorted({(f, a) for f, a, _ in self.records} - set(conditions))
+        if missing:
+            raise ValidationError(f"no {self.afferent_type} stimulus for observed conditions: "
+                                  + ", ".join(f"({f} Hz, {a} um)" for f, a in missing))
+
     def content_hash(self) -> str:
         blob = json.dumps(
             [self.afferent_type] + [list(map(float, r)) for r in self.records],
@@ -222,13 +229,7 @@ class RateEvaluator:
         observed.validate()
         if observed.afferent_type != afferent_type:
             raise ValidationError("observed rates are for a different afferent type")
-        missing = [key for key in ((f, a) for f, a, _ in observed.records)
-                   if key not in stress_bank]
-        if missing:
-            raise ValidationError(
-                "stress bank is missing observed conditions: "
-                + ", ".join(f"({f} Hz, {a} um)" for f, a in sorted(missing))
-            )
+        observed.check_conditions(stress_bank)
         self.afferent_type = afferent_type
         self.conditions = [(f, a) for f, a, _ in observed.records]
         self._counter, self._window_s = _window_counter(

@@ -123,9 +123,10 @@ def simulate(cfg: RunConfig) -> SimulateResult:
     params = load_afferent_params(cfg.afferent_params_source)
     mesh = build_mesh(cfg.geometry, cfg.materials)
     bank = stress_bank(cfg, mesh, specs)
+    windows = [(spec.discard_ms, spec.discard_ms + spec.window_ms) for spec in specs]
     by_type = {
         atype: run_afferents(
-            [bank[spec.stimulus_id][atype] for spec in specs], params[atype]
+            [bank[spec.stimulus_id][atype] for spec in specs], params[atype], windows
         )
         for atype in AFFERENT_TYPES
     }
@@ -136,15 +137,14 @@ def simulate(cfg: RunConfig) -> SimulateResult:
         else:
             freq, amp = (spec.lo_hz + spec.hi_hz) / 2.0, spec.rms_um
         for atype in AFFERENT_TYPES:
-            train = by_type[atype][s]
+            type_trains, counts = by_type[atype]
+            train = type_trains[s]
             train.meta["stimulus_id"] = spec.stimulus_id
             trains.append(train)
             records.append(RateRecord(
                 afferent_type=atype, stimulus_id=spec.stimulus_id,
                 freq_hz=freq, amplitude_um=amp,
-                predicted_ips=train.count_in_window(
-                    spec.discard_ms, spec.discard_ms + spec.window_ms
-                ) / (spec.window_ms / 1000.0),
+                predicted_ips=int(counts[s]) / (spec.window_ms / 1000.0),
                 window_ms=spec.window_ms,
             ))
     return SimulateResult(mesh, bank, trains, records)
@@ -178,8 +178,8 @@ def fit(cfg: RunConfig) -> dict[str, FitResult]:
     the pooled and per-frequency regressions of observed on predicted.
 
     Each sinusoid's spikes are counted over its own [discard, discard +
-    window), as simulate counts them, and each (freq, amplitude) condition
-    may occur once.
+    window), as simulate counts them; each (freq, amplitude) condition may
+    occur once, and every observed one must occur, checked before the FEM.
     """
     if cfg.fit.observed_rates_csv is None:
         raise ValidationError("fit.observed_rates_csv must be set in the config")
@@ -201,6 +201,8 @@ def fit(cfg: RunConfig) -> dict[str, FitResult]:
         atype: ObservedRateSet.from_csv(cfg.fit.observed_rates_csv, atype)
         for atype in cfg.fit.afferents
     }
+    for observed in observed_by_type.values():
+        observed.check_conditions(by_condition)
     mesh = build_mesh(cfg.geometry, cfg.materials)
     bank = stress_bank(cfg, mesh, sin_specs)
 

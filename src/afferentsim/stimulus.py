@@ -87,7 +87,9 @@ def _n_samples(duration_ms: float) -> int:
 
 
 def _check_tone(freq_hz: float, amplitude_um: float) -> None:
-    """A sinusoid's band rule: below Nyquist, with amplitude >= 0."""
+    """A sinusoid's band rule: 0 < freq < Nyquist, with amplitude >= 0."""
+    if not freq_hz > 0:
+        raise ValidationError(f"freq_hz must be > 0, got {freq_hz}")
     if not freq_hz < NYQUIST_HZ:
         raise ValidationError(
             f"freq_hz={freq_hz} violates Nyquist ({NYQUIST_HZ} Hz at dt={DT_MS} ms)"

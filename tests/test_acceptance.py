@@ -142,7 +142,7 @@ def test_criterion_05_lif_closed_form_isi():
             )
             for tau, tau_r, theta, d in group
         ]
-        steps = counter.spike_steps(neural.ParamTable.from_params(units))
+        _, steps = counter.spike_steps(neural.ParamTable.from_params(units))
         steps_by_draw.update(zip(group, steps))
     assert len(steps_by_draw) == 20
     for (tau, tau_r, theta, d), (steps,) in steps_by_draw.items():
@@ -210,10 +210,10 @@ def test_criterion_08_rate_trends(appendix_a_bank):
     specs, bank = appendix_a_bank
     params = neural.default_afferent_params()
     rates: dict[tuple[str, float, float], float] = {}
+    windows = [(s.discard_ms, s.discard_ms + s.window_ms) for s in specs]
     for atype, p in params.items():
-        trains = neural.run_afferents([bank[s.stimulus_id][atype] for s in specs], p)
-        for spec, train in zip(specs, trains):
-            n = train.count_in_window(spec.discard_ms, spec.discard_ms + spec.window_ms)
+        _, counts = neural.run_afferents([bank[s.stimulus_id][atype] for s in specs], p, windows)
+        for spec, n in zip(specs, counts):
             rates[(atype, spec.freq_hz, spec.amplitude_um)] = n / (spec.window_ms / 1000.0)
 
     for atype in ("SA", "RA", "PC"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,36 +11,49 @@ from afferentsim import analysis, neural, stimulus
 from afferentsim.errors import ValidationError
 
 
-def make_train(spikes, duration=345.0, afferent="RA"):
-    return neural.SpikeTrain(
-        afferent_type=afferent, duration_ms=duration,
-        spike_times_ms=np.asarray(spikes, dtype=float),
-        params_hash="x" * 16,
-    )
+DT = stimulus.DT_MS
+# A leak-free RA cell that resets at each spike: an input held at a3 for one
+# step drives it alpha'/2 * dt = 25 mV, past its 10 mV gap, so it spikes on
+# the next step and rests until the next pulse.
+PULSE_CELL = dataclasses.replace(neural.default_afferent_params()["RA"], tau_m_ms=1e9,
+                                 alpha_prime=100.0, tau_r_ms=0.0)
+
+
+def window_count(spikes_ms, start_ms, end_ms, duration_ms=345.0):
+    """The kernel's count over [start, end) of a cell that spikes at exactly
+    `spikes_ms`, each a step time, in a trace of `duration_ms`."""
+    steps = np.round(np.asarray(spikes_ms, dtype=float) / DT).astype(int)
+    feature = np.zeros(round(duration_ms / DT) + 1)
+    feature[steps - 1] = PULSE_CELL.a3_pa_per_ms
+    counter = neural.SpikeCounter([(feature,)], [(start_ms, end_ms)])
+    (count,), ((got,),) = counter.spike_steps(neural.ParamTable.from_params([PULSE_CELL]))
+    assert got.tolist() == steps.tolist()  # the cell spiked where it was meant to
+    return int(count[0])
 
 
 # ------------------------------------------------------------- firing rate
-# A rate is count_in_window(discard, discard + window) / (window / 1000),
-# the one expression simulate and fit use.
+# A rate is the kernel's count over [discard, discard + window) divided by
+# window / 1000, the one expression simulate and fit use.
 
 
 def test_firing_rate_basic():
     spikes = 100.0 + 10.0 * np.arange(10)  # ten spikes inside the window
-    train = make_train(spikes, duration=200.0)
-    assert train.count_in_window(100.0, 200.0) == 10
+    assert window_count(spikes, 100.0, 200.0, duration_ms=200.0) == 10
 
 
 def test_firing_rate_window_edges():
-    # half-open window [discard, discard + window)
-    train = make_train([99.9, 100.0, 199.9, 200.0, 250.0], duration=345.0)
-    assert train.count_in_window(100.0, 200.0) == 2
-    train = make_train([], duration=345.0)
-    assert train.count_in_window(100.0, 345.0) == 0
+    # half-open window [discard, discard + window): a spike on its first
+    # step counts and one on its end step does not; edges between step
+    # times move up to the next step time
+    spikes = [99.5, 100.0, 199.5, 200.0, 250.0]
+    assert window_count(spikes, 100.0, 200.0) == 2
+    assert window_count(spikes, 99.6, 199.6) == 2
+    assert window_count(spikes, 99.4, 199.6) == 3
+    assert window_count([], 100.0, 345.0) == 0
 
 
 def test_firing_rate_discard_excludes_onset():
-    train = make_train([5.0, 20.0, 50.0, 99.0], duration=200.0)
-    assert train.count_in_window(100.0, 200.0) == 0
+    assert window_count([5.0, 20.0, 50.0, 99.0], 100.0, 200.0, duration_ms=200.0) == 0
 
 
 def test_firing_rate_window_overrun():
@@ -63,8 +77,7 @@ def test_firing_rate_single_spike_quantum():
     # one spike in the window is the smallest nonzero rate, and its record
     # sits at the quantization floor
     for spike, duration, window in ((200.0, 345.0, 245.0), (150.0, 200.0, 100.0)):
-        train = make_train([spike], duration=duration)
-        rate = train.count_in_window(100.0, 100.0 + window) / (window / 1000.0)
+        rate = window_count([spike], 100.0, 100.0 + window, duration) / (window / 1000.0)
         assert rate == pytest.approx(1000.0 / window)
         rec = analysis.RateRecord("RA", "s", 20.0, 6.71, predicted_ips=rate,
                                   window_ms=window)
@@ -74,11 +87,11 @@ def test_firing_rate_single_spike_quantum():
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.0, 500.0))
 def test_firing_rate_shift_invariance(shift):
+    # spikes land on step times, so the drawn shift moves them by its whole steps
+    shift = DT * (shift // DT)
     base = np.array([110.0, 130.0, 180.0, 210.0, 300.0])
-    t0 = make_train(base, duration=400.0)
-    t1 = make_train(base + shift, duration=400.0 + shift)
-    n0 = t0.count_in_window(100.0, 345.0)
-    assert t1.count_in_window(100.0 + shift, 345.0 + shift) == n0
+    n0 = window_count(base, 100.0, 345.0, duration_ms=400.0)
+    assert window_count(base + shift, 100.0 + shift, 345.0 + shift, 400.0 + shift) == n0
 
 
 # -------------------------------------------------------------- rate table

@@ -649,16 +649,25 @@ def test_cli_fit_end_to_end(tmp_path):
 
 
 def test_cli_fit_counts_a_protocol_window_as_simulate_does(tmp_path):
-    # a sinusoid with its own window, [50, 200) ms rather than appendixA's
-    # [100, 200) ms, is fitted over that window: the fit's rate for the
-    # selected parameters is the one simulate reports for them
-    probe = stimulus.StimulusSpec(
-        stimulus_id="probe_a", kind="sinusoid", duration_ms=200.0,
-        discard_ms=50.0, window_ms=150.0, freq_hz=50.0, amplitude_um=113.60,
-    )
-    protocol = write_protocol(tmp_path, [probe])
+    # sinusoids with their own windows, [50, 200) ms rather than appendixA's
+    # [100, 200) ms, are fitted over those windows: the fit's rate for the
+    # selected parameters is the one simulate reports for them, and both
+    # count the spikes simulate writes.  probe_a's window ends with its
+    # trace; probe_c's trace runs 200 ms past its window.
+    probes = [
+        stimulus.StimulusSpec(
+            stimulus_id="probe_a", kind="sinusoid", duration_ms=200.0,
+            discard_ms=50.0, window_ms=150.0, freq_hz=50.0, amplitude_um=113.60,
+        ),
+        stimulus.StimulusSpec(
+            stimulus_id="probe_c", kind="sinusoid", duration_ms=400.0,
+            discard_ms=50.0, window_ms=150.0, freq_hz=100.0, amplitude_um=55.39,
+        ),
+    ]
+    protocol = write_protocol(tmp_path, probes)
     observed = tmp_path / "observed.csv"
-    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\nRA,50.0,113.6,20.0\n")
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\n"
+                        "RA,50.0,113.6,20.0\nRA,100.0,55.39,20.0\n")
     cfg_path = write_config(tmp_path, {
         "protocol": protocol,
         "fit": {"afferents": ["RA"], "observed_rates_csv": str(observed),
@@ -677,11 +686,19 @@ def test_cli_fit_counts_a_protocol_window_as_simulate_does(tmp_path):
         return [ln.split(",")[:5] for ln in path.read_text().splitlines()
                 if ln.startswith("RA,")]
 
-    (row,) = ra_rows(fitted / "fit_rates_RA.csv")
-    assert row[:2] == ["RA", "probe_a"]
-    spikes = float(row[4]) * 0.150  # a whole count over the 150 ms window
-    assert spikes > 0.0 and spikes == pytest.approx(round(spikes))
-    assert ra_rows(simulated / "rates.csv") == [row]
+    rows = ra_rows(fitted / "fit_rates_RA.csv")
+    assert [row[:2] for row in rows] == [["RA", "probe_a"], ["RA", "probe_c"]]
+    assert ra_rows(simulated / "rates.csv") == rows
+    trains = {rec["meta"]["stimulus_id"]: rec["spikes"] for rec in map(
+        json.loads, (simulated / "spikes.jsonl").read_text().splitlines())
+        if rec["afferent"] == "RA"}
+    for probe, row in zip(probes, rows):
+        spikes = float(row[4]) * 0.150  # a whole count over the 150 ms window
+        assert spikes == pytest.approx(round(spikes))
+        lo, hi = probe.discard_ms, probe.discard_ms + probe.window_ms
+        assert round(spikes) == sum(lo <= t < hi for t in trains[probe.stimulus_id])
+    assert float(rows[0][4]) > 0.0
+    assert max(trains["probe_c"]) >= 200.0  # spikes after the window are kept
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit"])
@@ -729,6 +746,10 @@ def _noise_spec(lo, hi, rms):
     (_noise_spec(5.0, 1200.0, 1.0), "need 0 < lo < hi < Nyquist (1000.0 Hz): got (5.0, 1200.0)"),
     (_noise_spec(100.0, 50.0, 1.0), "need 0 < lo < hi < Nyquist (1000.0 Hz): got (100.0, 50.0)"),
     (_noise_spec(5.0, 100.0, 0.0), "rms_um must be > 0, got 0.0"),
+    (sin_spec(-100.0, 10.0), "freq_hz must be > 0, got -100.0"),
+    (sin_spec(0.0, 10.0), "freq_hz must be > 0, got 0.0"),
+    (sin_spec(-2000.0, 10.0), "freq_hz must be > 0, got -2000.0"),
+    (_two_tone_spec(-100.0, 1.0), "freq_hz must be > 0, got -100.0"),
 ])
 def test_cli_refuses_out_of_band_stimulus_before_fem(tmp_path, caplog, bad, message):
     # the first stimulus is valid, so a check made only when each stimulus
@@ -769,6 +790,30 @@ def test_cli_fit_requires_observed_rates(tmp_path):
     cfg_path = write_config(tmp_path, {"protocol": protocol})
     assert cli.main(["fit", "--config", cfg_path,
                      "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cli_fit_refuses_observed_conditions_the_protocol_lacks(tmp_path, caplog):
+    # RA's 20 Hz row names 6.7 um, where the protocol's stimulus is at
+    # 6.71 um: every type is checked before the FEM runs, so the run stops
+    # before any solve and before fitting SA, whose rows all match
+    protocol = write_protocol(tmp_path, [
+        sin_spec(50.0, 34.80), sin_spec(20.0, 6.71, duration=345.0, window=245.0),
+    ])
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\n"
+                        "SA,50.0,34.8,20.0\nSA,20.0,6.71,5.0\n"
+                        "RA,50.0,34.8,20.0\nRA,20.0,6.7,5.0\n")
+    cfg_path = write_config(tmp_path, {
+        "protocol": protocol,
+        "fit": {"afferents": ["SA", "RA"], "observed_rates_csv": str(observed),
+                "population": 4, "budget": 8},
+    })
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        assert cli.main(["fit", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "no RA stimulus for observed conditions: (20.0 Hz, 6.7 um)" in caplog.text
+    assert "FEM solved" not in caplog.text and "fitting" not in caplog.text
+    assert os.listdir(out) == []
 
 
 def test_cli_fit_rejects_empty_observed(tmp_path):

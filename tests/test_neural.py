@@ -25,7 +25,7 @@ def drive_for(stress, params):
 def whole_trace_steps(features, params):
     """Spike steps, [parameter set][stimulus], over whole input traces."""
     counter = neural.SpikeCounter(features, [(0.0, len(f[0]) * DT) for f in features])
-    return counter.spike_steps(neural.ParamTable.from_params(params))
+    return counter.spike_steps(neural.ParamTable.from_params(params))[1]
 
 
 def constant_drive_steps(params, drives, n=2001):
@@ -202,7 +202,8 @@ def test_zero_drive_rests():
         assert whole_trace_steps([zeros], [params])[0][0].size == 0
         # zero stress filters to zero input, hence zero drive
         trace = StressTrace(params.afferent_type, 0, np.zeros(2001))
-        assert neural.run_afferents([trace], params)[0].spike_times_ms.size == 0
+        (train,), counts = neural.run_afferents([trace], params, [(0.0, 1000.0)])
+        assert train.spike_times_ms.size == 0 and counts.tolist() == [0]
 
 
 def test_subthreshold_asymptote():
@@ -283,8 +284,9 @@ def _lif_spike_steps_py(terms, p):
     n_par=st.integers(1, 4),
 )
 def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
-    """Batched spike steps equal the scalar loop's, unit by unit, up to each
-    window's end, and so do the window counts.
+    """Batched spike steps equal the scalar loop's, unit by unit, to each
+    trace's end, and so do the window counts, from a call and from the
+    spike_steps pass alike.
 
     Each example draws one cell, with u_reset < u_rest and tau_r among 0,
     0.5, 1 and 2.5 ms, and its sets draw tau_m, alpha' and the saturation
@@ -328,14 +330,15 @@ def test_spike_counter_matches_scalar_loop(seed, afferent, n_stim, n_par):
     counter = neural.SpikeCounter(features, windows)
     table = neural.ParamTable.from_params(params)
     got = counter(table)
-    got_steps = counter.spike_steps(table)
+    got_counts, got_steps = counter.spike_steps(table)
     assert got.shape == (n_par, n_stim)
+    assert np.array_equal(got_counts, got)
     for i, p in enumerate(params):
         for s, (terms, (start, end)) in enumerate(zip(features, windows)):
             steps = _lif_spike_steps_py(terms, p)
             k_lo, k_hi = neural.window_steps(start, end)
-            # the counter stops at the window end: later spikes are not kept
-            assert got_steps[i][s].tolist() == [k for k in steps if k < k_hi], (i, s)
+            # every unit runs to its trace end: spikes after the window are kept
+            assert got_steps[i][s].tolist() == steps, (i, s)
             assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
 
 
@@ -380,11 +383,12 @@ def test_spike_counter_is_block_invariant(monkeypatch, block):
     The units mix n_refr = ceil(tau_r/dt) of 0, 1, 2 and 5.  Those with
     tau_m < dt (c1 = -4) and a reset below rest overshoot past threshold
     while refractory: half of them on every step, half every third step,
-    so lags reach back across block boundaries.  The stops (steps 76, 52,
-    46 and 28) and the window starts at steps 11 and 25 fall inside blocks
-    of 3 and of 16.  The last window opens at step 90, after every trace
-    has stopped, so it counts nothing.  The units of one tau_r differ in
-    u_reset, so each unit is a cell of its own and runs as its own table."""
+    so lags reach back across block boundaries.  The windows open at steps
+    11 and 25 and close at steps 77 and 53, inside blocks of 3 and of 16;
+    the second runs past its trace's end at step 47, so it counts to there.
+    The last window opens at step 90, after its trace has stopped, so it
+    counts nothing.  The units of one tau_r differ in u_reset, so each unit
+    is a cell of its own and runs as its own table."""
     monkeypatch.setattr(neural, "STEP_BLOCK", block)
     rng = np.random.default_rng(3)
     features, windows = [], [(5.5, 38.5), (0.0, 100.0), (12.5, 26.5), (45.0, 60.0)]
@@ -404,12 +408,13 @@ def test_spike_counter_is_block_invariant(monkeypatch, block):
     got_steps = []
     for i, p in enumerate(params):
         table = neural.ParamTable.from_params([p])
-        (got,), (unit_steps,) = counter(table), counter.spike_steps(table)
+        (got,), ((counts,), (unit_steps,)) = counter(table), counter.spike_steps(table)
         got_steps.append(unit_steps)
+        assert np.array_equal(counts, got)
         for s, (terms, (start, end)) in enumerate(zip(features, windows)):
             steps = _lif_spike_steps_py(terms, p)
             k_lo, k_hi = neural.window_steps(start, end)
-            assert unit_steps[s].tolist() == [k for k in steps if k < k_hi], (i, s)
+            assert unit_steps[s].tolist() == steps, (i, s)
             assert got[s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
     # the overshooting units with n_refr = 5 spike 1 and 3 steps apart
     assert set(np.diff(got_steps[10][0])) == {1}
@@ -465,28 +470,26 @@ def test_spike_counter_working_memory_does_not_grow_with_the_trace():
 
 
 def test_count_spikes_in_window_matches_simulation():
-    """The counter's window count equals SpikeTrain.count_in_window on the
-    whole-trace spike train."""
+    """The counter's window count equals the count of the whole-trace spike
+    times in [lo, hi), from a call and from the spike_steps pass, whose
+    steps are the whole trace's.  The window closes before the last step of
+    the trace, so the count is the snapshot taken where it closes."""
     ra = PARAMS["RA"]
     d = 2.0 * (ra.threshold_mv - ra.u_reset_mv) / ra.tau_m_ms
     # the constant feature whose saturating drive is close to d
     feature = np.full(691, ra.a3_pa_per_ms * d / (ra.alpha_prime - d))
-    trace = neural.SpikeTrain(
-        afferent_type="RA", duration_ms=690 * DT,
-        spike_times_ms=whole_trace_steps([(feature,)], [ra])[0][0] * DT,
-        params_hash=ra.content_hash(),
-    )
+    spike_times_ms = whole_trace_steps([(feature,)], [ra])[0][0] * DT
     lo, hi = 100.0, 345.0
-    expected = np.count_nonzero(
-        (trace.spike_times_ms >= lo) & (trace.spike_times_ms < hi)
-    )
+    expected = np.count_nonzero((spike_times_ms >= lo) & (spike_times_ms < hi))
     assert expected > 0
-    assert trace.count_in_window(lo, hi) == expected
-    got = neural.SpikeCounter([(feature,)], [(lo, hi)])(
-        neural.ParamTable.from_params([ra])
-    )
+    counter = neural.SpikeCounter([(feature,)], [(lo, hi)])
+    table = neural.ParamTable.from_params([ra])
+    got = counter(table)
+    counts, ((steps,),) = counter.spike_steps(table)
     assert got.shape == (1, 1)
     assert got[0, 0] == expected
+    assert np.array_equal(counts, got)
+    assert np.array_equal(steps * DT, spike_times_ms)
 
 
 def test_time_shift_equivariance(rng):
@@ -505,18 +508,22 @@ def test_time_shift_equivariance(rng):
 
 def test_run_afferents_composition(rng):
     """One call over several traces gives each trace the spike train of its
-    own filter chain through the counter, with its node id and params hash."""
+    own filter chain through the counter, whole whatever its window, with
+    its node id and params hash, and the count of its spikes in its window."""
     stress = [np.abs(rng.normal(scale=2e4, size=n)) for n in (691, 401, 691)]
+    windows = [(100.0, 345.0), (50.0, 150.0), (0.0, 400.0)]
     for name, params in PARAMS.items():
         traces = [StressTrace(name, node_id=5 + j, values=x)
                   for j, x in enumerate(stress)]
-        trains = neural.run_afferents(traces, params)
-        assert len(trains) == len(traces)
+        trains, counts = neural.run_afferents(traces, params, windows)
+        assert len(trains) == len(traces) and counts.shape == (len(traces),)
         for j, (trace, train) in enumerate(zip(traces, trains)):
             inputs = neural.filtered_inputs(params, trace.values)
             steps = whole_trace_steps([inputs], [params])[0][0]
             assert np.array_equal(train.spike_times_ms, steps * DT)
-            alone = neural.run_afferents([trace], params)[0]
+            k_lo, k_hi = neural.window_steps(*windows[j])
+            assert counts[j] == np.count_nonzero((steps >= k_lo) & (steps < k_hi))
+            (alone,), _ = neural.run_afferents([trace], params, [windows[j]])
             assert np.array_equal(train.spike_times_ms, alone.spike_times_ms)
             assert train.duration_ms == trace.duration_ms
             assert train.params_hash == params.content_hash()
@@ -527,7 +534,7 @@ def test_constant_stress_silences_ra_pc():
     stress = np.full(691, 5e4)
     for name in ("RA", "PC"):
         trace = StressTrace(name, node_id=0, values=stress)
-        train = neural.run_afferents([trace], PARAMS[name])[0]
+        (train,), _ = neural.run_afferents([trace], PARAMS[name], [(0.0, 345.0)])
         # rate-sensitive types ignore the standing load (only the onset
         # transient at sample 1 can contribute)
         assert train.spike_times_ms.size <= 1
@@ -541,7 +548,7 @@ def test_spike_jsonl_round_trip(rng):
     for name, params in PARAMS.items():
         stress = np.abs(rng.normal(scale=3e4, size=691))
         trace = StressTrace(name, node_id=2, values=stress)
-        trains.extend(neural.run_afferents([trace], params))
+        trains.extend(neural.run_afferents([trace], params, [(100.0, 345.0)])[0])
     # each record goes through JSON as one line of spikes.jsonl
     records = [json.loads(json.dumps(train.to_record())) for train in trains]
     for train, rec in zip(trains, records):

@@ -285,15 +285,16 @@ def test_rate_paths_refuse_a_trace_shorter_than_its_window():
 def test_rates_count_over_each_spec_window():
     """Each condition is counted over its own spec's [discard, discard +
     window), so a spec with another window than appendixA's gets the rate
-    simulate reports: its spike train's count_in_window over the window."""
+    simulate reports: its spike train's spikes in the window, per second."""
     bank = synthetic_bank()
     spec, trace = bank[(50.0, 10.0)]
     bank[(50.0, 10.0)] = (dataclasses.replace(spec, discard_ms=20.0, window_ms=180.0), trace)
     truth = neural.default_afferent_params()["RA"]
     expected = []
     for (f, a), (s, t) in sorted(bank.items()):
-        (train,) = neural.run_afferents([t], truth)
-        n = train.count_in_window(s.discard_ms, s.discard_ms + s.window_ms)
+        lo, hi = s.discard_ms, s.discard_ms + s.window_ms
+        (train,), _ = neural.run_afferents([t], truth, [(lo, hi)])
+        n = np.count_nonzero((train.spike_times_ms >= lo) & (train.spike_times_ms < hi))
         expected.append((f, a, n / (s.window_ms / 1000.0)))
     assert optimize.predict_rates(truth, bank) == expected
     assert expected != optimize.predict_rates(truth, synthetic_bank())
