@@ -58,24 +58,10 @@ def rate_records_to_csv(records: list[RateRecord], provenance: str | None = None
     return "".join(lines)
 
 
-@dataclass(frozen=True)
-class RegressionReport:
-    slope: float
-    intercept: float
-    r_squared: float
-    p_value: float
-    n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope, "intercept": self.intercept,
-            "r_squared": self.r_squared, "p_value": self.p_value, "n": self.n,
-        }
-
-
-def regression(observed, predicted) -> RegressionReport:
-    """OLS of predicted on observed; R^2 is the squared correlation and the
-    p-value is the two-sided t-test of nonzero slope."""
+def regression(observed, predicted) -> dict:
+    """OLS of predicted on observed, as the record regression_<TYPE>.json
+    holds: slope, intercept, r_squared (the squared correlation), p_value
+    (the two-sided t-test of nonzero slope) and n."""
     x = np.asarray(observed, dtype=float)
     y = np.asarray(predicted, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -96,10 +82,10 @@ def regression(observed, predicted) -> RegressionReport:
     df = x.size - 2
     # the 1e-20 terms keep t finite (p = 0) for a perfect fit, |r| = 1
     t = r * np.sqrt(df / ((1.0 - r + 1e-20) * (1.0 + r + 1e-20)))
-    return RegressionReport(
-        slope=float(slope), intercept=float(intercept), r_squared=float(r * r),
-        p_value=t_two_sided_p(float(t), df), n=int(x.size),
-    )
+    return {
+        "slope": float(slope), "intercept": float(intercept), "r_squared": float(r * r),
+        "p_value": t_two_sided_p(float(t), df), "n": int(x.size),
+    }
 
 
 def t_two_sided_p(t: float, df: int) -> float:

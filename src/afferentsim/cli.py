@@ -88,8 +88,8 @@ def output_lock(out_dir: str):
             pass
 
 
-def _provenance(cfg: RunConfig) -> str:
-    return f"afferentsim={__version__} config={cfg.content_hash()} seed={cfg.seed}"
+def _provenance(cfg: RunConfig, config_hash: str | None = None) -> str:
+    return f"afferentsim={__version__} config={config_hash or cfg.content_hash()} seed={cfg.seed}"
 
 
 # --------------------------------------------------------------------------
@@ -169,13 +169,14 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_fit(cfg: RunConfig) -> int:
     out = cfg.output_dir
     results = pipeline.fit(cfg)
-    prov = _provenance(cfg)
+    config_hash = cfg.content_hash()
+    prov = _provenance(cfg, config_hash)
     for atype, result in results.items():
         outcome = result.outcome
         _write(os.path.join(out, f"front_{atype}.csv"),
                front_to_csv(outcome.front, atype, provenance=prov))
         _write_json(os.path.join(out, f"selected_{atype}.json"), selected_to_json(
-            outcome, extra_provenance={"config": cfg.content_hash(), "version": __version__},
+            outcome, extra_provenance={"config": config_hash, "version": __version__},
         ))
         _write(os.path.join(out, f"fit_rates_{atype}.csv"),
                rate_records_to_csv(result.records, provenance=prov))

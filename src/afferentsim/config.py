@@ -16,7 +16,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
-from .errors import INTEGER, NUMBER, STRING, ValidationError, check_kind
+from .errors import INTEGER, NUMBER, STRING, ValidationError, check_kind, short_digest
 from .mesh import AFFERENT_TYPES, GeometrySpec, MaterialLayer, default_material_layers
 from .stimulus import BUILTIN_PROTOCOLS, DT_MS, check_dt, load_protocol
 
@@ -111,8 +111,7 @@ class RunConfig:
             d["fit"]["observed_rates_csv"] = _file_digest(self.fit.observed_rates_csv)
         if self.protocol not in BUILTIN_PROTOCOLS:
             d["protocol"] = _protocol_digest(self.protocol)
-        blob = json.dumps(d, sort_keys=True, default=repr)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return short_digest(d)
 
 
 def _file_digest(path: str) -> dict:

@@ -1,10 +1,11 @@
-"""Exception hierarchy shared across the package, and the kind check of
-JSON input.
+"""Exception hierarchy shared across the package, the kind check of JSON
+input, and the short digest of every provenance record.
 
 The CLI maps ValidationError to exit code 2 and NumericalError to exit
 code 3; everything else is a bug.
 """
 
+import hashlib
 import json
 import math
 
@@ -50,3 +51,10 @@ def check_kind(value, kind, path: str):
             f"{path}: expected {name}, got {json.dumps(value, default=repr)}"
         )
     return float(value) if kind is NUMBER else value
+
+
+def short_digest(obj) -> str:
+    """The first 16 hex digits of SHA-256 over `obj` as sorted-key JSON,
+    with repr for any value JSON cannot hold."""
+    blob = json.dumps(obj, sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -21,13 +21,12 @@ were fitted at that step.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import INTEGER, NUMBER, STRING, NumericalError, ValidationError, check_kind
+from .errors import short_digest
 from .fem import StressTrace
 from .mesh import AFFERENT_TYPES
 from .stimulus import DT_MS
@@ -125,8 +124,7 @@ class AfferentParams:
         return p
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, default=repr)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return short_digest(self.to_dict())
 
 
 # The saturation constants may be null: each type reads only its own.

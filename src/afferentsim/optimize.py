@@ -19,13 +19,11 @@ lexicographic genes) so pipelines are reproducible.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, short_digest
 from .fem import StressTrace
 from .mesh import AFFERENT_TYPES
 from .neural import AfferentParams, ParamTable, SpikeCounter, default_afferent_params
@@ -130,11 +128,7 @@ class ObservedRateSet:
                                   + ", ".join(f"({f} Hz, {a} um)" for f, a in missing))
 
     def content_hash(self) -> str:
-        blob = json.dumps(
-            [self.afferent_type] + [list(map(float, r)) for r in self.records],
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return short_digest([self.afferent_type] + [list(map(float, r)) for r in self.records])
 
     @classmethod
     def from_csv(cls, path, afferent_type: str) -> "ObservedRateSet":

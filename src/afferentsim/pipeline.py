@@ -172,6 +172,15 @@ def validate(cfg: RunConfig) -> ValidateResult:
     return ValidateResult(xs, profile, report)
 
 
+def _regression_record(pairs) -> dict:
+    """The regression over (observed, predicted) pairs, or {"error": ...}
+    when it is undefined."""
+    try:
+        return regression([o for o, _ in pairs], [p for _, p in pairs])
+    except ValidationError as exc:
+        return {"error": str(exc)}
+
+
 def fit(cfg: RunConfig) -> dict[str, FitResult]:
     """Fit each configured afferent type to its observed rates, in order:
     the fit outcome, the predicted (and observed) rate per condition, and
@@ -232,23 +241,12 @@ def fit(cfg: RunConfig) -> dict[str, FitResult]:
             for (f, a) in sorted(predicted)
         ]
 
-        pairs = [(obs_map[(f, a)], predicted[(f, a)]) for (f, a) in sorted(obs_map)]
-        reg: dict[str, object] = {}
-        try:
-            pooled = regression([p[0] for p in pairs], [p[1] for p in pairs])
-            reg["pooled"] = pooled.to_dict()
-        except ValidationError as exc:
-            reg["pooled"] = {"error": str(exc)}
+        pairs = [(obs_map[c], predicted[c]) for c in sorted(obs_map)]
         per_freq = {}
         for f in OBJECTIVE_FREQS:
-            sub = [(o, p) for (ff, _), (o, p) in zip(sorted(obs_map), pairs) if ff == f]
+            sub = [pair for (ff, _), pair in zip(sorted(obs_map), pairs) if ff == f]
             if len(sub) >= 3:
-                try:
-                    per_freq[f"{int(f)}"] = regression(
-                        [o for o, _ in sub], [p for _, p in sub]
-                    ).to_dict()
-                except ValidationError as exc:
-                    per_freq[f"{int(f)}"] = {"error": str(exc)}
-        reg["per_frequency"] = per_freq
+                per_freq[f"{int(f)}"] = _regression_record(sub)
+        reg = {"pooled": _regression_record(pairs), "per_frequency": per_freq}
         results[atype] = FitResult(outcome, records, reg)
     return results

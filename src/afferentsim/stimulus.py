@@ -207,6 +207,13 @@ class StimulusSpec:
                 f"{self.discard_ms + self.window_ms}) ms overruns the rendered "
                 f"{length} ms trace"
             )
+        # a rate divides the count over the window's steps by window_ms, so
+        # both window edges must be step times
+        for name in ("discard_ms", "window_ms"):
+            steps = getattr(self, name) / DT_MS
+            if abs(steps - round(steps)) > 1e-9:
+                raise ValidationError(f"{self.stimulus_id}: {name}={getattr(self, name)} "
+                                      f"is not a whole number of {DT_MS} ms steps")
         need = {
             "sinusoid": ("freq_hz", "amplitude_um"),
             "diharmonic": ("freq_hz", "amplitude_um", "freq2_hz", "amplitude2_um"),

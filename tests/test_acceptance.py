@@ -326,8 +326,8 @@ def test_criterion_12_regression_oracle():
     identity data gives R^2 = 1."""
     x = np.array([1.0, 4.0, 9.0, 16.0, 30.0, 55.0])
     rep = analysis.regression(x, x)
-    assert rep.slope == pytest.approx(1.0, rel=1e-12)
-    assert rep.r_squared == pytest.approx(1.0, rel=1e-12)
+    assert rep["slope"] == pytest.approx(1.0, rel=1e-12)
+    assert rep["r_squared"] == pytest.approx(1.0, rel=1e-12)
 
     rng = np.random.default_rng(99)
     obs = rng.uniform(0.0, 150.0, size=24)
@@ -346,7 +346,7 @@ def test_criterion_12_regression_oracle():
     t = float(r) * math.sqrt((n - 2) / (1.0 - r2))
     p = 2.0 * stats.t.sf(abs(t), df=int(n) - 2)
 
-    assert rep.slope == pytest.approx(float(slope), rel=1e-9)
-    assert rep.intercept == pytest.approx(float(intercept), rel=1e-9)
-    assert rep.r_squared == pytest.approx(r2, rel=1e-9)
-    assert rep.p_value == pytest.approx(float(p), rel=1e-6)
+    assert rep["slope"] == pytest.approx(float(slope), rel=1e-9)
+    assert rep["intercept"] == pytest.approx(float(intercept), rel=1e-9)
+    assert rep["r_squared"] == pytest.approx(r2, rel=1e-9)
+    assert rep["p_value"] == pytest.approx(float(p), rel=1e-6)

@@ -136,19 +136,19 @@ def test_rate_records_csv():
 def test_regression_identity():
     x = np.array([1.0, 5.0, 9.0, 12.0, 30.0])
     rep = analysis.regression(x, x)
-    assert rep.slope == pytest.approx(1.0, rel=1e-12)
-    assert rep.intercept == pytest.approx(0.0, abs=1e-12)
-    assert rep.r_squared == pytest.approx(1.0, rel=1e-12)
-    assert rep.p_value < 1e-4
-    assert rep.n == 5
+    assert rep["slope"] == pytest.approx(1.0, rel=1e-12)
+    assert rep["intercept"] == pytest.approx(0.0, abs=1e-12)
+    assert rep["r_squared"] == pytest.approx(1.0, rel=1e-12)
+    assert rep["p_value"] < 1e-4
+    assert rep["n"] == 5
 
 
 def test_regression_affine():
     x = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
     rep = analysis.regression(x, 2.0 * x + 3.0)
-    assert rep.slope == pytest.approx(2.0, rel=1e-12)
-    assert rep.intercept == pytest.approx(3.0, rel=1e-12)
-    assert rep.r_squared == pytest.approx(1.0, rel=1e-12)
+    assert rep["slope"] == pytest.approx(2.0, rel=1e-12)
+    assert rep["intercept"] == pytest.approx(3.0, rel=1e-12)
+    assert rep["r_squared"] == pytest.approx(1.0, rel=1e-12)
 
 
 def _longdouble_regression(x, y):
@@ -174,11 +174,11 @@ def test_regression_against_normal_equations(rng):
     y = 0.8 * x + 4.0 + rng.normal(scale=6.0, size=20)
     rep = analysis.regression(x, y)
     slope, intercept, r2, p = _longdouble_regression(x, y)
-    assert rep.slope == pytest.approx(slope, rel=1e-9)
-    assert rep.intercept == pytest.approx(intercept, rel=1e-9)
-    assert rep.r_squared == pytest.approx(r2, rel=1e-9)
-    assert rep.p_value == pytest.approx(p, rel=1e-6)
-    assert rep.n == 20
+    assert rep["slope"] == pytest.approx(slope, rel=1e-9)
+    assert rep["intercept"] == pytest.approx(intercept, rel=1e-9)
+    assert rep["r_squared"] == pytest.approx(r2, rel=1e-9)
+    assert rep["p_value"] == pytest.approx(p, rel=1e-6)
+    assert rep["n"] == 20
 
 
 @settings(max_examples=50, deadline=None)
@@ -195,10 +195,10 @@ def test_regression_matches_linregress(n, slope, noise, seed):
     ref = stats.linregress(x, y)
     # relative bounds only (abs=0), so p-values far below 1e-12 count too;
     # constant predictions give NaN R^2 and p on both sides
-    assert rep.slope == pytest.approx(ref.slope, rel=1e-12, abs=0)
-    assert rep.intercept == pytest.approx(ref.intercept, rel=1e-12, abs=0)
-    assert rep.r_squared == pytest.approx(ref.rvalue**2, rel=1e-12, abs=0, nan_ok=True)
-    assert rep.p_value == pytest.approx(ref.pvalue, rel=1e-9, abs=0, nan_ok=True)
+    assert rep["slope"] == pytest.approx(ref.slope, rel=1e-12, abs=0)
+    assert rep["intercept"] == pytest.approx(ref.intercept, rel=1e-12, abs=0)
+    assert rep["r_squared"] == pytest.approx(ref.rvalue**2, rel=1e-12, abs=0, nan_ok=True)
+    assert rep["p_value"] == pytest.approx(ref.pvalue, rel=1e-9, abs=0, nan_ok=True)
 
 
 def test_t_p_value_closed_forms():
@@ -249,11 +249,10 @@ def test_r_squared_affine_invariance(scale, offset):
     y = np.array([5.0, 6.5, 14.0, 11.0, 22.0, 39.0])
     base = analysis.regression(x, y)
     scaled = analysis.regression(x, scale * y + offset)
-    assert scaled.r_squared == pytest.approx(base.r_squared, rel=1e-9)
-    assert scaled.slope == pytest.approx(scale * base.slope, rel=1e-9)
+    assert scaled["r_squared"] == pytest.approx(base["r_squared"], rel=1e-9)
+    assert scaled["slope"] == pytest.approx(scale * base["slope"], rel=1e-9)
 
 
 def test_regression_report_dict():
     rep = analysis.regression([1.0, 2.0, 3.0], [1.0, 2.1, 2.9])
-    d = rep.to_dict()
-    assert set(d) == {"slope", "intercept", "r_squared", "p_value", "n"}
+    assert set(rep) == {"slope", "intercept", "r_squared", "p_value", "n"}

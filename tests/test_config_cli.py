@@ -183,6 +183,21 @@ def test_config_hash_is_pinned(tmp_path, raw, digest):
     assert config.config_from_dict(raw, base_dir=str(tmp_path)).content_hash() == digest
 
 
+@pytest.mark.parametrize("atype, digest", [
+    ("SA", "c6f0071dafedd9e3"), ("RA", "1bcc67536c95f69f"), ("PC", "3608ad4823245beb"),
+])
+def test_afferent_params_hash_is_pinned(atype, digest):
+    # the params_hash of every spikes.jsonl record
+    assert neural.default_afferent_params()[atype].content_hash() == digest
+
+
+def test_observed_rates_hash_is_pinned():
+    # the observed_data_hash of every selected_<TYPE>.json; the integer rate
+    # enters as the float it is read as
+    observed = optimize.ObservedRateSet("RA", ((20.0, 6.71, 5), (50.0, 34.8, 20.25)))
+    assert observed.content_hash() == "8c6ccf51f1e2febc"
+
+
 def test_config_hash_reads_input_files_not_paths(tmp_path):
     """The same input files under two directories give one hash, and a
     changed byte in any of them gives another."""
@@ -723,6 +738,20 @@ def test_cli_refuses_window_past_rendered_trace_before_fem(tmp_path, caplog, com
     assert os.listdir(out) == []
 
 
+def test_cli_refuses_window_off_the_step_grid_before_fem(tmp_path, caplog):
+    # [100.1, 100.4) ms holds no step time, so counted it would read 0 ips
+    # for every type, whatever the spikes
+    spec = dataclasses.replace(sin_spec(300.0, 50.0), discard_ms=100.1, window_ms=0.3)
+    cfg_path = write_config(tmp_path, {"protocol": write_protocol(tmp_path, [spec])})
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert (f"{spec.stimulus_id}: discard_ms=100.1 is not a whole number of 0.5 ms "
+            "steps") in caplog.text
+    assert "FEM solved" not in caplog.text
+    assert not (out / "rates.csv").exists()
+
+
 def _two_tone_spec(f2, a2):
     return stimulus.StimulusSpec(
         stimulus_id="dih", kind="diharmonic", duration_ms=200.0, discard_ms=100.0,
@@ -978,6 +1007,27 @@ def test_pipeline_stages_write_no_file(tmp_path_factory, monkeypatch):
     assert [r.stimulus_id for r in fitted["RA"].records] == [s.stimulus_id for s in specs]
     assert os.listdir(workdir) == []
     assert sorted(os.listdir(inputs)) == ["observed.csv", "protocol.json"]
+
+
+def test_cli_fit_writes_the_error_record_of_an_undefined_regression(tmp_path):
+    # five equal observed rates leave every slope undefined; 100 Hz has two
+    # observed rows, too few for a regression of its own, so it has no entry
+    specs = [sin_spec(50.0, a) for a in (34.80, 55.39, 113.60)]
+    specs += [sin_spec(100.0, a) for a in (19.24, 55.39)]
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\n" + "".join(
+        f"RA,{s.freq_hz},{s.amplitude_um},20.0\n" for s in specs))
+    cfg_path = write_config(tmp_path, {
+        "protocol": write_protocol(tmp_path, specs),
+        "fit": {"afferents": ["RA"], "observed_rates_csv": str(observed),
+                "population": 4, "budget": 8},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["fit", "--config", cfg_path, "--out", str(out)]) == 0
+    reg = json.loads((out / "regression_RA.json").read_text())
+    assert reg.pop("provenance").startswith("afferentsim=")
+    undefined = {"error": "observed values are all equal; slope is undefined"}
+    assert reg == {"pooled": undefined, "per_frequency": {"50": undefined}}
 
 
 def test_fit_predicted_rates_equal_predict_rates(tmp_path, default_mesh):

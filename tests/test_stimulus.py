@@ -141,6 +141,21 @@ def test_spec_validation_errors():
         ).validate()  # inverted band
 
 
+def test_spec_window_edges_must_be_step_times():
+    tone = dict(stimulus_id="w", kind="sinusoid", duration_ms=200.3, freq_hz=50.0,
+                amplitude_um=10.0)
+    # the duration need not be a whole number of steps; an edge within 1e-9
+    # steps of a step time counts as one
+    stimulus.StimulusSpec(discard_ms=99.5, window_ms=100.0 + 1e-10, **tone).validate()
+    for discard, window, name in [(100.1, 0.3, "discard_ms"), (100.0, 99.75, "window_ms")]:
+        with pytest.raises(ValidationError, match=f"w: {name}=.* is not a whole number "
+                                                  "of 0.5 ms steps"):
+            stimulus.StimulusSpec(discard_ms=discard, window_ms=window, **tone).validate()
+    for name in stimulus.BUILTIN_PROTOCOLS:
+        for spec in stimulus.builtin_protocol(name):
+            spec.validate()
+
+
 def test_protocol_json_round_trip(tmp_path):
     specs = stimulus.builtin_protocol("appendixB")
     path = tmp_path / "protocol.json"
