@@ -61,7 +61,8 @@ def rate_records_to_csv(records: list[RateRecord], provenance: str | None = None
 def regression(observed, predicted) -> dict:
     """OLS of predicted on observed, as the record regression_<TYPE>.json
     holds: slope, intercept, r_squared (the squared correlation), p_value
-    (the two-sided t-test of nonzero slope) and n."""
+    (the two-sided t-test of nonzero slope) and n.  Constant predictions
+    leave r, and so r_squared and p_value, undefined: None (JSON null)."""
     x = np.asarray(observed, dtype=float)
     y = np.asarray(predicted, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -77,14 +78,16 @@ def regression(observed, predicted) -> dict:
     (sxx, sxy), (_, syy) = (d @ d.T) * (1.0 / x.size)
     slope = sxy / sxx
     intercept = y.mean() - slope * x.mean()
-    # constant predictions leave r (and so R^2 and p) undefined: NaN
-    r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0) if syy > 0 else np.nan
-    df = x.size - 2
-    # the 1e-20 terms keep t finite (p = 0) for a perfect fit, |r| = 1
-    t = r * np.sqrt(df / ((1.0 - r + 1e-20) * (1.0 + r + 1e-20)))
+    r_squared = p_value = None
+    if syy > 0:
+        r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
+        df = x.size - 2
+        # the 1e-20 terms keep t finite (p = 0) for a perfect fit, |r| = 1
+        t = r * np.sqrt(df / ((1.0 - r + 1e-20) * (1.0 + r + 1e-20)))
+        r_squared, p_value = float(r * r), t_two_sided_p(float(t), df)
     return {
-        "slope": float(slope), "intercept": float(intercept), "r_squared": float(r * r),
-        "p_value": t_two_sided_p(float(t), df), "n": int(x.size),
+        "slope": float(slope), "intercept": float(intercept), "r_squared": r_squared,
+        "p_value": p_value, "n": int(x.size),
     }
 
 

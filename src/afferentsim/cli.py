@@ -29,6 +29,7 @@ from . import __version__, pipeline
 from .analysis import rate_records_to_csv
 from .config import RunConfig, load_config
 from .errors import AfferentSimError, NumericalError, ValidationError
+from .fem import stress_csv_text
 from .mesh import AFFERENT_TYPES, build_mesh, export_mesh_text
 from .optimize import front_to_csv, selected_to_json
 from .stimulus import BUILTIN_PROTOCOLS
@@ -109,7 +110,8 @@ def _write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # NaN and Infinity are not JSON: a non-finite number raises ValueError
+    _write(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_mesh(cfg: RunConfig) -> int:
@@ -134,11 +136,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     _write(os.path.join(out, "mesh.txt"), export_mesh_text(result.mesh))
     prov = _provenance(cfg)
     for stimulus_id, traces in result.bank.items():
-        for atype, trace in traces.items():
-            _write(os.path.join(out, "stress", f"{stimulus_id}_{atype}.csv"),
-                   trace.csv_text(provenance=prov))
+        for atype, values in traces.items():
+            _write(os.path.join(out, "stress", f"{stimulus_id}_{atype}.csv"), stress_csv_text(
+                values, atype, result.mesh.afferent_nodes[atype], prov))
     _write(os.path.join(out, "spikes.jsonl"), "".join(
-        json.dumps(tr.to_record(), sort_keys=True) + "\n" for tr in result.trains
+        json.dumps(record, sort_keys=True) + "\n" for record in result.trains
     ))
     _write(os.path.join(out, "rates.csv"), rate_records_to_csv(result.records, provenance=prov))
     _write_json(os.path.join(out, "config_resolved.json"), cfg.to_dict())

@@ -13,7 +13,8 @@ solvers).  build_footprint_response makes the FootprintResponse of one
 probe: the field under a unit load at each footprint node, and the loads
 over depth as a table of one segment per contact set, each solved once.
 run_indentation(footprint, indenter) reads each step's loads off it, with
-no mesh and no solve; IndenterSpec holds only the probe's motion.
+no mesh and no solve; IndenterSpec holds only the probe's motion.  Its
+stress traces are read-only arrays, and stress_csv_text writes one as CSV.
 
 Assembly uses 4-node bilinear isoparametric quads with 2x2 Gauss
 quadrature (the element map and its gradients live in mesh).  The DOFs are
@@ -109,45 +110,27 @@ class IndenterSpec:
                 f"pre_indentation_mm must be finite, got {self.pre_indentation_mm}")
 
 
-@dataclass(frozen=True)
-class StressTrace:
-    """von Mises stress (Pa) at one node, one value per DT_MS."""
+def stress_csv_text(values: np.ndarray, afferent_type: str, node_id: int,
+                    provenance: str | None = None) -> str:
+    """A stress trace (Pa, one value per DT_MS) as CSV text: header lines,
+    then one `t_ms,sigma_pa` row per step (shortest repr of the value as a
+    float64).
 
-    afferent_type: str
-    node_id: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def duration_ms(self) -> float:
-        return (self.n_steps - 1) * DT_MS
-
-    def csv_text(self, provenance: str | None = None) -> str:
-        """The trace as CSV text: header lines, then one `t_ms,sigma_pa` row
-        per step (shortest repr of the value as a float64).
-
-        Each distinct value is formatted once: appendixA's 111 traces hold
-        54 951 values, half of them zeros from the lifted indenter, but only
-        6 450 distinct ones, since a sinusoid repeats its depths every half
-        cycle.  The values are keyed by their bits, not compared as floats,
-        which would merge -0.0 into 0.0 and write it as `0.0`.
-        """
-        head = ["# afferent,node,dt_ms\n",
-                f"# {self.afferent_type},{self.node_id},{DT_MS!r}\n"]
-        if provenance:
-            head.append(f"# provenance: {provenance}\n")
-        head.append("t_ms,sigma_pa\n")
-        texts, index = _distinct_reprs(self.values, "\n")
-        body = [""] * (2 * self.n_steps)
-        body[0::2] = _time_column(self.n_steps)
-        body[1::2] = [texts[k] for k in index.tolist()]
-        return "".join(head + body)
+    Each distinct value is formatted once: appendixA's 111 traces hold
+    54 951 values, half of them zeros from the lifted indenter, but only
+    6 450 distinct ones, since a sinusoid repeats its depths every half
+    cycle.  The values are keyed by their bits, not compared as floats,
+    which would merge -0.0 into 0.0 and write it as `0.0`.
+    """
+    head = ["# afferent,node,dt_ms\n", f"# {afferent_type},{node_id},{DT_MS!r}\n"]
+    if provenance:
+        head.append(f"# provenance: {provenance}\n")
+    head.append("t_ms,sigma_pa\n")
+    texts, index = _distinct_reprs(values, "\n")
+    body = [""] * (2 * len(values))
+    body[0::2] = _time_column(len(values))
+    body[1::2] = [texts[k] for k in index.tolist()]
+    return "".join(head + body)
 
 
 @lru_cache(maxsize=4)
@@ -201,7 +184,7 @@ class FootprintResponse:
 
 @dataclass
 class IndentationResult:
-    stress_traces: dict[str, StressTrace]
+    stress_traces: dict[str, np.ndarray]  # read-only von Mises stress (Pa) by type
     contact_sets: int  # segments of the footprint's table that the trace reaches
     # (n_steps, n_c) footprint loads in N/mm, positive upward, columns in
     # footprint.nodes order; exactly 0 off the contact set and on unsolved steps
@@ -685,11 +668,8 @@ def run_indentation(footprint: FootprintResponse, indenter: IndenterSpec) -> Ind
     loads = np.zeros((depths.size, footprint.nodes.size))
     loads[solved] = table[:, 0] - (delta[solved] - start)[:, None] * table[:, 1]
 
-    vm = von_mises(np.tensordot(loads, footprint.stress, axes=1))
-    traces = {  # MPa -> Pa for the neural stage
-        atype: StressTrace(afferent_type=atype, node_id=int(footprint.afferent_nodes[i]),
-                           values=vm[:, i] * 1.0e6)
-        for i, atype in enumerate(AFFERENT_TYPES)
-    }
-    return IndentationResult(stress_traces=traces, contact_sets=len(set(segment.tolist())),
-                             loads=loads)
+    # MPa -> Pa for the neural stage, one row per afferent type
+    pa = (von_mises(np.tensordot(loads, footprint.stress, axes=1)) * 1.0e6).T.copy()
+    pa.setflags(write=False)
+    return IndentationResult(stress_traces=dict(zip(AFFERENT_TYPES, pa)),
+                             contact_sets=len(set(segment.tolist())), loads=loads)

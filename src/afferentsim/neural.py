@@ -11,7 +11,7 @@ The feature passes through a saturating transform ``alpha' * x / (a + x)``
 to a membrane drive in mV/ms, then a leaky integrate-and-fire unit with an
 absolute refractory period.  SpikeCounter holds the one integrate-and-fire
 loop, over the parameter sets of one cell (a ParamTable), and the one
-window count: run_afferents turns whole stress traces into spike trains and
+window count: run_afferents turns whole stress arrays into spike steps and
 window counts with it, and fitting counts spikes in windows with it.
 Stress is in Pa, time in ms throughout, and every trace is sampled at
 stimulus.DT_MS (0.5 ms), the one step at which the constants hold, since
@@ -21,13 +21,12 @@ were fitted at that step.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import INTEGER, NUMBER, STRING, NumericalError, ValidationError, check_kind
 from .errors import short_digest
-from .fem import StressTrace
 from .mesh import AFFERENT_TYPES
 from .stimulus import DT_MS
 
@@ -205,28 +204,6 @@ def filtered_inputs(params: AfferentParams, stress_pa: np.ndarray) -> tuple[np.n
 
 # --------------------------------------------------------------------------
 # integrate-and-fire
-
-
-@dataclass(frozen=True)
-class SpikeTrain:
-    afferent_type: str
-    duration_ms: float  # simulated span; spikes lie in (0, duration]
-    spike_times_ms: np.ndarray  # strictly increasing
-    params_hash: str
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.spike_times_ms.setflags(write=False)
-
-    def to_record(self) -> dict:
-        return {
-            "afferent": self.afferent_type,
-            "params_hash": self.params_hash,
-            "dt": DT_MS,
-            "duration_ms": self.duration_ms,
-            "spikes": [float(t) for t in self.spike_times_ms],
-            "meta": self.meta,
-        }
 
 
 def window_steps(start_ms: float, end_ms: float) -> tuple[int, int]:
@@ -508,27 +485,16 @@ class SpikeCounter:
         return counts, spiked[lead:]
 
 
-def run_afferents(
-    traces: list[StressTrace], params: AfferentParams, windows_ms,
-) -> tuple[list[SpikeTrain], np.ndarray]:
-    """Spike trains of one afferent type over whole stress traces, and the
-    int64 spike count of each trace's window [start, end) in ms.
+def run_afferents(traces, params: AfferentParams,
+                  windows_ms) -> tuple[list[np.ndarray], np.ndarray]:
+    """The spike steps of one afferent type over whole stress traces (Pa,
+    one value per DT_MS), and the int64 spike count of each trace's window
+    [start, end) in ms.
 
     Each trace goes through the type's filter chain, and one SpikeCounter
-    pass integrates them all to their ends; spikes land on step times in
-    (0, duration].
+    pass integrates them all to their ends; a trace's steps increase, and
+    step k is the spike at k * DT_MS, in (0, (len(trace) - 1) * DT_MS].
     """
-    counter = SpikeCounter([filtered_inputs(params, t.values) for t in traces], windows_ms)
+    counter = SpikeCounter([filtered_inputs(params, t) for t in traces], windows_ms)
     (counts,), (steps,) = counter.spike_steps(ParamTable.from_params([params]))
-    params_hash = params.content_hash()
-    trains = [
-        SpikeTrain(
-            afferent_type=params.afferent_type,
-            duration_ms=t.duration_ms,
-            spike_times_ms=k.astype(float) * DT_MS,
-            params_hash=params_hash,
-            meta={"node_id": t.node_id},
-        )
-        for t, k in zip(traces, steps)
-    ]
-    return trains, counts
+    return steps, counts

@@ -6,9 +6,9 @@ fixed.  Saturation constants are searched in log10 space since plausible
 values span decades.  Objectives are the per-frequency mean squared rate
 errors over the stimulus bank, one objective per stimulus frequency
 (20/50/100/300 Hz), all to be minimized.  The bank maps each (freq,
-amplitude) condition to its StimulusSpec and one afferent's StressTrace,
-and each condition's spikes are counted over its spec's [discard, discard +
-window), the window simulate counts its rates over.
+amplitude) condition to its StimulusSpec and one afferent's stress trace
+array, and each condition's spikes are counted over its spec's [discard,
+discard + window), the window simulate counts its rates over.
 
 The returned front is the rank-0 subset of the final population; the full
 population is exported so a human can re-pick, but select_candidate applies
@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, short_digest
-from .fem import StressTrace
 from .mesh import AFFERENT_TYPES
 from .neural import AfferentParams, ParamTable, SpikeCounter, default_afferent_params
 from .neural import SATURATION_FIELDS, filtered_inputs
-from .stimulus import StimulusSpec
+from .stimulus import DT_MS, StimulusSpec
 
 OBJECTIVE_FREQS = (20.0, 50.0, 100.0, 300.0)
 
@@ -130,48 +129,51 @@ class ObservedRateSet:
     def content_hash(self) -> str:
         return short_digest([self.afferent_type] + [list(map(float, r)) for r in self.records])
 
-    @classmethod
-    def from_csv(cls, path, afferent_type: str) -> "ObservedRateSet":
-        """Read `afferent,freq_hz,amplitude_um,rate_ips` rows for one type."""
-        records = []
+
+def observed_rates_from_csv(path, afferent_types) -> dict[str, ObservedRateSet]:
+    """The validated observed rates of each of `afferent_types`, read in one
+    pass over the `afferent,freq_hz,amplitude_um,rate_ips` rows of `path`;
+    every row must parse, whichever types are read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [
+                (no, ln.strip()) for no, ln in enumerate(fh, 1)
+                if ln.strip() and not ln.startswith("#")
+            ]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read observed rates {path}: {exc}") from exc
+    header = "afferent,freq_hz,amplitude_um,rate_ips"
+    if not lines or [c.strip() for c in lines[0][1].split(",")] != header.split(","):
+        raise ValidationError(f"{path}: expected header {header}")
+    records = {atype: [] for atype in afferent_types}
+    for no, ln in lines[1:]:
+        parts = ln.split(",")
         try:
-            with open(path, encoding="utf-8") as fh:
-                lines = [
-                    (no, ln.strip()) for no, ln in enumerate(fh, 1)
-                    if ln.strip() and not ln.startswith("#")
-                ]
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"cannot read observed rates {path}: {exc}") from exc
-        header = "afferent,freq_hz,amplitude_um,rate_ips"
-        if not lines or [c.strip() for c in lines[0][1].split(",")] != header.split(","):
-            raise ValidationError(f"{path}: expected header {header}")
-        for no, ln in lines[1:]:
-            parts = ln.split(",")
-            try:
-                values = tuple(float(c) for c in parts[1:])
-            except ValueError:
-                values = ()
-            if len(values) != 3 or not np.all(np.isfinite(values)):
-                raise ValidationError(
-                    f"{path}: line {no}: malformed row {ln!r} (need an afferent "
-                    "and three finite numbers)"
-                )
-            afferent = parts[0].strip()
-            if afferent not in AFFERENT_TYPES:
-                raise ValidationError(
-                    f"{path}: line {no}: unknown afferent {parts[0]!r} (need one of "
-                    f"{', '.join(AFFERENT_TYPES)})"
-                )
-            if afferent == afferent_type:
-                records.append(values)
-        out = cls(afferent_type=afferent_type, records=tuple(records))
-        out.validate()
-        return out
+            values = tuple(float(c) for c in parts[1:])
+        except ValueError:
+            values = ()
+        if len(values) != 3 or not np.all(np.isfinite(values)):
+            raise ValidationError(
+                f"{path}: line {no}: malformed row {ln!r} (need an afferent "
+                "and three finite numbers)"
+            )
+        afferent = parts[0].strip()
+        if afferent not in AFFERENT_TYPES:
+            raise ValidationError(
+                f"{path}: line {no}: unknown afferent {parts[0]!r} (need one of "
+                f"{', '.join(AFFERENT_TYPES)})"
+            )
+        if afferent in records:
+            records[afferent].append(values)
+    out = {atype: ObservedRateSet(atype, tuple(rows)) for atype, rows in records.items()}
+    for observed in out.values():
+        observed.validate()
+    return out
 
 
 def _window_counter(
     params: AfferentParams,
-    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, StressTrace]],
+    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, np.ndarray]],
     conditions: list[tuple[float, float]],
 ) -> tuple[SpikeCounter, np.ndarray]:
     """Counter over the bank's traces for `conditions`, (freq, amplitude)
@@ -181,13 +183,13 @@ def _window_counter(
     full window."""
     entries = [stress_bank[c] for c in conditions]
     for (f, a), (spec, trace) in zip(conditions, entries):
-        if spec.discard_ms + spec.window_ms > trace.duration_ms + 1e-9:
+        if spec.discard_ms + spec.window_ms > (trace.size - 1) * DT_MS + 1e-9:
             raise ValidationError(
                 f"stress trace for ({f} Hz, {a} um) is shorter than "
                 f"discard + window = {spec.discard_ms + spec.window_ms} ms"
             )
     counter = SpikeCounter(
-        [filtered_inputs(params, t.values) for _, t in entries],
+        [filtered_inputs(params, t) for _, t in entries],
         [(s.discard_ms, s.discard_ms + s.window_ms) for s, _ in entries],
     )
     return counter, np.array([s.window_ms / 1000.0 for s, _ in entries])
@@ -217,7 +219,7 @@ class RateEvaluator:
     def __init__(
         self,
         afferent_type: str,
-        stress_bank: dict[tuple[float, float], tuple[StimulusSpec, StressTrace]],
+        stress_bank: dict[tuple[float, float], tuple[StimulusSpec, np.ndarray]],
         observed: ObservedRateSet,
     ):
         observed.validate()
@@ -265,7 +267,7 @@ class RateEvaluator:
 
 def predict_rates(
     params: AfferentParams,
-    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, StressTrace]],
+    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, np.ndarray]],
 ) -> list[tuple[float, float, float]]:
     """(freq, amplitude, predicted ips) over the whole bank, sorted."""
     keys = sorted(stress_bank)
@@ -421,7 +423,6 @@ class ParetoFront:
     genes: np.ndarray  # final population, (N, n_genes)
     objectives: np.ndarray  # (N, n_objectives)
     ranks: np.ndarray
-    crowding: np.ndarray
     seed: int
     budget: int
     bounds_low: np.ndarray
@@ -503,9 +504,8 @@ def nsga2(
         history.append(best)
 
     return ParetoFront(
-        genes=pop, objectives=objs, ranks=ranks, crowding=crowd,
-        seed=seed, budget=budget, bounds_low=low, bounds_high=high,
-        best_sum_history=history,
+        genes=pop, objectives=objs, ranks=ranks, seed=seed, budget=budget,
+        bounds_low=low, bounds_high=high, best_sum_history=history,
     )
 
 
@@ -548,7 +548,7 @@ class FitOutcome:
 
 def fit_afferent(
     afferent_type: str,
-    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, StressTrace]],
+    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, np.ndarray]],
     observed: ObservedRateSet,
     seed: int,
     *,
@@ -580,7 +580,7 @@ def fit_afferent(
 
 def recover_parameters(
     ground_truth: AfferentParams,
-    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, StressTrace]],
+    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, np.ndarray]],
     seed: int,
     *,
     budget: int,

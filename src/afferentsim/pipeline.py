@@ -25,12 +25,12 @@ import numpy as np
 from .analysis import RateRecord, regression
 from .config import RunConfig
 from .errors import STRING, ValidationError, check_kind
-from .fem import IndenterSpec, StiffnessSystem, StressTrace, run_indentation
+from .fem import IndenterSpec, StiffnessSystem, run_indentation
 from .fem import build_footprint_response, surface_deflection
 from .mesh import AFFERENT_TYPES, Mesh, build_mesh
 from .neural import AfferentParams, default_afferent_params, run_afferents
-from .optimize import ObservedRateSet, OBJECTIVE_FREQS, fit_afferent
-from .stimulus import BUILTIN_PROTOCOLS, StimulusSpec, builtin_protocol, load_protocol
+from .optimize import OBJECTIVE_FREQS, fit_afferent, observed_rates_from_csv
+from .stimulus import BUILTIN_PROTOCOLS, DT_MS, StimulusSpec, builtin_protocol, load_protocol
 
 logger = logging.getLogger("afferentsim")
 
@@ -75,8 +75,9 @@ def load_afferent_params(source: str) -> dict[str, AfferentParams]:
 
 def stress_bank(
     cfg: RunConfig, mesh: Mesh, specs: list[StimulusSpec]
-) -> dict[str, dict[str, StressTrace]]:
-    """Per-stimulus, per-afferent stress traces, solved for every stimulus.
+) -> dict[str, dict[str, np.ndarray]]:
+    """Per-stimulus, per-afferent stress traces (read-only arrays, Pa, one
+    value per DT_MS), solved for every stimulus.
 
     One footprint response, for the configured probe's diameter and centre,
     is built before the first stimulus and serves them all; a contact
@@ -86,7 +87,7 @@ def stress_bank(
     footprint = build_footprint_response(
         StiffnessSystem(mesh), cfg.indenter_diameter_mm, cfg.indenter_center_x_mm
     )
-    bank: dict[str, dict[str, StressTrace]] = {}
+    bank: dict[str, dict[str, np.ndarray]] = {}
     for spec in specs:
         displacement = spec.generate()
         indenter = IndenterSpec(pre_indentation_mm=cfg.indenter_pre_indentation_mm,
@@ -105,11 +106,13 @@ def stress_bank(
 
 
 def simulate(cfg: RunConfig) -> SimulateResult:
-    """The mesh, the stress bank (in protocol order), and the spike trains
-    and rate records of every stimulus, then every afferent type.
+    """The mesh, the stress bank (in protocol order), and the spikes.jsonl
+    record and rate record of every stimulus, then every afferent type.
 
-    Noise stimuli describe their rate rows by the band centre and the RMS
-    amplitude, diharmonics by their first component.
+    A spikes record holds the afferent type, its params hash, the step dt,
+    the trace's duration, the spike times in ms and meta (the afferent's node
+    and the stimulus id).  Noise stimuli describe their rate rows by the
+    band centre and the RMS amplitude, diharmonics by their first component.
     """
     specs = resolve_protocol(cfg)
     for spec in specs:
@@ -130,6 +133,7 @@ def simulate(cfg: RunConfig) -> SimulateResult:
         )
         for atype in AFFERENT_TYPES
     }
+    hashes = {atype: params[atype].content_hash() for atype in AFFERENT_TYPES}
     trains, records = [], []
     for s, spec in enumerate(specs):
         if spec.kind in ("sinusoid", "diharmonic"):
@@ -137,10 +141,13 @@ def simulate(cfg: RunConfig) -> SimulateResult:
         else:
             freq, amp = (spec.lo_hz + spec.hi_hz) / 2.0, spec.rms_um
         for atype in AFFERENT_TYPES:
-            type_trains, counts = by_type[atype]
-            train = type_trains[s]
-            train.meta["stimulus_id"] = spec.stimulus_id
-            trains.append(train)
+            steps, counts = by_type[atype]
+            trains.append({
+                "afferent": atype, "params_hash": hashes[atype], "dt": DT_MS,
+                "duration_ms": (bank[spec.stimulus_id][atype].size - 1) * DT_MS,
+                "spikes": (steps[s] * DT_MS).tolist(),
+                "meta": {"node_id": mesh.afferent_nodes[atype], "stimulus_id": spec.stimulus_id},
+            })
             records.append(RateRecord(
                 afferent_type=atype, stimulus_id=spec.stimulus_id,
                 freq_hz=freq, amplitude_um=amp,
@@ -206,10 +213,7 @@ def fit(cfg: RunConfig) -> dict[str, FitResult]:
                 "um; fit needs one stimulus per condition"
             )
         by_condition[condition] = s
-    observed_by_type = {
-        atype: ObservedRateSet.from_csv(cfg.fit.observed_rates_csv, atype)
-        for atype in cfg.fit.afferents
-    }
+    observed_by_type = observed_rates_from_csv(cfg.fit.observed_rates_csv, cfg.fit.afferents)
     for observed in observed_by_type.values():
         observed.check_conditions(by_condition)
     mesh = build_mesh(cfg.geometry, cfg.materials)

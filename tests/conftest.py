@@ -42,7 +42,7 @@ def default_footprint(default_config, default_system):
 
 @pytest.fixture(scope="session")
 def appendix_a_bank(default_config, default_mesh):
-    """stimulus_id -> {afferent -> StressTrace} for the 37-sinusoid bank."""
+    """stimulus_id -> {afferent -> stress array} for the 37-sinusoid bank."""
     specs = pipeline.resolve_protocol(default_config)
     bank = pipeline.stress_bank(default_config, default_mesh, specs)
     return specs, bank

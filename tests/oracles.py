@@ -140,14 +140,14 @@ def dominates(a, b):
     return bool(np.all(a <= b) and np.any(a < b))
 
 
-def stress_csv_text(trace, provenance=None):
-    """StressTrace.csv_text's text, one row at a time from NumPy scalars."""
+def stress_csv_text(values, afferent_type, node_id, provenance=None):
+    """fem.stress_csv_text's text, one row at a time from NumPy scalars."""
     dt = 0.5
-    lines = ["# afferent,node,dt_ms\n", f"# {trace.afferent_type},{trace.node_id},{dt!r}\n"]
+    lines = ["# afferent,node,dt_ms\n", f"# {afferent_type},{node_id},{dt!r}\n"]
     if provenance:
         lines.append(f"# provenance: {provenance}\n")
     lines.append("t_ms,sigma_pa\n")
-    for k, v in enumerate(trace.values):
+    for k, v in enumerate(values):
         lines.append(f"{k * dt!r},{float(v)!r}\n")
     return "".join(lines)
 

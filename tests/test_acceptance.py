@@ -176,7 +176,7 @@ def test_criterion_06_filter_selectivity(fifty_um_traces):
     for freq in (20.0, 50.0, 100.0, 300.0):
         trace = fifty_um_traces[freq]
         values = stress_to_drive(
-            neural.filtered_inputs(pc, trace.values), pc
+            neural.filtered_inputs(pc, trace), pc
         )
         start = round(100.0 / DT)
         levels.append(float(values[start:].mean()))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -193,12 +194,28 @@ def test_regression_matches_linregress(n, slope, noise, seed):
     y = slope * x + 4.0 + rng.normal(scale=noise, size=n)
     rep = analysis.regression(x, y)
     ref = stats.linregress(x, y)
-    # relative bounds only (abs=0), so p-values far below 1e-12 count too;
-    # constant predictions give NaN R^2 and p on both sides
+    # relative bounds only (abs=0), so p-values far below 1e-12 count too
     assert rep["slope"] == pytest.approx(ref.slope, rel=1e-12, abs=0)
     assert rep["intercept"] == pytest.approx(ref.intercept, rel=1e-12, abs=0)
-    assert rep["r_squared"] == pytest.approx(ref.rvalue**2, rel=1e-12, abs=0, nan_ok=True)
-    assert rep["p_value"] == pytest.approx(ref.pvalue, rel=1e-9, abs=0, nan_ok=True)
+    if math.isnan(ref.pvalue):  # constant predictions: SciPy's NaN is None here
+        assert math.isnan(ref.rvalue)
+        assert rep["r_squared"] is None and rep["p_value"] is None
+    else:
+        assert rep["r_squared"] == pytest.approx(ref.rvalue**2, rel=1e-12, abs=0)
+        assert rep["p_value"] == pytest.approx(ref.pvalue, rel=1e-9, abs=0)
+
+
+def test_regression_of_constant_predictions_is_strict_json():
+    # equal predictions leave r undefined: r_squared and p_value are null,
+    # never a bare NaN token, which JSON does not have
+    rep = analysis.regression([10.0, 20.0, 40.0, 80.0], [30.0] * 4)
+    assert rep == {"slope": 0.0, "intercept": 30.0, "r_squared": None, "p_value": None, "n": 4}
+
+    def refuse(token):
+        raise ValueError(token)
+
+    text = json.dumps(rep, allow_nan=False)
+    assert json.loads(text, parse_constant=refuse) == rep
 
 
 def test_t_p_value_closed_forms():

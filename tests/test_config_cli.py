@@ -292,6 +292,40 @@ def test_cli_simulate_small_protocol(tmp_path):
     assert ra_rate("113.60") >= ra_rate("034.80")
 
 
+def test_spike_jsonl_round_trip(tmp_path):
+    """Each spikes.jsonl line is the record of one stimulus and afferent
+    type, stimuli in protocol order: the type, its params hash, the step,
+    the trace's duration, the spike times of its stress trace through
+    run_afferents, and meta naming the afferent's node and the stimulus."""
+    specs = [sin_spec(50.0, 113.60), sin_spec(20.0, 250.0, duration=345.0, window=245.0)]
+    cfg_path = write_config(tmp_path, {"protocol": write_protocol(tmp_path, specs)})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    lines = (out / "spikes.jsonl").read_text().splitlines()
+    simulated = pipeline.simulate(config.load_config(cfg_path))
+    params = neural.default_afferent_params()
+    expected = [(spec, atype) for spec in specs for atype in mesh.AFFERENT_TYPES]
+    assert len(lines) == len(expected)
+    assert [json.loads(line) for line in lines] == simulated.trains
+    n_spikes = 0
+    for line, (spec, atype) in zip(lines, expected):
+        rec = json.loads(line)
+        assert line == json.dumps(rec, sort_keys=True)
+        assert set(rec) == {"afferent", "params_hash", "dt", "duration_ms", "spikes", "meta"}
+        assert rec["afferent"] == atype
+        assert rec["params_hash"] == params[atype].content_hash()
+        assert rec["dt"] == stimulus.DT_MS
+        assert rec["duration_ms"] == spec.duration_ms
+        trace = simulated.bank[spec.stimulus_id][atype]
+        window = (spec.discard_ms, spec.discard_ms + spec.window_ms)
+        (steps,), _ = neural.run_afferents([trace], params[atype], [window])
+        assert rec["spikes"] == (steps * stimulus.DT_MS).tolist()
+        assert rec["meta"] == {"node_id": simulated.mesh.afferent_nodes[atype],
+                               "stimulus_id": spec.stimulus_id}
+        n_spikes += len(rec["spikes"])
+    assert n_spikes > 0
+
+
 def test_cli_simulate_zero_amplitude_is_silent(tmp_path):
     protocol = write_protocol(tmp_path, [sin_spec(50.0, 0.0)])
     cfg_path = write_config(tmp_path, {"protocol": protocol})
@@ -530,6 +564,14 @@ def test_package_root_loads_no_submodule():
     loaded = _loaded_modules("import sys, afferentsim")
     assert sorted(m for m in loaded if m.startswith("afferentsim.")) == []
     assert "numpy" not in loaded
+
+
+def test_neural_and_optimize_load_no_fem():
+    # the stages hand each other plain arrays: the neural model and the fit
+    # take stress traces without the FEM
+    loaded = _loaded_modules("import sys, afferentsim.optimize")
+    assert {"afferentsim.neural", "afferentsim.optimize"} <= loaded
+    assert "afferentsim.fem" not in loaded
 
 
 @pytest.fixture(scope="module")
@@ -812,6 +854,39 @@ def test_cli_fit_rates_keep_stimulus_ids(tmp_path):
             if ln and not ln.startswith("#")]
     assert rows[0][1] == "stimulus_id"
     assert [r[1] for r in rows[1:]] == ["probe_b"]
+
+
+def test_cli_fit_opens_observed_rates_twice(tmp_path, monkeypatch):
+    # once to read every configured type's rates, once to hash the config
+    specs = [sin_spec(50.0, a) for a in (34.80, 55.39, 113.60)]
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\n" + "".join(
+        f"{atype},{s.freq_hz},{s.amplitude_um},{rate}\n"
+        for atype in mesh.AFFERENT_TYPES for s, rate in zip(specs, (10.0, 20.0, 40.0))))
+    cfg_path = write_config(tmp_path, {
+        "protocol": write_protocol(tmp_path, specs),
+        "fit": {"observed_rates_csv": str(observed), "population": 4, "budget": 8},
+    })
+    real_open = builtins.open
+    opened = []
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    assert cli.main(["fit", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert sum(os.path.basename(p).startswith("selected_") for p in opened) == 3  # every type
+    assert opened.count(str(observed)) == 2
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_cli_json_outputs_refuse_non_finite_numbers(tmp_path, value):
+    # NaN and Infinity are not JSON: writing one raises, and writes nothing
+    path = tmp_path / "regression_RA.json"
+    with pytest.raises(ValueError):
+        cli._write_json(str(path), {"per_frequency": {"300": {"r_squared": value}}})
+    assert not path.exists()
 
 
 def test_cli_fit_requires_observed_rates(tmp_path):

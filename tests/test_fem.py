@@ -223,7 +223,7 @@ def test_solve_matches_spsolve_on_appendix_a_sets(h):
     trace = np.array([depth for _, depth, _ in steps])
     result = fem.run_indentation(footprint, fem.IndenterSpec(displacement_trace=trace))
     assert result.contact_sets == len(contact_sets)
-    got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
+    got = np.column_stack([result.stress_traces[t] for t in AFFERENT_TYPES])
     for vm, (nodes, _, profile) in zip(got, steps):
         constraints = {**base, **dict(zip((2 * nodes + 1).tolist(), profile))}
         expected = spsolve_fields(system, K, constraints)
@@ -275,7 +275,21 @@ def test_run_indentation_zero_trace_is_silent(default_footprint):
     indenter = fem.IndenterSpec(displacement_trace=np.zeros(5))
     result = fem.run_indentation(default_footprint, indenter)
     for trace in result.stress_traces.values():
-        assert np.all(trace.values == 0.0)
+        assert np.all(trace == 0.0)
+
+
+def test_run_indentation_traces_are_read_only(default_footprint):
+    # one float64 array per afferent type, a value per step, that no stage
+    # downstream can change
+    displacement = stimulus.sinusoid(50.0, 50.0, 200.0)
+    indenter = fem.IndenterSpec(displacement_trace=displacement)
+    result = fem.run_indentation(default_footprint, indenter)
+    assert list(result.stress_traces) == list(AFFERENT_TYPES)
+    for trace in result.stress_traces.values():
+        assert trace.dtype == np.float64 and trace.shape == displacement.shape
+        assert not trace.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            trace[0] = 1.0
 
 
 def test_run_indentation_lifted_is_silent(default_footprint):
@@ -284,7 +298,7 @@ def test_run_indentation_lifted_is_silent(default_footprint):
     )
     result = fem.run_indentation(default_footprint, indenter)
     for trace in result.stress_traces.values():
-        assert np.all(trace.values == 0.0)
+        assert np.all(trace == 0.0)
 
 
 def test_run_indentation_requires_afferent_nodes():
@@ -349,9 +363,8 @@ def test_stress_bank_factors_once(default_config, default_mesh, monkeypatch):
 
 def test_stress_trace_csv_round_trip(tmp_path):
     values = np.array([0.0, 1.5, 2.25, 1e-17, 3.333333333333333])
-    trace = fem.StressTrace("RA", node_id=42, values=values)
     path = tmp_path / "trace.csv"
-    path.write_text(trace.csv_text(provenance="test"))
+    path.write_text(fem.stress_csv_text(values, "RA", 42, provenance="test"))
     lines = path.read_text().splitlines()
     assert lines[:4] == [
         "# afferent,node,dt_ms", "# RA,42,0.5", "# provenance: test", "t_ms,sigma_pa",
@@ -377,16 +390,17 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308,
     provenance=st.sampled_from([None, "", "config=0123abcd"]),
 )
 def test_stress_trace_csv_matches_per_row_oracle(values, provenance):
-    trace = fem.StressTrace("PC", node_id=7, values=np.array(values))
-    assert trace.csv_text(provenance=provenance) == stress_csv_text(trace, provenance)
+    values = np.array(values)
+    assert (fem.stress_csv_text(values, "PC", 7, provenance=provenance)
+            == stress_csv_text(values, "PC", 7, provenance))
 
 
 def test_stress_trace_csv_time_column_not_stale(rng):
     # alternate two lengths, then more than the cache holds: each text's
     # t_ms column must be its own
     for i, n in enumerate([691, 401] * 3 + [11, 12, 13, 14, 15, 691, 401]):
-        trace = fem.StressTrace("SA", node_id=i, values=rng.normal(size=n) * 1e3)
-        assert trace.csv_text(provenance="p") == stress_csv_text(trace, "p"), n
+        values = rng.normal(size=n) * 1e3
+        assert fem.stress_csv_text(values, "SA", i, "p") == stress_csv_text(values, "SA", i, "p"), n
 
 
 # the subnormal and large values of SPECIAL_FLOATS
@@ -408,8 +422,7 @@ def repeated_values(draw):
 @given(values=repeated_values())
 def test_stress_trace_csv_repeated_values_match_oracle(values):
     # each distinct value is formatted once: -0.0 and 0.0 must keep their own text
-    trace = fem.StressTrace("SA", node_id=3, values=values)
-    assert trace.csv_text(provenance="p") == stress_csv_text(trace, "p")
+    assert fem.stress_csv_text(values, "SA", 3, "p") == stress_csv_text(values, "SA", 3, "p")
 
 
 @pytest.mark.parametrize("values", [
@@ -418,29 +431,28 @@ def test_stress_trace_csv_repeated_values_match_oracle(values):
     np.arange(6.0)[::2],
 ], ids=["int64", "float32", "strided"])
 def test_stress_trace_csv_writes_values_as_float64(values):
-    trace = fem.StressTrace("RA", node_id=1, values=values)
-    assert trace.csv_text() == stress_csv_text(trace)
+    assert fem.stress_csv_text(values, "RA", 1) == stress_csv_text(values, "RA", 1)
 
 
 def test_stress_trace_csv_matches_oracle_on_simulated_bank(default_config):
     # appendixA's traces: zero while the indenter is lifted, and each
     # sinusoid repeats its depths every half cycle
-    traces = [t for by_type in pipeline.simulate(default_config).bank.values()
-              for t in by_type.values()]
+    simulated = pipeline.simulate(default_config)
+    traces = [(t, atype, simulated.mesh.afferent_nodes[atype])
+              for by_type in simulated.bank.values() for atype, t in by_type.items()]
     assert len(traces) == 111
-    values = np.concatenate([t.values for t in traces])
+    values = np.concatenate([t for t, _, _ in traces])
     assert (values == 0).sum() > values.size // 3
-    assert sum(np.unique(t.values).size for t in traces) < values.size // 4
+    assert sum(np.unique(t).size for t, _, _ in traces) < values.size // 4
     for i, trace in enumerate(traces):
-        text = trace.csv_text(provenance="config=0123abcd")
-        assert text == stress_csv_text(trace, "config=0123abcd"), i
+        text = fem.stress_csv_text(*trace, provenance="config=0123abcd")
+        assert text == stress_csv_text(*trace, "config=0123abcd"), i
 
 
 def test_stress_trace_csv_formats_dt_as_float():
     # the header and the t_ms column carry the model's one step
     assert stimulus.DT_MS == 0.5
-    trace = fem.StressTrace("RA", node_id=1, values=np.array([1.0, 2.0, 3.0]))
-    lines = trace.csv_text().splitlines()
+    lines = fem.stress_csv_text(np.array([1.0, 2.0, 3.0]), "RA", 1).splitlines()
     assert lines[1] == "# RA,1,0.5"
     assert [row.split(",")[0] for row in lines[3:]] == ["0.0", "0.5", "1.0"]
 
@@ -696,7 +708,7 @@ def test_run_indentation_matches_per_step_oracle(default_mesh, default_system,
     footprint = footprint_of(diameter, center)
     solves = count_calls(monkeypatch, fem.BlockCholesky, "solve")
     result = fem.run_indentation(footprint, indenter)
-    got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
+    got = np.column_stack([result.stress_traces[t] for t in AFFERENT_TYPES])
     assert_same_samples(got, vm)
     assert result.contact_sets == len(sets)
     # every set is read from the footprint response: no solve with K
@@ -876,7 +888,7 @@ def test_footprint_stress_matches_per_step_solve(default_system, footprint_of, d
     everywhere else."""
     footprint = footprint_of(diameter, center)
     result = fem.run_indentation(footprint, fem.IndenterSpec(displacement_trace=np.array(depths)))
-    got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
+    got = np.column_stack([result.stress_traces[t] for t in AFFERENT_TYPES])
     expected = np.array([
         fem.von_mises(per_step_stress(default_system, footprint, d)) for d in depths
     ]) * 1.0e6
@@ -970,6 +982,6 @@ def test_footprint_stress_matches_oracle_on_fine_mesh():
     result = fem.run_indentation(footprint, indenter)
     assert footprint.nodes.size == 11
     assert max(len(s) for s in sets) == 11  # every footprint node touches
-    got = np.column_stack([result.stress_traces[t].values for t in AFFERENT_TYPES])
+    got = np.column_stack([result.stress_traces[t] for t in AFFERENT_TYPES])
     assert_same_samples(got, vm)
     assert result.contact_sets == len(sets)

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import tracemalloc
 
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from afferentsim import neural
 from afferentsim.neural import SATURATION_FIELDS
 from afferentsim.errors import ValidationError
-from afferentsim.fem import StressTrace
 from oracles import stress_to_drive
 
 DT = 0.5
@@ -201,9 +199,8 @@ def test_zero_drive_rests():
         zeros = tuple(np.zeros(2001) for _ in params.saturation())
         assert whole_trace_steps([zeros], [params])[0][0].size == 0
         # zero stress filters to zero input, hence zero drive
-        trace = StressTrace(params.afferent_type, 0, np.zeros(2001))
-        (train,), counts = neural.run_afferents([trace], params, [(0.0, 1000.0)])
-        assert train.spike_times_ms.size == 0 and counts.tolist() == [0]
+        (steps,), counts = neural.run_afferents([np.zeros(2001)], params, [(0.0, 1000.0)])
+        assert steps.size == 0 and counts.tolist() == [0]
 
 
 def test_subthreshold_asymptote():
@@ -507,59 +504,31 @@ def test_time_shift_equivariance(rng):
 
 
 def test_run_afferents_composition(rng):
-    """One call over several traces gives each trace the spike train of its
-    own filter chain through the counter, whole whatever its window, with
-    its node id and params hash, and the count of its spikes in its window."""
-    stress = [np.abs(rng.normal(scale=2e4, size=n)) for n in (691, 401, 691)]
+    """One call over several traces gives each trace the spike steps of its
+    own filter chain through the counter, whole whatever its window, and
+    the count of its spikes in its window."""
+    traces = [np.abs(rng.normal(scale=2e4, size=n)) for n in (691, 401, 691)]
     windows = [(100.0, 345.0), (50.0, 150.0), (0.0, 400.0)]
-    for name, params in PARAMS.items():
-        traces = [StressTrace(name, node_id=5 + j, values=x)
-                  for j, x in enumerate(stress)]
-        trains, counts = neural.run_afferents(traces, params, windows)
-        assert len(trains) == len(traces) and counts.shape == (len(traces),)
-        for j, (trace, train) in enumerate(zip(traces, trains)):
-            inputs = neural.filtered_inputs(params, trace.values)
+    for params in PARAMS.values():
+        spiked, counts = neural.run_afferents(traces, params, windows)
+        assert len(spiked) == len(traces) and counts.shape == (len(traces),)
+        for j, (trace, got) in enumerate(zip(traces, spiked)):
+            inputs = neural.filtered_inputs(params, trace)
             steps = whole_trace_steps([inputs], [params])[0][0]
-            assert np.array_equal(train.spike_times_ms, steps * DT)
+            assert np.array_equal(got, steps)
             k_lo, k_hi = neural.window_steps(*windows[j])
             assert counts[j] == np.count_nonzero((steps >= k_lo) & (steps < k_hi))
             (alone,), _ = neural.run_afferents([trace], params, [windows[j]])
-            assert np.array_equal(train.spike_times_ms, alone.spike_times_ms)
-            assert train.duration_ms == trace.duration_ms
-            assert train.params_hash == params.content_hash()
-            assert train.meta == {"node_id": 5 + j}
+            assert np.array_equal(got, alone)
 
 
 def test_constant_stress_silences_ra_pc():
     stress = np.full(691, 5e4)
     for name in ("RA", "PC"):
-        trace = StressTrace(name, node_id=0, values=stress)
-        (train,), _ = neural.run_afferents([trace], PARAMS[name], [(0.0, 345.0)])
+        (steps,), _ = neural.run_afferents([stress], PARAMS[name], [(0.0, 345.0)])
         # rate-sensitive types ignore the standing load (only the onset
         # transient at sample 1 can contribute)
-        assert train.spike_times_ms.size <= 1
-
-
-# --------------------------------------------------------- serialization
-
-
-def test_spike_jsonl_round_trip(rng):
-    trains = []
-    for name, params in PARAMS.items():
-        stress = np.abs(rng.normal(scale=3e4, size=691))
-        trace = StressTrace(name, node_id=2, values=stress)
-        trains.extend(neural.run_afferents([trace], params, [(100.0, 345.0)])[0])
-    # each record goes through JSON as one line of spikes.jsonl
-    records = [json.loads(json.dumps(train.to_record())) for train in trains]
-    for train, rec in zip(trains, records):
-        assert set(rec) == {"afferent", "params_hash", "dt", "duration_ms",
-                            "spikes", "meta"}
-        assert rec["afferent"] == train.afferent_type
-        assert rec["params_hash"] == train.params_hash
-        assert rec["dt"] == DT
-        assert rec["duration_ms"] == train.duration_ms
-        assert rec["spikes"] == train.spike_times_ms.tolist()
-        assert rec["meta"] == {"node_id": 2}
+        assert steps.size <= 1
 
 
 def test_params_validation_and_hash():

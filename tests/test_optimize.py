@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from afferentsim import neural, optimize, stimulus
 from afferentsim.errors import ValidationError
-from afferentsim.fem import StressTrace
 from oracles import dominates, front_csv_text, params_to_genes
 
 DT = 0.5
@@ -30,7 +29,7 @@ def synthetic_bank(amps=(10.0, 50.0)):
                 discard_ms=stimulus.DISCARD_MS, window_ms=window, freq_hz=f, amplitude_um=amp,
             )
             values = amp * 800.0 * (1.0 + np.sin(2 * np.pi * f * t / 1000.0))
-            bank[(f, amp)] = (spec, StressTrace("RA", node_id=0, values=values))
+            bank[(f, amp)] = (spec, values)
     return bank
 
 
@@ -88,20 +87,35 @@ def test_observed_rate_csv_round_trip(tmp_path):
     path.write_text("afferent,freq_hz,amplitude_um,rate_ips\n" + "".join(
         f"{s.afferent_type},{f!r},{a!r},{r!r}\n" for s in sets for f, a, r in s.records
     ))
-    sa = optimize.ObservedRateSet.from_csv(path, "SA")
+    sa = optimize.observed_rates_from_csv(path, ["SA"])["SA"]
     assert sa.records == sets[0].records
-    ra = optimize.ObservedRateSet.from_csv(path, "RA")
+    ra = optimize.observed_rates_from_csv(path, ["RA"])["RA"]
     assert ra.records == sets[1].records
     assert sa.content_hash() != ra.content_hash()
     with pytest.raises(ValidationError):
-        optimize.ObservedRateSet.from_csv(path, "PC")  # no rows for PC
+        optimize.observed_rates_from_csv(path, ["PC"])  # no rows for PC
+
+
+def test_observed_rate_csv_reads_every_type_at_once(tmp_path):
+    """One read gives each asked-for type the set a read of it alone gives,
+    in the order asked, and names the first type without rows."""
+    path = tmp_path / "observed.csv"
+    path.write_text("afferent,freq_hz,amplitude_um,rate_ips\n"
+                    "SA,20,10,5\nRA,50,10,40\nSA,300,50,0\n")
+    both = optimize.observed_rates_from_csv(path, ["RA", "SA"])
+    assert list(both) == ["RA", "SA"]
+    for atype, observed in both.items():
+        assert observed == optimize.observed_rates_from_csv(path, [atype])[atype]
+    assert both["SA"].records == ((20.0, 10.0, 5.0), (300.0, 50.0, 0.0))
+    with pytest.raises(ValidationError, match="^no observed rates for PC$"):
+        optimize.observed_rates_from_csv(path, ["SA", "PC", "RA"])
 
 
 def test_observed_rate_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("afferent,frequency,amp,rate\nRA,20,10,5\n")
     with pytest.raises(ValidationError):
-        optimize.ObservedRateSet.from_csv(path, "RA")
+        optimize.observed_rates_from_csv(path, ["RA"])
 
 
 @pytest.mark.parametrize("row", [
@@ -115,14 +129,14 @@ def test_observed_rate_csv_rejects_bad_cells(tmp_path, row):
     )
     # every row must parse, whichever afferent type is read
     with pytest.raises(ValidationError, match="line 4"):
-        optimize.ObservedRateSet.from_csv(path, "RA")
+        optimize.observed_rates_from_csv(path, ["RA"])
 
 
 def test_observed_rate_csv_strips_afferent_cell(tmp_path):
     path = tmp_path / "observed.csv"
     path.write_text("afferent,freq_hz,amplitude_um,rate_ips\n"
                     "RA,20,10,5\nRA ,50,10,40\n PC,20,10,1\n")
-    ra = optimize.ObservedRateSet.from_csv(path, "RA")
+    ra = optimize.observed_rates_from_csv(path, ["RA"])["RA"]
     assert ra.records == ((20.0, 10.0, 5.0), (50.0, 10.0, 40.0))
 
 
@@ -268,8 +282,7 @@ def test_rate_paths_refuse_a_trace_shorter_than_its_window():
     full window."""
     bank = synthetic_bank()
     spec, full = bank[(50.0, 10.0)]
-    short = StressTrace("RA", node_id=0, values=full.values[:301])
-    bank[(50.0, 10.0)] = (spec, short)
+    bank[(50.0, 10.0)] = (spec, full[:301])
     truth = neural.default_afferent_params()["RA"]
     with pytest.raises(ValidationError, match=r"\(50.0 Hz, 10.0 um\) is shorter"):
         optimize.predict_rates(truth, bank)
@@ -278,7 +291,7 @@ def test_rate_paths_refuse_a_trace_shorter_than_its_window():
         optimize.RateEvaluator("RA", bank, observed)
     # a trace exactly as long as discard + window is counted
     bank[(50.0, 10.0)] = (spec, full)
-    assert full.duration_ms == 200.0
+    assert (full.size - 1) * DT == 200.0
     optimize.predict_rates(truth, bank)
 
 
@@ -293,8 +306,8 @@ def test_rates_count_over_each_spec_window():
     expected = []
     for (f, a), (s, t) in sorted(bank.items()):
         lo, hi = s.discard_ms, s.discard_ms + s.window_ms
-        (train,), _ = neural.run_afferents([t], truth, [(lo, hi)])
-        n = np.count_nonzero((train.spike_times_ms >= lo) & (train.spike_times_ms < hi))
+        (steps,), _ = neural.run_afferents([t], truth, [(lo, hi)])
+        n = np.count_nonzero((steps * DT >= lo) & (steps * DT < hi))
         expected.append((f, a, n / (s.window_ms / 1000.0)))
     assert optimize.predict_rates(truth, bank) == expected
     assert expected != optimize.predict_rates(truth, synthetic_bank())
@@ -476,7 +489,6 @@ def _front(genes, objectives, ranks=None):
         genes=genes,
         objectives=objectives,
         ranks=np.zeros(n, dtype=int) if ranks is None else np.asarray(ranks),
-        crowding=np.full(n, np.inf),
         seed=0, budget=0,
         bounds_low=np.zeros(genes.shape[1]),
         bounds_high=np.ones(genes.shape[1]),
@@ -568,7 +580,7 @@ def fronts(draw):
     ranks = draw(st.lists(st.integers(0, 3), min_size=n + 2, max_size=n + 2))
     front = optimize.ParetoFront(
         genes=np.array(genes, dtype=float), objectives=np.array(objectives),
-        ranks=np.array(ranks), crowding=np.zeros(n + 2), seed=0, budget=n + 2,
+        ranks=np.array(ranks), seed=0, budget=n + 2,
         bounds_low=low, bounds_high=high,
     )
     return afferent, front
