@@ -37,15 +37,13 @@ class RateRecord:
         return abs(self.predicted_ips * self.window_ms / 1000.0 - 1.0) < 1e-9
 
 
-def rate_records_to_csv(records: list[RateRecord], provenance: str | None = None) -> str:
+def rate_records_to_csv(records: list[RateRecord], provenance: str) -> str:
     """The rates CSV text: provenance and quantization-floor comment lines,
     the header, then one row per record."""
     # one TYPE:stimulus_id per flagged row, since a stimulus has a row per type
     floor_ids = [f"{r.afferent_type}:{r.stimulus_id}" for r in records
                  if r.at_quantization_floor]
-    lines = []
-    if provenance:
-        lines.append(f"# provenance: {provenance}\n")
+    lines = [f"# provenance: {provenance}\n"]
     if floor_ids:
         lines.append(f"# at_quantization_floor: {','.join(floor_ids)}\n")
     lines.append("afferent,stimulus_id,freq_hz,amplitude_um,predicted_ips,observed_ips\n")

@@ -17,6 +17,7 @@ failed write into a ValidationError (exit 2, the lock removed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import hashlib
 import json
@@ -142,7 +143,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     _write(os.path.join(out, "spikes.jsonl"), "".join(
         json.dumps(record, sort_keys=True) + "\n" for record in result.trains
     ))
-    _write(os.path.join(out, "rates.csv"), rate_records_to_csv(result.records, provenance=prov))
+    _write(os.path.join(out, "rates.csv"), rate_records_to_csv(result.records, prov))
     _write_json(os.path.join(out, "config_resolved.json"), cfg.to_dict())
     print(
         f"simulate: {len(result.bank)} stimuli x {len(AFFERENT_TYPES)} afferents -> "
@@ -175,13 +176,12 @@ def cmd_fit(cfg: RunConfig) -> int:
     prov = _provenance(cfg, config_hash)
     for atype, result in results.items():
         outcome = result.outcome
-        _write(os.path.join(out, f"front_{atype}.csv"),
-               front_to_csv(outcome.front, atype, provenance=prov))
+        _write(os.path.join(out, f"front_{atype}.csv"), front_to_csv(outcome.front, atype, prov))
         _write_json(os.path.join(out, f"selected_{atype}.json"), selected_to_json(
             outcome, extra_provenance={"config": config_hash, "version": __version__},
         ))
         _write(os.path.join(out, f"fit_rates_{atype}.csv"),
-               rate_records_to_csv(result.records, provenance=prov))
+               rate_records_to_csv(result.records, prov))
         _write_json(os.path.join(out, f"regression_{atype}.json"),
                     result.regression | {"provenance": prov})
         print(
@@ -244,14 +244,9 @@ def main(argv: list[str] | None = None) -> int:
         stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s"
     )
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.output_dir = args.out
-        if args.protocol is not None:
-            cfg.protocol = args.protocol
-        cfg.validate()
+        overrides = {"seed": args.seed, "output_dir": args.out, "protocol": args.protocol}
+        cfg = dataclasses.replace(load_config(args.config), **{
+            key: value for key, value in overrides.items() if value is not None})
         try:
             os.makedirs(cfg.output_dir, exist_ok=True)
         except (OSError, UnicodeError) as exc:

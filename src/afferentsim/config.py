@@ -7,6 +7,10 @@ the defaults of the keys left out.  README's configuration section shows
 the whole schema with its defaults.  `protocol` is a built-in protocol name
 or a protocol JSON path; `afferent_params` is "default" or {"path": ...},
 a fit's selected_<TYPE>.json export or a JSON mapping {TYPE: params}.
+
+A RunConfig and its FitConfig are frozen and check themselves when made, so
+a config that constructs is valid; override a field with
+dataclasses.replace, which checks the result again.
 """
 
 from __future__ import annotations
@@ -21,14 +25,14 @@ from .mesh import AFFERENT_TYPES, GeometrySpec, MaterialLayer, default_material_
 from .stimulus import BUILTIN_PROTOCOLS, DT_MS, check_dt, load_protocol
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitConfig:
     afferents: tuple[str, ...] = AFFERENT_TYPES
     observed_rates_csv: str | None = None
     population: int = 100
     budget: int = 10000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.afferents:
             raise ValidationError("fit.afferents must name at least one type")
         for a in self.afferents:
@@ -44,7 +48,7 @@ class FitConfig:
             raise ValidationError("fit.budget must be >= fit.population")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     geometry: GeometrySpec = field(default_factory=GeometrySpec)
     materials: tuple[MaterialLayer, ...] = field(default_factory=default_material_layers)
@@ -57,7 +61,7 @@ class RunConfig:
     output_dir: str = "out"
     fit: FitConfig = field(default_factory=FitConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         try:
             self.geometry.validate(self.materials)
         except ValidationError as exc:
@@ -70,7 +74,6 @@ class RunConfig:
             raise ValidationError("seed must be an integer")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        self.fit.validate()
 
     def to_dict(self) -> dict:
         fit = asdict(self.fit)
@@ -219,9 +222,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
         candidate = os.path.join(base_dir, top["protocol"])
         if os.path.exists(candidate):
             top["protocol"] = candidate
-    cfg = RunConfig(**top)
-    cfg.validate()
-    return cfg
+    return RunConfig(**top)
 
 
 def load_config(path) -> RunConfig:

@@ -93,13 +93,14 @@ class IndenterSpec:
     displacement_trace holds the vibration in mm, one value per DT_MS; the
     instantaneous depth below the undeformed surface at step k is
     pre_indentation_mm + displacement_trace[k] (negative depth = lifted).
-    The probe's diameter and centre belong to its FootprintResponse.
+    The probe's diameter and centre belong to its FootprintResponse.  A
+    spec checks itself when made.
     """
 
     pre_indentation_mm: float = 0.0
     displacement_trace: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         trace = np.asarray(self.displacement_trace, dtype=float)
         if trace.ndim != 1 or trace.size == 0:
             raise ValidationError("displacement_trace must be a non-empty 1-D array")
@@ -111,7 +112,7 @@ class IndenterSpec:
 
 
 def stress_csv_text(values: np.ndarray, afferent_type: str, node_id: int,
-                    provenance: str | None = None) -> str:
+                    provenance: str) -> str:
     """A stress trace (Pa, one value per DT_MS) as CSV text: header lines,
     then one `t_ms,sigma_pa` row per step (shortest repr of the value as a
     float64).
@@ -122,10 +123,8 @@ def stress_csv_text(values: np.ndarray, afferent_type: str, node_id: int,
     cycle.  The values are keyed by their bits, not compared as floats,
     which would merge -0.0 into 0.0 and write it as `0.0`.
     """
-    head = ["# afferent,node,dt_ms\n", f"# {afferent_type},{node_id},{DT_MS!r}\n"]
-    if provenance:
-        head.append(f"# provenance: {provenance}\n")
-    head.append("t_ms,sigma_pa\n")
+    head = ["# afferent,node,dt_ms\n", f"# {afferent_type},{node_id},{DT_MS!r}\n",
+            f"# provenance: {provenance}\n", "t_ms,sigma_pa\n"]
     texts, index = _distinct_reprs(values, "\n")
     body = [""] * (2 * len(values))
     body[0::2] = _time_column(len(values))
@@ -154,9 +153,9 @@ class FootprintResponse:
     probe's centre).  Column j of fields is the displacement (ndof, mm)
     under a unit upward load (1 N/mm) on the vertical DOF of nodes[j], with
     the bottom fixed; compliance[i, j] is the vertical displacement of
-    nodes[i] in it, and stress[j] the stress at afferent_nodes (in
-    AFFERENT_TYPES order, 4 components, MPa).  For footprint loads f the
-    field is fields @ f and the stress is f @ stress.  residual is the
+    nodes[i] in it, and stress[j] the stress at the mesh's afferent nodes
+    (rows in AFFERENT_TYPES order, 4 components, MPa).  For footprint loads
+    f the field is fields @ f and the stress is f @ stress.  residual is the
     largest relative residual of the unit-load solves.
 
     The depth -> load table has one segment per contact set A the rule can
@@ -172,7 +171,6 @@ class FootprintResponse:
     nodes: np.ndarray  # (n_c,)
     radius: float  # mm
     height: np.ndarray  # (n_c,) mm
-    afferent_nodes: np.ndarray  # (afferents,)
     fields: np.ndarray  # (ndof, n_c)
     compliance: np.ndarray  # (n_c, n_c)
     stress: np.ndarray  # (n_c, afferents, 4)
@@ -541,21 +539,26 @@ def build_footprint_response(
     solved; the factor is dropped once they all are.
     Each contact segment then takes one small dense solve (_contact_loads).
     Raises ValidationError if the diameter or the centre is not finite (or
-    the diameter not > 0), the mesh does not name all its afferent nodes or
-    the probe covers no surface node, so that it can never touch the skin,
-    and NumericalError if the factorization fails, a column's free-DOF
-    residual exceeds 1e-8 of its (unit) load, or a segment's solve fails
-    (named by its start depth, whether or not any trace reaches it).
+    the diameter not > 0, or so large that its radius squared is not), the
+    mesh does not name all its afferent nodes or the probe covers no surface
+    node, so that it can never touch the skin, and NumericalError if the
+    factorization fails, a column's free-DOF residual exceeds 1e-8 of its
+    (unit) load, or a segment's solve fails (named by its start depth,
+    whether or not any trace reaches it).
     """
     if not (np.isfinite(diameter_mm) and diameter_mm > 0):
         raise ValidationError(f"diameter_mm must be finite and > 0, got {diameter_mm}")
+    radius = diameter_mm / 2.0
+    # a product: radius**2 raises OverflowError where this gives inf
+    if not np.isfinite(radius * radius):
+        raise ValidationError(f"diameter_mm={diameter_mm} is too large: the square "
+                              "of its radius overflows a float")
     if not np.isfinite(center_x_mm):
         raise ValidationError(f"center_x_mm must be finite, got {center_x_mm}")
     mesh = system.mesh
     if set(mesh.afferent_nodes) != set(AFFERENT_TYPES):
         raise ValidationError(f"mesh.afferent_nodes must cover {AFFERENT_TYPES}, "
                               f"got {sorted(mesh.afferent_nodes)}")
-    radius = diameter_mm / 2.0
     xs = mesh.nodes[mesh.surface_nodes, 0] - center_x_mm
     inside = np.abs(xs) <= radius + 1e-12
     nodes, xs = mesh.surface_nodes[inside], xs[inside]
@@ -604,7 +607,7 @@ def build_footprint_response(
             raise NumericalError(f"contact segment from depth {start[s]:.6f} mm: {exc}") from exc
     afferent_ids = np.array([mesh.afferent_nodes[t] for t in AFFERENT_TYPES])
     return FootprintResponse(
-        nodes=nodes, radius=radius, height=height, afferent_nodes=afferent_ids,
+        nodes=nodes, radius=radius, height=height,
         fields=fields, compliance=compliance,
         stress=np.array([recover_stress(system, u, afferent_ids) for u in fields.T]),
         residual=float(residual.max(initial=0.0)),
@@ -654,7 +657,6 @@ def run_indentation(footprint: FootprintResponse, indenter: IndenterSpec) -> Ind
     `footprint`, so one response serves every trace of that probe on its
     mesh.
     """
-    indenter.validate()
     depths = indenter.pre_indentation_mm + np.asarray(indenter.displacement_trace, float)
     profile, active = _contact(footprint, depths)
 

@@ -47,6 +47,7 @@ class AfferentParams:
 
     Only the saturation constants relevant to the afferent type are set:
     SA uses a1 (Pa) and a2 (Pa/ms); RA uses a3 (Pa/ms); PC uses a4 (Pa/ms^2).
+    A parameter set checks itself when made, dataclasses.replace included.
     """
 
     afferent_type: str
@@ -67,7 +68,7 @@ class AfferentParams:
     m3: int = 9
     m4: int = 8
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.afferent_type not in AFFERENT_TYPES:
             raise ValidationError(f"unknown afferent_type {self.afferent_type!r}")
         if not self.tau_m_ms > 0:
@@ -116,11 +117,9 @@ class AfferentParams:
             for name, value in d.items()
         }
         try:
-            p = cls(**checked)
+            return cls(**checked)
         except TypeError as exc:  # a missing field
             raise ValidationError(f"{path}: {exc}") from exc
-        p.validate()
-        return p
 
     def content_hash(self) -> str:
         return short_digest(self.to_dict())
@@ -222,7 +221,7 @@ class ParamTable:
     Set i is `cell` with its tau_m, alpha' and saturation constants replaced
     by column i of `tau_m_ms`, `alpha_prime` and `saturation` (one row per
     term in chain order, shape (n_terms, N)); the fit keeps every other
-    constant fixed.  The cell validates itself and the columns are checked
+    constant fixed.  The cell is valid once made and the columns are checked
     whole, so every table is valid.  Fitting builds one straight from a
     population's genes; from_params makes one from a list of AfferentParams.
     """
@@ -233,7 +232,6 @@ class ParamTable:
     saturation: np.ndarray
 
     def __post_init__(self):
-        self.cell.validate()
         self.saturation = np.array(self.saturation, dtype=float, ndmin=2)
         n, n_terms = self.saturation.shape[-1], len(SATURATION_FIELDS[self.cell.afferent_type])
         if self.saturation.shape != (n_terms, n) or n == 0:

@@ -69,9 +69,7 @@ def genes_to_params(afferent_type: str, genes: np.ndarray) -> AfferentParams:
     updates = {"tau_m_ms": float(genes[0]), "alpha_prime": float(genes[-1])}
     for i, name in enumerate(sats):
         updates[name] = _pow10(genes[1 + i])
-    p = dataclasses.replace(template, **updates)
-    p.validate()
-    return p
+    return dataclasses.replace(template, **updates)
 
 
 def _check_genes(afferent_type: str, genes: np.ndarray) -> None:
@@ -104,7 +102,7 @@ class ObservedRateSet:
     afferent_type: str
     records: tuple[tuple[float, float, float], ...]  # (freq_hz, amplitude_um, rate_ips)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.records:
             raise ValidationError(f"no observed rates for {self.afferent_type}")
         seen = set()
@@ -165,10 +163,7 @@ def observed_rates_from_csv(path, afferent_types) -> dict[str, ObservedRateSet]:
             )
         if afferent in records:
             records[afferent].append(values)
-    out = {atype: ObservedRateSet(atype, tuple(rows)) for atype, rows in records.items()}
-    for observed in out.values():
-        observed.validate()
-    return out
+    return {atype: ObservedRateSet(atype, tuple(rows)) for atype, rows in records.items()}
 
 
 def _window_counter(
@@ -222,7 +217,6 @@ class RateEvaluator:
         stress_bank: dict[tuple[float, float], tuple[StimulusSpec, np.ndarray]],
         observed: ObservedRateSet,
     ):
-        observed.validate()
         if observed.afferent_type != afferent_type:
             raise ValidationError("observed rates are for a different afferent type")
         observed.check_conditions(stress_bank)
@@ -601,9 +595,9 @@ def recover_parameters(
 # exports
 
 
-def front_to_csv(front: ParetoFront, afferent_type: str, provenance=None) -> str:
+def front_to_csv(front: ParetoFront, afferent_type: str, provenance: str) -> str:
     """CSV text of the full final population, front first, decoded parameter
-    columns."""
+    columns, after a provenance line."""
     sats = SATURATION_FIELDS[afferent_type]
     param_cols = ("tau_m_ms",) + sats + ("alpha_prime",)
     # one decode for the whole population: its columns are genes_to_params's
@@ -620,8 +614,7 @@ def front_to_csv(front: ParetoFront, afferent_type: str, provenance=None) -> str
         ),
     )
     obj_cols = ",".join(f"objective_{int(f)}" for f in OBJECTIVE_FREQS)
-    lines = [f"# provenance: {provenance}\n"] if provenance else []
-    lines.append(f"rank,{obj_cols},{','.join(param_cols)}\n")
+    lines = [f"# provenance: {provenance}\n", f"rank,{obj_cols},{','.join(param_cols)}\n"]
     lines += [
         f"{int(front.ranks[i])},{','.join(map(repr, objectives[i]))},"
         f"{','.join(map(repr, params[i]))}\n"
@@ -630,9 +623,9 @@ def front_to_csv(front: ParetoFront, afferent_type: str, provenance=None) -> str
     return "".join(lines)
 
 
-def selected_to_json(outcome: FitOutcome, extra_provenance: dict | None = None) -> dict:
+def selected_to_json(outcome: FitOutcome, extra_provenance: dict) -> dict:
     """The JSON payload of the selected candidate: its parameters,
-    objectives and provenance."""
+    objectives and provenance, extra_provenance's keys included."""
     return {
         "afferent": outcome.afferent_type,
         "params": outcome.selected.to_dict(),
@@ -648,6 +641,6 @@ def selected_to_json(outcome: FitOutcome, extra_provenance: dict | None = None) 
             "bounds_low": [float(v) for v in outcome.front.bounds_low],
             "bounds_high": [float(v) for v in outcome.front.bounds_high],
             "observed_data_hash": outcome.observed.content_hash(),
-            **(extra_provenance or {}),
+            **extra_provenance,
         },
     }

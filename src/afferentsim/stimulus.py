@@ -159,7 +159,8 @@ def bandpass_noise(
 
 @dataclass(frozen=True)
 class StimulusSpec:
-    """One protocol entry; generate() renders the displacement trace."""
+    """One protocol entry, checked when made; generate() renders the
+    displacement trace."""
 
     stimulus_id: str
     kind: str  # sinusoid | diharmonic | bandpass_noise
@@ -175,7 +176,7 @@ class StimulusSpec:
     rms_um: float | None = None
     seed: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # every field is a number except these; those defaulting to None may be None
         kinds = {"stimulus_id": STRING, "kind": STRING, "seed": INTEGER}
         for f in fields(self):
@@ -232,7 +233,6 @@ class StimulusSpec:
             raise ValidationError(f"{self.stimulus_id}: seed must be >= 0, got {self.seed}")
 
     def generate(self) -> np.ndarray:
-        self.validate()
         if self.kind == "sinusoid":
             return sinusoid(self.freq_hz, self.amplitude_um, self.duration_ms)
         if self.kind == "diharmonic":
@@ -298,8 +298,6 @@ def builtin_protocol(name: str, base_seed: int = 0) -> list[StimulusSpec]:
         raise ValidationError(
             f"unknown builtin protocol {name!r}; expected one of {BUILTIN_PROTOCOLS}"
         )
-    for s in specs:
-        s.validate()
     return specs
 
 
@@ -319,7 +317,6 @@ def load_protocol(path) -> list[StimulusSpec]:
                 rec = dict(rec)
                 check_dt(rec.pop("dt_ms"), "dt_ms")
             spec = StimulusSpec(**rec)
-            spec.validate()
         except (TypeError, ValidationError) as exc:
             raise ValidationError(f"{path}: stimulus #{i}: {exc}") from exc
         if spec.stimulus_id in seen:

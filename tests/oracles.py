@@ -113,7 +113,7 @@ def params_to_genes(params):
     return np.array([params.tau_m_ms] + [np.log10(a) for a in sats] + [params.alpha_prime])
 
 
-def front_csv_text(front, afferent_type, provenance=None):
+def front_csv_text(front, afferent_type, provenance):
     """front_to_csv's text, decoding one row at a time with genes_to_params."""
     param_cols = ("tau_m_ms",) + SATURATION_FIELDS[afferent_type] + ("alpha_prime",)
     order = sorted(
@@ -124,7 +124,7 @@ def front_csv_text(front, afferent_type, provenance=None):
             tuple(float(g) for g in front.genes[i]),
         ),
     )
-    lines = [f"# provenance: {provenance}\n"] if provenance else []
+    lines = [f"# provenance: {provenance}\n"]
     obj_cols = ",".join(f"objective_{int(f)}" for f in OBJECTIVE_FREQS)
     lines.append(f"rank,{obj_cols},{','.join(param_cols)}\n")
     for i in order:
@@ -140,13 +140,11 @@ def dominates(a, b):
     return bool(np.all(a <= b) and np.any(a < b))
 
 
-def stress_csv_text(values, afferent_type, node_id, provenance=None):
+def stress_csv_text(values, afferent_type, node_id, provenance):
     """fem.stress_csv_text's text, one row at a time from NumPy scalars."""
     dt = 0.5
-    lines = ["# afferent,node,dt_ms\n", f"# {afferent_type},{node_id},{dt!r}\n"]
-    if provenance:
-        lines.append(f"# provenance: {provenance}\n")
-    lines.append("t_ms,sigma_pa\n")
+    lines = ["# afferent,node,dt_ms\n", f"# {afferent_type},{node_id},{dt!r}\n",
+             f"# provenance: {provenance}\n", "t_ms,sigma_pa\n"]
     for k, v in enumerate(values):
         lines.append(f"{k * dt!r},{float(v)!r}\n")
     return "".join(lines)
@@ -224,8 +222,11 @@ def load_mesh(path, materials: list[MaterialLayer]) -> Mesh:
 
 def write_protocol_file(specs, path, name="custom"):
     """A protocol file as load_protocol reads it: its name and one object per
-    stimulus, holding the StimulusSpec fields that are set."""
-    stimuli = [{k: v for k, v in dataclasses.asdict(s).items() if v is not None}
+    stimulus, holding the StimulusSpec fields that are set.  A stimulus given
+    as a dict of fields is written as it is, so that a file can hold one that
+    no StimulusSpec can."""
+    stimuli = [s if isinstance(s, dict) else
+               {k: v for k, v in dataclasses.asdict(s).items() if v is not None}
                for s in specs]
     with open(path, "w") as fh:
         json.dump({"name": name, "stimuli": stimuli}, fh, indent=2)

@@ -66,12 +66,12 @@ def test_firing_rate_window_overrun():
             discard_ms=100.0, window_ms=window, freq_hz=50.0, amplitude_um=10.0,
         )
     with pytest.raises(ValidationError, match=r"overruns the rendered 200.0 ms trace"):
-        spec(200.0, 150.0).validate()
+        spec(200.0, 150.0)
     with pytest.raises(ValidationError, match=r"\[100.0, 200.2\) ms overruns the "
                                               r"rendered 200.0 ms trace"):
-        spec(200.2, 100.2).validate()  # 400 steps of 0.5 ms end at 200.0 ms
-    spec(200.0, 100.0).validate()  # exactly fits
-    spec(200.2, 100.0).validate()
+        spec(200.2, 100.2)  # 400 steps of 0.5 ms end at 200.0 ms
+    spec(200.0, 100.0)  # exactly fits
+    spec(200.2, 100.0)
 
 
 def test_firing_rate_single_spike_quantum():

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import dataclasses
 import hashlib
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,12 +30,17 @@ def write_protocol(tmp_path, specs, name="protocol.json"):
     return str(path)
 
 
-def sin_spec(freq, amp, duration=200.0, window=100.0):
-    return stimulus.StimulusSpec(
+def sin_fields(freq, amp, duration=200.0, window=100.0, discard=100.0):
+    """A sinusoid's fields as a protocol file holds them, valid or not."""
+    return dict(
         stimulus_id=f"sin_{freq:03.0f}hz_{amp:06.2f}um", kind="sinusoid",
-        duration_ms=duration, discard_ms=100.0, window_ms=window,
+        duration_ms=duration, discard_ms=discard, window_ms=window,
         freq_hz=freq, amplitude_um=amp,
     )
+
+
+def sin_spec(freq, amp, duration=200.0, window=100.0):
+    return stimulus.StimulusSpec(**sin_fields(freq, amp, duration, window))
 
 
 # ------------------------------------------------------------------ config
@@ -41,7 +48,6 @@ def sin_spec(freq, amp, duration=200.0, window=100.0):
 
 def test_config_defaults_from_empty_dict():
     cfg = config.config_from_dict({})
-    cfg.validate()
     assert cfg.geometry.domain_width_mm == 20.0
     assert cfg.geometry.surface_element_mm == 0.2
     assert [m.name for m in cfg.materials] == [
@@ -72,6 +78,62 @@ def test_config_seed_type():
     with pytest.raises(ValidationError):
         config.config_from_dict({"seed": 1.5})
     assert config.config_from_dict({"seed": 3}).seed == 3
+
+
+# Each value type, a maker of a valid instance, an invalid field value and
+# the message that refuses it.
+VALUE_CASES = {
+    "StimulusSpec": (lambda: sin_spec(50.0, 34.80), {"freq_hz": 1500.0},
+                     r"^freq_hz=1500.0 violates Nyquist \(1000.0 Hz at dt=0.5 ms\)$"),
+    "IndenterSpec": (lambda: fem.IndenterSpec(displacement_trace=np.zeros(3)),
+                     {"pre_indentation_mm": np.nan},
+                     r"^pre_indentation_mm must be finite, got nan$"),
+    "AfferentParams": (lambda: neural.default_afferent_params()["RA"], {"u_rest_mv": -50.0},
+                       r"^need u_reset <= u_rest < threshold, got -65.0, -50.0, -55.0$"),
+    "ObservedRateSet": (lambda: optimize.ObservedRateSet("RA", ((20.0, 10.0, 5.0),)),
+                        {"records": ((20.0, 10.0, -1.0),)},
+                        r"^negative observed rate at \(20.0 Hz, 10.0 um\)$"),
+    "FitConfig": (config.FitConfig, {"population": 1}, r"^fit\.population must be >= 2$"),
+    "RunConfig": (config.RunConfig, {"seed": -1}, r"^seed must be >= 0, got -1$"),
+}
+
+
+@pytest.mark.parametrize("make, bad, message", VALUE_CASES.values(), ids=VALUE_CASES)
+def test_values_check_themselves_when_made(make, bad, message):
+    """A spec, parameter set, observed-rate set or config that constructs is
+    valid: its constructor and dataclasses.replace both refuse an invalid
+    field, and it is frozen, so no field changes without a check."""
+    valid = make()
+    assert not hasattr(valid, "validate")
+    fields = {f.name: getattr(valid, f.name) for f in dataclasses.fields(valid)}
+    with pytest.raises(ValidationError, match=message):
+        type(valid)(**fields | bad)
+    with pytest.raises(ValidationError, match=message):
+        dataclasses.replace(valid, **bad)
+    (name, value), = bad.items()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(valid, name, value)
+
+
+def test_validate_calls_are_the_cross_object_checks():
+    """Values check themselves when made, so no consumer checks one again:
+    the package's only .validate( calls are the `validate` command and the
+    checks that need a second value, a geometry against its layers (and
+    each layer it holds)."""
+    package = Path(config.__file__).parent
+    calls = sorted(
+        (path.name, ast.unparse(node))
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "validate"
+    )
+    assert calls == [
+        ("cli.py", "pipeline.validate(cfg)"),
+        ("config.py", "self.geometry.validate(self.materials)"),
+        ("mesh.py", "layer.validate()"),
+        ("mesh.py", "spec.validate(materials)"),
+    ]
 
 
 def test_config_hash_tracks_content():
@@ -690,8 +752,7 @@ def test_cli_fit_end_to_end(tmp_path):
     selected = json.loads((out / "selected_RA.json").read_text())
     assert selected["afferent"] == "RA"
     assert selected["provenance"]["budget"] == 36
-    params = neural.AfferentParams.from_dict(selected["params"])
-    params.validate()
+    neural.AfferentParams.from_dict(selected["params"])  # refuses invalid params
 
     fit_rates = (out / "fit_rates_RA.csv").read_text().splitlines()
     data = [ln for ln in fit_rates if ln and not ln.startswith("#")][1:]
@@ -763,7 +824,7 @@ def test_cli_refuses_window_past_rendered_trace_before_fem(tmp_path, caplog, com
     # 200.2 ms at dt 0.5 ms renders 400 steps, ending at 200.0 ms, so the
     # window [100, 200.2) ms cannot be counted: the protocol is refused
     # when it loads, before any FEM solve
-    spec = sin_spec(50.0, 34.80, duration=200.2, window=100.2)
+    spec = sin_fields(50.0, 34.80, duration=200.2, window=100.2)
     observed = tmp_path / "observed.csv"
     observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\nRA,50.0,34.8,20.0\n")
     cfg_path = write_config(tmp_path, {
@@ -774,7 +835,7 @@ def test_cli_refuses_window_past_rendered_trace_before_fem(tmp_path, caplog, com
     out = tmp_path / "out"
     with caplog.at_level(logging.INFO, logger="afferentsim"):
         assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 2
-    assert (f"{spec.stimulus_id}: window [100.0, 200.2) ms overruns the rendered "
+    assert (f"{spec['stimulus_id']}: window [100.0, 200.2) ms overruns the rendered "
             "200.0 ms trace") in caplog.text
     assert "FEM solved" not in caplog.text
     assert os.listdir(out) == []
@@ -783,44 +844,44 @@ def test_cli_refuses_window_past_rendered_trace_before_fem(tmp_path, caplog, com
 def test_cli_refuses_window_off_the_step_grid_before_fem(tmp_path, caplog):
     # [100.1, 100.4) ms holds no step time, so counted it would read 0 ips
     # for every type, whatever the spikes
-    spec = dataclasses.replace(sin_spec(300.0, 50.0), discard_ms=100.1, window_ms=0.3)
+    spec = sin_fields(300.0, 50.0, discard=100.1, window=0.3)
     cfg_path = write_config(tmp_path, {"protocol": write_protocol(tmp_path, [spec])})
     out = tmp_path / "out"
     with caplog.at_level(logging.INFO, logger="afferentsim"):
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
-    assert (f"{spec.stimulus_id}: discard_ms=100.1 is not a whole number of 0.5 ms "
+    assert (f"{spec['stimulus_id']}: discard_ms=100.1 is not a whole number of 0.5 ms "
             "steps") in caplog.text
     assert "FEM solved" not in caplog.text
     assert not (out / "rates.csv").exists()
 
 
-def _two_tone_spec(f2, a2):
-    return stimulus.StimulusSpec(
+def _two_tone_fields(f2, a2):
+    return dict(
         stimulus_id="dih", kind="diharmonic", duration_ms=200.0, discard_ms=100.0,
         window_ms=100.0, freq_hz=50.0, amplitude_um=10.0, freq2_hz=f2, amplitude2_um=a2,
     )
 
 
-def _noise_spec(lo, hi, rms):
-    return stimulus.StimulusSpec(
+def _noise_fields(lo, hi, rms):
+    return dict(
         stimulus_id="noise", kind="bandpass_noise", duration_ms=200.0, discard_ms=100.0,
         window_ms=100.0, lo_hz=lo, hi_hz=hi, rms_um=rms, seed=0,
     )
 
 
 @pytest.mark.parametrize("bad, message", [
-    (sin_spec(1500.0, 10.0), "freq_hz=1500.0 violates Nyquist"),
-    (sin_spec(50.0, -1.0), "amplitude_um must be >= 0, got -1.0"),
-    (_two_tone_spec(1000.0, 1.0), "freq_hz=1000.0 violates Nyquist"),
-    (_two_tone_spec(100.0, -0.5), "amplitude_um must be >= 0, got -0.5"),
-    (_noise_spec(0.0, 100.0, 1.0), "need 0 < lo < hi < Nyquist (1000.0 Hz): got (0.0, 100.0)"),
-    (_noise_spec(5.0, 1200.0, 1.0), "need 0 < lo < hi < Nyquist (1000.0 Hz): got (5.0, 1200.0)"),
-    (_noise_spec(100.0, 50.0, 1.0), "need 0 < lo < hi < Nyquist (1000.0 Hz): got (100.0, 50.0)"),
-    (_noise_spec(5.0, 100.0, 0.0), "rms_um must be > 0, got 0.0"),
-    (sin_spec(-100.0, 10.0), "freq_hz must be > 0, got -100.0"),
-    (sin_spec(0.0, 10.0), "freq_hz must be > 0, got 0.0"),
-    (sin_spec(-2000.0, 10.0), "freq_hz must be > 0, got -2000.0"),
-    (_two_tone_spec(-100.0, 1.0), "freq_hz must be > 0, got -100.0"),
+    (sin_fields(1500.0, 10.0), "freq_hz=1500.0 violates Nyquist"),
+    (sin_fields(50.0, -1.0), "amplitude_um must be >= 0, got -1.0"),
+    (_two_tone_fields(1000.0, 1.0), "freq_hz=1000.0 violates Nyquist"),
+    (_two_tone_fields(100.0, -0.5), "amplitude_um must be >= 0, got -0.5"),
+    (_noise_fields(0.0, 100.0, 1.0), "need 0 < lo < hi < Nyquist (1000.0 Hz): got (0.0, 100.0)"),
+    (_noise_fields(5.0, 1200.0, 1.0), "need 0 < lo < hi < Nyquist (1000.0 Hz): got (5.0, 1200.0)"),
+    (_noise_fields(100.0, 50.0, 1.0), "need 0 < lo < hi < Nyquist (1000.0 Hz): got (100.0, 50.0)"),
+    (_noise_fields(5.0, 100.0, 0.0), "rms_um must be > 0, got 0.0"),
+    (sin_fields(-100.0, 10.0), "freq_hz must be > 0, got -100.0"),
+    (sin_fields(0.0, 10.0), "freq_hz must be > 0, got 0.0"),
+    (sin_fields(-2000.0, 10.0), "freq_hz must be > 0, got -2000.0"),
+    (_two_tone_fields(-100.0, 1.0), "freq_hz must be > 0, got -100.0"),
 ])
 def test_cli_refuses_out_of_band_stimulus_before_fem(tmp_path, caplog, bad, message):
     # the first stimulus is valid, so a check made only when each stimulus
@@ -1140,7 +1201,7 @@ def test_fit_predicted_rates_equal_predict_rates(tmp_path, default_mesh):
     "../../escaped", "sub/dir", "back\\slash", "..", ".", "",
 ])
 def test_cli_simulate_rejects_stimulus_id_not_a_file_name(tmp_path, caplog, stimulus_id):
-    spec = dataclasses.replace(sin_spec(50.0, 34.80), stimulus_id=stimulus_id)
+    spec = dict(sin_fields(50.0, 34.80), stimulus_id=stimulus_id)
     cfg_path = write_config(tmp_path, {"protocol": write_protocol(tmp_path, [spec])})
     out = tmp_path / "a" / "out"
     with caplog.at_level(logging.ERROR, logger="afferentsim"):
@@ -1155,7 +1216,7 @@ def test_cli_simulate_rejects_stimulus_id_not_a_csv_cell(tmp_path, caplog, stimu
     # "a,b" would write a 7-cell row under rates.csv's 6-column header, and
     # a leading '"' opens a quoted cell that a CSV reader runs on into the
     # next rows
-    spec = dataclasses.replace(sin_spec(50.0, 34.80), stimulus_id=stimulus_id)
+    spec = dict(sin_fields(50.0, 34.80), stimulus_id=stimulus_id)
     protocol = write_protocol(tmp_path, [spec])
     cfg_path = write_config(tmp_path, {"protocol": protocol})
     out = tmp_path / "out"
@@ -1181,8 +1242,20 @@ def test_cli_rejects_negative_seed(tmp_path, caplog, command, raw):
     assert not out.exists()
 
 
+def test_cli_refuses_probe_whose_squared_radius_overflows(tmp_path, caplog):
+    # unchecked, radius**2 raises OverflowError: a traceback and exit 1
+    cfg_path = write_config(tmp_path, {"indenter": {"diameter_mm": 1e200}})
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    assert ("diameter_mm=1e+200 is too large: the square of its radius overflows "
+            "a float") in caplog.text
+    assert "FEM solved" not in caplog.text
+    assert not (out / "rates.csv").exists()
+
+
 def test_cli_simulate_rejects_negative_noise_seed(tmp_path, caplog):
-    spec = stimulus.StimulusSpec(
+    spec = dict(
         stimulus_id="noise", kind="bandpass_noise", duration_ms=200.0,
         discard_ms=100.0, window_ms=100.0, lo_hz=10.0, hi_hz=200.0, rms_um=40.0, seed=-1,
     )

@@ -310,13 +310,11 @@ def test_run_indentation_requires_afferent_nodes():
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-def test_indenter_refuses_non_finite_pre_indentation(default_footprint, value):
+def test_indenter_refuses_non_finite_pre_indentation(value):
     # unchecked, NaN gives zero stress on every step with no error, and inf
     # a misleading contact-set solve residual
-    indenter = fem.IndenterSpec(pre_indentation_mm=value,
-                                displacement_trace=np.array([0.0, 0.1]))
     with pytest.raises(ValidationError, match=r"^pre_indentation_mm must be finite"):
-        fem.run_indentation(default_footprint, indenter)
+        fem.IndenterSpec(pre_indentation_mm=value, displacement_trace=np.array([0.0, 0.1]))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -387,7 +385,7 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -1.5e-310, 2.2250738585072014e-308,
                   st.sampled_from(SPECIAL_FLOATS)),
         min_size=1, max_size=40,
     ),
-    provenance=st.sampled_from([None, "", "config=0123abcd"]),
+    provenance=st.sampled_from(["", "config=0123abcd"]),
 )
 def test_stress_trace_csv_matches_per_row_oracle(values, provenance):
     values = np.array(values)
@@ -431,7 +429,7 @@ def test_stress_trace_csv_repeated_values_match_oracle(values):
     np.arange(6.0)[::2],
 ], ids=["int64", "float32", "strided"])
 def test_stress_trace_csv_writes_values_as_float64(values):
-    assert fem.stress_csv_text(values, "RA", 1) == stress_csv_text(values, "RA", 1)
+    assert fem.stress_csv_text(values, "RA", 1, "p") == stress_csv_text(values, "RA", 1, "p")
 
 
 def test_stress_trace_csv_matches_oracle_on_simulated_bank(default_config):
@@ -452,9 +450,9 @@ def test_stress_trace_csv_matches_oracle_on_simulated_bank(default_config):
 def test_stress_trace_csv_formats_dt_as_float():
     # the header and the t_ms column carry the model's one step
     assert stimulus.DT_MS == 0.5
-    lines = fem.stress_csv_text(np.array([1.0, 2.0, 3.0]), "RA", 1).splitlines()
+    lines = fem.stress_csv_text(np.array([1.0, 2.0, 3.0]), "RA", 1, "p").splitlines()
     assert lines[1] == "# RA,1,0.5"
-    assert [row.split(",")[0] for row in lines[3:]] == ["0.0", "0.5", "1.0"]
+    assert [row.split(",")[0] for row in lines[4:]] == ["0.0", "0.5", "1.0"]
 
 
 @pytest.mark.parametrize("h", [0.2, 0.1, 0.05, "single element"])

@@ -354,7 +354,7 @@ def test_param_table_holds_sets_of_one_cell():
     assert table.alpha_prime.tolist() == [sa.alpha_prime, 3.0]
     assert table.saturation.tolist() == [[sa.a1_pa, 7.0], [sa.a2_pa_per_ms, 8.0]]
     for name, value in (("afferent_type", "RA"), ("threshold_mv", -52.0),
-                        ("u_rest_mv", -66.0), ("u_reset_mv", -70.0),
+                        ("u_rest_mv", -64.0), ("u_reset_mv", -70.0),
                         ("tau_r_ms", 0.5), ("m1", 3), ("m4", 9)):
         with pytest.raises(ValidationError,
                            match=f"parameter set 2 differs from set 0 in {name}$"):
@@ -539,16 +539,16 @@ def test_params_validation_and_hash():
         neural.AfferentParams(
             afferent_type="SA", tau_m_ms=-1.0, alpha_prime=1.0,
             a1_pa=100.0, a2_pa_per_ms=100.0,
-        ).validate()
+        )
     with pytest.raises(ValidationError):
         neural.AfferentParams(
             afferent_type="RA", tau_m_ms=10.0, alpha_prime=1.0,
-        ).validate()  # missing a3
+        )  # missing a3
     with pytest.raises(ValidationError):
         neural.AfferentParams(
             afferent_type="SA", tau_m_ms=10.0, alpha_prime=1.0,
             a1_pa=100.0, a2_pa_per_ms=100.0, threshold_mv=-70.0,
-        ).validate()  # threshold below rest never fires sensibly
+        )  # threshold below rest never fires sensibly
     d = sa.to_dict()
     assert neural.AfferentParams.from_dict(d) == sa
 
