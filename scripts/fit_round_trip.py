@@ -15,9 +15,9 @@ the per-frequency squared-error objectives, the front size, the fit's time
 and the recovered fitted parameters.  The last line lists the misses, the
 seeds whose objective sum exceeds MISS_IPS2 (acceptance criterion 09's
 bound); the script exits 0 either way.  One fit at the full budget takes
-1.6-1.9 s on one core of a 2-core x86-64 host (7% of the children repeat a
-candidate already counted, and are not integrated again), so seeds 0-29
-take about a minute.
+1.2-1.7 s on one pinned core of a 2-core x86-64 host (RA and PC, seeds 0-4;
+7% of the children repeat a candidate already counted, and are not
+integrated again), so seeds 0-29 take about 40 s.
 Note: several (tau_m, a, alpha') combinations can produce identical spike
 counts, so recovered parameter values may differ from the generator while
 the objective sum is still 0 — rate data alone does not pin the parameters.
@@ -30,8 +30,8 @@ import time
 # names imported directly, so that `--help` fails if any of them is removed
 from afferentsim.config import config_from_dict
 from afferentsim.mesh import build_mesh
-from afferentsim.neural import SATURATION_FIELDS, default_afferent_params
-from afferentsim.optimize import OBJECTIVE_FREQS, recover_parameters
+from afferentsim.neural import default_afferent_params
+from afferentsim.optimize import FITTED_PARAMETERS, OBJECTIVE_FREQS, recover_parameters
 from afferentsim.pipeline import resolve_protocol, stress_bank
 
 MISS_IPS2 = 4.0  # acceptance criterion 09's bound on the objective sum
@@ -67,7 +67,7 @@ def main() -> int:
                  for s in specs}
 
     truth = default_afferent_params()[args.afferent]
-    fitted = ("tau_m_ms",) + SATURATION_FIELDS[args.afferent] + ("alpha_prime",)
+    fitted = [name for name, _, _, _ in FITTED_PARAMETERS[args.afferent]]
     print(f"generator: {truth.to_dict()}")
     misses = []
     for seed in args.seeds:

@@ -269,6 +269,10 @@ def build_mesh(spec: GeometrySpec, materials: list[MaterialLayer] | None = None)
         surface_nodes=surface_nodes,
         afferent_nodes=locate_afferent_nodes(nodes, spec.afferent_depths_mm),
     )
+    for atype, node in mesh.afferent_nodes.items():
+        if node >= nrows * nx:  # on the bottom row, which the solver fixes as bone
+            raise ValidationError(f"{atype} afferent at {spec.afferent_depths_mm[atype]} mm lands "
+                                  f"on node {node} of the fixed bottom, {depth} mm deep")
     check_jacobians(mesh)
     return mesh
 

@@ -1,14 +1,14 @@
 """NSGA-II fitting of afferent parameters against observed firing rates.
 
-The tunables per afferent type are (tau_m, saturation constants, alpha');
+The tunables per afferent type are (tau_m, saturation constants, alpha'),
+laid out as genes with their bounds and encodings in FITTED_PARAMETERS;
 cell constants (threshold, rest/reset, refractory, filter widths) stay
-fixed.  Saturation constants are searched in log10 space since plausible
-values span decades.  Objectives are the per-frequency mean squared rate
-errors over the stimulus bank, one objective per stimulus frequency
-(20/50/100/300 Hz), all to be minimized.  The bank maps each (freq,
-amplitude) condition to its StimulusSpec and one afferent's stress trace
-array, and each condition's spikes are counted over its spec's [discard,
-discard + window), the window simulate counts its rates over.
+fixed.  Objectives are the per-frequency mean squared rate errors over the
+stimulus bank, one objective per stimulus frequency (20/50/100/300 Hz),
+all to be minimized.  The bank maps each (freq, amplitude) condition to
+its StimulusSpec and one afferent's stress trace array, and each
+condition's spikes are counted over its spec's [discard, discard +
+window), the window simulate counts its rates over.
 
 The returned front is the rank-0 subset of the final population; the full
 population is exported so a human can re-pick, but select_candidate applies
@@ -31,12 +31,14 @@ from .stimulus import DT_MS, StimulusSpec
 
 OBJECTIVE_FREQS = (20.0, 50.0, 100.0, 300.0)
 
-# Search bounds: tau_m in ms, saturation constants as log10 of their
-# physical value, alpha' in mV/ms.  Brackets hold every shipped default
-# with about two orders of margin.
-TAU_M_BOUNDS = (1.0, 2000.0)
-LOG10_A_BOUNDS = (0.0, 6.0)
-ALPHA_BOUNDS = (0.01, 100.0)
+# Each afferent type's fitted parameters, one row (AfferentParams field, low,
+# high, log10) per gene in gene order; bounds are in gene units and hold each
+# shipped default with ~2 orders of margin (log10 where values span decades).
+FITTED_PARAMETERS = {
+    atype: (("tau_m_ms", 1.0, 2000.0, False), *((name, 0.0, 6.0, True) for name in sats),
+            ("alpha_prime", 0.01, 100.0, False))
+    for atype, sats in SATURATION_FIELDS.items()
+}
 
 # NSGA-II variation operators: SBX crossover and polynomial mutation with
 # these distribution indices; each gene mutates with probability 1/n_genes.
@@ -46,10 +48,8 @@ CROSSOVER_PROB = 0.9
 
 
 def gene_bounds(afferent_type: str) -> tuple[np.ndarray, np.ndarray]:
-    n_sat = len(SATURATION_FIELDS[afferent_type])
-    low = np.array([TAU_M_BOUNDS[0]] + [LOG10_A_BOUNDS[0]] * n_sat + [ALPHA_BOUNDS[0]])
-    high = np.array([TAU_M_BOUNDS[1]] + [LOG10_A_BOUNDS[1]] * n_sat + [ALPHA_BOUNDS[1]])
-    return low, high
+    rows = FITTED_PARAMETERS[afferent_type]
+    return np.array([low for _, low, _, _ in rows]), np.array([high for _, _, high, _ in rows])
 
 
 def _pow10(log10_a) -> float:
@@ -60,37 +60,31 @@ def _pow10(log10_a) -> float:
 
 def genes_to_params(afferent_type: str, genes: np.ndarray) -> AfferentParams:
     """Decode a search vector onto the fixed-constant template for the type."""
-    sats = SATURATION_FIELDS[afferent_type]
-    if genes.shape != (len(sats) + 2,):
-        raise ValidationError(
-            f"{afferent_type} expects {len(sats) + 2} genes, got {genes.shape}"
-        )
-    template = default_afferent_params()[afferent_type]
-    updates = {"tau_m_ms": float(genes[0]), "alpha_prime": float(genes[-1])}
-    for i, name in enumerate(sats):
-        updates[name] = _pow10(genes[1 + i])
-    return dataclasses.replace(template, **updates)
+    rows = FITTED_PARAMETERS[afferent_type]
+    if genes.shape != (len(rows),):
+        raise ValidationError(f"{afferent_type} expects {len(rows)} genes, got {genes.shape}")
+    return dataclasses.replace(default_afferent_params()[afferent_type], **{
+        name: _pow10(g) if log10 else float(g) for (name, _, _, log10), g in zip(rows, genes)})
 
 
-def _check_genes(afferent_type: str, genes: np.ndarray) -> None:
-    n_genes = len(SATURATION_FIELDS[afferent_type]) + 2
-    if genes.ndim != 2 or genes.shape[1] != n_genes:
-        raise ValidationError(
-            f"{afferent_type} expects genes of shape (N, {n_genes}), got {genes.shape}"
-        )
+def _population_rows(afferent_type: str, genes: np.ndarray) -> tuple:
+    rows = FITTED_PARAMETERS[afferent_type]
+    if genes.ndim != 2 or genes.shape[1] != len(rows):
+        raise ValidationError(f"{afferent_type} expects genes of shape (N, {len(rows)}), "
+                              f"got {genes.shape}")
+    return rows
 
 
 def genes_to_table(afferent_type: str, genes: np.ndarray) -> ParamTable:
     """Decode a population, genes of shape (N, n_genes), into one parameter
     table of the type's fixed-constant template: set i holds exactly the
     values genes_to_params(genes[i]) does."""
-    _check_genes(afferent_type, genes)
-    return ParamTable(
-        default_afferent_params()[afferent_type],
-        tau_m_ms=genes[:, 0],
-        alpha_prime=genes[:, -1],
-        saturation=[[_pow10(g) for g in col] for col in genes[:, 1:-1].T],
-    )
+    rows = _population_rows(afferent_type, genes)
+    columns = {name: [_pow10(g) for g in col] if log10 else col
+               for (name, _, _, log10), col in zip(rows, genes.T)}
+    sats = [columns[name] for name in SATURATION_FIELDS[afferent_type]]
+    return ParamTable(default_afferent_params()[afferent_type], columns["tau_m_ms"],
+                      columns["alpha_prime"], sats)
 
 
 # --------------------------------------------------------------------------
@@ -235,7 +229,7 @@ class RateEvaluator:
         count / window as predict_rates divides, integrating only the
         vectors not counted before."""
         genes = np.asarray(genes, dtype=float)
-        _check_genes(self.afferent_type, genes)
+        _population_rows(self.afferent_type, genes)
         keys = [row.tobytes() for row in genes]
         # each unseen vector once, in the order first seen
         fresh = {key: i for i, key in enumerate(keys) if key not in self._rows}
@@ -598,12 +592,13 @@ def recover_parameters(
 def front_to_csv(front: ParetoFront, afferent_type: str, provenance: str) -> str:
     """CSV text of the full final population, front first, decoded parameter
     columns, after a provenance line."""
-    sats = SATURATION_FIELDS[afferent_type]
-    param_cols = ("tau_m_ms",) + sats + ("alpha_prime",)
+    param_cols = [name for name, _, _, _ in FITTED_PARAMETERS[afferent_type]]
     # one decode for the whole population: its columns are genes_to_params's
     # values bit for bit, so the text is that of a per-row decode
     table = genes_to_table(afferent_type, front.genes)
-    params = np.column_stack([table.tau_m_ms, *table.saturation, table.alpha_prime]).tolist()
+    columns = dict(zip(SATURATION_FIELDS[afferent_type], table.saturation),
+                   tau_m_ms=table.tau_m_ms, alpha_prime=table.alpha_prime)
+    params = np.column_stack([columns[name] for name in param_cols]).tolist()
     objectives = np.asarray(front.objectives, dtype=float).tolist()
     order = sorted(
         range(front.genes.shape[0]),

@@ -15,8 +15,7 @@ import numpy as np
 from afferentsim import fem
 from afferentsim.errors import ValidationError
 from afferentsim.mesh import AFFERENT_TYPES, Mesh, MaterialLayer, check_jacobians, gauss_gradients
-from afferentsim.neural import SATURATION_FIELDS
-from afferentsim.optimize import OBJECTIVE_FREQS, genes_to_params
+from afferentsim.optimize import FITTED_PARAMETERS, OBJECTIVE_FREQS, genes_to_params
 
 
 def stress_to_drive(inputs, params):
@@ -108,14 +107,15 @@ def sorted_entries_residual(K, f, x):
 
 
 def params_to_genes(params):
-    """The gene vector that genes_to_params maps back to `params`."""
-    sats = params.saturation()
-    return np.array([params.tau_m_ms] + [np.log10(a) for a in sats] + [params.alpha_prime])
+    """The gene vector that genes_to_params maps back to `params`: each
+    fitted field, encoded as its FITTED_PARAMETERS row says."""
+    return np.array([np.log10(getattr(params, name)) if log10 else getattr(params, name)
+                     for name, _, _, log10 in FITTED_PARAMETERS[params.afferent_type]])
 
 
 def front_csv_text(front, afferent_type, provenance):
     """front_to_csv's text, decoding one row at a time with genes_to_params."""
-    param_cols = ("tau_m_ms",) + SATURATION_FIELDS[afferent_type] + ("alpha_prime",)
+    param_cols = [name for name, _, _, _ in FITTED_PARAMETERS[afferent_type]]
     order = sorted(
         range(front.genes.shape[0]),
         key=lambda i: (

@@ -707,6 +707,49 @@ def test_cli_simulate_rejects_indenter_that_never_touches(tmp_path, caplog, inde
     assert os.listdir(out) == []  # nothing written, the mesh included
 
 
+ONE_LAYER = [{"name": "skin", "elastic_modulus_mpa": 0.05, "poisson_ratio": 0.4,
+              "depth_top_mm": 0.0, "depth_bottom_mm": 2.0}]
+
+
+@pytest.mark.parametrize("command", ["simulate", "mesh"])
+@pytest.mark.parametrize("raw, message", [
+    pytest.param({"geometry": {"afferent_depths_mm": {"SA": 50.0, "RA": 0.75, "PC": 3.0}}},
+                 "SA afferent at 50.0 mm lands on node 1464 of the fixed bottom, 8.0 mm deep",
+                 id="SA-below-the-skin"),
+    # the default skin's deepest rows above the bottom are at 5.74 and 6.79 mm
+    pytest.param({"geometry": {"afferent_depths_mm": {"SA": 1.0, "RA": 0.75, "PC": 7.5}}},
+                 "PC afferent at 7.5 mm lands on node 1464 of the fixed bottom, 8.0 mm deep",
+                 id="PC-nearest-the-bottom"),
+    pytest.param({"materials": ONE_LAYER},
+                 "PC afferent at 3.0 mm lands on node 757 of the fixed bottom, 2.0 mm deep",
+                 id="PC-below-a-2mm-skin"),
+])
+def test_cli_refuses_afferent_on_the_fixed_bottom(tmp_path, caplog, command, raw, message):
+    """An afferent that snaps to the bottom row, which the solver fixes as
+    bone, would read the stress of a clamped node: refused before the FEM."""
+    cfg_path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    assert message in caplog.text
+    assert "FEM solved" not in caplog.text
+    assert not (out / "rates.csv").exists() and not (out / "mesh.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "mesh"])
+def test_cli_runs_afferent_on_the_row_above_the_bottom(tmp_path, command):
+    # 7.3 mm snaps to the row at 6.79 mm, the deepest the solver leaves free
+    cfg_path = write_config(tmp_path, {
+        "geometry": {"afferent_depths_mm": {"SA": 1.0, "RA": 0.75, "PC": 7.3}},
+        "protocol": write_protocol(tmp_path, [sin_spec(50.0, 34.80)]),
+    })
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg_path, "--out", str(out)]) == 0
+    built = load_mesh(out / "mesh.txt", config.config_from_dict({}).materials)
+    assert -built.nodes[built.afferent_nodes["PC"], 1] == pytest.approx(6.79, abs=0.005)
+    assert (out / "rates.csv").exists() == (command == "simulate")
+
+
 def test_cli_exit_codes_for_bad_input(tmp_path):
     bad_cfg = write_config(tmp_path, {"geometry": {"domain_width_mm": 0.0}})
     assert cli.main(["mesh", "--config", bad_cfg, "--out", str(tmp_path / "a")]) == 2

@@ -343,8 +343,7 @@ def test_param_table_holds_sets_of_one_cell():
     """A table is N sets of one cell.  from_params refuses sets that differ
     in anything but tau_m, alpha' and the saturation constants, naming the
     field, and an empty list; a table refuses saturation rows that are not
-    its cell type's terms, a cell its own validation refuses, and a column
-    that breaks its rule."""
+    its cell type's terms and a column that breaks its rule."""
     sa = PARAMS["SA"]
     other = dataclasses.replace(sa, tau_m_ms=5.0, alpha_prime=3.0, a1_pa=7.0,
                                 a2_pa_per_ms=8.0, a3_pa_per_ms=9.0)
@@ -364,8 +363,6 @@ def test_param_table_holds_sets_of_one_cell():
     for rows in ([[1.0]], [[1.0], [2.0], [3.0]], np.ones((2, 0))):
         with pytest.raises(ValidationError, match=r"SA saturation must have shape \(2, N\)"):
             neural.ParamTable(sa, [1.0], [1.0], rows)
-    with pytest.raises(ValidationError, match="need u_reset <= u_rest < threshold"):
-        neural.ParamTable(dataclasses.replace(sa, u_reset_mv=-50.0), [1.0], [1.0], [[1.0], [1.0]])
     with pytest.raises(ValidationError, match=r"alpha_prime must have shape \(2,\)"):
         neural.ParamTable(sa, [1.0, 2.0], [1.0], np.ones((2, 2)))
     with pytest.raises(ValidationError, match="tau_m_ms must be > 0; parameter set 1 breaks it"):

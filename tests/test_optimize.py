@@ -56,6 +56,52 @@ def test_gene_round_trip():
         assert low[-1] == 0.01 and high[-1] == 100.0
 
 
+TAU_M = ("tau_m_ms", 1.0, 2000.0, False)
+ALPHA = ("alpha_prime", 0.01, 100.0, False)
+
+
+def test_fitted_parameters_are_the_one_gene_layout(monkeypatch):
+    """FITTED_PARAMETERS holds each type's genes, and gene_bounds reads it.
+    The decoders and the oracle follow the table: with tau_m and alpha'
+    made log10 genes there, genes_to_table equals genes_to_params bit for
+    bit, front_to_csv a row-by-row decode, and params_to_genes round-trips
+    the shipped parameters."""
+    assert optimize.FITTED_PARAMETERS == {
+        "SA": (TAU_M, ("a1_pa", 0.0, 6.0, True), ("a2_pa_per_ms", 0.0, 6.0, True), ALPHA),
+        "RA": (TAU_M, ("a3_pa_per_ms", 0.0, 6.0, True), ALPHA),
+        "PC": (TAU_M, ("a4_pa_per_ms2", 0.0, 6.0, True), ALPHA),
+    }
+    for atype, rows in optimize.FITTED_PARAMETERS.items():
+        low, high = optimize.gene_bounds(atype)
+        assert low.tolist() == [r[1] for r in rows] and high.tolist() == [r[2] for r in rows]
+
+    for atype, rows in list(optimize.FITTED_PARAMETERS.items()):
+        monkeypatch.setitem(optimize.FITTED_PARAMETERS, atype, tuple(
+            (name, float(np.log10(low)), float(np.log10(high)), True)
+            if name in ("tau_m_ms", "alpha_prime") else (name, low, high, log10)
+            for name, low, high, log10 in rows
+        ))
+    rng = np.random.default_rng(5)
+    for atype, params in neural.default_afferent_params().items():
+        low, high = optimize.gene_bounds(atype)
+        assert (low[0], high[-1]) == (0.0, 2.0)
+        genes = rng.uniform(low, high, size=(40, low.size))
+        table = optimize.genes_to_table(atype, genes)
+        assert not np.array_equal(table.tau_m_ms, genes[:, 0])  # decoded, not passed on
+        by_params = neural.ParamTable.from_params(
+            [optimize.genes_to_params(atype, g) for g in genes])
+        for name in ("tau_m_ms", "alpha_prime", "saturation"):
+            assert getattr(table, name).tobytes() == getattr(by_params, name).tobytes(), name
+        front = optimize.ParetoFront(
+            genes=genes, objectives=rng.uniform(0.0, 10.0, size=(40, 4)),
+            ranks=np.zeros(40, dtype=int), seed=0, budget=40, bounds_low=low, bounds_high=high,
+        )
+        assert optimize.front_to_csv(front, atype, "prov") == front_csv_text(front, atype, "prov")
+        again = optimize.genes_to_params(atype, params_to_genes(params))
+        for name, _, _, _ in optimize.FITTED_PARAMETERS[atype]:
+            assert getattr(again, name) == pytest.approx(getattr(params, name), rel=1e-12), name
+
+
 def test_gene_count_by_type():
     for atype, n_genes in (("SA", 4), ("RA", 3), ("PC", 3)):
         low, high = optimize.gene_bounds(atype)
