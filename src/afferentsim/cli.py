@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from . import __version__, pipeline
 from .analysis import rate_records_to_csv
 from .config import RunConfig, load_config
-from .errors import AfferentSimError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .fem import stress_csv_text
 from .mesh import AFFERENT_TYPES, build_mesh, export_mesh_text
 from .optimize import front_to_csv, selected_to_json
@@ -261,9 +261,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         logger.error("numerical failure: %s", exc)
         return 3
-    except AfferentSimError as exc:  # pragma: no cover - unexpected subclass
-        logger.error("%s", exc)
-        return 2
 
 
 if __name__ == "__main__":

@@ -227,7 +227,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc

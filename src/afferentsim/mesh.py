@@ -111,6 +111,9 @@ class GeometrySpec:
         missing = [t for t in AFFERENT_TYPES if t not in self.afferent_depths_mm]
         if missing:
             raise ValidationError(f"afferent_depths_mm missing types: {missing}")
+        unknown = sorted(set(self.afferent_depths_mm) - set(AFFERENT_TYPES))
+        if unknown:
+            raise ValidationError(f"afferent_depths_mm unknown types: {unknown}")
         for atype, depth in self.afferent_depths_mm.items():
             if not depth >= 0:
                 raise ValidationError(

@@ -311,10 +311,11 @@ class SpikeCounter:
     before, oldest lag first so that the latest spike wins (a cell with
     n_refr = 0 resets at the spike itself).  The lags come from a ring
     spike record of n_refr + 1 rows (spike_steps keeps every step), and
-    each step adds its spikes into a byte-wide count that moves into an
-    int64 total every 255 steps and at each window's opening and closing,
-    where its rows take a snapshot of the total, the count being the
-    difference: a call's working memory does not grow with the trace.  As
+    each step adds its spikes into a byte-wide count, flushed every 255
+    steps and at each window's first and last step.  So each window holds
+    the steps since the previous flush whole or not at all, and a flush
+    adds them into the int64 counts of the rows whose window holds them: a
+    call's working memory does not grow with the trace.  As
     no step changes a unit's drive, the drive is formed for STEP_BLOCK
     steps at once.  A step is then u * c1, + rest, + drive, one copy per
     lag where its record row is set, the compare into the record and the
@@ -412,11 +413,13 @@ class SpikeCounter:
         buffers = [np.empty(size) for _ in range(self.n_terms + 1)]  # drive, inputs
         ring = lead + (n_steps if whole else 1)  # lead + 1 rows hold every lag
         spiked = np.zeros((ring,) + shape, dtype=bool)
-        # a byte-wide count, flushed every 255 steps so that it cannot wrap
+        # a byte-wide count, flushed every 255 steps so that it cannot wrap,
+        # and at every window edge, so that each window holds the steps
+        # since the last flush whole or not at all
         recent = np.zeros(shape, dtype=np.uint8)
-        total, opened, closed = np.zeros((3,) + shape, dtype=np.int64)
-        snapshots = ((opened, self._first[:, None]), (closed, self._last[:, None]))
-        begin = int(self._first.min())
+        counts = np.zeros(shape, dtype=np.int64)
+        first, last = self._first[:, None], self._last[:, None]
+        begin = since = int(self._first.min())
         flushes = set(range(begin, n_steps, 255)).union(self._first.tolist(), self._last.tolist())
         stop = self._stop.tolist()
         start = 0
@@ -452,11 +455,9 @@ class SpikeCounter:
                 np.multiply(dd, DT_MS, out=dd)
                 for k in range(k0, k1):
                     if k in flushes:
-                        total += recent
+                        np.add(counts, recent, out=counts, where=(first <= since) & (k <= last))
                         recent[...] = 0
-                        # the rows whose window opens or closes here
-                        for snapshot, at in snapshots:
-                            np.copyto(snapshot, total, where=at == k)
+                        since = k
                     # u <- (c1*u + (1 - c1)*u_rest) + dt*d
                     np.multiply(uu, c1m, out=uu)
                     np.add(uu, restm, out=uu)
@@ -473,14 +474,10 @@ class SpikeCounter:
                     if n_refr == 0:  # no lag follows, so reset at the spike
                         np.copyto(uu, reset, where=ss)
             start = end
-        total += recent
-        # a window that closes at its trace end takes the final total, and
-        # one that opens as or after it closes counts nothing
-        np.copyto(closed, total, where=(self._last == self._stop)[:, None])
-        counts = np.empty((len(table), self.n_stimuli), dtype=np.int64)
-        counts[:, self._order] = np.where((self._first < self._last)[:, None],
-                                          closed - opened, 0).T
-        return counts, spiked[lead:]
+        np.add(counts, recent, out=counts, where=(first <= since) & (n_steps <= last))
+        by_stimulus = np.empty((len(table), self.n_stimuli), dtype=np.int64)
+        by_stimulus[:, self._order] = counts.T
+        return by_stimulus, spiked[lead:]
 
 
 def run_afferents(traces, params: AfferentParams,

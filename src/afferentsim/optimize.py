@@ -127,7 +127,7 @@ def observed_rates_from_csv(path, afferent_types) -> dict[str, ObservedRateSet]:
     pass over the `afferent,freq_hz,amplitude_um,rate_ips` rows of `path`;
     every row must parse, whichever types are read."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [
                 (no, ln.strip()) for no, ln in enumerate(fh, 1)
                 if ln.strip() and not ln.startswith("#")
@@ -194,15 +194,16 @@ class RateEvaluator:
     the saturating transform and the windowed spike count run for all
     candidates and stimuli in one SpikeCounter call.
 
-    The evaluator keeps the window counts of every distinct gene vector it
-    has integrated, keyed by the vector's bytes, as rows of one int32 array
-    that grows by each call's unseen rows; only those go to SpikeCounter,
-    and a row repeated within a call goes once.  NSGA-II children repeat
-    an earlier vector when crossover and mutation both leave a parent
-    unchanged (3.5-7% of them at population 100).  The store holds at most
-    one row per evaluation, budget x conditions x 4 bytes (1.48 MB for a
-    default-budget fit on appendixA's 37 sinusoids), and gives the
-    selected candidate's rates without integrating it again.
+    The evaluator keeps the int32 window counts of every distinct gene
+    vector it has integrated, one row per vector keyed by its bytes, each
+    row as its call's SpikeCounter output gave it; only unseen vectors go
+    to SpikeCounter, and a vector repeated within a call goes once.
+    NSGA-II children repeat an earlier vector when crossover and mutation
+    both leave a parent unchanged (3.5-7% of them at population 100).  The
+    store holds at most one row per evaluation, budget x conditions x 4
+    bytes of counts (1.48 MB for a default-budget fit on appendixA's 37
+    sinusoids), and gives the selected candidate's rates without
+    integrating it again.
     """
 
     def __init__(
@@ -221,8 +222,7 @@ class RateEvaluator:
         )
         self._observed = np.array([r for _, _, r in observed.records])
         self._freq_idx = [OBJECTIVE_FREQS.index(f) for f, _, _ in observed.records]
-        self._rows: dict[bytes, int] = {}
-        self._counts = np.empty((0, len(self.conditions)), dtype=np.int32)
+        self._counts: dict[bytes, np.ndarray] = {}
 
     def predicted_rates(self, genes: np.ndarray) -> np.ndarray:
         """(N, conditions) predicted rates in ips of each gene vector,
@@ -232,14 +232,12 @@ class RateEvaluator:
         _population_rows(self.afferent_type, genes)
         keys = [row.tobytes() for row in genes]
         # each unseen vector once, in the order first seen
-        fresh = {key: i for i, key in enumerate(keys) if key not in self._rows}
+        fresh = {key: i for i, key in enumerate(keys) if key not in self._counts}
         if fresh:
             table = genes_to_table(self.afferent_type, genes[list(fresh.values())])
-            counts = self._counter(table)
-            n = self._counts.shape[0]
-            self._rows.update((key, n + j) for j, key in enumerate(fresh))
-            self._counts = np.concatenate([self._counts, counts.astype(np.int32)])
-        return self._counts[[self._rows[key] for key in keys]] / self._window_s
+            self._counts.update(zip(fresh, self._counter(table).astype(np.int32)))
+        counts = np.array([self._counts[key] for key in keys], dtype=np.int32)
+        return counts.reshape(len(keys), len(self.conditions)) / self._window_s
 
     def __call__(self, genes: np.ndarray) -> np.ndarray:
         err = self.predicted_rates(genes) - self._observed

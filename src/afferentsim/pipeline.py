@@ -52,7 +52,7 @@ def load_afferent_params(source: str) -> dict[str, AfferentParams]:
     if source == "default":
         return params
     try:
-        with open(source, encoding="utf-8") as fh:
+        with open(source, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read afferent params {source}: {exc}") from exc

@@ -303,7 +303,7 @@ def builtin_protocol(name: str, base_seed: int = 0) -> list[StimulusSpec]:
 
 def load_protocol(path) -> list[StimulusSpec]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read protocol file {path}: {exc}") from exc

@@ -1386,6 +1386,43 @@ def test_cli_input_not_utf8_exits_2(tmp_path, reader):
         assert os.listdir(out) == []  # no output and no .lock
 
 
+@pytest.mark.parametrize("reader, command, output", [
+    ("config", "mesh", "mesh.txt"),
+    ("protocol", "simulate", "rates.csv"),
+    ("afferent_params", "simulate", "rates.csv"),
+    ("observed", "fit", "front_RA.csv"),
+])
+def test_cli_input_with_a_byte_order_mark_reads_as_without(tmp_path, reader, command,
+                                                           output):
+    # spreadsheets start a "CSV UTF-8" export with the mark EF BB BF: each
+    # input file gives the same mesh, rates or front with it as without
+    protocol = Path(write_protocol(tmp_path, [sin_spec(50.0, 34.80)]))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"RA": dataclasses.replace(
+        neural.default_afferent_params()["RA"], alpha_prime=12.0).to_dict()}))
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\nRA,50,34.8,20\n")
+    raw = {"protocol": str(protocol)}
+    if reader == "afferent_params":
+        raw["afferent_params"] = {"path": str(params)}
+    elif reader == "observed":
+        raw["fit"] = {"afferents": ["RA"], "observed_rates_csv": str(observed),
+                      "population": 4, "budget": 8}
+    cfg_path = Path(write_config(tmp_path, raw))
+    marked = {"config": cfg_path, "protocol": protocol, "afferent_params": params,
+              "observed": observed}[reader]
+
+    def run(name):
+        out = tmp_path / name
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        # provenance lines hash the input files' bytes
+        return [ln for ln in (out / output).read_text().splitlines() if not ln.startswith("#")]
+
+    without = run("without")
+    marked.write_bytes(b"\xef\xbb\xbf" + marked.read_bytes())
+    assert run("with") == without
+
+
 def test_load_protocol_reads_utf8_whatever_the_locale(tmp_path):
     # the id's é as its two UTF-8 bytes, not as a JSON \u escape; so too
     # the output directory a config names

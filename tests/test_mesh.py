@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afferentsim import mesh
+from afferentsim.config import RunConfig
 from afferentsim.errors import InvertedElementError, ValidationError
 from oracles import load_mesh, mesh_text
 
@@ -59,6 +62,21 @@ def test_geometry_validation_names_bad_field():
     spec = mesh.GeometrySpec(domain_width_mm=0.0)
     with pytest.raises(ValidationError, match="domain_width_mm"):
         spec.validate(mesh.default_material_layers())
+
+
+def test_geometry_refuses_unknown_afferent_types():
+    """Depths for a type other than SA, RA and PC are refused, and the type
+    named, wherever the spec is checked: by build_mesh, and by RunConfig
+    when made or replaced; none places a node for it."""
+    spec = mesh.GeometrySpec(afferent_depths_mm={"SA": 1.0, "RA": 0.75, "PC": 3.0,
+                                                 "XX": 2.0, "AA": 0.5})
+    unknown = r"afferent_depths_mm unknown types: \['AA', 'XX'\]"
+    with pytest.raises(ValidationError, match=unknown):
+        mesh.build_mesh(spec, mesh.default_material_layers())
+    with pytest.raises(ValidationError, match=unknown):
+        RunConfig(geometry=spec)
+    with pytest.raises(ValidationError, match=unknown):
+        dataclasses.replace(RunConfig(), geometry=spec)
 
 
 def test_surface_element_must_fit_thinnest_layer():

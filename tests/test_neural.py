@@ -439,6 +439,35 @@ def test_window_counts_above_a_byte_match_scalar_loop():
     assert got[0].min() > 2 * 255 and got[2].max() < 255
 
 
+def test_window_counts_at_the_flush_edges_match_scalar_loop():
+    """The window edges a random draw reaches only by chance, over one trace
+    of 600 samples whose first unit spikes on every step, its first (step 1)
+    and its last (step 599) included: [0, 0.5) holds no spike step; a
+    window closing at 600 * dt counts to the trace end; a window opening at
+    the trace end counts nothing; and one opens on the step after the first
+    255-step flush.  Counts from a call and from spike_steps, and the spike
+    steps, equal the scalar loop's."""
+    sa = PARAMS["SA"]
+    n = 600
+    features = [tuple(np.full(n, a) for a in sa.saturation())] * 4
+    windows = [(0.0, 0.5), (100.0, n * DT), (n * DT, n * DT + 20.0), (128.5, 200.0)]
+    params = [dataclasses.replace(sa, tau_r_ms=0.0, tau_m_ms=1e6, alpha_prime=alpha)
+              for alpha in (50.0, 15.0, 9.0)]
+    counter = neural.SpikeCounter(features, windows)
+    table = neural.ParamTable.from_params(params)
+    got = counter(table)
+    got_counts, got_steps = counter.spike_steps(table)
+    assert np.array_equal(got_counts, got)
+    for i, p in enumerate(params):
+        steps = _lif_spike_steps_py(features[0], p)
+        for s, (start, end) in enumerate(windows):
+            k_lo, k_hi = neural.window_steps(start, end)
+            assert got_steps[i][s].tolist() == steps, (i, s)
+            assert got[i, s] == sum(k_lo <= k < k_hi for k in steps), (i, s)
+    assert got_steps[0][0][0] == 1 and got_steps[0][0][-1] == n - 1
+    assert got[0].tolist() == [0, n - 200, 0, 143]
+
+
 def test_spike_counter_working_memory_does_not_grow_with_the_trace():
     """One call's traced peak at 4 000 steps exceeds its peak at 400 by far
     less than a spike record of every step would take (3 600 steps x 4
