@@ -7,12 +7,13 @@ multi-objective fit, once per seed.
                                       [--afferent RA]
 
 The stress bank is `pipeline.stress_bank` for appendixA on the default mesh,
-keyed by (freq, amplitude) condition, each with its stimulus spec (whose
-window the fit counts over) and the afferent's trace; it is solved once and
-serves every seed.  Prints the generator's parameters, then one line per
-seed: the objective sum (0 means the synthetic rates were matched exactly),
-the per-frequency squared-error objectives, the front size, the fit's time
-and the recovered fitted parameters.  The last line lists the misses, the
+as a list of the protocol's 37 sinusoids, already in (freq, amplitude)
+order, each with its stimulus spec (whose window the fit counts over) and
+the afferent's trace; it is solved once and serves every seed.  Prints the
+generator's parameters, then one line per seed: the objective sum (0 means
+the synthetic rates were matched exactly), the per-frequency squared-error
+objectives, the front size, the fit's time and the recovered fitted
+parameters.  The last line lists the misses, the
 seeds whose objective sum exceeds MISS_IPS2 (acceptance criterion 09's
 bound); the script exits 0 either way.  One fit at the full budget takes
 1.2-1.7 s on one pinned core of a 2-core x86-64 host (RA and PC, seeds 0-4;
@@ -63,8 +64,7 @@ def main() -> int:
     cfg = config_from_dict({})  # appendixA on the default mesh
     specs = resolve_protocol(cfg)
     bank = stress_bank(cfg, build_mesh(cfg.geometry, cfg.materials), specs)
-    type_bank = {(s.freq_hz, s.amplitude_um): (s, bank[s.stimulus_id][args.afferent])
-                 for s in specs}
+    type_bank = [(s, bank[s.stimulus_id][args.afferent]) for s in specs]
 
     truth = default_afferent_params()[args.afferent]
     fitted = [name for name, _, _, _ in FITTED_PARAMETERS[args.afferent]]

@@ -5,10 +5,10 @@ laid out as genes with their bounds and encodings in FITTED_PARAMETERS;
 cell constants (threshold, rest/reset, refractory, filter widths) stay
 fixed.  Objectives are the per-frequency mean squared rate errors over the
 stimulus bank, one objective per stimulus frequency (20/50/100/300 Hz),
-all to be minimized.  The bank maps each (freq, amplitude) condition to
-its StimulusSpec and one afferent's stress trace array, and each
-condition's spikes are counted over its spec's [discard, discard +
-window), the window simulate counts its rates over.
+all to be minimized.  The bank is a list of sinusoids, each a StimulusSpec
+and one afferent's stress trace array, counted over its spec's [discard,
+discard + window), the window simulate counts its rates over; only
+ObservedRateSet.stimulus_rows matches observed rates to its specs.
 
 The returned front is the rank-0 subset of the final population; the full
 population is exported so a human can re-pick, but select_candidate applies
@@ -101,6 +101,9 @@ class ObservedRateSet:
             raise ValidationError(f"no observed rates for {self.afferent_type}")
         seen = set()
         for f, a, r in self.records:
+            for name, value in (("freq_hz", f), ("amplitude_um", a), ("rate_ips", r)):
+                if not np.isfinite(value):
+                    raise ValidationError(f"observed {name} {value} is not finite")
             if f not in OBJECTIVE_FREQS:
                 raise ValidationError(
                     f"observed frequency {f} Hz outside {OBJECTIVE_FREQS}"
@@ -111,12 +114,24 @@ class ObservedRateSet:
                 raise ValidationError(f"duplicate observed condition ({f} Hz, {a} um)")
             seen.add((f, a))
 
-    def check_conditions(self, conditions) -> None:
-        """Refuse observed rates at a (freq, amplitude) not in `conditions`."""
-        missing = sorted({(f, a) for f, a, _ in self.records} - set(conditions))
+    def stimulus_rows(self, specs) -> list[int]:
+        """Each record's index in `specs`, sinusoid StimulusSpecs, in record
+        order.  Refuses two specs at one (freq, amplitude) and a record at a
+        (freq, amplitude) no spec has."""
+        rows: dict[tuple[float, float], int] = {}
+        for i, spec in enumerate(specs):
+            first = rows.setdefault((spec.freq_hz, spec.amplitude_um), i)
+            if first != i:
+                raise ValidationError(
+                    f"stimuli {specs[first].stimulus_id!r} and {spec.stimulus_id!r} are both "
+                    f"{spec.freq_hz} Hz at {spec.amplitude_um} um; fit needs one stimulus "
+                    "per condition"
+                )
+        missing = sorted({(f, a) for f, a, _ in self.records} - set(rows))
         if missing:
             raise ValidationError(f"no {self.afferent_type} stimulus for observed conditions: "
                                   + ", ".join(f"({f} Hz, {a} um)" for f, a in missing))
+        return [rows[(f, a)] for f, a, _ in self.records]
 
     def content_hash(self) -> str:
         return short_digest([self.afferent_type] + [list(map(float, r)) for r in self.records])
@@ -161,27 +176,23 @@ def observed_rates_from_csv(path, afferent_types) -> dict[str, ObservedRateSet]:
 
 
 def _window_counter(
-    params: AfferentParams,
-    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, np.ndarray]],
-    conditions: list[tuple[float, float]],
+    params: AfferentParams, bank: list[tuple[StimulusSpec, np.ndarray]]
 ) -> tuple[SpikeCounter, np.ndarray]:
-    """Counter over the bank's traces for `conditions`, (freq, amplitude)
-    pairs, each counted over its stimulus's [discard, discard + window);
-    also returns the window lengths in s.  A trace that ends before its
-    window does is refused: counting it would divide a partial count by the
-    full window."""
-    entries = [stress_bank[c] for c in conditions]
-    for (f, a), (spec, trace) in zip(conditions, entries):
+    """Counter over the bank's traces, each counted over its stimulus's
+    [discard, discard + window); also returns the window lengths in s.  A
+    trace that ends before its window does is refused: counting it would
+    divide a partial count by the full window."""
+    for spec, trace in bank:
         if spec.discard_ms + spec.window_ms > (trace.size - 1) * DT_MS + 1e-9:
             raise ValidationError(
-                f"stress trace for ({f} Hz, {a} um) is shorter than "
+                f"stress trace for ({spec.freq_hz} Hz, {spec.amplitude_um} um) is shorter than "
                 f"discard + window = {spec.discard_ms + spec.window_ms} ms"
             )
     counter = SpikeCounter(
-        [filtered_inputs(params, t) for _, t in entries],
-        [(s.discard_ms, s.discard_ms + s.window_ms) for s, _ in entries],
+        [filtered_inputs(params, t) for _, t in bank],
+        [(s.discard_ms, s.discard_ms + s.window_ms) for s, _ in bank],
     )
-    return counter, np.array([s.window_ms / 1000.0 for s, _ in entries])
+    return counter, np.array([s.window_ms / 1000.0 for s, _ in bank])
 
 
 class RateEvaluator:
@@ -200,8 +211,8 @@ class RateEvaluator:
     to SpikeCounter, and a vector repeated within a call goes once.
     NSGA-II children repeat an earlier vector when crossover and mutation
     both leave a parent unchanged (3.5-7% of them at population 100).  The
-    store holds at most one row per evaluation, budget x conditions x 4
-    bytes of counts (1.48 MB for a default-budget fit on appendixA's 37
+    store holds at most one row per evaluation, budget x observed stimuli
+    x 4 bytes of counts (1.48 MB for a default-budget fit on appendixA's 37
     sinusoids), and gives the selected candidate's rates without
     integrating it again.
     """
@@ -209,23 +220,22 @@ class RateEvaluator:
     def __init__(
         self,
         afferent_type: str,
-        stress_bank: dict[tuple[float, float], tuple[StimulusSpec, np.ndarray]],
+        bank: list[tuple[StimulusSpec, np.ndarray]],
         observed: ObservedRateSet,
     ):
         if observed.afferent_type != afferent_type:
             raise ValidationError("observed rates are for a different afferent type")
-        observed.check_conditions(stress_bank)
         self.afferent_type = afferent_type
-        self.conditions = [(f, a) for f, a, _ in observed.records]
+        self.rows = observed.stimulus_rows([spec for spec, _ in bank])
         self._counter, self._window_s = _window_counter(
-            default_afferent_params()[afferent_type], stress_bank, self.conditions
+            default_afferent_params()[afferent_type], [bank[i] for i in self.rows]
         )
         self._observed = np.array([r for _, _, r in observed.records])
         self._freq_idx = [OBJECTIVE_FREQS.index(f) for f, _, _ in observed.records]
         self._counts: dict[bytes, np.ndarray] = {}
 
     def predicted_rates(self, genes: np.ndarray) -> np.ndarray:
-        """(N, conditions) predicted rates in ips of each gene vector,
+        """(N, observed records) predicted rates in ips of each gene vector,
         count / window as predict_rates divides, integrating only the
         vectors not counted before."""
         genes = np.asarray(genes, dtype=float)
@@ -237,7 +247,7 @@ class RateEvaluator:
             table = genes_to_table(self.afferent_type, genes[list(fresh.values())])
             self._counts.update(zip(fresh, self._counter(table).astype(np.int32)))
         counts = np.array([self._counts[key] for key in keys], dtype=np.int32)
-        return counts.reshape(len(keys), len(self.conditions)) / self._window_s
+        return counts.reshape(len(keys), len(self.rows)) / self._window_s
 
     def __call__(self, genes: np.ndarray) -> np.ndarray:
         err = self.predicted_rates(genes) - self._observed
@@ -252,14 +262,11 @@ class RateEvaluator:
 
 
 def predict_rates(
-    params: AfferentParams,
-    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, np.ndarray]],
-) -> list[tuple[float, float, float]]:
-    """(freq, amplitude, predicted ips) over the whole bank, sorted."""
-    keys = sorted(stress_bank)
-    counter, window_s = _window_counter(params, stress_bank, keys)
-    rates = counter(ParamTable.from_params([params]))[0] / window_s
-    return [(f, a, float(r)) for (f, a), r in zip(keys, rates)]
+    params: AfferentParams, bank: list[tuple[StimulusSpec, np.ndarray]]
+) -> np.ndarray:
+    """Predicted ips of each of the bank's stimuli, in bank order."""
+    counter, window_s = _window_counter(params, bank)
+    return counter(ParamTable.from_params([params]))[0] / window_s
 
 
 # --------------------------------------------------------------------------
@@ -523,9 +530,9 @@ class FitOutcome:
     selected_objectives: np.ndarray
     front: ParetoFront
     observed: ObservedRateSet
-    # (freq, amplitude, predicted ips) of the selected candidate over the
-    # whole bank, sorted: predict_rates(selected, bank), bit for bit
-    predicted: list[tuple[float, float, float]]
+    # predicted ips of the selected candidate on each of the bank's
+    # stimuli, in bank order: predict_rates(selected, bank), bit for bit
+    predicted: np.ndarray
 
     @property
     def objective_sum(self) -> float:
@@ -534,7 +541,7 @@ class FitOutcome:
 
 def fit_afferent(
     afferent_type: str,
-    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, np.ndarray]],
+    bank: list[tuple[StimulusSpec, np.ndarray]],
     observed: ObservedRateSet,
     seed: int,
     *,
@@ -542,43 +549,42 @@ def fit_afferent(
     population_size: int,
 ) -> FitOutcome:
     """Fit one afferent type; the selected candidate's rates on the observed
-    conditions come from the search's own counts, and only the bank's other
-    conditions are integrated again."""
-    evaluator = RateEvaluator(afferent_type, stress_bank, observed)
+    stimuli come from the search's own counts, and only the bank's other
+    stimuli are integrated again."""
+    evaluator = RateEvaluator(afferent_type, bank, observed)
     front = nsga2(evaluator, gene_bounds(afferent_type), budget, seed,
                   population_size=population_size)
     pick = select_candidate(front)
     selected = genes_to_params(afferent_type, front.genes[pick])
-    counted = evaluator.predicted_rates(front.genes[pick:pick + 1])[0]
-    predicted = {c: float(r) for c, r in zip(evaluator.conditions, counted)}
-    rest = {c: entry for c, entry in stress_bank.items() if c not in predicted}
+    predicted = np.empty(len(bank))
+    predicted[evaluator.rows] = evaluator.predicted_rates(front.genes[pick:pick + 1])[0]
+    rest = sorted(set(range(len(bank))) - set(evaluator.rows))
     if rest:
-        predicted.update(((f, a), r) for f, a, r in predict_rates(selected, rest))
+        predicted[rest] = predict_rates(selected, [bank[i] for i in rest])
     return FitOutcome(
         afferent_type=afferent_type,
         selected=selected,
         selected_objectives=front.objectives[pick].copy(),
         front=front,
         observed=observed,
-        predicted=[(f, a, predicted[(f, a)]) for f, a in sorted(predicted)],
+        predicted=predicted,
     )
 
 
 def recover_parameters(
     ground_truth: AfferentParams,
-    stress_bank: dict[tuple[float, float], tuple[StimulusSpec, np.ndarray]],
+    bank: list[tuple[StimulusSpec, np.ndarray]],
     seed: int,
     *,
     budget: int,
     population_size: int,
 ) -> FitOutcome:
     """Self-test: fit against rates synthesized from a known parameter set."""
-    synthetic = ObservedRateSet(
-        afferent_type=ground_truth.afferent_type,
-        records=tuple(predict_rates(ground_truth, stress_bank)),
-    )
+    rates = predict_rates(ground_truth, bank)
+    synthetic = ObservedRateSet(ground_truth.afferent_type, tuple(
+        (spec.freq_hz, spec.amplitude_um, float(r)) for (spec, _), r in zip(bank, rates)))
     return fit_afferent(
-        ground_truth.afferent_type, stress_bank, synthetic, seed,
+        ground_truth.afferent_type, bank, synthetic, seed,
         budget=budget, population_size=population_size,
     )
 

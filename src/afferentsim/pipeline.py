@@ -19,6 +19,7 @@ import json
 import logging
 import os
 from collections import namedtuple
+from operator import attrgetter
 
 import numpy as np
 
@@ -190,67 +191,51 @@ def _regression_record(pairs) -> dict:
 
 def fit(cfg: RunConfig) -> dict[str, FitResult]:
     """Fit each configured afferent type to its observed rates, in order:
-    the fit outcome, the predicted (and observed) rate per condition, and
-    the pooled and per-frequency regressions of observed on predicted.
+    the fit outcome, the predicted (and observed) rate of each sinusoid in
+    (freq, amplitude) order, and the pooled and per-frequency regressions.
 
     Each sinusoid's spikes are counted over its own [discard, discard +
-    window), as simulate counts them; each (freq, amplitude) condition may
-    occur once, and every observed one must occur, checked before the FEM.
+    window), as simulate counts them.  Before the FEM, stimulus_rows refuses
+    two sinusoids at one (freq, amplitude) and an observed rate at none.
     """
     if cfg.fit.observed_rates_csv is None:
         raise ValidationError("fit.observed_rates_csv must be set in the config")
-    specs = resolve_protocol(cfg)
-    sin_specs = [s for s in specs if s.kind == "sinusoid"]
-    if not sin_specs:
+    specs = sorted((s for s in resolve_protocol(cfg) if s.kind == "sinusoid"),
+                   key=attrgetter("freq_hz", "amplitude_um"))
+    if not specs:
         raise ValidationError("fit needs a sinusoid protocol (no sinusoids found)")
-    by_condition: dict[tuple[float, float], StimulusSpec] = {}
-    for s in sin_specs:
-        condition = (s.freq_hz, s.amplitude_um)
-        if condition in by_condition:
-            raise ValidationError(
-                f"stimuli {by_condition[condition].stimulus_id!r} and "
-                f"{s.stimulus_id!r} are both {s.freq_hz} Hz at {s.amplitude_um} "
-                "um; fit needs one stimulus per condition"
-            )
-        by_condition[condition] = s
     observed_by_type = observed_rates_from_csv(cfg.fit.observed_rates_csv, cfg.fit.afferents)
-    for observed in observed_by_type.values():
-        observed.check_conditions(by_condition)
+    rows_by_type = {atype: observed.stimulus_rows(specs)
+                    for atype, observed in observed_by_type.items()}
     mesh = build_mesh(cfg.geometry, cfg.materials)
-    bank = stress_bank(cfg, mesh, sin_specs)
+    bank = stress_bank(cfg, mesh, specs)
 
     results = {}
     for atype, observed in observed_by_type.items():
-        type_bank = {c: (s, bank[s.stimulus_id][atype]) for c, s in by_condition.items()}
         logger.info(
             "fitting %s: %d observed conditions, budget %d",
             atype, len(observed.records), cfg.fit.budget,
         )
         outcome = fit_afferent(
-            atype, type_bank, observed, seed=cfg.seed,
-            budget=cfg.fit.budget, population_size=cfg.fit.population,
+            atype, [(s, bank[s.stimulus_id][atype]) for s in specs], observed,
+            seed=cfg.seed, budget=cfg.fit.budget, population_size=cfg.fit.population,
         )
-
-        predicted = {(f, a): r for f, a, r in outcome.predicted}
-        obs_map = {(f, a): r for f, a, r in observed.records}
+        observed_at = dict(zip(rows_by_type[atype], (r for _, _, r in observed.records)))
         records = [
             RateRecord(
-                afferent_type=atype,
-                stimulus_id=by_condition[(f, a)].stimulus_id,
-                freq_hz=f, amplitude_um=a,
-                predicted_ips=predicted[(f, a)],
-                observed_ips=obs_map.get((f, a)),
-                window_ms=by_condition[(f, a)].window_ms,
+                afferent_type=atype, stimulus_id=s.stimulus_id,
+                freq_hz=s.freq_hz, amplitude_um=s.amplitude_um,
+                predicted_ips=float(p), observed_ips=observed_at.get(i), window_ms=s.window_ms,
             )
-            for (f, a) in sorted(predicted)
+            for i, (s, p) in enumerate(zip(specs, outcome.predicted))
         ]
-
-        pairs = [(obs_map[c], predicted[c]) for c in sorted(obs_map)]
+        observed_records = [r for r in records if r.observed_ips is not None]
         per_freq = {}
         for f in OBJECTIVE_FREQS:
-            sub = [pair for (ff, _), pair in zip(sorted(obs_map), pairs) if ff == f]
+            sub = [(r.observed_ips, r.predicted_ips) for r in observed_records if r.freq_hz == f]
             if len(sub) >= 3:
                 per_freq[f"{int(f)}"] = _regression_record(sub)
-        reg = {"pooled": _regression_record(pairs), "per_frequency": per_freq}
+        pooled = [(r.observed_ips, r.predicted_ips) for r in observed_records]
+        reg = {"pooled": _regression_record(pooled), "per_frequency": per_freq}
         results[atype] = FitResult(outcome, records, reg)
     return results

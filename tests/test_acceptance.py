@@ -238,9 +238,7 @@ def test_criterion_09_optimizer_round_trip(appendix_a_bank):
     candidate with objective sum <= 4 ips^2 in < 5 min; front verified
     mutually non-dominated by an O(n^2) oracle."""
     specs, bank = appendix_a_bank
-    ra_bank = {
-        (s.freq_hz, s.amplitude_um): (s, bank[s.stimulus_id]["RA"]) for s in specs
-    }
+    ra_bank = [(s, bank[s.stimulus_id]["RA"]) for s in specs]  # appendixA is sorted
     truth = neural.default_afferent_params()["RA"]
     t0 = time.perf_counter()
     outcome = optimize.recover_parameters(

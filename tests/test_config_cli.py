@@ -561,6 +561,62 @@ def test_cli_fit_rejects_duplicate_conditions(tmp_path):
     assert "'sin_050hz_034.80um'" in str(exc.value)
 
 
+def test_cli_fit_refuses_two_sinusoids_at_one_condition(tmp_path, caplog):
+    # the twin sits between two other sinusoids and no observed rate names
+    # its condition: the refusal still comes before the FEM and any output
+    first = sin_spec(50.0, 34.80)
+    twin = dataclasses.replace(first, stimulus_id="sin_050hz_034.80um_again")
+    protocol = write_protocol(tmp_path, [first, sin_spec(100.0, 10.0), twin])
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\nRA,100.0,10.0,20.0\n")
+    cfg_path = write_config(tmp_path, {
+        "protocol": protocol,
+        "fit": {"afferents": ["RA"], "observed_rates_csv": str(observed),
+                "population": 4, "budget": 8},
+    })
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="afferentsim"):
+        assert cli.main(["fit", "--config", cfg_path, "--out", str(out)]) == 2
+    assert ("stimuli 'sin_050hz_034.80um' and 'sin_050hz_034.80um_again' are both 50.0 Hz "
+            "at 34.8 um; fit needs one stimulus per condition") in caplog.text
+    assert "FEM solved" not in caplog.text
+    assert not list(out.glob("front_*.csv"))
+
+
+def test_cli_fit_sorts_the_protocol_once(tmp_path):
+    """A protocol that lists appendixA's sinusoids out of order, with
+    observed rates for only some of them, fits as the same file in order
+    does: the rate rows, regressions, fronts and selections are the same
+    bytes once the config hash, which reads the protocol's order, is
+    blanked."""
+    specs = stimulus.builtin_protocol("appendixA")
+    shuffled = [specs[i] for i in np.random.default_rng(3).permutation(len(specs))]
+    assert shuffled != specs
+    observed = tmp_path / "observed.csv"
+    observed.write_text("afferent,freq_hz,amplitude_um,rate_ips\n" + "".join(
+        f"{atype},{s.freq_hz},{s.amplitude_um},{(i * 7 + k) % 40 * 4.0}\n"
+        for k, atype in enumerate(mesh.AFFERENT_TYPES)
+        for i, s in enumerate(shuffled) if (i + k) % 3
+    ))
+    outputs = []
+    for name, protocol in (("ordered", specs), ("shuffled", shuffled)):
+        cfg_path = write_config(tmp_path, {
+            "protocol": write_protocol(tmp_path, protocol, name=f"{name}.json"),
+            "fit": {"observed_rates_csv": str(observed), "population": 8, "budget": 16},
+        }, name=f"{name}_config.json")
+        out = tmp_path / name
+        assert cli.main(["fit", "--config", cfg_path, "--out", str(out)]) == 0
+        config_hash = config.load_config(cfg_path).content_hash()
+        outputs.append({
+            path.name: path.read_text().replace(config_hash, "<config>")
+            for pattern in ("fit_rates_*.csv", "regression_*.json", "front_*.csv",
+                            "selected_*.json")
+            for path in out.glob(pattern)
+        })
+    assert len(outputs[0]) == 12
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_seed_override_lands_in_outputs(tmp_path):
     protocol = write_protocol(tmp_path, [sin_spec(50.0, 0.0)])
     cfg_path = write_config(tmp_path, {"protocol": protocol})
@@ -1232,9 +1288,9 @@ def test_fit_predicted_rates_equal_predict_rates(tmp_path, default_mesh):
     bank = pipeline.stress_bank(cfg, default_mesh, specs)
     for atype in mesh.AFFERENT_TYPES:
         outcome, records = fitted[atype].outcome, fitted[atype].records
-        expected = optimize.predict_rates(outcome.selected, {
-            (s.freq_hz, s.amplitude_um): (s, bank[s.stimulus_id][atype]) for s in specs
-        })
+        rates = optimize.predict_rates(outcome.selected,
+                                       [(s, bank[s.stimulus_id][atype]) for s in specs])
+        expected = [(s.freq_hz, s.amplitude_um, r) for s, r in zip(specs, rates)]
         got = [(r.freq_hz, r.amplitude_um, r.predicted_ips) for r in records]
         assert np.array(got).tobytes() == np.array(expected).tobytes(), atype
         assert [r.observed_ips is None for r in records] == [False] * 3 + [True]

@@ -33,6 +33,13 @@ def synthetic_bank(amps=(10.0, 50.0)):
     return bank
 
 
+def rate_records(params, bank):
+    """(freq, amplitude, predicted ips) of each stimulus of a synthetic
+    bank, in its order, as observed-rate records."""
+    rates = optimize.predict_rates(params, list(bank.values()))
+    return [(f, a, float(r)) for (f, a), r in zip(bank, rates)]
+
+
 # ------------------------------------------------------------ gene mapping
 
 
@@ -121,6 +128,15 @@ def test_observed_rate_set_validation():
         )
     with pytest.raises(ValidationError):
         optimize.ObservedRateSet("RA", ((20.0, 10.0, -1.0),))
+    nan, inf = float("nan"), float("inf")
+    for record, name in (((inf, 10.0, 5.0), "freq_hz"), ((nan, 10.0, 5.0), "freq_hz"),
+                         ((20.0, inf, 5.0), "amplitude_um"), ((20.0, -inf, 5.0), "amplitude_um"),
+                         ((20.0, 10.0, inf), "rate_ips"), ((20.0, 10.0, nan), "rate_ips")):
+        with pytest.raises(ValidationError, match=f"observed {name} .* is not finite"):
+            optimize.ObservedRateSet("RA", ((50.0, 10.0, 40.0), record))
+    # NaN != NaN, so a NaN amplitude would pass the duplicate check
+    with pytest.raises(ValidationError, match="amplitude_um nan is not finite"):
+        optimize.ObservedRateSet("RA", ((20.0, nan, 5.0), (20.0, nan, 6.0)))
 
 
 def test_observed_rate_csv_round_trip(tmp_path):
@@ -192,10 +208,10 @@ def test_objectives_self_consistency():
     bank = synthetic_bank()
     truth = neural.default_afferent_params()["RA"]
     observed = optimize.ObservedRateSet(
-        "RA", records=tuple(optimize.predict_rates(truth, bank))
+        "RA", records=tuple(rate_records(truth, bank))
     )
     genes = params_to_genes(truth)
-    objs = optimize.RateEvaluator("RA", bank, observed)(genes[None])[0]
+    objs = optimize.RateEvaluator("RA", list(bank.values()), observed)(genes[None])[0]
     assert objs.shape == (4,)
     assert np.all(objs == 0.0)
 
@@ -203,7 +219,7 @@ def test_objectives_self_consistency():
     shifted = optimize.ObservedRateSet(
         "RA", records=tuple((f, a, r + 10.0) for f, a, r in observed.records)
     )
-    objs = optimize.RateEvaluator("RA", bank, shifted)(genes[None])[0]
+    objs = optimize.RateEvaluator("RA", list(bank.values()), shifted)(genes[None])[0]
     assert np.allclose(objs, 100.0, atol=1e-9)
 
 
@@ -228,8 +244,8 @@ def test_objective_scaling_is_quadratic(monkeypatch):
     scaled = optimize.ObservedRateSet(
         "RA", tuple((f, a, c * r) for f, a, r in base.records)
     )
-    o1 = optimize.RateEvaluator("RA", bank, base)(genes[None])[0]
-    o2 = optimize.RateEvaluator("RA", bank, scaled)(genes[None])[0]
+    o1 = optimize.RateEvaluator("RA", list(bank.values()), base)(genes[None])[0]
+    o2 = optimize.RateEvaluator("RA", list(bank.values()), scaled)(genes[None])[0]
     assert np.allclose(o2, c**2 * o1, rtol=1e-12)
 
 
@@ -243,12 +259,12 @@ def test_rate_evaluator_batch_equals_single_rows(afferent, monkeypatch):
     truth = neural.default_afferent_params()[afferent]
     observed = optimize.ObservedRateSet(
         afferent, records=tuple(
-            (f, a, r + 3.0) for f, a, r in optimize.predict_rates(truth, bank)
+            (f, a, r + 3.0) for f, a, r in rate_records(truth, bank)
         )
     )
 
     def fresh():
-        return optimize.RateEvaluator(afferent, bank, observed)
+        return optimize.RateEvaluator(afferent, list(bank.values()), observed)
 
     low, high = optimize.gene_bounds(afferent)
     genes = np.random.default_rng(7).uniform(low, high, size=(12, low.size))
@@ -289,13 +305,13 @@ def test_gene_columns_match_afferent_params_path(afferent):
     truth = neural.default_afferent_params()[afferent]
     observed = optimize.ObservedRateSet(
         afferent, records=tuple(
-            (f, a, r + 3.0) for f, a, r in optimize.predict_rates(truth, bank)
+            (f, a, r + 3.0) for f, a, r in rate_records(truth, bank)
         )
     )
     low, high = optimize.gene_bounds(afferent)
     genes = np.random.default_rng(11).uniform(low, high, size=(200, low.size))
     genes[0], genes[1] = low, high
-    got = optimize.RateEvaluator(afferent, bank, observed)(genes)
+    got = optimize.RateEvaluator(afferent, list(bank.values()), observed)(genes)
 
     params = [optimize.genes_to_params(afferent, g) for g in genes]
     table = optimize.genes_to_table(afferent, genes)
@@ -305,7 +321,7 @@ def test_gene_columns_match_afferent_params_path(afferent):
     for name in ("tau_m_ms", "alpha_prime", "saturation"):
         assert getattr(table, name).tobytes() == getattr(by_params, name).tobytes(), name
     counter, window_s = optimize._window_counter(
-        truth, bank, [(f, a) for f, a, _ in observed.records]
+        truth, [bank[(f, a)] for f, a, _ in observed.records]
     )
     rates = counter(by_params) / window_s
     expected = np.zeros((len(params), len(optimize.OBJECTIVE_FREQS)))
@@ -330,14 +346,14 @@ def test_rate_paths_refuse_a_trace_shorter_than_its_window():
     bank[(50.0, 10.0)] = (spec, full[:301])
     truth = neural.default_afferent_params()["RA"]
     with pytest.raises(ValidationError, match=r"\(50.0 Hz, 10.0 um\) is shorter"):
-        optimize.predict_rates(truth, bank)
+        optimize.predict_rates(truth, list(bank.values()))
     observed = optimize.ObservedRateSet("RA", ((20.0, 10.0, 5.0), (50.0, 10.0, 10.0)))
     with pytest.raises(ValidationError, match=r"\(50.0 Hz, 10.0 um\) is shorter"):
-        optimize.RateEvaluator("RA", bank, observed)
+        optimize.RateEvaluator("RA", list(bank.values()), observed)
     # a trace exactly as long as discard + window is counted
     bank[(50.0, 10.0)] = (spec, full)
     assert (full.size - 1) * DT == 200.0
-    optimize.predict_rates(truth, bank)
+    optimize.predict_rates(truth, list(bank.values()))
 
 
 def test_rates_count_over_each_spec_window():
@@ -354,18 +370,18 @@ def test_rates_count_over_each_spec_window():
         (steps,), _ = neural.run_afferents([t], truth, [(lo, hi)])
         n = np.count_nonzero((steps * DT >= lo) & (steps * DT < hi))
         expected.append((f, a, n / (s.window_ms / 1000.0)))
-    assert optimize.predict_rates(truth, bank) == expected
-    assert expected != optimize.predict_rates(truth, synthetic_bank())
+    assert rate_records(truth, bank) == expected
+    assert expected != rate_records(truth, synthetic_bank())
 
 
 def test_evaluator_rejects_missing_conditions():
     bank = synthetic_bank()
     observed = optimize.ObservedRateSet("RA", ((20.0, 123.0, 5.0),))
     with pytest.raises(ValidationError, match="123"):
-        optimize.RateEvaluator("RA", bank, observed)
+        optimize.RateEvaluator("RA", list(bank.values()), observed)
     with pytest.raises(ValidationError):
         optimize.RateEvaluator(
-            "SA", bank, optimize.ObservedRateSet("RA", ((20.0, 10.0, 5.0),))
+            "SA", list(bank.values()), optimize.ObservedRateSet("RA", ((20.0, 10.0, 5.0),))
         )
 
 
@@ -565,9 +581,9 @@ def test_fit_afferent_and_exports():
     bank = synthetic_bank()
     truth = neural.default_afferent_params()["RA"]
     observed = optimize.ObservedRateSet(
-        "RA", records=tuple(optimize.predict_rates(truth, bank))
+        "RA", records=tuple(rate_records(truth, bank))
     )
-    outcome = optimize.fit_afferent("RA", bank, observed, seed=1,
+    outcome = optimize.fit_afferent("RA", list(bank.values()), observed, seed=1,
                                     budget=96, population_size=16)
     assert outcome.afferent_type == "RA"
     assert outcome.selected.afferent_type == "RA"
@@ -643,10 +659,10 @@ def test_front_csv_matches_row_by_row_decode(case):
 def test_recover_parameters_wiring():
     bank = synthetic_bank()
     truth = neural.default_afferent_params()["RA"]
-    outcome = optimize.recover_parameters(truth, bank, seed=0,
+    outcome = optimize.recover_parameters(truth, list(bank.values()), seed=0,
                                           budget=32, population_size=16)
-    assert outcome.observed.records == tuple(optimize.predict_rates(truth, bank))
+    assert outcome.observed.records == tuple(rate_records(truth, bank))
     # the synthesized observations are attainable: truth itself scores zero
     genes = params_to_genes(truth)
-    objs = optimize.RateEvaluator("RA", bank, outcome.observed)(genes[None])[0]
+    objs = optimize.RateEvaluator("RA", list(bank.values()), outcome.observed)(genes[None])[0]
     assert np.all(objs == 0.0)
