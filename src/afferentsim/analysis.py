@@ -26,13 +26,13 @@ class RateRecord:
     freq_hz: float
     amplitude_um: float
     predicted_ips: float
+    window_ms: float
     observed_ips: float | None = None
-    window_ms: float | None = None
 
     @property
     def at_quantization_floor(self) -> bool:
         """True when the rate equals the smallest resolvable nonzero value."""
-        if self.window_ms is None or self.predicted_ips <= 0:
+        if self.predicted_ips <= 0:
             return False
         return abs(self.predicted_ips * self.window_ms / 1000.0 - 1.0) < 1e-9
 

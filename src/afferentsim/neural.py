@@ -11,8 +11,10 @@ The feature passes through a saturating transform ``alpha' * x / (a + x)``
 to a membrane drive in mV/ms, then a leaky integrate-and-fire unit with an
 absolute refractory period.  SpikeCounter holds the one integrate-and-fire
 loop, over the parameter sets of one cell (a ParamTable), and the one
-window count: run_afferents turns whole stress arrays into spike steps and
-window counts with it, and fitting counts spikes in windows with it.
+window count.  A bank is a list of (StimulusSpec, stress trace) pairs, of
+any stimulus kind: bank_counter builds the counter over each spec's window
+and run_afferents reads a bank's spike steps and rates from one pass of it;
+simulate and fit count through these two alone.
 Stress is in Pa, time in ms throughout, and every trace is sampled at
 stimulus.DT_MS (0.5 ms), the one step at which the constants hold, since
 the filters difference and average whole samples and the shipped constants
@@ -28,7 +30,7 @@ import numpy as np
 from .errors import INTEGER, NUMBER, STRING, NumericalError, ValidationError, check_kind
 from .errors import short_digest
 from .mesh import AFFERENT_TYPES
-from .stimulus import DT_MS
+from .stimulus import DT_MS, StimulusSpec
 
 U_REST_MV = -65.0
 U_RESET_MV = -65.0
@@ -480,16 +482,38 @@ class SpikeCounter:
         return by_stimulus, spiked[lead:]
 
 
-def run_afferents(traces, params: AfferentParams,
-                  windows_ms) -> tuple[list[np.ndarray], np.ndarray]:
-    """The spike steps of one afferent type over whole stress traces (Pa,
-    one value per DT_MS), and the int64 spike count of each trace's window
-    [start, end) in ms.
+def bank_counter(
+    params: AfferentParams, bank: list[tuple[StimulusSpec, np.ndarray]]
+) -> tuple[SpikeCounter, np.ndarray]:
+    """A SpikeCounter over a bank of (StimulusSpec, stress trace) pairs, each
+    trace through the type's filter chain and counted over its spec's
+    [discard, discard + window), and each window's length in s.  A trace
+    that ends before its window does is refused by its stimulus_id:
+    counting it would divide a partial count by the full window."""
+    for spec, trace in bank:
+        if spec.discard_ms + spec.window_ms > (trace.size - 1) * DT_MS + 1e-9:
+            raise ValidationError(
+                f"stress trace for {spec.stimulus_id!r} is shorter than "
+                f"discard + window = {spec.discard_ms + spec.window_ms} ms"
+            )
+    counter = SpikeCounter(
+        [filtered_inputs(params, t) for _, t in bank],
+        [(s.discard_ms, s.discard_ms + s.window_ms) for s, _ in bank],
+    )
+    return counter, np.array([s.window_ms / 1000.0 for s, _ in bank])
 
-    Each trace goes through the type's filter chain, and one SpikeCounter
-    pass integrates them all to their ends; a trace's steps increase, and
-    step k is the spike at k * DT_MS, in (0, (len(trace) - 1) * DT_MS].
+
+def run_afferents(
+    params: AfferentParams, bank: list[tuple[StimulusSpec, np.ndarray]]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The spike steps of one afferent type on each of a bank's (StimulusSpec,
+    stress trace) pairs, and each stimulus's rate in ips: its spike count
+    over its window, as bank_counter counts it, per second of window.
+
+    One SpikeCounter pass integrates every trace to its end; a trace's
+    steps increase, and step k is the spike at k * DT_MS, in
+    (0, (len(trace) - 1) * DT_MS].
     """
-    counter = SpikeCounter([filtered_inputs(params, t) for t in traces], windows_ms)
+    counter, window_s = bank_counter(params, bank)
     (counts,), (steps,) = counter.spike_steps(ParamTable.from_params([params]))
-    return steps, counts
+    return steps, counts / window_s

@@ -6,8 +6,8 @@ cell constants (threshold, rest/reset, refractory, filter widths) stay
 fixed.  Objectives are the per-frequency mean squared rate errors over the
 stimulus bank, one objective per stimulus frequency (20/50/100/300 Hz),
 all to be minimized.  The bank is a list of sinusoids, each a StimulusSpec
-and one afferent's stress trace array, counted over its spec's [discard,
-discard + window), the window simulate counts its rates over; only
+and one afferent's stress trace array, counted by neural.bank_counter over
+its spec's [discard, discard + window), as simulate counts its rates; only
 ObservedRateSet.stimulus_rows matches observed rates to its specs.
 
 The returned front is the rank-0 subset of the final population; the full
@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import ValidationError, short_digest
 from .mesh import AFFERENT_TYPES
-from .neural import AfferentParams, ParamTable, SpikeCounter, default_afferent_params
-from .neural import SATURATION_FIELDS, filtered_inputs
-from .stimulus import DT_MS, StimulusSpec
+from .neural import AfferentParams, ParamTable, default_afferent_params
+from .neural import SATURATION_FIELDS, bank_counter, run_afferents
+from .stimulus import StimulusSpec
 
 OBJECTIVE_FREQS = (20.0, 50.0, 100.0, 300.0)
 
@@ -175,35 +175,16 @@ def observed_rates_from_csv(path, afferent_types) -> dict[str, ObservedRateSet]:
     return {atype: ObservedRateSet(atype, tuple(rows)) for atype, rows in records.items()}
 
 
-def _window_counter(
-    params: AfferentParams, bank: list[tuple[StimulusSpec, np.ndarray]]
-) -> tuple[SpikeCounter, np.ndarray]:
-    """Counter over the bank's traces, each counted over its stimulus's
-    [discard, discard + window); also returns the window lengths in s.  A
-    trace that ends before its window does is refused: counting it would
-    divide a partial count by the full window."""
-    for spec, trace in bank:
-        if spec.discard_ms + spec.window_ms > (trace.size - 1) * DT_MS + 1e-9:
-            raise ValidationError(
-                f"stress trace for ({spec.freq_hz} Hz, {spec.amplitude_um} um) is shorter than "
-                f"discard + window = {spec.discard_ms + spec.window_ms} ms"
-            )
-    counter = SpikeCounter(
-        [filtered_inputs(params, t) for _, t in bank],
-        [(s.discard_ms, s.discard_ms + s.window_ms) for s, _ in bank],
-    )
-    return counter, np.array([s.window_ms / 1000.0 for s, _ in bank])
-
-
 class RateEvaluator:
     """Maps a population of gene vectors to per-frequency squared rate errors.
 
     Called with genes of shape (N, n_genes), returns objectives of shape
-    (N, 4).  The filter chain does not depend on any tunable gene, so each
-    stimulus is filtered once up front.  Per population the genes are
-    decoded into one ParamTable, with no AfferentParams per candidate, and
-    the saturating transform and the windowed spike count run for all
-    candidates and stimuli in one SpikeCounter call.
+    (N, 4).  The filter chain does not depend on any tunable gene, so
+    neural.bank_counter filters each stimulus once up front.  Per
+    population the genes are decoded into one ParamTable, with no
+    AfferentParams per candidate, and the saturating transform and the
+    windowed spike count run for all candidates and stimuli in one
+    SpikeCounter call.
 
     The evaluator keeps the int32 window counts of every distinct gene
     vector it has integrated, one row per vector keyed by its bytes, each
@@ -227,7 +208,7 @@ class RateEvaluator:
             raise ValidationError("observed rates are for a different afferent type")
         self.afferent_type = afferent_type
         self.rows = observed.stimulus_rows([spec for spec, _ in bank])
-        self._counter, self._window_s = _window_counter(
+        self._counter, self._window_s = bank_counter(
             default_afferent_params()[afferent_type], [bank[i] for i in self.rows]
         )
         self._observed = np.array([r for _, _, r in observed.records])
@@ -236,7 +217,7 @@ class RateEvaluator:
 
     def predicted_rates(self, genes: np.ndarray) -> np.ndarray:
         """(N, observed records) predicted rates in ips of each gene vector,
-        count / window as predict_rates divides, integrating only the
+        count / window as run_afferents divides, integrating only the
         vectors not counted before."""
         genes = np.asarray(genes, dtype=float)
         _population_rows(self.afferent_type, genes)
@@ -259,14 +240,6 @@ class RateEvaluator:
             sums[:, i] += sq[:, s]
             counts[i] += 1
         return sums / np.maximum(counts, 1)
-
-
-def predict_rates(
-    params: AfferentParams, bank: list[tuple[StimulusSpec, np.ndarray]]
-) -> np.ndarray:
-    """Predicted ips of each of the bank's stimuli, in bank order."""
-    counter, window_s = _window_counter(params, bank)
-    return counter(ParamTable.from_params([params]))[0] / window_s
 
 
 # --------------------------------------------------------------------------
@@ -531,7 +504,7 @@ class FitOutcome:
     front: ParetoFront
     observed: ObservedRateSet
     # predicted ips of the selected candidate on each of the bank's
-    # stimuli, in bank order: predict_rates(selected, bank), bit for bit
+    # stimuli, in bank order: run_afferents(selected, bank)[1], bit for bit
     predicted: np.ndarray
 
     @property
@@ -560,7 +533,7 @@ def fit_afferent(
     predicted[evaluator.rows] = evaluator.predicted_rates(front.genes[pick:pick + 1])[0]
     rest = sorted(set(range(len(bank))) - set(evaluator.rows))
     if rest:
-        predicted[rest] = predict_rates(selected, [bank[i] for i in rest])
+        predicted[rest] = run_afferents(selected, [bank[i] for i in rest])[1]
     return FitOutcome(
         afferent_type=afferent_type,
         selected=selected,
@@ -580,7 +553,7 @@ def recover_parameters(
     population_size: int,
 ) -> FitOutcome:
     """Self-test: fit against rates synthesized from a known parameter set."""
-    rates = predict_rates(ground_truth, bank)
+    rates = run_afferents(ground_truth, bank)[1]
     synthetic = ObservedRateSet(ground_truth.afferent_type, tuple(
         (spec.freq_hz, spec.amplitude_um, float(r)) for (spec, _), r in zip(bank, rates)))
     return fit_afferent(

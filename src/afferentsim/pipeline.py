@@ -127,11 +127,8 @@ def simulate(cfg: RunConfig) -> SimulateResult:
     params = load_afferent_params(cfg.afferent_params_source)
     mesh = build_mesh(cfg.geometry, cfg.materials)
     bank = stress_bank(cfg, mesh, specs)
-    windows = [(spec.discard_ms, spec.discard_ms + spec.window_ms) for spec in specs]
     by_type = {
-        atype: run_afferents(
-            [bank[spec.stimulus_id][atype] for spec in specs], params[atype], windows
-        )
+        atype: run_afferents(params[atype], [(s, bank[s.stimulus_id][atype]) for s in specs])
         for atype in AFFERENT_TYPES
     }
     hashes = {atype: params[atype].content_hash() for atype in AFFERENT_TYPES}
@@ -142,7 +139,7 @@ def simulate(cfg: RunConfig) -> SimulateResult:
         else:
             freq, amp = (spec.lo_hz + spec.hi_hz) / 2.0, spec.rms_um
         for atype in AFFERENT_TYPES:
-            steps, counts = by_type[atype]
+            steps, rates = by_type[atype]
             trains.append({
                 "afferent": atype, "params_hash": hashes[atype], "dt": DT_MS,
                 "duration_ms": (bank[spec.stimulus_id][atype].size - 1) * DT_MS,
@@ -152,8 +149,7 @@ def simulate(cfg: RunConfig) -> SimulateResult:
             records.append(RateRecord(
                 afferent_type=atype, stimulus_id=spec.stimulus_id,
                 freq_hz=freq, amplitude_um=amp,
-                predicted_ips=int(counts[s]) / (spec.window_ms / 1000.0),
-                window_ms=spec.window_ms,
+                predicted_ips=float(rates[s]), window_ms=spec.window_ms,
             ))
     return SimulateResult(mesh, bank, trains, records)
 

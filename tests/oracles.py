@@ -1,9 +1,9 @@
 """Reference implementations that the tests compare the program against.
 
 Each is the plain form of something the program computes in a faster or
-fused way, or (load_mesh, params_to_genes, write_protocol_file) the reader
-of an export, the inverse of a map or the writer of an input that only the
-tests need; none of them is on a command's path.
+fused way, or (load_mesh, params_to_genes, write_protocol_file,
+window_spec) the reader of an export, the inverse of a map or the writer of
+an input that only the tests need; none of them is on a command's path.
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ from afferentsim import fem
 from afferentsim.errors import ValidationError
 from afferentsim.mesh import AFFERENT_TYPES, Mesh, MaterialLayer, check_jacobians, gauss_gradients
 from afferentsim.optimize import FITTED_PARAMETERS, OBJECTIVE_FREQS, genes_to_params
+from afferentsim.stimulus import StimulusSpec
 
 
 def stress_to_drive(inputs, params):
@@ -230,3 +231,13 @@ def write_protocol_file(specs, path, name="custom"):
                for s in specs]
     with open(path, "w") as fh:
         json.dump({"name": name, "stimuli": stimuli}, fh, indent=2)
+
+
+def window_spec(start_ms, end_ms):
+    """The StimulusSpec that pairs a synthetic stress trace with the count
+    window [start_ms, end_ms) in a bank: a silent sinusoid of that length,
+    whose id names the window."""
+    return StimulusSpec(
+        stimulus_id=f"window_{start_ms:g}-{end_ms:g}ms", kind="sinusoid", duration_ms=end_ms,
+        discard_ms=start_ms, window_ms=end_ms - start_ms, freq_hz=20.0, amplitude_um=0.0,
+    )

@@ -210,11 +210,10 @@ def test_criterion_08_rate_trends(appendix_a_bank):
     specs, bank = appendix_a_bank
     params = neural.default_afferent_params()
     rates: dict[tuple[str, float, float], float] = {}
-    windows = [(s.discard_ms, s.discard_ms + s.window_ms) for s in specs]
     for atype, p in params.items():
-        _, counts = neural.run_afferents([bank[s.stimulus_id][atype] for s in specs], p, windows)
-        for spec, n in zip(specs, counts):
-            rates[(atype, spec.freq_hz, spec.amplitude_um)] = n / (spec.window_ms / 1000.0)
+        _, type_rates = neural.run_afferents(p, [(s, bank[s.stimulus_id][atype]) for s in specs])
+        for spec, r in zip(specs, type_rates):
+            rates[(atype, spec.freq_hz, spec.amplitude_um)] = r
 
     for atype in ("SA", "RA", "PC"):
         for freq, amps in stimulus.SINUSOID_TABLE.items():

@@ -379,8 +379,7 @@ def test_spike_jsonl_round_trip(tmp_path):
         assert rec["dt"] == stimulus.DT_MS
         assert rec["duration_ms"] == spec.duration_ms
         trace = simulated.bank[spec.stimulus_id][atype]
-        window = (spec.discard_ms, spec.discard_ms + spec.window_ms)
-        (steps,), _ = neural.run_afferents([trace], params[atype], [window])
+        (steps,), _ = neural.run_afferents(params[atype], [(spec, trace)])
         assert rec["spikes"] == (steps * stimulus.DT_MS).tolist()
         assert rec["meta"] == {"node_id": simulated.mesh.afferent_nodes[atype],
                                "stimulus_id": spec.stimulus_id}
@@ -1265,9 +1264,9 @@ def test_cli_fit_writes_the_error_record_of_an_undefined_regression(tmp_path):
     assert reg == {"pooled": undefined, "per_frequency": {"50": undefined}}
 
 
-def test_fit_predicted_rates_equal_predict_rates(tmp_path, default_mesh):
+def test_fit_predicted_rates_equal_run_afferents(tmp_path, default_mesh):
     """The fit reports the selected candidate's rates from the search's own
-    counts: bit for bit predict_rates(selected, bank) on every condition,
+    counts: bit for bit run_afferents(selected, bank)'s on every condition,
     the 300 Hz one without an observed rate included."""
     specs = [
         sin_spec(20.0, 250.0, duration=345.0, window=245.0),
@@ -1288,8 +1287,8 @@ def test_fit_predicted_rates_equal_predict_rates(tmp_path, default_mesh):
     bank = pipeline.stress_bank(cfg, default_mesh, specs)
     for atype in mesh.AFFERENT_TYPES:
         outcome, records = fitted[atype].outcome, fitted[atype].records
-        rates = optimize.predict_rates(outcome.selected,
-                                       [(s, bank[s.stimulus_id][atype]) for s in specs])
+        _, rates = neural.run_afferents(outcome.selected,
+                                        [(s, bank[s.stimulus_id][atype]) for s in specs])
         expected = [(s.freq_hz, s.amplitude_um, r) for s, r in zip(specs, rates)]
         got = [(r.freq_hz, r.amplitude_um, r.predicted_ips) for r in records]
         assert np.array(got).tobytes() == np.array(expected).tobytes(), atype

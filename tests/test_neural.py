@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afferentsim import neural
+from afferentsim import neural, stimulus
 from afferentsim.neural import SATURATION_FIELDS
 from afferentsim.errors import ValidationError
-from oracles import stress_to_drive
+from oracles import stress_to_drive, window_spec
 
 DT = 0.5
 PARAMS = neural.default_afferent_params()
@@ -199,8 +200,9 @@ def test_zero_drive_rests():
         zeros = tuple(np.zeros(2001) for _ in params.saturation())
         assert whole_trace_steps([zeros], [params])[0][0].size == 0
         # zero stress filters to zero input, hence zero drive
-        (steps,), counts = neural.run_afferents([np.zeros(2001)], params, [(0.0, 1000.0)])
-        assert steps.size == 0 and counts.tolist() == [0]
+        bank = [(window_spec(0.0, 1000.0), np.zeros(2001))]
+        (steps,), rates = neural.run_afferents(params, bank)
+        assert steps.size == 0 and rates.tolist() == [0]
 
 
 def test_subthreshold_asymptote():
@@ -530,28 +532,55 @@ def test_time_shift_equivariance(rng):
 
 
 def test_run_afferents_composition(rng):
-    """One call over several traces gives each trace the spike steps of its
-    own filter chain through the counter, whole whatever its window, and
-    the count of its spikes in its window."""
+    """One call over a bank of several traces gives each trace the spike
+    steps of its own filter chain through the counter, whole whatever its
+    window, and the count of its spikes in its window per second of window.
+    A window past its trace's end is refused, by the stimulus's id."""
     traces = [np.abs(rng.normal(scale=2e4, size=n)) for n in (691, 401, 691)]
-    windows = [(100.0, 345.0), (50.0, 150.0), (0.0, 400.0)]
+    specs = [window_spec(100.0, 345.0), window_spec(50.0, 150.0), window_spec(0.0, 345.0)]
+    bank = list(zip(specs, traces))
     for params in PARAMS.values():
-        spiked, counts = neural.run_afferents(traces, params, windows)
-        assert len(spiked) == len(traces) and counts.shape == (len(traces),)
+        spiked, rates = neural.run_afferents(params, bank)
+        assert len(spiked) == len(traces) and rates.shape == (len(traces),)
         for j, (trace, got) in enumerate(zip(traces, spiked)):
             inputs = neural.filtered_inputs(params, trace)
             steps = whole_trace_steps([inputs], [params])[0][0]
             assert np.array_equal(got, steps)
-            k_lo, k_hi = neural.window_steps(*windows[j])
-            assert counts[j] == np.count_nonzero((steps >= k_lo) & (steps < k_hi))
-            (alone,), _ = neural.run_afferents([trace], params, [windows[j]])
+            spec = specs[j]
+            k_lo, k_hi = neural.window_steps(spec.discard_ms, spec.discard_ms + spec.window_ms)
+            n = np.count_nonzero((steps >= k_lo) & (steps < k_hi))
+            assert rates[j] == n / (spec.window_ms / 1000.0)
+            (alone,), _ = neural.run_afferents(params, [bank[j]])
             assert np.array_equal(got, alone)
+        with pytest.raises(ValidationError, match="'window_0-400ms' is shorter"):
+            neural.run_afferents(params, [(window_spec(0.0, 400.0), traces[2])])
+
+
+def test_bank_refusal_names_diharmonic_and_noise_stimuli():
+    """A trace one step short of its window is refused for every stimulus
+    kind, by its stimulus_id: two appendixB diharmonics that share their
+    first component (10 Hz at 2 um) and an appendixC noise stimulus, which
+    has no (freq, amplitude) at all, each in a bank of full traces."""
+    diharmonics = [s for s in stimulus.builtin_protocol("appendixB")
+                   if (s.freq_hz, s.amplitude_um) == (10.0, 2.0)]
+    specs = diharmonics + stimulus.builtin_protocol("appendixC")[:1]
+    assert len(diharmonics) == 2 and specs[-1].kind == "bandpass_noise"
+    full = [np.zeros(round((s.discard_ms + s.window_ms) / DT) + 1) for s in specs]
+    params = PARAMS["RA"]
+    neural.run_afferents(params, list(zip(specs, full)))
+    for j, spec in enumerate(specs):
+        bank = [(s, trace[:-1] if i == j else trace)
+                for i, (s, trace) in enumerate(zip(specs, full))]
+        named = re.escape(f"'{spec.stimulus_id}' is shorter")
+        for count in (neural.run_afferents, neural.bank_counter):
+            with pytest.raises(ValidationError, match=named):
+                count(params, bank)
 
 
 def test_constant_stress_silences_ra_pc():
     stress = np.full(691, 5e4)
     for name in ("RA", "PC"):
-        (steps,), _ = neural.run_afferents([stress], PARAMS[name], [(0.0, 345.0)])
+        (steps,), _ = neural.run_afferents(PARAMS[name], [(window_spec(0.0, 345.0), stress)])
         # rate-sensitive types ignore the standing load (only the onset
         # transient at sample 1 can contribute)
         assert steps.size <= 1

@@ -36,7 +36,7 @@ def synthetic_bank(amps=(10.0, 50.0)):
 def rate_records(params, bank):
     """(freq, amplitude, predicted ips) of each stimulus of a synthetic
     bank, in its order, as observed-rate records."""
-    rates = optimize.predict_rates(params, list(bank.values()))
+    _, rates = neural.run_afferents(params, list(bank.values()))
     return [(f, a, float(r)) for (f, a), r in zip(bank, rates)]
 
 
@@ -235,7 +235,7 @@ def test_objective_scaling_is_quadratic(monkeypatch):
             assert isinstance(table, neural.ParamTable)
             return np.zeros((len(table), self.n_stimuli), dtype=np.int64)
 
-    monkeypatch.setattr(optimize, "SpikeCounter", SilentCounter)
+    monkeypatch.setattr(neural, "SpikeCounter", SilentCounter)
     genes = params_to_genes(neural.default_afferent_params()["RA"])
     base = optimize.ObservedRateSet(
         "RA", tuple((f, a, 3.0 + f / 10.0) for (f, a) in sorted(synthetic_bank()))
@@ -284,7 +284,7 @@ def test_rate_evaluator_batch_equals_single_rows(afferent, monkeypatch):
                               *table.saturation.tolist()))
             return super().__call__(table)
 
-    monkeypatch.setattr(optimize, "SpikeCounter", RecordingCounter)
+    monkeypatch.setattr(neural, "SpikeCounter", RecordingCounter)
     evaluator = fresh()
     assert np.array_equal(evaluator(genes[:6]), batch[:6])
     assert np.array_equal(evaluator(mixed), expected)
@@ -320,7 +320,7 @@ def test_gene_columns_match_afferent_params_path(afferent):
         assert getattr(table.cell, name) == getattr(by_params.cell, name), name
     for name in ("tau_m_ms", "alpha_prime", "saturation"):
         assert getattr(table, name).tobytes() == getattr(by_params, name).tobytes(), name
-    counter, window_s = optimize._window_counter(
+    counter, window_s = neural.bank_counter(
         truth, [bank[(f, a)] for f, a, _ in observed.records]
     )
     rates = counter(by_params) / window_s
@@ -338,22 +338,22 @@ def test_gene_columns_match_afferent_params_path(afferent):
 
 def test_rate_paths_refuse_a_trace_shorter_than_its_window():
     """A 150 ms trace cannot fill its spec's window of [100, 200) ms: both
-    predict_rates and the evaluator refuse it and name the condition,
+    run_afferents and the evaluator refuse it and name the stimulus,
     where counting up to the trace end would divide a partial count by the
     full window."""
     bank = synthetic_bank()
     spec, full = bank[(50.0, 10.0)]
     bank[(50.0, 10.0)] = (spec, full[:301])
     truth = neural.default_afferent_params()["RA"]
-    with pytest.raises(ValidationError, match=r"\(50.0 Hz, 10.0 um\) is shorter"):
-        optimize.predict_rates(truth, list(bank.values()))
+    with pytest.raises(ValidationError, match="'sin_50hz_10um' is shorter"):
+        neural.run_afferents(truth, list(bank.values()))
     observed = optimize.ObservedRateSet("RA", ((20.0, 10.0, 5.0), (50.0, 10.0, 10.0)))
-    with pytest.raises(ValidationError, match=r"\(50.0 Hz, 10.0 um\) is shorter"):
+    with pytest.raises(ValidationError, match="'sin_50hz_10um' is shorter"):
         optimize.RateEvaluator("RA", list(bank.values()), observed)
     # a trace exactly as long as discard + window is counted
     bank[(50.0, 10.0)] = (spec, full)
     assert (full.size - 1) * DT == 200.0
-    optimize.predict_rates(truth, list(bank.values()))
+    neural.run_afferents(truth, list(bank.values()))
 
 
 def test_rates_count_over_each_spec_window():
@@ -367,7 +367,7 @@ def test_rates_count_over_each_spec_window():
     expected = []
     for (f, a), (s, t) in sorted(bank.items()):
         lo, hi = s.discard_ms, s.discard_ms + s.window_ms
-        (steps,), _ = neural.run_afferents([t], truth, [(lo, hi)])
+        (steps,), _ = neural.run_afferents(truth, [(s, t)])
         n = np.count_nonzero((steps * DT >= lo) & (steps * DT < hi))
         expected.append((f, a, n / (s.window_ms / 1000.0)))
     assert rate_records(truth, bank) == expected
